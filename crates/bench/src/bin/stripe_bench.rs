@@ -23,7 +23,6 @@ use sgfs::config::{CacheMode, SecurityLevel, SessionConfig, StripePolicy};
 use sgfs::proxy::blockstore::BlockKey;
 use sgfs::proxy::client::{ClientProxy, Upstream};
 use sgfs::proxy::pipeline::Pipeline;
-use sgfs::stats::ProxyStats;
 use sgfs_bench::RunOpts;
 use sgfs_net::{pipe_pair, pipe_pair_over_link, Link, LinkSpec, PipeEnd, SimClock};
 use sgfs_nfs3::proc::{
@@ -294,29 +293,14 @@ fn striped_read_time(rtt: Duration, width: u32, blocks: usize) -> f64 {
             states[m].lock().unwrap().insert((fh(), b * BLOCK as u64), data.clone());
         }
     }
-    // Width 1 is the single-upstream data plane: one windowed pipeline,
-    // no stripe set (`with_stripe` only builds one for several members).
+    // Width 1 is the single-upstream data plane — the stripe set of one,
+    // assembled by the same constructor as any other width.
     const WINDOW: u32 = 2;
-    let mut proxy = None;
-    let members: Vec<Pipeline> = if width == 1 {
-        let (end, srv) = pipe_pair_over_link(links[0].clone());
-        byte_server(srv, states[0].clone(), 7);
-        let watch = end.watch();
-        vec![Pipeline::new(
-            Upstream::Plain(Box::new(end)),
-            watch,
-            WINDOW,
-            None,
-            ProxyStats::new(),
-        )]
-    } else {
-        let verfs = vec![7u64; width as usize];
-        let config = stripe_config(width, 1, WINDOW, 0);
-        let p = striped_proxy(&links, &states, &verfs, &config);
-        let set = p.stripe().expect("striped session").clone();
-        proxy = Some(p);
-        (0..width as usize).map(|m| set.member(m)).collect()
-    };
+    let verfs = vec![7u64; width as usize];
+    let config = stripe_config(width, 1, WINDOW, 0);
+    let proxy = striped_proxy(&links, &states, &verfs, &config);
+    let members: Vec<Pipeline> =
+        (0..width as usize).map(|m| proxy.stripe().member(m)).collect();
 
     // `WINDOW` caller threads per member keep each member's window full,
     // exactly as the read-ahead fan-out does.
@@ -326,7 +310,7 @@ fn striped_read_time(rtt: Duration, width: u32, blocks: usize) -> f64 {
         .map(|(m, slot)| {
             let member = members[m].clone();
             let mine: Vec<u64> = (0..blocks as u64)
-                .filter(|&b| *map.members_of_block(b).first().unwrap() == m)
+                .filter(|&b| map.members_of_block(b).next() == Some(m))
                 .skip(slot)
                 .step_by(WINDOW as usize)
                 .collect();

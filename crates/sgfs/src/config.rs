@@ -130,8 +130,8 @@ impl DurabilityPolicy {
 /// The DSS hands the client a placement across `width` FSS upstreams:
 /// file blocks (of `block_size` bytes) are striped across the members by
 /// block index, and each block is written to `replicas` distinct members
-/// before it may be marked clean. `width == 1` degenerates to the
-/// single-server session. See DESIGN.md §16 for the stripe map and the
+/// before it may be marked clean. `width == 1` is the single-server
+/// session — the degenerate stripe, not a separate code path. See DESIGN.md §16 for the stripe map and the
 /// replica write/failover protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StripePolicy {
@@ -245,8 +245,9 @@ pub struct SessionConfig {
     /// Shared client I/O pool the session's upstream pipeline is pinned
     /// to; `None` gives the pipeline a private single-worker pool.
     pub client_pool: Option<std::sync::Arc<sgfs_oncrpc::ClientIoPool>>,
-    /// Client side: multi-server placement (stripe width, replica count,
-    /// stripe unit). `None` = the classic single-upstream session.
+    /// Client side: placement (stripe width, replica count, stripe
+    /// unit). `None` = the width-1 placement: one upstream holding every
+    /// block, on the same data path as any other width.
     pub stripe: Option<StripePolicy>,
 }
 

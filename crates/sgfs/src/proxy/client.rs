@@ -21,11 +21,17 @@
 //!   replies by xid — the write-back flush submits every dirty block
 //!   before waiting, and the **read-ahead** worker shares the same
 //!   channel instead of a second connection (and second handshake),
-//!   reproducing SFS's asynchronous-RPC advantage.
+//!   reproducing SFS's asynchronous-RPC advantage;
+//! * the upstreams are a [`StripeSet`]: one member for the paper's
+//!   single-server session, several when the DSS places the session
+//!   across file servers. There is one data path — routing, flush round,
+//!   read-ahead worker — for every width; what a placement where *some
+//!   member lacks some block* additionally needs hangs off
+//!   [`StripeMap::is_partial`] alone (DESIGN.md §16).
 
-use crate::config::{CacheMode, HopCost, SessionConfig};
+use crate::config::{CacheMode, HopCost, RetryPolicy, SessionConfig, StripePolicy};
 use crate::proxy::blockstore::{BlockStore, DiskStore, MemStore};
-use crate::proxy::pipeline::Pipeline;
+use crate::proxy::pipeline::{PendingReply, Pipeline};
 use crate::proxy::stripe::{StripeMap, StripeSet};
 use crate::stats::ProxyStats;
 use parking_lot::Mutex;
@@ -114,8 +120,10 @@ impl MetaCache {
 
 /// The client-side proxy for one SGFS session.
 pub struct ClientProxy {
-    /// The pipelined upstream channel (shared with the read-ahead worker).
-    pipeline: Pipeline,
+    /// The session's upstreams: the placement map plus one pipelined
+    /// channel per member (shared with the read-ahead worker). A
+    /// single-upstream session is the stripe set of one.
+    stripe: StripeSet,
     store: Option<Box<dyn BlockStore>>,
     meta_enabled: bool,
     meta: MetaCache,
@@ -140,9 +148,6 @@ pub struct ClientProxy {
     forwarded: HashMap<u32, u64>,
     /// Kill-point injector for the crash harness (None in production).
     crash: Option<Arc<CrashInjector>>,
-    /// Multi-server placement: the stripe set spanning every upstream
-    /// member (member 0 is also `pipeline`). `None` = single upstream.
-    stripe: Option<StripeSet>,
     /// Per-member blocks a down member missed while out of the write
     /// set; [`resync_member`](Self::resync_member) replays them from the
     /// store before the member rejoins.
@@ -151,25 +156,62 @@ pub struct ClientProxy {
     /// re-sync can dial a rejoined host afresh after the old pipeline
     /// exhausted its reconnect budget and went terminal.
     redial: Vec<Option<SharedReconnector>>,
-    /// The client I/O pool member pipelines multiplex onto (needed to
-    /// rebuild a member channel at re-sync).
-    pool: Option<Arc<sgfs_oncrpc::ClientIoPool>>,
-    /// Pipeline parameters retained for member-channel rebuilds.
-    window: u32,
-    rekey_every: Option<u64>,
-    retry: crate::config::RetryPolicy,
+    /// What a member channel is built from — at assembly, and again when
+    /// a re-sync re-dials a rejoined host.
+    channels: ChannelParams,
 }
 
 /// A reconnector both a member pipeline and the proxy's re-sync path can
 /// dial through.
 type SharedReconnector = Arc<Mutex<Box<dyn crate::proxy::retry::Reconnector>>>;
 
-/// Adapt a shared reconnector into the owned form a pipeline takes.
-fn dial_via(shared: &SharedReconnector) -> Box<dyn crate::proxy::retry::Reconnector> {
-    let shared = shared.clone();
-    Box::new(move |attempt: u32| {
-        shared.lock().reconnect(attempt)
-    })
+/// The pool and pipeline parameters every member channel shares.
+struct ChannelParams {
+    /// The client I/O pool the member pipelines multiplex onto:
+    /// `config.client_pool`, or one private single-worker pool shared by
+    /// all members — a wider stripe adds **zero** reader threads.
+    pool: Arc<sgfs_oncrpc::ClientIoPool>,
+    stats: Arc<ProxyStats>,
+    window: u32,
+    rekey_every: Option<u64>,
+    retry: RetryPolicy,
+}
+
+impl ChannelParams {
+    /// Pipeline one established member channel onto the pool. The
+    /// pipeline dials through `redial` for transient blips.
+    fn open(
+        &self,
+        mut upstream: Upstream,
+        watch: sgfs_net::PipeWatch,
+        redial: Option<&SharedReconnector>,
+    ) -> std::io::Result<Pipeline> {
+        if let Upstream::Tls(t) = &mut upstream {
+            // Attribute record crypto to this proxy's CPU account before
+            // the channel moves onto the client I/O pool. The stream's
+            // own auto-rekey stays off: a transparent mid-window
+            // renegotiation would interleave handshake records with
+            // in-flight DATA replies, so the pipeline tracks the
+            // rekey-every threshold itself and rekeys at quiesce points.
+            t.busy_counter = Some(self.stats.busy_counter());
+            t.obs = self.stats.obs().cloned();
+        }
+        let reconnector = redial.map(|shared| {
+            let shared = shared.clone();
+            Box::new(move |attempt: u32| shared.lock().reconnect(attempt))
+                as Box<dyn crate::proxy::retry::Reconnector>
+        });
+        Pipeline::with_recovery_on(
+            &self.pool,
+            upstream,
+            watch,
+            self.window,
+            self.rekey_every,
+            self.stats.clone(),
+            reconnector,
+            self.retry,
+        )
+    }
 }
 
 struct PrefetchReq {
@@ -273,21 +315,24 @@ impl ClientProxy {
         Self::with_stripe(vec![(upstream, watch, reconnector)], config)
     }
 
-    /// Build a proxy placed across several upstream members per
-    /// `config.stripe`: file blocks stripe across the members by block
-    /// index, dirty blocks replicate to every mapped member, and each
-    /// member fails over independently through its own reconnector.
-    ///
-    /// With a single upstream (and no stripe policy) this degenerates to
-    /// the classic session. Every member's reader is multiplexed onto
-    /// one client I/O pool — `config.client_pool` if set, otherwise one
-    /// private single-worker pool shared by all members — so a wider
-    /// stripe adds **zero** reader threads.
+    /// Build a proxy placed across its upstream members per
+    /// `config.stripe` (`None` = the width-1 placement): file blocks
+    /// stripe across the members by block index, dirty blocks replicate
+    /// to every mapped member, and each member fails over independently
+    /// through its own reconnector. One upstream is simply the stripe set
+    /// of one — every width runs the same data path.
     pub fn with_stripe(
         upstreams: Vec<StripeUpstream>,
         config: &SessionConfig,
     ) -> std::io::Result<Self> {
-        assert!(!upstreams.is_empty(), "a session needs at least one upstream");
+        let map = StripeMap::new(config.stripe.unwrap_or(StripePolicy::striped(1)));
+        if map.width() as usize != upstreams.len() {
+            return Err(std::io::Error::other(format!(
+                "stripe width {} != upstream count {}",
+                map.width(),
+                upstreams.len()
+            )));
+        }
         let stats = ProxyStats::new();
         if let Some(obs) = &config.obs {
             stats.set_obs(obs.clone());
@@ -313,77 +358,26 @@ impl ClientProxy {
                 (Some(Box::new(store)), true)
             }
         };
-        let striped = upstreams.len() > 1;
-        let pool = match (&config.client_pool, striped) {
-            (Some(pool), _) => Some(pool.clone()),
-            (None, true) => Some(sgfs_oncrpc::ClientIoPool::new(1)),
-            (None, false) => None,
+        let channels = ChannelParams {
+            pool: config.client_pool.clone().unwrap_or_else(|| sgfs_oncrpc::ClientIoPool::new(1)),
+            stats: stats.clone(),
+            window: config.window,
+            rekey_every: config.rekey_every_records,
+            retry: config.retry,
         };
         let mut pipelines = Vec::with_capacity(upstreams.len());
         let mut redial = Vec::with_capacity(upstreams.len());
-        for (mut upstream, watch, reconnector) in upstreams {
+        for (upstream, watch, reconnector) in upstreams {
             // Keep a handle on the reconnector: the pipeline dials
             // through it for transient blips, and `resync_member` dials
             // through it again when a rejoined host needs a fresh
             // channel after the pipeline's budget ran out.
             let shared = reconnector.map(|r| Arc::new(Mutex::new(r)) as SharedReconnector);
-            let reconnector = shared.as_ref().map(dial_via);
+            pipelines.push(channels.open(upstream, watch, shared.as_ref())?);
             redial.push(shared);
-            if let Upstream::Tls(t) = &mut upstream {
-                // Attribute record crypto to this proxy's CPU account before
-                // the channel moves onto the client I/O pool. The stream's
-                // own auto-rekey stays off: a transparent mid-window
-                // renegotiation would interleave handshake records with
-                // in-flight DATA replies, so the pipeline tracks the
-                // rekey-every threshold itself and rekeys at quiesce points.
-                t.busy_counter = Some(stats.busy_counter());
-                t.obs = stats.obs().cloned();
-            }
-            let pipeline = match &pool {
-                Some(pool) => Pipeline::with_recovery_on(
-                    pool,
-                    upstream,
-                    watch,
-                    config.window,
-                    config.rekey_every_records,
-                    stats.clone(),
-                    reconnector,
-                    config.retry,
-                )?,
-                None => Pipeline::with_recovery(
-                    upstream,
-                    watch,
-                    config.window,
-                    config.rekey_every_records,
-                    stats.clone(),
-                    reconnector,
-                    config.retry,
-                ),
-            };
-            pipelines.push(pipeline);
         }
-        let stripe = if striped {
-            let policy = config.stripe.ok_or_else(|| {
-                std::io::Error::other("multiple upstreams require a stripe policy")
-            })?;
-            let map = StripeMap::new(policy);
-            if map.width() as usize != pipelines.len() {
-                return Err(std::io::Error::other(format!(
-                    "stripe width {} != upstream count {}",
-                    map.width(),
-                    pipelines.len()
-                )));
-            }
-            Some(StripeSet::new(map, pipelines.clone()))
-        } else {
-            None
-        };
-        let missed = vec![HashSet::new(); pipelines.len()];
-        let window = config.window;
-        let rekey_every = config.rekey_every_records;
-        let retry = config.retry;
         Ok(Self {
-            pipeline: pipelines.swap_remove(0),
+            stripe: StripeSet::new(map, pipelines),
             store,
             meta_enabled,
             meta: MetaCache::new(),
@@ -402,19 +396,16 @@ impl ClientProxy {
             hop: HopCost::free(),
             forwarded: HashMap::new(),
             crash: config.crash.clone(),
-            stripe,
-            missed,
+            missed: vec![HashSet::new(); redial.len()],
             redial,
-            pool,
-            window,
-            rekey_every,
-            retry,
+            channels,
         })
     }
 
-    /// The stripe set, when this session spans several upstreams.
-    pub fn stripe(&self) -> Option<&StripeSet> {
-        self.stripe.as_ref()
+    /// The session's upstream set (one member for a single-upstream
+    /// session).
+    pub fn stripe(&self) -> &StripeSet {
+        &self.stripe
     }
 
     /// Blocks member `m` missed while out of the write set (pending
@@ -455,20 +446,43 @@ impl ClientProxy {
         ClientProxyController { rekey_requested: self.rekey_requested.clone() }
     }
 
-    /// Number of completed handshakes on the secure channel (1 + rekeys).
+    /// Completed handshakes on the secure channels (1 + rekeys): the
+    /// minimum over live members, so a forced renegotiation only counts
+    /// once every member has fresh keys. `None` on plaintext upstreams.
     pub fn handshake_count(&self) -> Option<u64> {
-        self.pipeline.handshake_count()
+        (0..self.stripe.width())
+            .filter(|&m| self.stripe.is_up(m))
+            .filter_map(|m| self.stripe.member(m).handshake_count())
+            .min()
     }
 
-    /// The pipelined upstream channel (e.g. for split-phase callers).
-    pub fn pipeline(&self) -> &Pipeline {
-        &self.pipeline
+    /// Renegotiate the session keys of every live member at this quiesce
+    /// point (between two downstream requests). A member whose rekey
+    /// fails is failed over like any other dead channel; the error only
+    /// surfaces when it is the last member's.
+    fn rekey_members(&mut self) -> std::io::Result<()> {
+        for m in 0..self.stripe.width() {
+            if self.stripe.is_up(m) {
+                if let Err(e) = self.stripe.member(m).rekey() {
+                    if !self.fail_member(m) {
+                        return Err(e);
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
-    /// Attach a read-ahead worker that fetches through the shared
-    /// pipelined channel — its READs fill the in-flight window alongside
-    /// demand traffic, with no second connection (or second handshake).
+    /// Attach the read-ahead worker. It fetches through the members'
+    /// shared pipelined channels — its READs fill the in-flight windows
+    /// alongside demand traffic, with no second connection (or second
+    /// handshake).
     ///
+    /// One worker thread at any width (never one per upstream): it
+    /// drains the queue, submits each READ split-phase into the pipeline
+    /// of its block's first live member, and only then waits — so one
+    /// round of read-ahead overlaps up to a window of round trips per
+    /// member and fans out across every server of the set in parallel.
     /// The worker runs until the proxy is dropped; fetched blocks land in
     /// a shared map the main loop consults before going upstream.
     pub fn start_readahead(&mut self) {
@@ -479,109 +493,63 @@ impl ClientProxy {
         let map = self.prefetched.clone();
         let inflight = self.prefetch_inflight.clone();
         let gov = self.prefetch_gov.clone();
-        if let Some(set) = self.stripe.clone() {
-            // Striped sessions: one worker thread (never one per
-            // upstream) that drains the queue, submits each READ
-            // split-phase into its mapped member's pipeline, and only
-            // then waits — so one round of read-ahead fans out across
-            // every server of the stripe in parallel.
-            let stats = self.stats.clone();
-            std::thread::spawn(move || {
-                let mut xid = 0x7800_0000u32;
-                while let Ok(first) = rx.recv() {
-                    let mut reqs = vec![first];
-                    while reqs.len() < 32 {
-                        match rx.try_recv() {
-                            Ok(r) => reqs.push(r),
-                            Err(_) => break,
-                        }
-                    }
-                    let mut pending = Vec::new();
-                    for req in reqs {
-                        let key = (req.fh.clone(), req.offset);
-                        if map.lock().contains_key(&key) {
-                            inflight.lock().remove(&key);
-                            continue;
-                        }
-                        let live = set.live_members_of_block(set.map().block_of(req.offset));
-                        let Some(&m) = live.first() else {
-                            inflight.lock().remove(&key);
-                            continue;
-                        };
-                        xid = xid.wrapping_add(1);
-                        // Clamp at the stripe-block boundary: past it the
-                        // member serves its holes, not the file.
-                        let bs = set.map().block_size() as u64;
-                        let count =
-                            (req.count as u64).min((req.offset / bs + 1) * bs - req.offset);
-                        let args = ReadArgs {
-                            file: req.fh.clone(),
-                            offset: req.offset,
-                            count: count as u32,
-                        };
-                        let record = encode_call(xid, procnum::READ, &req.cred, &args);
-                        pending.push((key, m, set.member(m).submit(record)));
-                    }
-                    for (key, m, reply) in pending {
-                        match reply.wait() {
-                            Ok(reply) => {
-                                // Cache only confirmed data. A shed
-                                // (JUKEBOX) prefetch is simply dropped —
-                                // speculative work is never retried, it
-                                // shrinks the horizon instead; the demand
-                                // path re-fetches the block if it is
-                                // actually needed.
-                                if let Some(body) = success_body(&reply) {
-                                    if let Ok(res) = ReadRes::from_xdr_bytes(body) {
-                                        match res.status {
-                                            NfsStat3::Ok => {
-                                                gov.on_clean();
-                                                map.lock().insert(key.clone(), res.data);
-                                            }
-                                            NfsStat3::Jukebox => gov.on_jukebox(),
-                                            _ => {}
-                                        }
-                                    }
-                                }
-                            }
-                            Err(_) => fail_member_via(&stats, &set, m),
-                        }
-                        inflight.lock().remove(&key);
+        let set = self.stripe.clone();
+        let stats = self.stats.clone();
+        std::thread::spawn(move || {
+            let mut xid = 0x7800_0000u32;
+            while let Ok(first) = rx.recv() {
+                let mut reqs = vec![first];
+                while reqs.len() < 32 {
+                    match rx.try_recv() {
+                        Ok(r) => reqs.push(r),
+                        Err(_) => break,
                     }
                 }
-            });
-        } else {
-            let pipeline = self.pipeline.clone();
-            std::thread::spawn(move || {
-                let mut xid = 0x7800_0000u32;
-                for req in rx {
+                let mut pending = Vec::new();
+                for req in reqs {
                     let key = (req.fh.clone(), req.offset);
                     if map.lock().contains_key(&key) {
                         inflight.lock().remove(&key);
                         continue;
                     }
+                    let block = set.map().block_of(req.offset);
+                    let Some(m) = set.live_members_of_block(block).next() else {
+                        inflight.lock().remove(&key);
+                        continue;
+                    };
                     xid = xid.wrapping_add(1);
-                    let args =
-                        ReadArgs { file: req.fh.clone(), offset: req.offset, count: req.count };
-                    let res: Result<ReadRes, ()> =
-                        call_via(&pipeline, xid, procnum::READ, &req.cred, &args);
-                    // As in the striped worker: cache confirmed data only,
-                    // drop shed prefetches and shrink the horizon instead
-                    // of retrying speculative work.
-                    if let Ok(res) = res {
-                        match res.status {
-                            NfsStat3::Ok => {
-                                gov.on_clean();
-                                map.lock().insert(key.clone(), res.data);
+                    // Past its own block a partial member serves its
+                    // holes, not the file: ask only for what it holds.
+                    let count = set.map().contiguous(req.offset, req.count as u64) as u32;
+                    let args = ReadArgs { file: req.fh.clone(), offset: req.offset, count };
+                    let record = encode_call(xid, procnum::READ, &req.cred, &args);
+                    pending.push((key, m, set.member(m).submit(record)));
+                }
+                for (key, m, reply) in pending {
+                    match reply.wait() {
+                        Ok(reply) => {
+                            // Cache only confirmed data. A shed (JUKEBOX)
+                            // prefetch is simply dropped — speculative
+                            // work is never retried, it shrinks the
+                            // horizon instead; the demand path re-fetches
+                            // the block if it is actually needed.
+                            if let Ok(res) = decode_reply::<ReadRes>(&reply) {
+                                match res.status {
+                                    NfsStat3::Ok => {
+                                        gov.on_clean();
+                                        map.lock().insert(key.clone(), res.data);
+                                    }
+                                    NfsStat3::Jukebox => gov.on_jukebox(),
+                                    _ => {}
+                                }
                             }
-                            NfsStat3::Jukebox => gov.on_jukebox(),
-                            _ => {}
                         }
+                        Err(_) => fail_member_via(&stats, &set, m),
                     }
                     inflight.lock().remove(&key);
                 }
-            });
-        }
+            }
+        });
         self.prefetch_tx = Some(tx);
     }
 
@@ -595,7 +563,7 @@ impl ClientProxy {
                 Err(e) => return (self, Err(e)),
             };
             if self.rekey_requested.swap(false, std::sync::atomic::Ordering::AcqRel) {
-                if let Err(e) = self.pipeline.rekey() {
+                if let Err(e) = self.rekey_members() {
                     return (self, Err(e));
                 }
             }
@@ -1011,30 +979,23 @@ impl ClientProxy {
             }
         }
         let t_blk = std::time::Instant::now();
-        // In a striped session the cache key *is* the flush routing key:
-        // one wsize-sized WRITE can span several stripe blocks, each
-        // mapped to a different replica set, so it must be absorbed as
-        // stripe-block-aligned extents or the flush would send the whole
-        // extent to the first block's members only.
-        let stripe_bs = self.stripe.as_ref().map(|s| s.map().block_size() as u64);
+        // The cache key *is* the flush routing key: where members are
+        // partial, one wsize-sized WRITE can span several stripe blocks,
+        // each mapped to a different replica set, so it is absorbed as
+        // stripe-block-bounded extents or the flush would send the whole
+        // extent to the first block's members only. Under full-copy
+        // placement the extent is absorbed in one piece.
+        let map = *self.stripe.map();
         let store = self.store.as_mut().expect("checked");
-        let put = match stripe_bs {
-            Some(bs) => {
-                let mut res = Ok(());
-                let mut off = a.offset;
-                let mut data = &a.data[..];
-                while !data.is_empty() {
-                    let take = ((bs - off % bs) as usize).min(data.len());
-                    res = store.put((a.file.clone(), off), &data[..take], true);
-                    if res.is_err() {
-                        break;
-                    }
-                    off += take as u64;
-                    data = &data[take..];
-                }
-                res
+        let (mut off, mut data) = (a.offset, &a.data[..]);
+        let put = loop {
+            let take = map.contiguous(off, data.len() as u64) as usize;
+            let res = store.put((a.file.clone(), off), &data[..take], true);
+            off += take as u64;
+            data = &data[take..];
+            if res.is_err() || data.is_empty() {
+                break res;
             }
-            None => store.put((a.file.clone(), a.offset), &a.data, true),
         };
         if let Err(e) = put {
             if sgfs_net::crash::is_crash(&e) {
@@ -1095,14 +1056,29 @@ impl ClientProxy {
         ))
     }
 
-    /// One WRITE-batch + COMMIT round. `VerifierChanged` means the blocks
-    /// were re-marked dirty and the caller must flush again; on `Err` the
-    /// blocks are also re-marked dirty so a later retry re-sends them —
-    /// no block is left clean without a COMMIT covering it.
+    /// One WRITE-batch + per-member COMMIT round — the flush round of
+    /// every placement.
+    ///
+    /// Every dirty block's WRITE is encoded once per live mapped member
+    /// and every member's batch enters its pipeline window before any
+    /// reply is awaited, so the replicas of a flush proceed in parallel
+    /// and a WAN flush overlaps up to a window of round trips per member.
+    /// A WRITE, COMMIT or size mirror the server sheds at admission
+    /// (JUKEBOX — never executed) is re-sent verbatim under backoff to
+    /// the member that shed it; only a real failure takes a member out.
+    /// A block goes clean only when at least one replica confirmed its
+    /// WRITE *and* that member's COMMIT verifier matched — members that
+    /// fail mid-flush are failed over, their blocks are recorded in the
+    /// missed set for re-sync, and the flush completes at reduced
+    /// redundancy as long as one replica per block survives. When the
+    /// failing member is the last one standing there is nothing to
+    /// degrade to: the round ends with that member's own error.
+    ///
+    /// `VerifierChanged` and `Retry` mean the blocks were re-marked dirty
+    /// and the caller must flush again; on `Err` the blocks are also
+    /// re-marked dirty so a later retry re-sends them — no block is left
+    /// clean without a COMMIT covering it.
     fn flush_file_once(&mut self, fh: &Fh3) -> std::io::Result<FlushOutcome> {
-        if let Some(set) = self.stripe.clone() {
-            return self.flush_file_once_striped(&set, fh);
-        }
         let dirty = match &self.store {
             Some(s) => s.dirty_blocks_of(fh),
             None => return Ok(FlushOutcome::Committed),
@@ -1114,122 +1090,9 @@ impl ClientProxy {
         if let Some(obs) = self.stats.obs() {
             obs.emit(sgfs_obs::Hop::FlushRound, 0, procnum::COMMIT, dirty.len() as u64);
         }
-        let mut records = Vec::with_capacity(dirty.len());
-        let mut offsets = Vec::with_capacity(dirty.len());
-        for offset in dirty {
-            let data = self
-                .store
-                .as_mut()
-                .and_then(|s| s.get(&(fh.clone(), offset)))
-                .unwrap_or_default();
-            let args = WriteArgs {
-                file: fh.clone(),
-                offset,
-                stable: StableHow::Unstable,
-                data,
-            };
-            self.next_xid = self.next_xid.wrapping_add(1);
-            records.push(encode_call(self.next_xid, procnum::WRITE, &self.client_cred, &args));
-            offsets.push(offset);
-        }
-        // One atomic batch: up to a window of WRITEs goes out before the
-        // pipeline waits on any reply. The records are kept: a WRITE the
-        // server sheds at admission (JUKEBOX — never executed) is re-sent
-        // verbatim under backoff rather than failing the whole flush.
-        let pending = self.pipeline.submit_batch(records.clone());
-        let mut server_verf: Option<u64> = None;
-        let mut verifier_changed = false;
-        for ((offset, record), reply) in offsets.iter().zip(records.iter()).zip(pending) {
-            let settled = reply.wait().and_then(|r| {
-                settle_jukebox(&self.pipeline, &self.stats, &self.retry, record, r)
-            });
-            let verf = match settled.and_then(|r| parse_write_verf(&r)) {
-                Ok(v) => v,
-                Err(e) => {
-                    self.redirty(fh, &offsets);
-                    return Err(e);
-                }
-            };
-            if *server_verf.get_or_insert(verf) != verf {
-                verifier_changed = true;
-            }
-            let cleaned = match &mut self.store {
-                Some(store) => store.set_clean(&(fh.clone(), *offset)),
-                None => Ok(()),
-            };
-            if let Err(e) = cleaned {
-                // The journal could not record the transition; the block
-                // stays dirty (the store updates its index only after the
-                // append succeeds) and a later flush re-sends it.
-                self.redirty(fh, &offsets);
-                return Err(e);
-            }
-        }
-        // Kill point: blocks are clean locally, COMMIT never goes out.
-        // Recovery must re-dirty them (clean-before-COMMIT is not stable).
-        if let Err(e) = self.hit_crash(CrashPoint::FlushBeforeCommit) {
-            self.redirty(fh, &offsets);
-            return Err(e);
-        }
-        let commit = CommitArgs { file: fh.clone(), offset: 0, count: 0 };
-        let res: CommitRes = match self.call_upstream(procnum::COMMIT, &commit) {
-            Ok(r) => r,
-            Err(e) => {
-                self.redirty(fh, &offsets);
-                return Err(std::io::Error::other(e));
-            }
-        };
-        if res.status != NfsStat3::Ok {
-            self.redirty(fh, &offsets);
-            return Err(std::io::Error::other(format!("commit failed: {:?}", res.status)));
-        }
-        // The crash-recovery check proper: every WRITE and the COMMIT
-        // must carry one verifier. Any change means the server lost its
-        // uncommitted (unstable) data — re-send everything.
-        if verifier_changed || server_verf.is_some_and(|v| v != res.verf) {
-            self.redirty(fh, &offsets);
-            return Ok(FlushOutcome::VerifierChanged);
-        }
-        // Kill point: the server has committed but the journal has not
-        // heard — recovery re-sends the blocks, which is idempotent.
-        self.hit_crash(CrashPoint::FlushAfterCommit)?;
-        if let Some(store) = &mut self.store {
-            store.commit_file(fh)?;
-        }
-        if let Some(a) = res.wcc.after {
-            self.meta.attrs.insert(fh.clone(), a);
-        }
-        Ok(FlushOutcome::Committed)
-    }
-
-    /// One replicated WRITE-batch + per-member COMMIT round across the
-    /// stripe set.
-    ///
-    /// Every dirty block's WRITE is encoded once per live mapped member
-    /// and every member's batch enters its pipeline window before any
-    /// reply is awaited, so the replicas of a flush proceed in parallel.
-    /// A block goes clean only when at least one replica confirmed its
-    /// WRITE *and* that member's COMMIT verifier matched — members that
-    /// die mid-flush are failed over, their blocks are recorded in the
-    /// missed set for re-sync, and the flush completes at reduced
-    /// redundancy as long as one replica per block survives.
-    fn flush_file_once_striped(
-        &mut self,
-        set: &StripeSet,
-        fh: &Fh3,
-    ) -> std::io::Result<FlushOutcome> {
-        let dirty = match &self.store {
-            Some(s) => s.dirty_blocks_of(fh),
-            None => return Ok(FlushOutcome::Committed),
-        };
-        if dirty.is_empty() {
-            return Ok(FlushOutcome::Committed);
-        }
-        if let Some(obs) = self.stats.obs() {
-            obs.emit(sgfs_obs::Hop::FlushRound, 0, procnum::COMMIT, dirty.len() as u64);
-        }
-        let width = set.width();
-        // Per-member WRITE batches, one pass over the dirty set.
+        let width = self.stripe.width();
+        // Per-member WRITE batches, one pass over the dirty set. The
+        // records are kept for the verbatim JUKEBOX re-send.
         let mut offsets_of: Vec<Vec<u64>> = vec![Vec::new(); width];
         let mut records_of: Vec<Vec<Vec<u8>>> = vec![Vec::new(); width];
         for &offset in &dirty {
@@ -1238,22 +1101,14 @@ impl ClientProxy {
                 .as_mut()
                 .and_then(|s| s.get(&(fh.clone(), offset)))
                 .unwrap_or_default();
-            let members = set.map().members_of_offset(offset);
-            if !members.iter().any(|&m| set.is_up(m)) {
+            let block = self.stripe.map().block_of(offset);
+            if self.stripe.live_members_of_block(block).next().is_none() {
                 self.redirty(fh, &dirty);
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::NotConnected,
-                    "every replica of a dirty block is down",
-                ));
+                return Err(all_down("every replica of a dirty block is down"));
             }
-            for m in members {
-                if set.is_up(m) {
-                    let args = WriteArgs {
-                        file: fh.clone(),
-                        offset,
-                        stable: StableHow::Unstable,
-                        data: data.clone(),
-                    };
+            let args = WriteArgs { file: fh.clone(), offset, stable: StableHow::Unstable, data };
+            for m in self.stripe.map().members_of_block(block) {
+                if self.stripe.is_up(m) {
                     self.next_xid = self.next_xid.wrapping_add(1);
                     offsets_of[m].push(offset);
                     records_of[m].push(encode_call(
@@ -1267,109 +1122,92 @@ impl ClientProxy {
                 }
             }
         }
-        // Fan out: every member's batch is submitted before any reply is
-        // awaited.
+        // Fan out: every member's batch is submitted (atomically, so up
+        // to a window of it is on the wire) before any reply is awaited.
         let mut pending = Vec::new();
-        for (m, records) in records_of.into_iter().enumerate() {
-            if records.is_empty() {
-                continue;
+        for (m, records) in records_of.iter().enumerate() {
+            if !records.is_empty() {
+                let member = self.stripe.member(m);
+                let replies = member.submit_batch(records.clone());
+                pending.push((m, member, replies));
             }
-            let replies = set.member(m).submit_batch(records);
-            pending.push((m, replies));
         }
         let mut confirmed: HashMap<u64, Vec<usize>> = HashMap::new();
         let mut member_verf: Vec<Option<u64>> = vec![None; width];
         let mut verifier_changed = false;
-        for (m, replies) in pending {
-            let mut dead = false;
-            for (offset, reply) in offsets_of[m].iter().zip(replies) {
-                if dead {
-                    self.missed[m].insert((fh.clone(), *offset));
-                    continue;
-                }
-                match collect_write_reply(reply) {
+        for (m, member, replies) in pending {
+            for ((offset, record), reply) in offsets_of[m].iter().zip(&records_of[m]).zip(replies)
+            {
+                match settle_write(&member, &self.stats, &self.channels.retry, record, reply) {
                     Ok(verf) => {
                         if *member_verf[m].get_or_insert(verf) != verf {
                             verifier_changed = true;
                         }
                         confirmed.entry(*offset).or_default().push(m);
                     }
-                    Err(_) => {
-                        // Member died mid-flush: degrade and keep going
-                        // on the survivors.
-                        dead = true;
+                    Err(e) => {
+                        // Failed mid-batch: no verifier to commit under.
                         member_verf[m] = None;
-                        self.fail_member(set, m);
-                        self.missed[m].insert((fh.clone(), *offset));
+                        let offsets = &offsets_of[m];
+                        if let Err(e) = self.drop_from_round(m, fh, offsets, &mut confirmed, e) {
+                            self.redirty(fh, &dirty);
+                            return Err(e);
+                        }
+                        break;
                     }
                 }
             }
         }
         // Blocks confirmed by at least one replica go clean; the rest
         // stay dirty for the next round.
-        for (&offset, members) in &confirmed {
-            if members.is_empty() {
-                continue;
-            }
+        for offset in dirty.iter().filter(|o| confirmed.contains_key(o)) {
             let cleaned = match &mut self.store {
-                Some(store) => store.set_clean(&(fh.clone(), offset)),
+                Some(store) => store.set_clean(&(fh.clone(), *offset)),
                 None => Ok(()),
             };
             if let Err(e) = cleaned {
+                // The journal could not record the transition; the block
+                // stays dirty (the store updates its index only after the
+                // append succeeds) and a later flush re-sends it.
                 self.redirty(fh, &dirty);
                 return Err(e);
             }
         }
+        // Kill point: blocks are clean locally, COMMIT never goes out.
+        // Recovery must re-dirty them (clean-before-COMMIT is not stable).
         if let Err(e) = self.hit_crash(CrashPoint::FlushBeforeCommit) {
             self.redirty(fh, &dirty);
             return Err(e);
         }
         // One COMMIT per member that confirmed writes; each replica's
-        // verifier contract is enforced independently. A member holds
-        // only its mapped blocks, so its own file size undershoots the
-        // file whenever it lacks the final block — after its COMMIT
-        // confirms, mirror the client-visible size so *any* member can
-        // serve GETATTR/LOOKUP for the file.
+        // verifier contract is enforced independently: every WRITE and
+        // the COMMIT must carry one verifier, any change means that
+        // server lost its uncommitted (unstable) data.
         let mut commit_after: Option<Fattr3> = None;
         let file_size = self.meta.attrs.get(fh).map(|a| a.size);
         for m in 0..width {
             let Some(write_verf) = member_verf[m] else { continue };
-            self.next_xid = self.next_xid.wrapping_add(1);
-            let commit = CommitArgs { file: fh.clone(), offset: 0, count: 0 };
-            let res: Result<CommitRes, ()> = call_via(
-                &set.member(m),
-                self.next_xid,
-                procnum::COMMIT,
-                &self.client_cred,
-                &commit,
-            );
-            let committed = match res {
-                Ok(res) if res.status == NfsStat3::Ok => {
+            match self.commit_member(m, fh, file_size) {
+                Ok(res) => {
                     if res.verf != write_verf {
                         verifier_changed = true;
                     }
                     if commit_after.is_none() {
                         commit_after = res.wcc.after;
                     }
-                    self.mirror_size(set, m, fh, file_size)
+                    self.stats.add_replica_write();
+                    if let Some(obs) = self.stats.obs() {
+                        obs.emit(sgfs_obs::Hop::ReplicaWrite, 0, procnum::COMMIT, m as u64);
+                    }
                 }
-                _ => false,
-            };
-            if committed {
-                self.stats.add_replica_write();
-                if let Some(obs) = self.stats.obs() {
-                    obs.emit(sgfs_obs::Hop::ReplicaWrite, 0, procnum::COMMIT, m as u64);
-                }
-            } else {
-                // The member's WRITEs landed but its COMMIT (or the size
-                // mirror behind it) did not: they are not stable there.
-                // Fail the member over and strike it from every block it
-                // confirmed.
-                self.fail_member(set, m);
-                for offset in &offsets_of[m] {
-                    self.missed[m].insert((fh.clone(), *offset));
-                    if let Some(members) = confirmed.get_mut(offset) {
-                        members.retain(|&c| c != m);
+                // Its WRITEs landed but its COMMIT (or the size mirror
+                // behind it) did not: nothing it holds of this round is
+                // stable.
+                Err(e) => {
+                    let offsets = &offsets_of[m];
+                    if let Err(e) = self.drop_from_round(m, fh, offsets, &mut confirmed, e) {
+                        self.redirty(fh, &dirty);
+                        return Err(e);
                     }
                 }
             }
@@ -1389,43 +1227,79 @@ impl ClientProxy {
             self.redirty(fh, &uncovered);
             return Ok(FlushOutcome::Retry);
         }
+        // Kill point: the server has committed but the journal has not
+        // heard — recovery re-sends the blocks, which is idempotent.
         self.hit_crash(CrashPoint::FlushAfterCommit)?;
         if let Some(store) = &mut self.store {
             store.commit_file(fh)?;
         }
-        if let Some(mut a) = commit_after {
+        if let Some(a) = commit_after {
             // The wcc attr came from one member's COMMIT, which ran
-            // before the size mirror: never let a partial replica size
-            // shrink the fabricated attr the client has already seen.
-            if let Some(prev) = self.meta.attrs.get(fh) {
-                a.size = a.size.max(prev.size);
-            }
-            self.meta.attrs.insert(fh.clone(), a);
+            // before any size mirror: `note_attr` keeps a partial
+            // replica's size from shrinking the attr the client has seen.
+            self.note_attr(fh, a);
         }
         Ok(FlushOutcome::Committed)
     }
 
-    /// Mirror the file's client-visible size to member `m` (best-effort
-    /// SETATTR after its COMMIT confirmed). Returns `false` when the
-    /// member died or rejected the call — the caller fails it over, since
-    /// a member with a stale size cannot serve a consistent view.
-    fn mirror_size(&mut self, set: &StripeSet, m: usize, fh: &Fh3, size: Option<u64>) -> bool {
-        let Some(size) = size else { return true };
-        self.next_xid = self.next_xid.wrapping_add(1);
-        let sa = SetAttrArgs {
-            object: fh.clone(),
-            new_attributes: Sattr3 { size: Some(size), ..Default::default() },
-        };
-        matches!(
-            call_via::<WccRes>(
-                &set.member(m),
-                self.next_xid,
-                procnum::SETATTR,
-                &self.client_cred,
-                &sa,
-            ),
-            Ok(r) if r.status == NfsStat3::Ok
-        )
+    /// Member `m` failed its part of a flush round with `e`. Degrade to
+    /// the survivors: fail the member over, queue the round's blocks for
+    /// its re-sync and strike it from every block it confirmed. The last
+    /// member standing cannot be degraded away from — its error is handed
+    /// back for the round to fail with.
+    fn drop_from_round(
+        &mut self,
+        m: usize,
+        fh: &Fh3,
+        offsets: &[u64],
+        confirmed: &mut HashMap<u64, Vec<usize>>,
+        e: std::io::Error,
+    ) -> std::io::Result<()> {
+        if !self.fail_member(m) {
+            return Err(e);
+        }
+        for offset in offsets {
+            self.missed[m].insert((fh.clone(), *offset));
+            if let Some(members) = confirmed.get_mut(offset) {
+                members.retain(|&c| c != m);
+            }
+        }
+        Ok(())
+    }
+
+    /// Member `m`'s COMMIT of a flush round, then its size mirror: a
+    /// partial member holds only its mapped blocks, so its own file size
+    /// undershoots the file whenever it lacks the final block — once its
+    /// COMMIT confirms, the client-visible size is mirrored to it
+    /// (SETATTR) so *any* member can serve GETATTR/LOOKUP for the file. A
+    /// full-copy member already has the true size and is sent nothing.
+    /// An `Err` (the member died or rejected either call) leaves the
+    /// member without a stable, consistently sized copy of the round.
+    fn commit_member(
+        &mut self,
+        m: usize,
+        fh: &Fh3,
+        size: Option<u64>,
+    ) -> std::io::Result<CommitRes> {
+        let commit = CommitArgs { file: fh.clone(), offset: 0, count: 0 };
+        let res: CommitRes = self.call_on(m, procnum::COMMIT, &commit)?;
+        if res.status != NfsStat3::Ok {
+            return Err(std::io::Error::other(format!("commit failed: {:?}", res.status)));
+        }
+        if let (true, Some(size)) = (self.stripe.map().is_partial(), size) {
+            let sa = SetAttrArgs {
+                object: fh.clone(),
+                new_attributes: Sattr3 { size: Some(size), ..Default::default() },
+            };
+            let mirrored: WccRes = self.call_on(m, procnum::SETATTR, &sa)?;
+            if mirrored.status != NfsStat3::Ok {
+                return Err(std::io::Error::other(format!(
+                    "size mirror failed: {:?}",
+                    mirrored.status
+                )));
+            }
+        }
+        Ok(res)
     }
 
     fn hit_crash(&self, point: CrashPoint) -> std::io::Result<()> {
@@ -1487,141 +1361,88 @@ impl ClientProxy {
     }
 
     /// Forward a raw record upstream and return the raw reply, snooping
-    /// cacheable results.
+    /// cacheable results — the one routing function of every placement.
+    /// READs go to a mapped member of their block (failing over past down
+    /// members); a write-through WRITE reaches every member mapped to a
+    /// block it covers; namespace mutations and COMMIT are mirrored to
+    /// every live member so replica state stays structurally identical
+    /// (file handles are derived from the op sequence, which every member
+    /// sees in the same order); GETATTR asks every member when members
+    /// are partial; everything else rides the first live member.
     fn forward(&mut self, record: &[u8], proc: u32, args: &[u8]) -> std::io::Result<Vec<u8>> {
-        if let Some(set) = self.stripe.clone() {
-            return self.forward_striped(&set, record, proc, args);
-        }
         *self.forwarded.entry(proc).or_insert(0) += 1;
-        self.stats.add_up(record.len());
-        // The upstream round trip is mostly *waiting*; exclude its wall
-        // time from the busy accounting (the GTLS layer re-adds the real
-        // crypto time through the shared busy counter).
-        let t_io = std::time::Instant::now();
-        let reply = call_jukebox_patient(&self.pipeline, &self.stats, &self.retry, record)?;
-        self.stats.exclude(t_io.elapsed());
-        self.stats.add_down(reply.len());
+        let map = *self.stripe.map();
+        let extent = match proc {
+            procnum::READ | procnum::WRITE => io_extent(args),
+            _ => None,
+        };
+        let reply = match (proc, extent) {
+            (procnum::READ, Some((offset, count))) => self.read_block(record, offset, count)?,
+            // Write-through (no store, or the spool degraded): each
+            // mapped member receives the whole extent; reads still route
+            // per block.
+            (procnum::WRITE, Some((offset, count))) => {
+                self.mirror_to(map.members_of_extent(offset, count as u64), record)?
+            }
+            (
+                procnum::SETATTR
+                | procnum::CREATE
+                | procnum::MKDIR
+                | procnum::SYMLINK
+                | procnum::MKNOD
+                | procnum::REMOVE
+                | procnum::RMDIR
+                | procnum::RENAME
+                | procnum::LINK
+                | procnum::COMMIT,
+                _,
+            ) => self.mirror_to(0..self.stripe.width(), record)?,
+            (procnum::GETATTR, _) if map.is_partial() => self.getattr_every_member(record)?,
+            _ => self.call_first_live(record)?,
+        };
         if self.meta_enabled {
             self.snoop_meta(proc, args, &reply);
         }
         Ok(reply)
     }
 
-    /// Route one forwarded call across the stripe set. READs go to a
-    /// mapped member of their block (failing over past down members);
-    /// namespace mutations and COMMIT are mirrored to every live member
-    /// so replica state stays structurally identical (file handles are
-    /// derived from the op sequence, which every member sees in the same
-    /// order); everything else rides the first live member.
-    fn forward_striped(
-        &mut self,
-        set: &StripeSet,
-        record: &[u8],
-        proc: u32,
-        args: &[u8],
-    ) -> std::io::Result<Vec<u8>> {
-        *self.forwarded.entry(proc).or_insert(0) += 1;
-        match proc {
-            procnum::READ => {
-                if let Ok(a) = ReadArgs::from_xdr_bytes(args) {
-                    return self.striped_read(set, record, a.offset, args);
-                }
-                self.forward_first_live(set, record, proc, args)
-            }
-            procnum::WRITE => {
-                // Write-through fallback (no store, or the spool
-                // degraded): one WRITE can span several stripe blocks, so
-                // it must reach every member mapped to *any* covered
-                // block (each receives the whole extent; reads still
-                // route per block).
-                if let Ok(a) = WriteArgs::from_xdr_bytes(args) {
-                    let map = set.map();
-                    let end = a.offset + (a.data.len() as u64).max(1) - 1;
-                    let mut members: Vec<usize> = Vec::new();
-                    for b in map.block_of(a.offset)..=map.block_of(end) {
-                        for m in map.members_of_block(b) {
-                            if !members.contains(&m) {
-                                members.push(m);
-                            }
-                        }
-                    }
-                    return self.mirror_to(set, &members, record, proc, args);
-                }
-                self.forward_first_live(set, record, proc, args)
-            }
-            procnum::SETATTR
-            | procnum::CREATE
-            | procnum::MKDIR
-            | procnum::SYMLINK
-            | procnum::MKNOD
-            | procnum::REMOVE
-            | procnum::RMDIR
-            | procnum::RENAME
-            | procnum::LINK
-            | procnum::COMMIT => {
-                let all: Vec<usize> = (0..set.width()).collect();
-                self.mirror_to(set, &all, record, proc, args)
-            }
-            procnum::GETATTR => {
-                if Fh3::from_xdr_bytes(args).is_ok() {
-                    return self.striped_getattr(set, record, args);
-                }
-                self.forward_first_live(set, record, proc, args)
-            }
-            _ => self.forward_first_live(set, record, proc, args),
-        }
-    }
-
-    /// GETATTR across the stripe set: any single member undershoots the
-    /// file size whenever it lacks the final block, so ask every live
+    /// GETATTR under partial placement: any single member undershoots
+    /// the file size whenever it lacks the final block, so ask every live
     /// member and serve the largest size observed.
-    fn striped_getattr(
-        &mut self,
-        set: &StripeSet,
-        record: &[u8],
-        args: &[u8],
-    ) -> std::io::Result<Vec<u8>> {
+    fn getattr_every_member(&mut self, record: &[u8]) -> std::io::Result<Vec<u8>> {
         let mut best: Option<(u64, Vec<u8>)> = None;
-        for m in 0..set.width() {
-            if !set.is_up(m) {
+        let mut last = None;
+        for m in 0..self.stripe.width() {
+            if !self.stripe.is_up(m) {
                 continue;
             }
-            let Ok(reply) = self.call_member(set, m, record) else { continue };
-            let size = success_body(&reply)
-                .and_then(|b| GetAttrRes::from_xdr_bytes(b).ok())
-                .and_then(|r| r.attr.map(|a| a.size));
+            let reply = match self.call_member(m, record) {
+                Ok(reply) => reply,
+                Err(e) => {
+                    last = Some(e);
+                    continue;
+                }
+            };
+            let size = decode_reply::<GetAttrRes>(&reply).ok().and_then(|r| r.attr).map(|a| a.size);
             match (&best, size) {
                 (None, _) => best = Some((size.unwrap_or(0), reply)),
                 (Some((s, _)), Some(ns)) if ns > *s => best = Some((ns, reply)),
                 _ => {}
             }
         }
-        let Some((_, reply)) = best else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::NotConnected,
-                "every stripe-set member is down",
-            ));
-        };
-        if self.meta_enabled {
-            self.snoop_meta(procnum::GETATTR, args, &reply);
-        }
-        Ok(reply)
+        best.map(|(_, reply)| reply)
+            .ok_or_else(|| last.unwrap_or_else(|| all_down("every stripe-set member is down")))
     }
 
     /// Serve a READ from the first live member of its block's replica
     /// set, failing over past members that die on the way.
-    fn striped_read(
-        &mut self,
-        set: &StripeSet,
-        record: &[u8],
-        offset: u64,
-        args: &[u8],
-    ) -> std::io::Result<Vec<u8>> {
-        for m in set.map().members_of_offset(offset) {
-            if !set.is_up(m) {
+    fn read_block(&mut self, record: &[u8], offset: u64, count: u32) -> std::io::Result<Vec<u8>> {
+        let mut last = None;
+        for m in self.stripe.map().members_of_offset(offset) {
+            if !self.stripe.is_up(m) {
                 continue;
             }
-            match self.call_member(set, m, record) {
+            match self.call_member(m, record) {
                 Ok(reply) => {
                     if let Some(obs) = self.stats.obs() {
                         obs.emit(
@@ -1631,45 +1452,22 @@ impl ClientProxy {
                             m as u64,
                         );
                     }
-                    let reply = clamp_striped_read(set, offset, reply);
-                    if self.meta_enabled {
-                        self.snoop_meta(procnum::READ, args, &reply);
-                    }
-                    return Ok(reply);
+                    return Ok(clamp_read(self.stripe.map(), offset, count, reply));
                 }
-                Err(_) => continue, // call_member marked the member down
+                Err(e) => last = Some(e), // on to the block's next replica
             }
         }
-        Err(std::io::Error::new(
-            std::io::ErrorKind::NotConnected,
-            "every replica of the block is down",
-        ))
+        Err(last.unwrap_or_else(|| all_down("every replica of the block is down")))
     }
 
-    /// Forward to the lowest-index live member, walking down the set as
-    /// members fail.
-    fn forward_first_live(
-        &mut self,
-        set: &StripeSet,
-        record: &[u8],
-        proc: u32,
-        args: &[u8],
-    ) -> std::io::Result<Vec<u8>> {
+    /// Call the lowest-index live member, walking down the set as members
+    /// fail over; the last member standing answers with its own error.
+    fn call_first_live(&mut self, record: &[u8]) -> std::io::Result<Vec<u8>> {
         loop {
-            let Some(m) = set.first_live() else {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::NotConnected,
-                    "every stripe-set member is down",
-                ));
-            };
-            match self.call_member(set, m, record) {
-                Ok(reply) => {
-                    if self.meta_enabled {
-                        self.snoop_meta(proc, args, &reply);
-                    }
-                    return Ok(reply);
-                }
-                Err(_) => continue, // member marked down; next survivor
+            let m = self.stripe.first_live();
+            match self.call_member(m, record) {
+                Err(_) if !self.stripe.is_up(m) => {} // failed over; next survivor
+                result => return result,
             }
         }
     }
@@ -1678,68 +1476,55 @@ impl ClientProxy {
     /// before waiting on any), replying from the lowest-index survivor.
     fn mirror_to(
         &mut self,
-        set: &StripeSet,
-        members: &[usize],
+        members: impl IntoIterator<Item = usize>,
         record: &[u8],
-        proc: u32,
-        args: &[u8],
     ) -> std::io::Result<Vec<u8>> {
+        let t_io = std::time::Instant::now();
         let mut pending = Vec::new();
-        for &m in members {
-            if set.is_up(m) {
+        for m in members {
+            if self.stripe.is_up(m) {
                 self.stats.add_up(record.len());
-                pending.push((m, set.member(m).submit(record.to_vec())));
+                let member = self.stripe.member(m);
+                let reply = member.submit(record.to_vec());
+                pending.push((m, member, reply));
             }
         }
-        if pending.is_empty() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::NotConnected,
-                "every targeted stripe-set member is down",
-            ));
-        }
-        let t_io = std::time::Instant::now();
         let mut first: Option<Vec<u8>> = None;
-        for (m, reply) in pending {
+        let mut last = None;
+        for (m, member, reply) in pending {
             // A shed call never executed on that member, so it is settled
             // (re-sent verbatim under backoff) against the same member —
             // the replicas that accepted the call are unaffected.
             let reply = reply.wait().and_then(|r| {
-                settle_jukebox(&set.member(m), &self.stats, &self.retry, record, r)
+                settle_jukebox(&member, &self.stats, &self.channels.retry, record, r)
             });
             match reply {
                 Ok(reply) => {
                     self.stats.add_down(reply.len());
-                    if first.is_none() {
-                        first = Some(reply);
-                    }
+                    first.get_or_insert(reply);
                 }
-                Err(_) => self.fail_member(set, m),
+                Err(e) => {
+                    self.fail_member(m);
+                    last = Some(e);
+                }
             }
         }
+        // The round trips are mostly *waiting*; exclude their wall time
+        // from the busy accounting (the GTLS layer re-adds the real
+        // crypto time through the shared busy counter).
         self.stats.exclude(t_io.elapsed());
-        let Some(reply) = first else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::NotConnected,
-                "every targeted stripe-set member died mid-call",
-            ));
-        };
-        if self.meta_enabled {
-            self.snoop_meta(proc, args, &reply);
-        }
-        Ok(reply)
+        first.ok_or_else(|| {
+            last.unwrap_or_else(|| all_down("every targeted stripe-set member is down"))
+        })
     }
 
-    /// One accounted call on one member; a terminal error fails the
-    /// member over.
-    fn call_member(
-        &mut self,
-        set: &StripeSet,
-        m: usize,
-        record: &[u8],
-    ) -> std::io::Result<Vec<u8>> {
+    /// One accounted call on one member, riding out JUKEBOX; an error
+    /// fails the member over (when a survivor is left to fail over to).
+    fn call_member(&mut self, m: usize, record: &[u8]) -> std::io::Result<Vec<u8>> {
         self.stats.add_up(record.len());
         let t_io = std::time::Instant::now();
-        let reply = call_jukebox_patient(&set.member(m), &self.stats, &self.retry, record);
+        let member = self.stripe.member(m);
+        let reply = call_jukebox_patient(&member, &self.stats, &self.channels.retry, record);
         self.stats.exclude(t_io.elapsed());
         match reply {
             Ok(reply) => {
@@ -1747,17 +1532,20 @@ impl ClientProxy {
                 Ok(reply)
             }
             Err(e) => {
-                self.fail_member(set, m);
+                self.fail_member(m);
                 Err(e)
             }
         }
     }
 
-    /// Take a member out of the set after a terminal failure: count the
-    /// failover, refresh the `degraded` gauge, emit the event — exactly
-    /// once per down transition, even racing the read-ahead worker.
-    fn fail_member(&self, set: &StripeSet, m: usize) {
-        fail_member_via(&self.stats, set, m);
+    /// Take a member out of the set after a failed call — count the
+    /// failover, refresh the `degraded` gauge, emit the event, exactly
+    /// once per down transition even racing the read-ahead worker — and
+    /// report whether it is out. The last member standing stays in (see
+    /// [`StripeSet::mark_down`]): the caller surfaces its error instead.
+    fn fail_member(&self, m: usize) -> bool {
+        fail_member_via(&self.stats, &self.stripe, m);
+        !self.stripe.is_up(m)
     }
 
     /// Dial a rejoined host afresh and install the new channel in the
@@ -1766,58 +1554,30 @@ impl ClientProxy {
     /// terminal; the rejoin path therefore cannot reuse the old channel.
     /// Without a reconnector the existing channel is all there is — the
     /// replay below decides whether it still works.
-    fn revive_member(&mut self, m: usize, set: &StripeSet) -> std::io::Result<()> {
-        let Some(redial) = self.redial.get(m).cloned().flatten() else {
-            return Ok(());
-        };
+    fn revive_member(&mut self, m: usize) -> std::io::Result<()> {
+        let Some(redial) = self.redial[m].clone() else { return Ok(()) };
         let (upstream, watch) = redial.lock().reconnect(0)?;
-        let pipeline = match &self.pool {
-            Some(pool) => Pipeline::with_recovery_on(
-                pool,
-                upstream,
-                watch,
-                self.window,
-                self.rekey_every,
-                self.stats.clone(),
-                Some(dial_via(&redial)),
-                self.retry,
-            )?,
-            None => Pipeline::with_recovery(
-                upstream,
-                watch,
-                self.window,
-                self.rekey_every,
-                self.stats.clone(),
-                Some(dial_via(&redial)),
-                self.retry,
-            ),
-        };
-        set.replace_member(m, pipeline);
-        if m == 0 {
-            // `self.pipeline` aliases member 0 (rekey and handshake
-            // accounting route through it); keep it on the live channel.
-            self.pipeline = set.member(0);
-        }
+        let pipeline = self.channels.open(upstream, watch, Some(&redial))?;
+        self.stripe.replace_member(m, pipeline);
         Ok(())
     }
 
     /// Re-sync a rejoining member and return it to the read/write set:
     /// every block it missed while down is replayed from the local store
     /// (UNSTABLE WRITE, then one COMMIT per file under the verifier
-    /// contract) before the member serves reads or counts toward
-    /// replication again. On error the member stays down and the missed
-    /// set is kept — re-sync is idempotent and can simply run again.
+    /// contract, JUKEBOX ridden out like any flush) before the member
+    /// serves reads or counts toward replication again. On error the
+    /// member stays down and the missed set is kept — re-sync is
+    /// idempotent and can simply run again.
     pub fn resync_member(&mut self, m: usize) -> std::io::Result<()> {
-        let Some(set) = self.stripe.clone() else { return Ok(()) };
-        if !set.is_up(m) {
-            self.revive_member(m, &set)?;
+        if !self.stripe.is_up(m) {
+            self.revive_member(m)?;
         }
         let mut missed: Vec<(Fh3, u64)> = self.missed[m].iter().cloned().collect();
         missed.sort();
         let mut files: Vec<Fh3> = missed.iter().map(|(f, _)| f.clone()).collect();
         files.dedup();
-        let probe_needed = files.is_empty();
-        let mut pending = Vec::new();
+        let mut records = Vec::new();
         for (fh, offset) in &missed {
             // A missing block means the file was dropped (deleted) or
             // evicted after a covering COMMIT — nothing to replay.
@@ -1832,30 +1592,30 @@ impl ClientProxy {
                 data,
             };
             self.next_xid = self.next_xid.wrapping_add(1);
-            let record =
-                encode_call(self.next_xid, procnum::WRITE, &self.client_cred, &args);
-            pending.push(set.member(m).submit(record));
+            records.push(encode_call(self.next_xid, procnum::WRITE, &self.client_cred, &args));
         }
+        let member = self.stripe.member(m);
         let mut verf: Option<u64> = None;
-        for reply in pending {
-            let v = collect_write_reply(reply)?;
+        for (record, reply) in records.iter().zip(member.submit_batch(records.clone())) {
+            let v = settle_write(&member, &self.stats, &self.channels.retry, record, reply)?;
             if *verf.get_or_insert(v) != v {
                 return Err(std::io::Error::other(
                     "replica write verifier changed during re-sync",
                 ));
             }
         }
+        if files.is_empty() {
+            // Nothing was replayed, so no traffic proved the revived
+            // channel end-to-end. Without this probe a rejoin with an
+            // empty missed set would mark the member up — and drop the
+            // `degraded` gauge to zero — on pure faith in a channel that
+            // may be as dead as the one it replaced. Any decodable reply
+            // counts: the probe tests the transport, not the file.
+            self.call_on::<GetAttrRes>(m, procnum::GETATTR, &Fh3::from_ino(0, 0))?;
+        }
         for fh in files {
-            self.next_xid = self.next_xid.wrapping_add(1);
             let commit = CommitArgs { file: fh, offset: 0, count: 0 };
-            let res: CommitRes = call_via(
-                &set.member(m),
-                self.next_xid,
-                procnum::COMMIT,
-                &self.client_cred,
-                &commit,
-            )
-            .map_err(|_| std::io::Error::other("re-sync COMMIT failed"))?;
+            let res: CommitRes = self.call_on(m, procnum::COMMIT, &commit)?;
             if res.status != NfsStat3::Ok {
                 return Err(std::io::Error::other(format!(
                     "re-sync COMMIT failed: {:?}",
@@ -1868,27 +1628,9 @@ impl ClientProxy {
                 ));
             }
         }
-        if probe_needed {
-            // Nothing was replayed, so no traffic proved the revived
-            // channel end-to-end. Without this probe a rejoin with an
-            // empty missed set would mark the member up — and drop the
-            // `degraded` gauge to zero — on pure faith in a channel that
-            // may be as dead as the one it replaced. Any decodable reply
-            // counts: the probe tests the transport, not the file.
-            self.next_xid = self.next_xid.wrapping_add(1);
-            let probe = Fh3::from_ino(0, 0);
-            let _: GetAttrRes = call_via(
-                &set.member(m),
-                self.next_xid,
-                procnum::GETATTR,
-                &self.client_cred,
-                &probe,
-            )
-            .map_err(|_| std::io::Error::other("re-sync probe failed: member stays down"))?;
-        }
         self.missed[m].clear();
-        set.mark_up(m);
-        self.stats.set_degraded(set.down_count());
+        self.stripe.mark_up(m);
+        self.stats.set_degraded(self.stripe.down_count());
         self.stats.add_replica_write();
         if let Some(obs) = self.stats.obs() {
             obs.emit(sgfs_obs::Hop::ReplicaWrite, 0, sgfs_obs::NO_PROC, m as u64);
@@ -1904,13 +1646,14 @@ impl ClientProxy {
             .unwrap_or(false)
     }
 
-    /// Record a passively-observed attr (GETATTR/LOOKUP/ACCESS/READ
-    /// replies). In a striped session a single member's attr undershoots
-    /// the file size whenever that member lacks the final block, so
-    /// passive observations may only *grow* the cached size; an explicit
-    /// client SETATTR (truncation) updates the cache directly instead.
+    /// Record a passively-observed attr (GETATTR/LOOKUP/ACCESS/READ/COMMIT
+    /// replies). A partial member's attr undershoots the file size
+    /// whenever that member lacks the final block, so under partial
+    /// placement passive observations may only *grow* the cached size; an
+    /// explicit client SETATTR (truncation) updates the cache directly
+    /// instead.
     fn note_attr(&mut self, fh: &Fh3, mut attr: Fattr3) -> Fattr3 {
-        if self.stripe.is_some() {
+        if self.stripe.map().is_partial() {
             if let Some(prev) = self.meta.attrs.get(fh) {
                 attr.size = attr.size.max(prev.size);
             }
@@ -1969,40 +1712,31 @@ impl ClientProxy {
         }
     }
 
-    /// A proxy-initiated upstream call (flushes, attr fetches). Striped
-    /// sessions route it to the first live member, walking down the set
-    /// as members fail.
+    /// A proxy-initiated upstream call (attr fetches), routed to the
+    /// first live member, walking down the set as members fail.
     fn call_upstream<T: XdrDecode>(
         &mut self,
         proc: u32,
         args: &dyn XdrEncode,
-    ) -> Result<T, String> {
+    ) -> std::io::Result<T> {
         self.next_xid = self.next_xid.wrapping_add(1);
-        if let Some(set) = self.stripe.clone() {
-            let record = encode_call(self.next_xid, proc, &self.client_cred, args);
-            loop {
-                let Some(m) = set.first_live() else {
-                    return Err(format!(
-                        "upstream call proc {proc} failed: every member is down"
-                    ));
-                };
-                match self.call_member(&set, m, &record) {
-                    Ok(reply) => {
-                        let body = success_body(&reply)
-                            .ok_or_else(|| format!("upstream call proc {proc} failed"))?;
-                        return T::from_xdr_bytes(body)
-                            .map_err(|_| format!("upstream call proc {proc} failed"));
-                    }
-                    Err(_) => continue,
-                }
-            }
-        }
         let record = encode_call(self.next_xid, proc, &self.client_cred, args);
-        let reply = call_jukebox_patient(&self.pipeline, &self.stats, &self.retry, &record)
-            .map_err(|_| format!("upstream call proc {proc} failed"))?;
-        let body =
-            success_body(&reply).ok_or_else(|| format!("upstream call proc {proc} failed"))?;
-        T::from_xdr_bytes(body).map_err(|_| format!("upstream call proc {proc} failed"))
+        decode_reply(&self.call_first_live(&record)?)
+    }
+
+    /// A proxy-initiated call on member `m` specifically (its COMMIT, its
+    /// size mirror, its re-sync probe), riding out JUKEBOX against that
+    /// member. What an error means for the member is the caller's call.
+    fn call_on<T: XdrDecode>(
+        &mut self,
+        m: usize,
+        proc: u32,
+        args: &dyn XdrEncode,
+    ) -> std::io::Result<T> {
+        self.next_xid = self.next_xid.wrapping_add(1);
+        let record = encode_call(self.next_xid, proc, &self.client_cred, args);
+        let member = self.stripe.member(m);
+        decode_reply(&call_jukebox_patient(&member, &self.stats, &self.channels.retry, &record)?)
     }
 }
 
@@ -2032,16 +1766,17 @@ fn fail_member_via(stats: &ProxyStats, set: &StripeSet, m: usize) {
     }
 }
 
-/// Await one write-back WRITE reply and extract its write verifier.
-fn collect_write_reply(reply: crate::proxy::pipeline::PendingReply) -> std::io::Result<u64> {
-    parse_write_verf(&reply.wait()?)
-}
-
-/// Extract the write verifier from a raw WRITE reply record.
-fn parse_write_verf(reply: &[u8]) -> std::io::Result<u64> {
-    let res = success_body(reply)
-        .and_then(|b| WriteRes::from_xdr_bytes(b).ok())
-        .ok_or_else(|| std::io::Error::other("write-back reply malformed"))?;
+/// Await one write-back WRITE reply — riding out JUKEBOX against the
+/// member that shed it — and extract its write verifier.
+fn settle_write(
+    member: &Pipeline,
+    stats: &ProxyStats,
+    retry: &RetryPolicy,
+    record: &[u8],
+    reply: PendingReply,
+) -> std::io::Result<u64> {
+    let reply = settle_jukebox(member, stats, retry, record, reply.wait()?)?;
+    let res: WriteRes = decode_reply(&reply)?;
     if res.status != NfsStat3::Ok {
         return Err(std::io::Error::other(format!("write-back failed: {:?}", res.status)));
     }
@@ -2064,37 +1799,43 @@ fn encode_call(xid: u32, proc: u32, cred: &OpaqueAuth, args: &dyn XdrEncode) -> 
     enc.into_bytes()
 }
 
-/// Issue one call through the pipeline and decode the successful result.
-/// A striped member stores only its mapped blocks: a READ crossing the
+/// Decode the result body of an accepted-success reply record.
+fn decode_reply<T: XdrDecode>(reply: &[u8]) -> std::io::Result<T> {
+    success_body(reply)
+        .and_then(|body| T::from_xdr_bytes(body).ok())
+        .ok_or_else(|| std::io::Error::other("upstream reply rejected or malformed"))
+}
+
+/// The `(offset, count)` of a READ or WRITE call, peeked without copying
+/// any data: both argument layouts open with the file handle, a 64-bit
+/// offset and a 32-bit count.
+fn io_extent(args: &[u8]) -> Option<(u64, u32)> {
+    let mut dec = XdrDecoder::new(args);
+    dec.get_opaque_ref_max(FHSIZE).ok()?;
+    Some((dec.get_u64().ok()?, dec.get_u32().ok()?))
+}
+
+/// A partial member stores only its mapped blocks: a READ crossing the
 /// stripe-block boundary would be served past the member's own block from
 /// its holes (zeros). Truncate the reply at the boundary — a short read
 /// is legal NFS, and the client's next READ routes to the right member.
-fn clamp_striped_read(set: &StripeSet, offset: u64, reply: Vec<u8>) -> Vec<u8> {
-    let bs = set.map().block_size() as u64;
-    let keep = ((offset / bs + 1) * bs - offset) as usize;
-    let Some(body) = success_body(&reply) else { return reply };
-    let Ok(mut res) = ReadRes::from_xdr_bytes(body) else { return reply };
+fn clamp_read(map: &StripeMap, offset: u64, count: u32, reply: Vec<u8>) -> Vec<u8> {
+    let keep = map.contiguous(offset, count as u64) as usize;
+    if keep == count as usize {
+        return reply;
+    }
+    let Ok(mut res) = decode_reply::<ReadRes>(&reply) else { return reply };
     if res.data.len() <= keep {
         return reply;
     }
     res.data.truncate(keep);
     res.count = keep as u32;
     res.eof = false;
-    let xid = u32::from_be_bytes([reply[0], reply[1], reply[2], reply[3]]);
-    encode_reply(xid, &res)
+    encode_reply(sgfs_obs::peek_xid(&reply), &res)
 }
 
-fn call_via<T: XdrDecode>(
-    pipeline: &Pipeline,
-    xid: u32,
-    proc: u32,
-    cred: &OpaqueAuth,
-    args: &dyn XdrEncode,
-) -> Result<T, ()> {
-    let record = encode_call(xid, proc, cred, args);
-    let reply = pipeline.call(record).map_err(|_| ())?;
-    let body = success_body(&reply).ok_or(())?;
-    T::from_xdr_bytes(body).map_err(|_| ())
+fn all_down(what: &str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::NotConnected, what)
 }
 
 /// One round trip that rides out admission-control pushback: while the

@@ -244,8 +244,9 @@ impl Pipeline {
     ///
     /// The pipeline runs on a private single-worker [`ClientIoPool`] —
     /// thread-for-thread what the old dedicated reader cost, but with
-    /// deterministic teardown. Sessions that share a pool use
-    /// [`with_recovery_on`](Self::with_recovery_on).
+    /// deterministic teardown. This is the standalone form (tests,
+    /// benches); the client proxy always has a pool and builds every
+    /// member channel with [`with_recovery_on`](Self::with_recovery_on).
     pub fn with_recovery(
         upstream: Upstream,
         watch: PipeWatch,

@@ -119,25 +119,10 @@ impl ServerProxy {
         self.acl_cache.lock().clear();
     }
 
-    /// Serve one downstream (secure-channel) connection until EOF.
-    pub fn serve(self: &Arc<Self>, mut downstream: BoxStream) -> std::io::Result<()> {
-        while let Some(record) = read_record(&mut downstream)? {
-            let reply = self.process_one(&record)?;
-            write_record(&mut downstream, &reply)?;
-        }
-        Ok(())
-    }
-
-    /// Spawn [`serve`](Self::serve) on its own thread.
-    pub fn spawn(self: Arc<Self>, downstream: BoxStream) -> std::thread::JoinHandle<()> {
-        std::thread::spawn(move || {
-            let _ = self.serve(downstream);
-        })
-    }
-
-    /// Process one call record with full session accounting — exactly one
-    /// iteration of [`serve`](Self::serve)'s loop, minus the transport.
-    /// This is the entry point the sharded server core drives.
+    /// Process one call record into its reply record with full session
+    /// accounting (busy time, bytes, the virtual loopback hop). The proxy
+    /// owns no transport: this is the entry point the sharded server core
+    /// drives for every record of every connection pinned to it.
     pub fn process_one(&self, record: &[u8]) -> std::io::Result<Vec<u8>> {
         let reply = self.stats.track(|| self.process(record))?;
         // The proxy ↔ kernel-server loopback hop (request + reply).

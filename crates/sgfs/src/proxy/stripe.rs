@@ -1,9 +1,9 @@
 //! Multi-server placement: the stripe map and the runtime stripe set.
 //!
-//! A session placed across several FSS upstreams (see
-//! [`StripePolicy`](crate::config::StripePolicy)) routes every file block
-//! through the **stripe map**: a pure function from block index to the
-//! `replicas` distinct members that hold the block. The map is
+//! Every session routes every file block through the **stripe map** of
+//! its placement (see [`StripePolicy`](crate::config::StripePolicy); a
+//! single-upstream session is the width-1 map): a pure function from
+//! block index to the `replicas` distinct members that hold the block. The map is
 //! deterministic — no RNG, no state — so the client, a rebuilt client,
 //! and a test oracle all agree on the placement, and a reconnect cannot
 //! silently re-home blocks.
@@ -18,7 +18,7 @@
 
 use crate::config::StripePolicy;
 use crate::proxy::pipeline::Pipeline;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Pure block → members placement for one session.
@@ -68,43 +68,84 @@ impl StripeMap {
     }
 
     /// The distinct members holding `block`, in read-preference order
-    /// (the first is the block's primary).
-    pub fn members_of_block(&self, block: u64) -> Vec<usize> {
-        let base = block * self.replicas as u64;
-        (0..self.replicas as u64)
-            .map(|j| ((base + j) % self.width as u64) as usize)
-            .collect()
+    /// (the first is the block's primary). Allocation-free: the routing
+    /// function walks this once per forwarded READ.
+    pub fn members_of_block(&self, block: u64) -> impl Iterator<Item = usize> {
+        let (base, width) = (block * self.replicas as u64, self.width as u64);
+        (0..self.replicas as u64).map(move |j| ((base + j) % width) as usize)
     }
 
     /// The members holding the block containing byte `offset`.
-    pub fn members_of_offset(&self, offset: u64) -> Vec<usize> {
+    pub fn members_of_offset(&self, offset: u64) -> impl Iterator<Item = usize> {
         self.members_of_block(self.block_of(offset))
+    }
+
+    /// The distinct members holding any block the byte extent
+    /// `[offset, offset + len)` touches, in first-touch order (an empty
+    /// extent counts as its first byte; one running past `u64::MAX` ends
+    /// there — the server, not the router, rejects it).
+    pub fn members_of_extent(&self, offset: u64, len: u64) -> Vec<usize> {
+        let mut members = Vec::with_capacity(self.replicas as usize);
+        let last = offset.saturating_add(len.max(1) - 1);
+        for block in self.block_of(offset)..=self.block_of(last) {
+            for m in self.members_of_block(block) {
+                if !members.contains(&m) {
+                    members.push(m);
+                }
+            }
+            if members.len() == self.width as usize {
+                break;
+            }
+        }
+        members
+    }
+
+    /// Whether some member lacks some block (`replicas < width`). This is
+    /// the one placement property the data path may branch on: a partial
+    /// member undershoots the file size and serves holes past its own
+    /// blocks, so it needs the size mirror, the GETATTR fan-out, the
+    /// grow-only attr rule and block-bounded extents. A full-copy member
+    /// — every member of a fully replicated set, and the only member of a
+    /// single-upstream session — needs none of them.
+    pub fn is_partial(&self) -> bool {
+        self.replicas < self.width
+    }
+
+    /// How many of `len` bytes starting at `offset` one member can serve
+    /// or absorb in one piece: all of them under full-copy placement, up
+    /// to the stripe-block boundary otherwise.
+    pub fn contiguous(&self, offset: u64, len: u64) -> u64 {
+        if !self.is_partial() {
+            return len;
+        }
+        let bs = self.block_size as u64;
+        len.min(bs - offset % bs)
     }
 }
 
-/// One upstream member of a striped session.
+/// The runtime stripe set: the map plus one pipelined channel per member
+/// and the mask of members currently in the read/write set.
 ///
-/// The pipeline slot is shared across every clone of the set (the proxy
+/// Each pipeline slot is shared across every clone of the set (the proxy
 /// and its read-ahead worker), so a re-sync can swap in a fresh channel
 /// for a member whose old pipeline burned its reconnect budget while the
 /// host was away.
-#[derive(Clone)]
-struct Member {
-    pipeline: Arc<Mutex<Pipeline>>,
-    up: Arc<AtomicBool>,
-}
-
-/// The runtime stripe set: the map plus one pipelined channel and one
-/// up/down flag per member.
 ///
-/// Down is sticky until [`mark_up`](Self::mark_up): a member is marked
-/// down when a call on it fails terminally (its own reconnect/replay
-/// machinery already ran and gave up), and rejoins only after an explicit
-/// re-sync (`ClientProxy::resync_member`).
+/// Down is sticky until [`mark_up`](Self::mark_up): a member is taken out
+/// when a call on it fails *and another member is left to degrade to*,
+/// and rejoins only after an explicit re-sync
+/// (`ClientProxy::resync_member`). The last member standing is never
+/// taken out — there is nothing to fail over to, so its error simply
+/// surfaces and the next call tries its channel (which reconnects on its
+/// own) again. A single-upstream session therefore never degrades.
 #[derive(Clone)]
 pub struct StripeSet {
     map: StripeMap,
-    members: Vec<Member>,
+    members: Vec<Arc<Mutex<Pipeline>>>,
+    /// Bit `m` set = member `m` is up. One word, so "take `m` out unless
+    /// it is the last one in" is a single atomic step even when the main
+    /// loop and the read-ahead worker fail different members at once.
+    up: Arc<AtomicU64>,
 }
 
 impl StripeSet {
@@ -116,15 +157,11 @@ impl StripeSet {
             map.width() as usize,
             "stripe set needs exactly one pipeline per member"
         );
+        assert!(pipelines.len() <= 64, "the up mask holds 64 members");
         Self {
             map,
-            members: pipelines
-                .into_iter()
-                .map(|pipeline| Member {
-                    pipeline: Arc::new(Mutex::new(pipeline)),
-                    up: Arc::new(AtomicBool::new(true)),
-                })
-                .collect(),
+            up: Arc::new(AtomicU64::new(u64::MAX >> (64 - pipelines.len()))),
+            members: pipelines.into_iter().map(|p| Arc::new(Mutex::new(p))).collect(),
         }
     }
 
@@ -140,51 +177,54 @@ impl StripeSet {
 
     /// The member's pipelined channel (a cheap cloneable handle).
     pub fn member(&self, idx: usize) -> Pipeline {
-        self.members[idx].pipeline.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        self.members[idx].lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
     /// Swap in a fresh channel for `idx` — the rejoin half of failover.
     /// Every clone of the set observes the replacement; the old pipeline
     /// retires when its last outstanding handle drops.
     pub fn replace_member(&self, idx: usize, pipeline: Pipeline) {
-        *self.members[idx].pipeline.lock().unwrap_or_else(|e| e.into_inner()) = pipeline;
+        *self.members[idx].lock().unwrap_or_else(|e| e.into_inner()) = pipeline;
     }
 
     /// Whether the member is currently in the read/write set.
     pub fn is_up(&self, idx: usize) -> bool {
-        self.members[idx].up.load(Ordering::Acquire)
+        self.up.load(Ordering::Acquire) & (1 << idx) != 0
     }
 
-    /// Take the member out of the read/write set. Returns `true` if this
-    /// call transitioned it (so callers emit the failover event exactly
-    /// once per incident even when racing the read-ahead worker).
+    /// Take the member out of the read/write set — unless it is the last
+    /// one in, which stays. Returns `true` if this call transitioned it
+    /// (so callers emit the failover event exactly once per incident even
+    /// when racing the read-ahead worker); [`is_up`](Self::is_up) tells a
+    /// refusal from a repeat.
     pub fn mark_down(&self, idx: usize) -> bool {
-        self.members[idx].up.swap(false, Ordering::AcqRel)
+        let bit = 1u64 << idx;
+        self.up
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |up| {
+                (up & bit != 0 && up != bit).then_some(up & !bit)
+            })
+            .is_ok()
     }
 
     /// Return a re-synced member to the read/write set.
     pub fn mark_up(&self, idx: usize) {
-        self.members[idx].up.store(true, Ordering::Release);
+        self.up.fetch_or(1 << idx, Ordering::AcqRel);
     }
 
     /// Members currently marked down.
     pub fn down_count(&self) -> u64 {
-        self.members.iter().filter(|m| !m.up.load(Ordering::Acquire)).count() as u64
+        self.members.len() as u64 - self.up.load(Ordering::Acquire).count_ones() as u64
     }
 
     /// The live members of `block`, in read-preference order.
-    pub fn live_members_of_block(&self, block: u64) -> Vec<usize> {
-        self.map
-            .members_of_block(block)
-            .into_iter()
-            .filter(|&m| self.is_up(m))
-            .collect()
+    pub fn live_members_of_block(&self, block: u64) -> impl Iterator<Item = usize> + '_ {
+        self.map.members_of_block(block).filter(|&m| self.is_up(m))
     }
 
-    /// The lowest-index live member (metadata traffic routes here), or
-    /// `None` when every member is down.
-    pub fn first_live(&self) -> Option<usize> {
-        (0..self.members.len()).find(|&m| self.is_up(m))
+    /// The lowest-index live member (metadata traffic routes here); there
+    /// always is one, since the last member standing is never taken out.
+    pub fn first_live(&self) -> usize {
+        self.up.load(Ordering::Acquire).trailing_zeros() as usize
     }
 }
 
@@ -194,6 +234,10 @@ mod tests {
 
     fn map(width: u32, replicas: u32, block_size: u32) -> StripeMap {
         StripeMap::new(StripePolicy { width, replicas, block_size })
+    }
+
+    fn members(m: &StripeMap, block: u64) -> Vec<usize> {
+        m.members_of_block(block).collect()
     }
 
     /// Per-member block counts over the first `blocks` blocks.
@@ -219,7 +263,7 @@ mod tests {
     fn width_one_maps_everything_to_member_zero() {
         let m = map(1, 1, 512);
         for b in [0, 1, 7, 1000] {
-            assert_eq!(m.members_of_block(b), vec![0]);
+            assert_eq!(members(&m, b), vec![0]);
         }
     }
 
@@ -229,14 +273,42 @@ mod tests {
         assert_eq!(m.block_of(0), 0);
         assert_eq!(m.block_of(511), 0);
         assert_eq!(m.block_of(512), 1);
-        assert_eq!(m.members_of_offset(1024), m.members_of_block(2));
+        assert_eq!(m.members_of_offset(1024).collect::<Vec<_>>(), members(&m, 2));
+    }
+
+    #[test]
+    fn only_partial_placements_bound_extents_at_the_stripe_block() {
+        // Full copies — one upstream, or every block on every member.
+        for full in [map(1, 1, 512), map(3, 3, 512)] {
+            assert!(!full.is_partial());
+            assert_eq!(full.contiguous(256, 4096), 4096);
+        }
+        let partial = map(3, 2, 512);
+        assert!(partial.is_partial());
+        assert_eq!(partial.contiguous(256, 4096), 256, "up to the block boundary");
+        assert_eq!(partial.contiguous(512, 100), 100, "short extents pass whole");
+        assert_eq!(partial.contiguous(512, 0), 0);
+    }
+
+    #[test]
+    fn extent_members_are_the_union_over_covered_blocks() {
+        let m = map(4, 1, 512);
+        assert_eq!(m.members_of_extent(0, 512), vec![0]);
+        assert_eq!(m.members_of_extent(256, 512), vec![0, 1]);
+        assert_eq!(m.members_of_extent(512, 0), vec![1], "empty extent = its first byte");
+        assert_eq!(m.members_of_extent(0, 1 << 30), vec![0, 1, 2, 3], "stops once all are in");
+        assert_eq!(map(1, 1, 512).members_of_extent(100, 4096), vec![0]);
+        // An extent running off the end of the offset space still routes:
+        // rejecting it is the server's answer to give, not a router panic.
+        assert_eq!(map(1, 1, 512).members_of_extent(u64::MAX - 10, 4096), vec![0]);
+        assert_eq!(m.members_of_extent(u64::MAX, u64::MAX).len(), 1);
     }
 
     #[test]
     fn replicas_are_distinct_members() {
         let m = map(4, 3, 512);
         for b in 0..64 {
-            let members = m.members_of_block(b);
+            let members = members(&m, b);
             let mut dedup = members.clone();
             dedup.sort_unstable();
             dedup.dedup();
@@ -277,7 +349,7 @@ mod tests {
                 let blocks = file_size.div_ceil(m.block_size() as u64);
                 let mut counts = vec![0u64; m.width() as usize];
                 for b in 0..blocks {
-                    let members = m.members_of_block(b);
+                    let members = members(&m, b);
                     prop_assert_eq!(members.len(), m.replicas() as usize);
                     let mut dedup = members.clone();
                     dedup.sort_unstable();
@@ -316,11 +388,11 @@ mod tests {
                 let b = StripeMap::new(policy);
                 prop_assert_eq!(a, b);
                 for &blk in &probe_blocks {
-                    prop_assert_eq!(a.members_of_block(blk), b.members_of_block(blk));
+                    prop_assert_eq!(members(&a, blk), members(&b, blk));
                 }
                 for &off in &probe_offsets {
                     prop_assert_eq!(a.block_of(off), b.block_of(off));
-                    prop_assert_eq!(a.members_of_offset(off), b.members_of_offset(off));
+                    prop_assert!(a.members_of_offset(off).eq(b.members_of_offset(off)));
                 }
             }
         }
@@ -348,14 +420,19 @@ mod tests {
         }
         let set = StripeSet::new(m, pipelines);
         assert_eq!(set.width(), 2);
-        assert_eq!(set.first_live(), Some(0));
-        assert_eq!(set.live_members_of_block(0), vec![0, 1]);
+        assert_eq!(set.first_live(), 0);
+        assert_eq!(set.live_members_of_block(0).collect::<Vec<_>>(), vec![0, 1]);
 
         assert!(set.mark_down(0), "first mark_down transitions");
         assert!(!set.mark_down(0), "second is a no-op");
         assert_eq!(set.down_count(), 1);
-        assert_eq!(set.first_live(), Some(1));
-        assert_eq!(set.live_members_of_block(0), vec![1]);
+        assert_eq!(set.first_live(), 1);
+        assert_eq!(set.live_members_of_block(0).collect::<Vec<_>>(), vec![1]);
+
+        // The last member standing stays: there is nothing to degrade to.
+        assert!(!set.mark_down(1), "refused");
+        assert!(set.is_up(1));
+        assert_eq!(set.down_count(), 1);
 
         // A clone shares the flags: failover seen by one handle is seen
         // by all (the read-ahead worker and the main loop agree).

@@ -14,13 +14,16 @@
 //! | `GfsSsh`  | plain proxies through the session-key SSH tunnel |
 //! | `Sfs`     | RC4 proxies, aggressive memory metadata cache + read-ahead |
 
-use crate::config::{CacheMode, DurabilityPolicy, HopCost, RetryPolicy, SecurityLevel, SessionConfig};
+use crate::config::{
+    CacheMode, DurabilityPolicy, HopCost, RetryPolicy, SecurityLevel, SessionConfig, StripePolicy,
+};
 use crate::proxy::client::{ClientProxy, ClientProxyController, Upstream};
 use crate::proxy::server::ServerProxy;
+use crate::proxy::stripe::StripeMap;
 use crate::proxy::ProxyError;
 use crate::tunnel::{tunnel_start, TunnelGuard};
 use sgfs_crypto::rsa::RsaKeyPair;
-use sgfs_gtls::{handshake_pair, GtlsError, GtlsHandshake, GtlsStream};
+use sgfs_gtls::{handshake_pair, GtlsConfig, GtlsError, GtlsHandshake};
 use sgfs_net::{pipe_pair, pipe_pair_over_link, Link, LinkSpec, SimClock};
 use sgfs_nfs3::{Fh3, Nfs3Client};
 use sgfs_nfsclient::{MountOptions, NfsMount};
@@ -263,11 +266,12 @@ pub struct SessionParams {
     /// shared pool to multiplex many sessions' upstream channels over a
     /// fixed client thread budget (the client mirror of `shard_server`).
     pub client_pool: Option<Arc<sgfs_oncrpc::ClientIoPool>>,
-    /// Multi-server placement: stripe the session's file blocks across
-    /// `width` FSS upstreams and replicate each block to `replicas` of
-    /// them. `None` or width 1 = the classic single-upstream session.
-    /// Striping requires a proxied stack (gfs / sgfs / sfs): the kernel
-    /// baselines and the ssh tunnel have a single wire by construction.
+    /// Placement: stripe the session's file blocks across `width` FSS
+    /// upstreams and replicate each block to `replicas` of them. `None`
+    /// = the width-1 placement (one upstream holding every block), which
+    /// runs the same data path as any other width. More than one member
+    /// requires a proxied stack (gfs / sgfs / sfs): the kernel baselines
+    /// and the ssh tunnel have a single wire by construction.
     pub stripe: Option<crate::config::StripePolicy>,
 }
 
@@ -368,28 +372,8 @@ impl Session {
         clock: Arc<SimClock>,
     ) -> Result<Session, SessionError> {
         // --- the file server host ---
-        let vfs = params.vfs.clone().unwrap_or_else(|| Arc::new(Vfs::new()));
-        let root_ctx = UserContext::root();
-        vfs.mkdir_p("/GFS", 0o755, &root_ctx).expect("export tree");
-        // The export is owned by the file account so mapped users can work in it.
-        let gfs_attr = vfs.resolve("/GFS", &root_ctx).expect("just created");
-        vfs.setattr(
-            gfs_attr.ino,
-            &sgfs_vfs::SetAttrs {
-                uid: Some(FILE_UID),
-                gid: Some(FILE_UID),
-                ..Default::default()
-            },
-            &root_ctx,
-        )
-        .expect("chown export");
-        let mut exports = Exports::new();
-        exports.add(ExportEntry::localhost("/GFS"));
-        // The trusted proxy presents mapped credentials; no squashing.
-        let server = NfsServer::new_no_squash(vfs, exports);
-        let root_fh = server
-            .mount("/GFS", "localhost")
-            .ok_or_else(|| SessionError::Mount("/GFS not exported to localhost".into()))?;
+        let (server, root_fh) =
+            file_host(params.vfs.clone().unwrap_or_else(|| Arc::new(Vfs::new())))?;
 
         // --- the WAN link between the hosts ---
         let link = Link::new(
@@ -424,63 +408,40 @@ impl Session {
             MountOptions::new(clock.clone()).with_mem_cache(params.mem_cache_bytes);
         let job_cred = OpaqueAuth::sys(&AuthSysParams::new("compute-host", JOB_UID, JOB_UID));
 
-        match params.kind {
-            SetupKind::NfsV3 | SetupKind::NfsV4 => {
-                // Direct: kernel client over the link to the kernel server.
-                // (Real deployments would not export across hosts like
-                // this; it is the paper's baseline.)
-                let mut exports = Exports::new();
-                exports.add(ExportEntry {
-                    path: "/GFS".into(),
-                    hosts: vec!["*".into()],
-                    root_squash: false,
-                    read_only: false,
-                });
-                let server = NfsServer::new_no_squash(server.vfs().clone(), exports);
-                let root_fh = server.mount("/GFS", "compute-host").expect("wildcard export");
-                let (client_end, server_end) = pipe_pair_over_link(link.clone());
-                let watch = server_end.watch();
-                shards.add_session(
-                    Box::new(server_end),
-                    watch,
-                    Arc::new(RpcRecordService(server.clone())),
-                )?;
-                let mut nfs = Nfs3Client::new(Box::new(client_end));
-                // The kernel client presents the *file* account directly:
-                // the baseline has no identity mapping.
-                nfs.set_cred(OpaqueAuth::sys(&AuthSysParams::new(
-                    "compute-host",
-                    FILE_UID,
-                    FILE_UID,
-                )));
-                session.server = server.clone();
-                session.mount = NfsMount::new(nfs, root_fh, mount_opts);
-                return Ok(session);
-            }
-            _ => {}
+        if matches!(params.kind, SetupKind::NfsV3 | SetupKind::NfsV4) {
+            // Direct: kernel client over the link to the kernel server.
+            // (Real deployments would not export across hosts like
+            // this; it is the paper's baseline.)
+            let mut exports = Exports::new();
+            exports.add(ExportEntry {
+                path: "/GFS".into(),
+                hosts: vec!["*".into()],
+                root_squash: false,
+                read_only: false,
+            });
+            let server = NfsServer::new_no_squash(server.vfs().clone(), exports);
+            let root_fh = server.mount("/GFS", "compute-host").expect("wildcard export");
+            let (client_end, server_end) = pipe_pair_over_link(link.clone());
+            let watch = server_end.watch();
+            shards.add_session(
+                Box::new(server_end),
+                watch,
+                Arc::new(RpcRecordService(server.clone())),
+            )?;
+            let mut nfs = Nfs3Client::new(Box::new(client_end));
+            // The kernel client presents the *file* account directly:
+            // the baseline has no identity mapping.
+            nfs.set_cred(OpaqueAuth::sys(&AuthSysParams::new(
+                "compute-host",
+                FILE_UID,
+                FILE_UID,
+            )));
+            session.server = server.clone();
+            session.mount = NfsMount::new(nfs, root_fh, mount_opts);
+            return Ok(session);
         }
 
-        // --- proxied stacks: wire across the link ---
-        let (wire_client, wire_server) = pipe_pair_over_link(link.clone());
-        // Readiness must observe the raw wire, before fault injectors or
-        // GTLS wrap the stream: arrivals are arrivals regardless of what
-        // decrypts them. Both directions get a watch — the server side
-        // feeds a shard loop, the client side feeds the client I/O pool.
-        let wire_watch = wire_server.watch();
-        let client_wire_watch = wire_client.watch();
-
-        // Server-proxy-side plumbing: two in-process loopbacks to nfsd.
-        // Synchronous dispatch (no pipe, no thread) keeps the proxy free
-        // to run on a shard — it can never block on another thread's
-        // progress to reach its own backend.
-        let make_forward = || Box::new(LoopbackStream::new(server.clone())) as sgfs_net::BoxStream;
-        let make_acl_client = || {
-            let mut c = Nfs3Client::new(Box::new(LoopbackStream::new(server.clone())));
-            // The proxy's own service identity ("user gfs" in §5).
-            c.set_cred(OpaqueAuth::sys(&AuthSysParams::new("file-host", 0, 0)));
-            c
-        };
-
+        // --- proxied stacks ---
         let mut server_cfg = SessionConfig::new(match params.kind {
             SetupKind::Sgfs(level) => level,
             SetupKind::Sfs => SecurityLevel::MediumCipher,
@@ -500,15 +461,18 @@ impl Session {
         });
         client_cfg.expected_peer = Some(world.server.effective_dn().clone());
         client_cfg.rekey_every_records = params.rekey_every;
-        let striped = params.stripe.is_some_and(|p| p.width > 1);
+        // The placement: a single upstream is the width-1 stripe.
+        let policy = params.stripe.unwrap_or(StripePolicy::striped(1));
+        let map = StripeMap::new(policy);
+        client_cfg.stripe = Some(policy);
         client_cfg.cache = match (&params.kind, &params.disk_cache_dir) {
             (SetupKind::Sfs, _) => CacheMode::MemoryMeta,
             (_, Some(dir)) => CacheMode::Disk { dir: dir.clone() },
-            // A striped member holds only its mapped blocks, so no single
+            // A partial member holds only its mapped blocks, so no single
             // upstream can answer a whole-file GETATTR: the session-local
-            // write-back cache is the size authority for striped
-            // placements.
-            (_, None) if striped => CacheMode::MemoryMeta,
+            // write-back cache is the size authority under partial
+            // placement.
+            (_, None) if map.is_partial() => CacheMode::MemoryMeta,
             (_, None) => CacheMode::None,
         };
         client_cfg.readahead = params
@@ -519,345 +483,111 @@ impl Session {
         client_cfg.obs = params.obs.clone();
         client_cfg.client_pool = params.client_pool.clone();
 
-        // --- striped placement: one full server stack per member, one
-        // client proxy across all of them. Each member is its own file
-        // host: a fresh backing store that receives the identical
-        // mirrored metadata op sequence, so handles and directory
-        // structure stay byte-identical across the stripe set and any
-        // member can serve any metadata call.
-        let stripe_width = params.stripe.map(|p| p.width.max(1)).unwrap_or(1) as usize;
-        if stripe_width > 1 {
-            if !matches!(params.kind, SetupKind::Gfs | SetupKind::Sgfs(_) | SetupKind::Sfs) {
-                return Err(SessionError::Proxy(ProxyError::Protocol(
-                    "striping requires a proxied gfs/sgfs/sfs stack".into(),
-                )));
-            }
-            if params.vfs.is_some() {
+        // --- one full server stack per member, one client proxy across
+        // all of them. Each member is its own file host: member 0 is the
+        // host assembled above, the others get a fresh backing store that
+        // receives the identical mirrored metadata op sequence, so handles
+        // and directory structure stay byte-identical across the set and
+        // any member can serve any metadata call.
+        let client_gtls = client_cfg.gtls();
+        let server_gtls = server_cfg.gtls();
+        let mut upstreams: Vec<crate::proxy::client::StripeUpstream> = Vec::new();
+        for m in 0..map.width() {
+            let (m_server, m_root) = if m == 0 {
+                (server.clone(), root_fh.clone())
+            } else if params.vfs.is_some() {
                 // A caller-provided (already populated) vfs would make
                 // member 0 structurally different from the fresh members.
                 return Err(SessionError::Proxy(ProxyError::Protocol(
-                    "a striped session cannot share a caller-provided vfs".into(),
+                    "a multi-member session cannot share a caller-provided vfs".into(),
                 )));
+            } else {
+                file_host(Arc::new(Vfs::new()))?
+            };
+            if m_root != root_fh {
+                return Err(SessionError::Mount(
+                    "replica export handles diverge across the stripe set".into(),
+                ));
             }
-            client_cfg.stripe = params.stripe;
-            let server_accept_gtls = server_cfg.gtls();
-            let client_gtls = client_cfg.gtls();
-            let mut upstreams: Vec<crate::proxy::client::StripeUpstream> =
-                Vec::with_capacity(stripe_width);
-            for m in 0..stripe_width {
-                // Member 0 reuses the host assembled at the top of this
-                // function; the others get fresh, structurally identical
-                // hosts of their own.
-                let (m_server, m_root) = if m == 0 {
-                    (server.clone(), root_fh.clone())
-                } else {
-                    let vfs = Arc::new(Vfs::new());
-                    vfs.mkdir_p("/GFS", 0o755, &root_ctx).expect("export tree");
-                    let attr = vfs.resolve("/GFS", &root_ctx).expect("just created");
-                    vfs.setattr(
-                        attr.ino,
-                        &sgfs_vfs::SetAttrs {
-                            uid: Some(FILE_UID),
-                            gid: Some(FILE_UID),
-                            ..Default::default()
-                        },
-                        &root_ctx,
-                    )
-                    .expect("chown export");
-                    let mut exports = Exports::new();
-                    exports.add(ExportEntry::localhost("/GFS"));
-                    let s = NfsServer::new_no_squash(vfs, exports);
-                    let r = s.mount("/GFS", "localhost").ok_or_else(|| {
-                        SessionError::Mount("/GFS not exported to localhost".into())
-                    })?;
-                    (s, r)
-                };
-                if m_root != root_fh {
-                    return Err(SessionError::Mount(
-                        "replica export handles diverge across the stripe set".into(),
-                    ));
+            // Server-proxy-side plumbing: two in-process loopbacks to
+            // nfsd. Synchronous dispatch (no pipe, no thread) keeps the
+            // proxy free to run on a shard — it can never block on
+            // another thread's progress to reach its own backend.
+            let forward = Box::new(LoopbackStream::new(m_server.clone())) as sgfs_net::BoxStream;
+            let mut acl = Nfs3Client::new(Box::new(LoopbackStream::new(m_server.clone())));
+            // The proxy's own service identity ("user gfs" in §5).
+            acl.set_cred(OpaqueAuth::sys(&AuthSysParams::new("file-host", 0, 0)));
+            // The member's server proxy authorizes whoever the channel
+            // authenticated — or, on the stacks where the session key
+            // stands in for authentication, the asserted user DN.
+            let accept = |peer: Option<&ValidatedPeer>| -> Result<_, SessionError> {
+                let proxy = ServerProxy::new(
+                    server_cfg.clone(),
+                    peer.unwrap_or(&synthetic_peer(world)),
+                    forward,
+                    acl,
+                    m_root,
+                )?;
+                proxy.set_hop_cost(clock.clone(), params.hop_cost);
+                Ok(proxy)
+            };
+            let (upstream, watch, m_proxy, reconnector) = if params.kind == SetupKind::GfsSsh {
+                // The tunnel is a dial-once member: a single wire by
+                // construction, and no re-keying path to re-dial through.
+                if m > 0 {
+                    return Err(SessionError::Proxy(ProxyError::Protocol(
+                        "the ssh tunnel stack has a single upstream".into(),
+                    )));
                 }
-                let (wire_c, wire_s) = pipe_pair_over_link(link.clone());
-                let s_watch = wire_s.watch();
-                let c_watch = wire_c.watch();
-                let forward =
-                    Box::new(LoopbackStream::new(m_server.clone())) as sgfs_net::BoxStream;
-                let mut acl = Nfs3Client::new(Box::new(LoopbackStream::new(m_server.clone())));
-                acl.set_cred(OpaqueAuth::sys(&AuthSysParams::new("file-host", 0, 0)));
-                let (m_upstream, m_proxy): (Upstream, Arc<ServerProxy>) =
-                    match (client_gtls.clone(), server_accept_gtls.clone()) {
-                        (Some(ccfg), Some(scfg)) => {
-                            let (client_tls, mut server_tls) = handshake_pair(
-                                GtlsHandshake::client(
-                                    Box::new(wire_c),
-                                    Some(c_watch.clone()),
-                                    ccfg,
-                                ),
-                                GtlsHandshake::server(
-                                    Box::new(wire_s),
-                                    Some(s_watch.clone()),
-                                    scfg,
-                                ),
-                            )?;
-                            let peer = server_tls.peer().clone();
-                            let proxy = ServerProxy::new(
-                                server_cfg.clone(),
-                                &peer,
-                                forward,
-                                acl,
-                                m_root,
-                            )?;
-                            server_tls.busy_counter = Some(proxy.stats().busy_counter());
-                            shards.add_session(
-                                Box::new(server_tls),
-                                s_watch.clone(),
-                                proxy.clone(),
-                            )?;
-                            (Upstream::Tls(Box::new(client_tls)), proxy)
-                        }
-                        _ => {
-                            let proxy = ServerProxy::new(
-                                server_cfg.clone(),
-                                &synthetic_peer(world),
-                                forward,
-                                acl,
-                                m_root,
-                            )?;
-                            shards.add_session(
-                                Box::new(wire_s),
-                                s_watch.clone(),
-                                proxy.clone(),
-                            )?;
-                            (Upstream::Plain(Box::new(wire_c)), proxy)
-                        }
-                    };
-                m_proxy.set_hop_cost(clock.clone(), params.hop_cost);
-                // Per-member fault recovery: the member re-dials its own
-                // host through its own reconnector (PR 2 machinery, one
-                // instance per upstream).
-                let sp = m_proxy.clone();
-                let ccfg_r = client_gtls.clone();
-                let scfg_r = server_accept_gtls.clone();
-                let dial_link = link.clone();
-                let dial_shards = shards.clone();
-                let reconnector: Option<Box<dyn crate::proxy::retry::Reconnector>> =
-                    Some(Box::new(
-                        move |_attempt: u32| -> std::io::Result<(
-                            Upstream,
-                            sgfs_net::PipeWatch,
-                        )> {
-                            let (c, s) = pipe_pair_over_link(dial_link.clone());
-                            let c_watch = c.watch();
-                            let s_watch = s.watch();
-                            let sp = sp.clone();
-                            match (ccfg_r.clone(), scfg_r.clone()) {
-                                (Some(ccfg), Some(scfg)) => {
-                                    let (client_tls, mut server_tls) = handshake_pair(
-                                        GtlsHandshake::client(
-                                            Box::new(c),
-                                            Some(c_watch.clone()),
-                                            ccfg,
-                                        ),
-                                        GtlsHandshake::server(
-                                            Box::new(s),
-                                            Some(s_watch.clone()),
-                                            scfg,
-                                        ),
-                                    )
-                                    .map_err(std::io::Error::from)?;
-                                    server_tls.busy_counter =
-                                        Some(sp.stats().busy_counter());
-                                    dial_shards.add_session(
-                                        Box::new(server_tls),
-                                        s_watch,
-                                        sp,
-                                    )?;
-                                    Ok((Upstream::Tls(Box::new(client_tls)), c_watch))
-                                }
-                                _ => {
-                                    dial_shards.add_session(Box::new(s), s_watch, sp)?;
-                                    Ok((Upstream::Plain(Box::new(c)), c_watch))
-                                }
-                            }
-                        },
-                    ));
-                if m == 0 {
-                    session.server_proxy = Some(m_proxy);
-                }
-                session.replica_servers.push(m_server);
-                upstreams.push((m_upstream, c_watch, reconnector));
-            }
-
-            let mut client_proxy = ClientProxy::with_stripe(upstreams, &client_cfg)?;
-            client_proxy.set_hop_cost(clock.clone(), params.hop_cost);
-            client_proxy.start_readahead();
-            session.controller = Some(client_proxy.controller());
-            session.client_stats = Some(client_proxy.stats().clone());
-            let (mount_end, proxy_end) = pipe_pair();
-            let (tx, rx) = mpsc::channel();
-            std::thread::spawn(move || {
-                let result = client_proxy.run(Box::new(proxy_end));
-                let _ = tx.send(result);
-            });
-            session.client_proxy_rx = Some(rx);
-            let mut nfs = Nfs3Client::new(Box::new(mount_end));
-            nfs.set_cred(job_cred);
-            session.mount = NfsMount::new(nfs, root_fh, mount_opts);
-            return Ok(session);
-        }
-
-        // Establish the inter-proxy channel per configuration.
-        enum Downstream {
-            Plain(sgfs_net::BoxStream),
-            Tls(Box<GtlsStream>),
-        }
-        let (client_upstream, server_peer, server_downstream, server_watch, client_watch): (
-            Upstream,
-            ValidatedPeer,
-            Downstream,
-            sgfs_net::PipeWatch,
-            sgfs_net::PipeWatch,
-        ) = match params.kind {
-            SetupKind::GfsSsh => {
+                let (wire_client, wire_server) = pipe_pair_over_link(link.clone());
                 let key: [u8; 32] = rand::random();
-                let hop_s = Some((clock.clone(), params.hop_cost));
-                let hop_c = hop_s.clone();
+                let hop = Some((clock.clone(), params.hop_cost));
                 // Two-phase establishment on this thread: both hellos are
                 // written before either side reads, so no concurrent peer
                 // (and no transient thread) is needed.
-                let client_pend = tunnel_start(wire_client, &key, true, hop_c)?;
-                let server_pend = tunnel_start(wire_server, &key, false, hop_s)?;
-                let (client_stream, client_tunnel_watch, client_guard) = client_pend.finish()?;
+                let client_pend = tunnel_start(wire_client, &key, true, hop.clone())?;
+                let server_pend = tunnel_start(wire_server, &key, false, hop)?;
                 // The tunnel's forwarder threads drain the wire; the event
                 // loops must watch the local plaintext pipes they feed.
-                let (server_stream, tunnel_watch, server_guard) = server_pend.finish()?;
+                let (client_stream, client_watch, client_guard) = client_pend.finish()?;
+                let (server_stream, server_watch, server_guard) = server_pend.finish()?;
                 session.tunnel_guards.push(client_guard);
                 session.tunnel_guards.push(server_guard);
-                (
-                    Upstream::Plain(client_stream),
-                    synthetic_peer(world),
-                    Downstream::Plain(server_stream),
-                    tunnel_watch,
-                    client_tunnel_watch,
-                )
+                let proxy = accept(None)?;
+                shards.add_session(server_stream, server_watch, proxy.clone())?;
+                (Upstream::Plain(client_stream), client_watch, proxy, None)
+            } else {
+                let (upstream, watch, proxy) =
+                    dial(&link, &shards, client_gtls.clone(), server_gtls.clone(), accept)?;
+                // Per-member fault recovery: when the member's channel
+                // dies with a transient fault, its pipeline re-dials the
+                // same host through this closure — the same `dial`, with
+                // the established server proxy as the service.
+                let (link, shards, sp) = (link.clone(), shards.clone(), proxy.clone());
+                let (client_gtls, server_gtls) = (client_gtls.clone(), server_gtls.clone());
+                let redial = move |_attempt: u32| -> std::io::Result<_> {
+                    let service = |_: Option<&ValidatedPeer>| Ok::<_, std::io::Error>(sp.clone());
+                    dial(&link, &shards, client_gtls.clone(), server_gtls.clone(), service)
+                        .map(|(upstream, watch, _)| (upstream, watch))
+                };
+                let redial: Box<dyn crate::proxy::retry::Reconnector> = Box::new(redial);
+                (upstream, watch, proxy, Some(redial))
+            };
+            if m == 0 {
+                session.server_proxy = Some(m_proxy);
             }
-            SetupKind::Gfs => (
-                Upstream::Plain(Box::new(wire_client)),
-                synthetic_peer(world),
-                Downstream::Plain(Box::new(wire_server)),
-                wire_watch,
-                client_wire_watch,
-            ),
-            _ => {
-                // GTLS mutual authentication between the proxies: the two
-                // resumable handshake machines are alternated on this
-                // thread until both complete — no handshake thread.
-                let scfg = server_cfg.gtls().expect("secure kinds have a suite");
-                let ccfg = client_cfg.gtls().expect("secure kinds have a suite");
-                let (client_tls, server_tls) = handshake_pair(
-                    GtlsHandshake::client(
-                        Box::new(wire_client),
-                        Some(client_wire_watch.clone()),
-                        ccfg,
-                    ),
-                    GtlsHandshake::server(Box::new(wire_server), Some(wire_watch.clone()), scfg),
-                )?;
-                let peer = server_tls.peer().clone();
+            session.replica_servers.push(m_server);
+            upstreams.push((upstream, watch, reconnector));
+        }
 
-                (
-                    Upstream::Tls(Box::new(client_tls)),
-                    peer,
-                    Downstream::Tls(Box::new(server_tls)),
-                    wire_watch,
-                    client_wire_watch,
-                )
-            }
-        };
-
-        // Server proxy: authorize and serve.
-        let server_accept_gtls = server_cfg.gtls();
-        let server_proxy = ServerProxy::new(
-            server_cfg,
-            &server_peer,
-            make_forward(),
-            make_acl_client(),
-            root_fh.clone(),
-        )?;
-        server_proxy.set_hop_cost(clock.clone(), params.hop_cost);
-        let server_downstream: sgfs_net::BoxStream = match server_downstream {
-            Downstream::Plain(s) => s,
-            Downstream::Tls(mut t) => {
-                // Attribute record crypto to the server proxy's CPU account.
-                t.busy_counter = Some(server_proxy.stats().busy_counter());
-                t
-            }
-        };
-        shards.add_session(server_downstream, server_watch, server_proxy.clone())?;
-
-        // Reconnector: when the inter-proxy channel dies with a transient
-        // fault, the pipeline re-dials through this closure. A dial lays a
-        // fresh pipe over the same emulated link, alternates the two
-        // resumable GTLS handshake machines inline on the calling pool
-        // worker (for secure kinds), and pins the fresh connection onto
-        // the shard core — no transient thread, no persistent acceptor.
-        // GfsSsh keeps its single tunnel (no re-keying path), and the
-        // kernel baselines have no proxy to recover.
-        let reconnector: Option<Box<dyn crate::proxy::retry::Reconnector>> = match params.kind
-        {
-            SetupKind::Gfs | SetupKind::Sgfs(_) | SetupKind::Sfs => {
-                let sp = server_proxy.clone();
-                let client_gtls = client_cfg.gtls();
-                let link = link.clone();
-                let dial_shards = shards.clone();
-                Some(Box::new(
-                    move |_attempt: u32| -> std::io::Result<(Upstream, sgfs_net::PipeWatch)> {
-                        let (c, s) = pipe_pair_over_link(link.clone());
-                        let c_watch = c.watch();
-                        let s_watch = s.watch();
-                        let sp = sp.clone();
-                        match (client_gtls.clone(), server_accept_gtls.clone()) {
-                            (Some(ccfg), Some(scfg)) => {
-                                // A handshake failure kills this dial only;
-                                // the client backs off and retries.
-                                let (client_tls, mut server_tls) = handshake_pair(
-                                    GtlsHandshake::client(
-                                        Box::new(c),
-                                        Some(c_watch.clone()),
-                                        ccfg,
-                                    ),
-                                    GtlsHandshake::server(
-                                        Box::new(s),
-                                        Some(s_watch.clone()),
-                                        scfg,
-                                    ),
-                                )
-                                .map_err(std::io::Error::from)?;
-                                server_tls.busy_counter = Some(sp.stats().busy_counter());
-                                dial_shards.add_session(Box::new(server_tls), s_watch, sp)?;
-                                Ok((Upstream::Tls(Box::new(client_tls)), c_watch))
-                            }
-                            _ => {
-                                dial_shards.add_session(Box::new(s), s_watch, sp)?;
-                                Ok((Upstream::Plain(Box::new(c)), c_watch))
-                            }
-                        }
-                    },
-                ))
-            }
-            _ => None,
-        };
-
-        // Client proxy. Its upstream is pipelined (xid-demultiplexed), so
-        // the read-ahead worker rides the same channel — no second
+        // Client proxy. Its upstreams are pipelined (xid-demultiplexed),
+        // so the read-ahead worker rides the same channels — no second
         // connection, no second handshake.
-        let mut client_proxy =
-            ClientProxy::with_reconnector(client_upstream, client_watch, &client_cfg, reconnector)?;
+        let mut client_proxy = ClientProxy::with_stripe(upstreams, &client_cfg)?;
         client_proxy.set_hop_cost(clock.clone(), params.hop_cost);
         client_proxy.start_readahead();
-
         session.controller = Some(client_proxy.controller());
         session.client_stats = Some(client_proxy.stats().clone());
-        session.server_proxy = Some(server_proxy);
 
         // Downstream pipe: kernel client ↔ client proxy (same host).
         let (mount_end, proxy_end) = pipe_pair();
@@ -895,14 +625,15 @@ impl Session {
         &self.server
     }
 
-    /// The server-side proxy, when this configuration has one. For a
-    /// striped session this is member 0's proxy.
+    /// The server-side proxy (member 0's), when this configuration has
+    /// one.
     pub fn server_proxy(&self) -> Option<&Arc<ServerProxy>> {
         self.server_proxy.as_ref()
     }
 
-    /// The per-member kernel servers of a striped session, in member
-    /// order (empty when the session has a single upstream).
+    /// The per-member kernel servers of a proxied session, in member
+    /// order (`[server()]` for a single upstream; empty on the kernel
+    /// baselines).
     pub fn replica_servers(&self) -> &[Arc<NfsServer>] {
         &self.replica_servers
     }
@@ -929,83 +660,69 @@ impl Session {
         self.controller.as_ref()
     }
 
-    /// Like [`finish`](Self::finish) but also returns a human-readable
-    /// dump of the client proxy's forwarded-procedure counters
-    /// (diagnostics for the evaluation harness).
-    pub fn finish_with_debug(mut self) -> Result<String, SessionError> {
-        self.mount
-            .unmount()
-            .map_err(|e| SessionError::Io(std::io::Error::other(e.to_string())))?;
-        let old = std::mem::replace(
-            &mut self.mount,
-            Self::placeholder_mount(&self.clock, &Fh3::from_ino(0, 0)),
-        );
-        drop(old);
-        match self.client_proxy_rx.take() {
-            Some(rx) => {
-                let (mut proxy, _) = rx
-                    .recv()
-                    .map_err(|_| SessionError::Mount("client proxy vanished".into()))?;
-                let _ = proxy.flush_all()?;
-                let mut counts: Vec<(u32, u64)> =
-                    proxy.forwarded_by_proc().iter().map(|(k, v)| (*k, *v)).collect();
-                counts.sort_by_key(|(_, v)| std::cmp::Reverse(*v));
-                Ok(format!("forwarded by proc: {counts:?}"))
-            }
-            None => Ok("no client proxy".into()),
-        }
-    }
-
     /// Tear the session down: unmount the kernel client, stop the client
     /// proxy, and write back everything still dirty in the proxy cache
     /// (timed — the paper reports this separately).
-    pub fn finish(mut self) -> Result<SessionReport, SessionError> {
+    pub fn finish(self) -> Result<SessionReport, SessionError> {
+        self.finish_with(|_| ()).map(|(report, _)| report)
+    }
+
+    /// Like [`finish`](Self::finish) but returns a human-readable dump of
+    /// the client proxy's forwarded-procedure counters instead of the
+    /// report (diagnostics for the evaluation harness).
+    pub fn finish_with_debug(self) -> Result<String, SessionError> {
+        let (_, dump) = self.finish_with(|proxy| {
+            let mut counts: Vec<(u32, u64)> =
+                proxy.forwarded_by_proc().iter().map(|(k, v)| (*k, *v)).collect();
+            counts.sort_by_key(|(_, v)| std::cmp::Reverse(*v));
+            format!("forwarded by proc: {counts:?}")
+        })?;
+        Ok(dump.unwrap_or_else(|| "no client proxy".into()))
+    }
+
+    /// Like [`finish`](Self::finish), but lets the caller `inspect` the
+    /// stopped client proxy after the final write-back and before it is
+    /// dropped — forwarded-procedure counters, per-member channels,
+    /// cache state. The inspection result is `None` on the proxy-less
+    /// kernel baselines.
+    pub fn finish_with<R>(
+        mut self,
+        inspect: impl FnOnce(&ClientProxy) -> R,
+    ) -> Result<(SessionReport, Option<R>), SessionError> {
         self.mount
             .unmount()
             .map_err(|e| SessionError::Io(std::io::Error::other(e.to_string())))?;
-        // Closing the downstream pipe ends the proxy loop.
-        let (dead, _) = pipe_pair();
-        let old = std::mem::replace(
-            &mut self.mount,
-            Self::placeholder_mount(&self.clock, &Fh3::from_ino(0, 0)),
-        );
-        drop(old);
-        drop(dead);
         let mut report = SessionReport {
             writeback_bytes: 0,
             writeback_time: Duration::ZERO,
             proxy_cache: None,
         };
-        if let Some(rx) = self.client_proxy_rx.take() {
-            let (mut proxy, _result) = rx
-                .recv()
-                .map_err(|_| SessionError::Mount("client proxy vanished".into()))?;
-            let t0 = self.clock.now();
-            let flushed = proxy.flush_all();
-            // Gauge what (if anything) the flush left behind before
-            // propagating its error: non-zero means the journal (when
-            // enabled) is now the only copy of those bytes.
-            proxy.stats().set_dirty_at_shutdown(proxy.dirty_bytes());
-            report.writeback_bytes = flushed?;
-            report.writeback_time = self.clock.now() - t0;
-            report.proxy_cache = Some(proxy.cache_stats());
-        }
-        Ok(report)
+        let Some(rx) = self.client_proxy_rx.take() else { return Ok((report, None)) };
+        // Closing the downstream pipe ends the proxy loop.
+        self.mount = Self::placeholder_mount(&self.clock, &Fh3::from_ino(0, 0));
+        let (mut proxy, _result) =
+            rx.recv().map_err(|_| SessionError::Mount("client proxy vanished".into()))?;
+        let t0 = self.clock.now();
+        let flushed = proxy.flush_all();
+        // Gauge what (if anything) the flush left behind before
+        // propagating its error: non-zero means the journal (when
+        // enabled) is now the only copy of those bytes.
+        proxy.stats().set_dirty_at_shutdown(proxy.dirty_bytes());
+        report.writeback_bytes = flushed?;
+        report.writeback_time = self.clock.now() - t0;
+        report.proxy_cache = Some(proxy.cache_stats());
+        Ok((report, Some(inspect(&proxy))))
     }
 }
 
 impl Drop for Session {
     fn drop(&mut self) {
-        // `finish`/`finish_with_debug` take the receiver; reaching here
-        // with it still in place means the session was dropped without
-        // orderly teardown. Stop the proxy and write its dirty blocks
-        // back rather than silently discarding them.
+        // `finish_with` takes the receiver; reaching here with it still
+        // in place means the session was dropped without orderly
+        // teardown. Stop the proxy and write its dirty blocks back
+        // rather than silently discarding them.
         let Some(rx) = self.client_proxy_rx.take() else { return };
-        let old = std::mem::replace(
-            &mut self.mount,
-            Self::placeholder_mount(&self.clock, &Fh3::from_ino(0, 0)),
-        );
-        drop(old);
+        self.mount = Self::placeholder_mount(&self.clock, &Fh3::from_ino(0, 0));
         if let Ok((mut proxy, _)) = rx.recv() {
             let _ = proxy.flush_all();
             proxy.stats().set_dirty_at_shutdown(proxy.dirty_bytes());
@@ -1021,5 +738,70 @@ fn synthetic_peer(world: &SessionMaterial) -> ValidatedPeer {
         leaf_dn: world.user.effective_dn().clone(),
         effective_dn: world.user.effective_dn().clone(),
         via_proxy: false,
+    }
+}
+
+/// Stand up one file server host: export `/GFS` of `vfs` (owned by the
+/// file account so mapped users can work in it) through a kernel NFS
+/// server, and mount it for the local proxy.
+fn file_host(vfs: Arc<Vfs>) -> Result<(Arc<NfsServer>, Fh3), SessionError> {
+    let root_ctx = UserContext::root();
+    vfs.mkdir_p("/GFS", 0o755, &root_ctx).expect("export tree");
+    let gfs_attr = vfs.resolve("/GFS", &root_ctx).expect("just created");
+    vfs.setattr(
+        gfs_attr.ino,
+        &sgfs_vfs::SetAttrs { uid: Some(FILE_UID), gid: Some(FILE_UID), ..Default::default() },
+        &root_ctx,
+    )
+    .expect("chown export");
+    let mut exports = Exports::new();
+    exports.add(ExportEntry::localhost("/GFS"));
+    // The trusted proxy presents mapped credentials; no squashing.
+    let server = NfsServer::new_no_squash(vfs, exports);
+    let root_fh = server
+        .mount("/GFS", "localhost")
+        .ok_or_else(|| SessionError::Mount("/GFS not exported to localhost".into()))?;
+    Ok((server, root_fh))
+}
+
+/// Dial one inter-proxy channel: lay a fresh pipe over the emulated link,
+/// run the GTLS mutual authentication for secure kinds (the two resumable
+/// handshake machines alternate inline on the calling thread — no
+/// handshake thread, no persistent acceptor), and pin the server end onto
+/// the shard core behind the proxy `service` yields for the authenticated
+/// peer (`None` on an unauthenticated channel). Both the first connection
+/// of a member and every reconnection go through here; a handshake
+/// failure kills this dial only.
+fn dial<E: From<GtlsError> + From<std::io::Error>>(
+    link: &Arc<Link>,
+    shards: &ShardServer,
+    client_gtls: Option<GtlsConfig>,
+    server_gtls: Option<GtlsConfig>,
+    service: impl FnOnce(Option<&ValidatedPeer>) -> Result<Arc<ServerProxy>, E>,
+) -> Result<(Upstream, sgfs_net::PipeWatch, Arc<ServerProxy>), E> {
+    let (wire_client, wire_server) = pipe_pair_over_link(link.clone());
+    // Readiness must observe the raw wire, before GTLS wraps the stream:
+    // arrivals are arrivals regardless of what decrypts them. Both
+    // directions get a watch — the server side feeds a shard loop, the
+    // client side feeds the client I/O pool.
+    let client_watch = wire_client.watch();
+    let server_watch = wire_server.watch();
+    match (client_gtls, server_gtls) {
+        (Some(ccfg), Some(scfg)) => {
+            let (client_tls, mut server_tls) = handshake_pair(
+                GtlsHandshake::client(Box::new(wire_client), Some(client_watch.clone()), ccfg),
+                GtlsHandshake::server(Box::new(wire_server), Some(server_watch.clone()), scfg),
+            )?;
+            let proxy = service(Some(server_tls.peer()))?;
+            // Attribute record crypto to the server proxy's CPU account.
+            server_tls.busy_counter = Some(proxy.stats().busy_counter());
+            shards.add_session(Box::new(server_tls), server_watch, proxy.clone())?;
+            Ok((Upstream::Tls(Box::new(client_tls)), client_watch, proxy))
+        }
+        _ => {
+            let proxy = service(None)?;
+            shards.add_session(Box::new(wire_server), server_watch, proxy.clone())?;
+            Ok((Upstream::Plain(Box::new(wire_client)), client_watch, proxy))
+        }
     }
 }

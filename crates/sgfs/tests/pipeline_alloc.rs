@@ -44,6 +44,10 @@ fn alloc_bytes() -> u64 {
     ALLOC_BYTES.load(Ordering::SeqCst)
 }
 
+/// The counter watches the whole process, so the two measurements must
+/// not overlap: each test holds this lock for its duration.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Echoes records verbatim with reused buffers: the server side settles
 /// to zero allocations, so the measurement isolates the client stack.
 fn frugal_echo_server(mut end: sgfs_net::PipeEnd) {
@@ -93,6 +97,7 @@ impl sgfs_oncrpc::RecordService for ShardEcho {
 
 #[test]
 fn reply_handoff_is_clone_free_at_steady_state() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let (client_end, server_end) = pipe_pair();
     frugal_echo_server(server_end);
     let watch = client_end.watch();
@@ -131,6 +136,7 @@ fn reply_handoff_is_clone_free_at_steady_state() {
 /// of the scratch) would multiply the budget and fail.
 #[test]
 fn shard_buffers_hold_high_water_across_interleaved_sessions() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     const SESSIONS: usize = 8;
     let shards = sgfs_oncrpc::ShardServer::new(1);
     let mut ends = Vec::new();

@@ -14,8 +14,9 @@
 //!
 //! A separate case re-syncs the dead member from the write-back store and
 //! checks it rejoins with byte-identical state; a thread-ceiling case
-//! proves a wider stripe adds zero client reader threads (the PR 8 pool
-//! budget covers every member).
+//! proves stripe width adds zero client reader threads at widths 1, 2
+//! and 4 alike (the PR 8 pool budget covers every member, and read-ahead
+//! is one worker for the whole set).
 
 use sgfs::config::{CacheMode, RetryPolicy, SecurityLevel, SessionConfig, StripePolicy};
 use sgfs::proxy::blockstore::BlockKey;
@@ -309,8 +310,9 @@ fn script_phase2() -> Vec<(Fh3, u64, Vec<u8>)> {
     ]
 }
 
-/// The single-server oracle: the same script through a classic
-/// one-upstream proxy; its server state is the expected file content.
+/// The single-server oracle: the same script through a one-upstream
+/// proxy (the width-1 placement); its server state is the expected file
+/// content.
 fn oracle() -> BTreeMap<BlockKey, Vec<u8>> {
     let state: ServerState = Arc::new(Mutex::new(BTreeMap::new()));
     let (end, srv) = pipe_pair();
@@ -502,6 +504,7 @@ fn readahead_case(label: &str, victim: usize, seed: u64) {
 /// The seeded grid: every member killed at every phase on three seeds.
 #[test]
 fn killing_any_single_replica_never_loses_bytes() {
+    let _serial = serial();
     let oracle = oracle();
     for victim in 0..WIDTH as usize {
         for seed in [1u64, 2, 3] {
@@ -522,6 +525,7 @@ fn killing_any_single_replica_never_loses_bytes() {
 /// state for every block it missed, and the degraded gauge drops to zero.
 #[test]
 fn rejoining_replica_is_resynced_from_the_journal() {
+    let _serial = serial();
     let oracle = oracle();
     let victim = 1usize;
     let states: Vec<ServerState> = (0..WIDTH).map(|_| Arc::default()).collect();
@@ -569,14 +573,14 @@ fn rejoining_replica_is_resynced_from_the_journal() {
     proxy.resync_member(victim).expect("re-sync");
     assert_eq!(proxy.missed_blocks(victim), 0, "re-sync drained the missed set");
     assert_eq!(proxy.stats().degraded(), 0, "member is back in the write set");
-    assert!(proxy.stripe().unwrap().is_up(victim));
+    assert!(proxy.stripe().is_up(victim));
     drop(proxy);
 
     // The rejoined member now holds the oracle content for every block
     // the map assigns to it.
     let map = StripeMap::new(policy());
     for (key, expected) in &oracle {
-        if !map.members_of_block(map.block_of(key.1)).contains(&victim) {
+        if !map.members_of_block(map.block_of(key.1)).any(|m| m == victim) {
             continue;
         }
         let held = states[victim].lock().unwrap().get(key).cloned();
@@ -590,6 +594,15 @@ fn rejoining_replica_is_resynced_from_the_journal() {
     }
 }
 
+/// The thread-ceiling case reads the *process-wide* thread count, so no
+/// other case may be spawning mock servers while it runs: every test in
+/// this file holds this lock (the whole matrix takes ~0.1 s serially).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn thread_count() -> usize {
     let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
     status
@@ -601,38 +614,61 @@ fn thread_count() -> usize {
         .expect("thread count")
 }
 
-/// A wider stripe must not widen the client thread budget: every member
-/// pipeline multiplexes onto the one shared I/O pool, so building a
-/// width-4 striped proxy adds exactly the 4 mock server threads — zero
-/// client-side reader threads — and read-ahead adds its single worker.
+/// The thread count once it has stopped moving: mock servers of an
+/// earlier case (or width) exit asynchronously after their proxy drops.
+fn settled_thread_count() -> usize {
+    let mut last = thread_count();
+    loop {
+        std::thread::sleep(Duration::from_millis(20));
+        let now = thread_count();
+        if now == last {
+            return now;
+        }
+        last = now;
+    }
+}
+
+/// Stripe width must not move the client thread budget: every member
+/// pipeline multiplexes onto the one shared I/O pool and read-ahead is one
+/// worker for the whole set. At widths 1, 2 and 4 alike, building the
+/// proxy adds exactly the mock server threads — zero client-side reader
+/// threads — and starting read-ahead adds exactly one worker.
 #[test]
 fn stripe_width_adds_zero_client_reader_threads() {
+    let _serial = serial();
     let pool = ClientIoPool::new(2);
-    let mut config = striped_config();
-    config.client_pool = Some(pool.clone());
-    config.stripe = Some(StripePolicy { width: 4, replicas: 2, block_size: BLOCK as u32 });
-    config.readahead = 4;
-    let states: Vec<ServerState> = (0..4).map(|_| Arc::default()).collect();
-    let kills = vec![Kill::never(); 4];
+    for (width, replicas) in [(1u32, 1u32), (2, 2), (4, 2)] {
+        let mut config = striped_config();
+        config.client_pool = Some(pool.clone());
+        config.stripe = Some(StripePolicy { width, replicas, block_size: BLOCK as u32 });
+        config.readahead = 4;
+        let states: Vec<ServerState> = (0..width).map(|_| Arc::default()).collect();
+        let kills = vec![Kill::never(); width as usize];
 
-    let before = thread_count();
-    let mut proxy =
-        striped_proxy(&states, &kills, (0..4).map(|_| None).collect(), &config);
-    let after_build = thread_count();
-    assert_eq!(
-        after_build - before,
-        4,
-        "building a width-4 stripe set must only add the 4 mock servers \
-         (a per-member reader thread would show up here)"
-    );
-    proxy.start_readahead();
-    let after_readahead = thread_count();
-    assert_eq!(
-        after_readahead - after_build,
-        1,
-        "striped read-ahead uses one worker, never one per member"
-    );
-    drop(proxy);
+        let before = settled_thread_count();
+        let mut proxy =
+            striped_proxy(&states, &kills, (0..width).map(|_| None).collect(), &config);
+        let after_build = thread_count();
+        assert_eq!(
+            after_build - before,
+            width as usize,
+            "building a width-{width} stripe set must only add the {width} mock servers \
+             (a per-member reader thread would show up here)"
+        );
+        proxy.start_readahead();
+        assert_eq!(
+            thread_count() - after_build,
+            1,
+            "read-ahead is one worker at width {width}, never one per member"
+        );
+        // Dropping the proxy ends the worker and the mock servers.
+        drop(proxy);
+        assert_eq!(
+            settled_thread_count(),
+            before,
+            "width {width}: the thread count returns to baseline after teardown"
+        );
+    }
 }
 
 /// Regression for the rejoin/degraded-gauge contract. A member marked
@@ -650,6 +686,7 @@ fn stripe_width_adds_zero_client_reader_threads() {
 ///   to 0 with the member in the read/write set.
 #[test]
 fn empty_missed_set_rejoin_probes_the_channel_before_resetting_degraded() {
+    let _serial = serial();
     const BLOCKS: u64 = 8;
     let victim = 1usize;
     let map = StripeMap::new(policy());
@@ -707,7 +744,7 @@ fn empty_missed_set_rejoin_probes_the_channel_before_resetting_degraded() {
     // Rung 0: the host refuses dials — re-sync must fail closed.
     assert!(proxy.resync_member(victim).is_err(), "re-sync with the host down");
     assert_eq!(proxy.stats().degraded(), 1, "degraded survives a refused dial");
-    assert!(!proxy.stripe().unwrap().is_up(victim));
+    assert!(!proxy.stripe().is_up(victim));
 
     // Rung 1: the dial connects to a dead wire. Nothing is replayed
     // (empty missed set), so only the probe stands between this zombie
@@ -715,14 +752,14 @@ fn empty_missed_set_rejoin_probes_the_channel_before_resetting_degraded() {
     host_mode.store(1, Ordering::Release);
     assert!(proxy.resync_member(victim).is_err(), "probe must fail on a dead wire");
     assert_eq!(proxy.stats().degraded(), 1, "degraded survives a dead-wire dial");
-    assert!(!proxy.stripe().unwrap().is_up(victim));
+    assert!(!proxy.stripe().is_up(victim));
 
     // Rung 2: the host is really back; the probe proves the channel and
     // the gauge resets.
     host_mode.store(2, Ordering::Release);
     proxy.resync_member(victim).expect("re-sync over the healthy channel");
     assert_eq!(proxy.stats().degraded(), 0, "fully re-synced stripe reports degraded == 0");
-    assert!(proxy.stripe().unwrap().is_up(victim));
+    assert!(proxy.stripe().is_up(victim));
 
     // And the rejoined member serves its share of reads again.
     let mut driver = Driver::start(proxy);

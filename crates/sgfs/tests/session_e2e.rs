@@ -1,7 +1,7 @@
 //! End-to-end tests of full session stacks: every experimental setup from
 //! the paper's §6.1, exercised through the kernel-client API.
 
-use sgfs::config::SecurityLevel;
+use sgfs::config::{SecurityLevel, StripePolicy};
 use sgfs::session::{GridWorld, Session, SessionParams, SetupKind};
 use sgfs_nfsclient::OpenFlags;
 use sgfs_vfs::UserContext;
@@ -206,6 +206,58 @@ fn manual_rekey_via_controller() {
     assert_eq!(session.mount.read_file("/before.txt").unwrap(), b"pre-rekey");
     assert_eq!(session.mount.read_file("/after.txt").unwrap(), b"post-rekey");
     session.finish().unwrap();
+}
+
+/// Forced renegotiation reaches every upstream of the session, not just
+/// member 0: after one `request_rekey()` each member's channel has
+/// completed exactly two handshakes (the initial one plus the rekey).
+#[test]
+fn manual_rekey_renegotiates_every_stripe_member() {
+    let world = GridWorld::new();
+    let mut params = SessionParams::lan(SetupKind::Sgfs(SecurityLevel::AeadCipher));
+    params.stripe = Some(StripePolicy::striped(2));
+    let mut session = Session::build(&world, &params).unwrap();
+    session.mount.write_file("/before.txt", b"pre-rekey").unwrap();
+    session.controller().unwrap().request_rekey();
+    // The proxy renegotiates at its next quiesce point: before this call.
+    session.mount.write_file("/after.txt", b"post-rekey").unwrap();
+    assert_eq!(session.mount.read_file("/before.txt").unwrap(), b"pre-rekey");
+    assert_eq!(session.mount.read_file("/after.txt").unwrap(), b"post-rekey");
+    let (_report, handshakes) = session
+        .finish_with(|proxy| {
+            let set = proxy.stripe();
+            let per_member: Vec<Option<u64>> =
+                (0..set.width()).map(|m| set.member(m).handshake_count()).collect();
+            (per_member, proxy.handshake_count())
+        })
+        .unwrap();
+    let (per_member, session_wide) = handshakes.expect("sgfs runs a client proxy");
+    assert_eq!(per_member, [Some(2), Some(2)], "every member was rekeyed exactly once");
+    assert_eq!(session_wide, Some(2), "the session-wide count is the minimum over members");
+}
+
+/// A fully replicated placement (`replicas == width`) has no partial
+/// member, so — like a single upstream — it gets no session-local cache
+/// by default: writes go through to every replica as they happen and
+/// teardown has nothing to write back.
+#[test]
+fn fully_replicated_session_defaults_to_write_through() {
+    let world = GridWorld::new();
+    let mut params = SessionParams::lan(SetupKind::Sgfs(SecurityLevel::AeadCipher));
+    params.stripe = Some(StripePolicy::replicated(2, 2));
+    let mut session = Session::build(&world, &params).unwrap();
+    // Several stripe blocks, ending mid-block.
+    let body: Vec<u8> = (0..100_000).map(|i| (i % 251) as u8).collect();
+    session.mount.write_file("/full.bin", &body).unwrap();
+    assert_eq!(session.replica_servers().len(), 2);
+    for (m, server) in session.replica_servers().iter().enumerate() {
+        let attr = server.vfs().resolve("/GFS/full.bin", &UserContext::root()).unwrap();
+        assert_eq!(attr.size, body.len() as u64, "member {m} holds the whole file already");
+    }
+    assert_eq!(session.mount.read_file("/full.bin").unwrap(), body);
+    let report = session.finish().unwrap();
+    assert_eq!(report.writeback_bytes, 0, "nothing was held back for teardown");
+    assert_eq!(report.proxy_cache, Some((0, 0)), "no proxy-side cache ran");
 }
 
 #[test]

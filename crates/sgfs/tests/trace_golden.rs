@@ -9,8 +9,17 @@
 //! sequences are deterministic; cross-thread hops (`upstream_reply`,
 //! `backoff`) are asserted by count/structure instead. Each scenario runs
 //! three times and the three projections must be identical.
+//!
+//! The single-upstream scenarios take the placement as an input and run
+//! under both spellings of width 1 — no stripe policy, and an explicit
+//! width-1 policy with a 512-byte stripe unit — and all six projections
+//! must be identical: a single upstream is a full-copy member, so the
+//! stripe unit must never show on the wire (no size-mirror SETATTR after
+//! COMMIT, no extent split or READ clamp at a 512-byte boundary).
 
-use sgfs::config::{CacheMode, DurabilityPolicy, RetryPolicy, SecurityLevel, SessionConfig};
+use sgfs::config::{
+    CacheMode, DurabilityPolicy, RetryPolicy, SecurityLevel, SessionConfig, StripePolicy,
+};
 use sgfs::proxy::client::{ClientProxy, Upstream};
 use sgfs::proxy::journal::JOURNAL_FILE;
 use sgfs_net::{pipe_pair, PipeEnd};
@@ -122,34 +131,56 @@ fn nfs_server(mut end: PipeEnd) {
     });
 }
 
-fn traced_config() -> (SessionConfig, Arc<Obs>) {
+fn traced_config(stripe: Option<StripePolicy>) -> (SessionConfig, Arc<Obs>) {
     let obs = Obs::new();
     let mut config = SessionConfig::new(SecurityLevel::None);
     config.cache = CacheMode::MemoryMeta;
     config.window = 8;
     config.retry = quick_retry();
     config.obs = Some(obs.clone());
+    config.stripe = stripe;
     (config, obs)
+}
+
+/// The two spellings of the single-upstream placement.
+const WIDTH_ONE: [Option<StripePolicy>; 2] =
+    [None, Some(StripePolicy { width: 1, replicas: 1, block_size: 512 })];
+
+/// Run a single-upstream scenario three times under each width-1
+/// placement; every projection must equal every other.
+fn assert_golden_under_width_one(scenario: fn(Option<StripePolicy>) -> Vec<String>) {
+    let runs: Vec<Vec<String>> =
+        WIDTH_ONE.iter().flat_map(|&stripe| (0..3).map(move |_| scenario(stripe))).collect();
+    for (i, pair) in runs.windows(2).enumerate() {
+        assert_eq!(pair[0], pair[1], "run {} diverged from run {}", i + 2, i + 1);
+    }
 }
 
 /// Run `records` through the proxy's downstream interface one at a time
 /// (request, await reply), then return the proxy for further driving.
 fn drive(proxy: ClientProxy, records: &[Vec<u8>]) -> ClientProxy {
+    drive_replies(proxy, records).0
+}
+
+/// [`drive`], also returning each reply's result body (past the header).
+fn drive_replies(proxy: ClientProxy, records: &[Vec<u8>]) -> (ClientProxy, Vec<Vec<u8>>) {
     let (mut down, proxy_down) = pipe_pair();
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
         let _ = tx.send(proxy.run(Box::new(proxy_down)));
     });
+    let mut bodies = Vec::with_capacity(records.len());
     for record in records {
         write_record(&mut down, record).unwrap();
         let reply = read_record(&mut down).unwrap().expect("downstream reply");
         let mut dec = XdrDecoder::new(&reply);
         ReplyHeader::decode(&mut dec).expect("reply header");
+        bodies.push(reply[dec.position()..].to_vec());
     }
     drop(down);
     let (proxy, run_result) = rx.recv().expect("proxy thread");
     run_result.expect("proxy loop");
-    proxy
+    (proxy, bodies)
 }
 
 /// The deterministic projection of a trace: hop names (tagged with the
@@ -172,8 +203,8 @@ fn golden(events: &[TraceEvent], keep: &[Hop]) -> Vec<String> {
 // 1. Metadata cache: miss populates, hit short-circuits.
 // ---------------------------------------------------------------------
 
-fn cache_scenario() -> Vec<String> {
-    let (config, obs) = traced_config();
+fn cache_scenario(stripe: Option<StripePolicy>) -> Vec<String> {
+    let (config, obs) = traced_config(stripe);
     let (upstream_end, srv) = pipe_pair();
     nfs_server(srv);
     let watch = upstream_end.watch();
@@ -216,19 +247,17 @@ fn cache_scenario() -> Vec<String> {
 
 #[test]
 fn golden_cache_hit_miss_sequence() {
-    let runs: Vec<Vec<String>> = (0..3).map(|_| cache_scenario()).collect();
-    assert_eq!(runs[0], runs[1], "run 2 diverged from run 1");
-    assert_eq!(runs[1], runs[2], "run 3 diverged from run 2");
+    assert_golden_under_width_one(cache_scenario);
 }
 
 // ---------------------------------------------------------------------
 // 2. Split-phase flush: every WRITE is sent before the COMMIT.
 // ---------------------------------------------------------------------
 
-fn flush_scenario() -> Vec<String> {
+fn flush_scenario(stripe: Option<StripePolicy>) -> Vec<String> {
     const BLOCKS: usize = 3;
     const BLOCK_LEN: usize = 512;
-    let (config, obs) = traced_config();
+    let (config, obs) = traced_config(stripe);
     let (upstream_end, srv) = pipe_pair();
     nfs_server(srv);
     let watch = upstream_end.watch();
@@ -285,9 +314,7 @@ fn flush_scenario() -> Vec<String> {
 
 #[test]
 fn golden_split_phase_flush_sequence() {
-    let runs: Vec<Vec<String>> = (0..3).map(|_| flush_scenario()).collect();
-    assert_eq!(runs[0], runs[1], "run 2 diverged from run 1");
-    assert_eq!(runs[1], runs[2], "run 3 diverged from run 2");
+    assert_golden_under_width_one(flush_scenario);
 }
 
 // ---------------------------------------------------------------------
@@ -295,10 +322,10 @@ fn golden_split_phase_flush_sequence() {
 //    channel and the COMMIT still waits for all of them.
 // ---------------------------------------------------------------------
 
-fn replay_scenario() -> Vec<String> {
+fn replay_scenario(stripe: Option<StripePolicy>) -> Vec<String> {
     const BLOCKS: usize = 3;
     const BLOCK_LEN: usize = 512;
-    let (config, obs) = traced_config();
+    let (config, obs) = traced_config(stripe);
 
     // Connection #1 answers metadata calls but swallows WRITEs until it
     // has seen every one, then dies without replying: the whole flush
@@ -415,9 +442,7 @@ fn replay_scenario() -> Vec<String> {
 
 #[test]
 fn golden_replay_after_reconnect_sequence() {
-    let runs: Vec<Vec<String>> = (0..3).map(|_| replay_scenario()).collect();
-    assert_eq!(runs[0], runs[1], "run 2 diverged from run 1");
-    assert_eq!(runs[1], runs[2], "run 3 diverged from run 2");
+    assert_golden_under_width_one(replay_scenario);
 }
 
 // ---------------------------------------------------------------------
@@ -425,7 +450,7 @@ fn golden_replay_after_reconnect_sequence() {
 //    re-flush of the surviving dirty block — pinned exactly.
 // ---------------------------------------------------------------------
 
-fn recovery_scenario() -> Vec<String> {
+fn recovery_scenario(stripe: Option<StripePolicy>) -> Vec<String> {
     const BLOCK_LEN: usize = 512;
     let dir =
         std::env::temp_dir().join(format!("sgfs-golden-recovery-{}", std::process::id()));
@@ -439,6 +464,7 @@ fn recovery_scenario() -> Vec<String> {
         config.retry = quick_retry();
         config.durability = durability;
         config.obs = Some(obs.clone());
+        config.stripe = stripe;
         config
     };
     let fh = Fh3::from_ino(1, 42);
@@ -536,9 +562,7 @@ fn recovery_scenario() -> Vec<String> {
 
 #[test]
 fn golden_recovery_sequence() {
-    let runs: Vec<Vec<String>> = (0..3).map(|_| recovery_scenario()).collect();
-    assert_eq!(runs[0], runs[1], "run 2 diverged from run 1");
-    assert_eq!(runs[1], runs[2], "run 3 diverged from run 2");
+    assert_golden_under_width_one(recovery_scenario);
 }
 
 // ---------------------------------------------------------------------
@@ -782,9 +806,8 @@ fn striped_golden(events: &[TraceEvent]) -> Vec<String> {
 }
 
 fn striped_scenario() -> Vec<String> {
-    let (mut config, obs) = traced_config();
-    config.stripe =
-        Some(sgfs::config::StripePolicy { width: 3, replicas: 2, block_size: 512 });
+    let (config, obs) =
+        traced_config(Some(StripePolicy { width: 3, replicas: 2, block_size: 512 }));
     // Member 2's death is scripted below; reads fail over to survivors.
     let mut upstreams = Vec::new();
     for m in 0..3u32 {
@@ -855,4 +878,68 @@ fn golden_striped_failover_sequence() {
     let runs: Vec<Vec<String>> = (0..3).map(|_| striped_scenario()).collect();
     assert_eq!(runs[0], runs[1], "run 2 diverged from run 1");
     assert_eq!(runs[1], runs[2], "run 3 diverged from run 2");
+}
+
+// ---------------------------------------------------------------------
+// 8. Unaligned I/O on a single upstream: one WRITE and one READ that each
+//    straddle 512-byte boundaries. A full-copy member needs no stripe
+//    bookkeeping, so under either width-1 placement the WRITE is absorbed
+//    and flushed as one extent, the COMMIT is the last record of the
+//    flush (no size-mirror SETATTR), and the READ comes back whole.
+// ---------------------------------------------------------------------
+
+fn unaligned_io_scenario(stripe: Option<StripePolicy>) -> Vec<String> {
+    const LEN: usize = 1024;
+    let (config, obs) = traced_config(stripe);
+    let (upstream_end, srv) = pipe_pair();
+    striped_member_server(srv, None);
+    let watch = upstream_end.watch();
+    let proxy = ClientProxy::new(Upstream::Plain(Box::new(upstream_end)), watch, &config)
+        .expect("proxy");
+
+    let fh = Fh3::from_ino(1, 42);
+    let write = nfs_call(0x50, procnum::WRITE, |enc| {
+        WriteArgs {
+            file: fh.clone(),
+            offset: 256,
+            stable: StableHow::Unstable,
+            data: vec![0x5a; LEN],
+        }
+        .encode(enc)
+    });
+    let mut proxy = drive(proxy, &[write]);
+    proxy.flush_file(&fh).expect("flush");
+
+    // An uncached extent: the reply the kernel client sees is whole.
+    let read = nfs_call(0x51, procnum::READ, |enc| {
+        ReadArgs { file: fh.clone(), offset: 4096 + 256, count: LEN as u32 }.encode(enc)
+    });
+    let (proxy, bodies) = drive_replies(proxy, &[read]);
+    drop(proxy);
+    let res = ReadRes::from_xdr_bytes(&bodies[0]).expect("read res");
+    assert_eq!(res.data.len(), LEN, "a single upstream serves the whole extent");
+
+    let (events, dropped) = obs.events();
+    assert_eq!(dropped, 0);
+    let round = events.iter().find(|e| e.hop == Hop::FlushRound).unwrap();
+    assert_eq!(round.aux, 1, "the unaligned WRITE was absorbed as one extent");
+    let g = golden(&events, &[Hop::FlushRound, Hop::CacheMiss, Hop::UpstreamSend]);
+    assert_eq!(
+        g,
+        [
+            "upstream_send:getattr",
+            "flush_round:commit",
+            "upstream_send:write",
+            "upstream_send:commit",
+            "cache_miss:read",
+            "upstream_send:read",
+        ],
+        "golden unaligned-I/O sequence changed"
+    );
+    g
+}
+
+#[test]
+fn golden_unaligned_io_on_a_single_upstream() {
+    assert_golden_under_width_one(unaligned_io_scenario);
 }

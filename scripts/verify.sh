@@ -1,7 +1,8 @@
 #!/bin/sh
 # Tier-1 verification: build, lint, hang-watchdogged fault-injection
-# suite, full test suite, and benchmark binaries compile. Run from the
-# repository root.
+# suite, full test suite, benchmark binaries compile, bench gates, and
+# the standalone benchmark/ package's smoke run. Run from the repository
+# root.
 set -eux
 
 # Run a named suite under a watchdog. On a hang the plain `timeout`
@@ -65,7 +66,9 @@ run_watchdog 180 overload_matrix cargo test -q -p sgfs --test overload_matrix
 # the watchdog), then the pipeline property suite that drives records
 # through the pooled reader.
 run_watchdog 120 submit_ring    cargo test -q -p sgfs-net --lib submit::
-run_watchdog 120 client_pool    cargo test -q -p sgfs-oncrpc --lib client_pool::
+# (client_pool's thread-ceiling test reads the process-wide thread
+# count, so its module runs one test at a time.)
+run_watchdog 120 client_pool    cargo test -q -p sgfs-oncrpc --lib client_pool:: -- --test-threads=1
 run_watchdog 180 prop_pipeline  cargo test -q -p sgfs --test prop_pipeline
 
 # AEAD record layer: RFC/NIST known-answer vectors + PCLMUL-vs-scalar
@@ -121,3 +124,12 @@ run_watchdog 120 stripe_bench ./target/release/stripe_bench --quick
 # BENCH_slo.json; exits nonzero past any threshold).
 cargo build --release -p sgfs-bench --bin slo_bench
 run_watchdog 300 slo_bench ./target/release/slo_bench --quick
+
+# The standalone benchmark package (BENCHMARK.json's `command`) is its
+# own workspace: nothing above compiles it, so a refactor that breaks a
+# `pub` item it calls would first be noticed by the benchmark pipeline.
+# Build it against this tree, then run its correctness-only smoke pass
+# (< 15 s: every workload, server tree compared to the model, nonzero
+# exit on any failed call).
+run_watchdog 600 benchmark_build cargo build --release --offline --manifest-path benchmark/Cargo.toml
+run_watchdog 120 benchmark_quick benchmark/run.sh --quick
