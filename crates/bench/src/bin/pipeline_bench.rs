@@ -258,9 +258,12 @@ fn echo_upstream(mut end: sgfs_net::PipeEnd) {
     });
 }
 
-/// Virtual seconds to push `calls` equal calls upstream with `window`
-/// in-flight, shared among `callers` threads, over a `rtt` link.
-fn forwarding_time(rtt: Duration, calls: usize, window: u32, callers: usize) -> (f64, u64) {
+/// Virtual seconds to push `calls` equal calls upstream over a `rtt`
+/// link, `window` at a time: one caller submits each round as a batch —
+/// which the pipeline admits whole before it collects any reply — and
+/// waits for it, so a round costs one round trip in virtual time whatever
+/// the scheduler does.
+fn forwarding_time(rtt: Duration, calls: usize, window: u32) -> (f64, u64) {
     let clock = SimClock::new();
     let link = Link::new(LinkSpec::wan_rtt(rtt), clock.clone());
     let (client_end, server_end) = pipe_pair_over_link(link);
@@ -270,22 +273,19 @@ fn forwarding_time(rtt: Duration, calls: usize, window: u32, callers: usize) -> 
     let pipeline =
         Pipeline::new(Upstream::Plain(Box::new(client_end)), watch, window, None, stats.clone());
     let start = clock.now();
-    let per_caller = calls / callers;
-    let workers: Vec<_> = (0..callers)
-        .map(|c| {
-            let p = pipeline.clone();
-            std::thread::spawn(move || {
-                for i in 0..per_caller {
-                    let xid = (c * per_caller + i) as u32;
-                    let mut record = xid.to_be_bytes().to_vec();
-                    record.extend_from_slice(&[0u8; 60]);
-                    p.call(record).expect("forwarded call");
-                }
+    let xids: Vec<u32> = (0..calls as u32).collect();
+    for round in xids.chunks(window as usize) {
+        let records = round
+            .iter()
+            .map(|xid| {
+                let mut record = xid.to_be_bytes().to_vec();
+                record.extend_from_slice(&[0u8; 60]);
+                record
             })
-        })
-        .collect();
-    for w in workers {
-        w.join().expect("caller thread");
+            .collect();
+        for reply in pipeline.submit_batch(records) {
+            reply.wait().expect("forwarded call");
+        }
     }
     let elapsed = clock.now() - start;
     (elapsed.as_secs_f64(), stats.pipeline_peak())
@@ -294,8 +294,8 @@ fn forwarding_time(rtt: Duration, calls: usize, window: u32, callers: usize) -> 
 fn bench_pipeline(opts: &RunOpts) -> PipelineResult {
     let rtt = Duration::from_millis(20);
     let calls = if opts.quick { 32 } else { 64 };
-    let (window_1_s, _) = forwarding_time(rtt, calls, 1, 1);
-    let (window_8_s, peak) = forwarding_time(rtt, calls, 8, 8);
+    let (window_1_s, _) = forwarding_time(rtt, calls, 1);
+    let (window_8_s, peak) = forwarding_time(rtt, calls, 8);
     PipelineResult {
         rtt_ms: 20,
         calls,

@@ -45,7 +45,7 @@ use sgfs_oncrpc::{
 use sgfs_workloads::traffic::{self, TrafficConfig, TrafficOp};
 use sgfs_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const BLOCK: u32 = 512;
@@ -213,20 +213,12 @@ fn run_probe(shards: &ShardServer, service: Arc<dyn RecordService>, rounds: usiz
     let watch = server_end.watch();
     shards.add_session(Box::new(server_end), watch, service).expect("pin probe upstream");
     let up_watch = up_end.watch();
-    let proxy = ClientProxy::new(Upstream::Plain(Box::new(up_end)), up_watch, &config)
+    let mut proxy = ClientProxy::new(Upstream::Plain(Box::new(up_end)), up_watch, &config)
         .expect("probe proxy");
 
-    let (mut down, proxy_down) = pipe_pair();
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(proxy.run(Box::new(proxy_down)));
-    });
-
     let fh = Fh3::from_ino(1, 7);
-    let mut call = |record: &[u8]| -> Vec<u8> {
-        write_record(&mut down, record).expect("probe write");
-        read_record(&mut down).expect("probe read").expect("probe reply")
-    };
+    let mut call =
+        |record: &[u8]| -> Vec<u8> { proxy.process_one(record).expect("probe reply") };
     for i in 0..rounds as u64 {
         let block = i % 32;
         call(&nfs_call(0x4000_0000 + i as u32, procnum::GETATTR, |enc| fh.encode(enc)));
@@ -243,9 +235,6 @@ fn run_probe(shards: &ShardServer, service: Arc<dyn RecordService>, rounds: usiz
             .encode(enc)
         }));
     }
-    drop(down);
-    let (_proxy, result) = rx.recv().expect("probe thread");
-    result.expect("probe run");
     obs
 }
 

@@ -24,7 +24,7 @@ use sgfs::proxy::blockstore::BlockKey;
 use sgfs::proxy::client::{ClientProxy, Upstream};
 use sgfs::proxy::pipeline::Pipeline;
 use sgfs_bench::RunOpts;
-use sgfs_net::{pipe_pair, pipe_pair_over_link, Link, LinkSpec, PipeEnd, SimClock};
+use sgfs_net::{pipe_pair_over_link, Link, LinkSpec, PipeEnd, SimClock};
 use sgfs_nfs3::proc::{
     procnum, CommitRes, GetAttrRes, ReadArgs, ReadRes, WccRes, WriteArgs, WriteRes,
 };
@@ -35,7 +35,7 @@ use sgfs_oncrpc::record::{read_record, write_record};
 use sgfs_oncrpc::{CallHeader, OpaqueAuth, ReplyHeader};
 use sgfs_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder};
 use std::collections::BTreeMap;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const BLOCK: usize = 512;
@@ -179,30 +179,24 @@ fn call_record<T: XdrEncode>(xid: u32, proc: u32, args: &T) -> Vec<u8> {
     enc.into_bytes()
 }
 
-/// Drives NFS records through a running proxy's downstream interface.
-/// The downstream leg is a plain in-process pipe — only the upstream
-/// stripe legs pay the emulated RTT.
+/// Drives NFS records through a proxy's downstream interface on the
+/// calling thread — only the upstream stripe legs pay the emulated RTT.
 struct Driver {
-    down: PipeEnd,
-    rx: mpsc::Receiver<(ClientProxy, std::io::Result<()>)>,
+    proxy: ClientProxy,
     xid: u32,
 }
 
 impl Driver {
     fn start(proxy: ClientProxy) -> Self {
-        let (down, proxy_down) = pipe_pair();
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let _ = tx.send(proxy.run(Box::new(proxy_down)));
-        });
-        Self { down, rx, xid: 0x900 }
+        Self { proxy, xid: 0x900 }
     }
 
     fn call<T: XdrEncode>(&mut self, proc: u32, args: &T) -> Vec<u8> {
         self.xid += 1;
-        write_record(&mut self.down, &call_record(self.xid, proc, args))
-            .expect("downstream write");
-        let reply = read_record(&mut self.down).expect("downstream read").expect("reply");
+        let reply = self
+            .proxy
+            .process_one(&call_record(self.xid, proc, args))
+            .expect("downstream reply");
         let mut dec = XdrDecoder::new(&reply);
         let _ = ReplyHeader::decode(&mut dec).expect("reply header");
         reply[dec.position()..].to_vec()
@@ -218,9 +212,7 @@ impl Driver {
     }
 
     fn finish(self) -> ClientProxy {
-        drop(self.down);
-        let (proxy, _result) = self.rx.recv().expect("proxy thread");
-        proxy
+        self.proxy
     }
 }
 
@@ -267,7 +259,7 @@ struct BenchReport {
 
 /// Virtual seconds to fan `blocks` sequential 512 B READs across a
 /// stripe set of `width` members over `rtt` links — the exact primitive
-/// the read-ahead worker drives: `StripeMap` routes each block to its
+/// read-ahead drives: `StripeMap` routes each block to its
 /// member, and the member's windowed pipeline keeps the wire full.
 ///
 /// Each member is an independent server behind its own link and its own

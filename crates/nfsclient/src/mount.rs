@@ -663,7 +663,7 @@ mod tests {
     use super::*;
     use sgfs_nfsd::{ExportEntry, Exports, NfsServer};
     use sgfs_oncrpc::msg::AuthSysParams;
-    use sgfs_oncrpc::{spawn_connection, OpaqueAuth};
+    use sgfs_oncrpc::{LoopbackStream, OpaqueAuth};
     use sgfs_vfs::{UserContext, Vfs};
 
     fn testbed() -> (Arc<NfsServer>, NfsMount, Arc<SimClock>) {
@@ -677,9 +677,7 @@ mod tests {
         exports.add(ExportEntry::localhost("/GFS"));
         let server = NfsServer::new(vfs, exports);
         let root = server.mount("/GFS", "localhost").unwrap();
-        let (a, b) = sgfs_net::pipe_pair();
-        spawn_connection(Box::new(b), server.clone());
-        let mut nfs = Nfs3Client::new(Box::new(a));
+        let mut nfs = Nfs3Client::new(Box::new(LoopbackStream::new(server.clone())));
         nfs.set_cred(OpaqueAuth::sys(&AuthSysParams::new("c", 1000, 1000)));
         let clock = SimClock::new();
         let opts = MountOptions::new(clock.clone()).with_mem_cache(cache_bytes);

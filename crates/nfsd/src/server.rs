@@ -606,7 +606,7 @@ mod tests {
     use crate::exports::ExportEntry;
     use sgfs_nfs3::Nfs3Client;
     use sgfs_oncrpc::msg::AuthSysParams;
-    use sgfs_oncrpc::spawn_connection;
+    use sgfs_oncrpc::LoopbackStream;
     use sgfs_vfs::ROOT_INO;
 
     fn testbed() -> (Arc<NfsServer>, Nfs3Client, Fh3) {
@@ -616,9 +616,7 @@ mod tests {
         exports.add(ExportEntry::localhost("/GFS"));
         let server = NfsServer::new(vfs, exports);
         let root = server.mount("/GFS", "localhost").unwrap();
-        let (a, b) = sgfs_net::pipe_pair();
-        spawn_connection(Box::new(b), server.clone());
-        let mut client = Nfs3Client::new(Box::new(a));
+        let mut client = Nfs3Client::new(Box::new(LoopbackStream::new(server.clone())));
         client.set_cred(OpaqueAuth::sys(&AuthSysParams::new("client", 1000, 1000)));
         (server, client, root)
     }

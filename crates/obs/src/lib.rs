@@ -24,7 +24,9 @@
 //! slots below it — no locks on the hot path, ever (the only mutex
 //! guards shard *registration*, once per thread per `Obs`). Sequence
 //! numbers come from one shared atomic counter, so sorting merged shards
-//! by `seq` reconstructs the global emission order. If a shard wraps, the
+//! by `seq` reconstructs the global emission order. A thread that exits
+//! leaves its ring behind until the next [`Obs::events`] reads and retires
+//! it. If a shard wraps, the
 //! oldest events are overwritten and counted in `events_dropped`; slots
 //! being overwritten concurrently with a snapshot can yield a torn
 //! (mixed-generation) event but never undefined behavior — quiesce
@@ -458,13 +460,21 @@ impl Obs {
 
     /// All retained events from every thread, sorted by logical sequence,
     /// plus the count lost to ring wrap-around.
+    ///
+    /// The ring of a thread that has exited is retired by the call that
+    /// reads it: its events are in this result and in no later one, so a
+    /// domain fed by short-lived threads holds one ring per *live* thread
+    /// instead of growing by one per thread ever seen.
     pub fn events(&self) -> (Vec<TraceEvent>, u64) {
-        let shards = self.shards.lock();
         let mut out = Vec::new();
         let mut dropped = 0;
-        for shard in shards.iter() {
+        self.shards.lock().retain(|shard| {
+            // Sole owner = the emitting thread's local handle is gone, so
+            // nothing can be pushed after this check: the drain is final.
+            let orphaned = Arc::strong_count(shard) == 1;
             dropped += shard.drain(&mut out);
-        }
+            !orphaned
+        });
         out.sort_by_key(|e| e.seq);
         (out, dropped)
     }
@@ -600,6 +610,26 @@ mod tests {
             assert_eq!(xids.len(), 500);
             assert!(xids.windows(2).all(|w| w[0] < w[1]));
         }
+    }
+
+    #[test]
+    fn exited_threads_rings_are_retired_by_the_drain_that_reads_them() {
+        let obs = Obs::new();
+        obs.emit(Hop::CacheHit, 0, 6, 0); // this (live) thread's ring
+        for t in 1..=64u32 {
+            let obs = obs.clone();
+            std::thread::spawn(move || obs.emit(Hop::UpstreamSend, t, 6, 0)).join().unwrap();
+        }
+        assert_eq!(obs.shards.lock().len(), 65);
+        let (events, dropped) = obs.events();
+        assert_eq!(dropped, 0);
+        let xids: Vec<u32> = events.iter().map(|e| e.xid).collect();
+        assert_eq!(xids, (0..=64).collect::<Vec<u32>>(), "no event lost");
+        assert_eq!(obs.shards.lock().len(), 1, "only the live thread keeps a ring");
+        // The live ring keeps serving; the retired ones are gone for good.
+        obs.emit(Hop::CacheHit, 65, 6, 0);
+        let xids: Vec<u32> = obs.events().0.iter().map(|e| e.xid).collect();
+        assert_eq!(xids, [0, 65]);
     }
 
     #[test]

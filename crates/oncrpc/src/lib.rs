@@ -37,7 +37,7 @@ pub use client_pool::{ClientIoPool, ConnPump, PoolConn};
 pub use error::RpcError;
 pub use loopback::LoopbackStream;
 pub use msg::{AcceptStat, AuthFlavor, AuthSysParams, CallHeader, OpaqueAuth, ReplyHeader};
-pub use server::{serve_connection, spawn_connection, RpcService};
+pub use server::{serve_connection, RpcService};
 pub use shard::{
     process_thread_count, AdmissionPolicy, RecordService, RpcRecordService, ShardServer,
     ShardStats,

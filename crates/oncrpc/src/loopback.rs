@@ -1,28 +1,34 @@
 //! Synchronous in-process RPC loopback.
 //!
-//! [`LoopbackStream`] stands in for a pipe-plus-server-thread when a proxy
-//! wants to talk to a service living in the *same* process (the terminal
-//! NFS server, the ACL sidecar). Writes accumulate record-marked bytes;
-//! the moment a complete record has arrived it is dispatched straight into
-//! the service on the caller's thread and the framed reply is queued for
-//! subsequent reads. No thread, no pipe, no blocking — which is exactly
-//! what the sharded event loops need: a shard can drive a proxy that in
-//! turn calls its local backend without ever parking itself on another
-//! thread's progress.
+//! [`LoopbackStream`] stands in for a pipe-plus-server-thread when a caller
+//! wants to talk to a service living in the *same* process: the server
+//! proxy's terminal NFS server and ACL sidecar, and the kernel client's
+//! loop-back hop to its client proxy. Writes accumulate record-marked
+//! bytes; the moment a complete record has arrived it is dispatched
+//! straight into the service on the caller's thread and the framed reply
+//! is queued for subsequent reads. No thread, no pipe, no hand-off — which
+//! is exactly what the sharded event loops need: a shard can drive a proxy
+//! that in turn calls its local backend without ever parking itself on
+//! another thread's progress.
 
 use crate::record::MAX_RECORD;
-use crate::server::{process_record, RpcService};
+use crate::server::RpcService;
+use crate::shard::{RecordService, RpcRecordService};
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-/// An in-process bidirectional "connection" to an [`RpcService`].
+/// An in-process bidirectional "connection" to a [`RecordService`].
 ///
 /// Implements `Read + Write` so it can sit anywhere a `BoxStream` does.
 /// The request side parses RFC 5531 record marking incrementally, so a
 /// writer that emits header and payload in separate calls (or splits a
-/// record into fragments) still works.
+/// record into fragments) still works. A record the service fails closes
+/// the connection, exactly as a shard drops a session whose service
+/// failed: that write and every later read or write is an error.
 pub struct LoopbackStream {
-    service: Arc<dyn RpcService>,
+    service: Arc<dyn RecordService>,
+    /// The service failed a record; nothing is served any more.
+    closed: bool,
     /// Bytes written but not yet forming a complete record.
     pending: Vec<u8>,
     /// Payload of the record being reassembled across fragments.
@@ -34,10 +40,16 @@ pub struct LoopbackStream {
 }
 
 impl LoopbackStream {
-    /// Connect to `service`.
+    /// Connect to the RPC program `service`.
     pub fn new(service: Arc<dyn RpcService>) -> Self {
+        Self::over(Arc::new(RpcRecordService(service)))
+    }
+
+    /// Connect to a per-record `service` (a proxy).
+    pub fn over(service: Arc<dyn RecordService>) -> Self {
         Self {
             service,
+            closed: false,
             pending: Vec::new(),
             partial: Vec::new(),
             inbuf: Vec::new(),
@@ -68,7 +80,13 @@ impl LoopbackStream {
             self.partial.extend_from_slice(&rest[4..4 + len]);
             consumed += 4 + len;
             if last {
-                let reply = process_record(&self.partial, self.service.as_ref());
+                let reply = match self.service.process_record(&self.partial) {
+                    Ok(reply) => reply,
+                    Err(e) => {
+                        self.closed = true;
+                        return Err(e);
+                    }
+                };
                 self.partial.clear();
                 // Frame the reply exactly as the wire would.
                 let header = 0x8000_0000u32 | reply.len() as u32;
@@ -91,6 +109,9 @@ impl LoopbackStream {
 
 impl Write for LoopbackStream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.closed {
+            return Err(closed());
+        }
         self.pending.extend_from_slice(buf);
         self.pump()?;
         Ok(buf.len())
@@ -103,6 +124,9 @@ impl Write for LoopbackStream {
 
 impl Read for LoopbackStream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.closed {
+            return Err(closed());
+        }
         let avail = &self.inbuf[self.read_at..];
         if avail.is_empty() {
             // A blocking transport would park here until the server
@@ -123,6 +147,10 @@ impl Read for LoopbackStream {
         }
         Ok(n)
     }
+}
+
+fn closed() -> io::Error {
+    io::Error::new(io::ErrorKind::BrokenPipe, "loopback service failed; connection closed")
 }
 
 #[cfg(test)]
@@ -189,6 +217,38 @@ mod tests {
         }
         let reply = read_record(&mut s).unwrap().unwrap();
         assert!(!reply.is_empty());
+    }
+
+    /// Serves `healthy` records, then fails every one.
+    struct Mortal {
+        healthy: std::sync::atomic::AtomicU32,
+    }
+
+    impl RecordService for Mortal {
+        fn process_record(&self, record: &[u8]) -> io::Result<Vec<u8>> {
+            use std::sync::atomic::Ordering::Relaxed;
+            if self.healthy.load(Relaxed) == 0 {
+                return Err(io::Error::other("service died"));
+            }
+            self.healthy.fetch_sub(1, Relaxed);
+            Ok(record.to_vec())
+        }
+    }
+
+    #[test]
+    fn service_error_closes_the_loopback() {
+        use crate::record::{read_record, write_record};
+        let mut s = LoopbackStream::over(Arc::new(Mortal { healthy: 1.into() }));
+        write_record(&mut s, b"first").unwrap();
+        assert_eq!(read_record(&mut s).unwrap().unwrap(), b"first");
+        // The failing record's write carries the service's own error...
+        let err = write_record(&mut s, b"second").unwrap_err();
+        assert_eq!(err.to_string(), "service died");
+        // ...and the connection stays dead, whatever the service would say.
+        let mut buf = [0u8; 4];
+        assert_eq!(s.read(&mut buf).unwrap_err().kind(), io::ErrorKind::BrokenPipe);
+        assert_eq!(write_record(&mut s, b"third").unwrap_err().kind(), io::ErrorKind::BrokenPipe);
+        assert_eq!(s.read(&mut buf).unwrap_err().kind(), io::ErrorKind::BrokenPipe);
     }
 
     #[test]

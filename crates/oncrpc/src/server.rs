@@ -97,19 +97,11 @@ pub fn process_record(record: &[u8], service: &dyn RpcService) -> Vec<u8> {
     }
 }
 
-/// Spawn [`serve_connection`] on a new thread; transport errors end the
-/// thread silently (the peer sees EOF).
-pub fn spawn_connection(stream: BoxStream, service: Arc<dyn RpcService>) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || {
-        let _ = serve_connection(stream, service);
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::RpcClient;
-    use crate::RpcError;
+    use crate::{LoopbackStream, RpcError};
     use sgfs_net::pipe_pair;
     use sgfs_xdr::XdrResult;
 
@@ -144,10 +136,25 @@ mod tests {
         }
     }
 
+    fn connect(prog: u32, vers: u32) -> RpcClient {
+        RpcClient::new(Box::new(LoopbackStream::new(Arc::new(Doubler))), prog, vers)
+    }
+
     fn start() -> RpcClient {
+        connect(0x2000_0001, 1)
+    }
+
+    #[test]
+    fn serve_connection_runs_until_eof() {
         let (client_end, server_end) = pipe_pair();
-        spawn_connection(Box::new(server_end), Arc::new(Doubler));
-        RpcClient::new(Box::new(client_end), 0x2000_0001, 1)
+        let server =
+            std::thread::spawn(move || serve_connection(Box::new(server_end), Arc::new(Doubler)));
+        let mut c = RpcClient::new(Box::new(client_end), 0x2000_0001, 1);
+        c.null().unwrap();
+        let r: u32 = c.call(1, &21u32).unwrap();
+        assert_eq!(r, 42);
+        drop(c);
+        server.join().expect("server thread").expect("clean EOF ends the loop");
     }
 
     #[test]
@@ -192,9 +199,7 @@ mod tests {
 
     #[test]
     fn wrong_program_number() {
-        let (client_end, server_end) = pipe_pair();
-        spawn_connection(Box::new(server_end), Arc::new(Doubler));
-        let mut c = RpcClient::new(Box::new(client_end), 0x2000_9999, 1);
+        let mut c = connect(0x2000_9999, 1);
         match c.call_raw(1, &7u32) {
             Err(RpcError::Accepted(AcceptStat::ProgUnavail)) => {}
             other => panic!("expected ProgUnavail, got {other:?}"),
@@ -203,9 +208,7 @@ mod tests {
 
     #[test]
     fn wrong_version() {
-        let (client_end, server_end) = pipe_pair();
-        spawn_connection(Box::new(server_end), Arc::new(Doubler));
-        let mut c = RpcClient::new(Box::new(client_end), 0x2000_0001, 9);
+        let mut c = connect(0x2000_0001, 9);
         match c.call_raw(1, &7u32) {
             Err(RpcError::Accepted(AcceptStat::ProgMismatch)) => {}
             other => panic!("expected ProgMismatch, got {other:?}"),

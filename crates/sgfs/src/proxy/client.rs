@@ -19,15 +19,22 @@
 //! * the upstream channel is **pipelined**: a [`Pipeline`] owns the
 //!   connection and keeps up to a window of calls in flight, demultiplexing
 //!   replies by xid — the write-back flush submits every dirty block
-//!   before waiting, and the **read-ahead** worker shares the same
-//!   channel instead of a second connection (and second handshake),
-//!   reproducing SFS's asynchronous-RPC advantage;
+//!   before waiting, and **read-ahead** READs are submitted split-phase
+//!   into the same channel from the demand path instead of a second
+//!   connection (and second handshake), reproducing SFS's
+//!   asynchronous-RPC advantage;
 //! * the upstreams are a [`StripeSet`]: one member for the paper's
 //!   single-server session, several when the DSS places the session
 //!   across file servers. There is one data path — routing, flush round,
-//!   read-ahead worker — for every width; what a placement where *some
+//!   read-ahead — for every width; what a placement where *some
 //!   member lacks some block* additionally needs hangs off
-//!   [`StripeMap::is_partial`] alone (DESIGN.md §16).
+//!   [`StripeMap::is_partial`] alone (DESIGN.md §16);
+//! * the proxy has **no thread of its own**: [`ClientProxy::process_one`]
+//!   turns one request record into one reply record on the caller's
+//!   thread — the kernel client's synchronous loop-back RPC — and
+//!   [`SharedClientProxy`] exposes it as a [`RecordService`] so a
+//!   [`LoopbackStream`](sgfs_oncrpc::LoopbackStream) (or a shard) can
+//!   drive it (DESIGN.md §15).
 
 use crate::config::{CacheMode, HopCost, RetryPolicy, SessionConfig, StripePolicy};
 use crate::proxy::blockstore::{BlockStore, DiskStore, MemStore};
@@ -39,12 +46,10 @@ use sgfs_gtls::GtlsStream;
 use sgfs_nfs3::proc::{procnum, *};
 use sgfs_nfs3::types::*;
 use sgfs_nfs3::{NFS_PROGRAM, NFS_VERSION};
-use sgfs_oncrpc::record::{read_record, write_record};
-use sgfs_oncrpc::{AcceptStat, CallHeader, OpaqueAuth, ReplyHeader};
+use sgfs_oncrpc::{AcceptStat, CallHeader, OpaqueAuth, RecordService, ReplyHeader};
 use sgfs_net::{BoxStream, CrashInjector, CrashPoint};
 use sgfs_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder};
-use std::collections::{HashMap, HashSet};
-use std::sync::mpsc;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// The channel to the server-side proxy.
@@ -65,14 +70,18 @@ impl Upstream {
     }
 }
 
-/// Prefetched blocks shared with the read-ahead worker.
-type PrefetchMap = Arc<Mutex<HashMap<(Fh3, u64), Vec<u8>>>>;
+/// One read-ahead block of the landing zone.
+enum Prefetch {
+    /// READ submitted to this member; the reply has not been collected.
+    Pending(usize, PendingReply),
+    /// Confirmed data, waiting for its demand READ.
+    Landed(Vec<u8>),
+}
 
-/// Blocks a prefetch has been queued or sent for but that have not landed
-/// yet. Without this guard every foreground read re-enqueues the whole
-/// read-ahead horizon and the worker keeps re-fetching in-flight blocks,
-/// wasting the pipeline window on duplicates.
-type PrefetchInflight = Arc<Mutex<HashSet<(Fh3, u64)>>>;
+/// Landing-zone entries (pending + landed) kept per block of configured
+/// read-ahead depth; past that the oldest entry is dropped, so a reader
+/// that never comes back for its prefetches cannot grow the zone.
+const PREFETCH_SLOTS_PER_DEPTH: usize = 8;
 
 /// One stripe-set member as handed to [`ClientProxy::with_stripe`]: the
 /// established upstream channel, the watch over its raw transport, and an
@@ -121,8 +130,8 @@ impl MetaCache {
 /// The client-side proxy for one SGFS session.
 pub struct ClientProxy {
     /// The session's upstreams: the placement map plus one pipelined
-    /// channel per member (shared with the read-ahead worker). A
-    /// single-upstream session is the stripe set of one.
+    /// channel per member. A single-upstream session is the stripe set
+    /// of one.
     stripe: StripeSet,
     store: Option<Box<dyn BlockStore>>,
     meta_enabled: bool,
@@ -133,12 +142,13 @@ pub struct ClientProxy {
     /// Monotonic synthesized mtime for locally acknowledged writes.
     synth_mtime: u64,
     write_verf: u64,
-    readahead: u32,
-    prefetched: PrefetchMap,
-    prefetch_inflight: PrefetchInflight,
-    prefetch_tx: Option<mpsc::Sender<PrefetchReq>>,
+    /// The read-ahead landing zone, oldest entry first: blocks on the
+    /// wire and blocks landed but not yet demanded. A WRITE or a resize
+    /// drops its file's entries (they predate the change), and the zone
+    /// is bounded by [`PREFETCH_SLOTS_PER_DEPTH`].
+    prefetches: VecDeque<((Fh3, u64), Prefetch)>,
     /// AIMD read-ahead horizon, shrunk under server JUKEBOX pushback.
-    prefetch_gov: Arc<PrefetchGovernor>,
+    prefetch_gov: PrefetchGovernor,
     /// Set by a controller to request key renegotiation between requests.
     rekey_requested: Arc<std::sync::atomic::AtomicBool>,
     /// Virtual per-hop forwarding cost, charged to the testbed clock.
@@ -214,64 +224,44 @@ impl ChannelParams {
     }
 }
 
-struct PrefetchReq {
-    fh: Fh3,
-    offset: u64,
-    count: u32,
-    cred: OpaqueAuth,
-}
-
-/// AIMD governor of the read-ahead horizon, shared between the demand
-/// path (which decides how far ahead to queue) and the read-ahead worker
-/// (which sees the server's admission verdicts). A JUKEBOX'd prefetch
+/// AIMD governor of the read-ahead horizon: the demand path reads it to
+/// decide how far ahead to submit, and feeds it the server's admission
+/// verdicts as prefetch replies are collected. A JUKEBOX'd prefetch
 /// halves the horizon — speculative traffic is the first load an
 /// overloaded server wants gone, and shrinking it is the client's half of
 /// the backpressure contract — while a run of clean prefetches creeps the
 /// horizon back up to the configured depth, one block per
 /// [`CLEAN_RUN`](Self::CLEAN_RUN) successes.
 struct PrefetchGovernor {
-    horizon: std::sync::atomic::AtomicU32,
-    /// Configured read-ahead depth: the additive-increase ceiling.
+    /// Blocks of read-ahead the demand path may currently submit.
+    horizon: u32,
+    /// Configured read-ahead depth (0 = off): the additive-increase
+    /// ceiling.
     cap: u32,
     /// Clean prefetches since the last pushback.
-    clean: std::sync::atomic::AtomicU32,
+    clean: u32,
 }
 
 impl PrefetchGovernor {
     /// Clean prefetches required to re-grow the horizon by one block.
     const CLEAN_RUN: u32 = 16;
 
-    fn new(cap: u32) -> Arc<Self> {
-        Arc::new(Self {
-            horizon: std::sync::atomic::AtomicU32::new(cap),
-            cap,
-            clean: std::sync::atomic::AtomicU32::new(0),
-        })
-    }
-
-    /// Blocks of read-ahead the demand path may currently queue.
-    fn current(&self) -> u32 {
-        self.horizon.load(std::sync::atomic::Ordering::Relaxed)
+    fn new(cap: u32) -> Self {
+        Self { horizon: cap, cap, clean: 0 }
     }
 
     /// Multiplicative decrease: the server shed a prefetch READ.
-    fn on_jukebox(&self) {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.clean.store(0, Relaxed);
-        let h = self.horizon.load(Relaxed);
-        self.horizon.store((h / 2).max(1), Relaxed);
+    fn on_jukebox(&mut self) {
+        self.clean = 0;
+        self.horizon = (self.horizon / 2).max(1);
     }
 
     /// Additive increase after a sustained clean run.
-    fn on_clean(&self) {
-        use std::sync::atomic::Ordering::Relaxed;
-        if self.clean.fetch_add(1, Relaxed) + 1 < Self::CLEAN_RUN {
-            return;
-        }
-        self.clean.store(0, Relaxed);
-        let h = self.horizon.load(Relaxed);
-        if h < self.cap {
-            self.horizon.store(h + 1, Relaxed);
+    fn on_clean(&mut self) {
+        self.clean += 1;
+        if self.clean == Self::CLEAN_RUN {
+            self.clean = 0;
+            self.horizon = (self.horizon + 1).min(self.cap);
         }
     }
 }
@@ -287,6 +277,25 @@ impl ClientProxyController {
     /// the paper's "force a SSL-renegotiation and refresh the session key".
     pub fn request_rekey(&self) {
         self.rekey_requested.store(true, std::sync::atomic::Ordering::Release);
+    }
+}
+
+/// A [`ClientProxy`] as a [`RecordService`]. The lock is uncontended in
+/// a session — one mount drives the proxy, and teardown comes after the
+/// last call — it only turns the service's `&self` into the proxy's
+/// `&mut self`.
+pub struct SharedClientProxy(Mutex<ClientProxy>);
+
+impl SharedClientProxy {
+    /// Exclusive access to the proxy between requests.
+    pub fn lock(&self) -> parking_lot::MutexGuard<'_, ClientProxy> {
+        self.0.lock()
+    }
+}
+
+impl RecordService for SharedClientProxy {
+    fn process_record(&self, record: &[u8]) -> std::io::Result<Vec<u8>> {
+        self.lock().process_one(record)
     }
 }
 
@@ -386,10 +395,7 @@ impl ClientProxy {
             client_cred: OpaqueAuth::none(),
             synth_mtime: 1,
             write_verf: rand::random(),
-            readahead: config.readahead,
-            prefetched: Arc::new(Mutex::new(HashMap::new())),
-            prefetch_inflight: Arc::new(Mutex::new(HashSet::new())),
-            prefetch_tx: None,
+            prefetches: VecDeque::new(),
             prefetch_gov: PrefetchGovernor::new(config.readahead),
             rekey_requested: Arc::new(std::sync::atomic::AtomicBool::new(false)),
             clock: None,
@@ -438,7 +444,7 @@ impl ClientProxy {
     /// Current AIMD read-ahead horizon in blocks (≤ the configured
     /// depth; shrinks under server JUKEBOX pushback).
     pub fn prefetch_horizon(&self) -> u32 {
-        self.prefetch_gov.current().min(self.readahead)
+        self.prefetch_gov.horizon
     }
 
     /// A controller for dynamic reconfiguration of the running proxy.
@@ -473,120 +479,34 @@ impl ClientProxy {
         Ok(())
     }
 
-    /// Attach the read-ahead worker. It fetches through the members'
-    /// shared pipelined channels — its READs fill the in-flight windows
-    /// alongside demand traffic, with no second connection (or second
-    /// handshake).
-    ///
-    /// One worker thread at any width (never one per upstream): it
-    /// drains the queue, submits each READ split-phase into the pipeline
-    /// of its block's first live member, and only then waits — so one
-    /// round of read-ahead overlaps up to a window of round trips per
-    /// member and fans out across every server of the set in parallel.
-    /// The worker runs until the proxy is dropped; fetched blocks land in
-    /// a shared map the main loop consults before going upstream.
-    pub fn start_readahead(&mut self) {
-        if self.readahead == 0 {
-            return;
+    /// Serve one downstream request record: the whole loop-back hop of
+    /// the kernel client's synchronous RPC, on the caller's thread — the
+    /// client-side mirror of `ServerProxy::process_one`. An `Err` means
+    /// this proxy is dead (an upstream nothing could recover, or an
+    /// injected crash): whoever drives it closes the connection.
+    pub fn process_one(&mut self, record: &[u8]) -> std::io::Result<Vec<u8>> {
+        if self.rekey_requested.swap(false, std::sync::atomic::Ordering::AcqRel) {
+            self.rekey_members()?;
         }
-        let (tx, rx) = mpsc::channel::<PrefetchReq>();
-        let map = self.prefetched.clone();
-        let inflight = self.prefetch_inflight.clone();
-        let gov = self.prefetch_gov.clone();
-        let set = self.stripe.clone();
         let stats = self.stats.clone();
-        std::thread::spawn(move || {
-            let mut xid = 0x7800_0000u32;
-            while let Ok(first) = rx.recv() {
-                let mut reqs = vec![first];
-                while reqs.len() < 32 {
-                    match rx.try_recv() {
-                        Ok(r) => reqs.push(r),
-                        Err(_) => break,
-                    }
-                }
-                let mut pending = Vec::new();
-                for req in reqs {
-                    let key = (req.fh.clone(), req.offset);
-                    if map.lock().contains_key(&key) {
-                        inflight.lock().remove(&key);
-                        continue;
-                    }
-                    let block = set.map().block_of(req.offset);
-                    let Some(m) = set.live_members_of_block(block).next() else {
-                        inflight.lock().remove(&key);
-                        continue;
-                    };
-                    xid = xid.wrapping_add(1);
-                    // Past its own block a partial member serves its
-                    // holes, not the file: ask only for what it holds.
-                    let count = set.map().contiguous(req.offset, req.count as u64) as u32;
-                    let args = ReadArgs { file: req.fh.clone(), offset: req.offset, count };
-                    let record = encode_call(xid, procnum::READ, &req.cred, &args);
-                    pending.push((key, m, set.member(m).submit(record)));
-                }
-                for (key, m, reply) in pending {
-                    match reply.wait() {
-                        Ok(reply) => {
-                            // Cache only confirmed data. A shed (JUKEBOX)
-                            // prefetch is simply dropped — speculative
-                            // work is never retried, it shrinks the
-                            // horizon instead; the demand path re-fetches
-                            // the block if it is actually needed.
-                            if let Ok(res) = decode_reply::<ReadRes>(&reply) {
-                                match res.status {
-                                    NfsStat3::Ok => {
-                                        gov.on_clean();
-                                        map.lock().insert(key.clone(), res.data);
-                                    }
-                                    NfsStat3::Jukebox => gov.on_jukebox(),
-                                    _ => {}
-                                }
-                            }
-                        }
-                        Err(_) => fail_member_via(&stats, &set, m),
-                    }
-                    inflight.lock().remove(&key);
-                }
-            }
-        });
-        self.prefetch_tx = Some(tx);
+        let t0 = std::time::Instant::now();
+        let reply = stats.track(|| self.process(record))?;
+        // End-to-end latency of this downstream request (cache work,
+        // upstream round trips, flushes — everything), per procedure.
+        if let Some(obs) = stats.obs() {
+            obs.record_proc(sgfs_obs::peek_proc(record), t0.elapsed().as_nanos() as u64);
+        }
+        // The kernel-client ↔ proxy loopback hop (request + reply).
+        if let Some(clock) = &self.clock {
+            clock.advance(self.hop.of(record.len()) + self.hop.of(reply.len()));
+        }
+        Ok(reply)
     }
 
-    /// Serve one downstream connection until EOF, then return `self` so
-    /// the session can flush the write-back cache and read final stats.
-    pub fn run(mut self, mut downstream: BoxStream) -> (Self, std::io::Result<()>) {
-        loop {
-            let record = match read_record(&mut downstream) {
-                Ok(Some(r)) => r,
-                Ok(None) => return (self, Ok(())),
-                Err(e) => return (self, Err(e)),
-            };
-            if self.rekey_requested.swap(false, std::sync::atomic::Ordering::AcqRel) {
-                if let Err(e) = self.rekey_members() {
-                    return (self, Err(e));
-                }
-            }
-            let stats = self.stats.clone();
-            let proc_no = sgfs_obs::peek_proc(&record);
-            let t0 = std::time::Instant::now();
-            let reply = match stats.track(|| self.process(&record)) {
-                Ok(r) => r,
-                Err(e) => return (self, Err(e)),
-            };
-            // End-to-end latency of this downstream request (cache work,
-            // upstream round trips, flushes — everything), per procedure.
-            if let Some(obs) = stats.obs() {
-                obs.record_proc(proc_no, t0.elapsed().as_nanos() as u64);
-            }
-            // The kernel-client ↔ proxy loopback hop (request + reply).
-            if let Some(clock) = &self.clock {
-                clock.advance(self.hop.of(record.len()) + self.hop.of(reply.len()));
-            }
-            if let Err(e) = write_record(&mut downstream, &reply) {
-                return (self, Err(e));
-            }
-        }
+    /// Share the proxy between whatever drives it record by record (the
+    /// mount's loopback, a shard) and the session that tears it down.
+    pub fn shared(self) -> Arc<SharedClientProxy> {
+        Arc::new(SharedClientProxy(Mutex::new(self)))
     }
 
     fn process(&mut self, record: &[u8]) -> std::io::Result<Vec<u8>> {
@@ -599,15 +519,15 @@ impl ClientProxy {
             return Ok(accept_error(header.xid, AcceptStat::ProgUnavail));
         }
         self.client_cred = header.cred.clone();
-        let args = record[dec.position()..].to_vec();
+        let args = &record[dec.position()..];
 
         if !self.meta_enabled {
-            return self.forward(record, header.proc, &args);
+            return self.forward(record, header.proc, args);
         }
 
         match header.proc {
             procnum::GETATTR => {
-                if let Ok(fh) = Fh3::from_xdr_bytes(&args) {
+                if let Ok(fh) = Fh3::from_xdr_bytes(args) {
                     if let Some(a) = self.meta.attrs.get(&fh) {
                         self.meta.hits += 1;
                         trace_cache(&self.stats, true, header.xid, header.proc);
@@ -617,10 +537,10 @@ impl ClientProxy {
                     self.meta.misses += 1;
                     trace_cache(&self.stats, false, header.xid, header.proc);
                 }
-                self.forward(record, header.proc, &args)
+                self.forward(record, header.proc, args)
             }
             procnum::ACCESS => {
-                if let Ok(a) = AccessArgs::from_xdr_bytes(&args) {
+                if let Ok(a) = AccessArgs::from_xdr_bytes(args) {
                     let uid = header.cred.as_sys().map(|s| s.uid).unwrap_or(u32::MAX);
                     match self.meta.access.get(&(a.object.clone(), uid)) {
                         // Cache hit only when every requested bit has been
@@ -642,10 +562,10 @@ impl ClientProxy {
                         }
                     }
                 }
-                self.forward(record, header.proc, &args)
+                self.forward(record, header.proc, args)
             }
             procnum::LOOKUP => {
-                if let Ok(a) = DirOpArgs3::from_xdr_bytes(&args) {
+                if let Ok(a) = DirOpArgs3::from_xdr_bytes(args) {
                     let key = (a.dir.clone(), a.name.clone());
                     if let Some((fh, attr)) = self.meta.lookups.get(&key) {
                         self.meta.hits += 1;
@@ -665,7 +585,7 @@ impl ClientProxy {
                     self.meta.misses += 1;
                     trace_cache(&self.stats, false, header.xid, header.proc);
                 }
-                let reply = self.forward(record, header.proc, &args)?;
+                let reply = self.forward(record, header.proc, args)?;
                 // A file with unflushed write-back data: the server's
                 // attributes are stale (it has not seen the data yet) —
                 // substitute the proxy's authoritative attributes.
@@ -682,7 +602,7 @@ impl ClientProxy {
                                 if let Some(ours) = self.meta.attrs.get(&fh).cloned() {
                                     let patched =
                                         LookupRes { obj_attr: Some(ours.clone()), ..res };
-                                    if let Ok(da) = DirOpArgs3::from_xdr_bytes(&args) {
+                                    if let Ok(da) = DirOpArgs3::from_xdr_bytes(args) {
                                         self.meta.lookups.insert(
                                             (da.dir, da.name),
                                             (fh.clone(), Some(ours)),
@@ -696,8 +616,8 @@ impl ClientProxy {
                 }
                 Ok(reply)
             }
-            procnum::READ => self.handle_read(header.xid, record, &args),
-            procnum::WRITE => self.handle_write(header.xid, record, &args),
+            procnum::READ => self.handle_read(header.xid, record, args),
+            procnum::WRITE => self.handle_write(header.xid, record, args),
             procnum::COMMIT => {
                 // Write-back: the disk cache *is* the commit target; dirty
                 // blocks stay local until session teardown (or memory
@@ -705,7 +625,7 @@ impl ClientProxy {
                 // write-back time comes from. Only files we know nothing
                 // about fall through to the server.
                 if self.store.is_some() {
-                    if let Ok(a) = CommitArgs::from_xdr_bytes(&args) {
+                    if let Ok(a) = CommitArgs::from_xdr_bytes(args) {
                         if let Some(attr) = self.meta.attrs.get(&a.file) {
                             let res = CommitRes {
                                 status: NfsStat3::Ok,
@@ -716,10 +636,10 @@ impl ClientProxy {
                         }
                     }
                 }
-                self.forward(record, header.proc, &args)
+                self.forward(record, header.proc, args)
             }
             procnum::SETATTR => {
-                if let Ok(a) = SetAttrArgs::from_xdr_bytes(&args) {
+                if let Ok(a) = SetAttrArgs::from_xdr_bytes(args) {
                     // Truncation invalidates cached blocks; flush dirty
                     // data first so nothing is lost.
                     if a.new_attributes.size.is_some() {
@@ -727,14 +647,15 @@ impl ClientProxy {
                         if let Some(store) = &mut self.store {
                             store.drop_file(&a.object);
                         }
+                        self.drop_prefetches(&a.object);
                     }
                     self.meta.invalidate_fh(&a.object);
                 }
-                self.forward(record, header.proc, &args)
+                self.forward(record, header.proc, args)
             }
             procnum::CREATE | procnum::MKDIR | procnum::SYMLINK => {
-                let dir = dir_of_create(header.proc, &args);
-                let reply = self.forward(record, header.proc, &args)?;
+                let dir = dir_of_create(header.proc, args);
+                let reply = self.forward(record, header.proc, args)?;
                 if let Some(dir) = dir {
                     self.meta.invalidate_dir(&dir);
                     // The reply's wcc data carries the directory's fresh
@@ -748,11 +669,11 @@ impl ClientProxy {
                         }
                     }
                 }
-                self.snoop_create(header.proc, &args, &reply);
+                self.snoop_create(header.proc, args, &reply);
                 Ok(reply)
             }
             procnum::REMOVE | procnum::RMDIR => {
-                if let Ok(a) = DirOpArgs3::from_xdr_bytes(&args) {
+                if let Ok(a) = DirOpArgs3::from_xdr_bytes(args) {
                     // The paper's temporary-file optimization: dirty
                     // blocks of a deleted file are dropped, never flushed.
                     let target =
@@ -762,11 +683,11 @@ impl ClientProxy {
                             store.drop_file(&fh);
                         }
                         self.meta.invalidate_fh(&fh);
-                        self.prefetched.lock().retain(|(f, _), _| f != &fh);
+                        self.drop_prefetches(&fh);
                     }
                     self.meta.lookups.remove(&(a.dir.clone(), a.name.clone()));
                     self.meta.invalidate_dir(&a.dir);
-                    let reply = self.forward(record, header.proc, &args)?;
+                    let reply = self.forward(record, header.proc, args)?;
                     if let Some(body) = success_body(&reply) {
                         if let Ok(res) = WccRes::from_xdr_bytes(body) {
                             if let Some(attr) = res.wcc.after {
@@ -776,15 +697,15 @@ impl ClientProxy {
                     }
                     return Ok(reply);
                 }
-                self.forward(record, header.proc, &args)
+                self.forward(record, header.proc, args)
             }
             procnum::RENAME => {
-                if let Ok(a) = RenameArgs::from_xdr_bytes(&args) {
+                if let Ok(a) = RenameArgs::from_xdr_bytes(args) {
                     self.meta.lookups.remove(&(a.from.dir.clone(), a.from.name.clone()));
                     self.meta.lookups.remove(&(a.to.dir.clone(), a.to.name.clone()));
                     self.meta.invalidate_dir(&a.from.dir);
                     self.meta.invalidate_dir(&a.to.dir);
-                    let reply = self.forward(record, header.proc, &args)?;
+                    let reply = self.forward(record, header.proc, args)?;
                     if let Some(body) = success_body(&reply) {
                         if let Ok(res) = RenameRes::from_xdr_bytes(body) {
                             if let Some(attr) = res.from_wcc.after {
@@ -797,13 +718,13 @@ impl ClientProxy {
                     }
                     return Ok(reply);
                 }
-                self.forward(record, header.proc, &args)
+                self.forward(record, header.proc, args)
             }
             procnum::READDIR | procnum::READDIRPLUS => {
                 let plus = header.proc == procnum::READDIRPLUS;
-                let key = match readdir_key(header.proc, &args) {
+                let key = match readdir_key(header.proc, args) {
                     Some((dir, cookie)) => (dir, cookie, plus),
-                    None => return self.forward(record, header.proc, &args),
+                    None => return self.forward(record, header.proc, args),
                 };
                 if let Some(body) = self.meta.readdirs.get(&key) {
                     self.meta.hits += 1;
@@ -816,7 +737,7 @@ impl ClientProxy {
                 }
                 self.meta.misses += 1;
                 trace_cache(&self.stats, false, header.xid, header.proc);
-                let reply = self.forward(record, header.proc, &args)?;
+                let reply = self.forward(record, header.proc, args)?;
                 if let Some(body) = success_body(&reply) {
                     self.meta.readdirs.insert(key, body.to_vec());
                     if plus {
@@ -831,7 +752,7 @@ impl ClientProxy {
                 }
                 Ok(reply)
             }
-            _ => self.forward(record, header.proc, &args),
+            _ => self.forward(record, header.proc, args),
         }
     }
 
@@ -840,66 +761,41 @@ impl ClientProxy {
             Ok(a) => a,
             Err(_) => return self.forward(record, procnum::READ, args),
         };
-        // 1. Block cache.
-        if let Some(store) = &mut self.store {
-            let key = (a.file.clone(), a.offset);
+        self.harvest_prefetches();
+        let key = (a.file.clone(), a.offset);
+        // A READ is answered locally only with the file's attributes in
+        // hand (the reply carries them and `eof` is computed from them).
+        if let Some(attr) = self.meta.attrs.get(&a.file).cloned() {
+            // 1. Block cache.
             let t_blk = std::time::Instant::now();
-            if let Some(data) = store.get(&key) {
-                if let Some(attr) = self.meta.attrs.get(&a.file) {
-                    self.meta.hits += 1;
-                    if let Some(obs) = self.stats.obs() {
-                        obs.hop_timed(
-                            sgfs_obs::Hop::BlockRead,
-                            xid,
-                            procnum::READ,
-                            t_blk.elapsed().as_nanos() as u64,
-                        );
-                        obs.emit(sgfs_obs::Hop::CacheHit, xid, procnum::READ, data.len() as u64);
-                    }
-                    let take = data.len().min(a.count as usize);
-                    let eof = a.offset + take as u64 >= attr.size;
-                    let res = ReadRes {
-                        status: NfsStat3::Ok,
-                        attr: Some(attr.clone()),
-                        count: take as u32,
-                        eof,
-                        data: data[..take].to_vec(),
-                    };
-                    self.maybe_prefetch(&a);
-                    return Ok(encode_reply(xid, &res));
+            if let Some(data) = self.store.as_mut().and_then(|s| s.get(&key)) {
+                self.meta.hits += 1;
+                if let Some(obs) = self.stats.obs() {
+                    obs.hop_timed(
+                        sgfs_obs::Hop::BlockRead,
+                        xid,
+                        procnum::READ,
+                        t_blk.elapsed().as_nanos() as u64,
+                    );
+                    obs.emit(sgfs_obs::Hop::CacheHit, xid, procnum::READ, data.len() as u64);
                 }
+                return Ok(self.serve_read(xid, &a, attr, &data));
             }
-        }
-        // 2. Read-ahead landing zone.
-        let prefetched = self.prefetched.lock().remove(&(a.file.clone(), a.offset));
-        if let Some(data) = prefetched {
-            if let Some(attr) = self.meta.attrs.get(&a.file).cloned() {
+            // 2. Read-ahead landing zone. A block still on the wire is
+            // waited for — its READ is already upstream, a second one
+            // would only double the traffic.
+            if let Some(data) = self.take_prefetch(&key) {
                 self.meta.hits += 1;
                 self.stats.add_prefetch_hit();
                 trace_cache(&self.stats, true, xid, procnum::READ);
-                self.put_clean((a.file.clone(), a.offset), &data)?;
-                let take = data.len().min(a.count as usize);
-                let eof = a.offset + take as u64 >= attr.size;
-                let res = ReadRes {
-                    status: NfsStat3::Ok,
-                    attr: Some(attr),
-                    count: take as u32,
-                    eof,
-                    data: data[..take].to_vec(),
-                };
-                self.maybe_prefetch(&a);
-                return Ok(encode_reply(xid, &res));
+                self.put_clean(key, &data)?;
+                return Ok(self.serve_read(xid, &a, attr, &data));
             }
         }
         self.meta.misses += 1;
         trace_cache(&self.stats, false, xid, procnum::READ);
         // 3. Upstream, after making dirty data visible.
-        let has_dirty = self
-            .store
-            .as_ref()
-            .map(|s| !s.dirty_blocks_of(&a.file).is_empty())
-            .unwrap_or(false);
-        if has_dirty {
+        if self.is_dirty(&a.file) {
             self.flush_file(&a.file)?;
         }
         let reply = self.forward(record, procnum::READ, args)?;
@@ -908,11 +804,26 @@ impl ClientProxy {
                 if let Some(attr) = &res.attr {
                     self.note_attr(&a.file, attr.clone());
                 }
-                self.put_clean((a.file.clone(), a.offset), &res.data)?;
+                self.put_clean(key, &res.data)?;
             }
         }
         self.maybe_prefetch(&a);
         Ok(reply)
+    }
+
+    /// Answer READ `a` from its locally held block and run read-ahead
+    /// behind it.
+    fn serve_read(&mut self, xid: u32, a: &ReadArgs, attr: Fattr3, data: &[u8]) -> Vec<u8> {
+        let take = data.len().min(a.count as usize);
+        let res = ReadRes {
+            status: NfsStat3::Ok,
+            eof: a.offset + take as u64 >= attr.size,
+            attr: Some(attr),
+            count: take as u32,
+            data: data[..take].to_vec(),
+        };
+        self.maybe_prefetch(a);
+        encode_reply(xid, &res)
     }
 
     /// Cache a clean (server-sourced) block, best-effort: a genuine I/O
@@ -929,36 +840,99 @@ impl ClientProxy {
         Ok(())
     }
 
+    /// Submit the READs of the blocks behind `a` that are neither cached
+    /// nor already in the landing zone, split-phase, each into the
+    /// pipeline of its block's first live member: they share the demand
+    /// traffic's windows, fan out across the servers of the set, and are
+    /// collected by later READs — nothing waits for them here.
     fn maybe_prefetch(&mut self, a: &ReadArgs) {
-        if self.readahead == 0 {
-            return;
-        }
-        let Some(tx) = &self.prefetch_tx else { return };
         // The horizon is the AIMD-governed slice of the configured depth:
         // full under clear skies, halved each time the server sheds a
         // prefetch, growing back one block per clean run.
-        let horizon = self.prefetch_gov.current().min(self.readahead);
-        for i in 1..=horizon as u64 {
-            let offset = a.offset + i * a.count as u64;
-            let cached = self
-                .store
-                .as_ref()
-                .map(|s| s.meta(&(a.file.clone(), offset)).is_some())
-                .unwrap_or(false);
-            let key = (a.file.clone(), offset);
-            if cached || self.prefetched.lock().contains_key(&key) {
+        let map = *self.stripe.map();
+        for i in 1..=self.prefetch_gov.horizon as u64 {
+            let key = (a.file.clone(), a.offset + i * a.count as u64);
+            let cached = self.store.as_ref().is_some_and(|s| s.meta(&key).is_some());
+            if cached || self.prefetches.iter().any(|(k, _)| *k == key) {
                 continue;
             }
-            if !self.prefetch_inflight.lock().insert(key) {
-                continue; // already queued or on the wire
+            let Some(m) = self.stripe.live_members_of_block(map.block_of(key.1)).next() else {
+                continue;
+            };
+            // Past its own block a partial member serves its holes, not
+            // the file: ask only for what it holds.
+            let count = map.contiguous(key.1, a.count as u64) as u32;
+            let args = ReadArgs { file: key.0.clone(), offset: key.1, count };
+            self.next_xid = self.next_xid.wrapping_add(1);
+            let record = encode_call(self.next_xid, procnum::READ, &self.client_cred, &args);
+            let reply = self.stripe.member(m).submit(record);
+            if self.prefetches.len() >= PREFETCH_SLOTS_PER_DEPTH * self.prefetch_gov.cap as usize {
+                self.prefetches.pop_front();
             }
-            let _ = tx.send(PrefetchReq {
-                fh: a.file.clone(),
-                offset,
-                count: a.count,
-                cred: self.client_cred.clone(),
-            });
+            self.prefetches.push_back((key, Prefetch::Pending(m, reply)));
         }
+    }
+
+    /// Land every read-ahead reply that has arrived; never blocks.
+    fn harvest_prefetches(&mut self) {
+        for _ in 0..self.prefetches.len() {
+            let (key, slot) = self.prefetches.pop_front().expect("length counted above");
+            let slot = match slot {
+                Prefetch::Pending(m, reply) => match reply.try_wait() {
+                    Some(reply) => self.settle_prefetch(m, reply).map(Prefetch::Landed),
+                    None => Some(Prefetch::Pending(m, reply)),
+                },
+                landed => Some(landed),
+            };
+            if let Some(slot) = slot {
+                self.prefetches.push_back((key, slot));
+            }
+        }
+    }
+
+    /// Take `key`'s block out of the landing zone, waiting for its reply
+    /// if the READ is still on the wire.
+    fn take_prefetch(&mut self, key: &(Fh3, u64)) -> Option<Vec<u8>> {
+        let at = self.prefetches.iter().position(|(k, _)| k == key)?;
+        match self.prefetches.remove(at)?.1 {
+            Prefetch::Landed(data) => Some(data),
+            Prefetch::Pending(m, reply) => {
+                let t_io = std::time::Instant::now();
+                let reply = reply.wait();
+                self.stats.exclude(t_io.elapsed());
+                self.settle_prefetch(m, reply)
+            }
+        }
+    }
+
+    /// The verdict on one read-ahead reply. Only confirmed data lands. A
+    /// shed (JUKEBOX) prefetch is simply dropped — speculative work is
+    /// never retried, it shrinks the horizon instead; the demand path
+    /// re-fetches the block if it is actually needed. A dead channel
+    /// fails its member over.
+    fn settle_prefetch(&mut self, m: usize, reply: std::io::Result<Vec<u8>>) -> Option<Vec<u8>> {
+        let Ok(reply) = reply else {
+            self.fail_member(m);
+            return None;
+        };
+        let res = decode_reply::<ReadRes>(&reply).ok()?;
+        match res.status {
+            NfsStat3::Ok => {
+                self.prefetch_gov.on_clean();
+                Some(res.data)
+            }
+            NfsStat3::Jukebox => {
+                self.prefetch_gov.on_jukebox();
+                None
+            }
+            _ => None,
+        }
+    }
+
+    /// Forget `fh`'s read-ahead, landed or on the wire: the file is about
+    /// to change (WRITE, resize, REMOVE), so those blocks predate it.
+    fn drop_prefetches(&mut self, fh: &Fh3) {
+        self.prefetches.retain(|((f, _), _)| f != fh);
     }
 
     fn handle_write(&mut self, xid: u32, record: &[u8], args: &[u8]) -> std::io::Result<Vec<u8>> {
@@ -969,6 +943,7 @@ impl ClientProxy {
             Ok(a) => a,
             Err(_) => return self.forward(record, procnum::WRITE, args),
         };
+        self.drop_prefetches(&a.file);
         // Need attributes to fabricate a coherent reply.
         if !self.meta.attrs.contains_key(&a.file) {
             match self.call_upstream::<GetAttrRes>(procnum::GETATTR, &a.file) {
@@ -1540,11 +1515,17 @@ impl ClientProxy {
 
     /// Take a member out of the set after a failed call — count the
     /// failover, refresh the `degraded` gauge, emit the event, exactly
-    /// once per down transition even racing the read-ahead worker — and
-    /// report whether it is out. The last member standing stays in (see
-    /// [`StripeSet::mark_down`]): the caller surfaces its error instead.
-    fn fail_member(&self, m: usize) -> bool {
-        fail_member_via(&self.stats, &self.stripe, m);
+    /// once per down transition — and report whether it is out. The last
+    /// member standing stays in (see [`StripeSet::mark_down`]): the
+    /// caller surfaces its error instead.
+    fn fail_member(&mut self, m: usize) -> bool {
+        if self.stripe.mark_down(m) {
+            self.stats.add_failover();
+            self.stats.set_degraded(self.stripe.down_count());
+            if let Some(obs) = self.stats.obs() {
+                obs.emit(sgfs_obs::Hop::ReplicaFailover, 0, sgfs_obs::NO_PROC, m as u64);
+            }
+        }
         !self.stripe.is_up(m)
     }
 
@@ -1751,19 +1732,6 @@ enum FlushOutcome {
     /// lost every confirming replica — those were re-dirtied and the
     /// flush must run again against the survivors.
     Retry,
-}
-
-/// Shared failover bookkeeping (main loop and read-ahead worker): mark
-/// the member down and, on the transition only, count the failover,
-/// refresh the `degraded` gauge and emit the trace event.
-fn fail_member_via(stats: &ProxyStats, set: &StripeSet, m: usize) {
-    if set.mark_down(m) {
-        stats.add_failover();
-        stats.set_degraded(set.down_count());
-        if let Some(obs) = stats.obs() {
-            obs.emit(sgfs_obs::Hop::ReplicaFailover, 0, sgfs_obs::NO_PROC, m as u64);
-        }
-    }
 }
 
 /// Await one write-back WRITE reply — riding out JUKEBOX against the

@@ -25,9 +25,9 @@
 //! until that retirement is signalled, so teardown is deterministic and
 //! nothing is left parked.
 //!
-//! Because several independent callers (the proxy's request loop, the
-//! split-phase write-back, the read-ahead worker) share one channel, their
-//! original xids could collide. The pipeline therefore rewrites the xid of
+//! Because independently numbered calls (the kernel client's forwarded
+//! requests, the proxy's own split-phase write-back and read-ahead) share
+//! one channel, their original xids could collide. The pipeline therefore rewrites the xid of
 //! each admitted call to a private monotonically increasing wire xid,
 //! remembers the mapping, and rewrites the reply's xid back before
 //! completing the caller — callers observe byte-identical replies to the
@@ -189,6 +189,18 @@ pub struct PendingReply {
 }
 
 impl PendingReply {
+    /// The reply if it has already arrived (or the channel has died),
+    /// without blocking; `None` while it is still on the wire.
+    pub fn try_wait(&self) -> Option<io::Result<Vec<u8>>> {
+        match self.rx.try_recv() {
+            Ok(r) => Some(r),
+            Err(mpsc::TryRecvError::Empty) => None,
+            Err(mpsc::TryRecvError::Disconnected) => {
+                Some(Err(broken("upstream pipeline terminated")))
+            }
+        }
+    }
+
     /// Block until the reply arrives (original xid restored), or until
     /// the per-call deadline expires — a silent server yields `TimedOut`
     /// rather than a hang.

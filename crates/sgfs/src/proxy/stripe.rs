@@ -11,15 +11,12 @@
 //! The **stripe set** is the runtime side: one pipelined channel per
 //! member plus an up/down flag. Reads try a block's members in map order
 //! and fail over past down members; replicated flushes fan WRITE batches
-//! out to every live member of each block. The set is cheap to clone
-//! (pipelines are handles, flags are shared), which is how the read-ahead
-//! worker fans prefetches out across servers without a second thread per
-//! upstream.
+//! out to every live member of each block. The client proxy owns the set
+//! outright — demand traffic, flushes and read-ahead all enter it from
+//! the one thread that drives the proxy.
 
 use crate::config::StripePolicy;
 use crate::proxy::pipeline::Pipeline;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Pure block → members placement for one session.
 ///
@@ -124,12 +121,9 @@ impl StripeMap {
 }
 
 /// The runtime stripe set: the map plus one pipelined channel per member
-/// and the mask of members currently in the read/write set.
-///
-/// Each pipeline slot is shared across every clone of the set (the proxy
-/// and its read-ahead worker), so a re-sync can swap in a fresh channel
-/// for a member whose old pipeline burned its reconnect budget while the
-/// host was away.
+/// and the mask of members currently in the read/write set. A re-sync
+/// can swap in a fresh channel for a member whose old pipeline burned its
+/// reconnect budget while the host was away.
 ///
 /// Down is sticky until [`mark_up`](Self::mark_up): a member is taken out
 /// when a call on it fails *and another member is left to degrade to*,
@@ -138,14 +132,11 @@ impl StripeMap {
 /// taken out — there is nothing to fail over to, so its error simply
 /// surfaces and the next call tries its channel (which reconnects on its
 /// own) again. A single-upstream session therefore never degrades.
-#[derive(Clone)]
 pub struct StripeSet {
     map: StripeMap,
-    members: Vec<Arc<Mutex<Pipeline>>>,
-    /// Bit `m` set = member `m` is up. One word, so "take `m` out unless
-    /// it is the last one in" is a single atomic step even when the main
-    /// loop and the read-ahead worker fail different members at once.
-    up: Arc<AtomicU64>,
+    members: Vec<Pipeline>,
+    /// Bit `m` set = member `m` is up.
+    up: u64,
 }
 
 impl StripeSet {
@@ -158,11 +149,7 @@ impl StripeSet {
             "stripe set needs exactly one pipeline per member"
         );
         assert!(pipelines.len() <= 64, "the up mask holds 64 members");
-        Self {
-            map,
-            up: Arc::new(AtomicU64::new(u64::MAX >> (64 - pipelines.len()))),
-            members: pipelines.into_iter().map(|p| Arc::new(Mutex::new(p))).collect(),
-        }
+        Self { map, up: u64::MAX >> (64 - pipelines.len()), members: pipelines }
     }
 
     /// The placement map.
@@ -177,43 +164,41 @@ impl StripeSet {
 
     /// The member's pipelined channel (a cheap cloneable handle).
     pub fn member(&self, idx: usize) -> Pipeline {
-        self.members[idx].lock().unwrap_or_else(|e| e.into_inner()).clone()
+        self.members[idx].clone()
     }
 
     /// Swap in a fresh channel for `idx` — the rejoin half of failover.
-    /// Every clone of the set observes the replacement; the old pipeline
-    /// retires when its last outstanding handle drops.
-    pub fn replace_member(&self, idx: usize, pipeline: Pipeline) {
-        *self.members[idx].lock().unwrap_or_else(|e| e.into_inner()) = pipeline;
+    /// The old pipeline retires when its last outstanding handle drops.
+    pub fn replace_member(&mut self, idx: usize, pipeline: Pipeline) {
+        self.members[idx] = pipeline;
     }
 
     /// Whether the member is currently in the read/write set.
     pub fn is_up(&self, idx: usize) -> bool {
-        self.up.load(Ordering::Acquire) & (1 << idx) != 0
+        self.up & (1 << idx) != 0
     }
 
     /// Take the member out of the read/write set — unless it is the last
     /// one in, which stays. Returns `true` if this call transitioned it
-    /// (so callers emit the failover event exactly once per incident even
-    /// when racing the read-ahead worker); [`is_up`](Self::is_up) tells a
-    /// refusal from a repeat.
-    pub fn mark_down(&self, idx: usize) -> bool {
+    /// (so callers emit the failover event exactly once per incident);
+    /// [`is_up`](Self::is_up) tells a refusal from a repeat.
+    pub fn mark_down(&mut self, idx: usize) -> bool {
         let bit = 1u64 << idx;
-        self.up
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |up| {
-                (up & bit != 0 && up != bit).then_some(up & !bit)
-            })
-            .is_ok()
+        let transition = self.up & bit != 0 && self.up != bit;
+        if transition {
+            self.up &= !bit;
+        }
+        transition
     }
 
     /// Return a re-synced member to the read/write set.
-    pub fn mark_up(&self, idx: usize) {
-        self.up.fetch_or(1 << idx, Ordering::AcqRel);
+    pub fn mark_up(&mut self, idx: usize) {
+        self.up |= 1 << idx;
     }
 
     /// Members currently marked down.
     pub fn down_count(&self) -> u64 {
-        self.members.len() as u64 - self.up.load(Ordering::Acquire).count_ones() as u64
+        self.members.len() as u64 - self.up.count_ones() as u64
     }
 
     /// The live members of `block`, in read-preference order.
@@ -224,7 +209,7 @@ impl StripeSet {
     /// The lowest-index live member (metadata traffic routes here); there
     /// always is one, since the last member standing is never taken out.
     pub fn first_live(&self) -> usize {
-        self.up.load(Ordering::Acquire).trailing_zeros() as usize
+        self.up.trailing_zeros() as usize
     }
 }
 
@@ -418,7 +403,7 @@ mod tests {
                 ProxyStats::new(),
             ));
         }
-        let set = StripeSet::new(m, pipelines);
+        let mut set = StripeSet::new(m, pipelines);
         assert_eq!(set.width(), 2);
         assert_eq!(set.first_live(), 0);
         assert_eq!(set.live_members_of_block(0).collect::<Vec<_>>(), vec![0, 1]);
@@ -434,12 +419,9 @@ mod tests {
         assert!(set.is_up(1));
         assert_eq!(set.down_count(), 1);
 
-        // A clone shares the flags: failover seen by one handle is seen
-        // by all (the read-ahead worker and the main loop agree).
-        let clone = set.clone();
-        assert!(!clone.is_up(0));
-        clone.mark_up(0);
+        set.mark_up(0);
         assert!(set.is_up(0));
+        assert_eq!(set.down_count(), 0);
         drop(servers);
     }
 }

@@ -17,14 +17,14 @@
 use crate::config::{
     CacheMode, DurabilityPolicy, HopCost, RetryPolicy, SecurityLevel, SessionConfig, StripePolicy,
 };
-use crate::proxy::client::{ClientProxy, ClientProxyController, Upstream};
+use crate::proxy::client::{ClientProxy, ClientProxyController, SharedClientProxy, Upstream};
 use crate::proxy::server::ServerProxy;
 use crate::proxy::stripe::StripeMap;
 use crate::proxy::ProxyError;
 use crate::tunnel::{tunnel_start, TunnelGuard};
 use sgfs_crypto::rsa::RsaKeyPair;
 use sgfs_gtls::{handshake_pair, GtlsConfig, GtlsError, GtlsHandshake};
-use sgfs_net::{pipe_pair, pipe_pair_over_link, Link, LinkSpec, SimClock};
+use sgfs_net::{pipe_pair_over_link, Link, LinkSpec, SimClock};
 use sgfs_nfs3::{Fh3, Nfs3Client};
 use sgfs_nfsclient::{MountOptions, NfsMount};
 use sgfs_nfsd::{ExportEntry, Exports, NfsServer};
@@ -34,7 +34,6 @@ use sgfs_pki::{
     CertificateAuthority, Credential, DistinguishedName, TrustStore, ValidatedPeer,
 };
 use sgfs_vfs::{UserContext, Vfs};
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -338,7 +337,9 @@ pub struct Session {
     link: Arc<Link>,
     server: Arc<NfsServer>,
     replica_servers: Vec<Arc<NfsServer>>,
-    client_proxy_rx: Option<mpsc::Receiver<(ClientProxy, std::io::Result<()>)>>,
+    /// The client proxy the mount's loopback drives; teardown takes it
+    /// to write the cache back.
+    client_proxy: Option<Arc<SharedClientProxy>>,
     client_stats: Option<Arc<crate::stats::ProxyStats>>,
     server_proxy: Option<Arc<ServerProxy>>,
     controller: Option<ClientProxyController>,
@@ -347,7 +348,7 @@ pub struct Session {
     // Last field on purpose: the guards' drop-join runs after everything
     // above has been torn down, by which point the proxy/pipeline drops
     // have closed the tunnel's local pipes and both forwarders exit.
-    tunnel_guards: Vec<TunnelGuard>,
+    _tunnel_guards: Vec<TunnelGuard>,
 }
 
 impl Session {
@@ -389,21 +390,6 @@ impl Session {
             .clone()
             .unwrap_or_else(|| ShardServer::new(DEFAULT_SHARDS));
 
-        let mut session = Session {
-            mount: Self::placeholder_mount(&clock, &root_fh),
-            clock: clock.clone(),
-            link: link.clone(),
-            server: server.clone(),
-            replica_servers: Vec::new(),
-            client_proxy_rx: None,
-            client_stats: None,
-            server_proxy: None,
-            controller: None,
-            obs: params.obs.clone(),
-            shards: shards.clone(),
-            tunnel_guards: Vec::new(),
-        };
-
         let mount_opts =
             MountOptions::new(clock.clone()).with_mem_cache(params.mem_cache_bytes);
         let job_cred = OpaqueAuth::sys(&AuthSysParams::new("compute-host", JOB_UID, JOB_UID));
@@ -436,9 +422,20 @@ impl Session {
                 FILE_UID,
                 FILE_UID,
             )));
-            session.server = server.clone();
-            session.mount = NfsMount::new(nfs, root_fh, mount_opts);
-            return Ok(session);
+            return Ok(Session {
+                mount: NfsMount::new(nfs, root_fh, mount_opts),
+                clock,
+                link,
+                server,
+                replica_servers: Vec::new(),
+                client_proxy: None,
+                client_stats: None,
+                server_proxy: None,
+                controller: None,
+                obs: params.obs.clone(),
+                shards,
+                _tunnel_guards: Vec::new(),
+            });
         }
 
         // --- proxied stacks ---
@@ -492,6 +489,9 @@ impl Session {
         let client_gtls = client_cfg.gtls();
         let server_gtls = server_cfg.gtls();
         let mut upstreams: Vec<crate::proxy::client::StripeUpstream> = Vec::new();
+        let mut replica_servers = Vec::new();
+        let mut server_proxy = None;
+        let mut tunnel_guards = Vec::new();
         for m in 0..map.width() {
             let (m_server, m_root) = if m == 0 {
                 (server.clone(), root_fh.clone())
@@ -551,8 +551,7 @@ impl Session {
                 // loops must watch the local plaintext pipes they feed.
                 let (client_stream, client_watch, client_guard) = client_pend.finish()?;
                 let (server_stream, server_watch, server_guard) = server_pend.finish()?;
-                session.tunnel_guards.push(client_guard);
-                session.tunnel_guards.push(server_guard);
+                tunnel_guards.extend([client_guard, server_guard]);
                 let proxy = accept(None)?;
                 shards.add_session(server_stream, server_watch, proxy.clone())?;
                 (Upstream::Plain(client_stream), client_watch, proxy, None)
@@ -574,40 +573,39 @@ impl Session {
                 (upstream, watch, proxy, Some(redial))
             };
             if m == 0 {
-                session.server_proxy = Some(m_proxy);
+                server_proxy = Some(m_proxy);
             }
-            session.replica_servers.push(m_server);
+            replica_servers.push(m_server);
             upstreams.push((upstream, watch, reconnector));
         }
 
         // Client proxy. Its upstreams are pipelined (xid-demultiplexed),
-        // so the read-ahead worker rides the same channels — no second
-        // connection, no second handshake.
+        // so read-ahead rides the same channels — no second connection,
+        // no second handshake.
         let mut client_proxy = ClientProxy::with_stripe(upstreams, &client_cfg)?;
         client_proxy.set_hop_cost(clock.clone(), params.hop_cost);
-        client_proxy.start_readahead();
-        session.controller = Some(client_proxy.controller());
-        session.client_stats = Some(client_proxy.stats().clone());
+        let controller = client_proxy.controller();
+        let client_stats = client_proxy.stats().clone();
 
-        // Downstream pipe: kernel client ↔ client proxy (same host).
-        let (mount_end, proxy_end) = pipe_pair();
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let result = client_proxy.run(Box::new(proxy_end));
-            let _ = tx.send(result);
-        });
-        session.client_proxy_rx = Some(rx);
-
-        let mut nfs = Nfs3Client::new(Box::new(mount_end));
+        // Downstream: the kernel client's synchronous loop-back RPC runs
+        // the proxy on the calling thread — no pipe, no proxy thread.
+        let client_proxy = client_proxy.shared();
+        let mut nfs = Nfs3Client::new(Box::new(LoopbackStream::over(client_proxy.clone())));
         nfs.set_cred(job_cred);
-        session.mount = NfsMount::new(nfs, root_fh, mount_opts);
-        Ok(session)
-    }
-
-    fn placeholder_mount(clock: &Arc<SimClock>, root: &Fh3) -> NfsMount {
-        // A dead-end mount, replaced before `build` returns.
-        let (a, _b) = pipe_pair();
-        NfsMount::new(Nfs3Client::new(Box::new(a)), root.clone(), MountOptions::new(clock.clone()))
+        Ok(Session {
+            mount: NfsMount::new(nfs, root_fh, mount_opts),
+            clock,
+            link,
+            server,
+            replica_servers,
+            client_proxy: Some(client_proxy),
+            client_stats: Some(client_stats),
+            server_proxy,
+            controller: Some(controller),
+            obs: params.obs.clone(),
+            shards,
+            _tunnel_guards: tunnel_guards,
+        })
     }
 
     /// The testbed clock.
@@ -660,8 +658,8 @@ impl Session {
         self.controller.as_ref()
     }
 
-    /// Tear the session down: unmount the kernel client, stop the client
-    /// proxy, and write back everything still dirty in the proxy cache
+    /// Tear the session down: unmount the kernel client and write back
+    /// everything still dirty in the client proxy's cache
     /// (timed — the paper reports this separately).
     pub fn finish(self) -> Result<SessionReport, SessionError> {
         self.finish_with(|_| ()).map(|(report, _)| report)
@@ -681,7 +679,7 @@ impl Session {
     }
 
     /// Like [`finish`](Self::finish), but lets the caller `inspect` the
-    /// stopped client proxy after the final write-back and before it is
+    /// client proxy after the final write-back and before it is
     /// dropped — forwarded-procedure counters, per-member channels,
     /// cache state. The inspection result is `None` on the proxy-less
     /// kernel baselines.
@@ -697,11 +695,8 @@ impl Session {
             writeback_time: Duration::ZERO,
             proxy_cache: None,
         };
-        let Some(rx) = self.client_proxy_rx.take() else { return Ok((report, None)) };
-        // Closing the downstream pipe ends the proxy loop.
-        self.mount = Self::placeholder_mount(&self.clock, &Fh3::from_ino(0, 0));
-        let (mut proxy, _result) =
-            rx.recv().map_err(|_| SessionError::Mount("client proxy vanished".into()))?;
+        let Some(proxy) = self.client_proxy.take() else { return Ok((report, None)) };
+        let mut proxy = proxy.lock();
         let t0 = self.clock.now();
         let flushed = proxy.flush_all();
         // Gauge what (if anything) the flush left behind before
@@ -717,16 +712,14 @@ impl Session {
 
 impl Drop for Session {
     fn drop(&mut self) {
-        // `finish_with` takes the receiver; reaching here with it still
-        // in place means the session was dropped without orderly
-        // teardown. Stop the proxy and write its dirty blocks back
-        // rather than silently discarding them.
-        let Some(rx) = self.client_proxy_rx.take() else { return };
-        self.mount = Self::placeholder_mount(&self.clock, &Fh3::from_ino(0, 0));
-        if let Ok((mut proxy, _)) = rx.recv() {
-            let _ = proxy.flush_all();
-            proxy.stats().set_dirty_at_shutdown(proxy.dirty_bytes());
-        }
+        // `finish_with` takes the proxy; reaching here with it still in
+        // place means the session was dropped without orderly teardown.
+        // Write its dirty blocks back rather than silently discarding
+        // them.
+        let Some(proxy) = self.client_proxy.take() else { return };
+        let mut proxy = proxy.lock();
+        let _ = proxy.flush_all();
+        proxy.stats().set_dirty_at_shutdown(proxy.dirty_bytes());
     }
 }
 

@@ -17,7 +17,7 @@
 
 use sgfs::config::{CacheMode, DurabilityPolicy, RetryPolicy, SecurityLevel, SessionConfig};
 use sgfs::proxy::blockstore::{BlockKey, BlockStore, DiskStore};
-use sgfs::proxy::client::{ClientProxy, Upstream};
+use sgfs::proxy::client::{ClientProxy, SharedClientProxy, Upstream};
 use sgfs::proxy::journal::JOURNAL_FILE;
 use sgfs_net::crash::is_crash;
 use sgfs_net::{pipe_pair, CrashInjector, PipeEnd, ALL_CRASH_POINTS};
@@ -26,11 +26,11 @@ use sgfs_nfs3::types::*;
 use sgfs_nfs3::{NFS_PROGRAM, NFS_VERSION};
 use sgfs_oncrpc::msg::AuthSysParams;
 use sgfs_oncrpc::record::{read_record, write_record};
-use sgfs_oncrpc::{CallHeader, OpaqueAuth, ReplyHeader};
+use sgfs_oncrpc::{CallHeader, LoopbackStream, OpaqueAuth, ReplyHeader};
 use sgfs_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const BLOCK: usize = 512;
@@ -153,33 +153,32 @@ fn config_for(dir: PathBuf, crash: Option<Arc<CrashInjector>>) -> SessionConfig 
     config
 }
 
-fn proxy_to(state: &ServerState, config: &SessionConfig) -> ClientProxy {
+fn proxy_to(state: &ServerState, config: &SessionConfig) -> Arc<SharedClientProxy> {
     let (end, srv) = pipe_pair();
     byte_server(srv, state.clone());
     let watch = end.watch();
-    ClientProxy::new(Upstream::Plain(Box::new(end)), watch, config).expect("proxy construction")
+    ClientProxy::new(Upstream::Plain(Box::new(end)), watch, config)
+        .expect("proxy construction")
+        .shared()
 }
 
 /// One WRITE of the workload script: (file, offset, payload).
 type Write3 = (Fh3, u64, Vec<u8>);
 
-/// Feed `writes` through the proxy's downstream interface. Acknowledged
+/// Feed `writes` through the proxy's downstream interface — the loopback
+/// a mount drives it over, which a dying proxy closes. Acknowledged
 /// writes land in `acked` (latest content per block — an overwritten
 /// block's obligation transfers to the new bytes); once the proxy dies,
 /// this and every remaining write goes to `unacked` for the post-restart
 /// re-send, exactly as a real client would retry unanswered calls.
-/// Returns the proxy and whether it is still alive.
+/// Returns whether the proxy is still alive.
 fn drive_session(
-    proxy: ClientProxy,
+    proxy: &Arc<SharedClientProxy>,
     writes: &[Write3],
     acked: &mut BTreeMap<BlockKey, Vec<u8>>,
     unacked: &mut Vec<Write3>,
-) -> (ClientProxy, bool) {
-    let (mut down, proxy_down) = pipe_pair();
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(proxy.run(Box::new(proxy_down)));
-    });
+) -> bool {
+    let mut down = LoopbackStream::over(proxy.clone());
     let mut alive = true;
     let mut xid = 0x300u32;
     let mut it = writes.iter();
@@ -219,9 +218,7 @@ fn drive_session(
     for (fh, offset, data) in it {
         unacked.push((fh.clone(), *offset, data.clone()));
     }
-    drop(down);
-    let (proxy, _run_result) = rx.recv().expect("proxy thread");
-    (proxy, alive)
+    alive
 }
 
 struct Script {
@@ -252,30 +249,28 @@ fn script() -> Script {
 /// Run the full script. Any error must be the injected crash; on crash
 /// every not-yet-submitted write is queued for the restart re-send.
 fn execute(
-    proxy: ClientProxy,
+    proxy: &Arc<SharedClientProxy>,
     script: &Script,
     acked: &mut BTreeMap<BlockKey, Vec<u8>>,
     unacked: &mut Vec<Write3>,
-) -> (ClientProxy, bool) {
-    let (mut proxy, alive) = drive_session(proxy, &script.phase1, acked, unacked);
-    if !alive {
+) -> bool {
+    if !drive_session(proxy, &script.phase1, acked, unacked) {
         unacked.extend(script.phase2.iter().cloned());
-        return (proxy, true);
+        return true;
     }
-    if let Err(e) = proxy.flush_file(&fh1()) {
+    if let Err(e) = proxy.lock().flush_file(&fh1()) {
         assert!(is_crash(&e), "only injected crashes expected in flush: {e}");
         unacked.extend(script.phase2.iter().cloned());
-        return (proxy, true);
+        return true;
     }
-    let (mut proxy, alive) = drive_session(proxy, &script.phase2, acked, unacked);
-    if !alive {
-        return (proxy, true);
+    if !drive_session(proxy, &script.phase2, acked, unacked) {
+        return true;
     }
-    match proxy.flush_all() {
-        Ok(_) => (proxy, false),
+    match proxy.lock().flush_all() {
+        Ok(_) => false,
         Err(e) => {
             assert!(is_crash(&e), "only injected crashes expected in flush_all: {e}");
-            (proxy, true)
+            true
         }
     }
 }
@@ -292,7 +287,7 @@ fn oracle() -> BTreeMap<BlockKey, Vec<u8>> {
     let proxy = proxy_to(&state, &config_for(dir.clone(), None));
     let mut acked = BTreeMap::new();
     let mut unacked = Vec::new();
-    let (proxy, crashed) = execute(proxy, &script(), &mut acked, &mut unacked);
+    let crashed = execute(&proxy, &script(), &mut acked, &mut unacked);
     assert!(!crashed && unacked.is_empty(), "oracle run is crash-free");
     drop(proxy);
     let _ = std::fs::remove_dir_all(&dir);
@@ -315,7 +310,7 @@ fn crash_case(
     let proxy = proxy_to(&state, &config_for(dir.clone(), Some(inj.clone())));
     let mut acked = BTreeMap::new();
     let mut unacked = Vec::new();
-    let (proxy, crashed) = execute(proxy, &script(), &mut acked, &mut unacked);
+    let crashed = execute(&proxy, &script(), &mut acked, &mut unacked);
     assert_eq!(
         crashed,
         inj.tripped(),
@@ -351,21 +346,20 @@ fn crash_case(
     let proxy2 = proxy_to(&state, &config_for(dir.clone(), None));
     let recovered_bytes: u64 = report.survivors.iter().map(|s| s.len as u64).sum();
     assert_eq!(
-        proxy2.stats().recovered(),
+        proxy2.lock().stats().recovered(),
         (report.survivors.len() as u64, recovered_bytes),
         "{label}: recovery counters"
     );
     assert_eq!(
-        proxy2.dirty_bytes(),
+        proxy2.lock().dirty_bytes(),
         recovered_bytes,
         "{label}: every recovered block is dirty"
     );
     let mut acked2 = BTreeMap::new();
     let mut resend_unacked = Vec::new();
-    let (mut proxy2, alive) =
-        drive_session(proxy2, &unacked, &mut acked2, &mut resend_unacked);
+    let alive = drive_session(&proxy2, &unacked, &mut acked2, &mut resend_unacked);
     assert!(alive && resend_unacked.is_empty(), "{label}: re-send is crash-free");
-    proxy2.flush_all().unwrap_or_else(|e| panic!("{label}: post-recovery flush: {e}"));
+    proxy2.lock().flush_all().unwrap_or_else(|e| panic!("{label}: post-recovery flush: {e}"));
     drop(proxy2);
 
     let server = state.lock().unwrap().clone();

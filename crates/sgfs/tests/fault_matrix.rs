@@ -29,6 +29,8 @@
 //!     the client retries the same call verbatim with capped backoff,
 //!     never duplicates a non-idempotent call, and completes the moment
 //!     admission reopens.
+//! 11. A READ after a WRITE or a resize of the same file is never served
+//!     from read-ahead that was fetched before the change.
 
 use proptest::prelude::*;
 use sgfs::config::{CacheMode, RetryPolicy, SecurityLevel, SessionConfig, StripePolicy};
@@ -39,8 +41,8 @@ use sgfs::stats::ProxyStats;
 use sgfs_gtls::{handshake_pair, GtlsHandshake, GtlsStream, HsStatus};
 use sgfs_net::{pipe_pair, BoxStream, FaultInjector, FaultPlan, FaultStream, PipeEnd};
 use sgfs_nfs3::proc::{
-    procnum, AccessArgs, AccessRes, CommitRes, GetAttrRes, ReadArgs, ReadRes, WriteArgs,
-    WriteRes,
+    procnum, AccessArgs, AccessRes, CommitRes, GetAttrRes, ReadArgs, ReadRes, SetAttrArgs,
+    WccRes, WriteArgs, WriteRes,
 };
 use sgfs_nfs3::types::*;
 use sgfs_nfs3::{NFS_PROGRAM, NFS_VERSION};
@@ -267,15 +269,18 @@ fn logging_nfs_server(mut end: PipeEnd, log: Arc<Mutex<Vec<(u32, u64)>>>) {
     });
 }
 
+/// One downstream request through the proxy, on this thread; returns the
+/// reply's result body (past the header).
+fn call(proxy: &mut ClientProxy, record: &[u8]) -> Vec<u8> {
+    let reply = proxy.process_one(record).expect("downstream reply");
+    let mut dec = XdrDecoder::new(&reply);
+    let _ = ReplyHeader::decode(&mut dec).expect("reply header");
+    reply[dec.position()..].to_vec()
+}
+
 /// Absorb `blocks` unstable WRITEs into the proxy's write-back cache via
-/// its downstream interface, then shut the downstream and hand the proxy
-/// back for flushing.
-fn ingest_writes(proxy: ClientProxy, blocks: usize, block_len: usize) -> ClientProxy {
-    let (mut down, proxy_down) = pipe_pair();
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(proxy.run(Box::new(proxy_down)));
-    });
+/// its downstream interface and hand the proxy back for flushing.
+fn ingest_writes(mut proxy: ClientProxy, blocks: usize, block_len: usize) -> ClientProxy {
     let fh = Fh3::from_ino(1, 42);
     for i in 0..blocks {
         let record = nfs_call(0x200 + i as u32, procnum::WRITE, |enc| {
@@ -287,16 +292,9 @@ fn ingest_writes(proxy: ClientProxy, blocks: usize, block_len: usize) -> ClientP
             }
             .encode(enc)
         });
-        write_record(&mut down, &record).unwrap();
-        let reply = read_record(&mut down).unwrap().expect("local WRITE ack");
-        let mut dec = XdrDecoder::new(&reply);
-        let _ = ReplyHeader::decode(&mut dec).expect("reply header");
-        let res = WriteRes::from_xdr_bytes(&reply[dec.position()..]).expect("write res");
+        let res = WriteRes::from_xdr_bytes(&call(&mut proxy, &record)).expect("write res");
         assert_eq!(res.status, NfsStat3::Ok, "block {i} not absorbed");
     }
-    drop(down);
-    let (proxy, run_result) = rx.recv().expect("proxy thread");
-    run_result.expect("proxy loop");
     proxy
 }
 
@@ -414,7 +412,7 @@ fn lost_mutation_leaves_a_single_upstream_flushable() {
     config.window = 8;
     config.retry = quick_retry();
     let up_watch = upstream_end.watch();
-    let proxy = ClientProxy::with_reconnector(
+    let mut proxy = ClientProxy::with_reconnector(
         Upstream::Plain(Box::new(upstream_end)),
         up_watch,
         &config,
@@ -423,11 +421,6 @@ fn lost_mutation_leaves_a_single_upstream_flushable() {
     .expect("proxy");
     let stats = proxy.stats().clone();
 
-    let (mut down, proxy_down) = pipe_pair();
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(proxy.run(Box::new(proxy_down)));
-    });
     for i in 0..BLOCKS {
         let record = nfs_call(0x200 + i as u32, procnum::WRITE, |enc| {
             WriteArgs {
@@ -438,15 +431,12 @@ fn lost_mutation_leaves_a_single_upstream_flushable() {
             }
             .encode(enc)
         });
-        write_record(&mut down, &record).unwrap();
-        read_record(&mut down).unwrap().expect("local WRITE ack");
+        call(&mut proxy, &record);
     }
     let remove = nfs_call(0x300, procnum::REMOVE, |enc| {
         DirOpArgs3 { dir: Fh3::from_ino(1, 1), name: "gone".into() }.encode(enc)
     });
-    write_record(&mut down, &remove).unwrap();
-    let (mut proxy, run_result) = rx.recv().expect("proxy thread");
-    assert!(run_result.is_err(), "the lost REMOVE ends the proxy loop with its error");
+    assert!(proxy.process_one(&remove).is_err(), "the lost REMOVE surfaces its error");
 
     let flushed = proxy.flush_all().expect("teardown flush over the reconnected channel");
     assert_eq!(flushed, (BLOCKS * BLOCK_LEN) as u64);
@@ -680,25 +670,15 @@ fn access_cache_consults_server_for_unchecked_bits() {
     let mut config = SessionConfig::new(SecurityLevel::None);
     config.cache = CacheMode::MemoryMeta;
     let up_watch = upstream_end.watch();
-    let proxy = ClientProxy::new(Upstream::Plain(Box::new(upstream_end)), up_watch, &config)
+    let mut proxy = ClientProxy::new(Upstream::Plain(Box::new(upstream_end)), up_watch, &config)
         .expect("proxy");
-
-    let (mut down, proxy_down) = pipe_pair();
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(proxy.run(Box::new(proxy_down)));
-    });
 
     let fh = Fh3::from_ino(1, 42);
     let mut ask = |xid: u32, mask: u32| -> u32 {
         let record = nfs_call(xid, procnum::ACCESS, |enc| {
             AccessArgs { object: fh.clone(), access: mask }.encode(enc)
         });
-        write_record(&mut down, &record).unwrap();
-        let reply = read_record(&mut down).unwrap().expect("ACCESS reply");
-        let mut dec = XdrDecoder::new(&reply);
-        let _ = ReplyHeader::decode(&mut dec).expect("reply header");
-        let res = AccessRes::from_xdr_bytes(&reply[dec.position()..]).expect("access res");
+        let res = AccessRes::from_xdr_bytes(&call(&mut proxy, &record)).expect("access res");
         assert_eq!(res.status, NfsStat3::Ok);
         res.access
     };
@@ -715,10 +695,6 @@ fn access_cache_consults_server_for_unchecked_bits() {
     // A genuinely new bit still punches through.
     assert_eq!(ask(4, 0x4), 0x4);
     assert_eq!(access_calls.load(Ordering::SeqCst), 3);
-
-    drop(down);
-    let (_proxy, run_result) = rx.recv().expect("proxy thread");
-    run_result.expect("proxy loop");
 }
 
 // ---------------------------------------------------------------------
@@ -1169,26 +1145,16 @@ fn striped_faulted_case(seed: u64, victim: usize, blocks: u64) {
             upstreams.push((Upstream::Plain(Box::new(end)) as Upstream, watch, None));
         }
     }
-    let proxy = ClientProxy::with_stripe(upstreams, &config).expect("striped proxy");
+    let mut proxy = ClientProxy::with_stripe(upstreams, &config).expect("striped proxy");
     let stats = proxy.stats().clone();
-    let set = proxy.stripe().clone();
 
     // Drive one READ per block through the proxy's downstream interface.
-    let (mut down, proxy_down) = pipe_pair();
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(proxy.run(Box::new(proxy_down)));
-    });
     let fh = Fh3::from_ino(1, 42);
     for b in 0..blocks {
         let record = nfs_call(0x500 + b as u32, procnum::READ, |enc| {
             ReadArgs { file: fh.clone(), offset: b * 512, count: 512 }.encode(enc)
         });
-        write_record(&mut down, &record).unwrap();
-        let reply = read_record(&mut down).unwrap().expect("reply record");
-        let mut dec = XdrDecoder::new(&reply);
-        let _ = ReplyHeader::decode(&mut dec).expect("reply header");
-        let res = ReadRes::from_xdr_bytes(&reply[dec.position()..]).expect("read res");
+        let res = ReadRes::from_xdr_bytes(&call(&mut proxy, &record)).expect("read res");
         // Property 2 of the striped axis: every reply carries fault-free
         // bytes, whether the victim recovered in place or the read failed
         // over to the block's surviving replica.
@@ -1200,10 +1166,8 @@ fn striped_faulted_case(seed: u64, victim: usize, blocks: u64) {
             b
         );
     }
-    drop(down);
-    let (_proxy, run_result) = rx.recv().expect("proxy thread");
-    run_result.expect("proxy loop");
 
+    let set = proxy.stripe();
     // The healthy members were never perturbed: still in the set, never
     // re-dialed (their dial count is the initial connection only).
     for (m, dial) in dials.iter().enumerate() {
@@ -1306,15 +1270,9 @@ fn sustained_jukebox_retries_capped_backoff_without_duplicating_creates() {
         ..RetryPolicy::default()
     };
     let up_watch = upstream_end.watch();
-    let proxy = ClientProxy::new(Upstream::Plain(Box::new(upstream_end)), up_watch, &config)
+    let mut proxy = ClientProxy::new(Upstream::Plain(Box::new(upstream_end)), up_watch, &config)
         .expect("proxy");
     let stats = proxy.stats().clone();
-
-    let (mut down, proxy_down) = pipe_pair();
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(proxy.run(Box::new(proxy_down)));
-    });
 
     // One non-idempotent call; the server answers JUKEBOX ten times.
     let record = nfs_call(0x9000_0001, procnum::CREATE, |enc| {
@@ -1325,19 +1283,12 @@ fn sustained_jukebox_retries_capped_backoff_without_duplicating_creates() {
         .encode(enc)
     });
     let t0 = std::time::Instant::now();
-    write_record(&mut down, &record).expect("downstream write");
-    let reply = read_record(&mut down).expect("downstream read").expect("reply");
+    let body = call(&mut proxy, &record);
     let elapsed = t0.elapsed();
-    drop(down);
-    let (_proxy, run_result) = rx.recv().expect("proxy thread");
-    run_result.expect("proxy loop");
 
     // Completion: the reply is the executed CREATE, not a passed-through
     // JUKEBOX.
-    let mut dec = XdrDecoder::new(&reply);
-    let _ = ReplyHeader::decode(&mut dec).expect("reply header");
-    let res = sgfs_nfs3::proc::CreateRes::from_xdr_bytes(&reply[dec.position()..])
-        .expect("create res");
+    let res = sgfs_nfs3::proc::CreateRes::from_xdr_bytes(&body).expect("create res");
     assert_eq!(res.status, NfsStat3::Ok, "the call completed once admission reopened");
     assert_eq!(res.obj, Some(Fh3::from_ino(1, 4242)));
 
@@ -1360,4 +1311,179 @@ fn sustained_jukebox_retries_capped_backoff_without_duplicating_creates() {
     // over a second. The window between proves the cap held.
     assert!(elapsed >= Duration::from_millis(35), "backoff was real: {elapsed:?}");
     assert!(elapsed < Duration::from_millis(500), "backoff was capped: {elapsed:?}");
+}
+
+// ---------------------------------------------------------------------
+// 11. Read-ahead never outlives a change to its file.
+// ---------------------------------------------------------------------
+
+/// A one-file NFS server holding real bytes: READ/WRITE/SETATTR(size)
+/// apply to `file`, so what a READ returns is what the server holds.
+fn one_file_server(mut end: PipeEnd, file: Arc<Mutex<Vec<u8>>>) {
+    std::thread::spawn(move || loop {
+        let record = match read_record(&mut end) {
+            Ok(Some(r)) => r,
+            _ => return,
+        };
+        let mut dec = XdrDecoder::new(&record);
+        let header = CallHeader::decode(&mut dec).expect("call header");
+        let args = &record[dec.position()..];
+        let mut file = file.lock().unwrap();
+        let reply = match header.proc {
+            procnum::GETATTR => reply_bytes(
+                header.xid,
+                &GetAttrRes { status: NfsStat3::Ok, attr: Some(base_attr(file.len() as u64)) },
+            ),
+            procnum::READ => {
+                let a = ReadArgs::from_xdr_bytes(args).expect("read args");
+                let start = (a.offset as usize).min(file.len());
+                let end = (start + a.count as usize).min(file.len());
+                reply_bytes(
+                    header.xid,
+                    &ReadRes {
+                        status: NfsStat3::Ok,
+                        attr: Some(base_attr(file.len() as u64)),
+                        count: (end - start) as u32,
+                        eof: end == file.len(),
+                        data: file[start..end].to_vec(),
+                    },
+                )
+            }
+            procnum::WRITE => {
+                let a = WriteArgs::from_xdr_bytes(args).expect("write args");
+                let end = a.offset as usize + a.data.len();
+                if file.len() < end {
+                    file.resize(end, 0);
+                }
+                file[a.offset as usize..end].copy_from_slice(&a.data);
+                reply_bytes(
+                    header.xid,
+                    &WriteRes {
+                        status: NfsStat3::Ok,
+                        wcc: WccData { before: None, after: Some(base_attr(file.len() as u64)) },
+                        count: a.data.len() as u32,
+                        committed: StableHow::FileSync,
+                        verf: 7,
+                    },
+                )
+            }
+            procnum::COMMIT => reply_bytes(
+                header.xid,
+                &CommitRes {
+                    status: NfsStat3::Ok,
+                    wcc: WccData { before: None, after: Some(base_attr(file.len() as u64)) },
+                    verf: 7,
+                },
+            ),
+            procnum::SETATTR => {
+                let a = SetAttrArgs::from_xdr_bytes(args).expect("setattr args");
+                if let Some(size) = a.new_attributes.size {
+                    file.resize(size as usize, 0);
+                }
+                reply_bytes(
+                    header.xid,
+                    &WccRes {
+                        status: NfsStat3::Ok,
+                        wcc: WccData { before: None, after: Some(base_attr(file.len() as u64)) },
+                    },
+                )
+            }
+            other => panic!("unexpected proc {other} at the one-file server"),
+        };
+        drop(file);
+        if write_record(&mut end, &reply).is_err() {
+            return;
+        }
+    });
+}
+
+/// READ block 0 → blocks 1..4 are read ahead → a WRITE lands *inside*
+/// block 2 (not at its cache key) → READ block 2 must show it; then a
+/// truncation → a READ past the new end must come back empty. Under
+/// `CacheMode::None` the proxy forwards everything (read-ahead needs the
+/// attribute cache), so that mode is the control the others must match.
+fn read_after_change_case(cache: CacheMode) {
+    const BLOCK: usize = 512;
+    let label = format!("{cache:?}");
+    let content: Vec<u8> = (0..8 * BLOCK).map(|i| (i / BLOCK) as u8 + 1).collect();
+    let file = Arc::new(Mutex::new(content.clone()));
+    let (upstream_end, srv) = pipe_pair();
+    one_file_server(srv, file.clone());
+
+    let mut config = SessionConfig::new(SecurityLevel::None);
+    let caching = !matches!(cache, CacheMode::None);
+    config.cache = cache;
+    config.readahead = 4;
+    config.retry = quick_retry();
+    let up_watch = upstream_end.watch();
+    let mut proxy = ClientProxy::new(Upstream::Plain(Box::new(upstream_end)), up_watch, &config)
+        .expect("proxy");
+
+    let fh = Fh3::from_ino(1, 42);
+    let mut xid = 0x700;
+    let mut read = |proxy: &mut ClientProxy, block: usize| -> Vec<u8> {
+        xid += 1;
+        let record = nfs_call(xid, procnum::READ, |enc| {
+            ReadArgs { file: fh.clone(), offset: (block * BLOCK) as u64, count: BLOCK as u32 }
+                .encode(enc)
+        });
+        let res = ReadRes::from_xdr_bytes(&call(proxy, &record)).expect("read res");
+        assert_eq!(res.status, NfsStat3::Ok, "{label}: READ block {block}");
+        res.data
+    };
+
+    assert_eq!(read(&mut proxy, 0), content[..BLOCK], "{label}");
+    assert_eq!(read(&mut proxy, 1), content[BLOCK..2 * BLOCK], "{label}");
+    if caching {
+        assert_eq!(proxy.stats().prefetch_hits(), 1, "{label}: block 1 was read ahead");
+    }
+
+    // Blocks 2..5 are in the landing zone (landed or on the wire) now.
+    let patch_at = 2 * BLOCK + 100;
+    let write = nfs_call(0x7f0, procnum::WRITE, |enc| {
+        WriteArgs {
+            file: fh.clone(),
+            offset: patch_at as u64,
+            stable: StableHow::Unstable,
+            data: vec![0xEE; 50],
+        }
+        .encode(enc)
+    });
+    let res = WriteRes::from_xdr_bytes(&call(&mut proxy, &write)).expect("write res");
+    assert_eq!(res.status, NfsStat3::Ok, "{label}: WRITE");
+    let mut expected = content[2 * BLOCK..3 * BLOCK].to_vec();
+    expected[100..150].fill(0xEE);
+    assert_eq!(
+        read(&mut proxy, 2),
+        expected,
+        "{label}: a READ after a WRITE must not come from pre-write read-ahead"
+    );
+
+    // Re-arm read-ahead behind block 3, then cut the file under it.
+    assert_eq!(read(&mut proxy, 3), content[3 * BLOCK..4 * BLOCK], "{label}");
+    let truncate = nfs_call(0x7f1, procnum::SETATTR, |enc| {
+        SetAttrArgs {
+            object: fh.clone(),
+            new_attributes: Sattr3 { size: Some(4 * BLOCK as u64), ..Default::default() },
+        }
+        .encode(enc)
+    });
+    let res = WccRes::from_xdr_bytes(&call(&mut proxy, &truncate)).expect("setattr res");
+    assert_eq!(res.status, NfsStat3::Ok, "{label}: SETATTR");
+    assert_eq!(read(&mut proxy, 3), content[3 * BLOCK..4 * BLOCK], "{label}");
+    assert_eq!(
+        read(&mut proxy, 4),
+        Vec::<u8>::new(),
+        "{label}: a READ past a truncation must not come from pre-truncation read-ahead"
+    );
+}
+
+#[test]
+fn read_after_write_or_resize_is_never_served_from_stale_readahead() {
+    read_after_change_case(CacheMode::None);
+    read_after_change_case(CacheMode::MemoryMeta);
+    let dir = std::env::temp_dir().join(format!("sgfs-fault-matrix-ra-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    read_after_change_case(CacheMode::Disk { dir: dir.clone() });
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -21,7 +21,7 @@ use sgfs_oncrpc::record::{read_record, write_record};
 use sgfs_oncrpc::{CallHeader, OpaqueAuth, ReplyHeader};
 use sgfs_oncrpc::msg::AuthSysParams;
 use sgfs_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 
 /// Deterministic Fisher–Yates from a SplitMix64 stream.
 fn permute<T>(items: &mut [T], seed: u64) {
@@ -235,17 +235,12 @@ fn commit_ordering_case(blocks: usize, block_len: usize) {
     config.cache = CacheMode::MemoryMeta;
     config.window = 8;
     let watch = upstream_end.watch();
-    let proxy = ClientProxy::new(Upstream::Plain(Box::new(upstream_end)), watch, &config)
+    let mut proxy = ClientProxy::new(Upstream::Plain(Box::new(upstream_end)), watch, &config)
         .expect("proxy");
     let stats = proxy.stats().clone();
 
     // Drive WRITEs through the downstream interface (absorbed into the
     // write-back cache, acknowledged locally).
-    let (mut down, proxy_down) = pipe_pair();
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(proxy.run(Box::new(proxy_down)));
-    });
     let fh = Fh3::from_ino(1, 42);
     let cred = OpaqueAuth::sys(&AuthSysParams::new("test-host", 1001, 1001));
     for i in 0..blocks {
@@ -266,16 +261,12 @@ fn commit_ordering_case(blocks: usize, block_len: usize) {
         let mut enc = XdrEncoder::with_capacity(block_len + 128);
         header.encode(&mut enc);
         args.encode(&mut enc);
-        write_record(&mut down, enc.as_bytes()).unwrap();
-        let reply = read_record(&mut down).unwrap().expect("local WRITE ack");
+        let reply = proxy.process_one(enc.as_bytes()).expect("local WRITE ack");
         let mut dec = XdrDecoder::new(&reply);
         let _ = ReplyHeader::decode(&mut dec).expect("reply header");
         let res = WriteRes::from_xdr_bytes(&reply[dec.position()..]).expect("write res");
         assert_eq!(res.status, NfsStat3::Ok, "block {i} not absorbed");
     }
-    drop(down);
-    let (mut proxy, run_result) = rx.recv().expect("proxy thread");
-    run_result.expect("proxy loop");
 
     // The flush: WRITE × blocks split-phase, then COMMIT.
     proxy.flush_all().expect("flush");

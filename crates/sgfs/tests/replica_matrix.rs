@@ -34,7 +34,7 @@ use sgfs_oncrpc::{CallHeader, ClientIoPool, OpaqueAuth, ReplyHeader};
 use sgfs_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const BLOCK: usize = 512;
@@ -228,21 +228,16 @@ fn striped_proxy(
     ClientProxy::with_stripe(upstreams, config).expect("striped proxy")
 }
 
-/// Drives NFS records through a running proxy's downstream interface.
+/// Drives NFS records through a proxy's downstream interface, on the
+/// calling thread.
 struct Driver {
-    down: PipeEnd,
-    rx: mpsc::Receiver<(ClientProxy, std::io::Result<()>)>,
+    proxy: ClientProxy,
     xid: u32,
 }
 
 impl Driver {
     fn start(proxy: ClientProxy) -> Self {
-        let (down, proxy_down) = pipe_pair();
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let _ = tx.send(proxy.run(Box::new(proxy_down)));
-        });
-        Self { down, rx, xid: 0x300 }
+        Self { proxy, xid: 0x300 }
     }
 
     fn call<T: XdrEncode>(&mut self, proc: u32, args: &T) -> Vec<u8> {
@@ -258,8 +253,7 @@ impl Driver {
         let mut enc = XdrEncoder::with_capacity(256);
         header.encode(&mut enc);
         args.encode(&mut enc);
-        write_record(&mut self.down, &enc.into_bytes()).expect("downstream write");
-        let reply = read_record(&mut self.down).expect("downstream read").expect("reply");
+        let reply = self.proxy.process_one(&enc.into_bytes()).expect("downstream reply");
         let mut dec = XdrDecoder::new(&reply);
         let _ = ReplyHeader::decode(&mut dec).expect("reply header");
         reply[dec.position()..].to_vec()
@@ -287,9 +281,7 @@ impl Driver {
     }
 
     fn finish(self) -> ClientProxy {
-        drop(self.down);
-        let (proxy, _result) = self.rx.recv().expect("proxy thread");
-        proxy
+        self.proxy
     }
 }
 
@@ -479,9 +471,7 @@ fn readahead_case(label: &str, victim: usize, seed: u64) {
     kills[victim] = Kill::after(Some(procnum::READ), seeded(seed, 3));
     let mut config = striped_config();
     config.readahead = 4;
-    let mut proxy =
-        striped_proxy(&states, &kills, (0..WIDTH).map(|_| None).collect(), &config);
-    proxy.start_readahead();
+    let proxy = striped_proxy(&states, &kills, (0..WIDTH).map(|_| None).collect(), &config);
 
     let mut driver = Driver::start(proxy);
     for b in 0..BLOCKS {
@@ -628,11 +618,12 @@ fn settled_thread_count() -> usize {
     }
 }
 
-/// Stripe width must not move the client thread budget: every member
-/// pipeline multiplexes onto the one shared I/O pool and read-ahead is one
-/// worker for the whole set. At widths 1, 2 and 4 alike, building the
-/// proxy adds exactly the mock server threads — zero client-side reader
-/// threads — and starting read-ahead adds exactly one worker.
+/// Neither stripe width nor read-ahead moves the client thread budget:
+/// every member pipeline multiplexes onto the one shared I/O pool, the
+/// proxy runs on its caller's thread and read-ahead is submitted from
+/// there. At widths 1, 2 and 4 alike, building the proxy adds exactly the
+/// mock server threads, and driving reads through it with read-ahead
+/// landing hits adds none.
 #[test]
 fn stripe_width_adds_zero_client_reader_threads() {
     let _serial = serial();
@@ -646,23 +637,25 @@ fn stripe_width_adds_zero_client_reader_threads() {
         let kills = vec![Kill::never(); width as usize];
 
         let before = settled_thread_count();
-        let mut proxy =
-            striped_proxy(&states, &kills, (0..width).map(|_| None).collect(), &config);
-        let after_build = thread_count();
+        let proxy = striped_proxy(&states, &kills, (0..width).map(|_| None).collect(), &config);
         assert_eq!(
-            after_build - before,
+            thread_count() - before,
             width as usize,
             "building a width-{width} stripe set must only add the {width} mock servers \
              (a per-member reader thread would show up here)"
         );
-        proxy.start_readahead();
+        let mut driver = Driver::start(proxy);
+        for b in 0..8 {
+            driver.read(&fh1(), b * BLOCK as u64);
+        }
+        assert!(driver.proxy.stats().prefetch_hits() > 0, "width {width}: read-ahead ran");
         assert_eq!(
-            thread_count() - after_build,
-            1,
-            "read-ahead is one worker at width {width}, never one per member"
+            thread_count() - before,
+            width as usize,
+            "width {width}: neither the proxy nor its read-ahead has a thread of its own"
         );
-        // Dropping the proxy ends the worker and the mock servers.
-        drop(proxy);
+        // Dropping the proxy ends the mock servers.
+        drop(driver);
         assert_eq!(
             settled_thread_count(),
             before,

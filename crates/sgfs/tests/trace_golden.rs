@@ -34,7 +34,7 @@ use sgfs_oncrpc::record::{read_record, write_record};
 use sgfs_oncrpc::{CallHeader, OpaqueAuth, ReplyHeader};
 use sgfs_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn nfs_call(xid: u32, proc: u32, body: impl FnOnce(&mut XdrEncoder)) -> Vec<u8> {
@@ -163,23 +163,14 @@ fn drive(proxy: ClientProxy, records: &[Vec<u8>]) -> ClientProxy {
 }
 
 /// [`drive`], also returning each reply's result body (past the header).
-fn drive_replies(proxy: ClientProxy, records: &[Vec<u8>]) -> (ClientProxy, Vec<Vec<u8>>) {
-    let (mut down, proxy_down) = pipe_pair();
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(proxy.run(Box::new(proxy_down)));
-    });
+fn drive_replies(mut proxy: ClientProxy, records: &[Vec<u8>]) -> (ClientProxy, Vec<Vec<u8>>) {
     let mut bodies = Vec::with_capacity(records.len());
     for record in records {
-        write_record(&mut down, record).unwrap();
-        let reply = read_record(&mut down).unwrap().expect("downstream reply");
+        let reply = proxy.process_one(record).expect("downstream reply");
         let mut dec = XdrDecoder::new(&reply);
         ReplyHeader::decode(&mut dec).expect("reply header");
         bodies.push(reply[dec.position()..].to_vec());
     }
-    drop(down);
-    let (proxy, run_result) = rx.recv().expect("proxy thread");
-    run_result.expect("proxy loop");
     (proxy, bodies)
 }
 
@@ -942,4 +933,73 @@ fn unaligned_io_scenario(stripe: Option<StripePolicy>) -> Vec<String> {
 #[test]
 fn golden_unaligned_io_on_a_single_upstream() {
     assert_golden_under_width_one(unaligned_io_scenario);
+}
+
+// ---------------------------------------------------------------------
+// 9. Read-ahead on a single upstream: a sequential scan is one demand
+//    READ, then landing-zone hits, while exactly one READ per block —
+//    demanded or read ahead — crosses the wire. Every READ enters the
+//    pipeline from the one thread that drives the proxy, so the wire
+//    order is part of the golden; the proxy-side and wire-side hops come
+//    from two threads and are projected separately.
+// ---------------------------------------------------------------------
+
+fn readahead_scenario(stripe: Option<StripePolicy>) -> Vec<String> {
+    const BLOCK: u32 = 512;
+    const DEPTH: u32 = 2;
+    const READS: u32 = 4;
+    let (mut config, obs) = traced_config(stripe);
+    config.readahead = DEPTH;
+    let (upstream_end, srv) = pipe_pair();
+    striped_member_server(srv, None);
+    let watch = upstream_end.watch();
+    let proxy = ClientProxy::new(Upstream::Plain(Box::new(upstream_end)), watch, &config)
+        .expect("proxy");
+    let stats = proxy.stats().clone();
+
+    let fh = Fh3::from_ino(1, 42);
+    let reads: Vec<Vec<u8>> = (0..READS)
+        .map(|b| {
+            nfs_call(0x60 + b, procnum::READ, |enc| {
+                ReadArgs { file: fh.clone(), offset: (b * BLOCK) as u64, count: BLOCK }.encode(enc)
+            })
+        })
+        .collect();
+    let (proxy, bodies) = drive_replies(proxy, &reads);
+    drop(proxy);
+    for (b, body) in bodies.iter().enumerate() {
+        let res = ReadRes::from_xdr_bytes(body).expect("read res");
+        assert_eq!(res.data, vec![b as u8; BLOCK as usize], "block {b}");
+    }
+    assert_eq!(stats.prefetch_hits(), (READS - 1) as u64, "all but the first READ were read ahead");
+
+    let (events, dropped) = obs.events();
+    assert_eq!(dropped, 0);
+    // Blocks 0..READS were demanded and DEPTH more were read ahead behind
+    // the last one: one READ each. A READ that found its block still on
+    // the wire waited for it instead of asking again.
+    let mut g = golden(&events, &[Hop::CacheHit, Hop::CacheMiss]);
+    g.extend(golden(&events, &[Hop::UpstreamSend]));
+    assert_eq!(
+        g,
+        [
+            "cache_miss:read",
+            "cache_hit:read",
+            "cache_hit:read",
+            "cache_hit:read",
+            "upstream_send:read",
+            "upstream_send:read",
+            "upstream_send:read",
+            "upstream_send:read",
+            "upstream_send:read",
+            "upstream_send:read",
+        ],
+        "golden read-ahead sequence changed"
+    );
+    g
+}
+
+#[test]
+fn golden_readahead_requests_each_block_once() {
+    assert_golden_under_width_one(readahead_scenario);
 }
