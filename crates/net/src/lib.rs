@@ -18,10 +18,10 @@
 //!   (record marking, GTLS, tunnels) is written against, so real
 //!   `TcpStream`s can be substituted for the in-memory pipes.
 //! * [`poll::Poller`] — readiness notification over the pipe transports:
-//!   the sharded server's event loops sleep here instead of in one
+//!   the worker loops of both planes sleep here instead of in one
 //!   blocking read per connection.
-//! * [`spsc::SpscQueue`] — the lock-free single-producer/single-consumer
-//!   ring the acceptor uses to hand accepted sessions to their shard.
+//! * [`submit::submit_ring`] — the bounded, wake-aware queue that feeds
+//!   those loops: pipeline commands, and the accept → pin handoff.
 
 pub mod clock;
 pub mod crash;
@@ -29,7 +29,6 @@ pub mod fault;
 pub mod link;
 pub mod pipe;
 pub mod poll;
-pub mod spsc;
 pub mod submit;
 
 pub use clock::{ClockMode, LogicalClock, SimClock};
@@ -38,8 +37,7 @@ pub use fault::{FaultInjector, FaultPlan, FaultStream};
 pub use link::{Link, LinkSpec};
 pub use pipe::{pipe_pair, pipe_pair_over_link, PipeEnd, PipeReader, PipeWatch, PipeWriter};
 pub use poll::{Poller, Readiness, Token};
-pub use spsc::{spsc_channel, Popped, SpscReceiver, SpscSender};
-pub use submit::{submit_ring, SubmitReceiver, SubmitSender};
+pub use submit::{submit_ring, Popped, SubmitReceiver, SubmitSender};
 
 use std::io::{Read, Write};
 

@@ -9,7 +9,10 @@
 //! The design is deliberately edge-on-arrival / level-on-registration:
 //!
 //! * every `push`/`close` on a watched channel enqueues the token (deduped
-//!   while still pending), so no arrival is ever missed;
+//!   while still pending), so no arrival is ever missed, and tokens are
+//!   delivered in the order they became ready — a token woken again goes
+//!   behind every token already waiting, which is the round-robin
+//!   fairness the worker loops rely on;
 //! * registering against a channel that already holds data (or is already
 //!   closed) fires immediately, so there is no registration race;
 //! * consumers drain everything available per wakeup, so a token's single

@@ -1,10 +1,12 @@
-//! The wake-aware submission ring the client I/O pool drains.
+//! The wake-aware submission ring the worker loops drain.
 //!
-//! A bounded multi-producer/single-consumer command queue with the same
+//! A bounded multi-producer/single-consumer queue with the same
 //! readiness contract as [`crate::pipe::PipeWatch`]: the consumer
 //! registers a [`Readiness`] handle and every push (and the final close)
 //! notifies it, so a pipeline's command stream and its upstream socket
-//! can both wake the same event-loop token.
+//! can both wake the same event-loop token. It carries two things: the
+//! commands handles submit to their pipeline, and the connections the
+//! accept side pins onto a pool worker.
 //!
 //! Unlike an mpsc channel, the ring's storage is a fixed-capacity
 //! `VecDeque` allocated once at construction: steady-state submission
@@ -20,7 +22,6 @@
 //! back, so producers can surface "pipeline terminated" errors.
 
 use crate::poll::Readiness;
-use crate::spsc::Popped;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -46,6 +47,16 @@ impl<T> RingShared<T> {
             r.notify();
         }
     }
+}
+
+/// What a pop observed.
+pub enum Popped<T> {
+    /// The oldest queued value.
+    Value(T),
+    /// Nothing queued right now; a producer is still live.
+    Empty,
+    /// Nothing queued and every sender is gone: no value will ever arrive.
+    Closed,
 }
 
 /// Create a submission ring holding at most `capacity` queued items.

@@ -1,247 +1,71 @@
-//! Fixed client-side I/O pool: the client plane's answer to
-//! [`crate::shard::ShardServer`].
+//! Fixed client-side I/O pool: the client plane's owner of the shared
+//! worker loop ([`crate::pool`]).
 //!
-//! Every client [`Pipeline`](../../sgfs/src/proxy/pipeline.rs) used to
-//! own a detached blocking reader thread; N sessions cost N parked
-//! stacks. [`ClientIoPool`] replaces that with a small fixed set of
-//! event-loop workers, each multiplexing many connections over a
-//! [`sgfs_net::Poller`]. A connection is pinned to one worker at
-//! [`add_conn`](ClientIoPool::add_conn) time and never migrates, so a
-//! worker's connections share nothing with its neighbors; the only
-//! cross-worker edge is the SPSC pin handoff, exactly as on the server
-//! side.
-//!
-//! The pool knows nothing about pipelines or GTLS: a [`PoolConn`] routes
-//! its own event sources (upstream socket watch, command submission
-//! ring) into the readiness token it is handed at attach time, and
-//! [`pump`](PoolConn::pump) drains whatever is actionable without
-//! blocking on absent input. The same message-atomic writer invariant
-//! that makes the shard loops sound applies here (see the shard module
-//! docs): once a watch reports input, a whole record is available, so a
-//! bounded blocking record read inside the loop cannot stall.
+//! Client [`Pipeline`](../../sgfs/src/proxy/pipeline.rs)s are pinned
+//! round-robin onto a small fixed set of `sgfs-client-io-N` workers, so N
+//! sessions cost no threads of their own. The pool knows nothing about
+//! pipelines or GTLS: a [`PoolConn`] routes its own event sources
+//! (upstream socket watch, command submission ring) into the readiness
+//! token it is handed at attach time, and [`pump`](PoolConn::pump) drains
+//! whatever is actionable without blocking on absent input. The workers
+//! lend their connections no state (`W = ()`).
 
-use sgfs_net::{spsc_channel, Poller, Popped, Readiness, SpscReceiver, SpscSender, Token};
-use parking_lot::Mutex;
-use std::collections::HashMap;
+use crate::pool::{IoPool, PoolConn};
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// What one pump pass decided about a pooled connection.
-pub enum ConnPump {
-    /// Nothing actionable until the next readiness notification.
-    Idle,
-    /// Fairness budget spent with work left: re-arm the token.
-    Rearm,
-    /// The connection retired (shutdown drained or upstream dead):
-    /// unpin and drop it.
-    Gone,
-}
-
-/// One event-driven connection a pool worker owns.
-pub trait PoolConn: Send {
-    /// Called once when the connection is pinned to its worker. The
-    /// connection must register every event source it owns against
-    /// `readiness` and keep a clone so replacement sources (e.g. a
-    /// re-dialed upstream after reconnect) can be registered later.
-    fn attach(&mut self, readiness: Readiness);
-    /// Drain actionable work. Must not block waiting for new input;
-    /// bounded blocking reads after `has_input()` are fine.
-    fn pump(&mut self) -> ConnPump;
-}
-
-/// Token 0 is every worker's pin-handoff inbox; connections start at 1.
-const INBOX: Token = 0;
-
-/// Capacity of each worker's handoff ring.
-const INBOX_CAPACITY: usize = 256;
-
-struct WorkerHandle {
-    /// Producer side of the pin handoff (mutex serializes concurrent
-    /// pinners; the ring itself is SPSC).
-    tx: Mutex<SpscSender<Box<dyn PoolConn>>>,
-    poller: Arc<Poller>,
-    active: Arc<AtomicUsize>,
-    /// Cleared by the worker on *any* exit — orderly shutdown or an
-    /// unwinding panic in a connection's `pump` — so pinners never spin
-    /// on an inbox nobody will ever drain again.
-    alive: Arc<AtomicBool>,
-    join: Option<std::thread::JoinHandle<()>>,
-}
-
-/// Drop guard that clears the worker's liveness flag even when the
-/// worker thread unwinds out of `worker_loop`.
-struct AliveGuard(Arc<AtomicBool>);
-
-impl Drop for AliveGuard {
-    fn drop(&mut self) {
-        self.0.store(false, Ordering::Release);
-    }
-}
 
 /// A fixed pool of client I/O event loops.
 pub struct ClientIoPool {
-    workers: Vec<WorkerHandle>,
-    next_id: AtomicU64,
-    shutdown: AtomicBool,
+    pool: IoPool<()>,
+    next: AtomicUsize,
 }
 
 impl ClientIoPool {
     /// Start `threads` event-loop workers (at least one).
     pub fn new(threads: usize) -> Arc<Self> {
-        let threads = threads.max(1);
-        let workers = (0..threads)
-            .map(|index| {
-                let (tx, rx) = spsc_channel::<Box<dyn PoolConn>>(INBOX_CAPACITY);
-                let poller = Arc::new(Poller::new());
-                let active = Arc::new(AtomicUsize::new(0));
-                let alive = Arc::new(AtomicBool::new(true));
-                let loop_poller = poller.clone();
-                let loop_active = active.clone();
-                let loop_alive = AliveGuard(alive.clone());
-                let join = std::thread::Builder::new()
-                    .name(format!("sgfs-client-io-{index}"))
-                    .spawn(move || {
-                        let _alive = loop_alive;
-                        worker_loop(loop_poller, rx, loop_active)
-                    })
-                    .expect("spawn client I/O worker");
-                WorkerHandle { tx: Mutex::new(tx), poller, active, alive, join: Some(join) }
-            })
-            .collect();
-        Arc::new(Self { workers, next_id: AtomicU64::new(0), shutdown: AtomicBool::new(false) })
+        let pool = IoPool::new("sgfs-client-io", (0..threads.max(1)).map(|_| ()));
+        Arc::new(Self { pool, next: AtomicUsize::new(0) })
     }
 
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
-        self.workers.len()
+        self.pool.workers()
     }
 
     /// Connections currently pinned across all workers.
     pub fn active_conns(&self) -> usize {
-        self.workers.iter().map(|w| w.active.load(Ordering::Relaxed)).sum()
+        self.pool.active()
     }
 
-    /// Pin a connection onto the next worker (round-robin).
+    /// Pin a connection onto the next worker (round-robin). Fails once the
+    /// pool is shut down or the chosen worker has died.
     pub fn add_conn(&self, conn: Box<dyn PoolConn>) -> io::Result<()> {
-        if self.shutdown.load(Ordering::Acquire) {
-            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "client I/O pool shut down"));
-        }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let worker = &self.workers[(id % self.workers.len() as u64) as usize];
-        let mut conn = conn;
-        loop {
-            // A worker that exited early (e.g. a connection's `pump`
-            // panicked) will never drain its ring: fail fast instead of
-            // spinning on the handoff forever.
-            if !worker.alive.load(Ordering::Acquire) {
-                return Err(io::Error::other("client I/O worker exited; connection not pinned"));
-            }
-            let pushed = worker.tx.lock().push(conn);
-            match pushed {
-                Ok(()) => break,
-                Err(back) => {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return Err(io::Error::new(
-                            io::ErrorKind::BrokenPipe,
-                            "client I/O pool shut down",
-                        ));
-                    }
-                    conn = back;
-                    worker.poller.wake(INBOX);
-                    std::thread::yield_now();
-                }
-            }
-        }
-        worker.poller.wake(INBOX);
-        Ok(())
+        let worker = self.next.fetch_add(1, Ordering::Relaxed) % self.pool.workers();
+        self.pool.pin(worker, conn)
     }
 
     /// Stop pinning and ask every worker to exit; still-pinned
     /// connections are dropped (their owners observe closed channels).
     /// Idempotent.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        for worker in &self.workers {
-            worker.tx.lock().close();
-            worker.poller.wake(INBOX);
-        }
+        self.pool.shutdown();
     }
 
     /// Join worker threads after [`shutdown`](Self::shutdown).
     pub fn join(&mut self) {
-        for worker in &mut self.workers {
-            if let Some(join) = worker.join.take() {
-                let _ = join.join();
-            }
-        }
-    }
-}
-
-impl Drop for ClientIoPool {
-    fn drop(&mut self) {
-        self.shutdown();
-        self.join();
-    }
-}
-
-fn worker_loop(
-    poller: Arc<Poller>,
-    inbox: SpscReceiver<Box<dyn PoolConn>>,
-    active: Arc<AtomicUsize>,
-) {
-    let mut conns: HashMap<Token, Box<dyn PoolConn>> = HashMap::new();
-    let mut next_token: Token = INBOX + 1;
-    let mut ready: Vec<Token> = Vec::new();
-    let mut closed = false;
-
-    loop {
-        poller.wait(None, &mut ready);
-        for &token in &ready {
-            if token == INBOX {
-                loop {
-                    match inbox.pop() {
-                        Popped::Value(mut conn) => {
-                            let token = next_token;
-                            next_token += 1;
-                            conn.attach(poller.readiness(token));
-                            active.fetch_add(1, Ordering::Relaxed);
-                            conns.insert(token, conn);
-                        }
-                        Popped::Empty => break,
-                        Popped::Closed => {
-                            closed = true;
-                            break;
-                        }
-                    }
-                }
-                continue;
-            }
-            let Some(conn) = conns.get_mut(&token) else {
-                continue; // stale readiness for an unpinned connection
-            };
-            match conn.pump() {
-                ConnPump::Idle => {}
-                ConnPump::Rearm => poller.wake(token),
-                ConnPump::Gone => {
-                    conns.remove(&token);
-                    active.fetch_sub(1, Ordering::Relaxed);
-                }
-            }
-        }
-        if closed {
-            // Remaining connections drop here; their owners see their
-            // channels close.
-            return;
-        }
+        self.pool.join();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::process_thread_count;
-    use sgfs_net::{submit_ring, SubmitReceiver, SubmitSender};
+    use crate::pool::tests::{serial, settled_thread_count};
+    use crate::pool::ConnPump;
+    use parking_lot::Mutex;
+    use sgfs_net::{submit_ring, Popped, Readiness, SubmitReceiver, SubmitSender};
+    use std::sync::atomic::AtomicBool;
 
     /// A conn that doubles every submitted value into a shared log.
     struct Doubler {
@@ -251,10 +75,10 @@ mod tests {
     }
 
     impl PoolConn for Doubler {
-        fn attach(&mut self, readiness: Readiness) {
+        fn attach(&mut self, readiness: Readiness, _: &mut ()) {
             self.rx.register(readiness);
         }
-        fn pump(&mut self) -> ConnPump {
+        fn pump(&mut self, _: &mut ()) -> ConnPump {
             loop {
                 match self.rx.pop() {
                     Popped::Value(v) => self.out.lock().push(v * 2),
@@ -294,7 +118,8 @@ mod tests {
 
     #[test]
     fn many_conns_fixed_threads() {
-        let before = process_thread_count();
+        let _serial = serial();
+        let before = settled_thread_count();
         let pool = ClientIoPool::new(2);
         let conns: Vec<_> = (0..64).map(|_| pinned_doubler(&pool)).collect();
         for (i, (tx, _, _)) in conns.iter().enumerate() {
@@ -303,7 +128,7 @@ mod tests {
         for (i, (_, out, _)) in conns.iter().enumerate() {
             wait_for("doubled value", || out.lock().first() == Some(&(i as u64 * 2)));
         }
-        if let (Some(b), Some(a)) = (before, process_thread_count()) {
+        if let (Some(b), Some(a)) = (before, settled_thread_count()) {
             assert!(a <= b + 2, "64 conns must cost 2 pool threads (before={b}, after={a})");
         }
         assert_eq!(pool.active_conns(), 64);
@@ -311,6 +136,7 @@ mod tests {
 
     #[test]
     fn sender_drop_retires_conn() {
+        let _serial = serial();
         let pool = ClientIoPool::new(1);
         let (tx, out, retired) = pinned_doubler(&pool);
         tx.push(5).unwrap();
@@ -320,30 +146,29 @@ mod tests {
         wait_for("unpin", || pool.active_conns() == 0);
     }
 
-    /// A conn whose pump panics on first wakeup, killing its worker —
-    /// the failure mode that used to wedge `add_conn` forever.
+    /// A conn whose pump panics on first wakeup, killing its worker.
     struct PanicOnPump {
         rx: SubmitReceiver<u64>,
     }
 
     impl PoolConn for PanicOnPump {
-        fn attach(&mut self, readiness: Readiness) {
+        fn attach(&mut self, readiness: Readiness, _: &mut ()) {
             self.rx.register(readiness);
         }
-        fn pump(&mut self) -> ConnPump {
+        fn pump(&mut self, _: &mut ()) -> ConnPump {
             panic!("poisoned pump");
         }
     }
 
     #[test]
     fn add_conn_fails_fast_after_worker_death() {
+        let _serial = serial();
         let pool = ClientIoPool::new(1);
         let (tx, rx) = submit_ring(4);
         pool.add_conn(Box::new(PanicOnPump { rx })).unwrap();
         tx.push(1).unwrap(); // wake the worker; its pump panics; it dies
-        // Pre-fix this loop never terminated: once the dead worker's ring
-        // filled, add_conn spun on a handoff nobody would ever drain.
-        // Post-fix the liveness flag turns the spin into a fast error.
+        // The unwinding worker drops its inbox receiver, which fails every
+        // later push instead of leaving the pinner to wait on a dead loop.
         let mut failed = false;
         for _ in 0..2000 {
             let (tx2, rx2) = submit_ring(4);
@@ -364,7 +189,8 @@ mod tests {
 
     #[test]
     fn shutdown_drops_pinned_conns_and_joins() {
-        let before = process_thread_count();
+        let _serial = serial();
+        let before = settled_thread_count();
         let pool = ClientIoPool::new(2);
         let (tx, _out, retired) = pinned_doubler(&pool);
         pool.shutdown();
@@ -379,7 +205,7 @@ mod tests {
         assert!(err.is_err());
         drop(tx2);
         drop(pool);
-        if let (Some(b), Some(a)) = (before, process_thread_count()) {
+        if let (Some(b), Some(a)) = (before, settled_thread_count()) {
             assert!(a <= b, "pool threads joined (before={b}, after={a})");
         }
     }

@@ -12,10 +12,13 @@
 //! * [`record`] — RFC 5531 §11 record marking for stream transports.
 //! * [`client`] — a blocking RPC client (`call` = one round trip).
 //! * [`server`] — a per-connection dispatch loop over an [`RpcService`].
-//! * [`shard`] — the sharded event-driven server core: a fixed pool of
-//!   per-core event loops serving thousands of pinned sessions.
-//! * [`client_pool`] — the client-side mirror: a fixed pool of event
-//!   loops multiplexing many pipelined upstream connections.
+//! * [`pool`] — the worker loop both planes run: a fixed set of threads,
+//!   each serving every connection pinned to it from one poller.
+//! * [`shard`] — the server plane's owner of that loop: thousands of
+//!   pinned sessions served under deficit round robin and admission
+//!   control.
+//! * [`client_pool`] — the client plane's owner: many pipelined upstream
+//!   connections on a fixed set of workers.
 //! * [`loopback`] — synchronous in-process dispatch, so a proxy can call
 //!   a same-process backend without a thread or a pipe.
 //!
@@ -28,15 +31,17 @@ pub mod client_pool;
 pub mod error;
 pub mod loopback;
 pub mod msg;
+pub mod pool;
 pub mod record;
 pub mod server;
 pub mod shard;
 
 pub use client::RpcClient;
-pub use client_pool::{ClientIoPool, ConnPump, PoolConn};
+pub use client_pool::ClientIoPool;
 pub use error::RpcError;
 pub use loopback::LoopbackStream;
 pub use msg::{AcceptStat, AuthFlavor, AuthSysParams, CallHeader, OpaqueAuth, ReplyHeader};
+pub use pool::{ConnPump, PoolConn};
 pub use server::{serve_connection, RpcService};
 pub use shard::{
     process_thread_count, AdmissionPolicy, RecordService, RpcRecordService, ShardServer,

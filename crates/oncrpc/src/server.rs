@@ -146,6 +146,7 @@ mod tests {
 
     #[test]
     fn serve_connection_runs_until_eof() {
+        let _serial = crate::pool::tests::serial();
         let (client_end, server_end) = pipe_pair();
         let server =
             std::thread::spawn(move || serve_connection(Box::new(server_end), Arc::new(Doubler)));

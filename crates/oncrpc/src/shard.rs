@@ -1,39 +1,25 @@
-//! Sharded event-driven RPC server core.
+//! Sharded event-driven RPC server core: the server plane's owner of the
+//! shared worker loop ([`crate::pool`]).
 //!
-//! Thread-per-connection dies at scale: ten thousand sessions is ten
-//! thousand parked stacks. [`ShardServer`] replaces that with a fixed pool
-//! of shard threads, each running a readiness-driven event loop over a
-//! [`sgfs_net::Poller`]. Sessions are pinned to a shard at accept time and
-//! never migrate, so every shard is shared-nothing: its sessions, its
-//! record scratch buffers, its poller — no cross-shard locks on the data
-//! path. The only cross-shard edge is the accept → pin handoff, a
-//! lock-free SPSC ring per shard ([`sgfs_net::spsc`]).
-//!
-//! # Why a blocking read inside an event loop is sound here
-//!
-//! The record writer emits header + payload in ONE write call per
-//! fragment ([`crate::record::write_record_with`]), and the in-memory
-//! pipe turns each write call into one message, so a message never spans
-//! two records. GTLS likewise seals each write call into its own frames.
-//! Consequently, once readiness reports the first bytes of a record, the
-//! rest of that record is already queued or actively being written by a
-//! peer that cannot block (the pipes are unbounded). A shard may therefore
-//! perform a bounded *blocking* `read_record_into` after readiness fires —
-//! no restartable partial-record state machine, and GTLS renegotiation
-//! (a blocking ping-pong driven by the client) works unchanged. An
-//! abandoned partial record always ends in channel close → EOF error →
-//! session teardown, never an indefinite stall.
+//! [`ShardServer`] pins every accepted session to one of a fixed set of
+//! `sgfs-shard-N` workers (`id % shards`) and never migrates it, so every
+//! shard is shared-nothing: its sessions, its record scratch buffers — no
+//! cross-shard locks on the data path. A pinned session is a
+//! [`PoolConn`] whose `pump` is one deficit-round-robin visit: top up the
+//! session's byte credit, serve request records within it (executing or,
+//! under the [`AdmissionPolicy`], shedding them), and yield. The state a
+//! shard lends its sessions is the `ShardState`: the shared record and
+//! write-assembly buffers, the shard's backlog aggregate and its
+//! overload-band flag.
 
+use crate::pool::{ConnPump, IoPool, PoolConn};
 use crate::record::{read_record_into, write_record_with};
 use crate::server::{process_record, RpcService};
-use sgfs_net::{spsc_channel, BoxStream, PipeWatch, Poller, Popped, SpscReceiver, SpscSender, Token};
+use sgfs_net::{BoxStream, PipeWatch, Readiness};
 use sgfs_obs::{peek_proc, peek_xid, Hop, Obs, NO_PROC};
-use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A per-record request processor — the unit of work a shard drives.
 ///
@@ -68,30 +54,15 @@ impl RecordService for RpcRecordService {
     }
 }
 
-/// Handoff payload: everything a shard needs to own a session.
-struct NewSession {
-    id: u64,
-    stream: BoxStream,
-    watch: PipeWatch,
-    service: Arc<dyn RecordService>,
-}
-
-/// Token 0 is every shard's handoff inbox; sessions start at 1.
-const INBOX: Token = 0;
-
 /// Default per-visit record budget for one session (see
 /// [`AdmissionPolicy::max_pump`]).
 const MAX_PUMP: usize = 32;
 
-/// Capacity of each shard's handoff ring. Accepts briefly spin when a
-/// burst outruns the shard; the ring never drops.
-const INBOX_CAPACITY: usize = 256;
-
 /// Admission, backpressure, and fair-scheduling knobs for one shard.
 ///
-/// Scheduling is deficit round robin: every backlogged session sits in
-/// the shard's run queue and receives `quantum` bytes of service credit
-/// per visit; a session whose requests exhaust its deficit goes to the
+/// Scheduling is deficit round robin: every backlogged session is in the
+/// worker's ready queue and receives `quantum` bytes of service credit
+/// per visit; a session whose requests exhaust its deficit re-arms to the
 /// back of the queue, so one hot session cannot starve its neighbors no
 /// matter how deep its backlog is.
 ///
@@ -142,7 +113,6 @@ impl Default for AdmissionPolicy {
 /// advisory gauges, no cross-field consistency promised).
 #[derive(Default)]
 struct ShardGauges {
-    active: AtomicUsize,
     served: AtomicU64,
     shed: AtomicU64,
     /// Sum of the shard's per-session sampled wire backlogs, bytes.
@@ -151,16 +121,6 @@ struct ShardGauges {
     backlog_hwm: AtomicUsize,
     /// Inside the overload hysteresis band right now?
     overloaded: AtomicBool,
-}
-
-struct ShardHandle {
-    /// Producer side of the handoff ring. The mutex serializes concurrent
-    /// acceptors (the ring itself is strictly SPSC); the consumer side in
-    /// the shard thread stays lock-free.
-    tx: Mutex<SpscSender<NewSession>>,
-    poller: Arc<Poller>,
-    gauges: Arc<ShardGauges>,
-    join: Option<std::thread::JoinHandle<()>>,
 }
 
 /// Aggregate counters over all shards.
@@ -188,11 +148,12 @@ pub struct ShardStats {
 /// The sharded server: a fixed set of event-loop threads plus the
 /// accept-side API that pins sessions onto them.
 pub struct ShardServer {
-    shards: Vec<ShardHandle>,
+    pool: IoPool<ShardState>,
+    /// One per shard, in shard order.
+    gauges: Vec<Arc<ShardGauges>>,
     next_id: AtomicU64,
     accepted: AtomicU64,
     obs: Arc<Obs>,
-    shutdown: AtomicBool,
 }
 
 impl ShardServer {
@@ -210,40 +171,33 @@ impl ShardServer {
     /// Start `shards` event loops under an explicit [`AdmissionPolicy`]
     /// (the overload tests shrink the caps to force shedding).
     pub fn with_admission(shards: usize, obs: Arc<Obs>, policy: AdmissionPolicy) -> Arc<Self> {
-        let shards = shards.max(1);
-        let handles = (0..shards)
-            .map(|index| {
-                let (tx, rx) = spsc_channel::<NewSession>(INBOX_CAPACITY);
-                let poller = Arc::new(Poller::new());
-                let gauges = Arc::new(ShardGauges::default());
-                let loop_poller = poller.clone();
-                let loop_gauges = gauges.clone();
-                let loop_obs = obs.clone();
-                let join = std::thread::Builder::new()
-                    .name(format!("sgfs-shard-{index}"))
-                    .spawn(move || {
-                        shard_loop(index, loop_poller, rx, loop_gauges, loop_obs, policy)
-                    })
-                    .expect("spawn shard thread");
-                ShardHandle { tx: Mutex::new(tx), poller, gauges, join: Some(join) }
-            })
-            .collect();
+        let gauges: Vec<Arc<ShardGauges>> = (0..shards.max(1)).map(|_| Arc::default()).collect();
+        let states = gauges.iter().enumerate().map(|(index, gauges)| ShardState {
+            index,
+            gauges: gauges.clone(),
+            obs: obs.clone(),
+            policy,
+            record: Vec::new(),
+            scratch: Vec::new(),
+            overloaded: false,
+        });
         Arc::new(Self {
-            shards: handles,
+            pool: IoPool::new("sgfs-shard", states),
+            gauges,
             next_id: AtomicU64::new(1),
             accepted: AtomicU64::new(0),
             obs,
-            shutdown: AtomicBool::new(false),
         })
     }
 
     /// Number of shard event loops.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.gauges.len()
     }
 
     /// Accept a session: assign it an id, pick its shard (`id % shards`),
-    /// and hand it off. Returns the session id.
+    /// and hand it off. Returns the session id; fails once the server is
+    /// shut down or the chosen shard's thread has died.
     ///
     /// `watch` must observe the *wire* the peer writes into — take it from
     /// the raw pipe end before wrapping the stream in fault injectors or
@@ -254,306 +208,197 @@ impl ShardServer {
         watch: PipeWatch,
         service: Arc<dyn RecordService>,
     ) -> io::Result<u64> {
-        if self.shutdown.load(Ordering::Acquire) {
-            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "shard server shut down"));
-        }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let shard_index = (id % self.shards.len() as u64) as usize;
-        let shard = &self.shards[shard_index];
-        self.obs.emit(Hop::ShardAccept, id as u32, NO_PROC, shard_index as u64);
-        let mut session = NewSession { id, stream, watch, service };
-        loop {
-            let pushed = shard.tx.lock().push(session);
-            match pushed {
-                Ok(()) => break,
-                Err(back) => {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return Err(io::Error::new(
-                            io::ErrorKind::BrokenPipe,
-                            "shard server shut down",
-                        ));
-                    }
-                    // Ring full: nudge the shard and retry.
-                    session = back;
-                    shard.poller.wake(INBOX);
-                    std::thread::yield_now();
-                }
-            }
-        }
-        shard.poller.wake(INBOX);
+        let shard = (id % self.gauges.len() as u64) as usize;
+        self.obs.emit(Hop::ShardAccept, id as u32, NO_PROC, shard as u64);
+        let session = PinnedSession { id, stream, watch, service, deficit: 0, backlog: 0 };
+        self.pool.pin(shard, Box::new(session))?;
         self.accepted.fetch_add(1, Ordering::Relaxed);
         Ok(id)
     }
 
     /// Aggregate counters.
     pub fn stats(&self) -> ShardStats {
-        let g = |f: &dyn Fn(&ShardGauges) -> usize| self.shards.iter().map(|s| f(&s.gauges)).sum();
+        let sum = |f: &dyn Fn(&ShardGauges) -> usize| self.gauges.iter().map(|g| f(g)).sum();
         ShardStats {
-            shards: self.shards.len(),
+            shards: self.gauges.len(),
             accepted: self.accepted.load(Ordering::Relaxed),
-            active: g(&|g| g.active.load(Ordering::Relaxed)),
-            served: self.shards.iter().map(|s| s.gauges.served.load(Ordering::Relaxed)).sum(),
-            shed: self.shards.iter().map(|s| s.gauges.shed.load(Ordering::Relaxed)).sum(),
-            overloaded: g(&|g| g.overloaded.load(Ordering::Relaxed) as usize),
-            backlog: g(&|g| g.backlog.load(Ordering::Relaxed)),
+            active: self.pool.active(),
+            served: self.gauges.iter().map(|g| g.served.load(Ordering::Relaxed)).sum(),
+            shed: self.gauges.iter().map(|g| g.shed.load(Ordering::Relaxed)).sum(),
+            overloaded: sum(&|g| g.overloaded.load(Ordering::Relaxed) as usize),
+            backlog: sum(&|g| g.backlog.load(Ordering::Relaxed)),
             backlog_hwm: self
-                .shards
+                .gauges
                 .iter()
-                .map(|s| s.gauges.backlog_hwm.load(Ordering::Relaxed))
+                .map(|g| g.backlog_hwm.load(Ordering::Relaxed))
                 .max()
                 .unwrap_or(0),
         }
     }
 
-    /// Stop accepting, drain, and join every shard thread. Sessions still
+    /// Stop accepting and ask every shard thread to exit. Sessions still
     /// pinned are dropped (their peers see EOF). Idempotent.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        for shard in &self.shards {
-            shard.tx.lock().close();
-            shard.poller.wake(INBOX);
-        }
+        self.pool.shutdown();
     }
 
-    /// Join shard threads after [`shutdown`](Self::shutdown); called by
-    /// `Drop`, public for tests that want deterministic teardown.
+    /// Join shard threads after [`shutdown`](Self::shutdown); dropping the
+    /// server does both.
     pub fn join(&mut self) {
-        for shard in &mut self.shards {
-            if let Some(join) = shard.join.take() {
-                let _ = join.join();
-            }
-        }
+        self.pool.join();
     }
 }
 
-impl Drop for ShardServer {
-    fn drop(&mut self) {
-        self.shutdown();
-        self.join();
-    }
-}
-
-/// One pinned session inside a shard's event loop.
-struct PinnedSession {
-    stream: BoxStream,
-    watch: PipeWatch,
-    service: Arc<dyn RecordService>,
-    /// DRR service credit in bytes; replenished per run-queue visit.
-    deficit: usize,
-    /// Last sampled wire backlog (bytes), mirrored into the shard total.
-    backlog: usize,
-    /// Already sitting in the run queue (dedup for readiness storms).
-    queued: bool,
-}
-
-/// What one pump pass decided about a session.
-enum Pump {
-    /// Budget spent with input left: revisit after the neighbors.
-    Rearm,
-    /// Nothing more to do until the next arrival.
-    Idle,
-    /// EOF or error: unpin and drop.
-    Gone,
-}
-
-/// Re-sample one session's wire backlog and fold the delta into the
-/// shard aggregate (so the total stays O(1) per visit, not O(sessions)).
-fn resample_backlog(session: &mut PinnedSession, gauges: &ShardGauges) {
-    let now = session.watch.queued_bytes();
-    let old = std::mem::replace(&mut session.backlog, now);
-    if now >= old {
-        let total = gauges.backlog.fetch_add(now - old, Ordering::Relaxed) + (now - old);
-        gauges.backlog_hwm.fetch_max(total, Ordering::Relaxed);
-    } else {
-        gauges.backlog.fetch_sub(old - now, Ordering::Relaxed);
-    }
-}
-
-fn shard_loop(
-    shard_index: usize,
-    poller: Arc<Poller>,
-    inbox: SpscReceiver<NewSession>,
+/// What a shard's worker lends every session it serves.
+struct ShardState {
+    index: usize,
     gauges: Arc<ShardGauges>,
     obs: Arc<Obs>,
     policy: AdmissionPolicy,
-) {
-    let mut sessions: HashMap<Token, PinnedSession> = HashMap::new();
-    let mut next_token: Token = INBOX + 1;
-    let mut ready: Vec<Token> = Vec::new();
-    // Deficit-round-robin run queue: the backlogged sessions, in visit
-    // order. A session is enqueued by readiness and revisited until its
-    // input drains; between visits every neighbor gets its turn.
-    let mut run: VecDeque<Token> = VecDeque::new();
-    // Per-shard scratch: one request buffer, one write-assembly buffer,
-    // shared by every session the shard owns — zero-alloc at steady state.
-    let mut record: Vec<u8> = Vec::new();
-    let mut scratch: Vec<u8> = Vec::new();
-    let mut closed = false;
-    let mut overloaded = false;
+    /// One request buffer and one write-assembly buffer shared by every
+    /// session the shard owns — zero-alloc at steady state.
+    record: Vec<u8>,
+    scratch: Vec<u8>,
+    /// Inside the overload hysteresis band (mirrored into the gauge).
+    overloaded: bool,
+}
 
-    loop {
-        // With backlogged sessions the poll is non-blocking, so new
-        // arrivals and the accept inbox are still noticed every visit —
-        // sustained overload cannot starve the INBOX.
-        let timeout = if run.is_empty() { None } else { Some(Duration::ZERO) };
-        poller.wait(timeout, &mut ready);
-        for &token in &ready {
-            if token == INBOX {
-                loop {
-                    match inbox.pop() {
-                        Popped::Value(new) => {
-                            let token = next_token;
-                            next_token += 1;
-                            new.watch.register(poller.readiness(token));
-                            obs.emit(
-                                Hop::ShardHandoff,
-                                new.id as u32,
-                                NO_PROC,
-                                shard_index as u64,
-                            );
-                            gauges.active.fetch_add(1, Ordering::Relaxed);
-                            sessions.insert(
-                                token,
-                                PinnedSession {
-                                    stream: new.stream,
-                                    watch: new.watch,
-                                    service: new.service,
-                                    deficit: 0,
-                                    backlog: 0,
-                                    queued: false,
-                                },
-                            );
-                        }
-                        Popped::Empty => break,
-                        Popped::Closed => {
-                            closed = true;
-                            break;
-                        }
-                    }
-                }
-                continue;
-            }
-            if let Some(session) = sessions.get_mut(&token) {
-                if !session.queued {
-                    session.queued = true;
-                    run.push_back(token);
-                }
-            }
-        }
-        if closed {
-            // Pinned sessions drop here; their peers observe EOF.
-            return;
-        }
-        // One DRR visit per loop iteration: pop the head, top up its
-        // deficit, pump within budget, and requeue it behind every
-        // waiting neighbor if input remains.
-        let Some(token) = run.pop_front() else { continue };
-        let Some(session) = sessions.get_mut(&token) else { continue };
-        session.queued = false;
-        resample_backlog(session, &gauges);
-        if !overloaded && gauges.backlog.load(Ordering::Relaxed) > policy.shard_backlog_budget {
-            overloaded = true;
-            gauges.overloaded.store(true, Ordering::Relaxed);
-            obs.emit(Hop::Overload, shard_index as u32, NO_PROC, 1);
-        }
-        session.deficit = (session.deficit + policy.quantum).min(2 * policy.quantum);
-        match pump_session(session, &mut record, &mut scratch, &gauges, &obs, &policy, overloaded)
-        {
-            Pump::Idle => {
-                session.deficit = 0;
-                resample_backlog(session, &gauges);
-            }
-            Pump::Rearm => {
-                resample_backlog(session, &gauges);
-                session.queued = true;
-                run.push_back(token);
-            }
-            Pump::Gone => {
-                let stale = session.backlog;
-                sessions.remove(&token);
-                gauges.active.fetch_sub(1, Ordering::Relaxed);
-                gauges.backlog.fetch_sub(stale, Ordering::Relaxed);
-            }
-        }
-        if overloaded && gauges.backlog.load(Ordering::Relaxed) < policy.shard_backlog_budget / 2 {
-            overloaded = false;
-            gauges.overloaded.store(false, Ordering::Relaxed);
-            obs.emit(Hop::Overload, shard_index as u32, NO_PROC, 0);
-        }
+impl ShardState {
+    fn set_overloaded(&mut self, on: bool) {
+        self.overloaded = on;
+        self.gauges.overloaded.store(on, Ordering::Relaxed);
+        self.obs.emit(Hop::Overload, self.index as u32, NO_PROC, on as u64);
     }
 }
 
-fn pump_session(
-    session: &mut PinnedSession,
-    record: &mut Vec<u8>,
-    scratch: &mut Vec<u8>,
-    gauges: &ShardGauges,
-    obs: &Obs,
-    policy: &AdmissionPolicy,
-    overloaded: bool,
-) -> Pump {
-    for _ in 0..policy.max_pump {
-        if session.deficit == 0 {
-            break; // DRR budget spent; yield to the neighbors.
+/// One session pinned to a shard.
+struct PinnedSession {
+    id: u64,
+    stream: BoxStream,
+    watch: PipeWatch,
+    service: Arc<dyn RecordService>,
+    /// DRR service credit in bytes; replenished per visit.
+    deficit: usize,
+    /// Last sampled wire backlog (bytes), mirrored into the shard total.
+    backlog: usize,
+}
+
+impl PoolConn<ShardState> for PinnedSession {
+    fn attach(&mut self, readiness: Readiness, shard: &mut ShardState) {
+        self.watch.register(readiness);
+        shard.obs.emit(Hop::ShardHandoff, self.id as u32, NO_PROC, shard.index as u64);
+    }
+
+    /// One DRR visit: top up the deficit, serve within it, and re-arm
+    /// behind every waiting neighbor if input remains.
+    fn pump(&mut self, shard: &mut ShardState) -> ConnPump {
+        let budget = shard.policy.shard_backlog_budget;
+        self.resample_backlog(&shard.gauges);
+        if !shard.overloaded && shard.gauges.backlog.load(Ordering::Relaxed) > budget {
+            shard.set_overloaded(true);
         }
-        if session.watch.has_input() {
-            // Message-atomic writer invariant (module docs): the record
-            // whose first bytes are queued cannot stall us indefinitely.
-            match read_record_into(&mut session.stream, record) {
-                Ok(true) => {
-                    session.deficit = session.deficit.saturating_sub(record.len().max(1));
-                    // Admission: a session over its cap has this record
-                    // shed (answered without execution) — the client's
-                    // JUKEBOX retry re-sends it once the backlog drains.
-                    // In the overload band the cap tightens to a quarter,
-                    // which sheds the sessions holding the backlog while
-                    // closed-loop bystanders keep being served.
-                    let backlog = session.watch.queued_bytes();
-                    let cap = if overloaded {
-                        policy.session_backlog_cap / 4
-                    } else {
-                        policy.session_backlog_cap
-                    };
-                    if backlog > cap {
-                        if let Some(reply) = session.service.shed_record(record) {
-                            gauges.shed.fetch_add(1, Ordering::Relaxed);
-                            obs.emit(
-                                Hop::Shed,
-                                peek_xid(record),
-                                peek_proc(record),
-                                backlog as u64,
-                            );
-                            if write_record_with(&mut session.stream, &reply, scratch).is_err() {
-                                return Pump::Gone;
-                            }
-                            continue;
-                        }
-                    }
-                    let reply = match session.service.process_record(record) {
-                        Ok(r) => r,
-                        Err(_) => return Pump::Gone,
-                    };
-                    // Count before the reply leaves: a peer that has seen
-                    // the reply must also see it counted.
-                    gauges.served.fetch_add(1, Ordering::Relaxed);
-                    if write_record_with(&mut session.stream, &reply, scratch).is_err() {
-                        return Pump::Gone;
-                    }
-                }
-                Ok(false) | Err(_) => return Pump::Gone,
+        self.deficit = (self.deficit + shard.policy.quantum).min(2 * shard.policy.quantum);
+        let verdict = self.serve(shard);
+        match verdict {
+            ConnPump::Idle => {
+                self.deficit = 0;
+                self.resample_backlog(&shard.gauges);
             }
-        } else if session.watch.is_closed() {
-            // Close is final and the queue is empty: clean EOF.
-            return Pump::Gone;
+            ConnPump::Rearm => self.resample_backlog(&shard.gauges),
+            ConnPump::Gone => {
+                shard.gauges.backlog.fetch_sub(self.backlog, Ordering::Relaxed);
+            }
+        }
+        if shard.overloaded && shard.gauges.backlog.load(Ordering::Relaxed) < budget / 2 {
+            shard.set_overloaded(false);
+        }
+        verdict
+    }
+}
+
+impl PinnedSession {
+    /// Re-sample the session's wire backlog and fold the delta into the
+    /// shard aggregate (so the total stays O(1) per visit, not O(sessions)).
+    fn resample_backlog(&mut self, gauges: &ShardGauges) {
+        let now = self.watch.queued_bytes();
+        let old = std::mem::replace(&mut self.backlog, now);
+        if now >= old {
+            let total = gauges.backlog.fetch_add(now - old, Ordering::Relaxed) + (now - old);
+            gauges.backlog_hwm.fetch_max(total, Ordering::Relaxed);
         } else {
-            return Pump::Idle;
+            gauges.backlog.fetch_sub(old - now, Ordering::Relaxed);
         }
     }
-    // Budget exhausted with input (possibly) left — be fair to neighbors.
-    if session.watch.has_input() || session.watch.is_closed() {
-        Pump::Rearm
-    } else {
-        Pump::Idle
+
+    /// Serve request records until the deficit, the per-visit record
+    /// budget, or the input runs out.
+    fn serve(&mut self, shard: &mut ShardState) -> ConnPump {
+        let ShardState { gauges, obs, policy, record, scratch, overloaded, .. } = shard;
+        for _ in 0..policy.max_pump {
+            if self.deficit == 0 {
+                break; // DRR budget spent; yield to the neighbors.
+            }
+            if self.watch.has_input() {
+                // Message-atomic writer invariant (pool module docs): the
+                // record whose first bytes are queued cannot stall us
+                // indefinitely.
+                match read_record_into(&mut self.stream, record) {
+                    Ok(true) => {
+                        self.deficit = self.deficit.saturating_sub(record.len().max(1));
+                        // Admission: a session over its cap has this record
+                        // shed (answered without execution) — the client's
+                        // JUKEBOX retry re-sends it once the backlog drains.
+                        // In the overload band the cap tightens to a quarter,
+                        // which sheds the sessions holding the backlog while
+                        // closed-loop bystanders keep being served.
+                        let backlog = self.watch.queued_bytes();
+                        let cap = if *overloaded {
+                            policy.session_backlog_cap / 4
+                        } else {
+                            policy.session_backlog_cap
+                        };
+                        if backlog > cap {
+                            if let Some(reply) = self.service.shed_record(record) {
+                                gauges.shed.fetch_add(1, Ordering::Relaxed);
+                                obs.emit(
+                                    Hop::Shed,
+                                    peek_xid(record),
+                                    peek_proc(record),
+                                    backlog as u64,
+                                );
+                                if write_record_with(&mut self.stream, &reply, scratch).is_err() {
+                                    return ConnPump::Gone;
+                                }
+                                continue;
+                            }
+                        }
+                        let reply = match self.service.process_record(record) {
+                            Ok(r) => r,
+                            Err(_) => return ConnPump::Gone,
+                        };
+                        // Count before the reply leaves: a peer that has seen
+                        // the reply must also see it counted.
+                        gauges.served.fetch_add(1, Ordering::Relaxed);
+                        if write_record_with(&mut self.stream, &reply, scratch).is_err() {
+                            return ConnPump::Gone;
+                        }
+                    }
+                    Ok(false) | Err(_) => return ConnPump::Gone,
+                }
+            } else if self.watch.is_closed() {
+                // Close is final and the queue is empty: clean EOF.
+                return ConnPump::Gone;
+            } else {
+                return ConnPump::Idle;
+            }
+        }
+        // Budget exhausted with input (possibly) left — be fair to neighbors.
+        if self.watch.has_input() || self.watch.is_closed() {
+            ConnPump::Rearm
+        } else {
+            ConnPump::Idle
+        }
     }
 }
 
@@ -572,6 +417,7 @@ pub fn process_thread_count() -> Option<usize> {
 mod tests {
     use super::*;
     use crate::client::RpcClient;
+    use crate::pool::tests::{serial, settled_thread_count};
     use crate::msg::{AcceptStat, OpaqueAuth};
     use crate::server::Dispatch;
     use sgfs_net::pipe_pair;
@@ -613,6 +459,7 @@ mod tests {
 
     #[test]
     fn single_session_roundtrips() {
+        let _serial = serial();
         let server = ShardServer::new(2);
         let mut c = connect(&server);
         for v in [1u32, 2, 99] {
@@ -626,14 +473,15 @@ mod tests {
 
     #[test]
     fn many_sessions_few_threads() {
-        let before = process_thread_count();
+        let _serial = serial();
+        let before = settled_thread_count();
         let server = ShardServer::new(4);
         let mut clients: Vec<RpcClient> = (0..64).map(|_| connect(&server)).collect();
         for (i, c) in clients.iter_mut().enumerate() {
             let r: u32 = c.call(1, &(i as u32)).unwrap();
             assert_eq!(r, i as u32 * 2);
         }
-        if let (Some(b), Some(a)) = (before, process_thread_count()) {
+        if let (Some(b), Some(a)) = (before, settled_thread_count()) {
             assert!(
                 a <= b + 4,
                 "64 sessions must cost at most 4 shard threads (before={b}, after={a})"
@@ -645,6 +493,7 @@ mod tests {
 
     #[test]
     fn session_close_unpins() {
+        let _serial = serial();
         let server = ShardServer::new(1);
         let c = connect(&server);
         drop(c);
@@ -660,6 +509,7 @@ mod tests {
 
     #[test]
     fn shutdown_drops_sessions_and_joins() {
+        let _serial = serial();
         let server = ShardServer::new(3);
         let mut c = connect(&server);
         let r: u32 = c.call(1, &21).unwrap();
@@ -680,6 +530,7 @@ mod tests {
 
     #[test]
     fn interleaved_sessions_on_one_shard() {
+        let _serial = serial();
         let server = ShardServer::new(1);
         let mut clients: Vec<RpcClient> = (0..8).map(|_| connect(&server)).collect();
         for round in 0..50u32 {

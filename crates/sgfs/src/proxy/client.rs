@@ -1458,7 +1458,6 @@ impl ClientProxy {
         let mut pending = Vec::new();
         for m in members {
             if self.stripe.is_up(m) {
-                self.stats.add_up(record.len());
                 let member = self.stripe.member(m);
                 let reply = member.submit(record.to_vec());
                 pending.push((m, member, reply));
@@ -1475,7 +1474,6 @@ impl ClientProxy {
             });
             match reply {
                 Ok(reply) => {
-                    self.stats.add_down(reply.len());
                     first.get_or_insert(reply);
                 }
                 Err(e) => {
@@ -1496,21 +1494,14 @@ impl ClientProxy {
     /// One accounted call on one member, riding out JUKEBOX; an error
     /// fails the member over (when a survivor is left to fail over to).
     fn call_member(&mut self, m: usize, record: &[u8]) -> std::io::Result<Vec<u8>> {
-        self.stats.add_up(record.len());
         let t_io = std::time::Instant::now();
         let member = self.stripe.member(m);
         let reply = call_jukebox_patient(&member, &self.stats, &self.channels.retry, record);
         self.stats.exclude(t_io.elapsed());
-        match reply {
-            Ok(reply) => {
-                self.stats.add_down(reply.len());
-                Ok(reply)
-            }
-            Err(e) => {
-                self.fail_member(m);
-                Err(e)
-            }
+        if reply.is_err() {
+            self.fail_member(m);
         }
+        reply
     }
 
     /// Take a member out of the set after a failed call — count the

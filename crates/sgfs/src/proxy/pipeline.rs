@@ -57,7 +57,7 @@
 //! are not splittable into read/write halves, so one pump alternates
 //! between admitting writes and collecting replies. Replies are only
 //! read once the transport watch reports input, and the message-atomic
-//! writer invariant (see the shard module docs in `sgfs-oncrpc`)
+//! writer invariant (see the pool module docs in `sgfs-oncrpc`)
 //! guarantees a whole record follows, so the bounded blocking record
 //! read cannot stall the worker. Against a *silent* server (replies
 //! simply never come) the pipeline goes idle — no thread waits — and the
@@ -466,7 +466,7 @@ struct IoState {
 }
 
 impl PoolConn for IoState {
-    fn attach(&mut self, readiness: Readiness) {
+    fn attach(&mut self, readiness: Readiness, _: &mut ()) {
         // Both event sources share the token: commands and upstream data
         // each wake the same pump. Registration fires immediately when
         // anything is already pending, so submissions racing the pin are
@@ -476,7 +476,7 @@ impl PoolConn for IoState {
         self.readiness = Some(readiness);
     }
 
-    fn pump(&mut self) -> ConnPump {
+    fn pump(&mut self, _: &mut ()) -> ConnPump {
         for _ in 0..MAX_PUMP {
             match self.pump_once() {
                 Ok(Step::Progress) => {}

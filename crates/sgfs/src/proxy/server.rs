@@ -120,7 +120,7 @@ impl ServerProxy {
     }
 
     /// Process one call record into its reply record with full session
-    /// accounting (busy time, bytes, the virtual loopback hop). The proxy
+    /// accounting (busy time, the virtual loopback hop). The proxy
     /// owns no transport: this is the entry point the sharded server core
     /// drives for every record of every connection pinned to it.
     pub fn process_one(&self, record: &[u8]) -> std::io::Result<Vec<u8>> {
@@ -129,7 +129,6 @@ impl ServerProxy {
         if let Some((clock, hop)) = self.hop.lock().as_ref() {
             clock.advance(hop.of(record.len()) + hop.of(reply.len()));
         }
-        self.stats.add_down(reply.len());
         Ok(reply)
     }
 
@@ -184,7 +183,6 @@ impl ServerProxy {
         fwd_header.encode(&mut enc);
         let mut fwd = enc.into_bytes();
         fwd.extend_from_slice(args);
-        self.stats.add_up(fwd.len());
 
         let reply = {
             // Waiting on the kernel server is not proxy CPU time.
@@ -391,10 +389,6 @@ impl ServerProxy {
 /// The sharded server core drives the proxy one record at a time.
 impl sgfs_oncrpc::shard::RecordService for ServerProxy {
     fn process_record(&self, record: &[u8]) -> std::io::Result<Vec<u8>> {
-        // A record reaching execution means admission reopened for this
-        // session: the overload gauge tracks the *latest* verdict, so
-        // observers (the signed Query op included) see pushback end.
-        self.stats.set_overloaded(false);
         self.process_one(record)
     }
 
@@ -410,10 +404,7 @@ impl sgfs_oncrpc::shard::RecordService for ServerProxy {
         if header.prog != NFS_PROGRAM || header.vers != NFS_VERSION {
             return None;
         }
-        let reply = jukebox_nfs(header.xid, header.proc)?;
-        self.stats.add_shed();
-        self.stats.set_overloaded(true);
-        Some(reply)
+        jukebox_nfs(header.xid, header.proc)
     }
 }
 

@@ -14,8 +14,8 @@
 //! acquire/release pairing is needed and none is provided. Concretely:
 //!
 //! * Increments may be observed out of order across counters. A snapshot
-//!   taken mid-workload can see `messages = 10` but `bytes_up` still
-//!   missing the tenth message's bytes. Consumers must treat a live
+//!   taken mid-workload can see `messages = 10` but `prefetch_hits` still
+//!   missing the tenth message's hit. Consumers must treat a live
 //!   snapshot as approximate, and quiesce (join worker threads) before
 //!   asserting exact totals — every test in this workspace does.
 //! * `busy_nanos` is shared with the GTLS layer via
@@ -47,10 +47,6 @@ pub struct ProxyStats {
     busy_nanos: Arc<AtomicU64>,
     /// Messages processed.
     messages: AtomicU64,
-    /// Bytes forwarded upstream.
-    bytes_up: AtomicU64,
-    /// Bytes forwarded downstream.
-    bytes_down: AtomicU64,
     /// Upstream calls currently in the pipelined window.
     pipeline_depth: AtomicU64,
     /// High-water mark of the pipelined window.
@@ -91,12 +87,6 @@ pub struct ProxyStats {
     replica_writes: AtomicU64,
     /// Stripe-set members failed over (marked down, traffic re-routed).
     failovers: AtomicU64,
-    /// Records shed by admission control (replied JUKEBOX, not executed).
-    shed: AtomicU64,
-    /// Gauge: 1 while this proxy's shard is inside the overload
-    /// hysteresis band (sheds newest work), 0 once it drains below the
-    /// exit threshold.
-    overloaded: AtomicU64,
     /// JUKEBOX replies the client side absorbed by backing off and
     /// retrying the identical record.
     jukebox_retries: AtomicU64,
@@ -150,16 +140,6 @@ impl ProxyStats {
             .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.messages.fetch_add(1, Ordering::Relaxed);
         out
-    }
-
-    /// Add bytes forwarded toward the server.
-    pub fn add_up(&self, n: usize) {
-        self.bytes_up.fetch_add(n as u64, Ordering::Relaxed);
-    }
-
-    /// Add bytes forwarded toward the client.
-    pub fn add_down(&self, n: usize) {
-        self.bytes_down.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     /// One call entered the pipelined upstream window (the new depth is
@@ -325,27 +305,6 @@ impl ProxyStats {
         self.failovers.load(Ordering::Relaxed)
     }
 
-    /// One record was shed: the server replied JUKEBOX without
-    /// executing the call.
-    pub fn add_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records shed by admission control so far.
-    pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
-
-    /// Set the overload gauge (1 = inside the hysteresis band).
-    pub fn set_overloaded(&self, on: bool) {
-        self.overloaded.store(on as u64, Ordering::Relaxed);
-    }
-
-    /// Current overload gauge.
-    pub fn overloaded(&self) -> u64 {
-        self.overloaded.load(Ordering::Relaxed)
-    }
-
     /// One JUKEBOX reply absorbed client-side (backoff + verbatim retry).
     pub fn add_jukebox_retry(&self) {
         self.jukebox_retries.fetch_add(1, Ordering::Relaxed);
@@ -364,11 +323,6 @@ impl ProxyStats {
     /// Messages processed.
     pub fn messages(&self) -> u64 {
         self.messages.load(Ordering::Relaxed)
-    }
-
-    /// Bytes (up, down).
-    pub fn bytes(&self) -> (u64, u64) {
-        (self.bytes_up.load(Ordering::Relaxed), self.bytes_down.load(Ordering::Relaxed))
     }
 
     /// Record a utilization sample at simulated time `now`.
@@ -480,14 +434,5 @@ mod tests {
         assert_eq!(s.degraded(), 1);
         s.set_degraded(0);
         assert_eq!(s.degraded(), 0, "gauge, not counter");
-    }
-
-    #[test]
-    fn byte_counters() {
-        let s = ProxyStats::new();
-        s.add_up(100);
-        s.add_up(50);
-        s.add_down(7);
-        assert_eq!(s.bytes(), (150, 7));
     }
 }

@@ -47,11 +47,13 @@ run_watchdog 120 store_parity   cargo test -q -p sgfs --test store_parity
 # rejoining member; hold the client thread ceiling across stripe width).
 run_watchdog 120 replica_matrix cargo test -q -p sgfs --test replica_matrix
 
-# Sharded server core: the 64-session concurrency battery (a stuck shard
-# loop or lost wakeup shows up as a hang here) and the SPSC ring's
-# proptest + exhaustive interleaving suite.
+# The worker loop both planes run and its two owners: sgfs-oncrpc's
+# module tests (pool: Rearm fairness, a full inbox blocking its pinner;
+# shard and client_pool: thread ceilings, worker death, shutdown) at
+# default parallelism, then the 64-session concurrency battery. A stuck
+# loop or lost wakeup shows up as a hang here.
+run_watchdog 120 oncrpc_lib     cargo test -q -p sgfs-oncrpc --lib
 run_watchdog 120 scale_matrix   cargo test -q -p sgfs --test scale_matrix
-run_watchdog 120 spsc_prop      cargo test -q -p sgfs-net --test spsc_prop
 
 # Overload control: sustained open-loop overload must keep the sampled
 # backlog bounded and answer every request exactly once (executed or
@@ -61,14 +63,11 @@ run_watchdog 120 spsc_prop      cargo test -q -p sgfs-net --test spsc_prop
 # admission loop shows up as a hang, hence the watchdog.
 run_watchdog 180 overload_matrix cargo test -q -p sgfs --test overload_matrix
 
-# Client event plane: the submission ring and the fixed client I/O pool
-# (a lost wakeup in either wedges a pipeline forever, so both run under
-# the watchdog), then the pipeline property suite that drives records
+# Client event plane: the submission ring (pipeline commands and the pin
+# inbox ride it; a lost wakeup wedges a pipeline forever, hence the
+# watchdog), then the pipeline property suite that drives records
 # through the pooled reader.
 run_watchdog 120 submit_ring    cargo test -q -p sgfs-net --lib submit::
-# (client_pool's thread-ceiling test reads the process-wide thread
-# count, so its module runs one test at a time.)
-run_watchdog 120 client_pool    cargo test -q -p sgfs-oncrpc --lib client_pool:: -- --test-threads=1
 run_watchdog 180 prop_pipeline  cargo test -q -p sgfs --test prop_pipeline
 
 # AEAD record layer: RFC/NIST known-answer vectors + PCLMUL-vs-scalar
