@@ -2,8 +2,9 @@
 //!
 //! 1. **Client-proxy disk cache** on/off for SGFS on a 40 ms WAN — where
 //!    does the wide-area win come from?
-//! 2. **Read-ahead depth** for the SFS-style pipelined daemon on a
-//!    sequential scan — how much does async RPC overlap buy?
+//! 2. **Read-ahead ceiling** for SGFS on a cold sequential scan over a
+//!    40 ms WAN — how many round trips does the client proxy hide, and
+//!    does the default match the best explicit ceiling?
 //! 3. **Rekey frequency** — what does the paper's periodic session-key
 //!    renegotiation cost at different intervals?
 
@@ -51,50 +52,44 @@ fn main() {
     );
     save_json("ablation_cache", &rows);
 
-    // ---- 2. read-ahead depth on a sequential scan -------------------------
-    let scan_bytes = if opts.quick { 2 << 20 } else { 16 << 20 };
+    // ---- 2. read-ahead ceiling on a cold sequential scan over the WAN ------
+    let scan_bytes = if opts.quick { 2 << 20 } else { 8 << 20 };
     let mut rows = Vec::new();
-    for depth in [0u32, 2, 4, 8] {
+    for ceiling in [Some(0u32), Some(2), Some(4), Some(8), None] {
         let mut totals = Vec::new();
         for _ in 0..opts.runs {
-            let mut params = SessionParams::lan(SetupKind::Sfs);
-            params.readahead = Some(depth);
+            let mut params = SessionParams::wan(
+                SetupKind::Sgfs(SecurityLevel::AeadCipher),
+                Duration::from_millis(40),
+            );
+            params.readahead = ceiling;
             let mut session = Session::build(&world, &params).expect("setup");
             let clock = session.clock().clone();
             // Preload a file on the server, scan it once (cold).
-            let data = {
+            {
                 use sgfs_vfs::UserContext;
                 let root = UserContext::root();
                 let vfs = session.server().vfs();
                 let gfs = vfs.resolve("/GFS", &root).expect("export");
                 let f = vfs.create(gfs.ino, "scan.bin", 0o644, false, &root).expect("create");
                 vfs.write(f.ino, 0, &vec![5u8; scan_bytes], &root).expect("preload");
-                scan_bytes
-            };
+            }
             let t0 = clock.now();
             let read = session.mount.read_file("/scan.bin").expect("scan");
-            assert_eq!(read.len(), data);
+            assert_eq!(read.len(), scan_bytes);
             totals.push(s(clock.now() - t0));
             session.finish().expect("teardown");
         }
         let (m, sd) = mean_std(&totals);
-        rows.push(Row {
-            label: format!("readahead={depth}"),
-            cells: vec![("seq scan".into(), m, sd)],
-        });
-        eprintln!("  readahead={depth}: {m:.2}s");
+        let label = ceiling.map_or("default".into(), |c| format!("ceiling={c}"));
+        eprintln!("  {label}: {m:.2}s");
+        rows.push(Row { label, cells: vec![("seq scan".into(), m, sd)] });
     }
     print_table(
-        "Ablation 2 — SFS-style read-ahead depth (sequential scan, LAN)",
+        "Ablation 2 — read-ahead ceiling (sgfs-gcm cold sequential scan, 40 ms WAN)",
         &["seq scan"],
         &rows,
     );
-    println!("note: the benefit measured here is real CPU overlap (decrypt and");
-    println!("server work proceed while the client consumes the previous block).");
-    println!("WAN-latency hiding by read-ahead is understated in this testbed:");
-    println!("the prefetcher's arrival gating advances the shared virtual clock,");
-    println!("so its round trips are partly charged to the foreground path (see");
-    println!("DESIGN.md, timing model).");
     save_json("ablation_readahead", &rows);
 
     // ---- 3. rekey frequency -----------------------------------------------

@@ -220,8 +220,9 @@ pub struct SessionConfig {
     pub fine_grained_acl: bool,
     /// Client side: caching mode.
     pub cache: CacheMode,
-    /// Client side: read-ahead depth in blocks (SFS-style pipelining);
-    /// 0 disables.
+    /// Client side: ceiling of the sequential read-ahead horizon, in
+    /// blocks. A detected sequential reader's horizon ramps up to it; 0
+    /// disables read-ahead, and so does `CacheMode::None`.
     pub readahead: u32,
     /// Renegotiate session keys after this many records (None = never) —
     /// the automatic periodic rekey of §4.2.

@@ -50,6 +50,7 @@ use sgfs_oncrpc::{AcceptStat, CallHeader, OpaqueAuth, RecordService, ReplyHeader
 use sgfs_net::{BoxStream, CrashInjector, CrashPoint};
 use sgfs_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The channel to the server-side proxy.
@@ -77,11 +78,6 @@ enum Prefetch {
     /// Confirmed data, waiting for its demand READ.
     Landed(Vec<u8>),
 }
-
-/// Landing-zone entries (pending + landed) kept per block of configured
-/// read-ahead depth; past that the oldest entry is dropped, so a reader
-/// that never comes back for its prefetches cannot grow the zone.
-const PREFETCH_SLOTS_PER_DEPTH: usize = 8;
 
 /// One stripe-set member as handed to [`ClientProxy::with_stripe`]: the
 /// established upstream channel, the watch over its raw transport, and an
@@ -142,12 +138,9 @@ pub struct ClientProxy {
     /// Monotonic synthesized mtime for locally acknowledged writes.
     synth_mtime: u64,
     write_verf: u64,
-    /// The read-ahead landing zone, oldest entry first: blocks on the
-    /// wire and blocks landed but not yet demanded. A WRITE or a resize
-    /// drops its file's entries (they predate the change), and the zone
-    /// is bounded by [`PREFETCH_SLOTS_PER_DEPTH`].
-    prefetches: VecDeque<((Fh3, u64), Prefetch)>,
-    /// AIMD read-ahead horizon, shrunk under server JUKEBOX pushback.
+    /// The sequential readers being run ahead of, each with its horizon
+    /// and its landing zone. A WRITE, a resize or a REMOVE forgets its
+    /// file's reader (what was read ahead predates the change).
     prefetch_gov: PrefetchGovernor,
     /// Set by a controller to request key renegotiation between requests.
     rekey_requested: Arc<std::sync::atomic::AtomicBool>,
@@ -224,45 +217,122 @@ impl ChannelParams {
     }
 }
 
-/// AIMD governor of the read-ahead horizon: the demand path reads it to
-/// decide how far ahead to submit, and feeds it the server's admission
-/// verdicts as prefetch replies are collected. A JUKEBOX'd prefetch
-/// halves the horizon — speculative traffic is the first load an
-/// overloaded server wants gone, and shrinking it is the client's half of
-/// the backpressure contract — while a run of clean prefetches creeps the
-/// horizon back up to the configured depth, one block per
-/// [`CLEAN_RUN`](Self::CLEAN_RUN) successes.
-struct PrefetchGovernor {
-    /// Blocks of read-ahead the demand path may currently submit.
+/// Sequential readers tracked at once; one more forgets the least
+/// recently seen, landing zone included.
+const STREAMS: usize = 4;
+
+/// One sequential reader and the read-ahead running in front of it.
+struct Stream {
+    file: Fh3,
+    /// The previous READ's end: a READ landing here continues the stream.
+    next: u64,
+    /// First offset nothing has asked upstream for yet.
+    frontier: u64,
+    /// The reader reaching this offset issues the next batch: the middle
+    /// of the previous one, so the wire refills before the landing zone
+    /// runs dry.
+    trigger: u64,
+    /// Blocks the last batch asked for, which the next one doubles (0 =
+    /// none since the reader was first seen or last sought).
     horizon: u32,
-    /// Configured read-ahead depth (0 = off): the additive-increase
-    /// ceiling.
+    /// The landing zone: this reader's blocks on the wire and landed but
+    /// not yet demanded — at most a batch and the unread half of the one
+    /// before it.
+    zone: Vec<(u64, Prefetch)>,
+}
+
+/// The one owner of read-ahead policy: which READs belong to a sequential
+/// stream, how far ahead of each the proxy may ask, and what has been
+/// asked for. A stream's horizon ramps 1 → 2 → 4 → … up to the ceiling,
+/// one doubling per batch; a seek collapses it to 0 and drops the zone; a
+/// JUKEBOX'd prefetch halves it — speculative traffic is the first load
+/// an overloaded server wants gone — and the ramp grows it back once the
+/// server stops shedding.
+struct PrefetchGovernor {
+    /// Ceiling of every horizon, in blocks (0 = read-ahead off).
     cap: u32,
-    /// Clean prefetches since the last pushback.
-    clean: u32,
+    /// Least recently seen first.
+    streams: VecDeque<Stream>,
 }
 
 impl PrefetchGovernor {
-    /// Clean prefetches required to re-grow the horizon by one block.
-    const CLEAN_RUN: u32 = 16;
-
     fn new(cap: u32) -> Self {
-        Self { horizon: cap, cap, clean: 0 }
+        Self { cap, streams: VecDeque::new() }
     }
 
-    /// Multiplicative decrease: the server shed a prefetch READ.
-    fn on_jukebox(&mut self) {
-        self.clean = 0;
-        self.horizon = (self.horizon / 2).max(1);
+    fn stream(&mut self, file: &Fh3) -> Option<&mut Stream> {
+        self.streams.iter_mut().find(|s| s.file == *file)
     }
 
-    /// Additive increase after a sustained clean run.
-    fn on_clean(&mut self) {
-        self.clean += 1;
-        if self.clean == Self::CLEAN_RUN {
-            self.clean = 0;
-            self.horizon = (self.horizon + 1).min(self.cap);
+    /// Account the READ of `count` bytes at `offset` of `file` (`size`
+    /// bytes long) and return the byte range, in `count` steps, of the
+    /// batch it triggers. A READ continues a stream at the previous
+    /// READ's end and starts one at offset 0 of a file longer than one
+    /// block; anything else is a seek. No batch reaches `size`.
+    fn on_read(&mut self, file: &Fh3, offset: u64, count: u32, size: u64) -> Range<u64> {
+        let end = offset.saturating_add(count as u64);
+        if self.cap == 0 || count == 0 {
+            return 0..0;
         }
+        let mut stream = match self.streams.iter().position(|s| s.file == *file) {
+            Some(at) => self.streams.remove(at).expect("position is in range"),
+            // Nothing behind this READ to run ahead to: not worth a slot.
+            None if end >= size => return 0..0,
+            None => {
+                if self.streams.len() == STREAMS {
+                    self.streams.pop_front();
+                }
+                // No READ ends at `u64::MAX`: a new reader arrives by seek.
+                Stream {
+                    file: file.clone(),
+                    next: u64::MAX,
+                    frontier: 0,
+                    trigger: 0,
+                    horizon: 0,
+                    zone: Vec::new(),
+                }
+            }
+        };
+        let continues = stream.next == offset;
+        if !continues {
+            stream.zone.clear();
+            stream.horizon = 0;
+            stream.frontier = end;
+            stream.trigger = end;
+        }
+        stream.next = end;
+        let mut batch = 0..0;
+        let start = stream.frontier.max(end);
+        if (continues || offset == 0) && end >= stream.trigger && start < size {
+            stream.horizon = (stream.horizon * 2).clamp(1, self.cap);
+            let stop = size.min(start.saturating_add(stream.horizon as u64 * count as u64));
+            let blocks = (stop - start).div_ceil(count as u64);
+            stream.frontier = start + blocks * count as u64;
+            stream.trigger = start + blocks / 2 * count as u64;
+            batch = start..stop;
+        }
+        self.streams.push_back(stream);
+        batch
+    }
+
+    /// Take `key`'s slot out of its file's landing zone.
+    fn take(&mut self, key: &(Fh3, u64)) -> Option<Prefetch> {
+        let zone = &mut self.stream(&key.0)?.zone;
+        let at = zone.iter().position(|(offset, _)| *offset == key.1)?;
+        Some(zone.swap_remove(at).1)
+    }
+
+    /// Multiplicative decrease: the server shed a prefetch READ of `file`.
+    /// Halving rounds up, so pushback alone never turns read-ahead off.
+    fn on_jukebox(&mut self, file: &Fh3) {
+        if let Some(stream) = self.stream(file) {
+            stream.horizon -= stream.horizon / 2;
+        }
+    }
+
+    /// Forget `file`'s reader and everything read ahead for it.
+    fn forget(&mut self, file: &Fh3) {
+        self.streams.retain(|s| s.file != *file);
     }
 }
 
@@ -395,7 +465,6 @@ impl ClientProxy {
             client_cred: OpaqueAuth::none(),
             synth_mtime: 1,
             write_verf: rand::random(),
-            prefetches: VecDeque::new(),
             prefetch_gov: PrefetchGovernor::new(config.readahead),
             rekey_requested: Arc::new(std::sync::atomic::AtomicBool::new(false)),
             clock: None,
@@ -441,10 +510,11 @@ impl ClientProxy {
         (self.meta.hits, self.meta.misses)
     }
 
-    /// Current AIMD read-ahead horizon in blocks (≤ the configured
-    /// depth; shrinks under server JUKEBOX pushback).
+    /// The widest read-ahead horizon among the tracked sequential
+    /// readers, in blocks (≤ the configured ceiling; 0 when nothing is
+    /// streaming; halved by server JUKEBOX pushback).
     pub fn prefetch_horizon(&self) -> u32 {
-        self.prefetch_gov.horizon
+        self.prefetch_gov.streams.iter().map(|s| s.horizon).max().unwrap_or(0)
     }
 
     /// A controller for dynamic reconfiguration of the running proxy.
@@ -647,7 +717,7 @@ impl ClientProxy {
                         if let Some(store) = &mut self.store {
                             store.drop_file(&a.object);
                         }
-                        self.drop_prefetches(&a.object);
+                        self.prefetch_gov.forget(&a.object);
                     }
                     self.meta.invalidate_fh(&a.object);
                 }
@@ -683,7 +753,7 @@ impl ClientProxy {
                             store.drop_file(&fh);
                         }
                         self.meta.invalidate_fh(&fh);
-                        self.drop_prefetches(&fh);
+                        self.prefetch_gov.forget(&fh);
                     }
                     self.meta.lookups.remove(&(a.dir.clone(), a.name.clone()));
                     self.meta.invalidate_dir(&a.dir);
@@ -765,6 +835,10 @@ impl ClientProxy {
         let key = (a.file.clone(), a.offset);
         // A READ is answered locally only with the file's attributes in
         // hand (the reply carries them and `eof` is computed from them).
+        // Read-ahead runs before the local answer — the next batch is on
+        // the wire while this block is still being waited for — and once
+        // per READ: told twice, the governor would take it for a seek.
+        let mut ran_ahead = false;
         if let Some(attr) = self.meta.attrs.get(&a.file).cloned() {
             // 1. Block cache.
             let t_blk = std::time::Instant::now();
@@ -779,22 +853,28 @@ impl ClientProxy {
                     );
                     obs.emit(sgfs_obs::Hop::CacheHit, xid, procnum::READ, data.len() as u64);
                 }
-                return Ok(self.serve_read(xid, &a, attr, &data));
+                self.read_ahead(&a, attr.size);
+                return Ok(serve_read(xid, &a, attr, &data));
             }
             // 2. Read-ahead landing zone. A block still on the wire is
             // waited for — its READ is already upstream, a second one
             // would only double the traffic.
-            if let Some(data) = self.take_prefetch(&key) {
-                self.meta.hits += 1;
-                self.stats.add_prefetch_hit();
-                trace_cache(&self.stats, true, xid, procnum::READ);
-                self.put_clean(key, &data)?;
-                return Ok(self.serve_read(xid, &a, attr, &data));
+            if let Some(slot) = self.prefetch_gov.take(&key) {
+                self.read_ahead(&a, attr.size);
+                ran_ahead = true;
+                if let Some(data) = self.wait_prefetch(&a.file, slot) {
+                    self.meta.hits += 1;
+                    self.stats.add_prefetch_hit();
+                    trace_cache(&self.stats, true, xid, procnum::READ);
+                    self.put_clean(key, &data)?;
+                    return Ok(serve_read(xid, &a, attr, &data));
+                }
             }
         }
         self.meta.misses += 1;
         trace_cache(&self.stats, false, xid, procnum::READ);
-        // 3. Upstream, after making dirty data visible.
+        // 3. Upstream, after making dirty data visible. The demand READ
+        // enters the window ahead of anything speculative.
         if self.is_dirty(&a.file) {
             self.flush_file(&a.file)?;
         }
@@ -804,26 +884,19 @@ impl ClientProxy {
                 if let Some(attr) = &res.attr {
                     self.note_attr(&a.file, attr.clone());
                 }
-                self.put_clean(key, &res.data)?;
+                // An error reply (a JUKEBOX the retries could not ride
+                // out, a stale handle) carries no block to cache.
+                if res.status == NfsStat3::Ok {
+                    self.put_clean(key, &res.data)?;
+                }
             }
         }
-        self.maybe_prefetch(&a);
+        if !ran_ahead {
+            if let Some(size) = self.meta.attrs.get(&a.file).map(|attr| attr.size) {
+                self.read_ahead(&a, size);
+            }
+        }
         Ok(reply)
-    }
-
-    /// Answer READ `a` from its locally held block and run read-ahead
-    /// behind it.
-    fn serve_read(&mut self, xid: u32, a: &ReadArgs, attr: Fattr3, data: &[u8]) -> Vec<u8> {
-        let take = data.len().min(a.count as usize);
-        let res = ReadRes {
-            status: NfsStat3::Ok,
-            eof: a.offset + take as u64 >= attr.size,
-            attr: Some(attr),
-            count: take as u32,
-            data: data[..take].to_vec(),
-        };
-        self.maybe_prefetch(a);
-        encode_reply(xid, &res)
     }
 
     /// Cache a clean (server-sourced) block, best-effort: a genuine I/O
@@ -840,67 +913,89 @@ impl ClientProxy {
         Ok(())
     }
 
-    /// Submit the READs of the blocks behind `a` that are neither cached
-    /// nor already in the landing zone, split-phase, each into the
-    /// pipeline of its block's first live member: they share the demand
-    /// traffic's windows, fan out across the servers of the set, and are
-    /// collected by later READs — nothing waits for them here.
-    fn maybe_prefetch(&mut self, a: &ReadArgs) {
-        // The horizon is the AIMD-governed slice of the configured depth:
-        // full under clear skies, halved each time the server sheds a
-        // prefetch, growing back one block per clean run.
+    /// Tell the governor about READ `a` of a `size`-byte file and submit
+    /// the batch it triggers, split-phase: the READs of the blocks that
+    /// are not cached already go out as one `submit_batch` per member —
+    /// each block to its first live member, so they share the demand
+    /// traffic's windows and fan out across the servers of the set — and
+    /// are collected by later READs; nothing waits for them here.
+    fn read_ahead(&mut self, a: &ReadArgs, size: u64) {
+        let batch = self.prefetch_gov.on_read(&a.file, a.offset, a.count, size);
+        // The server has not seen unflushed writes: what it would send
+        // for their blocks predates them.
+        if batch.is_empty() || self.is_dirty(&a.file) {
+            return;
+        }
         let map = *self.stripe.map();
-        for i in 1..=self.prefetch_gov.horizon as u64 {
-            let key = (a.file.clone(), a.offset + i * a.count as u64);
-            let cached = self.store.as_ref().is_some_and(|s| s.meta(&key).is_some());
-            if cached || self.prefetches.iter().any(|(k, _)| *k == key) {
+        let mut offsets_of: Vec<Vec<u64>> = vec![Vec::new(); self.stripe.width()];
+        let mut records_of: Vec<Vec<Vec<u8>>> = vec![Vec::new(); self.stripe.width()];
+        for offset in batch.step_by(a.count as usize) {
+            let key = (a.file.clone(), offset);
+            if self.store.as_ref().is_some_and(|s| s.meta(&key).is_some()) {
                 continue;
             }
-            let Some(m) = self.stripe.live_members_of_block(map.block_of(key.1)).next() else {
+            let Some(m) = self.stripe.live_members_of_block(map.block_of(offset)).next() else {
                 continue;
             };
             // Past its own block a partial member serves its holes, not
             // the file: ask only for what it holds.
-            let count = map.contiguous(key.1, a.count as u64) as u32;
-            let args = ReadArgs { file: key.0.clone(), offset: key.1, count };
+            let count = map.contiguous(offset, a.count as u64) as u32;
+            let args = ReadArgs { file: key.0, offset, count };
             self.next_xid = self.next_xid.wrapping_add(1);
-            let record = encode_call(self.next_xid, procnum::READ, &self.client_cred, &args);
-            let reply = self.stripe.member(m).submit(record);
-            if self.prefetches.len() >= PREFETCH_SLOTS_PER_DEPTH * self.prefetch_gov.cap as usize {
-                self.prefetches.pop_front();
+            offsets_of[m].push(offset);
+            records_of[m].push(encode_call(self.next_xid, procnum::READ, &self.client_cred, &args));
+        }
+        let stream =
+            self.prefetch_gov.stream(&a.file).expect("on_read keeps the stream it has a batch for");
+        for (m, (offsets, records)) in offsets_of.into_iter().zip(records_of).enumerate() {
+            if !records.is_empty() {
+                let replies = self.stripe.member(m).submit_batch(records);
+                stream.zone.extend(
+                    offsets.into_iter().zip(replies).map(|(o, r)| (o, Prefetch::Pending(m, r))),
+                );
             }
-            self.prefetches.push_back((key, Prefetch::Pending(m, reply)));
         }
     }
 
     /// Land every read-ahead reply that has arrived; never blocks.
     fn harvest_prefetches(&mut self) {
-        for _ in 0..self.prefetches.len() {
-            let (key, slot) = self.prefetches.pop_front().expect("length counted above");
-            let slot = match slot {
-                Prefetch::Pending(m, reply) => match reply.try_wait() {
-                    Some(reply) => self.settle_prefetch(m, reply).map(Prefetch::Landed),
-                    None => Some(Prefetch::Pending(m, reply)),
-                },
-                landed => Some(landed),
-            };
-            if let Some(slot) = slot {
-                self.prefetches.push_back((key, slot));
+        for at in 0..self.prefetch_gov.streams.len() {
+            let mut slot = 0;
+            while let Some((_, prefetch)) = self.prefetch_gov.streams[at].zone.get(slot) {
+                let arrived = match prefetch {
+                    Prefetch::Pending(m, reply) => reply.try_wait().map(|reply| (*m, reply)),
+                    Prefetch::Landed(_) => None,
+                };
+                let Some((m, reply)) = arrived else {
+                    slot += 1;
+                    continue;
+                };
+                let file = self.prefetch_gov.streams[at].file.clone();
+                let landed = self.settle_prefetch(&file, m, reply);
+                let zone = &mut self.prefetch_gov.streams[at].zone;
+                match landed {
+                    Some(data) => {
+                        zone[slot].1 = Prefetch::Landed(data);
+                        slot += 1;
+                    }
+                    None => {
+                        zone.swap_remove(slot);
+                    }
+                }
             }
         }
     }
 
-    /// Take `key`'s block out of the landing zone, waiting for its reply
-    /// if the READ is still on the wire.
-    fn take_prefetch(&mut self, key: &(Fh3, u64)) -> Option<Vec<u8>> {
-        let at = self.prefetches.iter().position(|(k, _)| k == key)?;
-        match self.prefetches.remove(at)?.1 {
+    /// The block of a slot taken out of `file`'s landing zone, waiting
+    /// for its reply if the READ is still on the wire.
+    fn wait_prefetch(&mut self, file: &Fh3, slot: Prefetch) -> Option<Vec<u8>> {
+        match slot {
             Prefetch::Landed(data) => Some(data),
             Prefetch::Pending(m, reply) => {
                 let t_io = std::time::Instant::now();
                 let reply = reply.wait();
                 self.stats.exclude(t_io.elapsed());
-                self.settle_prefetch(m, reply)
+                self.settle_prefetch(file, m, reply)
             }
         }
     }
@@ -910,29 +1005,25 @@ impl ClientProxy {
     /// never retried, it shrinks the horizon instead; the demand path
     /// re-fetches the block if it is actually needed. A dead channel
     /// fails its member over.
-    fn settle_prefetch(&mut self, m: usize, reply: std::io::Result<Vec<u8>>) -> Option<Vec<u8>> {
+    fn settle_prefetch(
+        &mut self,
+        file: &Fh3,
+        m: usize,
+        reply: std::io::Result<Vec<u8>>,
+    ) -> Option<Vec<u8>> {
         let Ok(reply) = reply else {
             self.fail_member(m);
             return None;
         };
         let res = decode_reply::<ReadRes>(&reply).ok()?;
         match res.status {
-            NfsStat3::Ok => {
-                self.prefetch_gov.on_clean();
-                Some(res.data)
-            }
+            NfsStat3::Ok => Some(res.data),
             NfsStat3::Jukebox => {
-                self.prefetch_gov.on_jukebox();
+                self.prefetch_gov.on_jukebox(file);
                 None
             }
             _ => None,
         }
-    }
-
-    /// Forget `fh`'s read-ahead, landed or on the wire: the file is about
-    /// to change (WRITE, resize, REMOVE), so those blocks predate it.
-    fn drop_prefetches(&mut self, fh: &Fh3) {
-        self.prefetches.retain(|((f, _), _)| f != fh);
     }
 
     fn handle_write(&mut self, xid: u32, record: &[u8], args: &[u8]) -> std::io::Result<Vec<u8>> {
@@ -943,7 +1034,7 @@ impl ClientProxy {
             Ok(a) => a,
             Err(_) => return self.forward(record, procnum::WRITE, args),
         };
-        self.drop_prefetches(&a.file);
+        self.prefetch_gov.forget(&a.file);
         // Need attributes to fabricate a coherent reply.
         if !self.meta.attrs.contains_key(&a.file) {
             match self.call_upstream::<GetAttrRes>(procnum::GETATTR, &a.file) {
@@ -1856,6 +1947,19 @@ fn trace_cache(stats: &ProxyStats, hit: bool, xid: u32, proc: u32) {
     }
 }
 
+/// Answer READ `a` from its locally held block.
+fn serve_read(xid: u32, a: &ReadArgs, attr: Fattr3, data: &[u8]) -> Vec<u8> {
+    let take = data.len().min(a.count as usize);
+    let res = ReadRes {
+        status: NfsStat3::Ok,
+        eof: a.offset + take as u64 >= attr.size,
+        attr: Some(attr),
+        count: take as u32,
+        data: data[..take].to_vec(),
+    };
+    encode_reply(xid, &res)
+}
+
 fn encode_reply<T: XdrEncode>(xid: u32, result: &T) -> Vec<u8> {
     let mut enc = XdrEncoder::with_capacity(128);
     ReplyHeader::success(xid).encode(&mut enc);
@@ -1893,5 +1997,103 @@ fn readdir_key(proc: u32, args: &[u8]) -> Option<(Fh3, u64)> {
             ReaddirPlusArgs::from_xdr_bytes(args).ok().map(|a| (a.dir, a.cookie))
         }
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const BLOCK: u32 = 512;
+
+    /// Feed `blocks` as whole-block READs of a `size`-block file; return
+    /// each READ's batch in blocks.
+    fn scan(gov: &mut PrefetchGovernor, fh: &Fh3, blocks: &[u64], size: u64) -> Vec<Range<u64>> {
+        let b = BLOCK as u64;
+        blocks
+            .iter()
+            .map(|&at| {
+                let batch = gov.on_read(fh, at * b, BLOCK, size * b);
+                batch.start / b..batch.end.div_ceil(b)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn horizon_ramps_by_doubling_and_refills_at_mid_batch() {
+        let mut gov = PrefetchGovernor::new(8);
+        let fh = Fh3::from_ino(1, 7);
+        let batches = scan(&mut gov, &fh, &(0..13).collect::<Vec<_>>(), 1000);
+        let issued: Vec<_> = batches.iter().filter(|b| !b.is_empty()).cloned().collect();
+        assert_eq!(issued, [1..2, 2..4, 4..8, 8..16, 16..24]);
+        // Each batch went out as the reader crossed the middle of the one
+        // before: after blocks 0, 1, 2, 5 and 11.
+        let at: Vec<_> = (0..13).filter(|&i| !batches[i].is_empty()).collect();
+        assert_eq!(at, [0, 1, 2, 5, 11]);
+        assert_eq!(gov.stream(&fh).unwrap().horizon, 8);
+    }
+
+    #[test]
+    fn nothing_is_asked_for_at_or_past_eof() {
+        let mut gov = PrefetchGovernor::new(8);
+        let fh = Fh3::from_ino(1, 7);
+        // Ten and a half blocks: the last batch stops inside block 10.
+        let size = 10 * BLOCK as u64 + BLOCK as u64 / 2;
+        let mut asked = Vec::new();
+        for at in 0..11u64 {
+            let batch = gov.on_read(&fh, at * BLOCK as u64, BLOCK, size);
+            assert!(batch.end <= size);
+            asked.extend(batch.step_by(BLOCK as usize));
+        }
+        let expect: Vec<u64> = (1..11).map(|b| b * BLOCK as u64).collect();
+        assert_eq!(asked, expect, "every block behind the first exactly once");
+        // A file of at most one block never becomes a reader.
+        let small = Fh3::from_ino(1, 8);
+        assert!(gov.on_read(&small, 0, BLOCK, BLOCK as u64).is_empty());
+        assert!(gov.stream(&small).is_none());
+    }
+
+    #[test]
+    fn a_seek_collapses_the_horizon_and_a_sequential_run_regrows_it() {
+        let mut gov = PrefetchGovernor::new(8);
+        let fh = Fh3::from_ino(1, 7);
+        scan(&mut gov, &fh, &[0, 1, 2], 1000);
+        assert_eq!(gov.stream(&fh).unwrap().horizon, 4);
+        // Random offsets: no batch, horizon 0.
+        for batch in scan(&mut gov, &fh, &[40, 17, 93, 5], 1000) {
+            assert!(batch.is_empty());
+        }
+        assert_eq!(gov.stream(&fh).unwrap().horizon, 0);
+        // Sequential again from where the last seek landed.
+        assert_eq!(scan(&mut gov, &fh, &[6, 7], 1000), [7..8, 8..10]);
+    }
+
+    #[test]
+    fn pushback_halves_and_the_ramp_grows_back() {
+        let mut gov = PrefetchGovernor::new(8);
+        let fh = Fh3::from_ino(1, 7);
+        scan(&mut gov, &fh, &(0..6).collect::<Vec<_>>(), 1000);
+        assert_eq!(gov.stream(&fh).unwrap().horizon, 8);
+        for expect in [4, 2, 1, 1] {
+            gov.on_jukebox(&fh);
+            assert_eq!(gov.stream(&fh).unwrap().horizon, expect);
+        }
+        // The next refill (mid-batch of 8..16) doubles from what is left.
+        let batches = scan(&mut gov, &fh, &(6..12).collect::<Vec<_>>(), 1000);
+        assert_eq!(batches.last().unwrap(), &(16..18));
+    }
+
+    #[test]
+    fn the_reader_table_is_bounded() {
+        let mut gov = PrefetchGovernor::new(8);
+        for ino in 0..2 * STREAMS as u64 {
+            gov.on_read(&Fh3::from_ino(1, ino), 0, BLOCK, 1 << 20);
+        }
+        assert_eq!(gov.streams.len(), STREAMS);
+        assert!(gov.stream(&Fh3::from_ino(1, 0)).is_none(), "least recently seen went first");
+        // Off is off.
+        let mut off = PrefetchGovernor::new(0);
+        assert!(off.on_read(&Fh3::from_ino(1, 0), 0, BLOCK, 1 << 20).is_empty());
+        assert!(off.streams.is_empty());
     }
 }

@@ -234,8 +234,10 @@ pub struct SessionParams {
     pub delegate: bool,
     /// Virtual cost of each user-level forwarding hop (see [`HopCost`]).
     pub hop_cost: HopCost,
-    /// Override the client proxy's read-ahead depth (None = the kind's
-    /// default: 4 for the SFS stack, 0 otherwise).
+    /// Ceiling of the client proxy's sequential read-ahead horizon, in
+    /// blocks (`Some(0)` = off). None = a pipeline window's worth
+    /// whenever the proxy caches data — the WAN configuration — 4 for
+    /// the SFS stack, and 0 without a proxy cache.
     pub readahead: Option<u32>,
     /// Server-side filesystem to export. `None` creates a fresh one;
     /// passing the same `Arc<Vfs>` to several sessions makes them share
@@ -472,9 +474,13 @@ impl Session {
             (_, None) if map.is_partial() => CacheMode::MemoryMeta,
             (_, None) => CacheMode::None,
         };
-        client_cfg.readahead = params
-            .readahead
-            .unwrap_or(if params.kind == SetupKind::Sfs { 4 } else { 0 });
+        // Read-ahead lands in the proxy's block store; without one READs
+        // are forwarded untouched and there is nothing to run ahead into.
+        client_cfg.readahead = params.readahead.unwrap_or(match (&params.kind, &client_cfg.cache) {
+            (_, CacheMode::None) => 0,
+            (SetupKind::Sfs, _) => 4,
+            _ => crate::proxy::pipeline::DEFAULT_WINDOW,
+        });
         client_cfg.retry = params.retry;
         client_cfg.durability = params.durability;
         client_cfg.obs = params.obs.clone();

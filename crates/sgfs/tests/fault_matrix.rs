@@ -1397,9 +1397,20 @@ fn one_file_server(mut end: PipeEnd, file: Arc<Mutex<Vec<u8>>>) {
     });
 }
 
-/// READ block 0 → blocks 1..4 are read ahead → a WRITE lands *inside*
-/// block 2 (not at its cache key) → READ block 2 must show it; then a
-/// truncation → a READ past the new end must come back empty. Under
+/// One 512-byte READ of block `block` of the one-file server's file.
+fn read_block(proxy: &mut ClientProxy, xid: u32, block: usize) -> Vec<u8> {
+    let record = nfs_call(xid, procnum::READ, |enc| {
+        ReadArgs { file: Fh3::from_ino(1, 42), offset: (block * 512) as u64, count: 512 }
+            .encode(enc)
+    });
+    let res = ReadRes::from_xdr_bytes(&call(proxy, &record)).expect("read res");
+    assert_eq!(res.status, NfsStat3::Ok, "READ block {block}");
+    res.data
+}
+
+/// READ blocks 0 and 1 → blocks 2 and 3 are read ahead → a WRITE lands
+/// *inside* block 2 (not at its cache key) → READ block 2 must show it;
+/// then a truncation → a READ past the new end must come back empty. Under
 /// `CacheMode::None` the proxy forwards everything (read-ahead needs the
 /// attribute cache), so that mode is the control the others must match.
 fn read_after_change_case(cache: CacheMode) {
@@ -1423,13 +1434,7 @@ fn read_after_change_case(cache: CacheMode) {
     let mut xid = 0x700;
     let mut read = |proxy: &mut ClientProxy, block: usize| -> Vec<u8> {
         xid += 1;
-        let record = nfs_call(xid, procnum::READ, |enc| {
-            ReadArgs { file: fh.clone(), offset: (block * BLOCK) as u64, count: BLOCK as u32 }
-                .encode(enc)
-        });
-        let res = ReadRes::from_xdr_bytes(&call(proxy, &record)).expect("read res");
-        assert_eq!(res.status, NfsStat3::Ok, "{label}: READ block {block}");
-        res.data
+        read_block(proxy, xid, block)
     };
 
     assert_eq!(read(&mut proxy, 0), content[..BLOCK], "{label}");
@@ -1438,7 +1443,7 @@ fn read_after_change_case(cache: CacheMode) {
         assert_eq!(proxy.stats().prefetch_hits(), 1, "{label}: block 1 was read ahead");
     }
 
-    // Blocks 2..5 are in the landing zone (landed or on the wire) now.
+    // Blocks 2 and 3 are in the landing zone (landed or on the wire) now.
     let patch_at = 2 * BLOCK + 100;
     let write = nfs_call(0x7f0, procnum::WRITE, |enc| {
         WriteArgs {
@@ -1486,4 +1491,79 @@ fn read_after_write_or_resize_is_never_served_from_stale_readahead() {
     let _ = std::fs::remove_dir_all(&dir);
     read_after_change_case(CacheMode::Disk { dir: dir.clone() });
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A proxy with an in-memory cache and a read-ahead ceiling of 8 over a
+/// one-file server holding `blocks` 512-byte blocks, block `b` filled
+/// with `b + 1`.
+fn readahead_proxy(blocks: usize) -> (ClientProxy, Arc<Mutex<Vec<u8>>>) {
+    let content: Vec<u8> = (0..blocks * 512).map(|i| (i / 512) as u8 + 1).collect();
+    let file = Arc::new(Mutex::new(content));
+    let (upstream_end, srv) = pipe_pair();
+    one_file_server(srv, file.clone());
+    let mut config = SessionConfig::new(SecurityLevel::None);
+    config.cache = CacheMode::MemoryMeta;
+    config.readahead = 8;
+    config.retry = quick_retry();
+    let up_watch = upstream_end.watch();
+    let proxy = ClientProxy::new(Upstream::Plain(Box::new(upstream_end)), up_watch, &config)
+        .expect("proxy");
+    (proxy, file)
+}
+
+/// Three sequential READs ramp the horizon to 4 with blocks 4..8 on the
+/// wire or landed. A seek collapses the horizon and drops them: a later
+/// READ of one of those blocks goes upstream again — shown by changing
+/// the block on the server in between — instead of being served from a
+/// reply that was asked for on behalf of a reader that left.
+#[test]
+fn a_seek_mid_ramp_drops_the_horizon_and_what_was_read_ahead() {
+    let (mut proxy, file) = readahead_proxy(32);
+    for block in 0..3 {
+        assert_eq!(read_block(&mut proxy, 0x900 + block as u32, block), vec![block as u8 + 1; 512]);
+    }
+    assert_eq!(proxy.prefetch_horizon(), 4, "1 → 2 → 4");
+    assert_eq!(proxy.stats().prefetch_hits(), 2, "blocks 1 and 2");
+
+    assert_eq!(read_block(&mut proxy, 0x910, 20), vec![21; 512]);
+    assert_eq!(proxy.prefetch_horizon(), 0, "a seek collapses the horizon");
+
+    file.lock().unwrap()[5 * 512..6 * 512].fill(0x5A);
+    assert_eq!(
+        read_block(&mut proxy, 0x911, 5),
+        vec![0x5A; 512],
+        "block 5 was read ahead before the seek; that reply must never be served"
+    );
+    assert_eq!(proxy.stats().prefetch_hits(), 2, "no hit after the seek");
+    // Sequential again from block 5: the ramp starts over.
+    assert_eq!(read_block(&mut proxy, 0x912, 6), vec![7; 512]);
+    assert_eq!(proxy.prefetch_horizon(), 1);
+}
+
+/// The server has not seen unflushed writes, so nothing is read ahead
+/// for a file that has some: a re-scan of cached blocks 0 and 1 must not
+/// fetch block 3 around the patch waiting in the write-back cache.
+#[test]
+fn nothing_is_read_ahead_behind_unflushed_writes() {
+    let (mut proxy, _file) = readahead_proxy(8);
+    for block in 0..2 {
+        read_block(&mut proxy, 0xa00 + block as u32, block);
+    }
+    let write = nfs_call(0xa10, procnum::WRITE, |enc| {
+        WriteArgs {
+            file: Fh3::from_ino(1, 42),
+            offset: 3 * 512 + 100,
+            stable: StableHow::Unstable,
+            data: vec![0xEE; 50],
+        }
+        .encode(enc)
+    });
+    let res = WriteRes::from_xdr_bytes(&call(&mut proxy, &write)).expect("write res");
+    assert_eq!(res.status, NfsStat3::Ok);
+
+    let mut patched = vec![4u8; 512];
+    patched[100..150].fill(0xEE);
+    for (block, expect) in [(0, vec![1; 512]), (1, vec![2; 512]), (2, vec![3; 512]), (3, patched)] {
+        assert_eq!(read_block(&mut proxy, 0xa20 + block as u32, block), expect, "block {block}");
+    }
 }

@@ -938,18 +938,25 @@ fn golden_unaligned_io_on_a_single_upstream() {
 // ---------------------------------------------------------------------
 // 9. Read-ahead on a single upstream: a sequential scan is one demand
 //    READ, then landing-zone hits, while exactly one READ per block —
-//    demanded or read ahead — crosses the wire. Every READ enters the
-//    pipeline from the one thread that drives the proxy, so the wire
-//    order is part of the golden; the proxy-side and wire-side hops come
-//    from two threads and are projected separately.
+//    demanded or read ahead — crosses the wire, and none at or past the
+//    end of the file. Every READ enters the pipeline from the one thread
+//    that drives the proxy, so the wire order is part of the golden; the
+//    proxy-side and wire-side hops come from two threads and are
+//    projected separately.
 // ---------------------------------------------------------------------
 
-fn readahead_scenario(stripe: Option<StripePolicy>) -> Vec<String> {
-    const BLOCK: u32 = 512;
-    const DEPTH: u32 = 2;
-    const READS: u32 = 4;
-    let (mut config, obs) = traced_config(stripe);
-    config.readahead = DEPTH;
+/// Scan the first `reads` `block`-sized blocks of the mock's 1 MiB file
+/// under read-ahead ceiling `depth`; `upstream` is how many READs that
+/// must put on the wire.
+fn readahead_scenario(
+    mut config: SessionConfig,
+    obs: Arc<Obs>,
+    depth: u32,
+    block: u32,
+    reads: u32,
+    upstream: usize,
+) -> Vec<String> {
+    config.readahead = depth;
     let (upstream_end, srv) = pipe_pair();
     striped_member_server(srv, None);
     let watch = upstream_end.watch();
@@ -958,48 +965,60 @@ fn readahead_scenario(stripe: Option<StripePolicy>) -> Vec<String> {
     let stats = proxy.stats().clone();
 
     let fh = Fh3::from_ino(1, 42);
-    let reads: Vec<Vec<u8>> = (0..READS)
+    let scan: Vec<Vec<u8>> = (0..reads)
         .map(|b| {
             nfs_call(0x60 + b, procnum::READ, |enc| {
-                ReadArgs { file: fh.clone(), offset: (b * BLOCK) as u64, count: BLOCK }.encode(enc)
+                ReadArgs { file: fh.clone(), offset: (b * block) as u64, count: block }.encode(enc)
             })
         })
         .collect();
-    let (proxy, bodies) = drive_replies(proxy, &reads);
+    let (proxy, bodies) = drive_replies(proxy, &scan);
     drop(proxy);
     for (b, body) in bodies.iter().enumerate() {
         let res = ReadRes::from_xdr_bytes(body).expect("read res");
-        assert_eq!(res.data, vec![b as u8; BLOCK as usize], "block {b}");
+        let fill = (b as u32 * block / 512) as u8;
+        assert_eq!(res.data, vec![fill; block as usize], "block {b}");
     }
-    assert_eq!(stats.prefetch_hits(), (READS - 1) as u64, "all but the first READ were read ahead");
+    assert_eq!(stats.prefetch_hits(), (reads - 1) as u64, "all but the first READ were read ahead");
 
     let (events, dropped) = obs.events();
     assert_eq!(dropped, 0);
-    // Blocks 0..READS were demanded and DEPTH more were read ahead behind
-    // the last one: one READ each. A READ that found its block still on
-    // the wire waited for it instead of asking again.
+    // A READ that found its block still on the wire waited for it
+    // instead of asking again.
     let mut g = golden(&events, &[Hop::CacheHit, Hop::CacheMiss]);
-    g.extend(golden(&events, &[Hop::UpstreamSend]));
-    assert_eq!(
-        g,
-        [
-            "cache_miss:read",
-            "cache_hit:read",
-            "cache_hit:read",
-            "cache_hit:read",
-            "upstream_send:read",
-            "upstream_send:read",
-            "upstream_send:read",
-            "upstream_send:read",
-            "upstream_send:read",
-            "upstream_send:read",
-        ],
-        "golden read-ahead sequence changed"
-    );
+    let mut expect = vec!["cache_miss:read"];
+    expect.resize(reads as usize, "cache_hit:read");
+    assert_eq!(g, expect, "golden read-ahead cache sequence changed");
+    let sends = golden(&events, &[Hop::UpstreamSend]);
+    assert_eq!(sends, vec!["upstream_send:read"; upstream], "golden read-ahead wire sequence changed");
+    g.extend(sends);
+    g
+}
+
+/// A ceiling of 2: blocks 0..4 are demanded and the ramp (1, then 2,
+/// then 2) has asked for two more behind the last one.
+fn shallow_readahead_scenario(stripe: Option<StripePolicy>) -> Vec<String> {
+    let (config, obs) = traced_config(stripe);
+    readahead_scenario(config, obs, 2, 512, 4, 6)
+}
+
+/// What a WAN session gets without asking: a disk cache and a pipeline
+/// window's worth of read-ahead. The whole file is scanned in sixteen
+/// 64 KiB blocks; the ramp reaches the ceiling by block 8 and its last
+/// batch stops at EOF, so sixteen READs cross the wire — the scan's own.
+fn default_disk_readahead_scenario(stripe: Option<StripePolicy>) -> Vec<String> {
+    let dir = std::env::temp_dir().join(format!("sgfs-golden-readahead-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (mut config, obs) = traced_config(stripe);
+    config.cache = CacheMode::Disk { dir: dir.clone() };
+    config.durability = DurabilityPolicy::none();
+    let g = readahead_scenario(config, obs, sgfs::proxy::pipeline::DEFAULT_WINDOW, 64 * 1024, 16, 16);
+    let _ = std::fs::remove_dir_all(&dir);
     g
 }
 
 #[test]
 fn golden_readahead_requests_each_block_once() {
-    assert_golden_under_width_one(readahead_scenario);
+    assert_golden_under_width_one(shallow_readahead_scenario);
+    assert_golden_under_width_one(default_disk_readahead_scenario);
 }

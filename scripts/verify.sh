@@ -47,6 +47,12 @@ run_watchdog 120 store_parity   cargo test -q -p sgfs --test store_parity
 # rejoining member; hold the client thread ceiling across stripe width).
 run_watchdog 120 replica_matrix cargo test -q -p sgfs --test replica_matrix
 
+# Default-on sequential read-ahead over a 40 ms WAN session: a cold scan
+# hides its round trips with one READ per block and none past EOF;
+# scattered reads and small files are left alone. A read-ahead that
+# waits for a reply nobody sent shows up as a hang.
+run_watchdog 120 wan_readahead  cargo test -q --test wan_readahead
+
 # The worker loop both planes run and its two owners: sgfs-oncrpc's
 # module tests (pool: Rearm fairness, a full inbox blocking its pinner;
 # shard and client_pool: thread ceilings, worker death, shutdown) at
@@ -59,7 +65,7 @@ run_watchdog 120 scale_matrix   cargo test -q -p sgfs --test scale_matrix
 # backlog bounded and answer every request exactly once (executed or
 # JUKEBOX), a flooding neighbor must not double a well-behaved session's
 # p99, shed calls must complete byte-identical via verbatim retry, and
-# JUKEBOX'd prefetches must shrink the AIMD read-ahead horizon. A broken
+# JUKEBOX'd prefetches must keep halving the read-ahead horizon. A broken
 # admission loop shows up as a hang, hence the watchdog.
 run_watchdog 180 overload_matrix cargo test -q -p sgfs --test overload_matrix
 
