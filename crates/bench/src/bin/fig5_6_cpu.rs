@@ -14,6 +14,28 @@ use sgfs_bench::{lan_session, print_table, save_json, Row, RunOpts};
 use sgfs_workloads::iozone::{self, IozoneConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
+
+/// One sampler reading: simulated time, then the client and the server
+/// proxy's cumulative busy time.
+type Sample = (Duration, Duration, Duration);
+
+/// Peak utilization percentage of the proxy `busy` selects: the largest
+/// `100 · Δbusy / Δt` over consecutive samples.
+fn peak_pct(samples: &[Sample], busy: impl Fn(&Sample) -> Duration) -> f64 {
+    samples
+        .windows(2)
+        .map(|w| {
+            let dt = w[1].0.saturating_sub(w[0].0);
+            let db = busy(&w[1]).saturating_sub(busy(&w[0]));
+            if dt.is_zero() {
+                0.0
+            } else {
+                100.0 * db.as_secs_f64() / dt.as_secs_f64()
+            }
+        })
+        .fold(0.0f64, f64::max)
+}
 
 fn main() {
     let opts = RunOpts::parse();
@@ -41,17 +63,19 @@ fn main() {
         let client_stats = session.client_proxy_stats().expect("proxied setup").clone();
         let server_stats = session.server_proxy().expect("proxied setup").stats().clone();
 
-        // Sampler: 100 ms real-time buckets over the run.
+        // Sampler: (sim time, client busy, server busy) in 100 ms
+        // real-time buckets over the run.
         let stop = Arc::new(AtomicBool::new(false));
         let sampler = {
             let (stop, clock) = (stop.clone(), clock.clone());
             let (cs, ss) = (client_stats.clone(), server_stats.clone());
             std::thread::spawn(move || {
+                let mut samples: Vec<Sample> = Vec::new();
                 while !stop.load(Ordering::Acquire) {
-                    cs.sample(clock.now());
-                    ss.sample(clock.now());
-                    std::thread::sleep(std::time::Duration::from_millis(100));
+                    samples.push((clock.now(), cs.busy(), ss.busy()));
+                    std::thread::sleep(Duration::from_millis(100));
                 }
+                samples
             })
         };
 
@@ -59,27 +83,20 @@ fn main() {
         let res = iozone::run(&mut session.mount, &clock, &cfg).expect("iozone");
         let elapsed = (clock.now() - t0).as_secs_f64();
         stop.store(true, Ordering::Release);
-        sampler.join().expect("sampler");
+        let samples = sampler.join().expect("sampler");
 
-        let avg = |stats: &sgfs::ProxyStats| 100.0 * stats.busy().as_secs_f64() / elapsed;
-        let peak = |stats: &sgfs::ProxyStats| {
-            stats
-                .utilization_series()
-                .iter()
-                .map(|(_, pct)| *pct)
-                .fold(0.0f64, f64::max)
-        };
+        let avg = |stats: &sgfs_obs::Emitter| 100.0 * stats.busy().as_secs_f64() / elapsed;
         rows.push(Row {
             label: kind.label().to_string(),
             cells: vec![
                 ("client avg%".into(), avg(&client_stats), 0.0),
-                ("client peak%".into(), peak(&client_stats), 0.0),
+                ("client peak%".into(), peak_pct(&samples, |s| s.1), 0.0),
                 ("server avg%".into(), avg(&server_stats), 0.0),
-                ("server peak%".into(), peak(&server_stats), 0.0),
+                ("server peak%".into(), peak_pct(&samples, |s| s.2), 0.0),
             ],
         });
         eprintln!("  {} done ({:.1}s runtime, {} samples)", kind.label(),
-            res.total.as_secs_f64(), client_stats.utilization_series().len() + 1);
+            res.total.as_secs_f64(), samples.len());
         session.finish().expect("teardown");
     }
 

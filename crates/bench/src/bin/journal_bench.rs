@@ -1,6 +1,5 @@
 //! Durability-cost benchmark for the write-ahead journaled disk cache,
-//! written to `BENCH_journal.json` at the workspace root (and mirrored
-//! under `results/`).
+//! written to `results/BENCH_journal.json`.
 //!
 //! Three measurements:
 //!
@@ -18,9 +17,9 @@
 
 use sgfs::config::DurabilityPolicy;
 use sgfs::proxy::blockstore::{BlockStore, DiskStore};
-use sgfs::stats::ProxyStats;
 use sgfs_bench::RunOpts;
 use sgfs_nfs3::Fh3;
+use sgfs_obs::{Emitter, Hop};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -94,7 +93,7 @@ fn bench_append(opts: &RunOpts) -> (AppendResult, PathBuf) {
     let _ = std::fs::remove_dir_all(&fsync_dir);
     let policy = DurabilityPolicy { journal: true, fsync_every, compact_min_records: 0 };
     let (mut fsync_store, _) =
-        DiskStore::with_durability(fsync_dir.clone(), policy, None, None, None)
+        DiskStore::with_durability(fsync_dir.clone(), policy, Emitter::detached("client"), None)
             .expect("fsynced store");
     let fsynced = put_run(&mut fsync_store, blocks, block_bytes);
     drop(fsync_store);
@@ -106,7 +105,7 @@ fn bench_append(opts: &RunOpts) -> (AppendResult, PathBuf) {
     let _ = std::fs::remove_dir_all(&wal_dir);
     let policy = DurabilityPolicy { journal: true, fsync_every: 0, compact_min_records: 0 };
     let (mut wal_store, _) =
-        DiskStore::with_durability(wal_dir.clone(), policy, None, None, None)
+        DiskStore::with_durability(wal_dir.clone(), policy, Emitter::detached("client"), None)
             .expect("journaled store");
     let journaled = put_run(&mut wal_store, blocks, block_bytes);
     drop(wal_store);
@@ -130,8 +129,9 @@ fn bench_append(opts: &RunOpts) -> (AppendResult, PathBuf) {
 fn bench_recovery(wal_dir: PathBuf) -> RecoveryResult {
     let policy = DurabilityPolicy { journal: true, fsync_every: 0, compact_min_records: 0 };
     let start = Instant::now();
-    let (store, report) = DiskStore::with_durability(wal_dir.clone(), policy, None, None, None)
-        .expect("recovery");
+    let (store, report) =
+        DiskStore::with_durability(wal_dir.clone(), policy, Emitter::detached("client"), None)
+            .expect("recovery");
     let recovery_ms = start.elapsed().as_secs_f64() * 1_000.0;
     drop(store);
     let _ = std::fs::remove_dir_all(&wal_dir);
@@ -149,10 +149,9 @@ fn bench_compaction(opts: &RunOpts) -> CompactionResult {
     let dir = bench_dir("compact");
     let _ = std::fs::remove_dir_all(&dir);
     let policy = DurabilityPolicy { journal: true, fsync_every: 0, compact_min_records: 256 };
-    let stats = ProxyStats::new();
-    let (mut store, _) =
-        DiskStore::with_durability(dir.clone(), policy, Some(stats.clone()), None, None)
-            .expect("compaction store");
+    let stats = Emitter::detached("client");
+    let (mut store, _) = DiskStore::with_durability(dir.clone(), policy, stats.clone(), None)
+        .expect("compaction store");
     let fh = Fh3::from_ino(1, 1);
     let data = vec![0xCDu8; 4096];
     let start = Instant::now();
@@ -176,7 +175,7 @@ fn bench_compaction(opts: &RunOpts) -> CompactionResult {
         cycles,
         blocks_per_cycle,
         appends: stats.journal_appends(),
-        compactions: stats.journal_compactions(),
+        compactions: stats.count(Hop::JournalCompact),
         final_wal_bytes,
         total_ms,
     }
@@ -217,18 +216,7 @@ fn main() {
 
     let gate_ok = append.journal_tax_us <= append.threshold_us && compaction.compactions > 0;
     let report = BenchReport { append, recovery, compaction };
-    if let Ok(json) = serde_json::to_string_pretty(&report) {
-        for path in ["BENCH_journal.json", "results/BENCH_journal.json"] {
-            if let Some(dir) = std::path::Path::new(path).parent() {
-                if !dir.as_os_str().is_empty() {
-                    let _ = std::fs::create_dir_all(dir);
-                }
-            }
-            if std::fs::write(path, &json).is_ok() {
-                println!("[saved {path}]");
-            }
-        }
-    }
+    sgfs_bench::save_json("BENCH_journal", &report);
 
     if !gate_ok {
         eprintln!(

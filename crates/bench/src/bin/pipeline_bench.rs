@@ -1,7 +1,6 @@
 //! Micro-benchmarks for the pipelined zero-copy secure data plane.
 //!
-//! Three measurements, written to `BENCH_pipeline.json` at the workspace
-//! root (and mirrored under `results/`):
+//! Three measurements, written to `results/BENCH_pipeline.json`:
 //!
 //! 1. **AES bulk throughput** — the dispatched block transform (AES-NI
 //!    where the CPU has it, the T-table formulation otherwise) against
@@ -27,12 +26,12 @@
 
 use sgfs::proxy::client::Upstream;
 use sgfs::proxy::pipeline::Pipeline;
-use sgfs::stats::ProxyStats;
 use sgfs_bench::RunOpts;
 use sgfs_crypto::aes;
 use sgfs_gtls::record::HalfConn;
 use sgfs_gtls::CipherSuite;
 use sgfs_net::{pipe_pair_over_link, Link, LinkSpec, SimClock};
+use sgfs_obs::Emitter;
 use sgfs_oncrpc::record::{read_record, write_record};
 use std::time::{Duration, Instant};
 
@@ -268,7 +267,7 @@ fn forwarding_time(rtt: Duration, calls: usize, window: u32) -> (f64, u64) {
     let link = Link::new(LinkSpec::wan_rtt(rtt), clock.clone());
     let (client_end, server_end) = pipe_pair_over_link(link);
     echo_upstream(server_end);
-    let stats = ProxyStats::new();
+    let stats = Emitter::detached("client");
     let watch = client_end.watch();
     let pipeline =
         Pipeline::new(Upstream::Plain(Box::new(client_end)), watch, window, None, stats.clone());
@@ -358,18 +357,7 @@ fn main() {
     let aes_ok = aes.speedup >= aes.threshold && aes.decrypt_speedup >= aes.threshold;
     let pipe_ok = pipeline.speedup >= pipeline.threshold;
     let report = BenchReport { aes, record, record_suites, aead_gate, pipeline };
-    if let Ok(json) = serde_json::to_string_pretty(&report) {
-        for path in ["BENCH_pipeline.json", "results/BENCH_pipeline.json"] {
-            if let Some(dir) = std::path::Path::new(path).parent() {
-                if !dir.as_os_str().is_empty() {
-                    let _ = std::fs::create_dir_all(dir);
-                }
-            }
-            if std::fs::write(path, &json).is_ok() {
-                println!("[saved {path}]");
-            }
-        }
-    }
+    sgfs_bench::save_json("BENCH_pipeline", &report);
 
     if !aes_ok {
         eprintln!("FAIL: AES T-table speedup below {}x", report.aes.threshold);

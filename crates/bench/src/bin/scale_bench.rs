@@ -1,6 +1,5 @@
 //! Session-scale gate for the sharded server core, written to
-//! `BENCH_scale.json` at the workspace root (and mirrored under
-//! `results/`).
+//! `results/BENCH_scale.json`.
 //!
 //! Three measurements:
 //!
@@ -27,7 +26,6 @@
 use sgfs::config::RetryPolicy;
 use sgfs::proxy::client::Upstream;
 use sgfs::proxy::pipeline::Pipeline;
-use sgfs::stats::ProxyStats;
 use sgfs_bench::RunOpts;
 use sgfs_net::{pipe_pair, PipeEnd};
 use sgfs_oncrpc::record::{read_record_into, write_record_with};
@@ -185,7 +183,7 @@ fn bench_client_plane(opts: &RunOpts) -> ClientPlaneResult {
                 client_watch,
                 8,
                 None,
-                ProxyStats::new(),
+                sgfs_obs::Emitter::detached("client"),
                 None,
                 RetryPolicy::default(),
             )
@@ -398,18 +396,7 @@ fn main() {
         client_plane,
         gate_ok,
     };
-    if let Ok(json) = serde_json::to_string_pretty(&report) {
-        for path in ["BENCH_scale.json", "results/BENCH_scale.json"] {
-            if let Some(dir) = std::path::Path::new(path).parent() {
-                if !dir.as_os_str().is_empty() {
-                    let _ = std::fs::create_dir_all(dir);
-                }
-            }
-            if std::fs::write(path, &json).is_ok() {
-                println!("[saved {path}]");
-            }
-        }
-    }
+    sgfs_bench::save_json("BENCH_scale", &report);
 
     if !gate_ok {
         eprintln!(

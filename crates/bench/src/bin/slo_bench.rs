@@ -1,5 +1,5 @@
-//! Tail-latency SLO gate under overload, written to `BENCH_slo.json`
-//! at the workspace root (and mirrored under `results/`).
+//! Tail-latency SLO gate under overload, written to
+//! `results/BENCH_slo.json`.
 //!
 //! The question this bench answers: when the shard is driven at ~4× its
 //! service capacity by heavy-tailed open-loop neighbors, does admission
@@ -554,18 +554,7 @@ fn main() {
         println!("gate failed; retrying once to rule out host-load noise");
         report = attempt(&opts);
     }
-    if let Ok(json) = serde_json::to_string_pretty(&report) {
-        for path in ["BENCH_slo.json", "results/BENCH_slo.json"] {
-            if let Some(dir) = std::path::Path::new(path).parent() {
-                if !dir.as_os_str().is_empty() {
-                    let _ = std::fs::create_dir_all(dir);
-                }
-            }
-            if std::fs::write(path, &json).is_ok() {
-                println!("[saved {path}]");
-            }
-        }
-    }
+    sgfs_bench::save_json("BENCH_slo", &report);
 
     if !report.gate_ok {
         eprintln!(

@@ -1,5 +1,5 @@
-//! Multi-server data-plane benchmarks, written to `BENCH_stripe.json` at
-//! the workspace root (and mirrored under `results/`):
+//! Multi-server data-plane benchmarks, written to
+//! `results/BENCH_stripe.json`:
 //!
 //! 1. **Striped sequential read throughput** — the same 512 B-block
 //!    sequential read script fanned split-phase across a width-4 stripe
@@ -30,6 +30,7 @@ use sgfs_nfs3::proc::{
 };
 use sgfs_nfs3::types::*;
 use sgfs_nfs3::{NFS_PROGRAM, NFS_VERSION};
+use sgfs_obs::{Gauge, Hop};
 use sgfs_oncrpc::msg::AuthSysParams;
 use sgfs_oncrpc::record::{read_record, write_record};
 use sgfs_oncrpc::{CallHeader, OpaqueAuth, ReplyHeader};
@@ -396,10 +397,10 @@ fn bench_replicated_flush(opts: &RunOpts) -> ReplicatedFlushResult {
         replicas: 2,
         blocks,
         flush_s,
-        replica_writes: stats.replica_writes(),
+        replica_writes: stats.count(Hop::ReplicaWrite),
         verifiers: verfs,
         every_replica_complete,
-        degraded: stats.degraded(),
+        degraded: stats.gauge(Gauge::Degraded),
     }
 }
 
@@ -430,18 +431,7 @@ fn main() {
         && replicated_flush.every_replica_complete
         && replicated_flush.degraded == 0;
     let report = BenchReport { stripe_read, replicated_flush };
-    if let Ok(json) = serde_json::to_string_pretty(&report) {
-        for path in ["BENCH_stripe.json", "results/BENCH_stripe.json"] {
-            if let Some(dir) = std::path::Path::new(path).parent() {
-                if !dir.as_os_str().is_empty() {
-                    let _ = std::fs::create_dir_all(dir);
-                }
-            }
-            if std::fs::write(path, &json).is_ok() {
-                println!("[saved {path}]");
-            }
-        }
-    }
+    sgfs_bench::save_json("BENCH_stripe", &report);
 
     if !read_ok {
         eprintln!(

@@ -138,12 +138,13 @@ pub fn print_table(title: &str, columns: &[&str], rows: &[Row]) {
     }
 }
 
-/// Persist rows as JSON under `results/` for post-processing.
-pub fn save_json(figure: &str, rows: &[Row]) {
+/// Persist a figure's rows or a gate's report as `results/<name>.json`,
+/// the one copy anything reads.
+pub fn save_json<T: serde::Serialize + ?Sized>(name: &str, value: &T) {
     let dir = std::path::Path::new("results");
     let _ = std::fs::create_dir_all(dir);
-    let path = dir.join(format!("{figure}.json"));
-    if let Ok(json) = serde_json::to_string_pretty(rows) {
+    let path = dir.join(format!("{name}.json"));
+    if let Ok(json) = serde_json::to_string_pretty(value) {
         if std::fs::write(&path, json).is_ok() {
             println!("[saved {}]", path.display());
         }

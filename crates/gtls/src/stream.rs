@@ -40,13 +40,11 @@ pub struct GtlsStream {
     /// When set, the writer transparently renegotiates after this many
     /// records — the paper's periodic automatic session-key refresh.
     pub auto_rekey_every: Option<u64>,
-    /// When set, record seal/open wall time is added here (nanoseconds) —
-    /// the proxies use this to attribute crypto work to their CPU
-    /// accounting without double-counting I/O waits.
-    pub busy_counter: Option<std::sync::Arc<std::sync::atomic::AtomicU64>>,
-    /// When set, each record seal/open emits a timed trace event into the
-    /// session's observability domain (hop histograms + event stream).
-    pub obs: Option<std::sync::Arc<sgfs_obs::Obs>>,
+    /// When set, each record seal/open is emitted here, timed — the
+    /// proxies pass their own emitter, which attributes the crypto work
+    /// to their CPU accounting (without double-counting I/O waits) and,
+    /// when the session traces, feeds its hop histograms and event stream.
+    pub obs: Option<sgfs_obs::Emitter>,
     /// Completed handshakes (1 = initial; >1 means renegotiations ran).
     handshakes: u64,
 }
@@ -255,7 +253,6 @@ impl GtlsStream {
             write_buf: Vec::new(),
             records_sent: 0,
             auto_rekey_every: None,
-            busy_counter: None,
             obs: None,
             handshakes: 1,
         }
@@ -376,12 +373,9 @@ impl Read for GtlsStream {
                         .rx
                         .open_in_place(CT_DATA, &mut self.read_buf)
                         .map_err(io::Error::from)?;
-                    let dt = t0.elapsed().as_nanos() as u64;
-                    if let Some(c) = &self.busy_counter {
-                        c.fetch_add(dt, std::sync::atomic::Ordering::Relaxed);
-                    }
                     if let Some(obs) = &self.obs {
-                        obs.hop_timed(sgfs_obs::Hop::Open, 0, sgfs_obs::NO_PROC, dt);
+                        let dt = t0.elapsed().as_nanos() as u64;
+                        obs.emit(sgfs_obs::Hop::Open, 0, sgfs_obs::NO_PROC, dt);
                         // Deterministic per-suite event: xid = suite wire
                         // id, aux = payload bytes (golden-trace friendly,
                         // unlike the nanosecond aux above).
@@ -449,12 +443,9 @@ impl Write for GtlsStream {
             self.tx
                 .seal_into(CT_DATA, chunk, &mut rand::thread_rng(), &mut self.write_buf);
             finish_frame_header(&mut self.write_buf);
-            let dt = t0.elapsed().as_nanos() as u64;
-            if let Some(c) = &self.busy_counter {
-                c.fetch_add(dt, std::sync::atomic::Ordering::Relaxed);
-            }
             if let Some(obs) = &self.obs {
-                obs.hop_timed(sgfs_obs::Hop::Seal, 0, sgfs_obs::NO_PROC, dt);
+                let dt = t0.elapsed().as_nanos() as u64;
+                obs.emit(sgfs_obs::Hop::Seal, 0, sgfs_obs::NO_PROC, dt);
                 obs.emit(
                     sgfs_obs::Hop::RecordSeal,
                     self.suite as u32,
@@ -655,8 +646,8 @@ mod tests {
         let w = world();
         let (mut c, mut s) = connect(&w);
         let obs = sgfs_obs::Obs::new();
-        c.obs = Some(obs.clone());
-        s.obs = Some(obs.clone());
+        c.obs = Some(sgfs_obs::Emitter::new(&obs, "client"));
+        s.obs = Some(sgfs_obs::Emitter::new(&obs, "server"));
         c.write_all(b"payload").unwrap();
         let mut buf = [0u8; 7];
         s.read_exact(&mut buf).unwrap();

@@ -8,7 +8,7 @@
 //! relaxed ordering — each `record` is an independent increment with no
 //! cross-counter invariant, so snapshots may be momentarily torn between
 //! buckets but every sample is eventually counted exactly once
-//! (see the ordering contract note in `sgfs::stats`).
+//! (see the ordering contract on `crate::Emitter`'s module).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -1,9 +1,19 @@
-//! The SGFS observability plane.
+//! The SGFS metrics plane.
 //!
 //! The paper's management services (FSS/DSS) create and *monitor*
 //! per-session proxies; this crate supplies the monitoring substrate the
-//! reproduction's data plane threads through every hop:
+//! reproduction's data plane threads through every hop. Everything is
+//! counted by **one call**, [`Emitter::emit`], on the handle each client
+//! proxy, server proxy and shard holds; that one event is then visible
+//! three ways:
 //!
+//! * **Counters** — the emitter's own table: a count and an aux sum per
+//!   [`Hop`], plus the few [`Counter`]s and [`Gauge`]s that are not hops
+//!   (busy time, messages, pipeline depth, …). Always on, relaxed
+//!   atomics, a few hundred bytes per emitter; the typed accessors the
+//!   harnesses read (`reconnects()`, `busy()`, …) are one-line reads of
+//!   it. An [`Obs`] domain lists the tables of every emitter attached to
+//!   it, so the exported snapshot carries them.
 //! * **Trace events** — a lock-free, per-thread ring buffer of
 //!   [`TraceEvent`]s (wire xid, NFS proc, [`Hop`], free-form aux word),
 //!   sequenced by a deterministic [`LogicalClock`] from `sgfs-net` so two
@@ -12,9 +22,14 @@
 //!   exact hop sequence of a workload and fail on any silent behavior
 //!   change (extra round trip, lost cache hit, unexpected replay).
 //! * **Latency histograms** — log-bucketed ([`Hist`]) per NFS procedure
-//!   and per hop, mergeable across threads, with p50/p95/p99 snapshots.
-//! * **JSON snapshots** — [`Obs::snapshot`] / [`Obs::json`], exported
-//!   in-process and over the wire by the FSS `Query` operation.
+//!   and per timed hop ([`Hop::timed`]: the aux word is nanoseconds),
+//!   mergeable across threads, with p50/p95/p99 snapshots.
+//!
+//! The trace and the histograms belong to the domain and are fed only
+//! while it has tracing on; the counters belong to the emitter and are
+//! fed always, so turning tracing off changes no count. All three leave
+//! the process together as [`Obs::snapshot`] / [`Obs::json`], in-process
+//! and over the wire by the FSS `Query` operation.
 //!
 //! # Concurrency model
 //!
@@ -32,14 +47,17 @@
 //! (mixed-generation) event but never undefined behavior — quiesce
 //! writers before asserting exact sequences, as the golden tests do.
 //!
-//! When tracing is disabled ([`Obs::set_enabled`]) every instrumentation
-//! call short-circuits on one relaxed load; the bench gate
-//! (`BENCH_obs.json`) holds the *enabled* cost under 2% of pipeline
-//! throughput.
+//! When tracing is disabled ([`Obs::set_enabled`]) an emit is its relaxed
+//! counter adds plus one relaxed load; the bench gate (`BENCH_obs.json`)
+//! holds that under 10 ns and the *enabled* cost under 50 ns — 2% of
+//! pipeline throughput. The relaxed-ordering contract of the counters is
+//! stated once, on the [`emitter`](Emitter) module.
 
+mod emitter;
 mod hist;
 mod snapshot;
 
+pub use emitter::{Counter, Emitter, Gauge};
 pub use hist::Hist;
 pub use snapshot::{EventOut, LatencySummary, Snapshot};
 
@@ -47,7 +65,7 @@ use parking_lot::Mutex;
 use sgfs_net::LogicalClock;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Where in the data plane an event happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -73,9 +91,9 @@ pub enum Hop {
     FlushRound = 8,
     /// Upstream channel re-established after a failure.
     Reconnect = 9,
-    /// Block store read (aux = bytes).
+    /// Block store read (aux = nanoseconds).
     BlockRead = 10,
-    /// Block store write (aux = bytes).
+    /// Block store write (aux = nanoseconds).
     BlockWrite = 11,
     /// A record was appended to the write-ahead journal (aux = bytes).
     JournalAppend = 12,
@@ -188,6 +206,20 @@ impl Hop {
             Hop::Overload => "overload",
             Hop::JukeboxRetry => "jukebox_retry",
         }
+    }
+
+    /// Whether the hop's aux word is a duration in nanoseconds, which a
+    /// tracing domain also records into the hop's latency histogram.
+    pub fn timed(self) -> bool {
+        matches!(
+            self,
+            Hop::Seal
+                | Hop::Open
+                | Hop::UpstreamReply
+                | Hop::Backoff
+                | Hop::BlockRead
+                | Hop::BlockWrite
+        )
     }
 
     fn from_u8(v: u8) -> Option<Hop> {
@@ -329,6 +361,12 @@ thread_local! {
 
 static NEXT_OBS_ID: AtomicU64 = AtomicU64::new(1);
 
+/// The latency histograms of one domain: per NFS procedure, then per hop.
+struct Hists {
+    per_proc: Box<[Hist]>,
+    per_hop: Box<[Hist]>,
+}
+
 /// One observability domain — typically one per session, shared by every
 /// layer of that session's data plane. Cheap to clone via `Arc`.
 pub struct Obs {
@@ -338,8 +376,13 @@ pub struct Obs {
     ring_capacity: usize,
     clock: Arc<LogicalClock>,
     shards: Mutex<Vec<Arc<Shard>>>,
-    per_proc: Box<[Hist]>,
-    per_hop: Box<[Hist]>,
+    /// Allocated by the first sample or reader, so a domain that never
+    /// traces (an untraced session's own) stays a few hundred bytes.
+    hists: OnceLock<Hists>,
+    /// The counter table of every emitter ever attached, in attach
+    /// order. Kept past the emitter's life: what a finished proxy counted
+    /// (its `dirty_at_shutdown`) is still in the next snapshot.
+    emitters: Mutex<Vec<Arc<emitter::Table>>>,
 }
 
 impl Obs {
@@ -358,13 +401,13 @@ impl Obs {
             ring_capacity: DEFAULT_RING,
             clock,
             shards: Mutex::new(Vec::new()),
-            per_proc: (0..NUM_PROCS).map(|_| Hist::new()).collect(),
-            per_hop: (0..ALL_HOPS.len()).map(|_| Hist::new()).collect(),
+            hists: OnceLock::new(),
+            emitters: Mutex::new(Vec::new()),
         })
     }
 
-    /// A domain that starts disabled (all instrumentation short-circuits
-    /// on one relaxed load).
+    /// A domain that starts disabled: its emitters count, nothing is
+    /// traced.
     pub fn disabled() -> Arc<Self> {
         let obs = Self::new();
         obs.set_enabled(false);
@@ -377,6 +420,7 @@ impl Obs {
     }
 
     /// Whether instrumentation is live.
+    #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
@@ -391,8 +435,11 @@ impl Obs {
         &self.clock
     }
 
-    /// Emit one trace event. Lock-free: one logical-clock tick plus four
-    /// relaxed stores and a release store into this thread's ring shard.
+    /// Push one event into the trace ring alone — no counter, no
+    /// histogram. The data plane never calls this: it emits through an
+    /// [`Emitter`], which counts the event and then traces it. Lock-free:
+    /// one logical-clock tick plus four relaxed stores and a release store
+    /// into this thread's ring shard.
     pub fn emit(&self, hop: Hop, xid: u32, proc_no: u32, aux: u64) {
         if !self.enabled() {
             return;
@@ -401,43 +448,63 @@ impl Obs {
         self.with_shard(|shard| shard.push(seq, hop, xid, proc_no, aux));
     }
 
+    /// The trace and histogram views of one emitted event; the caller
+    /// (the emitter) has checked that tracing is on.
+    fn trace(&self, hop: Hop, xid: u32, proc_no: u32, aux: u64) {
+        if hop.timed() {
+            self.hists().per_hop[hop as usize].record(aux);
+        }
+        let seq = self.clock.tick();
+        self.with_shard(|shard| shard.push(seq, hop, xid, proc_no, aux));
+    }
+
     /// Record a latency sample (nanoseconds) for an NFS procedure.
+    #[inline]
     pub fn record_proc(&self, proc_no: u32, nanos: u64) {
         if !self.enabled() {
             return;
         }
-        if let Some(h) = self.per_proc.get(proc_no as usize) {
+        if let Some(h) = self.hists().per_proc.get(proc_no as usize) {
             h.record(nanos);
         }
     }
 
-    /// Record a latency sample (nanoseconds) for a hop.
+    /// Record a latency sample (nanoseconds) for a hop whose events carry
+    /// something other than their duration (recovery: the event counts
+    /// blocks, this times the replay).
     pub fn record_hop(&self, hop: Hop, nanos: u64) {
         if !self.enabled() {
             return;
         }
-        self.per_hop[hop as usize].record(nanos);
+        self.hists().per_hop[hop as usize].record(nanos);
     }
 
-    /// Emit an event *and* record the same duration into the hop
-    /// histogram — the common shape for timed hops (seal, open, block I/O).
-    pub fn hop_timed(&self, hop: Hop, xid: u32, proc_no: u32, nanos: u64) {
-        if !self.enabled() {
-            return;
-        }
-        self.per_hop[hop as usize].record(nanos);
-        let seq = self.clock.tick();
-        self.with_shard(|shard| shard.push(seq, hop, xid, proc_no, nanos));
+    fn hists(&self) -> &Hists {
+        self.hists.get_or_init(|| Hists {
+            per_proc: (0..NUM_PROCS).map(|_| Hist::new()).collect(),
+            per_hop: (0..ALL_HOPS.len()).map(|_| Hist::new()).collect(),
+        })
     }
 
     /// The per-proc histogram (for merges and direct inspection).
     pub fn proc_hist(&self, proc_no: u32) -> Option<&Hist> {
-        self.per_proc.get(proc_no as usize)
+        self.hists().per_proc.get(proc_no as usize)
     }
 
     /// The per-hop histogram.
     pub fn hop_hist(&self, hop: Hop) -> &Hist {
-        &self.per_hop[hop as usize]
+        &self.hists().per_hop[hop as usize]
+    }
+
+    fn attach(&self, table: Arc<emitter::Table>) {
+        self.emitters.lock().push(table);
+    }
+
+    /// Events of `hop` counted by every emitter attached to this domain.
+    /// With tracing on since the first emit and no ring wrap-around, this
+    /// equals the number of `hop` events in [`events`](Self::events).
+    pub fn counted(&self, hop: Hop) -> u64 {
+        self.emitters.lock().iter().map(|t| t.count(hop)).sum()
     }
 
     fn with_shard(&self, f: impl FnOnce(&Shard)) {
@@ -479,8 +546,9 @@ impl Obs {
         (out, dropped)
     }
 
-    /// A self-describing snapshot: per-proc and per-hop latency summaries
-    /// plus the `max_events` most recent trace events.
+    /// A self-describing snapshot: every attached emitter's counters,
+    /// per-proc and per-hop latency summaries, and the `max_events` most
+    /// recent trace events.
     pub fn snapshot(&self, max_events: usize) -> Snapshot {
         let (mut events, dropped) = self.events();
         let captured = events.len() as u64;
@@ -488,25 +556,24 @@ impl Obs {
             events.drain(..events.len() - max_events);
         }
         let session = self.session.load(Ordering::Relaxed);
+        // Not `hists()`: a snapshot of a domain that never traced must not
+        // be what allocates its histograms.
+        let hists = self.hists.get();
         Snapshot {
             session,
             logical_now: self.clock.current(),
             enabled: self.enabled(),
             events_captured: captured,
             events_dropped: dropped,
-            procs: (0..NUM_PROCS as u32)
-                .filter_map(|p| {
-                    let h = &self.per_proc[p as usize];
-                    (h.count() > 0).then(|| LatencySummary::of(proc_name(p), h))
-                })
-                .collect(),
-            hops: ALL_HOPS
+            counters: self
+                .emitters
+                .lock()
                 .iter()
-                .filter_map(|&hop| {
-                    let h = &self.per_hop[hop as usize];
-                    (h.count() > 0).then(|| LatencySummary::of(hop.as_str(), h))
-                })
+                .enumerate()
+                .map(|(n, t)| (format!("{}#{n}", t.role), t.rows()))
                 .collect(),
+            procs: summaries(hists.map(|h| &*h.per_proc), |p| proc_name(p as u32)),
+            hops: summaries(hists.map(|h| &*h.per_hop), |h| ALL_HOPS[h].as_str()),
             events: events
                 .into_iter()
                 .map(|e| EventOut {
@@ -526,6 +593,13 @@ impl Obs {
         serde_json::to_string_pretty(&self.snapshot(max_events))
             .expect("snapshot is serializable")
     }
+}
+
+/// Summaries of the histograms in `hists` that hold samples, in index
+/// order under `name(index)`.
+fn summaries(hists: Option<&[Hist]>, name: impl Fn(usize) -> &'static str) -> Vec<LatencySummary> {
+    let hists = hists.unwrap_or_default().iter().enumerate();
+    hists.filter(|(_, h)| h.count() > 0).map(|(i, h)| LatencySummary::of(name(i), h)).collect()
 }
 
 impl std::fmt::Debug for Obs {
@@ -566,7 +640,7 @@ mod tests {
         let obs = Obs::disabled();
         obs.emit(Hop::Seal, 0, 0, 0);
         obs.record_proc(6, 1000);
-        obs.hop_timed(Hop::Open, 0, 0, 500);
+        obs.record_hop(Hop::Open, 500);
         let (events, _) = obs.events();
         assert!(events.is_empty());
         assert_eq!(obs.hop_hist(Hop::Open).count(), 0);
@@ -651,11 +725,12 @@ mod tests {
     fn snapshot_summarizes_and_serializes() {
         let obs = Obs::new();
         obs.set_session(42);
+        let em = Emitter::new(&obs, "client");
         for _ in 0..100 {
             obs.record_proc(6, 1_000_000); // READ, 1ms
-            obs.hop_timed(Hop::Seal, 0, 6, 10_000);
+            em.emit(Hop::Seal, 0, 6, 10_000);
         }
-        obs.emit(Hop::CacheHit, 7, 6, 0);
+        em.emit(Hop::CacheHit, 7, 6, 0);
         let snap = obs.snapshot(16);
         assert_eq!(snap.session, 42);
         assert_eq!(snap.events_captured, 101);

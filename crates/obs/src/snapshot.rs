@@ -3,6 +3,7 @@
 
 use crate::hist::Hist;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Quantile summary of one latency histogram, in microseconds (the
 /// natural unit at NFS-over-WAN scale; nanosecond precision survives as
@@ -75,6 +76,14 @@ pub struct Snapshot {
     pub events_captured: u64,
     /// Events lost to ring wrap-around.
     pub events_dropped: u64,
+    /// Every attached emitter's counter table, keyed `role#n` in attach
+    /// order (`client#0`, `shard#1`, …): row name → value. Hop rows are
+    /// event counts under the hop's name (`reconnect`, `cache_hit`) with
+    /// the aux sum beside them as `<hop>_ns` (timed hops) or `<hop>_sum`.
+    /// Counted whether or not tracing was on. Absent in payloads saved
+    /// before the field existed.
+    #[serde(default)]
+    pub counters: BTreeMap<String, BTreeMap<String, u64>>,
     /// Per-NFS-procedure latency summaries (only procs with samples).
     pub procs: Vec<LatencySummary>,
     /// Per-hop latency summaries (only hops with samples).

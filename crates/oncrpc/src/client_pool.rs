@@ -12,20 +12,18 @@
 
 use crate::pool::{IoPool, PoolConn};
 use std::io;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A fixed pool of client I/O event loops.
 pub struct ClientIoPool {
     pool: IoPool<()>,
-    next: AtomicUsize,
 }
 
 impl ClientIoPool {
     /// Start `threads` event-loop workers (at least one).
     pub fn new(threads: usize) -> Arc<Self> {
         let pool = IoPool::new("sgfs-client-io", (0..threads.max(1)).map(|_| ()));
-        Arc::new(Self { pool, next: AtomicUsize::new(0) })
+        Arc::new(Self { pool })
     }
 
     /// Number of worker threads.
@@ -41,7 +39,7 @@ impl ClientIoPool {
     /// Pin a connection onto the next worker (round-robin). Fails once the
     /// pool is shut down or the chosen worker has died.
     pub fn add_conn(&self, conn: Box<dyn PoolConn>) -> io::Result<()> {
-        let worker = self.next.fetch_add(1, Ordering::Relaxed) % self.pool.workers();
+        let worker = self.pool.ticket() as usize % self.pool.workers();
         self.pool.pin(worker, conn)
     }
 
@@ -65,7 +63,7 @@ mod tests {
     use crate::pool::ConnPump;
     use parking_lot::Mutex;
     use sgfs_net::{submit_ring, Popped, Readiness, SubmitReceiver, SubmitSender};
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     /// A conn that doubles every submitted value into a shared log.
     struct Doubler {

@@ -48,7 +48,7 @@ use parking_lot::Mutex;
 use sgfs_net::{submit_ring, Poller, Popped, Readiness, SubmitReceiver, SubmitSender, Token};
 use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// What one pump pass decided about a pinned connection.
@@ -90,6 +90,8 @@ struct Worker<W> {
 /// A fixed pool of worker loops over connections of one plane.
 pub struct IoPool<W: Send + 'static> {
     workers: Vec<Worker<W>>,
+    /// Connections ever handed a [`ticket`](Self::ticket).
+    tickets: AtomicU64,
 }
 
 impl<W: Send + 'static> IoPool<W> {
@@ -109,7 +111,14 @@ impl<W: Send + 'static> IoPool<W> {
                 Worker { inbox: Mutex::new(Some(tx)), active, join: Some(join) }
             })
             .collect();
-        Self { workers }
+        Self { workers, tickets: AtomicU64::new(0) }
+    }
+
+    /// The next connection's placement ticket: 0, 1, 2, … Owners place
+    /// round-robin by it (and the server plane numbers its sessions from
+    /// it).
+    pub fn ticket(&self) -> u64 {
+        self.tickets.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Number of worker threads.

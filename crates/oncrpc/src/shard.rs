@@ -16,9 +16,9 @@ use crate::pool::{ConnPump, IoPool, PoolConn};
 use crate::record::{read_record_into, write_record_with};
 use crate::server::{process_record, RpcService};
 use sgfs_net::{BoxStream, PipeWatch, Readiness};
-use sgfs_obs::{peek_proc, peek_xid, Hop, Obs, NO_PROC};
+use sgfs_obs::{peek_proc, peek_xid, Counter, Emitter, Hop, Obs, NO_PROC};
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A per-record request processor — the unit of work a shard drives.
@@ -108,13 +108,12 @@ impl Default for AdmissionPolicy {
     }
 }
 
-/// Per-shard counters and gauges, shared between the shard thread and
-/// the accept-side stats reader (all relaxed: monotonic counters plus
-/// advisory gauges, no cross-field consistency promised).
+/// What one shard's admission control *decides* on, shared between the
+/// shard thread and the accept-side stats reader (all relaxed: advisory
+/// gauges, no cross-field consistency promised). What the shard merely
+/// *counts* — served, shed, accepts — lives in its [`Emitter`].
 #[derive(Default)]
 struct ShardGauges {
-    served: AtomicU64,
-    shed: AtomicU64,
     /// Sum of the shard's per-session sampled wire backlogs, bytes.
     backlog: AtomicUsize,
     /// High-water mark of `backlog`.
@@ -128,7 +127,8 @@ struct ShardGauges {
 pub struct ShardStats {
     /// Number of shard event loops.
     pub shards: usize,
-    /// Sessions ever accepted.
+    /// Sessions ever accepted (the `shard_accept` events, so an accept a
+    /// dead or shut-down shard then refused is counted too).
     pub accepted: u64,
     /// Sessions currently pinned to a shard.
     pub active: usize,
@@ -151,19 +151,20 @@ pub struct ShardServer {
     pool: IoPool<ShardState>,
     /// One per shard, in shard order.
     gauges: Vec<Arc<ShardGauges>>,
-    next_id: AtomicU64,
-    accepted: AtomicU64,
-    obs: Arc<Obs>,
+    /// One per shard, so two shard threads never count into one cache
+    /// line; the acceptor emits into the chosen shard's.
+    emitters: Vec<Emitter>,
 }
 
 impl ShardServer {
-    /// Start `shards` event loops (at least one) with tracing disabled.
+    /// Start `shards` event loops (at least one) in an untraced domain
+    /// of their own.
     pub fn new(shards: usize) -> Arc<Self> {
         Self::with_obs(shards, Obs::disabled())
     }
 
-    /// Start `shards` event loops emitting [`Hop::ShardAccept`] /
-    /// [`Hop::ShardHandoff`] into `obs`.
+    /// Start `shards` event loops whose emitters ([`Hop::ShardAccept`],
+    /// [`Hop::ShardHandoff`], [`Hop::Shed`], …) attach to `obs`.
     pub fn with_obs(shards: usize, obs: Arc<Obs>) -> Arc<Self> {
         Self::with_admission(shards, obs, AdmissionPolicy::default())
     }
@@ -172,21 +173,22 @@ impl ShardServer {
     /// (the overload tests shrink the caps to force shedding).
     pub fn with_admission(shards: usize, obs: Arc<Obs>, policy: AdmissionPolicy) -> Arc<Self> {
         let gauges: Vec<Arc<ShardGauges>> = (0..shards.max(1)).map(|_| Arc::default()).collect();
-        let states = gauges.iter().enumerate().map(|(index, gauges)| ShardState {
-            index,
-            gauges: gauges.clone(),
-            obs: obs.clone(),
-            policy,
-            record: Vec::new(),
-            scratch: Vec::new(),
-            overloaded: false,
+        let emitters: Vec<Emitter> = gauges.iter().map(|_| Emitter::new(&obs, "shard")).collect();
+        let states = gauges.iter().zip(&emitters).enumerate().map(|(index, (gauges, em))| {
+            ShardState {
+                index,
+                gauges: gauges.clone(),
+                em: em.clone(),
+                policy,
+                record: Vec::new(),
+                scratch: Vec::new(),
+                overloaded: false,
+            }
         });
         Arc::new(Self {
             pool: IoPool::new("sgfs-shard", states),
             gauges,
-            next_id: AtomicU64::new(1),
-            accepted: AtomicU64::new(0),
-            obs,
+            emitters,
         })
     }
 
@@ -208,24 +210,24 @@ impl ShardServer {
         watch: PipeWatch,
         service: Arc<dyn RecordService>,
     ) -> io::Result<u64> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let id = self.pool.ticket() + 1;
         let shard = (id % self.gauges.len() as u64) as usize;
-        self.obs.emit(Hop::ShardAccept, id as u32, NO_PROC, shard as u64);
+        self.emitters[shard].emit(Hop::ShardAccept, id as u32, NO_PROC, shard as u64);
         let session = PinnedSession { id, stream, watch, service, deficit: 0, backlog: 0 };
         self.pool.pin(shard, Box::new(session))?;
-        self.accepted.fetch_add(1, Ordering::Relaxed);
         Ok(id)
     }
 
     /// Aggregate counters.
     pub fn stats(&self) -> ShardStats {
         let sum = |f: &dyn Fn(&ShardGauges) -> usize| self.gauges.iter().map(|g| f(g)).sum();
+        let counted = |f: &dyn Fn(&Emitter) -> u64| self.emitters.iter().map(f).sum();
         ShardStats {
             shards: self.gauges.len(),
-            accepted: self.accepted.load(Ordering::Relaxed),
+            accepted: counted(&|e| e.count(Hop::ShardAccept)),
             active: self.pool.active(),
-            served: self.gauges.iter().map(|g| g.served.load(Ordering::Relaxed)).sum(),
-            shed: self.gauges.iter().map(|g| g.shed.load(Ordering::Relaxed)).sum(),
+            served: counted(&|e| e.get(Counter::Served)),
+            shed: counted(&|e| e.count(Hop::Shed)),
             overloaded: sum(&|g| g.overloaded.load(Ordering::Relaxed) as usize),
             backlog: sum(&|g| g.backlog.load(Ordering::Relaxed)),
             backlog_hwm: self
@@ -254,7 +256,7 @@ impl ShardServer {
 struct ShardState {
     index: usize,
     gauges: Arc<ShardGauges>,
-    obs: Arc<Obs>,
+    em: Emitter,
     policy: AdmissionPolicy,
     /// One request buffer and one write-assembly buffer shared by every
     /// session the shard owns — zero-alloc at steady state.
@@ -268,7 +270,7 @@ impl ShardState {
     fn set_overloaded(&mut self, on: bool) {
         self.overloaded = on;
         self.gauges.overloaded.store(on, Ordering::Relaxed);
-        self.obs.emit(Hop::Overload, self.index as u32, NO_PROC, on as u64);
+        self.em.emit(Hop::Overload, self.index as u32, NO_PROC, on as u64);
     }
 }
 
@@ -287,7 +289,7 @@ struct PinnedSession {
 impl PoolConn<ShardState> for PinnedSession {
     fn attach(&mut self, readiness: Readiness, shard: &mut ShardState) {
         self.watch.register(readiness);
-        shard.obs.emit(Hop::ShardHandoff, self.id as u32, NO_PROC, shard.index as u64);
+        shard.em.emit(Hop::ShardHandoff, self.id as u32, NO_PROC, shard.index as u64);
     }
 
     /// One DRR visit: top up the deficit, serve within it, and re-arm
@@ -334,7 +336,7 @@ impl PinnedSession {
     /// Serve request records until the deficit, the per-visit record
     /// budget, or the input runs out.
     fn serve(&mut self, shard: &mut ShardState) -> ConnPump {
-        let ShardState { gauges, obs, policy, record, scratch, overloaded, .. } = shard;
+        let ShardState { em, policy, record, scratch, overloaded, .. } = shard;
         for _ in 0..policy.max_pump {
             if self.deficit == 0 {
                 break; // DRR budget spent; yield to the neighbors.
@@ -360,8 +362,7 @@ impl PinnedSession {
                         };
                         if backlog > cap {
                             if let Some(reply) = self.service.shed_record(record) {
-                                gauges.shed.fetch_add(1, Ordering::Relaxed);
-                                obs.emit(
+                                em.emit(
                                     Hop::Shed,
                                     peek_xid(record),
                                     peek_proc(record),
@@ -379,7 +380,7 @@ impl PinnedSession {
                         };
                         // Count before the reply leaves: a peer that has seen
                         // the reply must also see it counted.
-                        gauges.served.fetch_add(1, Ordering::Relaxed);
+                        em.add(Counter::Served, 1);
                         if write_record_with(&mut self.stream, &reply, scratch).is_err() {
                             return ConnPump::Gone;
                         }

@@ -291,6 +291,11 @@ impl Dss {
         self.fss.session_mount(fss_id)
     }
 
+    /// A session's in-process state (via the FSS).
+    pub fn session(&self, session_id: u64) -> Option<&sgfs::Session> {
+        self.fss.session(self.sessions.get(&session_id)?.fss_id)
+    }
+
     /// Helper for clients: serialize a delegated credential for a
     /// CreateSession request.
     pub fn encode_credential(cred: &Credential) -> String {

@@ -295,10 +295,9 @@ impl Fss {
                 }
             }
             FssRequest::Query { id, max_events } => match self.sessions.get(&id) {
-                Some(session) => match session.obs() {
-                    Some(obs) => FssResponse::Stats { json: obs.json(max_events as usize) },
-                    None => FssResponse::Error("session is untraced".into()),
-                },
+                Some(session) => {
+                    FssResponse::Stats { json: session.obs().json(max_events as usize) }
+                }
                 None => FssResponse::Error(format!("no session {id}")),
             },
         }
@@ -308,6 +307,12 @@ impl Fss {
     /// FSS manages (where the job's I/O happens on the compute host).
     pub fn session_mount(&mut self, id: u64) -> Option<&mut sgfs_nfsclient::NfsMount> {
         self.sessions.get_mut(&id).map(|s| &mut s.mount)
+    }
+
+    /// A session this FSS manages, for in-process inspection (what
+    /// `Query` exports can be checked against it).
+    pub fn session(&self, id: u64) -> Option<&Session> {
+        self.sessions.get(&id)
     }
 
     /// Number of live sessions.

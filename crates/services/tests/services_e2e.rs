@@ -3,6 +3,7 @@
 //! the FSS to run real sessions.
 
 use sgfs::session::GridWorld;
+use sgfs_obs::Hop;
 use sgfs_pki::DistinguishedName;
 use sgfs_services::envelope::{Envelope, Verifier};
 use sgfs_services::messages::{DssRequest, DssResponse, SecurityChoice};
@@ -150,7 +151,11 @@ fn query_session_returns_observability_snapshot() {
     let mut p = plane();
     let user_cred = p.world.user.clone();
 
-    let req = create_session_request(&p);
+    // A caching session, so the proxy has hits and misses to count.
+    let mut req = create_session_request(&p);
+    if let DssRequest::CreateSession { disk_cache, .. } = &mut req {
+        *disk_cache = true;
+    }
     let DssResponse::SessionCreated { session_id } = call(&mut p, &user_cred, &req) else {
         panic!("create failed");
     };
@@ -160,6 +165,7 @@ fn query_session_returns_observability_snapshot() {
         let mount = p.dss.session_mount(session_id).unwrap();
         mount.write_file("/traced.txt", b"observability plane").unwrap();
         assert_eq!(mount.read_file("/traced.txt").unwrap(), b"observability plane");
+        mount.stat("/traced.txt").unwrap();
         mount.stat("/traced.txt").unwrap();
     }
 
@@ -184,6 +190,22 @@ fn query_session_returns_observability_snapshot() {
     let proc_names: Vec<&str> = snap.procs.iter().map(|s| s.name.as_str()).collect();
     assert!(proc_names.contains(&"write"), "procs: {proc_names:?}");
     assert!(proc_names.contains(&"getattr"), "procs: {proc_names:?}");
+
+    // The counters ride the same payload: everything asserted below is
+    // read from the JSON the owner received over the signed-envelope
+    // wire, and checked against the session's own view of its cache.
+    let (name, client) = snap.counters.iter().next().expect("one emitter: the client proxy");
+    assert!(name.starts_with("client#"), "emitter {name}");
+    assert!(client["messages"] > 0, "the proxy processed the traffic above");
+    let stats = p.dss.session(session_id).unwrap().client_proxy_stats().unwrap();
+    let proxy_cache = (stats.count(Hop::CacheHit), stats.count(Hop::CacheMiss));
+    assert!(proxy_cache.0 > 0 && proxy_cache.1 > 0, "cache exercised: {proxy_cache:?}");
+    assert_eq!((client["cache_hit"], client["cache_miss"]), proxy_cache);
+    // The health rows an operator looks for are exported by name even
+    // (especially) when they read zero.
+    for row in ["reconnect", "degraded", "dirty_at_shutdown", "cache_io_errors"] {
+        assert_eq!(client.get(row), Some(&0), "{row}");
+    }
 
     // Only the owner may monitor a session.
     let mut rng = rand::thread_rng();

@@ -240,8 +240,8 @@ pub struct SessionConfig {
     /// Kill-point injector for the crash harness (`None` in production:
     /// every durability hook is a no-op).
     pub crash: Option<std::sync::Arc<sgfs_net::CrashInjector>>,
-    /// The observability domain the proxy emits trace events and latency
-    /// histograms into (None = untraced).
+    /// The observability domain the client proxy's emitter attaches to
+    /// (`None` = an untraced domain of the proxy's own: it still counts).
     pub obs: Option<std::sync::Arc<sgfs_obs::Obs>>,
     /// Shared client I/O pool the session's upstream pipeline is pinned
     /// to; `None` gives the pipeline a private single-worker pool.

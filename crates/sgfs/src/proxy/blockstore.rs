@@ -14,10 +14,9 @@
 
 use super::journal::{Journal, RecoveryReport, Survivor};
 use crate::config::DurabilityPolicy;
-use crate::stats::ProxyStats;
 use sgfs_net::{CrashInjector, CrashPoint};
 use sgfs_nfs3::Fh3;
-use sgfs_obs::{Hop, Obs};
+use sgfs_obs::{Counter, Emitter, Hop, NO_PROC};
 use std::collections::HashMap;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
@@ -93,7 +92,7 @@ pub struct DiskStore {
     index: HashMap<BlockKey, BlockMeta>,
     open: HashMap<Fh3, std::fs::File>,
     journal: Option<Journal>,
-    stats: Option<Arc<ProxyStats>>,
+    stats: Emitter,
     crash: Option<Arc<CrashInjector>>,
     /// Keep the spool directory on drop (journal mode).
     persist: bool,
@@ -104,6 +103,14 @@ impl DiskStore {
     /// missing, and cleared — each session starts with a cold cache, per
     /// the paper's methodology).
     pub fn new(dir: PathBuf) -> std::io::Result<Self> {
+        Self::ephemeral(dir, Emitter::detached("blockstore"), None)
+    }
+
+    fn ephemeral(
+        dir: PathBuf,
+        stats: Emitter,
+        crash: Option<Arc<CrashInjector>>,
+    ) -> std::io::Result<Self> {
         if dir.exists() {
             std::fs::remove_dir_all(&dir)?;
         }
@@ -113,8 +120,8 @@ impl DiskStore {
             index: HashMap::new(),
             open: HashMap::new(),
             journal: None,
-            stats: None,
-            crash: None,
+            stats,
+            crash,
             persist: false,
         })
     }
@@ -123,19 +130,16 @@ impl DiskStore {
     /// left by a previous incarnation (replaying up to the first torn
     /// record), re-mark every surviving block dirty, and start journaling
     /// new state. With `policy.journal` off this degenerates to
-    /// [`new`](Self::new).
+    /// [`new`](Self::new). Everything the store and its journal count
+    /// goes through `stats`, the owning proxy's emitter.
     pub fn with_durability(
         dir: PathBuf,
         policy: DurabilityPolicy,
-        stats: Option<Arc<ProxyStats>>,
-        obs: Option<Arc<Obs>>,
+        stats: Emitter,
         crash: Option<Arc<CrashInjector>>,
     ) -> std::io::Result<(Self, RecoveryReport)> {
         if !policy.journal {
-            let mut s = Self::new(dir)?;
-            s.stats = stats;
-            s.crash = crash;
-            return Ok((s, RecoveryReport::default()));
+            return Ok((Self::ephemeral(dir, stats, crash)?, RecoveryReport::default()));
         }
         std::fs::create_dir_all(&dir)?;
         let t0 = std::time::Instant::now();
@@ -170,26 +174,24 @@ impl DiskStore {
                     .insert(s.key.clone(), BlockMeta { len: s.len, dirty: true });
                 recovered_bytes += s.len as u64;
                 recovered.push(s);
-            } else if let Some(st) = &stats {
-                st.add_cache_io_error();
+            } else {
+                stats.add(Counter::CacheIoErrors, 1);
             }
         }
         let mut journal =
             Journal::open(&store.dir, policy, &recovered, report.records_replayed)?;
-        journal.instrument(stats.clone(), obs.clone(), crash);
+        journal.instrument(stats.clone(), crash);
         store.journal = Some(journal);
         report.survivors = recovered;
-        if let Some(st) = &stats {
-            st.add_recovered(report.survivors.len() as u64, recovered_bytes);
+        stats.add(Counter::RecoveredBytes, recovered_bytes);
+        stats.emit(Hop::RecoveryReplay, 0, NO_PROC, report.records_replayed);
+        if report.torn_bytes > 0 {
+            stats.emit(Hop::RecoveryTorn, 0, NO_PROC, report.torn_bytes);
         }
-        if let Some(o) = &obs {
-            o.emit(Hop::RecoveryReplay, 0, sgfs_obs::NO_PROC, report.records_replayed);
-            if report.torn_bytes > 0 {
-                o.emit(Hop::RecoveryTorn, 0, sgfs_obs::NO_PROC, report.torn_bytes);
-            }
-            o.emit(Hop::RecoveryComplete, 0, sgfs_obs::NO_PROC, report.survivors.len() as u64);
-            o.record_hop(Hop::RecoveryComplete, t0.elapsed().as_nanos() as u64);
-        }
+        // The event counts the blocks re-marked dirty; how long the
+        // replay took is the hop's one latency sample.
+        stats.emit(Hop::RecoveryComplete, 0, NO_PROC, report.survivors.len() as u64);
+        stats.obs().record_hop(Hop::RecoveryComplete, t0.elapsed().as_nanos() as u64);
         Ok((store, report))
     }
 
@@ -214,9 +216,7 @@ impl DiskStore {
     }
 
     fn count_io_error(&self) {
-        if let Some(s) = &self.stats {
-            s.add_cache_io_error();
-        }
+        self.stats.add(Counter::CacheIoErrors, 1);
     }
 
     fn file_for(&mut self, fh: &Fh3) -> std::io::Result<&mut std::fs::File> {
@@ -540,6 +540,10 @@ mod tests {
         Fh3::from_ino(1, n)
     }
 
+    fn uncounted() -> Emitter {
+        Emitter::detached("client")
+    }
+
     fn temp_dir(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("sgfs-blockstore-test-{tag}-{}", std::process::id()))
     }
@@ -583,14 +587,9 @@ mod tests {
         let dir = temp_dir("disk-journal");
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let (mut store, report) = DiskStore::with_durability(
-                dir.clone(),
-                DurabilityPolicy::default(),
-                None,
-                None,
-                None,
-            )
-            .unwrap();
+            let policy = DurabilityPolicy::default();
+            let (mut store, report) =
+                DiskStore::with_durability(dir.clone(), policy, uncounted(), None).unwrap();
             assert!(report.survivors.is_empty(), "cold start");
             exercise(&mut store);
         }
@@ -641,14 +640,14 @@ mod tests {
         let policy = DurabilityPolicy::default();
         {
             let (mut store, _) =
-                DiskStore::with_durability(dir.clone(), policy, None, None, None).unwrap();
+                DiskStore::with_durability(dir.clone(), policy, uncounted(), None).unwrap();
             store.put((fh(1), 0), &[7; 100], true).unwrap();
             store.put((fh(1), 32768), &[8; 64], true).unwrap();
             store.put((fh(2), 0), &[9; 10], false).unwrap(); // clean: not recovered
         }
         assert!(dir.exists(), "spool persists in journal mode");
         let (mut store, report) =
-            DiskStore::with_durability(dir.clone(), policy, None, None, None).unwrap();
+            DiskStore::with_durability(dir.clone(), policy, uncounted(), None).unwrap();
         assert_eq!(report.survivors.len(), 2);
         assert_eq!(store.dirty_blocks_of(&fh(1)), vec![0, 32768]);
         assert_eq!(store.get(&(fh(1), 0)).unwrap(), vec![7; 100], "payload recovered");
@@ -665,14 +664,14 @@ mod tests {
         let policy = DurabilityPolicy::default();
         {
             let (mut store, _) =
-                DiskStore::with_durability(dir.clone(), policy, None, None, None).unwrap();
+                DiskStore::with_durability(dir.clone(), policy, uncounted(), None).unwrap();
             store.put((fh(1), 0), &[7; 100], true).unwrap();
             store.set_clean(&(fh(1), 0)).unwrap();
             store.commit_file(&fh(1)).unwrap();
             store.put((fh(1), 32768), &[8; 64], true).unwrap(); // post-commit write
         }
         let (_store, report) =
-            DiskStore::with_durability(dir.clone(), policy, None, None, None).unwrap();
+            DiskStore::with_durability(dir.clone(), policy, uncounted(), None).unwrap();
         let keys: Vec<_> = report.survivors.iter().map(|s| s.key.clone()).collect();
         assert_eq!(keys, vec![(fh(1), 32768)], "only the uncommitted block recovers");
         let _ = std::fs::remove_dir_all(&dir);
@@ -685,12 +684,12 @@ mod tests {
         let policy = DurabilityPolicy::default();
         {
             let (mut store, _) =
-                DiskStore::with_durability(dir.clone(), policy, None, None, None).unwrap();
+                DiskStore::with_durability(dir.clone(), policy, uncounted(), None).unwrap();
             store.put((fh(1), 0), &[7; 100], true).unwrap();
             store.set_clean(&(fh(1), 0)).unwrap(); // WRITE acked, COMMIT never ran
         }
         let (store, report) =
-            DiskStore::with_durability(dir.clone(), policy, None, None, None).unwrap();
+            DiskStore::with_durability(dir.clone(), policy, uncounted(), None).unwrap();
         assert_eq!(report.survivors.len(), 1);
         assert_eq!(store.dirty_blocks_of(&fh(1)), vec![0], "recovered dirty, not clean");
         drop(store);
@@ -704,12 +703,12 @@ mod tests {
         let policy = DurabilityPolicy::default();
         {
             let (mut store, _) =
-                DiskStore::with_durability(dir.clone(), policy, None, None, None).unwrap();
+                DiskStore::with_durability(dir.clone(), policy, uncounted(), None).unwrap();
             store.put((fh(1), 0), &[7; 100], true).unwrap();
             store.drop_file(&fh(1));
         }
         let (_store, report) =
-            DiskStore::with_durability(dir.clone(), policy, None, None, None).unwrap();
+            DiskStore::with_durability(dir.clone(), policy, uncounted(), None).unwrap();
         assert!(report.survivors.is_empty(), "deleted data not resurrected");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -719,14 +718,9 @@ mod tests {
         let dir = temp_dir("nojournal");
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let (mut store, _) = DiskStore::with_durability(
-                dir.clone(),
-                DurabilityPolicy::none(),
-                None,
-                None,
-                None,
-            )
-            .unwrap();
+            let policy = DurabilityPolicy::none();
+            let (mut store, _) =
+                DiskStore::with_durability(dir.clone(), policy, uncounted(), None).unwrap();
             store.put((fh(1), 0), &[7; 100], true).unwrap();
         }
         assert!(!dir.exists(), "ephemeral mode cleans up");
@@ -739,19 +733,14 @@ mod tests {
         let policy = DurabilityPolicy::default();
         {
             let (mut store, _) =
-                DiskStore::with_durability(dir.clone(), policy, None, None, None).unwrap();
+                DiskStore::with_durability(dir.clone(), policy, uncounted(), None).unwrap();
             store.put((fh(1), 0), &[7; 100], true).unwrap();
         }
-        let stats = ProxyStats::new();
-        let (_store, _) = DiskStore::with_durability(
-            dir.clone(),
-            policy,
-            Some(stats.clone()),
-            None,
-            None,
-        )
-        .unwrap();
-        assert_eq!(stats.recovered(), (1, 100));
+        let stats = uncounted();
+        let (_store, _) =
+            DiskStore::with_durability(dir.clone(), policy, stats.clone(), None).unwrap();
+        assert_eq!(stats.sum(Hop::RecoveryComplete), 1, "blocks");
+        assert_eq!(stats.get(Counter::RecoveredBytes), 100);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

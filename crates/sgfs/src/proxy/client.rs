@@ -40,7 +40,6 @@ use crate::config::{CacheMode, HopCost, RetryPolicy, SessionConfig, StripePolicy
 use crate::proxy::blockstore::{BlockStore, DiskStore, MemStore};
 use crate::proxy::pipeline::{PendingReply, Pipeline};
 use crate::proxy::stripe::{StripeMap, StripeSet};
-use crate::stats::ProxyStats;
 use parking_lot::Mutex;
 use sgfs_gtls::GtlsStream;
 use sgfs_nfs3::proc::{procnum, *};
@@ -48,6 +47,7 @@ use sgfs_nfs3::types::*;
 use sgfs_nfs3::{NFS_PROGRAM, NFS_VERSION};
 use sgfs_oncrpc::{AcceptStat, CallHeader, OpaqueAuth, RecordService, ReplyHeader};
 use sgfs_net::{BoxStream, CrashInjector, CrashPoint};
+use sgfs_obs::{Counter, Emitter, Gauge, Hop, NO_PROC};
 use sgfs_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::Range;
@@ -95,8 +95,6 @@ struct MetaCache {
     lookups: HashMap<(Fh3, String), (Fh3, Option<Fattr3>)>,
     /// Raw READDIR/READDIRPLUS result bodies keyed (dir, cookie, plus?).
     readdirs: HashMap<(Fh3, u64, bool), Vec<u8>>,
-    hits: u64,
-    misses: u64,
 }
 
 impl MetaCache {
@@ -106,8 +104,6 @@ impl MetaCache {
             access: HashMap::new(),
             lookups: HashMap::new(),
             readdirs: HashMap::new(),
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -132,7 +128,7 @@ pub struct ClientProxy {
     store: Option<Box<dyn BlockStore>>,
     meta_enabled: bool,
     meta: MetaCache,
-    stats: Arc<ProxyStats>,
+    stats: Emitter,
     next_xid: u32,
     client_cred: OpaqueAuth,
     /// Monotonic synthesized mtime for locally acknowledged writes.
@@ -147,8 +143,6 @@ pub struct ClientProxy {
     /// Virtual per-hop forwarding cost, charged to the testbed clock.
     clock: Option<Arc<sgfs_net::SimClock>>,
     hop: HopCost,
-    /// Upstream-forwarded call counts per procedure (diagnostics).
-    forwarded: HashMap<u32, u64>,
     /// Kill-point injector for the crash harness (None in production).
     crash: Option<Arc<CrashInjector>>,
     /// Per-member blocks a down member missed while out of the write
@@ -174,7 +168,7 @@ struct ChannelParams {
     /// `config.client_pool`, or one private single-worker pool shared by
     /// all members — a wider stripe adds **zero** reader threads.
     pool: Arc<sgfs_oncrpc::ClientIoPool>,
-    stats: Arc<ProxyStats>,
+    stats: Emitter,
     window: u32,
     rekey_every: Option<u64>,
     retry: RetryPolicy,
@@ -196,8 +190,7 @@ impl ChannelParams {
             // renegotiation would interleave handshake records with
             // in-flight DATA replies, so the pipeline tracks the
             // rekey-every threshold itself and rekeys at quiesce points.
-            t.busy_counter = Some(self.stats.busy_counter());
-            t.obs = self.stats.obs().cloned();
+            t.obs = Some(self.stats.clone());
         }
         let reconnector = redial.map(|shared| {
             let shared = shared.clone();
@@ -412,10 +405,8 @@ impl ClientProxy {
                 upstreams.len()
             )));
         }
-        let stats = ProxyStats::new();
-        if let Some(obs) = &config.obs {
-            stats.set_obs(obs.clone());
-        }
+        let obs = config.obs.clone().unwrap_or_else(sgfs_obs::Obs::disabled);
+        let stats = Emitter::new(&obs, "client");
         let (store, meta_enabled): (Option<Box<dyn BlockStore>>, bool) = match &config.cache {
             CacheMode::None => (None, false),
             CacheMode::MemoryMeta => {
@@ -430,8 +421,7 @@ impl ClientProxy {
                 let (store, _report) = DiskStore::with_durability(
                     dir.clone(),
                     config.durability,
-                    Some(stats.clone()),
-                    config.obs.clone(),
+                    stats.clone(),
                     config.crash.clone(),
                 )?;
                 (Some(Box::new(store)), true)
@@ -469,7 +459,6 @@ impl ClientProxy {
             rekey_requested: Arc::new(std::sync::atomic::AtomicBool::new(false)),
             clock: None,
             hop: HopCost::free(),
-            forwarded: HashMap::new(),
             crash: config.crash.clone(),
             missed: vec![HashSet::new(); redial.len()],
             redial,
@@ -489,9 +478,9 @@ impl ClientProxy {
         self.missed.get(m).map(|s| s.len()).unwrap_or(0)
     }
 
-    /// Upstream-forwarded call counts per NFS procedure.
-    pub fn forwarded_by_proc(&self) -> &HashMap<u32, u64> {
-        &self.forwarded
+    /// Upstream-forwarded call counts, indexed by NFS procedure number.
+    pub fn forwarded_by_proc(&self) -> [u64; sgfs_obs::NUM_PROCS] {
+        self.stats.forwarded_by_proc()
     }
 
     /// Enable per-hop virtual cost accounting on `clock`.
@@ -500,14 +489,14 @@ impl ClientProxy {
         self.hop = hop;
     }
 
-    /// Instrumentation counters.
-    pub fn stats(&self) -> &Arc<ProxyStats> {
+    /// The emitter everything in this proxy counts through.
+    pub fn stats(&self) -> &Emitter {
         &self.stats
     }
 
-    /// Metadata-cache hit/miss counters.
+    /// Cache (hits, misses): calls answered locally vs sent upstream.
     pub fn cache_stats(&self) -> (u64, u64) {
-        (self.meta.hits, self.meta.misses)
+        (self.stats.count(Hop::CacheHit), self.stats.count(Hop::CacheMiss))
     }
 
     /// The widest read-ahead horizon among the tracked sequential
@@ -558,14 +547,13 @@ impl ClientProxy {
         if self.rekey_requested.swap(false, std::sync::atomic::Ordering::AcqRel) {
             self.rekey_members()?;
         }
-        let stats = self.stats.clone();
+        // Timed end to end (cache work, upstream round trips, flushes —
+        // everything): the procedure's latency sample; the waits are
+        // excluded from the busy time where they happen.
         let t0 = std::time::Instant::now();
-        let reply = stats.track(|| self.process(record))?;
-        // End-to-end latency of this downstream request (cache work,
-        // upstream round trips, flushes — everything), per procedure.
-        if let Some(obs) = stats.obs() {
-            obs.record_proc(sgfs_obs::peek_proc(record), t0.elapsed().as_nanos() as u64);
-        }
+        let reply = self.process(record);
+        self.stats.message(sgfs_obs::peek_proc(record), t0.elapsed());
+        let reply = reply?;
         // The kernel-client ↔ proxy loopback hop (request + reply).
         if let Some(clock) = &self.clock {
             clock.advance(self.hop.of(record.len()) + self.hop.of(reply.len()));
@@ -599,13 +587,11 @@ impl ClientProxy {
             procnum::GETATTR => {
                 if let Ok(fh) = Fh3::from_xdr_bytes(args) {
                     if let Some(a) = self.meta.attrs.get(&fh) {
-                        self.meta.hits += 1;
-                        trace_cache(&self.stats, true, header.xid, header.proc);
+                        self.stats.emit(Hop::CacheHit, header.xid, header.proc, 0);
                         let res = GetAttrRes { status: NfsStat3::Ok, attr: Some(a.clone()) };
                         return Ok(encode_reply(header.xid, &res));
                     }
-                    self.meta.misses += 1;
-                    trace_cache(&self.stats, false, header.xid, header.proc);
+                    self.stats.emit(Hop::CacheMiss, header.xid, header.proc, 0);
                 }
                 self.forward(record, header.proc, args)
             }
@@ -617,8 +603,7 @@ impl ClientProxy {
                         // checked upstream; unchecked bits fall through to
                         // the server instead of reading as denied.
                         Some(&(checked, granted)) if a.access & !checked == 0 => {
-                            self.meta.hits += 1;
-                            trace_cache(&self.stats, true, header.xid, header.proc);
+                            self.stats.emit(Hop::CacheHit, header.xid, header.proc, 0);
                             let res = AccessRes {
                                 status: NfsStat3::Ok,
                                 obj_attr: self.meta.attrs.get(&a.object).cloned(),
@@ -627,8 +612,7 @@ impl ClientProxy {
                             return Ok(encode_reply(header.xid, &res));
                         }
                         _ => {
-                            self.meta.misses += 1;
-                            trace_cache(&self.stats, false, header.xid, header.proc);
+                            self.stats.emit(Hop::CacheMiss, header.xid, header.proc, 0);
                         }
                     }
                 }
@@ -638,8 +622,7 @@ impl ClientProxy {
                 if let Ok(a) = DirOpArgs3::from_xdr_bytes(args) {
                     let key = (a.dir.clone(), a.name.clone());
                     if let Some((fh, attr)) = self.meta.lookups.get(&key) {
-                        self.meta.hits += 1;
-                        trace_cache(&self.stats, true, header.xid, header.proc);
+                        self.stats.emit(Hop::CacheHit, header.xid, header.proc, 0);
                         // The tuple's attr is a snapshot from lookup time;
                         // the live attr entry tracks absorbed writes (size,
                         // mtime) and must win when present.
@@ -652,8 +635,7 @@ impl ClientProxy {
                         };
                         return Ok(encode_reply(header.xid, &res));
                     }
-                    self.meta.misses += 1;
-                    trace_cache(&self.stats, false, header.xid, header.proc);
+                    self.stats.emit(Hop::CacheMiss, header.xid, header.proc, 0);
                 }
                 let reply = self.forward(record, header.proc, args)?;
                 // A file with unflushed write-back data: the server's
@@ -797,16 +779,14 @@ impl ClientProxy {
                     None => return self.forward(record, header.proc, args),
                 };
                 if let Some(body) = self.meta.readdirs.get(&key) {
-                    self.meta.hits += 1;
-                    trace_cache(&self.stats, true, header.xid, header.proc);
+                    self.stats.emit(Hop::CacheHit, header.xid, header.proc, 0);
                     let mut enc = XdrEncoder::with_capacity(body.len() + 32);
                     ReplyHeader::success(header.xid).encode(&mut enc);
                     let mut out = enc.into_bytes();
                     out.extend_from_slice(body);
                     return Ok(out);
                 }
-                self.meta.misses += 1;
-                trace_cache(&self.stats, false, header.xid, header.proc);
+                self.stats.emit(Hop::CacheMiss, header.xid, header.proc, 0);
                 let reply = self.forward(record, header.proc, args)?;
                 if let Some(body) = success_body(&reply) {
                     self.meta.readdirs.insert(key, body.to_vec());
@@ -843,16 +823,9 @@ impl ClientProxy {
             // 1. Block cache.
             let t_blk = std::time::Instant::now();
             if let Some(data) = self.store.as_mut().and_then(|s| s.get(&key)) {
-                self.meta.hits += 1;
-                if let Some(obs) = self.stats.obs() {
-                    obs.hop_timed(
-                        sgfs_obs::Hop::BlockRead,
-                        xid,
-                        procnum::READ,
-                        t_blk.elapsed().as_nanos() as u64,
-                    );
-                    obs.emit(sgfs_obs::Hop::CacheHit, xid, procnum::READ, data.len() as u64);
-                }
+                let nanos = t_blk.elapsed().as_nanos() as u64;
+                self.stats.emit(Hop::BlockRead, xid, procnum::READ, nanos);
+                self.stats.emit(Hop::CacheHit, xid, procnum::READ, data.len() as u64);
                 self.read_ahead(&a, attr.size);
                 return Ok(serve_read(xid, &a, attr, &data));
             }
@@ -863,16 +836,14 @@ impl ClientProxy {
                 self.read_ahead(&a, attr.size);
                 ran_ahead = true;
                 if let Some(data) = self.wait_prefetch(&a.file, slot) {
-                    self.meta.hits += 1;
-                    self.stats.add_prefetch_hit();
-                    trace_cache(&self.stats, true, xid, procnum::READ);
+                    self.stats.add(Counter::PrefetchHits, 1);
+                    self.stats.emit(Hop::CacheHit, xid, procnum::READ, 0);
                     self.put_clean(key, &data)?;
                     return Ok(serve_read(xid, &a, attr, &data));
                 }
             }
         }
-        self.meta.misses += 1;
-        trace_cache(&self.stats, false, xid, procnum::READ);
+        self.stats.emit(Hop::CacheMiss, xid, procnum::READ, 0);
         // 3. Upstream, after making dirty data visible. The demand READ
         // enters the window ahead of anything speculative.
         if self.is_dirty(&a.file) {
@@ -1075,14 +1046,7 @@ impl ClientProxy {
             // can no longer back.
             return self.forward(record, procnum::WRITE, args);
         }
-        if let Some(obs) = self.stats.obs() {
-            obs.hop_timed(
-                sgfs_obs::Hop::BlockWrite,
-                xid,
-                procnum::WRITE,
-                t_blk.elapsed().as_nanos() as u64,
-            );
-        }
+        self.stats.emit(Hop::BlockWrite, xid, procnum::WRITE, t_blk.elapsed().as_nanos() as u64);
         self.synth_mtime += 1;
         let attr = self.meta.attrs.get_mut(&a.file).expect("ensured above");
         attr.size = attr.size.max(a.offset + a.data.len() as u64);
@@ -1153,9 +1117,7 @@ impl ClientProxy {
             return Ok(FlushOutcome::Committed);
         }
         // One split-phase round is starting: aux = dirty blocks in it.
-        if let Some(obs) = self.stats.obs() {
-            obs.emit(sgfs_obs::Hop::FlushRound, 0, procnum::COMMIT, dirty.len() as u64);
-        }
+        self.stats.emit(Hop::FlushRound, 0, procnum::COMMIT, dirty.len() as u64);
         let width = self.stripe.width();
         // Per-member WRITE batches, one pass over the dirty set. The
         // records are kept for the verbatim JUKEBOX re-send.
@@ -1261,10 +1223,7 @@ impl ClientProxy {
                     if commit_after.is_none() {
                         commit_after = res.wcc.after;
                     }
-                    self.stats.add_replica_write();
-                    if let Some(obs) = self.stats.obs() {
-                        obs.emit(sgfs_obs::Hop::ReplicaWrite, 0, procnum::COMMIT, m as u64);
-                    }
+                    self.stats.emit(Hop::ReplicaWrite, 0, procnum::COMMIT, m as u64);
                 }
                 // Its WRITEs landed but its COMMIT (or the size mirror
                 // behind it) did not: nothing it holds of this round is
@@ -1436,7 +1395,7 @@ impl ClientProxy {
     /// sees in the same order); GETATTR asks every member when members
     /// are partial; everything else rides the first live member.
     fn forward(&mut self, record: &[u8], proc: u32, args: &[u8]) -> std::io::Result<Vec<u8>> {
-        *self.forwarded.entry(proc).or_insert(0) += 1;
+        self.stats.forwarded(proc);
         let map = *self.stripe.map();
         let extent = match proc {
             procnum::READ | procnum::WRITE => io_extent(args),
@@ -1510,14 +1469,8 @@ impl ClientProxy {
             }
             match self.call_member(m, record) {
                 Ok(reply) => {
-                    if let Some(obs) = self.stats.obs() {
-                        obs.emit(
-                            sgfs_obs::Hop::StripeRead,
-                            sgfs_obs::peek_xid(record),
-                            procnum::READ,
-                            m as u64,
-                        );
-                    }
+                    let xid = sgfs_obs::peek_xid(record);
+                    self.stats.emit(Hop::StripeRead, xid, procnum::READ, m as u64);
                     return Ok(clamp_read(self.stripe.map(), offset, count, reply));
                 }
                 Err(e) => last = Some(e), // on to the block's next replica
@@ -1574,8 +1527,8 @@ impl ClientProxy {
             }
         }
         // The round trips are mostly *waiting*; exclude their wall time
-        // from the busy accounting (the GTLS layer re-adds the real
-        // crypto time through the shared busy counter).
+        // from the busy accounting (the GTLS layer's timed seal/open
+        // events re-add the real crypto time).
         self.stats.exclude(t_io.elapsed());
         first.ok_or_else(|| {
             last.unwrap_or_else(|| all_down("every targeted stripe-set member is down"))
@@ -1595,18 +1548,15 @@ impl ClientProxy {
         reply
     }
 
-    /// Take a member out of the set after a failed call — count the
-    /// failover, refresh the `degraded` gauge, emit the event, exactly
-    /// once per down transition — and report whether it is out. The last
+    /// Take a member out of the set after a failed call — refresh the
+    /// `degraded` gauge and emit the failover, exactly once per down
+    /// transition — and report whether it is out. The last
     /// member standing stays in (see [`StripeSet::mark_down`]): the
     /// caller surfaces its error instead.
     fn fail_member(&mut self, m: usize) -> bool {
         if self.stripe.mark_down(m) {
-            self.stats.add_failover();
-            self.stats.set_degraded(self.stripe.down_count());
-            if let Some(obs) = self.stats.obs() {
-                obs.emit(sgfs_obs::Hop::ReplicaFailover, 0, sgfs_obs::NO_PROC, m as u64);
-            }
+            self.stats.set(Gauge::Degraded, self.stripe.down_count());
+            self.stats.emit(Hop::ReplicaFailover, 0, NO_PROC, m as u64);
         }
         !self.stripe.is_up(m)
     }
@@ -1693,11 +1643,8 @@ impl ClientProxy {
         }
         self.missed[m].clear();
         self.stripe.mark_up(m);
-        self.stats.set_degraded(self.stripe.down_count());
-        self.stats.add_replica_write();
-        if let Some(obs) = self.stats.obs() {
-            obs.emit(sgfs_obs::Hop::ReplicaWrite, 0, sgfs_obs::NO_PROC, m as u64);
-        }
+        self.stats.set(Gauge::Degraded, self.stripe.down_count());
+        self.stats.emit(Hop::ReplicaWrite, 0, NO_PROC, m as u64);
         Ok(())
     }
 
@@ -1820,7 +1767,7 @@ enum FlushOutcome {
 /// member that shed it — and extract its write verifier.
 fn settle_write(
     member: &Pipeline,
-    stats: &ProxyStats,
+    stats: &Emitter,
     retry: &RetryPolicy,
     record: &[u8],
     reply: PendingReply,
@@ -1899,7 +1846,7 @@ fn all_down(what: &str) -> std::io::Error {
 /// client also understands.
 fn call_jukebox_patient(
     pipeline: &Pipeline,
-    stats: &ProxyStats,
+    stats: &Emitter,
     retry: &crate::config::RetryPolicy,
     record: &[u8],
 ) -> std::io::Result<Vec<u8>> {
@@ -1911,7 +1858,7 @@ fn call_jukebox_patient(
 /// that already hold the first reply.
 fn settle_jukebox(
     pipeline: &Pipeline,
-    stats: &ProxyStats,
+    stats: &Emitter,
     retry: &crate::config::RetryPolicy,
     record: &[u8],
     mut reply: Vec<u8>,
@@ -1921,30 +1868,17 @@ fn settle_jukebox(
         if !crate::proxy::retry::is_jukebox_reply(&reply) {
             return Ok(reply);
         }
-        stats.add_jukebox_retry();
-        if let Some(obs) = stats.obs() {
-            obs.emit(
-                sgfs_obs::Hop::JukeboxRetry,
-                sgfs_obs::peek_xid(record),
-                sgfs_obs::peek_proc(record),
-                backoff.as_nanos() as u64,
-            );
-        }
+        stats.emit(
+            Hop::JukeboxRetry,
+            sgfs_obs::peek_xid(record),
+            sgfs_obs::peek_proc(record),
+            backoff.as_nanos() as u64,
+        );
         std::thread::sleep(backoff);
         backoff = (backoff * 2).min(retry.backoff_cap);
         reply = pipeline.call(record.to_vec())?;
     }
     Ok(reply)
-}
-
-/// Emit a cache hit/miss trace event into the proxy's observability
-/// domain, when one is attached (the hit/miss *counters* live in
-/// `MetaCache`; this is the event-stream mirror of those increments).
-fn trace_cache(stats: &ProxyStats, hit: bool, xid: u32, proc: u32) {
-    if let Some(obs) = stats.obs() {
-        let hop = if hit { sgfs_obs::Hop::CacheHit } else { sgfs_obs::Hop::CacheMiss };
-        obs.emit(hop, xid, proc, 0);
-    }
 }
 
 /// Answer READ `a` from its locally held block.

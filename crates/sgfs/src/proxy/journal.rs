@@ -51,10 +51,9 @@
 
 use super::blockstore::BlockKey;
 use crate::config::DurabilityPolicy;
-use crate::stats::ProxyStats;
 use sgfs_net::{CrashInjector, CrashPoint};
 use sgfs_nfs3::Fh3;
-use sgfs_obs::{Hop, Obs, NO_PROC};
+use sgfs_obs::{Emitter, Hop, NO_PROC};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{Read, Write};
@@ -145,13 +144,12 @@ pub struct Journal {
     records: u64,
     /// Appends since the last fsync.
     unsynced: u32,
-    stats: Option<Arc<ProxyStats>>,
-    obs: Option<Arc<Obs>>,
+    stats: Emitter,
     crash: Option<Arc<CrashInjector>>,
 }
 
 impl Journal {
-    /// Open (creating or appending to) the journal in `dir`. `live_from`
+    /// Open (creating or appending to) the journal in `dir`. `survivors`
     /// seeds the in-memory mirror when opening over a recovered journal.
     pub fn open(
         dir: &Path,
@@ -179,21 +177,15 @@ impl Journal {
             live,
             records,
             unsynced: 0,
-            stats: None,
-            obs: None,
+            stats: Emitter::detached("journal"),
             crash: None,
         })
     }
 
-    /// Attach the stats/trace/crash planes (session wiring).
-    pub fn instrument(
-        &mut self,
-        stats: Option<Arc<ProxyStats>>,
-        obs: Option<Arc<Obs>>,
-        crash: Option<Arc<CrashInjector>>,
-    ) {
+    /// Count through the owning proxy's emitter instead of the journal's
+    /// own, and attach the crash plane (session wiring).
+    pub fn instrument(&mut self, stats: Emitter, crash: Option<Arc<CrashInjector>>) {
         self.stats = stats;
-        self.obs = obs;
         self.crash = crash;
     }
 
@@ -244,12 +236,7 @@ impl Journal {
             self.file.sync_data()?;
             self.unsynced = 0;
         }
-        if let Some(s) = &self.stats {
-            s.add_journal_append();
-        }
-        if let Some(o) = &self.obs {
-            o.emit(Hop::JournalAppend, 0, NO_PROC, rec.len() as u64);
-        }
+        self.stats.emit(Hop::JournalAppend, 0, NO_PROC, rec.len() as u64);
         Ok(())
     }
 
@@ -361,12 +348,7 @@ impl Journal {
             std::fs::OpenOptions::new().append(true).open(&self.path)?;
         self.records = kept;
         self.unsynced = 0;
-        if let Some(s) = &self.stats {
-            s.add_journal_compaction();
-        }
-        if let Some(o) = &self.obs {
-            o.emit(Hop::JournalCompact, 0, NO_PROC, kept);
-        }
+        self.stats.emit(Hop::JournalCompact, 0, NO_PROC, kept);
         Ok(())
     }
 
@@ -650,7 +632,7 @@ mod tests {
     fn torn_append_injection_recovers_prefix() {
         let dir = tmp("torn-inject");
         let mut j = Journal::open(&dir, policy(), &[], 0).unwrap();
-        j.instrument(None, None, Some(CrashInjector::at(CrashPoint::TornJournalAppend, 2)));
+        j.crash = Some(CrashInjector::at(CrashPoint::TornJournalAppend, 2));
         j.record_put(&(fh(1), 0), 100, true).unwrap();
         let err = j.record_put(&(fh(2), 0), 50, true).unwrap_err();
         assert!(sgfs_net::crash::is_crash(&err));
@@ -671,7 +653,7 @@ mod tests {
         let mut j = Journal::open(&dir, pol, &[], 0).unwrap();
         j.record_put(&(fh(1), 0), 100, true).unwrap();
         j.record_drop_file(&fh(1)).unwrap();
-        j.instrument(None, None, Some(CrashInjector::at(CrashPoint::BeforeCompactionRename, 1)));
+        j.crash = Some(CrashInjector::at(CrashPoint::BeforeCompactionRename, 1));
         let err = j.record_put(&(fh(2), 0), 64, true).unwrap_err();
         assert!(sgfs_net::crash::is_crash(&err));
         drop(j);

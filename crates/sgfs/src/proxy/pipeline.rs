@@ -20,7 +20,7 @@
 //! allocation-free: the ring is a fixed-capacity ladder, and the
 //! record/reply scratch buffers recycle as before. Dropping the last
 //! handle closes the ring; the worker observes the close, delivers any
-//! replies that already arrived, fails the rest, flushes `ProxyStats`,
+//! replies that already arrived, fails the rest, flushes the depth gauge,
 //! and retires the connection — the handle's `Drop` blocks (bounded)
 //! until that retirement is signalled, so teardown is deterministic and
 //! nothing is left parked.
@@ -68,7 +68,7 @@
 
 use crate::config::RetryPolicy;
 use crate::proxy::retry::{self, Reconnector};
-use crate::stats::ProxyStats;
+use sgfs_obs::{Counter, Emitter, Gauge, Hop, NO_PROC};
 use crate::proxy::client::Upstream;
 use sgfs_net::{submit_ring, PipeWatch, Popped, Readiness, SubmitReceiver, SubmitSender};
 use sgfs_oncrpc::record::{is_transient_io, read_record_into, write_record_with};
@@ -236,7 +236,7 @@ impl Pipeline {
         watch: PipeWatch,
         window: u32,
         rekey_every: Option<u64>,
-        stats: Arc<ProxyStats>,
+        stats: Emitter,
     ) -> Self {
         Self::with_recovery(
             upstream,
@@ -264,7 +264,7 @@ impl Pipeline {
         watch: PipeWatch,
         window: u32,
         rekey_every: Option<u64>,
-        stats: Arc<ProxyStats>,
+        stats: Emitter,
         reconnector: Option<Box<dyn Reconnector>>,
         retry: RetryPolicy,
     ) -> Self {
@@ -285,7 +285,7 @@ impl Pipeline {
         watch: PipeWatch,
         window: u32,
         rekey_every: Option<u64>,
-        stats: Arc<ProxyStats>,
+        stats: Emitter,
         reconnector: Option<Box<dyn Reconnector>>,
         retry: RetryPolicy,
     ) -> io::Result<Self> {
@@ -439,7 +439,7 @@ struct IoState {
     gate: RetireGate,
     window: u32,
     rekey_every: Option<u64>,
-    stats: Arc<ProxyStats>,
+    stats: Emitter,
     shared: Arc<Shared>,
     reconnector: Option<Box<dyn Reconnector>>,
     retry: RetryPolicy,
@@ -607,7 +607,7 @@ impl IoState {
                     .reply_tx
                     .send(Err(broken("pipeline dropped with calls in flight")));
             }
-            self.stats.pipeline_completed(0);
+            self.stats.set(Gauge::PipelineDepth, 0);
         }
         for w in self.rekey_waiters.drain(..) {
             let _ = w.send(Err(broken("upstream pipeline terminated")));
@@ -637,14 +637,12 @@ impl IoState {
         // Classification is only consulted by the recovery path.
         let replay = self.reconnector.is_some() && retry::replayable(&record);
         let proc = sgfs_obs::peek_proc(&record);
-        if let Some(obs) = self.stats.obs() {
-            obs.emit(sgfs_obs::Hop::UpstreamSend, self.wire_xid, proc, record.len() as u64);
-        }
+        self.stats.emit(Hop::UpstreamSend, self.wire_xid, proc, record.len() as u64);
         self.in_flight.insert(
             self.wire_xid,
             InFlight { orig_xid, record, replay, proc, sent_at: Instant::now(), reply_tx },
         );
-        self.stats.pipeline_admitted(self.in_flight.len() as u64);
+        self.admitted();
         self.calls_since_rekey += 1;
         if self.rekey_every.is_some_and(|n| self.calls_since_rekey >= n) {
             self.rekey_due = true;
@@ -655,8 +653,15 @@ impl IoState {
             &self.in_flight[&self.wire_xid].record,
             &mut self.write_scratch,
         );
-        self.stats.add_record_alloc((self.write_scratch.capacity() - cap) as u64);
+        self.stats.add(Counter::RecordAllocBytes, (self.write_scratch.capacity() - cap) as u64);
         res
+    }
+
+    /// The window just grew (an admission, a replay): publish its depth.
+    fn admitted(&self) {
+        let depth = self.in_flight.len() as u64;
+        self.stats.set(Gauge::PipelineDepth, depth);
+        self.stats.raise(Gauge::PipelinePeak, depth);
     }
 
     /// Collect exactly one reply and complete its waiter, handing the
@@ -674,7 +679,7 @@ impl IoState {
         }
         let cap = self.reply_buf.capacity();
         if cap > self.reply_high_water {
-            self.stats.add_record_alloc((cap - self.reply_high_water) as u64);
+            self.stats.add(Counter::RecordAllocBytes, (cap - self.reply_high_water) as u64);
             self.reply_high_water = cap;
         }
         if self.reply_buf.len() < 4 {
@@ -697,21 +702,15 @@ impl IoState {
                 "upstream reply to unknown xid",
             ));
         };
-        if let Some(obs) = self.stats.obs() {
-            // aux = upstream round-trip time in nanoseconds.
-            obs.hop_timed(
-                sgfs_obs::Hop::UpstreamReply,
-                xid,
-                call.proc,
-                call.sent_at.elapsed().as_nanos() as u64,
-            );
-        }
+        // aux = upstream round-trip time in nanoseconds.
+        let rtt = call.sent_at.elapsed().as_nanos() as u64;
+        self.stats.emit(Hop::UpstreamReply, xid, call.proc, rtt);
         // Zero-copy handoff: the reply rides out in `reply_buf`, and the
         // retired call record's buffer becomes the next read scratch.
         std::mem::swap(&mut self.reply_buf, &mut call.record);
         call.record[0..4].copy_from_slice(&call.orig_xid);
         self.reply_buf.clear();
-        self.stats.pipeline_completed(self.in_flight.len() as u64);
+        self.stats.set(Gauge::PipelineDepth, self.in_flight.len() as u64);
         // The caller may have given up on the reply; channel teardown
         // handles the rest.
         let _ = call.reply_tx.send(Ok(call.record));
@@ -747,7 +746,7 @@ impl IoState {
             }
         }
         replay.sort_by_key(|(xid, _)| *xid);
-        self.stats.pipeline_completed(0);
+        self.stats.set(Gauge::PipelineDepth, 0);
 
         let mut backoff = self.retry.backoff_base;
         let mut last = err;
@@ -755,15 +754,7 @@ impl IoState {
             if attempt > 0 {
                 let d = backoff.min(self.retry.backoff_cap);
                 std::thread::sleep(d);
-                self.stats.add_backoff(d);
-                if let Some(obs) = self.stats.obs() {
-                    obs.hop_timed(
-                        sgfs_obs::Hop::Backoff,
-                        0,
-                        sgfs_obs::NO_PROC,
-                        d.as_nanos() as u64,
-                    );
-                }
+                self.stats.emit(Hop::Backoff, 0, NO_PROC, d.as_nanos() as u64);
                 backoff = backoff.saturating_mul(2);
             }
             let dialed = self
@@ -778,23 +769,12 @@ impl IoState {
                         Ok(()) => {
                             let replayed = replay.len() as u64;
                             for (xid, mut call) in replay {
-                                if let Some(obs) = self.stats.obs() {
-                                    obs.emit(sgfs_obs::Hop::Replay, xid, call.proc, 0);
-                                }
+                                self.stats.emit(Hop::Replay, xid, call.proc, 0);
                                 call.sent_at = Instant::now();
                                 self.in_flight.insert(xid, call);
                             }
-                            if let Some(obs) = self.stats.obs() {
-                                obs.emit(
-                                    sgfs_obs::Hop::Reconnect,
-                                    0,
-                                    sgfs_obs::NO_PROC,
-                                    replayed,
-                                );
-                            }
-                            self.stats.pipeline_admitted(self.in_flight.len() as u64);
-                            self.stats.add_replays(replayed);
-                            self.stats.add_reconnect();
+                            self.stats.emit(Hop::Reconnect, 0, NO_PROC, replayed);
+                            self.admitted();
                             self.reconnects_used += 1;
                             // The fresh connection ran a full handshake:
                             // any pending rekey request is satisfied.
@@ -829,8 +809,7 @@ impl IoState {
     /// token (registration fires immediately if data already arrived).
     fn install(&mut self, mut up: Upstream, watch: PipeWatch) {
         if let Upstream::Tls(t) = &mut up {
-            t.busy_counter = Some(self.stats.busy_counter());
-            t.obs = self.stats.obs().cloned();
+            t.obs = Some(self.stats.clone());
             let total = self.shared.handshakes.load(Ordering::Acquire) + t.handshake_count();
             t.set_handshake_count(total);
             self.shared.handshakes.store(total, Ordering::Release);
@@ -859,7 +838,7 @@ impl IoState {
         for (_, call) in self.in_flight.drain() {
             let _ = call.reply_tx.send(Err(broken(&msg)));
         }
-        self.stats.pipeline_completed(0);
+        self.stats.set(Gauge::PipelineDepth, 0);
         for cmd in self.queue.drain(..) {
             match cmd {
                 Cmd::Call { reply_tx, .. } => {
@@ -950,11 +929,7 @@ mod tests {
         (Upstream::Plain(Box::new(end)), watch)
     }
 
-    fn plain_pipeline(
-        end: sgfs_net::PipeEnd,
-        window: u32,
-        stats: Arc<ProxyStats>,
-    ) -> Pipeline {
+    fn plain_pipeline(end: sgfs_net::PipeEnd, window: u32, stats: Emitter) -> Pipeline {
         let (up, watch) = plain_upstream(end);
         Pipeline::new(up, watch, window, None, stats)
     }
@@ -963,7 +938,7 @@ mod tests {
     fn replies_match_calls_across_reordering() {
         let (client_end, server_end) = pipe_pair();
         let _server = echo_server(server_end, 4);
-        let stats = ProxyStats::new();
+        let stats = Emitter::detached("client");
         let p = plain_pipeline(client_end, 4, stats.clone());
 
         let pending: Vec<(u32, PendingReply)> = (0..4u32)
@@ -979,14 +954,14 @@ mod tests {
             assert_eq!(&reply[4..], format!("echo:payload-{i}").as_bytes());
         }
         assert_eq!(stats.pipeline_peak(), 4);
-        assert_eq!(stats.pipeline_depth(), 0);
+        assert_eq!(stats.gauge(Gauge::PipelineDepth), 0);
     }
 
     #[test]
     fn window_of_one_is_serial() {
         let (client_end, server_end) = pipe_pair();
         let _server = echo_server(server_end, 1);
-        let p = plain_pipeline(client_end, 1, ProxyStats::new());
+        let p = plain_pipeline(client_end, 1, Emitter::detached("client"));
         for i in 0..20u32 {
             let reply = p.call(call_record(i, b"x")).unwrap();
             assert_eq!(&reply[0..4], &i.to_be_bytes());
@@ -997,7 +972,7 @@ mod tests {
     fn colliding_caller_xids_are_disambiguated() {
         let (client_end, server_end) = pipe_pair();
         let _server = echo_server(server_end, 2);
-        let p = plain_pipeline(client_end, 2, ProxyStats::new());
+        let p = plain_pipeline(client_end, 2, Emitter::detached("client"));
         // Two concurrent calls with the SAME caller xid: the wire rewrite
         // must keep them apart.
         let a = p.submit(call_record(7, b"first"));
@@ -1014,7 +989,7 @@ mod tests {
         // The server releases nothing until 4 records have arrived: only
         // an atomic batch admission can satisfy it.
         let _server = echo_server(server_end, 4);
-        let stats = ProxyStats::new();
+        let stats = Emitter::detached("client");
         let p = plain_pipeline(client_end, 4, stats.clone());
         let records = (0..4u32).map(|i| call_record(i, b"batched")).collect();
         let pending = p.submit_batch(records);
@@ -1029,7 +1004,7 @@ mod tests {
     fn batch_overflow_parks_behind_the_window() {
         let (client_end, server_end) = pipe_pair();
         let _server = echo_server(server_end, 1);
-        let p = plain_pipeline(client_end, 2, ProxyStats::new());
+        let p = plain_pipeline(client_end, 2, Emitter::detached("client"));
         // 10 calls through a window of 2: overflow tops up as replies
         // complete, in submission order.
         let records = (0..10u32).map(|i| call_record(i, b"over")).collect();
@@ -1043,7 +1018,7 @@ mod tests {
     #[test]
     fn upstream_eof_fails_outstanding_calls() {
         let (client_end, server_end) = pipe_pair();
-        let p = plain_pipeline(client_end, 4, ProxyStats::new());
+        let p = plain_pipeline(client_end, 4, Emitter::detached("client"));
         let pending = p.submit(call_record(1, b"doomed"));
         drop(server_end);
         assert!(pending.wait().is_err());
@@ -1055,7 +1030,7 @@ mod tests {
     fn plain_rekey_is_noop() {
         let (client_end, server_end) = pipe_pair();
         let _server = echo_server(server_end, 1);
-        let p = plain_pipeline(client_end, 4, ProxyStats::new());
+        let p = plain_pipeline(client_end, 4, Emitter::detached("client"));
         assert!(p.rekey().is_ok());
         assert_eq!(p.handshake_count(), None);
         assert_eq!(&p.call(call_record(9, b"after")).unwrap()[0..4], &9u32.to_be_bytes());
@@ -1065,7 +1040,7 @@ mod tests {
     fn record_alloc_settles_at_steady_state() {
         let (client_end, server_end) = pipe_pair();
         let _server = echo_server(server_end, 1);
-        let stats = ProxyStats::new();
+        let stats = Emitter::detached("client");
         let p = plain_pipeline(client_end, 4, stats.clone());
         let payload = vec![0xabu8; 4096];
         for i in 0..32u32 {
@@ -1150,7 +1125,7 @@ mod tests {
     #[test]
     fn reconnect_replays_idempotent_calls() {
         let (client_end, server_end) = pipe_pair();
-        let stats = ProxyStats::new();
+        let stats = Emitter::detached("client");
         let (up, watch) = plain_upstream(client_end);
         let p = Pipeline::with_recovery(
             up,
@@ -1176,7 +1151,7 @@ mod tests {
     #[test]
     fn connect_refusals_are_retried_with_backoff() {
         let (client_end, server_end) = pipe_pair();
-        let stats = ProxyStats::new();
+        let stats = Emitter::detached("client");
         let (up, watch) = plain_upstream(client_end);
         let p = Pipeline::with_recovery(
             up,
@@ -1191,13 +1166,13 @@ mod tests {
         drop(server_end);
         assert!(pending.wait().is_ok());
         assert_eq!(stats.reconnects(), 1);
-        assert!(stats.backoff() > Duration::ZERO, "refused dials must back off");
+        assert!(stats.sum(Hop::Backoff) > 0, "refused dials must back off");
     }
 
     #[test]
     fn non_idempotent_calls_fail_cleanly_on_reconnect() {
         let (client_end, server_end) = pipe_pair();
-        let stats = ProxyStats::new();
+        let stats = Emitter::detached("client");
         let (up, watch) = plain_upstream(client_end);
         let p = Pipeline::with_recovery(
             up,
@@ -1231,7 +1206,7 @@ mod tests {
             watch,
             4,
             None,
-            ProxyStats::new(),
+            Emitter::detached("client"),
             // Every dial refused: recovery must give up, not spin.
             Some(Box::new(|_attempt: u32| {
                 Err::<(Upstream, PipeWatch), _>(io::Error::new(
@@ -1254,11 +1229,9 @@ mod tests {
 
     #[test]
     fn trace_events_cover_send_reply_and_recovery() {
-        use sgfs_obs::{Hop, Obs};
         let (client_end, server_end) = pipe_pair();
-        let stats = ProxyStats::new();
-        let obs = Obs::new();
-        stats.set_obs(obs.clone());
+        let obs = sgfs_obs::Obs::new();
+        let stats = Emitter::new(&obs, "client");
         let (up, watch) = plain_upstream(client_end);
         let p = Pipeline::with_recovery(
             up,
@@ -1306,7 +1279,7 @@ mod tests {
             watch,
             4,
             None,
-            ProxyStats::new(),
+            Emitter::detached("client"),
             None,
             RetryPolicy {
                 call_deadline: Some(Duration::from_millis(50)),
@@ -1337,7 +1310,7 @@ mod tests {
         let before = process_thread_count();
         let (client_end, server_end) = pipe_pair();
         let _server = echo_server(server_end, 1);
-        let stats = ProxyStats::new();
+        let stats = Emitter::detached("client");
         let p = plain_pipeline(client_end, 4, stats.clone());
         for i in 0..8u32 {
             p.call(call_record(i, b"x")).unwrap();
@@ -1347,7 +1320,7 @@ mod tests {
         // gauge is flushed to zero before drop returns, and the private
         // pool worker joins — no leaked reader thread.
         drop(p);
-        assert_eq!(stats.pipeline_depth(), 0, "depth gauge flushed before drop returned");
+        assert_eq!(stats.gauge(Gauge::PipelineDepth), 0, "depth gauge flushed before drop returned");
         if let (Some(b), Some(_)) = (before, process_thread_count()) {
             wait_for("threads back to baseline", || {
                 process_thread_count().is_some_and(|a| a <= b)
@@ -1359,7 +1332,7 @@ mod tests {
     fn drop_with_calls_in_flight_fails_them_and_retires() {
         let (client_end, server_end) = pipe_pair();
         // Silent server: the reply never comes.
-        let p = plain_pipeline(client_end, 4, ProxyStats::new());
+        let p = plain_pipeline(client_end, 4, Emitter::detached("client"));
         let pending = p.submit(call_record(1, b"abandoned"));
         // Give the pump time to admit the call before abandoning it.
         std::thread::sleep(Duration::from_millis(20));
@@ -1390,7 +1363,7 @@ mod tests {
                     watch,
                     4,
                     None,
-                    ProxyStats::new(),
+                    Emitter::detached("client"),
                     None,
                     RetryPolicy::default(),
                 )

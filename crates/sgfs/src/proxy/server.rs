@@ -18,7 +18,7 @@
 use crate::acl::{acl_file_name, is_acl_file_name, Acl};
 use crate::config::{HopCost, SessionConfig};
 use crate::proxy::ProxyError;
-use crate::stats::ProxyStats;
+use sgfs_obs::Emitter;
 use parking_lot::Mutex;
 use sgfs_nfs3::proc::{procnum, *};
 use sgfs_nfs3::types::*;
@@ -49,7 +49,7 @@ pub struct ServerProxy {
     /// fh → effective ACL (None = no ACL anywhere up the chain).
     acl_cache: Mutex<HashMap<Fh3, Option<Arc<Acl>>>>,
     root_fh: Fh3,
-    stats: Arc<ProxyStats>,
+    stats: Emitter,
     /// Virtual per-hop forwarding cost, charged to the testbed clock.
     hop: Mutex<Option<(Arc<sgfs_net::SimClock>, HopCost)>>,
 }
@@ -85,7 +85,9 @@ impl ServerProxy {
             name_map: Mutex::new(HashMap::new()),
             acl_cache: Mutex::new(HashMap::new()),
             root_fh,
-            stats: ProxyStats::new(),
+            // Counted, never traced: the session's domain follows the
+            // client side of the wire.
+            stats: Emitter::detached("server"),
             hop: Mutex::new(None),
         }))
     }
@@ -105,8 +107,8 @@ impl ServerProxy {
         &self.peer_dn
     }
 
-    /// Instrumentation counters.
-    pub fn stats(&self) -> &Arc<ProxyStats> {
+    /// The emitter everything in this proxy counts through.
+    pub fn stats(&self) -> &Emitter {
         &self.stats
     }
 
@@ -124,7 +126,10 @@ impl ServerProxy {
     /// owns no transport: this is the entry point the sharded server core
     /// drives for every record of every connection pinned to it.
     pub fn process_one(&self, record: &[u8]) -> std::io::Result<Vec<u8>> {
-        let reply = self.stats.track(|| self.process(record))?;
+        let t0 = std::time::Instant::now();
+        let reply = self.process(record);
+        self.stats.message(sgfs_obs::NO_PROC, t0.elapsed());
+        let reply = reply?;
         // The proxy ↔ kernel-server loopback hop (request + reply).
         if let Some((clock, hop)) = self.hop.lock().as_ref() {
             clock.advance(hop.of(record.len()) + hop.of(reply.len()));

@@ -385,7 +385,6 @@ mod tests {
 
     #[test]
     fn stripe_set_tracks_membership() {
-        use crate::stats::ProxyStats;
         use sgfs_net::pipe_pair;
 
         let m = map(2, 2, 512);
@@ -400,7 +399,7 @@ mod tests {
                 watch,
                 4,
                 None,
-                ProxyStats::new(),
+                sgfs_obs::Emitter::detached("client"),
             ));
         }
         let mut set = StripeSet::new(m, pipelines);

@@ -28,6 +28,7 @@ use sgfs_net::{pipe_pair_over_link, Link, LinkSpec, SimClock};
 use sgfs_nfs3::{Fh3, Nfs3Client};
 use sgfs_nfsclient::{MountOptions, NfsMount};
 use sgfs_nfsd::{ExportEntry, Exports, NfsServer};
+use sgfs_obs::Gauge;
 use sgfs_oncrpc::msg::AuthSysParams;
 use sgfs_oncrpc::{LoopbackStream, OpaqueAuth, RpcRecordService, ShardServer};
 use sgfs_pki::{
@@ -253,9 +254,10 @@ pub struct SessionParams {
     /// session assembly replays the journal before serving the first
     /// call.
     pub durability: DurabilityPolicy,
-    /// Observability domain for the session's data plane (trace events,
-    /// latency histograms). `None` = untraced; share one domain across
-    /// sessions to interleave their events on one logical clock.
+    /// Observability domain for the session's data plane (counters,
+    /// trace events, latency histograms). `None` = the session makes an
+    /// untraced one of its own, which still counts; share one domain
+    /// across sessions to interleave their events on one logical clock.
     pub obs: Option<Arc<sgfs_obs::Obs>>,
     /// The sharded server core this session's server-side connections pin
     /// to. `None` = the session starts a private [`ShardServer`] with
@@ -342,10 +344,10 @@ pub struct Session {
     /// The client proxy the mount's loopback drives; teardown takes it
     /// to write the cache back.
     client_proxy: Option<Arc<SharedClientProxy>>,
-    client_stats: Option<Arc<crate::stats::ProxyStats>>,
+    client_stats: Option<sgfs_obs::Emitter>,
     server_proxy: Option<Arc<ServerProxy>>,
     controller: Option<ClientProxyController>,
-    obs: Option<Arc<sgfs_obs::Obs>>,
+    obs: Arc<sgfs_obs::Obs>,
     shards: Arc<ShardServer>,
     // Last field on purpose: the guards' drop-join runs after everything
     // above has been torn down, by which point the proxy/pipeline drops
@@ -392,6 +394,8 @@ impl Session {
             .clone()
             .unwrap_or_else(|| ShardServer::new(DEFAULT_SHARDS));
 
+        let obs = params.obs.clone().unwrap_or_else(sgfs_obs::Obs::disabled);
+
         let mount_opts =
             MountOptions::new(clock.clone()).with_mem_cache(params.mem_cache_bytes);
         let job_cred = OpaqueAuth::sys(&AuthSysParams::new("compute-host", JOB_UID, JOB_UID));
@@ -434,7 +438,7 @@ impl Session {
                 client_stats: None,
                 server_proxy: None,
                 controller: None,
-                obs: params.obs.clone(),
+                obs,
                 shards,
                 _tunnel_guards: Vec::new(),
             });
@@ -483,7 +487,7 @@ impl Session {
         });
         client_cfg.retry = params.retry;
         client_cfg.durability = params.durability;
-        client_cfg.obs = params.obs.clone();
+        client_cfg.obs = Some(obs.clone());
         client_cfg.client_pool = params.client_pool.clone();
 
         // --- one full server stack per member, one client proxy across
@@ -608,7 +612,7 @@ impl Session {
             client_stats: Some(client_stats),
             server_proxy,
             controller: Some(controller),
-            obs: params.obs.clone(),
+            obs,
             shards,
             _tunnel_guards: tunnel_guards,
         })
@@ -649,14 +653,16 @@ impl Session {
         &self.shards
     }
 
-    /// The client proxy's instrumentation, when one is running.
-    pub fn client_proxy_stats(&self) -> Option<&Arc<crate::stats::ProxyStats>> {
+    /// The client proxy's emitter (its counters outlive the session),
+    /// when a proxy is running.
+    pub fn client_proxy_stats(&self) -> Option<&sgfs_obs::Emitter> {
         self.client_stats.as_ref()
     }
 
-    /// The session's observability domain, when one was configured.
-    pub fn obs(&self) -> Option<&Arc<sgfs_obs::Obs>> {
-        self.obs.as_ref()
+    /// The session's observability domain: the one passed in, or the
+    /// untraced one the session made for itself.
+    pub fn obs(&self) -> &Arc<sgfs_obs::Obs> {
+        &self.obs
     }
 
     /// Dynamic-reconfiguration controller for the client proxy.
@@ -669,19 +675,6 @@ impl Session {
     /// (timed — the paper reports this separately).
     pub fn finish(self) -> Result<SessionReport, SessionError> {
         self.finish_with(|_| ()).map(|(report, _)| report)
-    }
-
-    /// Like [`finish`](Self::finish) but returns a human-readable dump of
-    /// the client proxy's forwarded-procedure counters instead of the
-    /// report (diagnostics for the evaluation harness).
-    pub fn finish_with_debug(self) -> Result<String, SessionError> {
-        let (_, dump) = self.finish_with(|proxy| {
-            let mut counts: Vec<(u32, u64)> =
-                proxy.forwarded_by_proc().iter().map(|(k, v)| (*k, *v)).collect();
-            counts.sort_by_key(|(_, v)| std::cmp::Reverse(*v));
-            format!("forwarded by proc: {counts:?}")
-        })?;
-        Ok(dump.unwrap_or_else(|| "no client proxy".into()))
     }
 
     /// Like [`finish`](Self::finish), but lets the caller `inspect` the
@@ -708,7 +701,7 @@ impl Session {
         // Gauge what (if anything) the flush left behind before
         // propagating its error: non-zero means the journal (when
         // enabled) is now the only copy of those bytes.
-        proxy.stats().set_dirty_at_shutdown(proxy.dirty_bytes());
+        proxy.stats().set(Gauge::DirtyAtShutdown, proxy.dirty_bytes());
         report.writeback_bytes = flushed?;
         report.writeback_time = self.clock.now() - t0;
         report.proxy_cache = Some(proxy.cache_stats());
@@ -725,7 +718,7 @@ impl Drop for Session {
         let Some(proxy) = self.client_proxy.take() else { return };
         let mut proxy = proxy.lock();
         let _ = proxy.flush_all();
-        proxy.stats().set_dirty_at_shutdown(proxy.dirty_bytes());
+        proxy.stats().set(Gauge::DirtyAtShutdown, proxy.dirty_bytes());
     }
 }
 
@@ -793,7 +786,7 @@ fn dial<E: From<GtlsError> + From<std::io::Error>>(
             )?;
             let proxy = service(Some(server_tls.peer()))?;
             // Attribute record crypto to the server proxy's CPU account.
-            server_tls.busy_counter = Some(proxy.stats().busy_counter());
+            server_tls.obs = Some(proxy.stats().clone());
             shards.add_session(Box::new(server_tls), server_watch, proxy.clone())?;
             Ok((Upstream::Tls(Box::new(client_tls)), client_watch, proxy))
         }

@@ -24,6 +24,7 @@ use sgfs_net::{pipe_pair, CrashInjector, PipeEnd, ALL_CRASH_POINTS};
 use sgfs_nfs3::proc::{procnum, CommitRes, GetAttrRes, WriteArgs, WriteRes};
 use sgfs_nfs3::types::*;
 use sgfs_nfs3::{NFS_PROGRAM, NFS_VERSION};
+use sgfs_obs::{Counter, Emitter, Hop};
 use sgfs_oncrpc::msg::AuthSysParams;
 use sgfs_oncrpc::record::{read_record, write_record};
 use sgfs_oncrpc::{CallHeader, LoopbackStream, OpaqueAuth, ReplyHeader};
@@ -320,7 +321,7 @@ fn crash_case(
 
     // --- Invariant probe: recover the frozen directory directly. ------
     let (mut probe, report) =
-        DiskStore::with_durability(dir.clone(), durability(), None, None, None)
+        DiskStore::with_durability(dir.clone(), durability(), Emitter::detached("client"), None)
             .expect("recovery never fails on a torn journal");
     for s in &report.survivors {
         assert!(
@@ -345,8 +346,9 @@ fn crash_case(
     // --- Restart: recover, re-send unacked writes, flush once. --------
     let proxy2 = proxy_to(&state, &config_for(dir.clone(), None));
     let recovered_bytes: u64 = report.survivors.iter().map(|s| s.len as u64).sum();
+    let stats = proxy2.lock().stats().clone();
     assert_eq!(
-        proxy2.lock().stats().recovered(),
+        (stats.sum(Hop::RecoveryComplete), stats.get(Counter::RecoveredBytes)),
         (report.survivors.len() as u64, recovered_bytes),
         "{label}: recovery counters"
     );
@@ -398,7 +400,7 @@ fn torn_tail_is_detected_and_never_resurrects_committed_blocks() {
     let _ = std::fs::remove_dir_all(&dir);
     {
         let (mut store, _) =
-            DiskStore::with_durability(dir.clone(), durability(), None, None, None).unwrap();
+            DiskStore::with_durability(dir.clone(), durability(), Emitter::detached("client"), None).unwrap();
         store.put((fh1(), 0), &[1; BLOCK], true).unwrap();
         store.set_clean(&(fh1(), 0)).unwrap();
         store.commit_file(&fh1()).unwrap(); // stable: must not recover
@@ -416,7 +418,7 @@ fn torn_tail_is_detected_and_never_resurrects_committed_blocks() {
     std::fs::write(&path, &bytes).unwrap();
 
     let (mut store, report) =
-        DiskStore::with_durability(dir.clone(), durability(), None, None, None).unwrap();
+        DiskStore::with_durability(dir.clone(), durability(), Emitter::detached("client"), None).unwrap();
     assert!(report.torn_bytes > 0, "tear detected and measured");
     let keys: Vec<_> = report.survivors.iter().map(|s| s.key.clone()).collect();
     assert_eq!(keys, vec![(fh1(), BLOCK as u64)], "the torn tail record is discarded");
@@ -429,7 +431,7 @@ fn torn_tail_is_detected_and_never_resurrects_committed_blocks() {
     store.put((fh2(), BLOCK as u64), &[4; BLOCK], true).unwrap();
     drop(store);
     let (_store, report) =
-        DiskStore::with_durability(dir.clone(), durability(), None, None, None).unwrap();
+        DiskStore::with_durability(dir.clone(), durability(), Emitter::detached("client"), None).unwrap();
     assert_eq!(report.torn_bytes, 0, "tail repaired by the previous recovery");
     assert_eq!(report.survivors.len(), 2);
     let _ = std::fs::remove_dir_all(&dir);
@@ -443,7 +445,7 @@ fn corrupted_record_stops_replay_and_store_stays_usable() {
     let _ = std::fs::remove_dir_all(&dir);
     {
         let (mut store, _) =
-            DiskStore::with_durability(dir.clone(), durability(), None, None, None).unwrap();
+            DiskStore::with_durability(dir.clone(), durability(), Emitter::detached("client"), None).unwrap();
         store.put((fh1(), 0), &[1; BLOCK], true).unwrap();
         store.put((fh1(), BLOCK as u64), &[2; BLOCK], true).unwrap();
         store.put((fh1(), 2 * BLOCK as u64), &[3; BLOCK], true).unwrap();
@@ -455,7 +457,7 @@ fn corrupted_record_stops_replay_and_store_stays_usable() {
     std::fs::write(&path, &bytes).unwrap();
 
     let (mut store, report) =
-        DiskStore::with_durability(dir.clone(), durability(), None, None, None).unwrap();
+        DiskStore::with_durability(dir.clone(), durability(), Emitter::detached("client"), None).unwrap();
     assert!(report.torn_bytes > 0);
     assert!(
         report.survivors.len() < 3,
@@ -468,7 +470,7 @@ fn corrupted_record_stops_replay_and_store_stays_usable() {
     store.put((fh2(), 0), &[9; BLOCK], true).unwrap();
     drop(store);
     let (_store, report2) =
-        DiskStore::with_durability(dir.clone(), durability(), None, None, None).unwrap();
+        DiskStore::with_durability(dir.clone(), durability(), Emitter::detached("client"), None).unwrap();
     assert_eq!(report2.torn_bytes, 0);
     assert_eq!(report2.survivors.len(), report.survivors.len() + 1);
     let _ = std::fs::remove_dir_all(&dir);

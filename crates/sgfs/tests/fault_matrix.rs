@@ -37,7 +37,6 @@ use sgfs::config::{CacheMode, RetryPolicy, SecurityLevel, SessionConfig, StripeP
 use sgfs::proxy::client::{ClientProxy, Upstream};
 use sgfs::proxy::pipeline::Pipeline;
 use sgfs::session::GridWorld;
-use sgfs::stats::ProxyStats;
 use sgfs_gtls::{handshake_pair, GtlsHandshake, GtlsStream, HsStatus};
 use sgfs_net::{pipe_pair, BoxStream, FaultInjector, FaultPlan, FaultStream, PipeEnd};
 use sgfs_nfs3::proc::{
@@ -46,6 +45,7 @@ use sgfs_nfs3::proc::{
 };
 use sgfs_nfs3::types::*;
 use sgfs_nfs3::{NFS_PROGRAM, NFS_VERSION};
+use sgfs_obs::{Emitter, Gauge, Hop};
 use sgfs_oncrpc::msg::AuthSysParams;
 use sgfs_oncrpc::record::{read_record, write_record};
 use sgfs_oncrpc::{CallHeader, OpaqueAuth, ReplyHeader};
@@ -167,7 +167,7 @@ fn faulted_case(seed: u64, n: usize) {
         ))
     };
 
-    let stats = ProxyStats::new();
+    let stats = Emitter::detached("client");
     let pipeline = Pipeline::with_recovery(
         Upstream::Plain(Box::new(first)),
         first_watch,
@@ -442,8 +442,8 @@ fn lost_mutation_leaves_a_single_upstream_flushable() {
     assert_eq!(flushed, (BLOCKS * BLOCK_LEN) as u64);
     assert_eq!(proxy.dirty_bytes(), 0, "nothing stranded in the write-back cache");
     assert_eq!(stats.reconnects(), 1, "the pipeline recovered the channel by itself");
-    assert_eq!(stats.failovers(), 0, "a single upstream never fails over");
-    assert_eq!(stats.degraded(), 0);
+    assert_eq!(stats.count(Hop::ReplicaFailover), 0, "a single upstream never fails over");
+    assert_eq!(stats.gauge(Gauge::Degraded), 0);
     assert!(proxy.stripe().is_up(0));
     assert_eq!(proxy.missed_blocks(0), 0, "nothing queued for a re-sync that cannot happen");
 
@@ -521,7 +521,7 @@ fn rejected_write_back_surfaces_the_server_status() {
     let err = proxy.flush_all().expect_err("the server is full");
     assert!(err.to_string().contains("NoSpc"), "the server's status surfaces: {err}");
     assert_eq!(proxy.dirty_bytes(), 1024, "rejected blocks stay dirty");
-    assert_eq!((stats.failovers(), stats.degraded()), (0, 0));
+    assert_eq!((stats.count(Hop::ReplicaFailover), stats.gauge(Gauge::Degraded)), (0, 0));
 
     full.store(false, Ordering::SeqCst);
     assert_eq!(proxy.flush_all().expect("space is back"), 1024);
@@ -801,7 +801,7 @@ fn gtls_mac_detects_corruption_and_reconnect_cures_it() {
         Ok((Upstream::Tls(Box::new(tls)), watch))
     };
 
-    let stats = ProxyStats::new();
+    let stats = Emitter::detached("client");
     let pipeline = Pipeline::with_recovery(
         Upstream::Tls(Box::new(first)),
         first_watch,
@@ -902,7 +902,7 @@ fn sharded_faulted_case(seed: u64, n: usize) {
         let watch = end.watch();
         Ok((Upstream::Plain(Box::new(end)), watch))
     };
-    let stats = ProxyStats::new();
+    let stats = Emitter::detached("client");
     let pipeline = Pipeline::with_recovery(
         Upstream::Plain(Box::new(first)),
         first_watch,
@@ -1026,7 +1026,7 @@ fn mid_handshake_fault_fails_dial_cleanly_and_next_dial_recovers() {
     let (dead, gone) = pipe_pair();
     let dead_watch = dead.watch();
     drop(gone);
-    let stats = ProxyStats::new();
+    let stats = Emitter::detached("client");
     let pipeline = Pipeline::with_recovery(
         Upstream::Plain(Box::new(dead)),
         dead_watch,
@@ -1179,10 +1179,10 @@ fn striped_faulted_case(seed: u64, victim: usize, blocks: u64) {
     }
     // The victim either recovered in place or failed over — never more
     // than one member down, and a failover is counted exactly once.
-    prop_assert!(stats.degraded() <= 1, "more than the victim went down");
-    prop_assert!(stats.failovers() <= 1, "failover counted more than once");
+    prop_assert!(stats.gauge(Gauge::Degraded) <= 1, "more than the victim went down");
+    prop_assert!(stats.count(Hop::ReplicaFailover) <= 1, "failover counted more than once");
     if !set.is_up(victim) {
-        prop_assert_eq!(stats.failovers(), 1, "down victim without a counted failover");
+        prop_assert_eq!(stats.count(Hop::ReplicaFailover), 1, "down victim without a counted failover");
     }
 }
 

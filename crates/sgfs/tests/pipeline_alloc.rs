@@ -11,8 +11,8 @@
 
 use sgfs::proxy::client::Upstream;
 use sgfs::proxy::pipeline::Pipeline;
-use sgfs::stats::ProxyStats;
 use sgfs_net::pipe_pair;
+use sgfs_obs::Emitter;
 use sgfs_oncrpc::record::{read_record_into, write_record_with};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -102,7 +102,7 @@ fn reply_handoff_is_clone_free_at_steady_state() {
     frugal_echo_server(server_end);
     let watch = client_end.watch();
     let p =
-        Pipeline::new(Upstream::Plain(Box::new(client_end)), watch, 4, None, ProxyStats::new());
+        Pipeline::new(Upstream::Plain(Box::new(client_end)), watch, 4, None, Emitter::detached("client"));
 
     // Warm-up: settle the I/O thread's reply/scratch high-water marks and
     // the recycled-buffer pool that the reply swap feeds.

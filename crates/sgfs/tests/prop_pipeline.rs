@@ -12,11 +12,11 @@ use proptest::prelude::*;
 use sgfs::config::{CacheMode, SecurityLevel, SessionConfig};
 use sgfs::proxy::client::{ClientProxy, Upstream};
 use sgfs::proxy::pipeline::Pipeline;
-use sgfs::stats::ProxyStats;
 use sgfs_net::pipe_pair;
 use sgfs_nfs3::proc::{procnum, CommitRes, GetAttrRes, WriteArgs, WriteRes};
 use sgfs_nfs3::types::*;
 use sgfs_nfs3::{NFS_PROGRAM, NFS_VERSION};
+use sgfs_obs::Emitter;
 use sgfs_oncrpc::record::{read_record, write_record};
 use sgfs_oncrpc::{CallHeader, OpaqueAuth, ReplyHeader};
 use sgfs_oncrpc::msg::AuthSysParams;
@@ -101,7 +101,7 @@ proptest! {
         permuting_server(s1, n, 1, 0);
         let w1 = c1.watch();
         let serial =
-            Pipeline::new(Upstream::Plain(Box::new(c1)), w1, 1, None, ProxyStats::new());
+            Pipeline::new(Upstream::Plain(Box::new(c1)), w1, 1, None, Emitter::detached("client"));
         let serial_replies = run_calls(&serial, &payloads);
 
         // Pipelined: the whole batch in flight, replies permuted by seed.
@@ -113,7 +113,7 @@ proptest! {
             w2,
             n as u32,
             None,
-            ProxyStats::new(),
+            Emitter::detached("client"),
         );
         let piped_replies = run_calls(&piped, &payloads);
 

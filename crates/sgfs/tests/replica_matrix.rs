@@ -28,6 +28,7 @@ use sgfs_nfs3::proc::{
 };
 use sgfs_nfs3::types::*;
 use sgfs_nfs3::{NFS_PROGRAM, NFS_VERSION};
+use sgfs_obs::{Gauge, Hop};
 use sgfs_oncrpc::msg::AuthSysParams;
 use sgfs_oncrpc::record::{read_record, write_record};
 use sgfs_oncrpc::{CallHeader, ClientIoPool, OpaqueAuth, ReplyHeader};
@@ -380,8 +381,8 @@ fn mid_flush_case(label: &str, victim: usize, seed: u64, oracle: &BTreeMap<Block
     let mut proxy = driver.finish();
     proxy.flush_file(&fh1()).unwrap_or_else(|e| panic!("{label}: degraded flush failed: {e}"));
     let stats = proxy.stats().clone();
-    assert_eq!(stats.failovers(), 1, "{label}: exactly one member failed over");
-    assert_eq!(stats.degraded(), 1, "{label}: degraded gauge tracks the down member");
+    assert_eq!(stats.count(Hop::ReplicaFailover), 1, "{label}: exactly one member failed over");
+    assert_eq!(stats.gauge(Gauge::Degraded), 1, "{label}: degraded gauge tracks the down member");
     assert!(
         proxy.missed_blocks(victim) > 0,
         "{label}: the dead member's missed blocks are recorded for re-sync"
@@ -394,7 +395,7 @@ fn mid_flush_case(label: &str, victim: usize, seed: u64, oracle: &BTreeMap<Block
     }
     let mut proxy = driver.finish();
     proxy.flush_all().unwrap_or_else(|e| panic!("{label}: final flush failed: {e}"));
-    assert_eq!(stats.failovers(), 1, "{label}: no second failover");
+    assert_eq!(stats.count(Hop::ReplicaFailover), 1, "{label}: no second failover");
     drop(proxy);
 
     assert_survivors_reconstruct(label, oracle, &states, victim);
@@ -440,8 +441,8 @@ fn mid_handshake_case(
     proxy.flush_all().unwrap_or_else(|e| panic!("{label}: final flush failed: {e}"));
 
     let stats = proxy.stats().clone();
-    assert_eq!(stats.failovers(), 1, "{label}: the victim failed over exactly once");
-    assert_eq!(stats.degraded(), 1, "{label}: degraded gauge");
+    assert_eq!(stats.count(Hop::ReplicaFailover), 1, "{label}: the victim failed over exactly once");
+    assert_eq!(stats.gauge(Gauge::Degraded), 1, "{label}: degraded gauge");
     assert!(
         handshakes.load(Ordering::Acquire) > 0,
         "{label}: the kill landed during a reconnect handshake"
@@ -483,8 +484,8 @@ fn readahead_case(label: &str, victim: usize, seed: u64) {
     }
     let proxy = driver.finish();
     let stats = proxy.stats();
-    assert_eq!(stats.failovers(), 1, "{label}: the victim failed over exactly once");
-    assert_eq!(stats.degraded(), 1, "{label}: degraded gauge");
+    assert_eq!(stats.count(Hop::ReplicaFailover), 1, "{label}: the victim failed over exactly once");
+    assert_eq!(stats.gauge(Gauge::Degraded), 1, "{label}: degraded gauge");
     assert!(
         stats.prefetch_hits() > 0,
         "{label}: read-ahead kept landing hits across the surviving members"
@@ -555,14 +556,14 @@ fn rejoining_replica_is_resynced_from_the_journal() {
     let mut proxy = driver.finish();
     proxy.flush_all().expect("degraded final flush");
     assert!(proxy.missed_blocks(victim) > 0, "missed blocks queued for re-sync");
-    assert_eq!(proxy.stats().degraded(), 1);
+    assert_eq!(proxy.stats().gauge(Gauge::Degraded), 1);
 
     // The host comes back; re-sync replays the missed blocks from the
     // local store and returns the member to the write set.
     host_up.store(true, Ordering::Release);
     proxy.resync_member(victim).expect("re-sync");
     assert_eq!(proxy.missed_blocks(victim), 0, "re-sync drained the missed set");
-    assert_eq!(proxy.stats().degraded(), 0, "member is back in the write set");
+    assert_eq!(proxy.stats().gauge(Gauge::Degraded), 0, "member is back in the write set");
     assert!(proxy.stripe().is_up(victim));
     drop(proxy);
 
@@ -731,12 +732,12 @@ fn empty_missed_set_rejoin_probes_the_channel_before_resetting_degraded() {
         assert_eq!(data, vec![0xD0 + b as u8; BLOCK], "block {b} via the survivors");
     }
     let mut proxy = driver.finish();
-    assert_eq!(proxy.stats().degraded(), 1, "victim marked down");
+    assert_eq!(proxy.stats().gauge(Gauge::Degraded), 1, "victim marked down");
     assert_eq!(proxy.missed_blocks(victim), 0, "a read-only outage misses no writes");
 
     // Rung 0: the host refuses dials — re-sync must fail closed.
     assert!(proxy.resync_member(victim).is_err(), "re-sync with the host down");
-    assert_eq!(proxy.stats().degraded(), 1, "degraded survives a refused dial");
+    assert_eq!(proxy.stats().gauge(Gauge::Degraded), 1, "degraded survives a refused dial");
     assert!(!proxy.stripe().is_up(victim));
 
     // Rung 1: the dial connects to a dead wire. Nothing is replayed
@@ -744,14 +745,14 @@ fn empty_missed_set_rejoin_probes_the_channel_before_resetting_degraded() {
     // channel and a false rejoin.
     host_mode.store(1, Ordering::Release);
     assert!(proxy.resync_member(victim).is_err(), "probe must fail on a dead wire");
-    assert_eq!(proxy.stats().degraded(), 1, "degraded survives a dead-wire dial");
+    assert_eq!(proxy.stats().gauge(Gauge::Degraded), 1, "degraded survives a dead-wire dial");
     assert!(!proxy.stripe().is_up(victim));
 
     // Rung 2: the host is really back; the probe proves the channel and
     // the gauge resets.
     host_mode.store(2, Ordering::Release);
     proxy.resync_member(victim).expect("re-sync over the healthy channel");
-    assert_eq!(proxy.stats().degraded(), 0, "fully re-synced stripe reports degraded == 0");
+    assert_eq!(proxy.stats().gauge(Gauge::Degraded), 0, "fully re-synced stripe reports degraded == 0");
     assert!(proxy.stripe().is_up(victim));
 
     // And the rejoined member serves its share of reads again.

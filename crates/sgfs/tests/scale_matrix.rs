@@ -22,12 +22,12 @@ use sgfs::proxy::client::Upstream;
 use sgfs::proxy::pipeline::Pipeline;
 use sgfs::proxy::server::ServerProxy;
 use sgfs::session::{GridWorld, SessionMaterial, FILE_UID, JOB_UID};
-use sgfs::stats::ProxyStats;
 use sgfs_gtls::{handshake_pair, GtlsHandshake};
 use sgfs_net::pipe_pair;
 use sgfs_nfs3::types::{Sattr3, StableHow};
 use sgfs_nfs3::{Fh3, Nfs3Client};
 use sgfs_nfsd::{ExportEntry, Exports, NfsServer};
+use sgfs_obs::Emitter;
 use sgfs_oncrpc::msg::AuthSysParams;
 use sgfs_oncrpc::{process_thread_count, ClientIoPool, LoopbackStream, OpaqueAuth, ShardServer};
 use sgfs_pki::ValidatedPeer;
@@ -341,7 +341,7 @@ fn two_hundred_fifty_six_pipelines_one_client_pool() {
             client_watch,
             8,
             None,
-            ProxyStats::new(),
+            Emitter::detached("client"),
             None,
             RetryPolicy::default(),
         )

@@ -13,6 +13,7 @@ use proptest::prelude::*;
 use sgfs::config::DurabilityPolicy;
 use sgfs::proxy::blockstore::{BlockKey, BlockStore, DiskStore, MemStore};
 use sgfs_nfs3::Fh3;
+use sgfs_obs::Emitter;
 use std::path::PathBuf;
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -130,7 +131,7 @@ fn parity_case(seed: u64, n: usize) {
     let jour_dir = temp_dir(&format!("wal-{seed:x}"));
     let _ = std::fs::remove_dir_all(&jour_dir);
     let policy = DurabilityPolicy { journal: true, fsync_every: 1, compact_min_records: 4 };
-    let (mut jour, _) = DiskStore::with_durability(jour_dir.clone(), policy, None, None, None)
+    let (mut jour, _) = DiskStore::with_durability(jour_dir.clone(), policy, Emitter::detached("client"), None)
         .expect("journaled store");
 
     for (i, op) in ops.iter().enumerate() {

@@ -28,7 +28,7 @@ use sgfs_nfs3::proc::{
 };
 use sgfs_nfs3::types::*;
 use sgfs_nfs3::{NFS_PROGRAM, NFS_VERSION};
-use sgfs_obs::{Hop, Obs, TraceEvent};
+use sgfs_obs::{Counter, Emitter, Hop, Obs, TraceEvent, ALL_HOPS};
 use sgfs_oncrpc::msg::AuthSysParams;
 use sgfs_oncrpc::record::{read_record, write_record};
 use sgfs_oncrpc::{CallHeader, OpaqueAuth, ReplyHeader};
@@ -188,6 +188,15 @@ fn golden(events: &[TraceEvent], keep: &[Hop]) -> Vec<String> {
             }
         })
         .collect()
+}
+
+/// One emission, two views: hop by hop, what the emitters attached to
+/// `obs` counted is what its (quiesced, un-wrapped) rings hold.
+fn assert_counts_match_events(obs: &Obs, events: &[TraceEvent]) {
+    for hop in ALL_HOPS {
+        let traced = events.iter().filter(|e| e.hop == hop).count() as u64;
+        assert_eq!(obs.counted(hop), traced, "{} counted != traced", hop.as_str());
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -428,6 +437,8 @@ fn replay_scenario(stripe: Option<StripePolicy>) -> Vec<String> {
         ],
         "golden recovery sequence changed"
     );
+    assert_eq!((obs.counted(Hop::Replay), obs.counted(Hop::Reconnect)), (BLOCKS as u64, 1));
+    assert_counts_match_events(&obs, &events);
     g
 }
 
@@ -510,7 +521,9 @@ fn recovery_scenario(stripe: Option<StripePolicy>) -> Vec<String> {
     let mut proxy =
         ClientProxy::new(Upstream::Plain(Box::new(upstream_end)), watch, &disk_config(&obs))
             .expect("proxy");
-    assert_eq!(proxy.stats().recovered(), (1, BLOCK_LEN as u64), "one block survives the tear");
+    let recovered =
+        (proxy.stats().sum(Hop::RecoveryComplete), proxy.stats().get(Counter::RecoveredBytes));
+    assert_eq!(recovered, (1, BLOCK_LEN as u64), "one block survives the tear");
     proxy.flush_all().expect("post-recovery flush");
     drop(proxy);
     let _ = std::fs::remove_dir_all(&dir);
@@ -595,8 +608,8 @@ fn aead_trace_scenario() -> Vec<String> {
     // ping-pong below then drives both ends from this single thread, so
     // the event interleaving is fully deterministic.
     let obs = Obs::new();
-    c.obs = Some(obs.clone());
-    s.obs = Some(obs.clone());
+    c.obs = Some(Emitter::new(&obs, "client"));
+    s.obs = Some(Emitter::new(&obs, "server"));
 
     let mut buf = vec![0u8; 4096];
     for &(c_to_s, len) in &[(true, 1024usize), (false, 2048), (true, 333), (false, 1)] {
@@ -861,6 +874,8 @@ fn striped_scenario() -> Vec<String> {
         ],
         "golden striped sequence changed"
     );
+    assert_eq!(obs.counted(Hop::ReplicaFailover), 1);
+    assert_counts_match_events(&obs, &events);
     g
 }
 

@@ -1,16 +1,16 @@
 #!/bin/sh
 # Render an SGFS observability snapshot (the JSON the FSS `Query` op and
-# `Obs::json` emit, e.g. BENCH_obs.json or a saved Query payload) as a
-# human-readable report: per-procedure and per-hop latency tables plus
-# the tail of the trace-event log.
+# `Obs::json` emit, e.g. a saved Query payload) as a human-readable
+# report: the per-emitter counters table, per-procedure and per-hop
+# latency tables, and the tail of the trace-event log.
 #
-# Usage:  scripts/obs_dump.sh [snapshot.json]   (default: BENCH_obs.json)
+# Usage:  scripts/obs_dump.sh [snapshot.json]   (default: results/BENCH_obs.json)
 #
 # Works with either a raw `Snapshot` (has a "procs" key) or the bench
 # report (ignored keys are skipped). Requires only python3.
 set -eu
 
-FILE="${1:-BENCH_obs.json}"
+FILE="${1:-results/BENCH_obs.json}"
 if [ ! -f "$FILE" ]; then
     echo "no such snapshot: $FILE" >&2
     echo "usage: $0 [snapshot.json]" >&2
@@ -33,6 +33,21 @@ print(f"session {snap.get('session', 0)}  "
       f"tracing {'on' if snap.get('enabled') else 'off'}")
 print(f"events: {snap.get('events_captured', 0)} captured, "
       f"{snap.get('events_dropped', 0)} dropped to ring wrap")
+
+# Counters: one column per emitter. Rows that read zero everywhere are
+# folded away, except the health rows an operator looks for by name.
+HEALTH = ["reconnect", "replay", "replica_failover", "degraded", "shed",
+          "jukebox_retry", "cache_io_errors", "dirty_at_shutdown"]
+counters = snap.get("counters", {})
+if counters:
+    # `role#n` keys: n is the attach order within the domain.
+    emitters = sorted(counters, key=lambda k: int(k.rsplit("#", 1)[1]))
+    names = sorted({n for rows in counters.values() for n in rows})
+    shown = [n for n in names
+             if n in HEALTH or any(counters[e].get(n, 0) for e in emitters)]
+    print(f"\n{'counter':<22}" + "".join(f" {e:>16}" for e in emitters))
+    for n in shown:
+        print(f"{n:<22}" + "".join(f" {counters[e].get(n, 0):>16}" for e in emitters))
 
 def table(title, rows):
     if not rows:

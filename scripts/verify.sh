@@ -53,6 +53,11 @@ run_watchdog 120 replica_matrix cargo test -q -p sgfs --test replica_matrix
 # waits for a reply nobody sent shows up as a hang.
 run_watchdog 120 wan_readahead  cargo test -q --test wan_readahead
 
+# The metrics plane: over one scripted WAN session, what every emitter
+# counted equals what the trace ring holds, turning tracing off changes
+# no count, and the typed accessors read the same table.
+run_watchdog 120 metrics_plane  cargo test -q --test metrics_plane
+
 # The worker loop both planes run and its two owners: sgfs-oncrpc's
 # module tests (pool: Rearm fairness, a full inbox blocking its pinner;
 # shard and client_pool: thread ceilings, worker death, shutdown) at
@@ -85,22 +90,24 @@ run_watchdog 120 gtls_negotiation cargo test -q -p sgfs-gtls --test negotiation
 cargo test -q
 cargo bench --no-run
 
-# Observability overhead gate: enabled emit may cost at most 50 ns/event
-# (which keeps tracing under 2% of even the in-memory pipeline), and the
-# measured traced-vs-untraced throughput ratio may not regress grossly
-# (writes BENCH_obs.json; exits nonzero past either threshold).
+# Observability overhead gate: an emit may cost at most 10 ns/event with
+# tracing off (its counter add — every call of every session pays it) and
+# 50 ns/event with tracing on (which keeps tracing under 2% of even the
+# in-memory pipeline), and the measured traced-vs-untraced throughput
+# ratio may not regress grossly (writes results/BENCH_obs.json; exits
+# nonzero past any threshold).
 cargo build --release -p sgfs-bench --bin obs_bench
 run_watchdog 300 obs_bench ./target/release/obs_bench --quick
 
 # Durability cost gate: the unsynced write-ahead journal may add at most
-# 1 ms per dirty put and compaction must fire (writes BENCH_journal.json;
-# exits nonzero past the threshold).
+# 1 ms per dirty put and compaction must fire (writes
+# results/BENCH_journal.json; exits nonzero past the threshold).
 cargo build --release -p sgfs-bench --bin journal_bench
 run_watchdog 120 journal_bench ./target/release/journal_bench --quick
 
 # Per-suite record-throughput gate: every AEAD suite (AES-GCM,
 # ChaCha20-Poly1305) must beat the legacy CBC+HMAC baseline (writes
-# BENCH_pipeline.json; exits nonzero past the threshold).
+# results/BENCH_pipeline.json; exits nonzero past the threshold).
 cargo build --release -p sgfs-bench --bin pipeline_bench
 run_watchdog 120 pipeline_bench ./target/release/pipeline_bench --quick
 
@@ -109,15 +116,15 @@ run_watchdog 120 pipeline_bench ./target/release/pipeline_bench --quick
 # may degrade at most 2x vs a single-session baseline; the client-plane
 # phase holds 256 pipelines on a 2-thread pool to pool+shards+4 threads
 # and requires the count to return to baseline after teardown (writes
-# BENCH_scale.json; exits nonzero past any threshold).
+# results/BENCH_scale.json; exits nonzero past any threshold).
 cargo build --release -p sgfs-bench --bin scale_bench
 run_watchdog 120 scale_bench ./target/release/scale_bench --quick
 
 # Multi-server data-plane gate: a width-4 striped read must run >= 2x
 # faster than single-upstream at 20 ms simulated RTT, and an N=2
 # replicated flush must confirm both members' write verifiers with every
-# block on every replica (writes BENCH_stripe.json; exits nonzero past
-# any threshold).
+# block on every replica (writes results/BENCH_stripe.json; exits
+# nonzero past any threshold).
 cargo build --release -p sgfs-bench --bin stripe_bench
 run_watchdog 120 stripe_bench ./target/release/stripe_bench --quick
 
@@ -126,7 +133,7 @@ run_watchdog 120 stripe_bench ./target/release/stripe_bench --quick
 # most a few DRR cycles, the sampled backlog high-water mark must stay
 # within budget + burst slack, every storm record must be answered, and
 # the shard must drain out of its overload band afterwards (writes
-# BENCH_slo.json; exits nonzero past any threshold).
+# results/BENCH_slo.json; exits nonzero past any threshold).
 cargo build --release -p sgfs-bench --bin slo_bench
 run_watchdog 300 slo_bench ./target/release/slo_bench --quick
 

@@ -3,13 +3,14 @@
 //! coherent namespace. See README.md for the tour and DESIGN.md for the
 //! system inventory.
 
-pub use sgfs::{self as core, acl, config, proxy, session, stats, tunnel};
+pub use sgfs::{self as core, acl, config, proxy, session, tunnel};
 pub use sgfs_crypto as crypto;
 pub use sgfs_gtls as gtls;
 pub use sgfs_net as net;
 pub use sgfs_nfs3 as nfs3;
 pub use sgfs_nfsclient as nfsclient;
 pub use sgfs_nfsd as nfsd;
+pub use sgfs_obs as obs;
 pub use sgfs_oncrpc as oncrpc;
 pub use sgfs_pki as pki;
 pub use sgfs_secrpc as secrpc;

@@ -69,15 +69,15 @@ fn session_cost(
     let elapsed = clock.now() - t0;
 
     let (_, forwarded) = session
-        .finish_with(|proxy| proxy.forwarded_by_proc().clone())
+        .finish_with(|proxy| proxy.forwarded_by_proc())
         .expect("teardown");
     let forwarded = forwarded.expect("proxied stack");
     let upstream = shards.stats().served;
     Cost {
         elapsed,
         prefetch_hits: stats.prefetch_hits(),
-        demand_reads: forwarded.get(&procnum::READ).copied().unwrap_or(0),
-        speculative_reads: upstream - forwarded.values().sum::<u64>(),
+        demand_reads: forwarded[procnum::READ as usize],
+        speculative_reads: upstream - forwarded.iter().sum::<u64>(),
     }
 }
 
