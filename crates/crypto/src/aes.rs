@@ -6,9 +6,11 @@
 //!
 //! Two hot-path backends, picked once per key schedule:
 //!
-//! - **AES-NI** (x86-64 with the `aes` feature, detected at runtime):
-//!   one `AESENC`/`AESDEC` per round, four blocks interleaved in the
-//!   bulk entry points.
+//! - **AES-NI** (x86-64 with the `aes` and `ssse3` features, detected at
+//!   runtime): one `AESENC`/`AESDEC` per round, four blocks interleaved
+//!   in the ECB bulk entry points (CBC decryption), eight in the CTR
+//!   kernel (AES-GCM), which also forms its counter blocks and XORs the
+//!   keystream in registers.
 //! - **T-tables** (portable fallback): SubBytes, ShiftRows and
 //!   MixColumns collapse into four 1 KiB lookup tables per direction,
 //!   built once at compile time. The state is held as four big-endian
@@ -134,8 +136,9 @@ pub struct Aes {
     /// `AESENC`/`AESDEC` instructions consume directly.
     enc_keys_bytes: Vec<[u8; 16]>,
     dec_keys_bytes: Vec<[u8; 16]>,
-    /// Whether this CPU exposes the AES instruction set (detected once
-    /// per schedule; `false` off x86-64).
+    /// Whether this CPU exposes the AES instruction set (and SSSE3, for
+    /// the CTR kernel's byte shuffle) — detected once per schedule;
+    /// `false` off x86-64.
     use_ni: bool,
 }
 
@@ -143,6 +146,22 @@ impl Aes {
     /// Expand `key` (16 or 32 bytes). Panics on other lengths: key sizes
     /// are fixed by the negotiated cipher suite, never attacker data.
     pub fn new(key: &[u8]) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        let use_ni = std::arch::is_x86_feature_detected!("aes")
+            && std::arch::is_x86_feature_detected!("ssse3");
+        #[cfg(not(target_arch = "x86_64"))]
+        let use_ni = false;
+        Self::with_backend(key, use_ni)
+    }
+
+    /// Schedule pinned to the T-table backend — the reference oracle for
+    /// the AES-NI-vs-portable equivalence tests, and the only path off
+    /// x86-64.
+    pub fn new_portable(key: &[u8]) -> Self {
+        Self::with_backend(key, false)
+    }
+
+    fn with_backend(key: &[u8], use_ni: bool) -> Self {
         let nk = match key.len() {
             16 => 4,
             32 => 8,
@@ -189,10 +208,6 @@ impl Aes {
         };
         let enc_keys_bytes = to_bytes(&enc_keys);
         let dec_keys_bytes = to_bytes(&dec_keys);
-        #[cfg(target_arch = "x86_64")]
-        let use_ni = std::arch::is_x86_feature_detected!("aes");
-        #[cfg(not(target_arch = "x86_64"))]
-        let use_ni = false;
         Self { enc_keys, dec_keys, enc_keys_bytes, dec_keys_bytes, use_ni }
     }
 
@@ -214,7 +229,7 @@ impl Aes {
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
         #[cfg(target_arch = "x86_64")]
         if self.use_ni {
-            // SAFETY: `use_ni` is only set when the CPU reports AES support.
+            // SAFETY: `use_ni` is only set when the CPU reports aes + ssse3.
             unsafe { ni::encrypt_block(&self.enc_keys_bytes, block) };
             return;
         }
@@ -225,7 +240,7 @@ impl Aes {
     pub fn decrypt_block(&self, block: &mut [u8; 16]) {
         #[cfg(target_arch = "x86_64")]
         if self.use_ni {
-            // SAFETY: `use_ni` is only set when the CPU reports AES support.
+            // SAFETY: `use_ni` is only set when the CPU reports aes + ssse3.
             unsafe { ni::decrypt_block(&self.dec_keys_bytes, block) };
             return;
         }
@@ -241,7 +256,7 @@ impl Aes {
         assert_eq!(data.len() % 16, 0, "partial AES block");
         #[cfg(target_arch = "x86_64")]
         if self.use_ni {
-            // SAFETY: `use_ni` is only set when the CPU reports AES support.
+            // SAFETY: `use_ni` is only set when the CPU reports aes + ssse3.
             unsafe { ni::encrypt_blocks(&self.enc_keys_bytes, data) };
             return;
         }
@@ -254,11 +269,48 @@ impl Aes {
         assert_eq!(data.len() % 16, 0, "partial AES block");
         #[cfg(target_arch = "x86_64")]
         if self.use_ni {
-            // SAFETY: `use_ni` is only set when the CPU reports AES support.
+            // SAFETY: `use_ni` is only set when the CPU reports aes + ssse3.
             unsafe { ni::decrypt_blocks(&self.dec_keys_bytes, data) };
             return;
         }
         self.decrypt_blocks_table(data);
+    }
+
+    /// CTR mode: XOR the keystream `E(prefix ‖ be32(ctr))`,
+    /// `E(prefix ‖ be32(ctr+1))`, … into `dst`, where `prefix` is
+    /// `j0[..12]` and the counter wraps modulo 2^32 (SP 800-38D `inc32`).
+    /// With `src` the keystream is XORed onto `src` and written to `dst`
+    /// (out of place, equal lengths); without, `dst` is transformed in
+    /// place.
+    pub(crate) fn ctr_xor(&self, j0: &[u8; 16], ctr: u32, src: Option<&[u8]>, dst: &mut [u8]) {
+        assert!(src.is_none_or(|s| s.len() == dst.len()), "CTR source/destination length");
+        #[cfg(target_arch = "x86_64")]
+        if self.use_ni {
+            // SAFETY: `use_ni` is only set when the CPU reports aes + ssse3.
+            unsafe { ni::ctr_xor(&self.enc_keys_bytes, j0, ctr, src, dst) };
+            return;
+        }
+        self.ctr_xor_table(j0, ctr, src, dst);
+    }
+
+    /// Portable CTR: four counter blocks at a time through the T-table
+    /// bulk path, XORed over `dst` bytewise.
+    fn ctr_xor_table(&self, j0: &[u8; 16], mut ctr: u32, src: Option<&[u8]>, dst: &mut [u8]) {
+        if let Some(src) = src {
+            dst.copy_from_slice(src);
+        }
+        let mut ks = [0u8; 64];
+        for chunk in dst.chunks_mut(64) {
+            for block in ks.chunks_exact_mut(16) {
+                block[..12].copy_from_slice(&j0[..12]);
+                block[12..].copy_from_slice(&ctr.to_be_bytes());
+                ctr = ctr.wrapping_add(1);
+            }
+            self.encrypt_blocks_table(&mut ks);
+            for (d, k) in chunk.iter_mut().zip(&ks) {
+                *d ^= k;
+            }
+        }
     }
 
     /// T-table single-block encryption (portable path).
@@ -408,11 +460,12 @@ impl Aes {
 }
 
 /// Hardware AES (AES-NI) backend: one `AESENC`/`AESDEC` per round, four
-/// blocks interleaved in bulk so the ~4-cycle instruction latency
-/// overlaps. Round keys arrive in wire byte order ([`Aes`] keeps a
-/// byte-form copy of both schedules); the decryption schedule is the
-/// same equivalent-inverse-cipher form `AESDEC` expects, so no extra
-/// `AESIMC` pass is needed.
+/// blocks interleaved in the ECB bulk routines and eight in the CTR
+/// kernel so the ~4-cycle instruction latency overlaps. Round keys
+/// arrive in wire byte order ([`Aes`] keeps a byte-form copy of both
+/// schedules); the decryption schedule is the same
+/// equivalent-inverse-cipher form `AESDEC` expects, so no extra `AESIMC`
+/// pass is needed.
 #[cfg(target_arch = "x86_64")]
 mod ni {
     use std::arch::x86_64::*;
@@ -509,6 +562,98 @@ mod ni {
         }
         for block in quads.into_remainder().chunks_exact_mut(16) {
             decrypt_block(keys, block.try_into().unwrap());
+        }
+    }
+
+    /// Blocks the CTR kernel keeps in flight.
+    const LANES: usize = 8;
+
+    /// Encrypt the [`LANES`] counter blocks that follow `*ctr` and XOR
+    /// them onto the 128 bytes at `src`, storing at `dst`; `*ctr`
+    /// advances by [`LANES`]. `*ctr` holds a counter block byte-reversed,
+    /// so its 32-bit counter is lane 0 in native order: `paddd` steps it
+    /// (wrapping modulo 2^32) and one `pshufb` by `rev` restores wire
+    /// order.
+    ///
+    /// # Safety
+    /// Requires a CPU with `aes` + `ssse3`; `src` readable and `dst`
+    /// writable for `16 * LANES` bytes (they may be the same address).
+    #[inline]
+    #[target_feature(enable = "aes,ssse3,sse2")]
+    unsafe fn ctr_group(
+        rk: &[__m128i],
+        ctr: &mut __m128i,
+        rev: __m128i,
+        src: *const __m128i,
+        dst: *mut __m128i,
+    ) {
+        let (k0, rest) = rk.split_first().unwrap();
+        let (klast, mids) = rest.split_last().unwrap();
+        let mut s = [_mm_setzero_si128(); LANES];
+        for (i, lane) in s.iter_mut().enumerate() {
+            let block = _mm_add_epi32(*ctr, _mm_set_epi32(0, 0, 0, i as i32));
+            *lane = _mm_xor_si128(_mm_shuffle_epi8(block, rev), *k0);
+        }
+        *ctr = _mm_add_epi32(*ctr, _mm_set_epi32(0, 0, 0, LANES as i32));
+        for k in mids {
+            for lane in s.iter_mut() {
+                *lane = _mm_aesenc_si128(*lane, *k);
+            }
+        }
+        for (i, lane) in s.iter().enumerate() {
+            let ks = _mm_aesenclast_si128(*lane, *klast);
+            _mm_storeu_si128(dst.add(i), _mm_xor_si128(_mm_loadu_si128(src.add(i)), ks));
+        }
+    }
+
+    /// CTR keystream XOR, counter blocks `j0[..12] ‖ be32(ctr)` onward:
+    /// out of place from `src` into `dst` when `src` is given, else in
+    /// place over `dst`. The round keys are loaded once per call. A
+    /// `src` shorter than `dst` panics (it is sliced, never indexed by
+    /// pointer).
+    ///
+    /// # Safety
+    /// Requires a CPU with `aes` + `ssse3`.
+    #[target_feature(enable = "aes,ssse3,sse2")]
+    pub unsafe fn ctr_xor(
+        keys: &[[u8; 16]],
+        j0: &[u8; 16],
+        ctr: u32,
+        src: Option<&[u8]>,
+        dst: &mut [u8],
+    ) {
+        const GROUP: usize = 16 * LANES;
+        let mut rk = [_mm_setzero_si128(); 15];
+        for (k, bytes) in rk.iter_mut().zip(keys) {
+            *k = _mm_loadu_si128(bytes.as_ptr().cast());
+        }
+        let rk = &rk[..keys.len()];
+        let rev = _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        let mut first = *j0;
+        first[12..].copy_from_slice(&ctr.to_be_bytes());
+        let mut ctr = _mm_shuffle_epi8(_mm_loadu_si128(first.as_ptr().cast()), rev);
+
+        let mut done = 0;
+        let mut groups = dst.chunks_exact_mut(GROUP);
+        for group in &mut groups {
+            // Both pointers come from slices of exactly GROUP bytes.
+            let from = match src {
+                Some(src) => src[done..done + GROUP].as_ptr(),
+                None => group.as_ptr(),
+            };
+            ctr_group(rk, &mut ctr, rev, from.cast(), group.as_mut_ptr().cast());
+            done += GROUP;
+        }
+        // A partial last group runs the same lanes over a stack copy.
+        let tail = groups.into_remainder();
+        if !tail.is_empty() {
+            let mut buf = [0u8; GROUP];
+            match src {
+                Some(src) => buf[..tail.len()].copy_from_slice(&src[done..]),
+                None => buf[..tail.len()].copy_from_slice(tail),
+            }
+            ctr_group(rk, &mut ctr, rev, buf.as_ptr().cast(), buf.as_mut_ptr().cast());
+            tail.copy_from_slice(&buf[..tail.len()]);
         }
     }
 }
@@ -888,8 +1033,7 @@ mod tests {
         for key_len in [16usize, 32] {
             let key: Vec<u8> = (0..key_len).map(|i| (i * 31 + 5) as u8).collect();
             for force_table in [false, true] {
-                let mut aes = Aes::new(&key);
-                aes.use_ni &= !force_table;
+                let aes = if force_table { Aes::new_portable(&key) } else { Aes::new(&key) };
                 let oracle = reference::Aes::new(&key);
                 for blocks in [1usize, 2, 3, 4, 5, 7, 8, 9, 16, 33] {
                     let pt: Vec<u8> =
@@ -921,8 +1065,7 @@ mod tests {
     fn backends_agree_on_single_blocks() {
         let key = from_hex("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
         for force_table in [false, true] {
-            let mut aes = Aes::new(&key);
-            aes.use_ni &= !force_table;
+            let aes = if force_table { Aes::new_portable(&key) } else { Aes::new(&key) };
             let mut block = [0u8; 16];
             block.copy_from_slice(&from_hex("00112233445566778899aabbccddeeff"));
             aes.encrypt_block(&mut block);
@@ -930,6 +1073,49 @@ mod tests {
             aes.decrypt_block(&mut block);
             assert_eq!(block.to_vec(), from_hex("00112233445566778899aabbccddeeff"));
         }
+    }
+
+    /// CTR on both backends, in place and out of place, against counter
+    /// blocks built and encrypted one at a time by the scalar oracle —
+    /// every length around the 8-lane group and its stack-copied tail,
+    /// and counters that wrap modulo 2^32 without carrying into the
+    /// nonce prefix (SP 800-38D `inc32`).
+    #[test]
+    fn ctr_matches_per_block_oracle() {
+        for key_len in [16usize, 32] {
+            let key: Vec<u8> = (0..key_len).map(|i| (i * 29 + 3) as u8).collect();
+            let oracle = reference::Aes::new(&key);
+            let j0 = [0xffu8; 16];
+            for start in [2u32, 0xffff_fff9, 0xffff_ffff] {
+                for len in (0..=40).chain([111, 127, 128, 129, 255, 256, 257, 300]) {
+                    let src: Vec<u8> = (0..len).map(|i| (i * 7 + 1) as u8).collect();
+                    let mut want = src.clone();
+                    for (i, chunk) in want.chunks_mut(16).enumerate() {
+                        let mut block = j0;
+                        block[12..].copy_from_slice(&start.wrapping_add(i as u32).to_be_bytes());
+                        oracle.encrypt_block(&mut block);
+                        for (d, k) in chunk.iter_mut().zip(&block) {
+                            *d ^= k;
+                        }
+                    }
+                    for aes in [Aes::new(&key), Aes::new_portable(&key)] {
+                        let what = format!("{} key={key_len} start={start:#x} len={len}", aes.backend());
+                        let mut in_place = src.clone();
+                        aes.ctr_xor(&j0, start, None, &mut in_place);
+                        assert_eq!(in_place, want, "in place, {what}");
+                        let mut out = vec![0xEEu8; len];
+                        aes.ctr_xor(&j0, start, Some(&src), &mut out);
+                        assert_eq!(out, want, "out of place, {what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "CTR source/destination length")]
+    fn ctr_rejects_mismatched_lengths() {
+        Aes::new(&[0u8; 16]).ctr_xor(&[0u8; 16], 2, Some(&[0u8; 31]), &mut [0u8; 32]);
     }
 
     #[test]

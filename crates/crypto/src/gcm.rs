@@ -1,14 +1,18 @@
-//! AES-GCM (SP 800-38D) — single-pass authenticated encryption over the
-//! dispatched AES backend ([`crate::Aes`], AES-NI where available) and
-//! GHASH ([`crate::ghash`], PCLMUL where available).
+//! AES-GCM (SP 800-38D) — authenticated encryption over the dispatched
+//! AES backend ([`crate::Aes`], AES-NI where available) and GHASH
+//! ([`crate::ghash`], PCLMUL where available).
 //!
-//! CTR keystream blocks are generated into a fixed stack scratch and
-//! encrypted through the interleaved bulk AES entry points, so sealing
-//! and opening are allocation-free and run at the block cipher's bulk
-//! rate; the GHASH pass over AAD and ciphertext is the only other
-//! per-byte work. Open verifies the tag (constant-time) *before*
-//! decrypting, and reports every failure as the same opaque
-//! [`AeadError`].
+//! The CTR pass belongs to the AES backend (`Aes::ctr_xor`: on AES-NI,
+//! counter blocks formed, encrypted eight at a time and XORed onto the
+//! data in registers) and the authentication pass to GHASH (on PCLMUL,
+//! eight blocks per reduction); this module orders them. **Seal** is out
+//! of place — the CTR pass reads the caller's plaintext once and writes
+//! ciphertext where the record is being assembled, then GHASH reads that
+//! ciphertext back. **Open** runs the other way round: GHASH over AAD ‖
+//! ciphertext ‖ lengths, the tag compared in constant time, and only
+//! then the CTR pass — no plaintext byte exists before the tag has
+//! verified, and every failure is the same opaque [`AeadError`].
+//! Neither direction allocates (beyond `out` growing by the record).
 
 use crate::ghash::{ghash, GhashKey};
 use crate::{ct_eq, Aes};
@@ -32,10 +36,6 @@ pub const TAG_LEN: usize = 16;
 /// AEAD nonce length (96-bit, the GCM fast path and the RFC 8439 size).
 pub const NONCE_LEN: usize = 12;
 
-/// CTR scratch: 64 keystream blocks per refill, matching the CBC bulk
-/// decrypt chunk so the four-lane AES backends stay saturated.
-const CTR_CHUNK: usize = 64 * 16;
-
 /// An AES-128/256-GCM key: the AES schedule plus the GHASH subkey.
 #[derive(Clone)]
 pub struct AesGcm {
@@ -46,19 +46,31 @@ pub struct AesGcm {
 impl AesGcm {
     /// Expand `key` (16 or 32 bytes) and derive `H = E_K(0^128)`.
     pub fn new(key: &[u8]) -> Self {
-        let aes = Aes::new(key);
-        let mut h = [0u8; 16];
-        aes.encrypt_block(&mut h);
-        Self { ghash: GhashKey::new(&h), aes }
+        Self::with_backends(Aes::new(key), GhashKey::new)
     }
 
     /// Like [`AesGcm::new`] but with GHASH pinned to the scalar backend
     /// (differential testing of the PCLMUL path).
     pub fn new_portable_ghash(key: &[u8]) -> Self {
-        let aes = Aes::new(key);
+        Self::with_backends(Aes::new(key), GhashKey::new_portable)
+    }
+
+    /// Like [`AesGcm::new`] but with both AES and GHASH pinned to their
+    /// portable backends — the differential oracle for the hardware
+    /// paths, and what every key is off x86-64.
+    pub fn new_portable(key: &[u8]) -> Self {
+        Self::with_backends(Aes::new_portable(key), GhashKey::new_portable)
+    }
+
+    fn with_backends(aes: Aes, ghash: fn(&[u8; 16]) -> GhashKey) -> Self {
         let mut h = [0u8; 16];
         aes.encrypt_block(&mut h);
-        Self { ghash: GhashKey::new_portable(&h), aes }
+        Self { ghash: ghash(&h), aes }
+    }
+
+    /// The AES backend in use (`"aes-ni"` or `"t-table"`).
+    pub fn aes_backend(&self) -> &'static str {
+        self.aes.backend()
     }
 
     /// The GHASH backend in use (`"pclmul"` or `"scalar"`).
@@ -74,45 +86,46 @@ impl AesGcm {
         j0
     }
 
-    /// XOR the CTR keystream starting at counter value `ctr` into `data`.
-    fn ctr_xor(&self, j0: &[u8; 16], mut ctr: u32, data: &mut [u8]) {
-        let mut ks = [0u8; CTR_CHUNK];
-        let mut off = 0;
-        while off < data.len() {
-            let n = (data.len() - off).min(CTR_CHUNK);
-            let blocks = n.div_ceil(16);
-            for b in 0..blocks {
-                ks[b * 16..b * 16 + 12].copy_from_slice(&j0[..12]);
-                ks[b * 16 + 12..b * 16 + 16].copy_from_slice(&ctr.to_be_bytes());
-                ctr = ctr.wrapping_add(1);
-            }
-            self.aes.encrypt_blocks(&mut ks[..blocks * 16]);
-            for (d, k) in data[off..off + n].iter_mut().zip(&ks[..n]) {
-                *d ^= k;
-            }
-            off += n;
-        }
-    }
-
-    /// The tag: `GHASH(H, aad, ct) XOR E_K(J0)`.
-    fn tag(&self, j0: &[u8; 16], aad: &[u8], ct: &[u8]) -> [u8; 16] {
-        let mut tag = ghash(&self.ghash, aad, ct);
+    /// The tag: `GHASH(H, aad, ct) XOR E_K(J0)`, from the finished hash.
+    fn tag(&self, j0: &[u8; 16], mut hash: [u8; 16]) -> [u8; 16] {
         let mut ekj0 = *j0;
         self.aes.encrypt_block(&mut ekj0);
-        for (t, e) in tag.iter_mut().zip(&ekj0) {
+        for (t, e) in hash.iter_mut().zip(&ekj0) {
             *t ^= e;
         }
-        tag
+        hash
+    }
+
+    /// Encrypt into `ct` — from `plain` when given (equal length), else
+    /// in place — and return the tag over `aad` and the ciphertext.
+    fn encrypt(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        plain: Option<&[u8]>,
+        ct: &mut [u8],
+    ) -> [u8; TAG_LEN] {
+        let j0 = Self::j0(nonce);
+        // Counter 1 is the tag's; data starts at 2.
+        self.aes.ctr_xor(&j0, 2, plain, ct);
+        self.tag(&j0, ghash(&self.ghash, aad, ct))
+    }
+
+    /// Seal out of place: append `ciphertext || tag` of `plain` to `out`,
+    /// reading `plain` once. `out`'s existing bytes (e.g. a frame header)
+    /// are left untouched. No heap allocation beyond `out` growing.
+    pub fn seal_into(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plain: &[u8], out: &mut Vec<u8>) {
+        let start = out.len();
+        out.resize(start + plain.len(), 0);
+        let tag = self.encrypt(nonce, aad, Some(plain), &mut out[start..]);
+        out.extend_from_slice(&tag);
     }
 
     /// Encrypt `buf[from..]` in place and append the 16-byte tag.
     /// `buf[..from]` (e.g. a frame header already in the buffer) is left
     /// untouched. No heap allocation beyond `buf` growing by the tag.
     pub fn seal_in_place(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], buf: &mut Vec<u8>, from: usize) {
-        debug_assert!(from <= buf.len());
-        let j0 = Self::j0(nonce);
-        self.ctr_xor(&j0, 2, &mut buf[from..]);
-        let tag = self.tag(&j0, aad, &buf[from..]);
+        let tag = self.encrypt(nonce, aad, None, &mut buf[from..]);
         buf.extend_from_slice(&tag);
     }
 
@@ -128,21 +141,20 @@ impl AesGcm {
         if buf.len() < TAG_LEN {
             return Err(AeadError);
         }
-        let ct_len = buf.len() - TAG_LEN;
+        let (ct, tag) = buf.split_at_mut(buf.len() - TAG_LEN);
         let j0 = Self::j0(nonce);
-        let expected = self.tag(&j0, aad, &buf[..ct_len]);
-        if !ct_eq(&expected, &buf[ct_len..]) {
+        let expected = self.tag(&j0, ghash(&self.ghash, aad, ct));
+        if !ct_eq(&expected, tag) {
             return Err(AeadError);
         }
-        self.ctr_xor(&j0, 2, &mut buf[..ct_len]);
-        Ok(ct_len)
+        self.aes.ctr_xor(&j0, 2, None, ct);
+        Ok(ct.len())
     }
 
     /// Allocating convenience: seal `plain` into `ciphertext || tag`.
     pub fn seal(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plain: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(plain.len() + TAG_LEN);
-        out.extend_from_slice(plain);
-        self.seal_in_place(nonce, aad, &mut out, 0);
+        self.seal_into(nonce, aad, plain, &mut out);
         out
     }
 
@@ -252,24 +264,101 @@ mod tests {
         },
     ];
 
+    /// Every backend pairing a key can be built with: AES-NI + PCLMUL
+    /// (whatever the CPU offers), AES-NI + scalar GHASH, and the fully
+    /// portable T-table + scalar GHASH oracle.
+    fn pairings(key: &[u8]) -> [(&'static str, AesGcm); 3] {
+        [
+            ("dispatched", AesGcm::new(key)),
+            ("portable-ghash", AesGcm::new_portable_ghash(key)),
+            ("portable", AesGcm::new_portable(key)),
+        ]
+    }
+
     #[test]
     fn nist_gcm_known_answers() {
         for (i, kat) in KATS.iter().enumerate() {
-            for portable in [false, true] {
-                let gcm = if portable {
-                    AesGcm::new_portable_ghash(&from_hex(kat.key))
-                } else {
-                    AesGcm::new(&from_hex(kat.key))
-                };
+            for (pairing, gcm) in pairings(&from_hex(kat.key)) {
                 let iv = nonce(kat.iv);
                 let aad = from_hex(kat.aad);
                 let pt = from_hex(kat.pt);
                 let wire = gcm.seal(&iv, &aad, &pt);
                 let mut expect = from_hex(kat.ct);
                 expect.extend_from_slice(&from_hex(kat.tag));
-                assert_eq!(wire, expect, "KAT {i} seal (portable={portable})");
-                assert_eq!(gcm.open(&iv, &aad, &wire).unwrap(), pt, "KAT {i} open");
+                assert_eq!(wire, expect, "KAT {i} seal ({pairing})");
+                assert_eq!(gcm.open(&iv, &aad, &wire).unwrap(), pt, "KAT {i} open ({pairing})");
             }
+        }
+    }
+
+    /// Vectors long enough to fill the 8-block groups of both kernels
+    /// (the NIST cases above stop at 64 bytes): AES-256-GCM, key
+    /// `00..1f`, nonce `a0..ab`, AAD `00..0c`, `pt[i] = (131·i + 7) mod
+    /// 256`; `(length, tag, SHA-256 of the ciphertext)` from OpenSSL.
+    const LONG_KATS: &[(usize, &str, &str)] = &[
+        (
+            127,
+            "41754515f2d91010c45f391e4bd431d4",
+            "22c5b4bcb8ed5fb0d440138b360c37481cb0f5b659df7bb1fe07ff02ec35388d",
+        ),
+        (
+            128,
+            "da4846579f8270ec61e79401e431a583",
+            "03dc6169e4dfe98cb08bb98a5fa98fb995b755a8b86fc5a7633fbb05e9ac07a4",
+        ),
+        (
+            129,
+            "b8818d0adb48fee8067513594cfd19dd",
+            "aee1ae3e4230aae28f6c038e42eb42d51d564da0f586efd3bdfaf05fd593ae47",
+        ),
+        (
+            1000,
+            "e93817b0c3c216c9788b5a1c93ac6202",
+            "3f5b8a02c014a41c13061caffaab3a9ed0bf727daf8b8bdd2f7b5941dbc80cd0",
+        ),
+        (
+            32_900,
+            "115b7ff28e9c44dc1f90cce0b1453880",
+            "e874d54a659a6c910d4afdb062d2b49e1306718e8dd696b3427eb18fe622b5a1",
+        ),
+    ];
+
+    #[test]
+    fn long_known_answers_on_every_backend_pairing() {
+        use crate::{Digest, Sha256};
+        let key: Vec<u8> = (0..32).collect();
+        let iv: [u8; 12] = std::array::from_fn(|i| 0xa0 + i as u8);
+        let aad: Vec<u8> = (0..13).collect();
+        for (pairing, gcm) in pairings(&key) {
+            for &(n, tag, ct_sha256) in LONG_KATS {
+                let pt: Vec<u8> = (0..n).map(|i| (131 * i + 7) as u8).collect();
+                let wire = gcm.seal(&iv, &aad, &pt);
+                let (ct, got_tag) = wire.split_at(n);
+                assert_eq!(got_tag, &from_hex(tag)[..], "tag n={n} ({pairing})");
+                assert_eq!(Sha256::digest(ct), from_hex(ct_sha256), "ciphertext n={n} ({pairing})");
+                assert_eq!(gcm.open(&iv, &aad, &wire).unwrap(), pt, "open n={n} ({pairing})");
+            }
+        }
+    }
+
+    /// A failed open returns before the CTR pass: the buffer still holds
+    /// the (tampered) ciphertext, not a decryption of it.
+    #[test]
+    fn failed_open_leaves_ciphertext_undecrypted() {
+        let iv = [4u8; 12];
+        for (pairing, gcm) in pairings(&[0x5eu8; 32]) {
+            let pt = vec![0xabu8; 1000];
+            let mut wire = gcm.seal(&iv, b"hdr", &pt);
+            let last = wire.len() - 1;
+            for flip in [0, 128, 999, 1000, last] {
+                wire[flip] ^= 1;
+                let before = wire.clone();
+                assert_eq!(gcm.open_in_place(&iv, b"hdr", &mut wire), Err(AeadError));
+                assert_eq!(wire, before, "byte {flip} ({pairing})");
+                wire[flip] ^= 1;
+            }
+            assert_eq!(gcm.open_in_place(&iv, b"hdr", &mut wire), Ok(1000), "{pairing}");
+            assert_eq!(&wire[..1000], &pt[..]);
         }
     }
 
@@ -295,7 +384,7 @@ mod tests {
     fn in_place_matches_allocating_and_preserves_prefix() {
         let gcm = AesGcm::new(&[9u8; 32]);
         let iv = [3u8; 12];
-        for len in [0usize, 1, 15, 16, 17, 1000, 8192] {
+        for len in [0usize, 1, 15, 16, 17, 127, 128, 129, 1000, 4095, 4096, 4097, 8192, 32_900] {
             let pt: Vec<u8> = (0..len).map(|i| (i * 11) as u8).collect();
             let mut buf = vec![0xEE; 5];
             buf.extend_from_slice(&pt);

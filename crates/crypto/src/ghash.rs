@@ -4,10 +4,14 @@
 //! in [`crate::aes`]):
 //!
 //! - **PCLMUL** (x86-64 with the `pclmulqdq` feature, detected at
-//!   runtime): one carry-less 128×128 multiply per block via the
-//!   Karatsuba split, with the bit-reflection of the GCM polynomial
-//!   absorbed by a byte-swap on load plus a one-bit shift of the 256-bit
-//!   product before reduction.
+//!   runtime): eight blocks per reduction. The key holds H¹…H⁸, and a
+//!   128-byte group folds as `(Y⊕X₀)·H⁸ ⊕ X₁·H⁷ ⊕ … ⊕ X₇·H¹`, the eight
+//!   carry-less 128×128 products summed *unreduced*; the realignment
+//!   shift and the modular reduction are linear, so they run once per
+//!   group instead of once per block. The bit-reflection of the GCM
+//!   polynomial is absorbed by a byte-swap on load plus that one-bit
+//!   shift of the 256-bit sum. Fewer than eight trailing blocks take the
+//!   one-multiply-one-reduction step per block.
 //! - **Scalar** (portable fallback and differential-testing oracle): the
 //!   SP 800-38D shift-and-conditionally-reduce multiplication, one bit of
 //!   the multiplier per step.
@@ -39,10 +43,16 @@ fn gf_mul(x: u128, y: u128) -> u128 {
     z
 }
 
-/// A GHASH key: the hash subkey `H = E_K(0^128)` plus the backend choice.
+/// Blocks folded per reduction on the PCLMUL path, and so the number of
+/// powers of `H` a key holds.
+const GROUP: usize = 8;
+
+/// A GHASH key: the powers H¹…H⁸ of the hash subkey `H = E_K(0^128)`
+/// (computed once per key, 128 bytes) plus the backend choice.
 #[derive(Clone)]
 pub struct GhashKey {
-    h: u128,
+    /// `powers[i]` is `H^(i+1)`.
+    powers: [u128; GROUP],
     use_clmul: bool,
 }
 
@@ -55,13 +65,22 @@ impl GhashKey {
             && std::arch::is_x86_feature_detected!("ssse3");
         #[cfg(not(target_arch = "x86_64"))]
         let use_clmul = false;
-        Self { h: u128::from_be_bytes(*h), use_clmul }
+        Self::with_backend(h, use_clmul)
     }
 
     /// Key pinned to the scalar backend — the reference oracle for the
     /// PCLMUL-vs-scalar equivalence tests, and the only path off x86-64.
     pub fn new_portable(h: &[u8; 16]) -> Self {
-        Self { h: u128::from_be_bytes(*h), use_clmul: false }
+        Self::with_backend(h, false)
+    }
+
+    fn with_backend(h: &[u8; 16], use_clmul: bool) -> Self {
+        let h = u128::from_be_bytes(*h);
+        let mut key = Self { powers: [h; GROUP], use_clmul };
+        for i in 1..GROUP {
+            key.powers[i] = key.mul(key.powers[i - 1], h);
+        }
+        key
     }
 
     /// The multiplication backend this key dispatches to.
@@ -78,6 +97,17 @@ impl GhashKey {
         Ghash { key: self, y: 0, buf: [0u8; 16], buf_len: 0 }
     }
 
+    /// One field multiplication on this key's backend.
+    fn mul(&self, a: u128, b: u128) -> u128 {
+        #[cfg(target_arch = "x86_64")]
+        if self.use_clmul {
+            // SAFETY: `use_clmul` is only set when the CPU reports
+            // pclmulqdq + ssse3 support.
+            return unsafe { clmul::mul(a, b) };
+        }
+        gf_mul(a, b)
+    }
+
     /// Fold a run of whole blocks into accumulator `y`.
     fn blocks(&self, mut y: u128, data: &[u8]) -> u128 {
         debug_assert_eq!(data.len() % 16, 0);
@@ -85,10 +115,10 @@ impl GhashKey {
         if self.use_clmul {
             // SAFETY: `use_clmul` is only set when the CPU reports
             // pclmulqdq + ssse3 support.
-            return unsafe { clmul::ghash_blocks(self.h, y, data) };
+            return unsafe { clmul::ghash_blocks(&self.powers, y, data) };
         }
         for block in data.chunks_exact(16) {
-            y = gf_mul(y ^ u128::from_be_bytes(block.try_into().unwrap()), self.h);
+            y = gf_mul(y ^ u128::from_be_bytes(block.try_into().unwrap()), self.powers[0]);
         }
         y
     }
@@ -145,6 +175,17 @@ impl Ghash<'_> {
         self.pad();
         self.y.to_be_bytes()
     }
+
+    /// Finish a GCM hash: pad the ciphertext segment, absorb the length
+    /// block `[len(A)]₆₄ ‖ [len(C)]₆₄` (in bits), and return the hash.
+    pub fn finalize_lengths(mut self, aad_len: usize, ct_len: usize) -> [u8; 16] {
+        self.pad();
+        let mut lens = [0u8; 16];
+        lens[..8].copy_from_slice(&((aad_len as u64) * 8).to_be_bytes());
+        lens[8..].copy_from_slice(&((ct_len as u64) * 8).to_be_bytes());
+        self.update(&lens);
+        self.finalize()
+    }
 }
 
 /// One-shot GHASH of `aad` and `ct` with the GCM length block — the full
@@ -154,21 +195,18 @@ pub fn ghash(key: &GhashKey, aad: &[u8], ct: &[u8]) -> [u8; 16] {
     g.update(aad);
     g.pad();
     g.update(ct);
-    g.pad();
-    let mut lens = [0u8; 16];
-    lens[..8].copy_from_slice(&((aad.len() as u64) * 8).to_be_bytes());
-    lens[8..].copy_from_slice(&((ct.len() as u64) * 8).to_be_bytes());
-    g.update(&lens);
-    g.finalize()
+    g.finalize_lengths(aad.len(), ct.len())
 }
 
 /// Carry-less-multiply backend. Operands live byte-swapped in XMM
 /// registers (so the register integer equals the big-endian-`u128`
 /// representation); the missing bit-reflection becomes a one-bit left
 /// shift of the 256-bit product, then reduction modulo the reversed
-/// polynomial — the classic Intel PCLMULQDQ white-paper formulation.
+/// polynomial — the classic Intel PCLMULQDQ white-paper formulation,
+/// with the shift and the reduction hoisted out of the per-block work.
 #[cfg(target_arch = "x86_64")]
 mod clmul {
+    use super::GROUP;
     use std::arch::x86_64::*;
 
     #[inline]
@@ -183,22 +221,31 @@ mod clmul {
         u128::from_le_bytes(out)
     }
 
-    /// GF(2^128) multiply of byte-swapped operands.
+    /// The 256-bit carry-less product `a·b` as unreduced schoolbook
+    /// parts `(lo, mid, hi)`: the value is `lo ⊕ mid·2^64 ⊕ hi·2^128`.
+    /// Parts of several products XOR together before one [`reduce`].
     ///
     /// # Safety
     /// Requires a CPU with `pclmulqdq` + `sse2`.
+    #[inline]
     #[target_feature(enable = "pclmulqdq,sse2")]
-    unsafe fn gfmul(a: __m128i, b: __m128i) -> __m128i {
-        // 128×128 → 256 carry-less multiply (schoolbook on 64-bit halves).
-        let t3 = _mm_clmulepi64_si128(a, b, 0x00);
-        let t4 = _mm_clmulepi64_si128(a, b, 0x10);
-        let t5 = _mm_clmulepi64_si128(a, b, 0x01);
-        let t6 = _mm_clmulepi64_si128(a, b, 0x11);
-        let t4 = _mm_xor_si128(t4, t5);
-        let t5 = _mm_slli_si128(t4, 8);
-        let t4 = _mm_srli_si128(t4, 8);
-        let mut lo = _mm_xor_si128(t3, t5);
-        let mut hi = _mm_xor_si128(t6, t4);
+    unsafe fn mul_wide(a: __m128i, b: __m128i) -> (__m128i, __m128i, __m128i) {
+        let lo = _mm_clmulepi64_si128(a, b, 0x00);
+        let mid = _mm_xor_si128(_mm_clmulepi64_si128(a, b, 0x10), _mm_clmulepi64_si128(a, b, 0x01));
+        let hi = _mm_clmulepi64_si128(a, b, 0x11);
+        (lo, mid, hi)
+    }
+
+    /// Realign and reduce a 256-bit sum of [`mul_wide`] parts to a field
+    /// element.
+    ///
+    /// # Safety
+    /// Requires a CPU with `sse2`.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    unsafe fn reduce(lo: __m128i, mid: __m128i, hi: __m128i) -> __m128i {
+        let mut lo = _mm_xor_si128(lo, _mm_slli_si128(mid, 8));
+        let mut hi = _mm_xor_si128(hi, _mm_srli_si128(mid, 8));
         // Shift the 256-bit product left by one bit: rev(A)·rev(B) is
         // rev(A·B) shifted right by one, so this realigns the product to
         // the byte-swapped representation.
@@ -230,16 +277,54 @@ mod clmul {
         _mm_xor_si128(hi, _mm_xor_si128(lo, u))
     }
 
-    /// Fold whole 16-byte blocks of `data` into accumulator `y`.
+    /// GF(2^128) multiply of byte-swapped operands.
+    ///
+    /// # Safety
+    /// Requires a CPU with `pclmulqdq` + `sse2`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse2")]
+    unsafe fn gfmul(a: __m128i, b: __m128i) -> __m128i {
+        let (lo, mid, hi) = mul_wide(a, b);
+        reduce(lo, mid, hi)
+    }
+
+    /// One field multiplication (how a key derives its powers of `H`).
+    ///
+    /// # Safety
+    /// Requires a CPU with `pclmulqdq` + `sse2`.
+    #[target_feature(enable = "pclmulqdq,sse2")]
+    pub unsafe fn mul(a: u128, b: u128) -> u128 {
+        from_xmm(gfmul(to_xmm(a), to_xmm(b)))
+    }
+
+    /// Fold whole 16-byte blocks of `data` into accumulator `y`:
+    /// [`GROUP`] blocks per reduction, then one block at a time.
+    /// `powers[i]` is `H^(i+1)`.
     ///
     /// # Safety
     /// Requires a CPU with `pclmulqdq` + `ssse3`; `data.len() % 16 == 0`.
     #[target_feature(enable = "pclmulqdq,ssse3,sse2")]
-    pub unsafe fn ghash_blocks(h: u128, y: u128, data: &[u8]) -> u128 {
+    pub unsafe fn ghash_blocks(powers: &[u128; GROUP], y: u128, data: &[u8]) -> u128 {
         let bswap = _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-        let h = to_xmm(h);
         let mut acc = to_xmm(y);
-        for block in data.chunks_exact(16) {
+        let mut groups = data.chunks_exact(16 * GROUP);
+        for group in &mut groups {
+            // `group` is exactly GROUP blocks, so every load below is in
+            // bounds; block i meets H^(GROUP-i).
+            let p = group.as_ptr().cast::<__m128i>();
+            let x = _mm_xor_si128(acc, _mm_shuffle_epi8(_mm_loadu_si128(p), bswap));
+            let (mut lo, mut mid, mut hi) = mul_wide(x, to_xmm(powers[GROUP - 1]));
+            for i in 1..GROUP {
+                let x = _mm_shuffle_epi8(_mm_loadu_si128(p.add(i)), bswap);
+                let (l, m, h) = mul_wide(x, to_xmm(powers[GROUP - 1 - i]));
+                lo = _mm_xor_si128(lo, l);
+                mid = _mm_xor_si128(mid, m);
+                hi = _mm_xor_si128(hi, h);
+            }
+            acc = reduce(lo, mid, hi);
+        }
+        let h = to_xmm(powers[0]);
+        for block in groups.remainder().chunks_exact(16) {
             let x = _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().cast()), bswap);
             acc = gfmul(_mm_xor_si128(acc, x), h);
         }

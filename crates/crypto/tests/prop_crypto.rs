@@ -5,7 +5,12 @@ use proptest::prelude::*;
 use sgfs_crypto::bignum::BigUint;
 use sgfs_crypto::cbc::{cbc_decrypt, cbc_decrypt_in_place_ct, cbc_encrypt};
 use sgfs_crypto::ghash::{ghash, GhashKey};
-use sgfs_crypto::{Aes, AesGcm, ChaCha20Poly1305, Rc4};
+use sgfs_crypto::{AeadError, Aes, AesGcm, ChaCha20Poly1305, Rc4};
+
+/// Plaintext lengths on and around the 128-byte groups the AES-NI CTR and
+/// PCLMUL GHASH kernels work in, and one longer than a 32 KiB record.
+const GCM_EDGE_LENS: [usize; 15] =
+    [0, 1, 15, 16, 17, 111, 112, 113, 127, 128, 129, 255, 256, 257, 32_900];
 
 fn big(bytes: &[u8]) -> BigUint {
     BigUint::from_bytes_be(bytes)
@@ -100,19 +105,63 @@ proptest! {
 
     #[test]
     fn gcm_roundtrip_both_ghash_backends(
-        key in proptest::collection::vec(any::<u8>(), 16..=16),
+        key in prop_oneof![
+            proptest::collection::vec(any::<u8>(), 16..=16),
+            proptest::collection::vec(any::<u8>(), 32..=32),
+        ],
         nonce in proptest::collection::vec(any::<u8>(), 12..=12),
-        aad in proptest::collection::vec(any::<u8>(), 0..64),
-        pt in proptest::collection::vec(any::<u8>(), 0..2048),
+        aad in proptest::collection::vec(any::<u8>(), 1..64),
+        // Random lengths to 4 KiB, and the lengths around both kernels'
+        // 8-block groups (plus one record-sized) half of the time.
+        len in prop_oneof![
+            0usize..=4096,
+            (0..GCM_EDGE_LENS.len()).prop_map(|i| GCM_EDGE_LENS[i]),
+        ],
+        fill in any::<u8>(),
+        bit in 0u8..8,
     ) {
         let mut n = [0u8; 12];
         n.copy_from_slice(&nonce);
+        let pt: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(167) ^ fill).collect();
+        // Whatever the CPU offers, the same with scalar GHASH, and the
+        // fully portable oracle (T-table AES + scalar GHASH).
         let fast = AesGcm::new(&key);
-        let slow = AesGcm::new_portable_ghash(&key);
+        let mixed = AesGcm::new_portable_ghash(&key);
+        let oracle = AesGcm::new_portable(&key);
         let wire = fast.seal(&n, &aad, &pt);
-        prop_assert_eq!(&slow.seal(&n, &aad, &pt), &wire, "backends produce same wire");
-        prop_assert_eq!(fast.open(&n, &aad, &wire).unwrap(), pt.clone());
-        prop_assert_eq!(slow.open(&n, &aad, &wire).unwrap(), pt);
+        prop_assert_eq!(wire.len(), len + 16);
+        prop_assert_eq!(&oracle.seal(&n, &aad, &pt), &wire, "fast ≡ oracle on ciphertext and tag");
+        prop_assert_eq!(&mixed.seal(&n, &aad, &pt), &wire, "scalar GHASH ≡ PCLMUL");
+        // `seal` is the out-of-place path; in place must produce the same bytes.
+        for gcm in [&fast, &oracle] {
+            let mut in_place = pt.clone();
+            gcm.seal_in_place(&n, &aad, &mut in_place, 0);
+            prop_assert_eq!(&in_place, &wire, "out-of-place seal ≡ in-place seal");
+        }
+        for gcm in [&fast, &mixed, &oracle] {
+            prop_assert_eq!(gcm.open(&n, &aad, &wire).unwrap(), pt.clone());
+        }
+
+        // One flipped bit — either side of every 128-byte boundary of the
+        // ciphertext, or in the tag — fails with the one opaque error and
+        // leaves the buffer exactly as it arrived: nothing is decrypted
+        // before the tag has verified.
+        let mut flips: Vec<usize> = (0..len).step_by(128).flat_map(|b| [b.saturating_sub(1), b]).collect();
+        flips.extend([len, len + 15]);
+        for gcm in [&fast, &oracle] {
+            for &at in &flips {
+                let mut buf = wire.clone();
+                buf[at] ^= 1 << bit;
+                let arrived = buf.clone();
+                prop_assert_eq!(gcm.open_in_place(&n, &aad, &mut buf), Err(AeadError), "flip at {}", at);
+                prop_assert_eq!(&buf, &arrived, "flip at {}: buffer untouched", at);
+            }
+            let mut bad_aad = aad.clone();
+            bad_aad[0] ^= 1 << bit;
+            let mut buf = wire.clone();
+            prop_assert_eq!(gcm.open_in_place(&n, &bad_aad, &mut buf), Err(AeadError));
+            prop_assert_eq!(&buf, &wire, "bad AAD: buffer untouched");
+        }
     }
 
     #[test]

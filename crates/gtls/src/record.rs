@@ -76,8 +76,10 @@ impl HalfConn {
     /// `out[..out.len()]` on entry (e.g. a frame header) is preserved, so
     /// a whole framed record can be assembled in one reused buffer. The
     /// steady-state cost is zero heap allocations: the MAC/GHASH runs on
-    /// precomputed states, encryption is in place, and `out` only grows
-    /// until it reaches the connection's record-size high-water mark.
+    /// precomputed states, encryption writes into `out` (AES-GCM straight
+    /// from `payload`, the other suites in place over a copy), and `out`
+    /// only grows until it reaches the connection's record-size
+    /// high-water mark.
     pub fn seal_into<R: RngCore>(
         &mut self,
         content_type: u8,
@@ -85,17 +87,16 @@ impl HalfConn {
         rng: &mut R,
         out: &mut Vec<u8>,
     ) {
-        let start = out.len();
         if self.cipher.is_aead() {
-            // Single pass: encrypt + authenticate together, header as AAD,
-            // nonce derived from the sequence counter — no per-record
+            // One call encrypts and authenticates, header as AAD, nonce
+            // derived from the sequence counter — no per-record
             // randomness, no IV bytes on the wire.
-            out.extend_from_slice(payload);
             let aad = self.aad(content_type, payload.len());
-            self.cipher.seal_aead(self.seq, &aad, out, start);
+            self.cipher.seal_aead(self.seq, &aad, payload, out);
             self.seq = self.seq.wrapping_add(1);
             return;
         }
+        let start = out.len();
         out.resize(start + self.cipher.explicit_iv_len(), 0);
         out.extend_from_slice(payload);
         if self.mac.is_some() {
@@ -224,8 +225,11 @@ pub fn read_frame<R: Read + ?Sized>(r: &mut R) -> std::io::Result<(u8, Vec<u8>)>
 }
 
 /// Like [`read_frame`] but reads the body into a caller-provided buffer
-/// (cleared and resized), returning the content type. At steady state the
-/// buffer has reached its high-water capacity and no allocation occurs.
+/// (resized to the body; whatever it held is overwritten), returning the
+/// content type. At steady state the buffer has reached its high-water
+/// capacity and no allocation occurs, and only the bytes by which a body
+/// outgrows the previous one are zeroed before the read fills them.
+/// After an error the buffer's contents are unspecified.
 pub fn read_frame_into<R: Read + ?Sized>(r: &mut R, body: &mut Vec<u8>) -> std::io::Result<u8> {
     let mut hdr = [0u8; 5];
     r.read_exact(&mut hdr)?;
@@ -236,7 +240,6 @@ pub fn read_frame_into<R: Read + ?Sized>(r: &mut R, body: &mut Vec<u8>) -> std::
             format!("GTLS record of {len} bytes too large"),
         ));
     }
-    body.clear();
     body.resize(len, 0);
     r.read_exact(body)?;
     Ok(hdr[0])
@@ -325,6 +328,24 @@ mod tests {
         assert_eq!(body, b"hello");
     }
 
+    /// A reused body buffer is resized, not cleared: a shorter or longer
+    /// frame after another must come back exact, nothing stale.
+    #[test]
+    fn reused_frame_buffer_holds_exactly_the_last_body() {
+        let mut wire = Vec::new();
+        let long = vec![0xA5u8; 3000];
+        for body in [&long[..], b"hi", b"", &long[..]] {
+            write_frame(&mut wire, CT_DATA, body).unwrap();
+        }
+        let mut cur = std::io::Cursor::new(wire);
+        let mut buf = vec![0xEEu8; 64];
+        for want in [&long[..], b"hi", b"", &long[..]] {
+            assert_eq!(read_frame_into(&mut cur, &mut buf).unwrap(), CT_DATA);
+            assert_eq!(buf, want);
+        }
+        assert!(read_frame_into(&mut cur, &mut buf).is_err(), "EOF");
+    }
+
     #[test]
     fn oversized_frame_rejected() {
         let mut buf = vec![CT_DATA];
@@ -390,6 +411,31 @@ mod tests {
         let (mut tx, _) = pair(CipherSuite::Aes256CbcSha1);
         let wire = tx.seal(CT_DATA, &[0u8; 1000], &mut rng);
         assert!(wire.len() >= 1000 + 16 + 20, "CBC wire overhead");
+    }
+
+    /// An AES-GCM record body is exactly `AES-GCM(key, nonce = static IV
+    /// XOR sequence number, AAD = seq ‖ type ‖ len, payload)`: ciphertext
+    /// plus tag, nothing else on the wire.
+    #[test]
+    fn gcm_record_is_sealed_under_iv_xor_seq_with_header_aad() {
+        let mut rng = rand::thread_rng();
+        let suite = CipherSuite::Aes256Gcm;
+        let key: Vec<u8> = (0..32).map(|i| i * 3 + 1).collect();
+        let iv: [u8; 12] = std::array::from_fn(|i| 0x80 + i as u8);
+        let mut tx = HalfConn::new(suite, &key, &[], &iv);
+        let gcm = sgfs_crypto::AesGcm::new(&key);
+        for (seq, len) in [0usize, 200, 4096].into_iter().enumerate() {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 5) as u8).collect();
+            let mut nonce = iv;
+            for (n, s) in nonce[4..].iter_mut().zip((seq as u64).to_be_bytes()) {
+                *n ^= s;
+            }
+            let mut aad = (seq as u64).to_be_bytes().to_vec();
+            aad.push(CT_HANDSHAKE);
+            aad.extend_from_slice(&(len as u32).to_be_bytes());
+            let wire = tx.seal(CT_HANDSHAKE, &payload, &mut rng);
+            assert_eq!(wire, gcm.seal(&nonce, &aad, &payload), "record {seq}");
+        }
     }
 
     #[test]

@@ -311,7 +311,6 @@ impl GtlsStream {
     /// refreshing all key material (and picking up any config changes).
     pub fn renegotiate(&mut self) -> Result<(), GtlsError> {
         assert!(self.is_client, "renegotiation is client-initiated");
-        self.flush_pending()?;
         let mut ch = RekeyChannel { inner: &mut self.inner, tx: &mut self.tx, rx: &mut self.rx };
         let (keys, peer) = client_handshake(&mut ch, &self.config, &mut rand::thread_rng())?;
         let (tx, rx) = Self::split_keys(&keys, true);
@@ -411,16 +410,6 @@ impl Read for GtlsStream {
         buf[..n].copy_from_slice(&self.read_buf[self.read_pos..self.read_pos + n]);
         self.read_pos += n;
         Ok(n)
-    }
-}
-
-impl GtlsStream {
-    /// No-op retained for the renegotiation path's ordering guarantee:
-    /// writes are sealed eagerly (each caller write is one logical
-    /// message, already coalesced by the record-marking layer), so there
-    /// is never pending plaintext.
-    fn flush_pending(&mut self) -> Result<(), GtlsError> {
-        Ok(())
     }
 }
 

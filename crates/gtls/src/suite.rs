@@ -183,16 +183,20 @@ impl CipherState {
         n
     }
 
-    /// AEAD seal: encrypt `buf[from..]` in place under the record nonce
-    /// for `seq`, authenticating `aad`, and append the 16-byte tag.
+    /// AEAD seal: append `ciphertext || tag` of `payload` to `out` under
+    /// the record nonce for `seq`, authenticating `aad`. `out`'s existing
+    /// bytes (the frame header) are left untouched. AES-GCM reads
+    /// `payload` once and writes ciphertext straight into `out`.
     /// Panics on non-AEAD states — callers dispatch on [`Self::is_aead`].
-    pub fn seal_aead(&self, seq: u64, aad: &[u8], buf: &mut Vec<u8>, from: usize) {
+    pub fn seal_aead(&self, seq: u64, aad: &[u8], payload: &[u8], out: &mut Vec<u8>) {
         match self {
             CipherState::Gcm(gcm, iv) => {
-                gcm.seal_in_place(&Self::aead_nonce(iv, seq), aad, buf, from)
+                gcm.seal_into(&Self::aead_nonce(iv, seq), aad, payload, out)
             }
             CipherState::ChaChaPoly(cp, iv) => {
-                cp.seal_in_place(&Self::aead_nonce(iv, seq), aad, buf, from)
+                let from = out.len();
+                out.extend_from_slice(payload);
+                cp.seal_in_place(&Self::aead_nonce(iv, seq), aad, out, from)
             }
             _ => unreachable!("seal_aead on a non-AEAD cipher state"),
         }
@@ -313,8 +317,8 @@ mod tests {
             for (seq, len) in [0usize, 1, 20, 100, 32 * 1024].into_iter().enumerate() {
                 let plain: Vec<u8> = (0..len).map(|i| (i % 256) as u8).collect();
                 if suite.is_aead() {
-                    let mut buf = plain.clone();
-                    tx.seal_aead(seq as u64, b"hdr", &mut buf, 0);
+                    let mut buf = Vec::new();
+                    tx.seal_aead(seq as u64, b"hdr", &plain, &mut buf);
                     let n = rx.open_aead(seq as u64, b"hdr", &mut buf).unwrap();
                     assert_eq!(&buf[..n], &plain[..], "suite {suite:?} len {len}");
                 } else {
@@ -365,8 +369,8 @@ mod tests {
             let key = vec![7u8; suite.key_len()];
             let st = suite.new_state(&key, &[3u8; 12]);
             let plain = b"secret grid data secret grid data".to_vec();
-            let mut wire = plain.clone();
-            st.seal_aead(1, b"hdr", &mut wire, 0);
+            let mut wire = Vec::new();
+            st.seal_aead(1, b"hdr", &plain, &mut wire);
             assert!(!wire.windows(8).any(|w| w == &plain[..8]), "{suite:?} leaked plaintext");
         }
     }

@@ -40,6 +40,13 @@ fn allocs() -> u64 {
     ALLOC_CALLS.load(Ordering::SeqCst)
 }
 
+/// The counter is process-wide: a test that allocates beside one that is
+/// counting shows up in its delta, so every test holds this while it runs.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn pair(suite: CipherSuite) -> (HalfConn, HalfConn) {
     let key = vec![0x5au8; suite.key_len()];
     let mac = vec![0xa5u8; suite.mac_key_len()];
@@ -64,6 +71,7 @@ fn pump(tx: &mut HalfConn, rx: &mut HalfConn, wire: &mut Vec<u8>, payload: &[u8]
 
 #[test]
 fn seal_open_10k_records_zero_alloc_steady_state() {
+    let _serial = serial();
     for suite in CipherSuite::all() {
         let (mut tx, mut rx) = pair(suite);
         let mut wire = Vec::new();
@@ -91,6 +99,7 @@ fn seal_open_10k_records_zero_alloc_steady_state() {
 /// allocations, same as the single-session contract.
 #[test]
 fn interleaved_sessions_zero_alloc_steady_state() {
+    let _serial = serial();
     const SESSIONS: usize = 8;
     let suites = CipherSuite::all();
     let mut conns: Vec<(HalfConn, HalfConn)> =
@@ -132,6 +141,7 @@ fn interleaved_sessions_zero_alloc_steady_state() {
 /// material, reset sequence numbers) continue into the same buffers.
 #[test]
 fn scratch_survives_renegotiation_mid_stream() {
+    let _serial = serial();
     let suite = CipherSuite::Aes256CbcSha1;
     let (mut tx, mut rx) = pair(suite);
     let mut wire = Vec::new();
@@ -154,6 +164,7 @@ fn scratch_survives_renegotiation_mid_stream() {
 /// A record sealed under the old keys must not open under the new ones.
 #[test]
 fn rekey_invalidates_old_records() {
+    let _serial = serial();
     let suite = CipherSuite::Aes128CbcSha1;
     let (mut tx, _) = pair(suite);
     let mut rng = rand::thread_rng();

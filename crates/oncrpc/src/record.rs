@@ -112,15 +112,19 @@ pub fn read_record<R: Read + ?Sized>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
 }
 
 /// Like [`read_record`] but reassembles into a caller-provided buffer
-/// (cleared first), returning `false` on clean EOF at a record boundary.
-/// At steady state the buffer is at its high-water capacity and no
-/// allocation occurs.
+/// (whatever it held is overwritten), returning `false` on clean EOF at a
+/// record boundary. At steady state the buffer is at its high-water
+/// capacity and no allocation occurs, and only the bytes by which a
+/// record outgrows the buffer's previous length are zeroed before the
+/// read fills them. After an error the buffer's contents are unspecified.
 pub fn read_record_into<R: Read + ?Sized>(r: &mut R, out: &mut Vec<u8>) -> io::Result<bool> {
-    out.clear();
+    // Bytes of this record reassembled so far; `out` beyond it still
+    // holds the previous record until the final truncate.
+    let mut filled = 0;
     loop {
         let mut hdr = [0u8; 4];
         match read_exact_or_eof(r, &mut hdr)? {
-            false if out.is_empty() => return Ok(false),
+            false if filled == 0 => return Ok(false),
             false => {
                 return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "EOF mid-record"))
             }
@@ -129,16 +133,19 @@ pub fn read_record_into<R: Read + ?Sized>(r: &mut R, out: &mut Vec<u8>) -> io::R
         let word = u32::from_be_bytes(hdr);
         let last = word & 0x8000_0000 != 0;
         let len = (word & 0x7fff_ffff) as usize;
-        if out.len() + len > MAX_RECORD {
+        if filled + len > MAX_RECORD {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("record exceeds {MAX_RECORD} bytes"),
             ));
         }
-        let start = out.len();
-        out.resize(start + len, 0);
-        r.read_exact(&mut out[start..])?;
+        if out.len() < filled + len {
+            out.resize(filled + len, 0);
+        }
+        r.read_exact(&mut out[filled..filled + len])?;
+        filled += len;
         if last {
+            out.truncate(filled);
             return Ok(true);
         }
     }
@@ -242,6 +249,31 @@ mod tests {
         }
         let mut cur = Cursor::new(buf);
         assert_eq!(read_record(&mut cur).unwrap().unwrap(), b"abcdef");
+    }
+
+    /// A reused buffer is not cleared between records: whatever the
+    /// previous record left in it must never show through, whether the
+    /// next record is shorter, longer, empty or split into fragments.
+    #[test]
+    fn reused_buffer_holds_exactly_the_last_record() {
+        let mut wire = Vec::new();
+        let long: Vec<u8> = (0..5000).map(|i| (i % 253) as u8).collect();
+        write_record(&mut wire, &long).unwrap();
+        write_record(&mut wire, b"short").unwrap();
+        write_record(&mut wire, b"").unwrap();
+        for (i, frag) in [&b"ab"[..], b"cdef", b"g"].iter().enumerate() {
+            let last = if i == 2 { 0x8000_0000 } else { 0 };
+            wire.extend_from_slice(&(frag.len() as u32 | last).to_be_bytes());
+            wire.extend_from_slice(frag);
+        }
+        write_record(&mut wire, &long).unwrap();
+        let mut cur = Cursor::new(wire);
+        let mut buf = vec![0xEEu8; 64];
+        for want in [&long[..], b"short", b"", b"abcdefg", &long[..]] {
+            assert!(read_record_into(&mut cur, &mut buf).unwrap());
+            assert_eq!(buf, want);
+        }
+        assert!(!read_record_into(&mut cur, &mut buf).unwrap());
     }
 
     #[test]
