@@ -52,6 +52,7 @@ fn main() {
         SetupKind::Sgfs(SecurityLevel::IntegrityOnly),
         SetupKind::Sgfs(SecurityLevel::MediumCipher),
         SetupKind::Sgfs(SecurityLevel::StrongCipher),
+        SetupKind::Sgfs(SecurityLevel::AeadCipher),
         SetupKind::Sfs,
     ];
 

@@ -1,5 +1,4 @@
-//! Multi-server data-plane benchmarks, written to
-//! `results/BENCH_stripe.json`:
+//! The multi-server data plane.
 //!
 //! 1. **Striped sequential read throughput** — the same 512 B-block
 //!    sequential read script fanned split-phase across a width-4 stripe
@@ -11,65 +10,38 @@
 //!    many servers the in-flight set can spread across.
 //! 2. **Replicated flush** — a width-2, 2-replica stripe set flushes a
 //!    dirty write-back cache; the two mock servers answer with *distinct*
-//!    write verifiers (7 and 9) and the run asserts both per-member
-//!    COMMIT confirmations landed and both replicas hold every block
+//!    write verifiers (7 and 9) and the rows require both per-member
+//!    COMMIT confirmations and both replicas holding every block
 //!    byte-identical to what the client wrote.
-//!
-//! The binary asserts the PR's acceptance thresholds (width-4 read
-//! speedup ≥ 2×, both replica write verifiers confirmed with no block
-//! missing) and exits nonzero if they regress.
 
+use super::mock::{base_attr, call_record, reply_bytes};
+use super::Check;
+use crate::RunOpts;
 use sgfs::config::{CacheMode, SecurityLevel, SessionConfig, StripePolicy};
 use sgfs::proxy::blockstore::BlockKey;
 use sgfs::proxy::client::{ClientProxy, Upstream};
 use sgfs::proxy::pipeline::Pipeline;
-use sgfs_bench::RunOpts;
 use sgfs_net::{pipe_pair_over_link, Link, LinkSpec, PipeEnd, SimClock};
 use sgfs_nfs3::proc::{
     procnum, CommitRes, GetAttrRes, ReadArgs, ReadRes, WccRes, WriteArgs, WriteRes,
 };
 use sgfs_nfs3::types::*;
-use sgfs_nfs3::{NFS_PROGRAM, NFS_VERSION};
 use sgfs_obs::{Gauge, Hop};
-use sgfs_oncrpc::msg::AuthSysParams;
 use sgfs_oncrpc::record::{read_record, write_record};
-use sgfs_oncrpc::{CallHeader, OpaqueAuth, ReplyHeader};
-use sgfs_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder};
+use sgfs_oncrpc::{CallHeader, ReplyHeader};
+use sgfs_xdr::{XdrDecode, XdrDecoder};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const BLOCK: usize = 512;
 const FILE_SIZE: u64 = 1 << 20;
+const RTT: Duration = Duration::from_millis(20);
 
 type ServerState = Arc<Mutex<BTreeMap<BlockKey, Vec<u8>>>>;
 
 fn fh() -> Fh3 {
     Fh3::from_ino(1, 42)
-}
-
-fn base_attr(size: u64) -> Fattr3 {
-    Fattr3 {
-        ftype: FType3::Reg,
-        mode: 0o644,
-        nlink: 1,
-        uid: 1001,
-        gid: 1001,
-        size,
-        used: size,
-        fsid: 1,
-        fileid: 42,
-        atime: NfsTime3 { seconds: 1, nseconds: 0 },
-        mtime: NfsTime3 { seconds: 1, nseconds: 0 },
-        ctime: NfsTime3 { seconds: 1, nseconds: 0 },
-    }
-}
-
-fn reply_bytes<T: XdrEncode>(xid: u32, res: &T) -> Vec<u8> {
-    let mut enc = XdrEncoder::with_capacity(256);
-    ReplyHeader::success(xid).encode(&mut enc);
-    res.encode(&mut enc);
-    enc.into_bytes()
 }
 
 /// Mock replica applying WRITEs/READs to `state`, answering WRITE and
@@ -82,11 +54,12 @@ fn byte_server(mut end: PipeEnd, state: ServerState, verf: u64) {
         };
         let mut dec = XdrDecoder::new(&record);
         let header = CallHeader::decode(&mut dec).expect("call header");
+        let attr = Some(base_attr(FILE_SIZE));
+        let wcc = WccData { before: None, after: attr.clone() };
         let reply = match header.proc {
-            procnum::GETATTR => reply_bytes(
-                header.xid,
-                &GetAttrRes { status: NfsStat3::Ok, attr: Some(base_attr(FILE_SIZE)) },
-            ),
+            procnum::GETATTR => {
+                reply_bytes(header.xid, &GetAttrRes { status: NfsStat3::Ok, attr })
+            }
             procnum::WRITE => {
                 let args =
                     WriteArgs::from_xdr_bytes(&record[dec.position()..]).expect("write args");
@@ -96,7 +69,7 @@ fn byte_server(mut end: PipeEnd, state: ServerState, verf: u64) {
                     header.xid,
                     &WriteRes {
                         status: NfsStat3::Ok,
-                        wcc: WccData { before: None, after: Some(base_attr(FILE_SIZE)) },
+                        wcc,
                         count,
                         committed: StableHow::Unstable,
                         verf,
@@ -116,29 +89,18 @@ fn byte_server(mut end: PipeEnd, state: ServerState, verf: u64) {
                     header.xid,
                     &ReadRes {
                         status: NfsStat3::Ok,
-                        attr: Some(base_attr(FILE_SIZE)),
+                        attr,
                         count: data.len() as u32,
                         eof: false,
                         data,
                     },
                 )
             }
-            procnum::COMMIT => reply_bytes(
-                header.xid,
-                &CommitRes {
-                    status: NfsStat3::Ok,
-                    wcc: WccData { before: None, after: Some(base_attr(FILE_SIZE)) },
-                    verf,
-                },
-            ),
+            procnum::COMMIT => {
+                reply_bytes(header.xid, &CommitRes { status: NfsStat3::Ok, wcc, verf })
+            }
             // Post-COMMIT size mirror from the striped flush.
-            procnum::SETATTR => reply_bytes(
-                header.xid,
-                &WccRes {
-                    status: NfsStat3::Ok,
-                    wcc: WccData { before: None, after: Some(base_attr(FILE_SIZE)) },
-                },
-            ),
+            procnum::SETATTR => reply_bytes(header.xid, &WccRes { status: NfsStat3::Ok, wcc }),
             other => panic!("unexpected proc {other} at a mock replica"),
         };
         if write_record(&mut end, &reply).is_err() {
@@ -165,101 +127,17 @@ fn striped_proxy(
     ClientProxy::with_stripe(upstreams, config).expect("striped proxy")
 }
 
-fn call_record<T: XdrEncode>(xid: u32, proc: u32, args: &T) -> Vec<u8> {
-    let header = CallHeader {
-        xid,
-        prog: NFS_PROGRAM,
-        vers: NFS_VERSION,
-        proc,
-        cred: OpaqueAuth::sys(&AuthSysParams::new("bench-host", 1001, 1001)),
-        verf: OpaqueAuth::none(),
-    };
-    let mut enc = XdrEncoder::with_capacity(256);
-    header.encode(&mut enc);
-    args.encode(&mut enc);
-    enc.into_bytes()
-}
-
-/// Drives NFS records through a proxy's downstream interface on the
-/// calling thread — only the upstream stripe legs pay the emulated RTT.
-struct Driver {
-    proxy: ClientProxy,
-    xid: u32,
-}
-
-impl Driver {
-    fn start(proxy: ClientProxy) -> Self {
-        Self { proxy, xid: 0x900 }
-    }
-
-    fn call<T: XdrEncode>(&mut self, proc: u32, args: &T) -> Vec<u8> {
-        self.xid += 1;
-        let reply = self
-            .proxy
-            .process_one(&call_record(self.xid, proc, args))
-            .expect("downstream reply");
-        let mut dec = XdrDecoder::new(&reply);
-        let _ = ReplyHeader::decode(&mut dec).expect("reply header");
-        reply[dec.position()..].to_vec()
-    }
-
-    fn write(&mut self, offset: u64, data: Vec<u8>) {
-        let body = self.call(
-            procnum::WRITE,
-            &WriteArgs { file: fh(), offset, stable: StableHow::Unstable, data },
-        );
-        let res = WriteRes::from_xdr_bytes(&body).expect("write res");
-        assert_eq!(res.status, NfsStat3::Ok, "write-back ack");
-    }
-
-    fn finish(self) -> ClientProxy {
-        self.proxy
-    }
-}
-
-fn stripe_config(width: u32, replicas: u32, window: u32, readahead: u32) -> SessionConfig {
+fn stripe_config(width: u32, replicas: u32, window: u32) -> SessionConfig {
     let mut config = SessionConfig::new(SecurityLevel::None);
     config.cache = CacheMode::MemoryMeta;
     config.window = window;
-    config.readahead = readahead;
+    config.readahead = 0;
     config.stripe = Some(StripePolicy { width, replicas, block_size: BLOCK as u32 });
     config
 }
 
-#[derive(serde::Serialize)]
-struct StripeReadResult {
-    rtt_ms: u64,
-    blocks: usize,
-    block_bytes: usize,
-    window_per_member: u32,
-    width_1_s: f64,
-    width_4_s: f64,
-    speedup: f64,
-    threshold: f64,
-}
-
-#[derive(serde::Serialize)]
-struct ReplicatedFlushResult {
-    rtt_ms: u64,
-    width: u32,
-    replicas: u32,
-    blocks: usize,
-    flush_s: f64,
-    /// Per-member COMMIT confirmations whose write verifier matched.
-    replica_writes: u64,
-    verifiers: Vec<u64>,
-    every_replica_complete: bool,
-    degraded: u64,
-}
-
-#[derive(serde::Serialize)]
-struct BenchReport {
-    stripe_read: StripeReadResult,
-    replicated_flush: ReplicatedFlushResult,
-}
-
 /// Virtual seconds to fan `blocks` sequential 512 B READs across a
-/// stripe set of `width` members over `rtt` links — the exact primitive
+/// stripe set of `width` members over 20 ms links — the exact primitive
 /// read-ahead drives: `StripeMap` routes each block to its
 /// member, and the member's windowed pipeline keeps the wire full.
 ///
@@ -269,10 +147,10 @@ struct BenchReport {
 /// member's arrival gates from inflating another member's stamps through
 /// real-time scheduling skew, so the measurement is the stripe's
 /// aggregate in-flight capacity and nothing else.
-fn striped_read_time(rtt: Duration, width: u32, blocks: usize) -> f64 {
+fn striped_read_time(width: u32, blocks: usize) -> f64 {
     let clocks: Vec<Arc<SimClock>> = (0..width).map(|_| SimClock::new()).collect();
     let links: Vec<Arc<Link>> =
-        clocks.iter().map(|c| Link::new(LinkSpec::wan_rtt(rtt), c.clone())).collect();
+        clocks.iter().map(|c| Link::new(LinkSpec::wan_rtt(RTT), c.clone())).collect();
     let states: Vec<ServerState> = (0..width).map(|_| Arc::default()).collect();
     // Pre-seed every member with its mapped slice of the file.
     let map = sgfs::proxy::stripe::StripeMap::new(StripePolicy {
@@ -290,8 +168,7 @@ fn striped_read_time(rtt: Duration, width: u32, blocks: usize) -> f64 {
     // assembled by the same constructor as any other width.
     const WINDOW: u32 = 2;
     let verfs = vec![7u64; width as usize];
-    let config = stripe_config(width, 1, WINDOW, 0);
-    let proxy = striped_proxy(&links, &states, &verfs, &config);
+    let proxy = striped_proxy(&links, &states, &verfs, &stripe_config(width, 1, WINDOW));
     let members: Vec<Pipeline> =
         (0..width as usize).map(|m| proxy.stripe().member(m)).collect();
 
@@ -343,113 +220,65 @@ fn striped_read_time(rtt: Duration, width: u32, blocks: usize) -> f64 {
     elapsed.as_secs_f64()
 }
 
-fn bench_stripe_read(opts: &RunOpts) -> StripeReadResult {
-    let rtt = Duration::from_millis(20);
+fn stripe_read(opts: &RunOpts) -> Vec<Check> {
     let blocks = if opts.quick { 48 } else { 96 };
-    let width_1_s = striped_read_time(rtt, 1, blocks);
-    let width_4_s = striped_read_time(rtt, 4, blocks);
-    StripeReadResult {
-        rtt_ms: 20,
-        blocks,
-        block_bytes: BLOCK,
-        window_per_member: 2,
-        width_1_s,
-        width_4_s,
-        speedup: width_1_s / width_4_s,
-        threshold: 2.0,
-    }
+    let width_1_s = striped_read_time(1, blocks);
+    let width_4_s = striped_read_time(4, blocks);
+    vec![
+        Check::report("read_width_1_s", width_1_s, "s"),
+        Check::report("read_width_4_s", width_4_s, "s"),
+        Check::at_least("read_width_4_speedup", width_1_s / width_4_s, "ratio", 2.0),
+    ]
 }
 
-fn bench_replicated_flush(opts: &RunOpts) -> ReplicatedFlushResult {
-    let rtt = Duration::from_millis(20);
+fn replicated_flush(opts: &RunOpts) -> Vec<Check> {
     let blocks = if opts.quick { 8 } else { 16 };
-    let verfs = vec![7u64, 9u64];
+    let verfs = [7u64, 9u64];
     let clock = SimClock::new();
-    let link = Link::new(LinkSpec::wan_rtt(rtt), clock.clone());
-    let links = vec![link; 2];
+    let links = vec![Link::new(LinkSpec::wan_rtt(RTT), clock.clone()); 2];
     let states: Vec<ServerState> = (0..2).map(|_| Arc::default()).collect();
-    let config = stripe_config(2, 2, 8, 0);
-    let proxy = striped_proxy(&links, &states, &verfs, &config);
+    let mut proxy = striped_proxy(&links, &states, &verfs, &stripe_config(2, 2, 8));
 
+    // Acknowledged into the write-back cache on this thread; only the
+    // flush below pays the emulated RTT.
     let mut expected = BTreeMap::new();
-    let mut driver = Driver::start(proxy);
     for b in 0..blocks as u64 {
-        let data = vec![0x40 + b as u8; BLOCK];
-        expected.insert((fh(), b * BLOCK as u64), data.clone());
-        driver.write(b * BLOCK as u64, data);
+        let (offset, data) = (b * BLOCK as u64, vec![0x40 + b as u8; BLOCK]);
+        expected.insert((fh(), offset), data.clone());
+        let args = WriteArgs { file: fh(), offset, stable: StableHow::Unstable, data };
+        let reply = proxy
+            .process_one(&call_record(0x900 + b as u32, procnum::WRITE, &args))
+            .expect("downstream reply");
+        let mut dec = XdrDecoder::new(&reply);
+        let _ = ReplyHeader::decode(&mut dec).expect("reply header");
+        let res = WriteRes::from_xdr_bytes(&reply[dec.position()..]).expect("write res");
+        assert_eq!(res.status, NfsStat3::Ok, "write-back ack");
     }
-    let mut proxy = driver.finish();
     let start = clock.now();
     proxy.flush_all().expect("replicated flush");
     let flush_s = (clock.now() - start).as_secs_f64();
     let stats = proxy.stats().clone();
     drop(proxy);
 
-    // Every replica must hold every block byte-identical to the write-back
-    // cache's content: 2 replicas over width 2 places each block on both.
+    // 2 replicas over width 2 places each block on both members.
     let every_replica_complete = states.iter().all(|state| {
         let held = state.lock().unwrap();
         expected.iter().all(|(key, data)| held.get(key).map(|d| &d[..]) == Some(&data[..]))
     });
-    ReplicatedFlushResult {
-        rtt_ms: 20,
-        width: 2,
-        replicas: 2,
-        blocks,
-        flush_s,
-        replica_writes: stats.count(Hop::ReplicaWrite),
-        verifiers: verfs,
-        every_replica_complete,
-        degraded: stats.gauge(Gauge::Degraded),
-    }
+    vec![
+        Check::report("flush_s", flush_s, "s"),
+        // Per-member COMMIT confirmations whose write verifier matched.
+        Check::at_least(
+            "flush_verifier_confirmed_members",
+            stats.count(Hop::ReplicaWrite) as f64,
+            "count",
+            verfs.len() as f64,
+        ),
+        Check::holds("flush_every_block_on_every_replica", every_replica_complete),
+        Check::at_most("flush_degraded", stats.gauge(Gauge::Degraded) as f64, "count", 0.0),
+    ]
 }
 
-fn main() {
-    let opts = RunOpts::parse();
-
-    let stripe_read = bench_stripe_read(&opts);
-    println!(
-        "Striped read @ 20ms RTT:  width=1 {:>6.2} s   width=4 {:>6.2} s   speedup {:.1}x ({} blocks, window {})",
-        stripe_read.width_1_s,
-        stripe_read.width_4_s,
-        stripe_read.speedup,
-        stripe_read.blocks,
-        stripe_read.window_per_member
-    );
-
-    let replicated_flush = bench_replicated_flush(&opts);
-    println!(
-        "Replicated flush (w=2 N=2): {} blocks in {:>5.2} s   {} verifier-confirmed members (verfs {:?})",
-        replicated_flush.blocks,
-        replicated_flush.flush_s,
-        replicated_flush.replica_writes,
-        replicated_flush.verifiers
-    );
-
-    let read_ok = stripe_read.speedup >= stripe_read.threshold;
-    let flush_ok = replicated_flush.replica_writes == u64::from(replicated_flush.replicas)
-        && replicated_flush.every_replica_complete
-        && replicated_flush.degraded == 0;
-    let report = BenchReport { stripe_read, replicated_flush };
-    sgfs_bench::save_json("BENCH_stripe", &report);
-
-    if !read_ok {
-        eprintln!(
-            "FAIL: width-4 striped read speedup below {}x",
-            report.stripe_read.threshold
-        );
-    }
-    if !flush_ok {
-        eprintln!(
-            "FAIL: replicated flush left a replica unconfirmed or incomplete \
-             ({} of {} members verifier-confirmed, complete={}, degraded={})",
-            report.replicated_flush.replica_writes,
-            report.replicated_flush.replicas,
-            report.replicated_flush.every_replica_complete,
-            report.replicated_flush.degraded
-        );
-    }
-    if !(read_ok && flush_ok) {
-        std::process::exit(1);
-    }
+pub fn suite(opts: &RunOpts) -> Vec<Check> {
+    [stripe_read(opts), replicated_flush(opts)].concat()
 }

@@ -35,11 +35,6 @@ pub struct GtlsStream {
     /// Reused transmit buffer: each outgoing record is framed and sealed
     /// here, then leaves in one write call.
     write_buf: Vec<u8>,
-    /// Records sent since the last (re)negotiation, for auto-rekey.
-    records_sent: u64,
-    /// When set, the writer transparently renegotiates after this many
-    /// records — the paper's periodic automatic session-key refresh.
-    pub auto_rekey_every: Option<u64>,
     /// When set, each record seal/open is emitted here, timed — the
     /// proxies pass their own emitter, which attributes the crypto work
     /// to their CPU accounting (without double-counting I/O waits) and,
@@ -251,8 +246,6 @@ impl GtlsStream {
             read_pos: 0,
             read_end: 0,
             write_buf: Vec::new(),
-            records_sent: 0,
-            auto_rekey_every: None,
             obs: None,
             handshakes: 1,
         }
@@ -318,7 +311,6 @@ impl GtlsStream {
         self.rx = rx;
         self.suite = keys.suite;
         self.peer = peer;
-        self.records_sent = 0;
         self.handshakes += 1;
         Ok(())
     }
@@ -351,7 +343,6 @@ impl GtlsStream {
         self.rx = rx;
         self.suite = keys.suite;
         self.peer = peer;
-        self.records_sent = 0;
         self.handshakes += 1;
         Ok(())
     }
@@ -415,11 +406,6 @@ impl Read for GtlsStream {
 
 impl Write for GtlsStream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if let Some(every) = self.auto_rekey_every {
-            if self.is_client && self.records_sent >= every {
-                self.renegotiate().map_err(io::Error::from)?;
-            }
-        }
         // One caller write = one logical message: seal it immediately
         // (chunked only when it exceeds the record size), so the whole
         // message leaves in back-to-back frames with coherent arrival
@@ -443,7 +429,6 @@ impl Write for GtlsStream {
                 );
             }
             write_assembled_frame(&mut self.inner, &self.write_buf)?;
-            self.records_sent += 1;
         }
         Ok(buf.len())
     }
@@ -610,24 +595,6 @@ mod tests {
         assert_eq!(&buf, b"after");
         assert_eq!(c.handshake_count(), 2);
         assert_eq!(s.handshake_count(), 2);
-    }
-
-    #[test]
-    fn auto_rekey_triggers() {
-        let w = world();
-        let (mut c, mut s) = connect(&w);
-        c.auto_rekey_every = Some(5);
-        let h = std::thread::spawn(move || {
-            let mut total = vec![0u8; 20];
-            s.read_exact(&mut total).unwrap();
-            s
-        });
-        for _ in 0..20 {
-            c.write_all(b"x").unwrap();
-        }
-        let s = h.join().unwrap();
-        assert!(c.handshake_count() >= 3, "got {}", c.handshake_count());
-        assert_eq!(s.handshake_count(), c.handshake_count());
     }
 
     #[test]

@@ -4,17 +4,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How [`SimClock::advance`] realizes delays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClockMode {
-    /// Add the delay to a virtual offset — experiments finish fast while
-    /// reporting wide-area timings. The default for benchmarks.
-    Virtual,
-    /// Actually sleep — used by integration tests that verify the emulated
-    /// link produces real wall-clock delays.
-    RealSleep,
-}
-
 /// A monotonically increasing clock shared by every component of one
 /// emulated testbed (client host, server host, and the WAN link).
 ///
@@ -25,18 +14,12 @@ pub enum ClockMode {
 pub struct SimClock {
     origin: Instant,
     virtual_ns: AtomicU64,
-    mode: ClockMode,
 }
 
 impl SimClock {
-    /// New clock in [`ClockMode::Virtual`].
+    /// New clock at time zero.
     pub fn new() -> Arc<Self> {
-        Self::with_mode(ClockMode::Virtual)
-    }
-
-    /// New clock with an explicit mode.
-    pub fn with_mode(mode: ClockMode) -> Arc<Self> {
-        Arc::new(Self { origin: Instant::now(), virtual_ns: AtomicU64::new(0), mode })
+        Arc::new(Self { origin: Instant::now(), virtual_ns: AtomicU64::new(0) })
     }
 
     /// Current simulated time since construction.
@@ -53,12 +36,7 @@ impl SimClock {
     /// delays that cannot overlap with anything (e.g. sender-side charging
     /// over real TCP where no arrival stamp can ride the socket).
     pub fn advance(&self, d: Duration) {
-        match self.mode {
-            ClockMode::Virtual => {
-                self.virtual_ns.fetch_add(d.as_nanos() as u64, Ordering::AcqRel);
-            }
-            ClockMode::RealSleep => std::thread::sleep(d),
-        }
+        self.virtual_ns.fetch_add(d.as_nanos() as u64, Ordering::AcqRel);
     }
 
     /// Block (or fast-forward) until `now() >= t`.
@@ -69,36 +47,23 @@ impl SimClock {
     /// back-to-back messages overlap their latencies exactly as they would
     /// on a real pipelined link.
     pub fn wait_until(&self, t: Duration) {
-        match self.mode {
-            ClockMode::Virtual => loop {
-                let now = self.now();
-                if now >= t {
-                    return;
-                }
-                let need = (t - now).as_nanos() as u64;
-                // Racing threads may each add; use CAS so total never
-                // overshoots beyond what the latest observation required.
-                let cur = self.virtual_ns.load(Ordering::Acquire);
-                if self
-                    .virtual_ns
-                    .compare_exchange(cur, cur + need, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    return;
-                }
-            },
-            ClockMode::RealSleep => {
-                let now = self.now();
-                if t > now {
-                    std::thread::sleep(t - now);
-                }
+        loop {
+            let now = self.now();
+            if now >= t {
+                return;
+            }
+            let need = (t - now).as_nanos() as u64;
+            // Racing threads may each add; use CAS so total never
+            // overshoots beyond what the latest observation required.
+            let cur = self.virtual_ns.load(Ordering::Acquire);
+            if self
+                .virtual_ns
+                .compare_exchange(cur, cur + need, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                return;
             }
         }
-    }
-
-    /// The mode this clock was built with.
-    pub fn mode(&self) -> ClockMode {
-        self.mode
     }
 }
 
@@ -141,7 +106,6 @@ impl std::fmt::Debug for SimClock {
         f.debug_struct("SimClock")
             .field("now", &self.now())
             .field("virtual", &self.virtual_time())
-            .field("mode", &self.mode)
             .finish()
     }
 }
@@ -169,15 +133,6 @@ mod tests {
         let v = clock.virtual_time();
         clock.wait_until(Duration::from_millis(1));
         assert_eq!(clock.virtual_time(), v);
-    }
-
-    #[test]
-    fn real_sleep_mode_sleeps() {
-        let clock = SimClock::with_mode(ClockMode::RealSleep);
-        let wall = Instant::now();
-        clock.advance(Duration::from_millis(30));
-        assert!(wall.elapsed() >= Duration::from_millis(30));
-        assert_eq!(clock.virtual_time(), Duration::ZERO);
     }
 
     #[test]

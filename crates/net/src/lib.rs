@@ -31,7 +31,7 @@ pub mod pipe;
 pub mod poll;
 pub mod submit;
 
-pub use clock::{ClockMode, LogicalClock, SimClock};
+pub use clock::{LogicalClock, SimClock};
 pub use crash::{CrashInjector, CrashPoint, ALL_CRASH_POINTS};
 pub use fault::{FaultInjector, FaultPlan, FaultStream};
 pub use link::{Link, LinkSpec};

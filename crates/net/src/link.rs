@@ -17,19 +17,9 @@ pub struct LinkSpec {
 }
 
 impl LinkSpec {
-    /// A LAN link: the paper measures ~0.3 ms RTT between client and server.
-    pub fn lan() -> Self {
-        Self { latency: Duration::from_micros(150), bandwidth: None }
-    }
-
     /// A WAN link with the given round-trip time.
     pub fn wan_rtt(rtt: Duration) -> Self {
         Self { latency: rtt / 2, bandwidth: None }
-    }
-
-    /// Zero-delay link (for unit tests of the layers above).
-    pub fn ideal() -> Self {
-        Self { latency: Duration::ZERO, bandwidth: None }
     }
 }
 

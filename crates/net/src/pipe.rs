@@ -135,19 +135,14 @@ impl PipeWatch {
     pub fn queued_bytes(&self) -> usize {
         self.channel.state.lock().queued_bytes
     }
-
-    /// Unconsumed whole messages (records) queued on this channel.
-    pub fn queued_msgs(&self) -> usize {
-        self.channel.state.lock().queue.len()
-    }
 }
 
 /// One endpoint of an in-memory duplex pipe.
 ///
 /// Implements `Read`/`Write`; reads block until data or EOF. When built
 /// over a [`Link`], each written chunk is stamped with its arrival time and
-/// the reader fast-forwards (or sleeps, in real-sleep mode) the shared
-/// clock to that time before consuming it.
+/// the reader fast-forwards the shared clock to that time before
+/// consuming it.
 pub struct PipeEnd {
     incoming: Arc<Channel>,
     outgoing: Arc<Channel>,

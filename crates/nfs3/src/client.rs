@@ -54,11 +54,6 @@ impl Nfs3Client {
         Self { rpc: RpcClient::new(stream, NFS_PROGRAM, NFS_VERSION) }
     }
 
-    /// Wrap an existing RPC client (must target NFS prog/vers).
-    pub fn from_rpc(rpc: RpcClient) -> Self {
-        Self { rpc }
-    }
-
     /// Set the AUTH_SYS credential presented on each call.
     pub fn set_cred(&mut self, cred: OpaqueAuth) {
         self.rpc.set_cred(cred);

@@ -543,6 +543,18 @@ impl NfsMount {
         Ok(())
     }
 
+    /// `link(2)`.
+    pub fn link(&mut self, existing: &str, new: &str) -> FsResult<()> {
+        let fh = self.resolve(existing)?;
+        let (parent, leaf) = self.resolve_parent(new)?;
+        self.stats.other += 1;
+        if let Some(a) = self.nfs.link(&fh, &parent, &leaf)? {
+            self.note_attr(&fh, &a);
+        }
+        self.invalidate_name(&parent, &leaf);
+        Ok(())
+    }
+
     /// `symlink(2)`.
     pub fn symlink(&mut self, target: &str, path: &str) -> FsResult<()> {
         let (parent, leaf) = self.resolve_parent(path)?;

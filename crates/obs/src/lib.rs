@@ -48,9 +48,9 @@
 //! writers before asserting exact sequences, as the golden tests do.
 //!
 //! When tracing is disabled ([`Obs::set_enabled`]) an emit is its relaxed
-//! counter adds plus one relaxed load; the bench gate (`BENCH_obs.json`)
-//! holds that under 10 ns and the *enabled* cost under 50 ns — 2% of
-//! pipeline throughput. The relaxed-ordering contract of the counters is
+//! counter adds plus one relaxed load; the `obs` suite of `sgfs-bench`'s
+//! `gates` holds that under 10 ns and the *enabled* cost under 50 ns — 2%
+//! of pipeline throughput. The relaxed-ordering contract of the counters is
 //! stated once, on the [`emitter`](Emitter) module.
 
 mod emitter;

@@ -5,45 +5,9 @@
 //! whose low 31 bits give the fragment length.
 
 use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Refuse records larger than this (defense against corrupt length words).
 pub const MAX_RECORD: usize = 8 * 1024 * 1024;
-
-/// Record-layer I/O counters — the observability hook at the
-/// record-marking layer. Dependency-free (plain atomics) so any consumer
-/// (proxy stats, the obs snapshot, tests) can share one instance; all
-/// increments are relaxed, independent event counts with no cross-counter
-/// invariant.
-#[derive(Debug, Default)]
-pub struct IoCounters {
-    /// Records written.
-    pub records_out: AtomicU64,
-    /// Payload bytes written (headers excluded).
-    pub bytes_out: AtomicU64,
-    /// Records read.
-    pub records_in: AtomicU64,
-    /// Payload bytes read (headers excluded).
-    pub bytes_in: AtomicU64,
-}
-
-impl IoCounters {
-    /// Fresh shared counters.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
-    /// `(records_out, bytes_out, records_in, bytes_in)`.
-    pub fn snapshot(&self) -> (u64, u64, u64, u64) {
-        (
-            self.records_out.load(Ordering::Relaxed),
-            self.bytes_out.load(Ordering::Relaxed),
-            self.records_in.load(Ordering::Relaxed),
-            self.bytes_in.load(Ordering::Relaxed),
-        )
-    }
-}
 
 /// Fragment size used when writing. One fragment per record in practice;
 /// splitting is exercised by tests for interoperability.
@@ -85,22 +49,6 @@ pub fn write_record_with<W: Write + ?Sized>(
         w.write_all(scratch)?;
     }
     w.flush()
-}
-
-/// [`write_record_with`] plus counting: on success the record and its
-/// payload size are added to `counters` (when present).
-pub fn write_record_counted<W: Write + ?Sized>(
-    w: &mut W,
-    data: &[u8],
-    scratch: &mut Vec<u8>,
-    counters: Option<&IoCounters>,
-) -> io::Result<()> {
-    write_record_with(w, data, scratch)?;
-    if let Some(c) = counters {
-        c.records_out.fetch_add(1, Ordering::Relaxed);
-        c.bytes_out.fetch_add(data.len() as u64, Ordering::Relaxed);
-    }
-    Ok(())
 }
 
 /// Read one complete record, reassembling fragments.
@@ -149,23 +97,6 @@ pub fn read_record_into<R: Read + ?Sized>(r: &mut R, out: &mut Vec<u8>) -> io::R
             return Ok(true);
         }
     }
-}
-
-/// [`read_record_into`] plus counting: a successfully read record and its
-/// payload size are added to `counters` (when present).
-pub fn read_record_counted<R: Read + ?Sized>(
-    r: &mut R,
-    out: &mut Vec<u8>,
-    counters: Option<&IoCounters>,
-) -> io::Result<bool> {
-    let got = read_record_into(r, out)?;
-    if got {
-        if let Some(c) = counters {
-            c.records_in.fetch_add(1, Ordering::Relaxed);
-            c.bytes_in.fetch_add(out.len() as u64, Ordering::Relaxed);
-        }
-    }
-    Ok(got)
 }
 
 /// Classify a record-I/O error as transient (curable by tearing the
@@ -321,22 +252,6 @@ mod tests {
         ] {
             assert!(!is_transient_io(&io::Error::new(kind, "x")), "{kind:?}");
         }
-    }
-
-    #[test]
-    fn counted_variants_track_records_and_bytes() {
-        let counters = IoCounters::new();
-        let mut buf = Vec::new();
-        let mut scratch = Vec::new();
-        write_record_counted(&mut buf, b"hello", &mut scratch, Some(&counters)).unwrap();
-        write_record_counted(&mut buf, b"worlds", &mut scratch, Some(&counters)).unwrap();
-        let mut cur = Cursor::new(buf);
-        let mut out = Vec::new();
-        assert!(read_record_counted(&mut cur, &mut out, Some(&counters)).unwrap());
-        assert!(read_record_counted(&mut cur, &mut out, Some(&counters)).unwrap());
-        // Clean EOF counts nothing.
-        assert!(!read_record_counted(&mut cur, &mut out, Some(&counters)).unwrap());
-        assert_eq!(counters.snapshot(), (2, 11, 2, 11));
     }
 
     #[test]

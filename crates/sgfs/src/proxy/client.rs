@@ -726,22 +726,17 @@ impl ClientProxy {
             }
             procnum::REMOVE | procnum::RMDIR => {
                 if let Ok(a) = DirOpArgs3::from_xdr_bytes(args) {
-                    // The paper's temporary-file optimization: dirty
-                    // blocks of a deleted file are dropped, never flushed.
-                    let target =
-                        self.meta.lookups.get(&(a.dir.clone(), a.name.clone())).map(|(f, _)| f.clone());
-                    if let Some(fh) = target {
-                        if let Some(store) = &mut self.store {
-                            store.drop_file(&fh);
-                        }
-                        self.meta.invalidate_fh(&fh);
-                        self.prefetch_gov.forget(&fh);
-                    }
-                    self.meta.lookups.remove(&(a.dir.clone(), a.name.clone()));
+                    let target = self.meta.lookups.remove(&(a.dir.clone(), a.name.clone()));
                     self.meta.invalidate_dir(&a.dir);
                     let reply = self.forward(record, header.proc, args)?;
                     if let Some(body) = success_body(&reply) {
                         if let Ok(res) = WccRes::from_xdr_bytes(body) {
+                            // Only what the server agreed to remove is
+                            // forgotten: a refused REMOVE leaves a file
+                            // whose write-back data is still owed to it.
+                            if let (NfsStat3::Ok, Some((fh, _))) = (res.status, target) {
+                                self.unlinked(&fh);
+                            }
                             if let Some(attr) = res.wcc.after {
                                 self.meta.attrs.insert(a.dir, attr);
                             }
@@ -753,13 +748,21 @@ impl ClientProxy {
             }
             procnum::RENAME => {
                 if let Ok(a) = RenameArgs::from_xdr_bytes(args) {
-                    self.meta.lookups.remove(&(a.from.dir.clone(), a.from.name.clone()));
-                    self.meta.lookups.remove(&(a.to.dir.clone(), a.to.name.clone()));
+                    let moved = self.meta.lookups.remove(&(a.from.dir.clone(), a.from.name.clone()));
+                    let replaced = self.meta.lookups.remove(&(a.to.dir.clone(), a.to.name.clone()));
                     self.meta.invalidate_dir(&a.from.dir);
                     self.meta.invalidate_dir(&a.to.dir);
                     let reply = self.forward(record, header.proc, args)?;
                     if let Some(body) = success_body(&reply) {
                         if let Ok(res) = RenameRes::from_xdr_bytes(body) {
+                            // The file the destination name used to reach
+                            // was unlinked by the server (two names of one
+                            // file: RENAME does nothing).
+                            if let (NfsStat3::Ok, Some((fh, _))) = (res.status, replaced) {
+                                if moved.is_none_or(|(m, _)| m != fh) {
+                                    self.unlinked(&fh);
+                                }
+                            }
                             if let Some(attr) = res.from_wcc.after {
                                 self.meta.attrs.insert(a.from.dir, attr);
                             }
@@ -771,6 +774,27 @@ impl ClientProxy {
                     return Ok(reply);
                 }
                 self.forward(record, header.proc, args)
+            }
+            procnum::LINK => {
+                let reply = self.forward(record, header.proc, args)?;
+                if let (Ok(a), Some(body)) = (LinkArgs::from_xdr_bytes(args), success_body(&reply)) {
+                    if let Ok(res) = LinkRes::from_xdr_bytes(body) {
+                        self.meta.invalidate_dir(&a.link.dir);
+                        if let Some(attr) = res.dir_wcc.after {
+                            self.meta.attrs.insert(a.link.dir, attr);
+                        }
+                        // The link count is what `unlinked` decides by; size
+                        // and times stay ours while write-back data is held.
+                        if let Some(theirs) = res.attr {
+                            if let Some(ours) = self.meta.attrs.get_mut(&a.file) {
+                                ours.nlink = theirs.nlink;
+                            } else if !self.is_dirty(&a.file) {
+                                self.note_attr(&a.file, theirs);
+                            }
+                        }
+                    }
+                }
+                Ok(reply)
             }
             procnum::READDIR | procnum::READDIRPLUS => {
                 let plus = header.proc == procnum::READDIRPLUS;
@@ -1357,10 +1381,33 @@ impl ClientProxy {
             None => return Ok(0),
         };
         let before = self.store.as_ref().map(|s| s.dirty_bytes()).unwrap_or(0);
+        // Every file is attempted: one that cannot be written back (its
+        // handle went stale behind the cache) must not strand the rest.
+        let mut first_err = None;
         for fh in files {
-            self.flush_file(&fh)?;
+            if let Err(e) = self.flush_file(&fh) {
+                first_err.get_or_insert(e);
+            }
         }
-        Ok(before)
+        first_err.map_or(Ok(before), Err)
+    }
+
+    /// The server unlinked a name of `fh` (REMOVE, RMDIR, or a RENAME
+    /// onto it). With its last link gone nothing of it is kept — the
+    /// paper's temporary-file optimization: dirty blocks of a deleted
+    /// file are dropped, never flushed. A file the cached attributes show
+    /// another link to lives on, and its blocks flush to that handle.
+    fn unlinked(&mut self, fh: &Fh3) {
+        match self.meta.attrs.get_mut(fh) {
+            Some(attr) if attr.ftype != FType3::Dir && attr.nlink > 1 => attr.nlink -= 1,
+            _ => {
+                if let Some(store) = &mut self.store {
+                    store.drop_file(fh);
+                }
+                self.meta.invalidate_fh(fh);
+                self.prefetch_gov.forget(fh);
+            }
+        }
     }
 
     /// Bytes currently dirty in the write-back cache.

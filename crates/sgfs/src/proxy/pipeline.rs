@@ -38,8 +38,8 @@
 //! records, so in-flight DATA replies would break it. The pipeline
 //! *quiesces* first — stops admitting, drains every outstanding reply —
 //! and only then renegotiates. The periodic `rekey_every` threshold is
-//! tracked here (not by `GtlsStream::auto_rekey_every`, which would fire
-//! mid-window) for the same reason.
+//! tracked here, not in the stream's writer (which would fire
+//! mid-window), for the same reason.
 //!
 //! Fault recovery: sessions are expected to outlive transient WAN
 //! failures, so a transport error is not the end of the channel when a

@@ -172,6 +172,72 @@ fn session_bytes(before: u64, wb: u64) -> u64 {
     before + wb
 }
 
+/// A 40 ms WAN session with the write-back disk cache.
+fn wan_cached_session(world: &GridWorld) -> Session {
+    let kind = SetupKind::Sgfs(SecurityLevel::StrongCipher);
+    Session::build(world, &SessionParams::wan(kind, Duration::from_millis(40))).unwrap()
+}
+
+/// The whole content of an exported file, read from the server's own
+/// file system — what a serial execution of the script must have left.
+fn server_file(server: &sgfs_nfsd::NfsServer, path: &str) -> Vec<u8> {
+    let root = UserContext::root();
+    let attr = server.vfs().resolve(path, &root).unwrap_or_else(|e| panic!("{path}: {e:?}"));
+    server.vfs().read(attr.ino, 0, attr.size as u32, &root).unwrap().0
+}
+
+#[test]
+fn rename_over_a_dirty_file_strands_no_other_write() {
+    let world = GridWorld::new();
+    let mut session = wan_cached_session(&world);
+    let server = session.server().clone();
+    let (a, b, c) = (vec![0xAAu8; 40_000], vec![0xBBu8; 50_000], vec![0xCCu8; 60_000]);
+    session.mount.write_file("/a", &a).unwrap();
+    session.mount.write_file("/b", &b).unwrap();
+    session.mount.write_file("/c", &c).unwrap();
+    // The server unlinks the inode `/a` named; its write-back blocks must
+    // go with it, or teardown WRITEs a stale handle and stops there.
+    session.mount.rename("/c", "/a").unwrap();
+    session.finish().expect("teardown after a rename over a dirty file");
+    assert_eq!(server_file(&server, "/GFS/a"), c);
+    assert_eq!(server_file(&server, "/GFS/b"), b);
+    assert!(server.vfs().resolve("/GFS/c", &UserContext::root()).is_err());
+}
+
+#[test]
+fn removing_one_of_two_links_keeps_the_write_back_data() {
+    let world = GridWorld::new();
+    let mut session = wan_cached_session(&world);
+    let server = session.server().clone();
+    session.mount.write_file("/a", b"").unwrap();
+    session.mount.link("/a", "/b").unwrap();
+    let data = vec![0x5Au8; 70_000];
+    session.mount.write_file("/a", &data).unwrap();
+    session.mount.unlink("/a").unwrap();
+    session.finish().expect("teardown");
+    assert_eq!(server_file(&server, "/GFS/b"), data);
+    assert!(server.vfs().resolve("/GFS/a", &UserContext::root()).is_err());
+}
+
+#[test]
+fn a_refused_remove_discards_no_acknowledged_write() {
+    let world = GridWorld::new();
+    let mut session = wan_cached_session(&world);
+    let server = session.server().clone();
+    session.mount.mkdir("/ro", 0o755).unwrap();
+    let data = vec![0xE7u8; 70_000];
+    session.mount.write_file("/ro/kept", &data).unwrap();
+    // Behind the session's back the directory turns read-only: the server
+    // will answer the REMOVE with NFS3ERR_ACCES.
+    let root = UserContext::root();
+    let dir = server.vfs().resolve("/GFS/ro", &root).unwrap();
+    let read_only = sgfs_vfs::SetAttrs { mode: Some(0o555), ..Default::default() };
+    server.vfs().setattr(dir.ino, &read_only, &root).unwrap();
+    session.mount.unlink("/ro/kept").expect_err("the server refuses the REMOVE");
+    session.finish().expect("teardown");
+    assert_eq!(server_file(&server, "/GFS/ro/kept"), data);
+}
+
 #[test]
 fn rekey_during_session_is_transparent() {
     let world = GridWorld::new();

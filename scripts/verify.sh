@@ -1,8 +1,8 @@
 #!/bin/sh
 # Tier-1 verification: build, lint, hang-watchdogged fault-injection
-# suite, full test suite, benchmark binaries compile, bench gates, and
-# the standalone benchmark/ package's smoke run. Run from the repository
-# root.
+# suite, full test suite, the standalone benchmark/ package's build,
+# smoke run and per-layer contract run, and the bench gates. Run from the
+# repository root.
 set -eux
 
 # Run a named suite under a watchdog. On a hang the plain `timeout`
@@ -92,57 +92,15 @@ run_watchdog 120 prop_crypto    cargo test -q -p sgfs-crypto --test prop_crypto
 run_watchdog 120 aead_kat       cargo test -q --test aead_kat
 run_watchdog 120 gtls_negotiation cargo test -q -p sgfs-gtls --test negotiation
 
+# Full session stacks through the kernel-client API, including what the
+# write-back cache owes the server after RENAME-over, REMOVE of one of
+# two links and a refused REMOVE; then the gate runner's own rules (a row
+# on the wrong side fails by name, one retry, history round trip, an
+# absent contract metric fails).
+run_watchdog 180 session_e2e    cargo test -q -p sgfs --test session_e2e
+run_watchdog 60  gate_runner    cargo test -q -p sgfs-bench --lib
+
 cargo test -q
-cargo bench --no-run
-
-# Observability overhead gate: an emit may cost at most 10 ns/event with
-# tracing off (its counter add — every call of every session pays it) and
-# 50 ns/event with tracing on (which keeps tracing under 2% of even the
-# in-memory pipeline), and the measured traced-vs-untraced throughput
-# ratio may not regress grossly (writes results/BENCH_obs.json; exits
-# nonzero past any threshold).
-cargo build --release -p sgfs-bench --bin obs_bench
-run_watchdog 300 obs_bench ./target/release/obs_bench --quick
-
-# Durability cost gate: the unsynced write-ahead journal may add at most
-# 1 ms per dirty put and compaction must fire (writes
-# results/BENCH_journal.json; exits nonzero past the threshold).
-cargo build --release -p sgfs-bench --bin journal_bench
-run_watchdog 120 journal_bench ./target/release/journal_bench --quick
-
-# Per-suite record-throughput gate: every AEAD suite (AES-GCM,
-# ChaCha20-Poly1305) must beat the legacy CBC+HMAC baseline, and where
-# the keys dispatch to aes-ni + pclmul, Aes256Gcm must seal and open at
-# >= 2000 MB/s (writes results/BENCH_pipeline.json; exits nonzero past
-# a threshold).
-cargo build --release -p sgfs-bench --bin pipeline_bench
-run_watchdog 120 pipeline_bench ./target/release/pipeline_bench --quick
-
-# Session-scale gate: 1000+ sessions pinned on a 4-shard pool may grow
-# the process by at most shards+4 threads, and a low-load session's p99
-# may degrade at most 2x vs a single-session baseline; the client-plane
-# phase holds 256 pipelines on a 2-thread pool to pool+shards+4 threads
-# and requires the count to return to baseline after teardown (writes
-# results/BENCH_scale.json; exits nonzero past any threshold).
-cargo build --release -p sgfs-bench --bin scale_bench
-run_watchdog 120 scale_bench ./target/release/scale_bench --quick
-
-# Multi-server data-plane gate: a width-4 striped read must run >= 2x
-# faster than single-upstream at 20 ms simulated RTT, and an N=2
-# replicated flush must confirm both members' write verifiers with every
-# block on every replica (writes results/BENCH_stripe.json; exits
-# nonzero past any threshold).
-cargo build --release -p sgfs-bench --bin stripe_bench
-run_watchdog 120 stripe_bench ./target/release/stripe_bench --quick
-
-# Tail-latency SLO gate: a probe session's per-procedure p99 under a 4x
-# heavy-tailed open-loop storm may exceed 3x its idle baseline by at
-# most a few DRR cycles, the sampled backlog high-water mark must stay
-# within budget + burst slack, every storm record must be answered, and
-# the shard must drain out of its overload band afterwards (writes
-# results/BENCH_slo.json; exits nonzero past any threshold).
-cargo build --release -p sgfs-bench --bin slo_bench
-run_watchdog 300 slo_bench ./target/release/slo_bench --quick
 
 # The standalone benchmark package (BENCHMARK.json's `command`) is its
 # own workspace: nothing above compiles it, so a refactor that breaks a
@@ -152,3 +110,19 @@ run_watchdog 300 slo_bench ./target/release/slo_bench --quick
 # exit on any failed call).
 run_watchdog 600 benchmark_build cargo build --release --offline --manifest-path benchmark/Cargo.toml
 run_watchdog 120 benchmark_quick benchmark/run.sh --quick
+
+# The per-layer contract run: BENCHMARK.json's command for the probed
+# workload. It writes benchmark/out/run-lan_smallfile-t1.json, which the
+# gates' `contract` suite holds its floors against.
+run_watchdog 300 contract_run cargo run --release --offline --quiet \
+    --manifest-path benchmark/Cargo.toml -- \
+    --workload lan_smallfile --seed 2007 --seconds 20 --trace 1
+
+# Every bench floor, one runner (crates/bench/src/gate.rs lists them):
+# obs, journal, scale, stripe, slo, crypto, pipeline measure; contract
+# reads the run above. A suite with a failed row is measured once more
+# from scratch; a row that fails both times is named on stderr and the
+# run exits nonzero. Writes results/BENCH_gates.json and appends the run
+# to results/history.jsonl (the table shows the previous run beside it).
+cargo build --release -p sgfs-bench --bin gates
+run_watchdog 600 gates ./target/release/gates --quick
