@@ -24,7 +24,7 @@
 //! | `slo`      | per-procedure p99/p999 under a 4 × storm, storm real, all answered, backlog bounded, drained |
 //! | `crypto`   | dispatched AES ≥ 5 × the scalar reference, both directions |
 //! | `pipeline` | window 8 ≥ 2 × window 1 at 20 ms |
-//! | `contract` | floors on numbers `benchmark/` already prints ([`contract`]) |
+//! | `contract` | floors on numbers `benchmark/` already prints ([`contract`]): AEAD ≥ 1.1 × CBC, hardware GCM ≥ 2 000 MiB/s, ≤ 10 context switches per call |
 
 mod contract;
 mod crypto;
@@ -386,6 +386,7 @@ mod tests {
             .flat_map(|s| [format!("gtls.seal_mb_s.{s}"), format!("gtls.open_mb_s.{s}")])
             .map(|name| metric(&name, if name.contains("cbc") { 200.0 } else { 2500.0 }))
             .collect();
+        metrics.push(metric("proc.ctx_switches_per_op", 8.0));
         let write = |metrics: &[String]| {
             let json = format!(r#"{{"workload": "x", "metrics": [{}]}}"#, metrics.join(","));
             std::fs::write(&file, json).unwrap();
@@ -405,5 +406,30 @@ mod tests {
 
         let rows = contract::checks(&dir.join("missing.json"));
         assert!(!rows.is_empty() && rows.iter().all(|c| !c.passes()), "{rows:?}");
+    }
+
+    #[test]
+    fn a_fixed_contract_ceiling_holds_at_its_limit_and_fails_above_it() {
+        let dir = temp_dir("ceiling");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("run.json");
+        let ceiling = |value: f64| {
+            let json = format!(
+                r#"{{"metrics": [{{"name": "proc.ctx_switches_per_op", "value": {value}, "unit": "count"}}]}}"#
+            );
+            std::fs::write(&file, json).unwrap();
+            contract::checks(&file)
+                .into_iter()
+                .find(|c| c.name == "proc.ctx_switches_per_op")
+                .expect("the ceiling is a row")
+        };
+        let at = ceiling(10.0);
+        assert_eq!(at.limit, Limit::AtMost(10.0));
+        assert_eq!(at.unit, "count");
+        assert!(at.passes(), "{at:?}");
+        assert!(ceiling(7.9).passes());
+        let above = ceiling(15.2);
+        assert!(!above.passes(), "{above:?}");
+        assert_eq!(above.value, Some(15.2));
     }
 }

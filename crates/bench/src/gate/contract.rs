@@ -20,6 +20,8 @@ enum Floor {
     /// `pclmul` — the hardware kernels are in use, not merely present.
     /// Reported only on any other host.
     OnHardwareGcm(f64),
+    /// At most this, on any host.
+    AtMost(f64),
 }
 
 /// `(metric name in BENCHMARK.json, floor)`.
@@ -32,6 +34,9 @@ const FLOORS: &[(&str, Floor)] = &[
     ("gtls.open_mb_s.chacha20poly1305", Floor::OverBaseline(1.1)),
     ("gtls.seal_mb_s.aes256gcm", Floor::OnHardwareGcm(2000.0)),
     ("gtls.open_mb_s.aes256gcm", Floor::OnHardwareGcm(2000.0)),
+    // A small call's thread hand-offs: a caller that waits drives its own
+    // pipeline, so the client I/O worker sits off the synchronous path.
+    ("proc.ctx_switches_per_op", Floor::AtMost(10.0)),
 ];
 
 #[derive(serde::Deserialize)]
@@ -77,6 +82,7 @@ pub fn checks(file: &Path) -> Vec<Check> {
                 Floor::OverBaseline(factor) => baseline.map(|b| Limit::AtLeast(factor * b)),
                 Floor::OnHardwareGcm(floor) if hardware => Some(Limit::AtLeast(*floor)),
                 Floor::OnHardwareGcm(_) => Some(Limit::ReportOnly),
+                Floor::AtMost(ceiling) => Some(Limit::AtMost(*ceiling)),
             };
             match (find(name), limit) {
                 (Some(m), Some(limit)) => {

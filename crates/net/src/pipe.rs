@@ -7,7 +7,7 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A chunk in flight, stamped with its emulated arrival time.
 struct Msg {
@@ -115,6 +115,33 @@ impl PipeWatch {
         if fire {
             readiness.notify();
         }
+    }
+
+    /// Withdraw the registered watcher: arrivals and EOF notify nobody
+    /// until the next [`register`](Self::register), which fires at once
+    /// for anything that arrived meanwhile. A thread that reads the
+    /// channel itself for a while keeps the poller asleep this way.
+    pub fn deregister(&self) {
+        self.channel.watcher.lock().take();
+    }
+
+    /// Block until a message is queued or the sending side has closed,
+    /// or until `deadline` passes (never, when `None`). Returns whether
+    /// input or EOF is pending.
+    pub fn wait_input(&self, deadline: Option<Instant>) -> bool {
+        let mut st = self.channel.state.lock();
+        while st.queue.is_empty() && !st.closed {
+            match deadline {
+                None => self.channel.cond.wait(&mut st),
+                Some(at) => {
+                    let left = at.saturating_duration_since(Instant::now());
+                    if self.channel.cond.wait_for(&mut st, left).timed_out() {
+                        break;
+                    }
+                }
+            }
+        }
+        !st.queue.is_empty() || st.closed
     }
 
     /// Is at least one unconsumed message queued?
@@ -439,6 +466,45 @@ mod tests {
         b.watch().register(poller.readiness(0));
         let mut out = Vec::new();
         assert_eq!(poller.wait(Some(Duration::from_millis(50)), &mut out), 1);
+    }
+
+    #[test]
+    fn deregistered_watch_stays_quiet_and_reregistering_fires_for_what_arrived() {
+        use crate::poll::Poller;
+        let (mut a, b) = pipe_pair();
+        let watch = b.watch();
+        let poller = Poller::new();
+        watch.register(poller.readiness(2));
+        watch.deregister();
+        a.write_all(b"withheld").unwrap();
+        let mut out = Vec::new();
+        assert_eq!(poller.wait(Some(Duration::from_millis(5)), &mut out), 0, "withheld");
+        watch.register(poller.readiness(2));
+        assert_eq!(poller.wait(Some(Duration::from_millis(50)), &mut out), 1);
+        assert_eq!(out, [2]);
+    }
+
+    #[test]
+    fn wait_input_returns_on_arrival_close_or_deadline() {
+        let (mut a, b) = pipe_pair();
+        let watch = b.watch();
+        let start = Instant::now();
+        assert!(!watch.wait_input(Some(start + Duration::from_millis(15))), "deadline");
+        assert!(start.elapsed() >= Duration::from_millis(15));
+        let writer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(10));
+            a.write_all(b"late").unwrap();
+            a
+        });
+        assert!(watch.wait_input(None), "arrival");
+        assert!(watch.has_input());
+        let a = writer.join().unwrap();
+        let mut b = b;
+        let mut buf = [0u8; 4];
+        b.read_exact(&mut buf).unwrap();
+        drop(a);
+        assert!(watch.wait_input(Some(Instant::now() + Duration::from_secs(5))), "close");
+        assert!(watch.is_closed());
     }
 
     #[test]

@@ -156,6 +156,16 @@ impl<T> SubmitReceiver<T> {
         self.shared.state.lock().senders == 0
     }
 
+    /// Refuse every further push and drop what is queued, exactly as
+    /// dropping the receiver does — for a consumer that outlives its
+    /// willingness to consume.
+    pub fn close(&self) {
+        let mut st = self.shared.state.lock();
+        st.rx_alive = false;
+        st.queue.clear();
+        self.shared.space.notify_all();
+    }
+
     /// Install `readiness` as the ring's watcher (replacing any prior
     /// one). Fires immediately if submissions are already queued or the
     /// ring is already closed, so registration cannot race a push.
@@ -173,10 +183,7 @@ impl<T> SubmitReceiver<T> {
 
 impl<T> Drop for SubmitReceiver<T> {
     fn drop(&mut self) {
-        let mut st = self.shared.state.lock();
-        st.rx_alive = false;
-        st.queue.clear();
-        self.shared.space.notify_all();
+        self.close();
     }
 }
 
@@ -229,6 +236,15 @@ mod tests {
         let (tx, rx) = submit_ring(4);
         drop(rx);
         assert_eq!(tx.push(42), Err(42));
+    }
+
+    #[test]
+    fn close_fails_push_and_drops_the_queue() {
+        let (tx, rx) = submit_ring(4);
+        tx.push(1).unwrap();
+        rx.close();
+        assert!(!rx.has_input(), "queued values dropped");
+        assert_eq!(tx.push(2), Err(2));
     }
 
     #[test]

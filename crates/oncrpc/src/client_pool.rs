@@ -8,7 +8,10 @@
 //! (upstream socket watch, command submission ring) into the readiness
 //! token it is handed at attach time, and [`pump`](PoolConn::pump) drains
 //! whatever is actionable without blocking on absent input. The workers
-//! lend their connections no state (`W = ()`).
+//! lend their connections no state (`W = ()`). A pipeline's synchronous
+//! calls do not come here at all while it is idle — the waiting caller
+//! drives them — so the pool carries what nobody waits on and whatever
+//! meets a pipeline busy.
 
 use crate::pool::{IoPool, PoolConn};
 use std::io;

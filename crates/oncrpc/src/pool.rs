@@ -43,6 +43,15 @@
 //! GTLS renegotiation (a blocking ping-pong driven by the client) works
 //! unchanged. An abandoned partial record always ends in channel close →
 //! EOF error → teardown, never an indefinite stall.
+//!
+//! The same argument covers the one reader that is not a worker: a client
+//! caller blocked on an upstream reply drives its own pipeline with the
+//! very same pump steps (the connection's state is then simply not the
+//! worker's to take; see `sgfs::proxy::pipeline`). It reads a record only
+//! once its watch reports input, exactly as a pump does, and is the only
+//! party that ever sleeps waiting for *new* input — on the wire itself,
+//! bounded by its call deadline, with the wire's readiness withheld from
+//! the worker meanwhile.
 
 use parking_lot::Mutex;
 use sgfs_net::{submit_ring, Poller, Popped, Readiness, SubmitReceiver, SubmitSender, Token};

@@ -1,5 +1,6 @@
-//! Xid-demultiplexed RPC pipelining over the upstream channel, pumped by
-//! the shared client I/O pool.
+//! Xid-demultiplexed RPC pipelining over the upstream channel, driven by
+//! whoever waits on it: the caller blocked on a reply, or the shared
+//! client I/O pool.
 //!
 //! The client proxy used to issue upstream calls strictly serially: write
 //! one record, block for its reply, repeat. Over a WAN that bounds
@@ -9,15 +10,38 @@
 //! id that is the first word of every ONC RPC call *and* reply record
 //! (RFC 5531 §9).
 //!
-//! Earlier revisions parked a dedicated blocking reader thread per
-//! pipeline; N sessions cost N stacks, and a dropped handle leaked its
-//! thread outright (nothing joined it). The pipeline is now a
-//! [`PoolConn`] pinned to a [`ClientIoPool`] worker: its event sources —
-//! the upstream transport's [`PipeWatch`] and a wake-aware submission
-//! ring ([`sgfs_net::submit_ring`]) carrying caller commands — are routed
-//! into one readiness token, and a `pump` pass drains whatever is
-//! actionable without ever blocking for *new* input. Steady state is
-//! allocation-free: the ring is a fixed-capacity ladder, and the
+//! Who drives the channel. Earlier revisions parked a dedicated blocking
+//! reader thread per pipeline (N sessions cost N stacks, and a dropped
+//! handle leaked its thread); the next made every call cross to a
+//! [`ClientIoPool`] worker and back — caller → submission ring → worker →
+//! wire → worker → reply channel → caller, four thread hand-offs where
+//! the wire needs two. Now the pipeline's whole I/O state sits behind one
+//! mutex that either of two parties may hold, and both run the same
+//! `pump_once` / `send_call` / `read_one_reply` / `recover` code:
+//!
+//! * **The caller.** One that finds the state free, the window empty,
+//!   nothing queued (in the pump or the ring), no rekey due and the
+//!   connection attached admits its own call: it seals and writes on its
+//!   own thread, with no ring push and no worker wake-up. Whoever then
+//!   waits on a reply ([`PendingReply::wait`]) pumps the state until that
+//!   reply lands, completing every other reply it reads on the way. While
+//!   it pumps, the wire's readiness is withheld from the worker; it is
+//!   re-registered afterwards, and registration fires at once if input is
+//!   pending.
+//! * **The pool worker.** The state is pinned to a [`ClientIoPool`]
+//!   worker as a [`PoolConn`] and keeps everything no caller is waiting
+//!   on: read-ahead landing, write-back batches, late replies, and rekey
+//!   and reconnect when nobody drives. Its event
+//!   sources — the upstream transport's [`PipeWatch`] and a wake-aware
+//!   submission ring ([`sgfs_net::submit_ring`]) carrying the commands
+//!   callers did not admit themselves — share one readiness token, and a
+//!   `pump` pass drains whatever is actionable without ever blocking for
+//!   *new* input.
+//!
+//! Neither is a mode. A caller that finds the state held takes the ring
+//! path and waits on its reply channel; a worker that finds it held by a
+//! caller leaves a mark, and the caller wakes it on release. Steady state
+//! is allocation-free: the ring is a fixed-capacity ladder, and the
 //! record/reply scratch buffers recycle as before. Dropping the last
 //! handle closes the ring; the worker observes the close, delivers any
 //! replies that already arrived, fails the rest, flushes the depth gauge,
@@ -59,24 +83,29 @@
 //! read once the transport watch reports input, and the message-atomic
 //! writer invariant (see the pool module docs in `sgfs-oncrpc`)
 //! guarantees a whole record follows, so the bounded blocking record
-//! read cannot stall the worker. Against a *silent* server (replies
-//! simply never come) the pipeline goes idle — no thread waits — and the
-//! per-call deadline in [`RetryPolicy::call_deadline`] bounds
-//! [`PendingReply::wait`] on the caller's side. Renegotiation and
-//! reconnect backoff do block their pool worker (they are rare,
-//! bounded control-plane events); pool sizing accounts for that.
+//! read stalls neither party. Only a caller ever waits for *new* input:
+//! with nothing actionable it sleeps in [`PipeWatch::wait_input`], still
+//! holding the state, until input, EOF or the per-call deadline of
+//! [`RetryPolicy::call_deadline`] — a silent server yields `TimedOut`
+//! rather than a hang, and a command another thread submits meanwhile
+//! waits for that caller's reply. A timed-out call stays in flight; its
+//! late reply is collected (and discarded) by the worker, as any reply
+//! nobody is waiting on. Renegotiation and reconnect backoff block
+//! whichever party is driving (they are rare, bounded control-plane
+//! events); pool sizing accounts for that.
 
 use crate::config::RetryPolicy;
 use crate::proxy::retry::{self, Reconnector};
 use sgfs_obs::{Counter, Emitter, Gauge, Hop, NO_PROC};
 use crate::proxy::client::Upstream;
+use parking_lot::{Condvar, Mutex};
 use sgfs_net::{submit_ring, PipeWatch, Popped, Readiness, SubmitReceiver, SubmitSender};
 use sgfs_oncrpc::record::{is_transient_io, read_record_into, write_record_with};
 use sgfs_oncrpc::{ClientIoPool, ConnPump, PoolConn};
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Default in-flight window (calls admitted before a reply is required).
@@ -95,28 +124,28 @@ const MAX_PUMP: usize = 32;
 /// against a wedged pool worker.
 const RETIRE_WAIT: Duration = Duration::from_secs(5);
 
-/// One record plus the channel its reply is delivered on.
-type BatchEntry = (Vec<u8>, mpsc::Sender<io::Result<Vec<u8>>>);
+/// Where one call's reply (original xid restored) is delivered.
+type ReplyTx = mpsc::Sender<io::Result<Vec<u8>>>;
 
-/// Commands from pipeline handles to the I/O thread.
+/// One record plus the channel its reply is delivered on.
+type BatchEntry = (Vec<u8>, ReplyTx);
+
+/// Commands from pipeline handles to the pool worker.
 enum Cmd {
     /// Forward one raw call record; the reply (original xid restored)
     /// goes back through `reply_tx`.
-    Call {
-        record: Vec<u8>,
-        reply_tx: mpsc::Sender<io::Result<Vec<u8>>>,
-    },
-    /// Several calls submitted atomically: they reach the I/O thread as a
+    Call { record: Vec<u8>, reply_tx: ReplyTx },
+    /// Several calls submitted atomically: they reach the pump as a
     /// unit, so up to a window of them is guaranteed to be admitted
-    /// before the thread blocks on a reply. Individual `submit` calls
-    /// race against admission — a batch of N ≤ window never leaves a
-    /// member stranded behind a blocking read.
+    /// before it reads a reply. Individual `submit` calls race against
+    /// admission — a batch of N ≤ window never leaves a member stranded
+    /// behind a blocking read.
     Batch(Vec<BatchEntry>),
     /// Quiesce the window and renegotiate the session keys.
     Rekey { done_tx: mpsc::Sender<io::Result<()>> },
 }
 
-/// State shared between handles and the I/O thread.
+/// State shared between handles and the pump.
 struct Shared {
     /// Mirror of the upstream's completed-handshake count (cumulative
     /// across reconnections).
@@ -139,14 +168,82 @@ impl RetireGate {
 
     fn set(&self) {
         let (lock, cvar) = &*self.0;
-        *lock.lock().unwrap_or_else(|e| e.into_inner()) = true;
+        *lock.lock() = true;
         cvar.notify_all();
     }
 
     fn wait(&self, timeout: Duration) {
         let (lock, cvar) = &*self.0;
-        let guard = lock.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = cvar.wait_timeout_while(guard, timeout, |done| !*done);
+        let until = Instant::now() + timeout;
+        let mut done = lock.lock();
+        while !*done {
+            let left = until.saturating_duration_since(Instant::now());
+            if cvar.wait_for(&mut done, left).timed_out() {
+                break;
+            }
+        }
+    }
+}
+
+/// The pipeline's I/O state, shared by the handles — whose callers drive
+/// it while they wait — and the pool worker it is pinned to.
+struct Conn {
+    io: Mutex<IoState>,
+    /// The worker came to pump while a caller held `io`. Stored before
+    /// the worker's second `try_lock` and swapped after the caller's
+    /// unlock, so either that retry wins or the caller sees the mark and
+    /// wakes the worker.
+    missed: AtomicBool,
+}
+
+impl Conn {
+    /// Run `f` on the calling thread if the state is free, attached, not
+    /// retired and `ready` for this caller; `None` leaves the work to
+    /// whoever holds it. On release the worker is woken if it missed a
+    /// pump meanwhile or is owed work the caller leaves behind.
+    fn drive<R>(&self, ready: fn(&IoState) -> bool, f: impl FnOnce(&mut IoState) -> R) -> Option<R> {
+        let mut io = self.io.try_lock().filter(|io| io.drivable() && ready(io))?;
+        let out = f(&mut io);
+        let owed = io.owes_worker();
+        let readiness = io.readiness.clone();
+        drop(io);
+        if self.missed.swap(false, Ordering::SeqCst) || owed {
+            if let Some(r) = readiness {
+                r.notify();
+            }
+        }
+        Some(out)
+    }
+}
+
+/// The pool worker's hold on a [`Conn`].
+struct Pump(Arc<Conn>);
+
+impl PoolConn for Pump {
+    fn attach(&mut self, readiness: Readiness, _: &mut ()) {
+        self.0.io.lock().attach(readiness);
+    }
+
+    fn pump(&mut self, _: &mut ()) -> ConnPump {
+        let conn = &self.0;
+        let held = conn.io.try_lock().or_else(|| {
+            conn.missed.store(true, Ordering::SeqCst);
+            conn.io.try_lock()
+        });
+        // Held by a driving caller, who wakes us when it lets go.
+        held.map_or(ConnPump::Idle, |mut io| io.pump())
+    }
+}
+
+impl Drop for Pump {
+    fn drop(&mut self) {
+        // Pool shutdown drops a connection it never retired: flush every
+        // waiter (and the depth gauge) before the handles learn of it.
+        let mut io = self.0.io.lock();
+        if !io.retired {
+            io.fail_channel(&broken("client I/O pool shut down"));
+            io.retire();
+        }
     }
 }
 
@@ -167,6 +264,7 @@ struct PipelineInner {
     /// `Some` until drop; taken there so the ring closes before the
     /// retirement wait begins.
     cmd_tx: Option<SubmitSender<Cmd>>,
+    conn: Arc<Conn>,
     shared: Arc<Shared>,
     retired: RetireGate,
     /// Keeps the I/O pool alive for as long as the pipeline is; a
@@ -186,47 +284,69 @@ impl Drop for PipelineInner {
 pub struct PendingReply {
     rx: mpsc::Receiver<io::Result<Vec<u8>>>,
     deadline: Option<Duration>,
+    /// The pipeline's state when this thread admitted the call itself,
+    /// for the waiter to drive; empty for a call that took the ring —
+    /// the worker delivers those — and gone once the pipeline dropped.
+    conn: Weak<Conn>,
 }
 
 impl PendingReply {
     /// The reply if it has already arrived (or the channel has died),
     /// without blocking; `None` while it is still on the wire.
     pub fn try_wait(&self) -> Option<io::Result<Vec<u8>>> {
+        let landed = self.landed();
+        if landed.is_none() {
+            // A poller does not pump: if this thread's own admission
+            // withheld the wire, the worker gets it back to land the reply.
+            if let Some(conn) = self.conn.upgrade() {
+                conn.drive(|io| io.withheld, IoState::hand_back);
+            }
+        }
+        landed
+    }
+
+    fn landed(&self) -> Option<io::Result<Vec<u8>>> {
         match self.rx.try_recv() {
             Ok(r) => Some(r),
             Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => {
-                Some(Err(broken("upstream pipeline terminated")))
-            }
+            Err(mpsc::TryRecvError::Disconnected) => Some(Err(terminated())),
         }
     }
 
     /// Block until the reply arrives (original xid restored), or until
     /// the per-call deadline expires — a silent server yields `TimedOut`
     /// rather than a hang.
+    ///
+    /// Whoever waits, pumps: for a call its own thread admitted, the
+    /// waiter drives the pipeline's state until the reply lands, unless
+    /// somebody else holds it — then, as for every ring-path call,
+    /// whoever holds it delivers the reply through the channel.
     pub fn wait(self) -> io::Result<Vec<u8>> {
-        match self.deadline {
-            None => match self.rx.recv() {
-                Ok(r) => r,
-                Err(_) => Err(broken("upstream pipeline terminated")),
-            },
-            Some(d) => match self.rx.recv_timeout(d) {
-                Ok(r) => r,
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    Err(broken("upstream pipeline terminated"))
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "upstream reply deadline exceeded",
-                )),
+        let deadline = self.deadline.map(|d| Instant::now() + d);
+        if let Some(reply) = self.landed() {
+            return reply;
+        }
+        let driven = self
+            .conn
+            .upgrade()
+            .and_then(|conn| conn.drive(|_| true, |io| io.pump_until(&self.rx, deadline)));
+        if let Some(Some(reply)) = driven {
+            return reply;
+        }
+        match deadline {
+            None => self.rx.recv().unwrap_or_else(|_| Err(terminated())),
+            Some(at) => match self.rx.recv_timeout(at.saturating_duration_since(Instant::now())) {
+                Ok(reply) => reply,
+                Err(mpsc::RecvTimeoutError::Disconnected) => Err(terminated()),
+                Err(mpsc::RecvTimeoutError::Timeout) => Err(timed_out()),
             },
         }
     }
 }
 
 impl Pipeline {
-    /// Take ownership of `upstream` and start the I/O thread, with no
-    /// fault recovery: any transport error is terminal for the channel.
+    /// Take ownership of `upstream` and pin it onto a private pool, with
+    /// no fault recovery: any transport error is terminal for the channel.
     ///
     /// `window` is clamped to at least 1 (a window of 1 degenerates to
     /// the serial protocol); `rekey_every` renegotiates after that many
@@ -305,6 +425,7 @@ impl Pipeline {
             watch,
             cmd_rx,
             readiness: None,
+            withheld: false,
             shutdown: false,
             retired: false,
             gate: retired.clone(),
@@ -325,10 +446,12 @@ impl Pipeline {
             reply_high_water: 0,
             write_scratch: Vec::new(),
         };
-        pool.add_conn(Box::new(state))?;
+        let conn = Arc::new(Conn { io: Mutex::new(state), missed: AtomicBool::new(false) });
+        pool.add_conn(Box::new(Pump(conn.clone())))?;
         Ok(Self {
             inner: Arc::new(PipelineInner {
                 cmd_tx: Some(cmd_tx),
+                conn,
                 shared,
                 retired,
                 _pool: pool.clone(),
@@ -340,15 +463,29 @@ impl Pipeline {
         self.inner.cmd_tx.as_ref().expect("sender present until the last handle drops")
     }
 
+    fn pending(&self, rx: mpsc::Receiver<io::Result<Vec<u8>>>, admitted: bool) -> PendingReply {
+        let conn = if admitted { Arc::downgrade(&self.inner.conn) } else { Weak::new() };
+        PendingReply { rx, deadline: self.inner.shared.deadline, conn }
+    }
+
     /// Submit a raw call record without waiting for its reply — the
-    /// split-phase half of pipelined write-back. Blocks only while the
-    /// submission ring is full (backpressure against a slow upstream).
+    /// split-phase half of pipelined write-back. Uncontended, with
+    /// nothing ahead of it, the call is sealed and written on this
+    /// thread; otherwise it goes through the submission ring, blocking
+    /// only while the ring is full (backpressure against a slow
+    /// upstream).
     pub fn submit(&self, record: Vec<u8>) -> PendingReply {
         let (reply_tx, rx) = mpsc::channel();
+        let mut call = Some((record, reply_tx));
+        self.inner.conn.drive(IoState::can_admit, |io| {
+            let (record, reply_tx) = call.take().expect("driven at most once");
+            io.admit(record, reply_tx);
+        });
+        let Some((record, reply_tx)) = call else { return self.pending(rx, true) };
         // A push failure means the pump retired; the rejected command's
         // reply sender drops here and wait() reports the broken channel.
         let _ = self.sender().push(Cmd::Call { record, reply_tx });
-        PendingReply { rx, deadline: self.inner.shared.deadline }
+        self.pending(rx, false)
     }
 
     /// Submit a group of call records atomically. Up to a window of them
@@ -360,7 +497,7 @@ impl Pipeline {
         for record in records {
             let (reply_tx, rx) = mpsc::channel();
             batch.push((record, reply_tx));
-            waiters.push(PendingReply { rx, deadline: self.inner.shared.deadline });
+            waiters.push(self.pending(rx, false));
         }
         let _ = self.sender().push(Cmd::Batch(batch));
         waiters
@@ -375,10 +512,8 @@ impl Pipeline {
     /// until the new keys are in effect. No-op on a plaintext upstream.
     pub fn rekey(&self) -> io::Result<()> {
         let (done_tx, rx) = mpsc::channel();
-        self.sender()
-            .push(Cmd::Rekey { done_tx })
-            .map_err(|_| broken("upstream pipeline terminated"))?;
-        rx.recv().map_err(|_| broken("upstream pipeline terminated"))?
+        self.sender().push(Cmd::Rekey { done_tx }).map_err(|_| terminated())?;
+        rx.recv().map_err(|_| terminated())?
     }
 
     /// Completed handshakes on the secure channel (`None` when plain),
@@ -407,7 +542,7 @@ struct InFlight {
     proc: u32,
     /// When the call was last transmitted; reply RTT = `sent_at.elapsed()`.
     sent_at: Instant,
-    reply_tx: mpsc::Sender<io::Result<Vec<u8>>>,
+    reply_tx: ReplyTx,
 }
 
 /// Outcome of one unit of pump work.
@@ -416,13 +551,14 @@ enum Step {
     Progress,
     /// Nothing actionable until the next readiness notification.
     Idle,
-    /// Ring closed and drained: the connection is done.
+    /// The connection is retired: cleanly (ring closed and drained), or
+    /// because the channel died and every waiter was failed.
     Retire,
 }
 
-/// The pipeline's entire I/O state, pinned to a [`ClientIoPool`] worker
-/// as a [`PoolConn`]; the recovery path re-enters the same machinery on
-/// a fresh upstream.
+/// The pipeline's entire I/O state, driven by a waiting caller or by the
+/// pool worker it is pinned to; the recovery path re-enters the same
+/// machinery on a fresh upstream.
 struct IoState {
     upstream: Upstream,
     /// Readiness watch on the raw transport under `upstream`.
@@ -430,11 +566,15 @@ struct IoState {
     /// Consumer side of the handle-to-pump submission ring.
     cmd_rx: SubmitReceiver<Cmd>,
     /// The pool token's readiness, kept so a reconnected transport's
-    /// watch can be routed to the same token.
+    /// watch can be routed to the same token. `None` until the worker
+    /// attaches.
     readiness: Option<Readiness>,
+    /// The watch is deregistered on a caller's behalf: from its own
+    /// admission until its wait ends, or until the worker pumps.
+    withheld: bool,
     /// Every handle dropped (ring closed); retire once `queue` drains.
     shutdown: bool,
-    /// Clean retirement happened in `pump` (stats flushed there).
+    /// Retired: waiters completed, ring closed, upstream released.
     retired: bool,
     gate: RetireGate,
     window: u32,
@@ -465,8 +605,8 @@ struct IoState {
     write_scratch: Vec<u8>,
 }
 
-impl PoolConn for IoState {
-    fn attach(&mut self, readiness: Readiness, _: &mut ()) {
+impl IoState {
+    fn attach(&mut self, readiness: Readiness) {
         // Both event sources share the token: commands and upstream data
         // each wake the same pump. Registration fires immediately when
         // anything is already pending, so submissions racing the pin are
@@ -476,45 +616,144 @@ impl PoolConn for IoState {
         self.readiness = Some(readiness);
     }
 
-    fn pump(&mut self, _: &mut ()) -> ConnPump {
+    /// Whether a caller may hold the state at all: the worker has
+    /// attached it (so readiness can be handed back) and it is alive.
+    fn drivable(&self) -> bool {
+        self.readiness.is_some() && !self.retired
+    }
+
+    /// Whether a caller may admit its own call: nothing in flight beside
+    /// it, nothing queued ahead of it, no rekey waiting for a quiesce.
+    fn can_admit(&self) -> bool {
+        self.in_flight.is_empty()
+            && self.queue.is_empty()
+            && !self.rekey_due
+            && !self.cmd_rx.has_input()
+    }
+
+    /// Work a releasing caller leaves to the worker: the queue beyond the
+    /// window, a due rekey, or unpinning a retired connection.
+    fn owes_worker(&self) -> bool {
+        self.retired || self.rekey_due || !self.queue.is_empty()
+    }
+
+    /// Deregister the wire's readiness on a caller's behalf: the reply
+    /// it is about to wait for must not wake the worker.
+    fn withhold(&mut self) {
+        if !self.withheld {
+            self.watch.deregister();
+            self.withheld = true;
+        }
+    }
+
+    /// Give the wire back to the worker; registration fires at once if
+    /// input arrived meanwhile.
+    fn hand_back(&mut self) {
+        if self.withheld {
+            self.withheld = false;
+            if let Some(r) = &self.readiness {
+                self.watch.register(r.clone());
+            }
+        }
+    }
+
+    /// The worker's pass: at most [`MAX_PUMP`] units of work. Whatever
+    /// woke the worker, the wire is its business again.
+    fn pump(&mut self) -> ConnPump {
+        if self.retired {
+            return ConnPump::Gone;
+        }
+        self.hand_back();
         for _ in 0..MAX_PUMP {
-            match self.pump_once() {
-                Ok(Step::Progress) => {}
-                Ok(Step::Idle) => return ConnPump::Idle,
-                Ok(Step::Retire) => {
-                    self.retire();
-                    return ConnPump::Gone;
-                }
-                Err(e) => {
-                    if let Err(fatal) = self.recover(e) {
-                        self.fail_channel(&fatal);
-                        self.retire();
-                        return ConnPump::Gone;
-                    }
-                }
+            match self.advance() {
+                Step::Progress => {}
+                Step::Idle => return ConnPump::Idle,
+                Step::Retire => return ConnPump::Gone,
             }
         }
         // Budget spent; there may or may not be work left — re-arming
         // unconditionally costs at most one extra (idle) pass.
         ConnPump::Rearm
     }
-}
 
-impl Drop for IoState {
-    fn drop(&mut self) {
-        if !self.retired {
-            // Pool-shutdown path: the worker dropped us without a clean
-            // retirement. Flush every waiter (and the depth gauge)
-            // before signalling so no stat is lost.
-            self.fail_channel(&broken("client I/O pool shut down"));
-        }
-        self.gate.set();
+    /// The caller's drive: pump until `rx` holds this caller's reply,
+    /// completing every other reply read on the way, and sleep on the
+    /// wire while nothing is actionable. The wire's readiness is withheld
+    /// from the worker meanwhile and handed back on the way out. `None`
+    /// if nothing is left in flight to wait for — the reply is then
+    /// someone else's to deliver.
+    fn pump_until(
+        &mut self,
+        rx: &mpsc::Receiver<io::Result<Vec<u8>>>,
+        deadline: Option<Instant>,
+    ) -> Option<io::Result<Vec<u8>>> {
+        self.withhold();
+        let reply = loop {
+            match rx.try_recv() {
+                Ok(reply) => break Some(reply),
+                Err(mpsc::TryRecvError::Disconnected) => break Some(Err(terminated())),
+                Err(mpsc::TryRecvError::Empty) => {}
+            }
+            match self.advance() {
+                Step::Progress => {}
+                // Retirement completed every waiter, or dropped its
+                // command with the ring.
+                Step::Retire => break Some(rx.try_recv().unwrap_or_else(|_| Err(terminated()))),
+                Step::Idle if self.in_flight.is_empty() => break None,
+                Step::Idle => {
+                    if !self.watch.wait_input(deadline) {
+                        break Some(Err(timed_out()));
+                    }
+                }
+            }
+        };
+        self.hand_back();
+        reply
     }
-}
 
-impl IoState {
+    /// Admit one call on the caller's thread: the worker's `send_call`,
+    /// with the worker's recovery applied to a failed write. The wire is
+    /// withheld from before the write — a fast reply must not wake the
+    /// worker ahead of the caller's wait.
+    fn admit(&mut self, record: Vec<u8>, reply_tx: ReplyTx) {
+        self.withhold();
+        if let Err(e) = self.send_call(record, reply_tx) {
+            self.recover_or_retire(e);
+        }
+    }
+
+    /// One unit of work with recovery applied to a transport error.
+    fn advance(&mut self) -> Step {
+        match self.pump_once() {
+            Ok(Step::Retire) => {
+                self.retire();
+                Step::Retire
+            }
+            Ok(step) => step,
+            Err(e) => self.recover_or_retire(e),
+        }
+    }
+
+    /// Reconnect and replay after a transport error, or — when the
+    /// channel is dead — fail every waiter and retire.
+    fn recover_or_retire(&mut self, err: io::Error) -> Step {
+        match self.recover(err) {
+            Ok(()) => Step::Progress,
+            Err(fatal) => {
+                self.fail_channel(&fatal);
+                self.retire();
+                Step::Retire
+            }
+        }
+    }
+
+    /// Later submissions fail fast instead of queueing for nobody, the
+    /// transport closes now rather than when the last handle drops, and
+    /// a dropping handle stops waiting.
     fn retire(&mut self) {
         self.retired = true;
+        self.cmd_rx.close();
+        self.upstream = Upstream::Plain(Box::new(io::empty()));
         self.gate.set();
     }
 
@@ -610,7 +849,7 @@ impl IoState {
             self.stats.set(Gauge::PipelineDepth, 0);
         }
         for w in self.rekey_waiters.drain(..) {
-            let _ = w.send(Err(broken("upstream pipeline terminated")));
+            let _ = w.send(Err(terminated()));
         }
         Step::Retire
     }
@@ -619,11 +858,7 @@ impl IoState {
     /// The call is registered *before* the write so a mid-write failure
     /// is recovered (replayed or failed) uniformly with every other
     /// in-flight call.
-    fn send_call(
-        &mut self,
-        mut record: Vec<u8>,
-        reply_tx: mpsc::Sender<io::Result<Vec<u8>>>,
-    ) -> io::Result<()> {
+    fn send_call(&mut self, mut record: Vec<u8>, reply_tx: ReplyTx) -> io::Result<()> {
         if record.len() < 4 {
             let _ = reply_tx.send(Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -806,7 +1041,8 @@ impl IoState {
     /// Adopt a fresh upstream, carrying the cumulative handshake count
     /// (and crypto-time accounting) over to the replacement channel and
     /// routing the new transport's readiness into the existing pool
-    /// token (registration fires immediately if data already arrived).
+    /// token (registration fires immediately if data already arrived) —
+    /// unless the wire is withheld, when handing it back registers it.
     fn install(&mut self, mut up: Upstream, watch: PipeWatch) {
         if let Upstream::Tls(t) = &mut up {
             t.obs = Some(self.stats.clone());
@@ -816,8 +1052,9 @@ impl IoState {
         }
         self.upstream = up;
         self.watch = watch;
-        if let Some(r) = &self.readiness {
-            self.watch.register(r.clone());
+        match &self.readiness {
+            Some(r) if !self.withheld => self.watch.register(r.clone()),
+            _ => {}
         }
     }
 
@@ -884,6 +1121,13 @@ fn broken(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::BrokenPipe, msg.to_string())
 }
 
+fn terminated() -> io::Error {
+    broken("upstream pipeline terminated")
+}
+
+fn timed_out() -> io::Error {
+    io::Error::new(io::ErrorKind::TimedOut, "upstream reply deadline exceeded")
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1289,6 +1533,258 @@ mod tests {
         let err = p.call(nfs_record(6, procnum::GETATTR)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::TimedOut);
         drop(server_end);
+    }
+
+    // --- the caller drives ----------------------------------------------
+
+    /// Reports that its worker entered `pump`, then parks it there until
+    /// `release` is dropped.
+    struct Parked {
+        rx: SubmitReceiver<()>,
+        entered: mpsc::Sender<()>,
+        release: mpsc::Receiver<()>,
+    }
+
+    impl PoolConn for Parked {
+        fn attach(&mut self, readiness: Readiness, _: &mut ()) {
+            self.rx.register(readiness);
+        }
+        fn pump(&mut self, _: &mut ()) -> ConnPump {
+            let _ = self.entered.send(());
+            let _ = self.release.recv();
+            ConnPump::Gone
+        }
+    }
+
+    /// Pin `upstream` onto a one-worker pool, then park that worker inside
+    /// another connection's pump: from here on only callers move the
+    /// pipeline. Dropping the returned sender releases the worker.
+    fn caller_driven(
+        upstream: (Upstream, PipeWatch),
+        stats: Emitter,
+        reconnector: Option<Box<dyn Reconnector>>,
+        retry: RetryPolicy,
+    ) -> (Pipeline, mpsc::Sender<()>) {
+        let pool = ClientIoPool::new(1);
+        let (up, watch) = upstream;
+        let p = Pipeline::with_recovery_on(&pool, up, watch, 4, None, stats, reconnector, retry)
+            .unwrap();
+        wait_for("pipeline attached", || pool.active_conns() == 1);
+        let (wake, rx) = submit_ring(1);
+        let (entered, entered_rx) = mpsc::channel();
+        let (release, parked) = mpsc::channel();
+        pool.add_conn(Box::new(Parked { rx, entered, release: parked })).unwrap();
+        wake.push(()).unwrap();
+        entered_rx.recv_timeout(Duration::from_secs(5)).expect("worker parked");
+        (p, release)
+    }
+
+    /// Reads one call, then hangs up without answering it.
+    fn hang_up_after_one(mut end: sgfs_net::PipeEnd) -> std::thread::JoinHandle<()> {
+        std::thread::spawn(move || {
+            let _ = read_record(&mut end);
+        })
+    }
+
+    #[test]
+    fn a_call_completes_while_the_only_worker_is_parked_elsewhere() {
+        let (client_end, server_end) = pipe_pair();
+        let _server = echo_server(server_end, 1);
+        let (p, release) = caller_driven(
+            plain_upstream(client_end),
+            Emitter::detached("client"),
+            None,
+            RetryPolicy::default(),
+        );
+        // Run the call on its own thread: were it handed to the parked
+        // worker it would hang, and the deadline below turns that into
+        // a failure.
+        let (done_tx, done) = mpsc::channel();
+        let caller = {
+            let p = p.clone();
+            std::thread::spawn(move || {
+                for i in 0..8u32 {
+                    let reply = p.call(call_record(0x50 + i, b"self-driven"));
+                    let _ = done_tx.send(reply.map(|r| (i, r)));
+                }
+            })
+        };
+        for i in 0..8u32 {
+            let (n, reply) = done
+                .recv_timeout(Duration::from_secs(5))
+                .expect("an uncontended call is sealed, sent and collected by its caller")
+                .unwrap();
+            assert_eq!(n, i);
+            assert_eq!(&reply[0..4], &(0x50 + i).to_be_bytes());
+            assert_eq!(&reply[4..], b"echo:self-driven");
+        }
+        caller.join().unwrap();
+        drop(release);
+    }
+
+    #[test]
+    fn caller_driven_deadline_times_out_and_a_late_reply_does_not_break_the_next_call() {
+        let (client_end, mut server_end) = pipe_pair();
+        let stats = Emitter::detached("client");
+        let deadline = Duration::from_millis(50);
+        let (p, release) = caller_driven(
+            plain_upstream(client_end),
+            stats.clone(),
+            None,
+            RetryPolicy { call_deadline: Some(deadline), ..RetryPolicy::default() },
+        );
+        // The server reads the call and stays silent; with the worker
+        // parked only the caller's own timed wait on the wire ends it.
+        let start = Instant::now();
+        let err = p.call(nfs_record(0x61, procnum::GETATTR)).unwrap_err();
+        let waited = start.elapsed();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        assert!(waited >= deadline, "timed out early: {waited:?}");
+        assert!(waited < deadline + Duration::from_secs(2), "deadline overrun: {waited:?}");
+
+        // The reply turns up late: the worker, back at work, collects and
+        // discards it.
+        drop(release);
+        let late = read_record(&mut server_end).unwrap().unwrap();
+        let mut reply = late[0..4].to_vec();
+        reply.extend_from_slice(b"late");
+        write_record(&mut server_end, &reply).unwrap();
+        wait_for("late reply collected", || stats.gauge(Gauge::PipelineDepth) == 0);
+
+        let _server = echo_server(server_end, 1);
+        let next = p.call(nfs_record(0x62, procnum::GETATTR)).unwrap();
+        assert_eq!(&next[0..4], &0x62u32.to_be_bytes(), "the next call gets its own reply");
+        assert!(!next.ends_with(b"late"));
+    }
+
+    #[test]
+    fn concurrent_callers_beside_batches_each_get_their_own_reply() {
+        let (client_end, server_end) = pipe_pair();
+        let _server = echo_server(server_end, 1);
+        let (up, watch) = plain_upstream(client_end);
+        // No per-call deadline: a lost wake-up hangs, and the deadline on
+        // `done` below names it.
+        let p = Pipeline::with_recovery(
+            up,
+            watch,
+            4,
+            None,
+            Emitter::detached("client"),
+            None,
+            RetryPolicy { call_deadline: None, ..RetryPolicy::default() },
+        );
+        let (done_tx, done) = mpsc::channel();
+        let callers: Vec<_> = (1..=2u32)
+            .map(|t| {
+                let (p, done_tx) = (p.clone(), done_tx.clone());
+                std::thread::spawn(move || {
+                    for i in 0..300u32 {
+                        let xid = (t << 16) | i;
+                        let body = format!("caller{t}-{i}");
+                        let reply = p.call(call_record(xid, body.as_bytes())).unwrap();
+                        assert_eq!(&reply[0..4], &xid.to_be_bytes());
+                        assert_eq!(&reply[4..], format!("echo:{body}").as_bytes());
+                    }
+                    done_tx.send(t).unwrap();
+                })
+            })
+            .collect();
+        // Batches wider than the window ride the ring meanwhile.
+        for round in 0..30u32 {
+            let records = (0..6u32).map(|i| call_record(round << 8 | i, b"batch")).collect();
+            for (i, reply) in p.submit_batch(records).into_iter().enumerate() {
+                let reply = reply.wait().unwrap();
+                assert_eq!(&reply[0..4], &(round << 8 | i as u32).to_be_bytes());
+                assert_eq!(&reply[4..], b"echo:batch");
+            }
+        }
+        for _ in 0..2 {
+            done.recv_timeout(Duration::from_secs(20)).expect("a caller hung: lost wake-up");
+        }
+        for c in callers {
+            c.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn reconnect_replays_an_idempotent_call_its_caller_drives() {
+        let (client_end, server_end) = pipe_pair();
+        let stats = Emitter::detached("client");
+        let (p, release) = caller_driven(
+            plain_upstream(client_end),
+            stats.clone(),
+            Some(echo_reconnector(0)),
+            quick_retry(),
+        );
+        hang_up_after_one(server_end);
+        let reply = p.call(nfs_record(0x77, procnum::GETATTR)).unwrap();
+        assert_eq!(&reply[0..4], &0x77u32.to_be_bytes(), "caller xid restored");
+        assert_eq!(stats.reconnects(), 1);
+        assert_eq!(stats.replays(), 1);
+        assert!(p.call(nfs_record(0x78, procnum::ACCESS)).is_ok(), "fresh channel serves");
+        drop(release);
+    }
+
+    #[test]
+    fn connect_refusals_are_retried_with_backoff_by_the_caller() {
+        let (client_end, server_end) = pipe_pair();
+        let stats = Emitter::detached("client");
+        let (p, release) = caller_driven(
+            plain_upstream(client_end),
+            stats.clone(),
+            Some(echo_reconnector(2)),
+            quick_retry(),
+        );
+        hang_up_after_one(server_end);
+        assert!(p.call(nfs_record(1, procnum::LOOKUP)).is_ok());
+        assert_eq!(stats.reconnects(), 1);
+        assert!(stats.sum(Hop::Backoff) > 0, "refused dials must back off");
+        drop(release);
+    }
+
+    #[test]
+    fn a_non_idempotent_call_its_caller_drives_fails_cleanly_on_reconnect() {
+        let (client_end, server_end) = pipe_pair();
+        let stats = Emitter::detached("client");
+        let (p, release) = caller_driven(
+            plain_upstream(client_end),
+            stats.clone(),
+            Some(echo_reconnector(0)),
+            quick_retry(),
+        );
+        hang_up_after_one(server_end);
+        let err = p.call(nfs_record(2, procnum::RENAME)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionReset, "{err}");
+        assert_eq!(stats.replays(), 0, "a RENAME is never replayed");
+        assert_eq!(stats.reconnects(), 1);
+        assert!(p.call(nfs_record(3, procnum::GETATTR)).is_ok(), "fresh channel serves");
+        drop(release);
+    }
+
+    #[test]
+    fn reconnect_budget_exhaustion_is_terminal_for_a_caller_driven_call() {
+        let (client_end, server_end) = pipe_pair();
+        let refuse = |_attempt: u32| {
+            Err::<(Upstream, PipeWatch), _>(io::Error::new(
+                io::ErrorKind::ConnectionRefused,
+                "always refused",
+            ))
+        };
+        let (p, release) = caller_driven(
+            plain_upstream(client_end),
+            Emitter::detached("client"),
+            Some(Box::new(refuse)),
+            RetryPolicy {
+                dial_attempts: 2,
+                backoff_base: Duration::from_millis(1),
+                backoff_cap: Duration::from_millis(2),
+                ..quick_retry()
+            },
+        );
+        hang_up_after_one(server_end);
+        assert!(p.call(nfs_record(4, procnum::GETATTR)).is_err());
+        assert!(p.call(nfs_record(5, procnum::GETATTR)).is_err(), "channel is dead");
+        drop(release);
     }
 
     // --- event-plane teardown -------------------------------------------

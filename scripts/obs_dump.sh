@@ -4,16 +4,20 @@
 # report: the per-emitter counters table, per-procedure and per-hop
 # latency tables, and the tail of the trace-event log.
 #
-# Usage:  scripts/obs_dump.sh [snapshot.json]   (default: results/BENCH_obs.json)
+# Usage:  scripts/obs_dump.sh [snapshot.json]
+#         (default: benchmark/out/trace-lan_smallfile.json)
 #
-# Works with either a raw `Snapshot` (has a "procs" key) or the bench
-# report (ignored keys are skipped). Requires only python3.
+# Takes a raw `Snapshot` (has a "procs" key) or a benchmark trace file,
+# whose "obs" member is the snapshot; the default is the trace the
+# per-layer contract run in scripts/verify.sh writes. Requires only
+# python3.
 set -eu
 
-FILE="${1:-results/BENCH_obs.json}"
+FILE="${1:-benchmark/out/trace-lan_smallfile.json}"
 if [ ! -f "$FILE" ]; then
     echo "no such snapshot: $FILE" >&2
     echo "usage: $0 [snapshot.json]" >&2
+    echo "(BENCHMARK.json's command with --workload lan_smallfile --trace 1 writes the default)" >&2
     exit 1
 fi
 
@@ -23,8 +27,12 @@ import json, sys
 with open(sys.argv[1]) as f:
     snap = json.load(f)
 
+if "procs" not in snap and "obs" in snap:
+    # A benchmark trace file: the snapshot rides under "obs".
+    snap = snap["obs"]
+
 if "procs" not in snap:
-    # A bench report, not a snapshot: nothing tabular to show beyond it.
+    # Neither: nothing tabular to show beyond the document itself.
     print(json.dumps(snap, indent=2))
     sys.exit(0)
 

@@ -66,6 +66,14 @@ run_watchdog 120 metrics_plane  cargo test -q --test metrics_plane
 run_watchdog 120 oncrpc_lib     cargo test -q -p sgfs-oncrpc --lib
 run_watchdog 120 scale_matrix   cargo test -q -p sgfs --test scale_matrix
 
+# The sgfs crate's own module tests, above all proxy::pipeline: a caller
+# that waits drives its own pipeline, so calls must complete with the
+# pool's only worker parked elsewhere, time out on the caller's own wire
+# wait, and ride reconnect/replay on the caller's thread; concurrent
+# callers beside batches each get their own reply. A lost wake-up between
+# a driving caller and the worker hangs rather than fails.
+run_watchdog 120 sgfs_lib       cargo test -q -p sgfs --lib
+
 # Overload control: sustained open-loop overload must keep the sampled
 # backlog bounded and answer every request exactly once (executed or
 # JUKEBOX), a flooding neighbor must not double a well-behaved session's
