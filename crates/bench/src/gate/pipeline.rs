@@ -28,14 +28,11 @@ fn forwarding_time(calls: usize, window: u32) -> (f64, u64) {
     let start = clock.now();
     let xids: Vec<u32> = (0..calls as u32).collect();
     for round in xids.chunks(window as usize) {
-        let records = round
-            .iter()
-            .map(|xid| {
-                let mut record = xid.to_be_bytes().to_vec();
-                record.extend_from_slice(&[0u8; 60]);
-                record
-            })
-            .collect();
+        let records = round.iter().map(|xid| {
+            let mut record = xid.to_be_bytes().to_vec();
+            record.extend_from_slice(&[0u8; 60]);
+            record
+        });
         for reply in pipeline.submit_batch(records) {
             reply.wait().expect("forwarded call");
         }

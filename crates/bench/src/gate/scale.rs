@@ -28,7 +28,7 @@ use sgfs::config::RetryPolicy;
 use sgfs::proxy::client::Upstream;
 use sgfs::proxy::pipeline::Pipeline;
 use sgfs_net::{pipe_pair, PipeEnd};
-use sgfs_oncrpc::record::{read_record_into, write_record_with};
+use sgfs_oncrpc::record::{read_record_into, write_marked, MARK_LEN};
 use sgfs_oncrpc::{process_thread_count, ClientIoPool, RecordService, ShardServer};
 use std::sync::Arc;
 use std::time::Instant;
@@ -48,18 +48,18 @@ impl RecordService for Echo {
     }
 }
 
-/// A driver-side session handle with reused buffers.
+/// A driver-side session handle with reused buffers; the request keeps
+/// headroom for its record mark.
 struct Client {
     end: PipeEnd,
     req: Vec<u8>,
     reply: Vec<u8>,
-    scratch: Vec<u8>,
 }
 
 impl Client {
     fn call(&mut self, xid: u32) {
-        self.req[0..4].copy_from_slice(&xid.to_be_bytes());
-        write_record_with(&mut self.end, &self.req, &mut self.scratch).expect("request");
+        self.req[MARK_LEN..MARK_LEN + 4].copy_from_slice(&xid.to_be_bytes());
+        write_marked(&mut self.end, &mut self.req).expect("request");
         assert!(read_record_into(&mut self.end, &mut self.reply).expect("reply"));
         assert_eq!(&self.reply[0..4], &xid.to_be_bytes(), "xid echoed");
     }
@@ -69,7 +69,7 @@ fn add_echo_session(shards: &ShardServer) -> Client {
     let (end, server_end) = pipe_pair();
     let watch = server_end.watch();
     shards.add_session(Box::new(server_end), watch, Arc::new(Echo)).expect("add session");
-    Client { end, req: vec![0x42; RECORD_LEN], reply: Vec::new(), scratch: Vec::new() }
+    Client { end, req: vec![0x42; MARK_LEN + RECORD_LEN], reply: Vec::new() }
 }
 
 /// `(p50, p99)` in µs of `calls` sequential round trips, as `<what>_p50_us`

@@ -7,7 +7,10 @@
 //!    exact primitive the read-ahead worker and the session data plane
 //!    use — `StripeMap` routing into each member's windowed pipeline —
 //!    with the same small per-member window, so the only variable is how
-//!    many servers the in-flight set can spread across.
+//!    many servers the in-flight set can spread across. The gated rows
+//!    submit each member's blocks as one batch, as read-ahead does; the
+//!    `read_callers_*` rows (reported) run the same read as a window's
+//!    worth of synchronous callers per member sharing its pipeline.
 //! 2. **Replicated flush** — a width-2, 2-replica stripe set flushes a
 //!    dirty write-back cache; the two mock servers answer with *distinct*
 //!    write verifiers (7 and 9) and the rows require both per-member
@@ -136,6 +139,30 @@ fn stripe_config(width: u32, replicas: u32, window: u32) -> SessionConfig {
     config
 }
 
+/// How a striped read puts each member's blocks on its pipeline.
+#[derive(Clone, Copy)]
+enum Fanout {
+    /// One `submit_batch` per member, as read-ahead submits.
+    Batch,
+    /// A window's worth of threads per member, each a synchronous caller.
+    Callers,
+}
+
+/// The READ call for 512 B block `b` of the striped file.
+fn read_call(b: u64) -> Vec<u8> {
+    let args = ReadArgs { file: fh(), offset: b * BLOCK as u64, count: BLOCK as u32 };
+    call_record(0x9000 + b as u32, procnum::READ, &args)
+}
+
+/// Assert that `reply` carries block `b` as it was seeded.
+fn check_block(b: u64, reply: &[u8]) {
+    let mut dec = XdrDecoder::new(reply);
+    let _ = ReplyHeader::decode(&mut dec).expect("reply header");
+    let res = ReadRes::from_xdr_bytes(&reply[dec.position()..]).expect("read res");
+    assert_eq!(res.status, NfsStat3::Ok);
+    assert_eq!(res.data, vec![b as u8; BLOCK], "block {b} through the stripe set");
+}
+
 /// Virtual seconds to fan `blocks` sequential 512 B READs across a
 /// stripe set of `width` members over 20 ms links — the exact primitive
 /// read-ahead drives: `StripeMap` routes each block to its
@@ -147,7 +174,7 @@ fn stripe_config(width: u32, replicas: u32, window: u32) -> SessionConfig {
 /// member's arrival gates from inflating another member's stamps through
 /// real-time scheduling skew, so the measurement is the stripe's
 /// aggregate in-flight capacity and nothing else.
-fn striped_read_time(width: u32, blocks: usize) -> f64 {
+fn striped_read_time(width: u32, blocks: usize, fanout: Fanout) -> f64 {
     let clocks: Vec<Arc<SimClock>> = (0..width).map(|_| SimClock::new()).collect();
     let links: Vec<Arc<Link>> =
         clocks.iter().map(|c| Link::new(LinkSpec::wan_rtt(RTT), c.clone())).collect();
@@ -172,43 +199,50 @@ fn striped_read_time(width: u32, blocks: usize) -> f64 {
     let members: Vec<Pipeline> =
         (0..width as usize).map(|m| proxy.stripe().member(m)).collect();
 
-    // `WINDOW` caller threads per member keep each member's window full,
-    // exactly as the read-ahead fan-out does.
     let starts: Vec<Duration> = clocks.iter().map(|c| c.now()).collect();
-    let callers: Vec<_> = (0..width as usize)
-        .flat_map(|m| (0..WINDOW as usize).map(move |slot| (m, slot)))
-        .map(|(m, slot)| {
-            let member = members[m].clone();
-            let mine: Vec<u64> = (0..blocks as u64)
-                .filter(|&b| map.members_of_block(b).next() == Some(m))
-                .skip(slot)
-                .step_by(WINDOW as usize)
+    let owned = |m: usize| -> Vec<u64> {
+        (0..blocks as u64).filter(|&b| map.members_of_block(b).next() == Some(m)).collect()
+    };
+    match fanout {
+        // Each member's blocks go out as one batch, as the read-ahead
+        // fan-out submits them: the member's pipeline admits a window of
+        // them and tops the window up as replies land.
+        Fanout::Batch => {
+            let batches: Vec<_> = members
+                .iter()
+                .enumerate()
+                .map(|(m, member)| {
+                    let mine = owned(m);
+                    let replies = member.submit_batch(mine.iter().map(|&b| read_call(b)));
+                    (mine, replies)
+                })
                 .collect();
-            std::thread::spawn(move || {
-                for b in mine {
-                    let offset = b * BLOCK as u64;
-                    let record = call_record(
-                        0x9000 + b as u32,
-                        procnum::READ,
-                        &ReadArgs { file: fh(), offset, count: BLOCK as u32 },
-                    );
-                    let reply = member.call(record).expect("striped read");
-                    let mut dec = XdrDecoder::new(&reply);
-                    let _ = ReplyHeader::decode(&mut dec).expect("reply header");
-                    let res =
-                        ReadRes::from_xdr_bytes(&reply[dec.position()..]).expect("read res");
-                    assert_eq!(res.status, NfsStat3::Ok);
-                    assert_eq!(
-                        res.data,
-                        vec![b as u8; BLOCK],
-                        "block {b} through the stripe set"
-                    );
+            for (mine, replies) in batches {
+                for (b, reply) in mine.into_iter().zip(replies) {
+                    check_block(b, &reply.wait().expect("striped read"));
                 }
-            })
-        })
-        .collect();
-    for caller in callers {
-        caller.join().expect("caller thread");
+            }
+        }
+        // `WINDOW` threads per member, each calling its share of the
+        // member's blocks one at a time.
+        Fanout::Callers => {
+            let callers: Vec<_> = (0..width as usize)
+                .flat_map(|m| (0..WINDOW as usize).map(move |slot| (m, slot)))
+                .map(|(m, slot)| {
+                    let member = members[m].clone();
+                    let mine: Vec<u64> =
+                        owned(m).into_iter().skip(slot).step_by(WINDOW as usize).collect();
+                    std::thread::spawn(move || {
+                        for b in mine {
+                            check_block(b, &member.call(read_call(b)).expect("striped read"));
+                        }
+                    })
+                })
+                .collect();
+            for caller in callers {
+                caller.join().expect("caller thread");
+            }
+        }
     }
     let elapsed = clocks
         .iter()
@@ -222,12 +256,21 @@ fn striped_read_time(width: u32, blocks: usize) -> f64 {
 
 fn stripe_read(opts: &RunOpts) -> Vec<Check> {
     let blocks = if opts.quick { 48 } else { 96 };
-    let width_1_s = striped_read_time(1, blocks);
-    let width_4_s = striped_read_time(4, blocks);
+    let width_1_s = striped_read_time(1, blocks, Fanout::Batch);
+    let width_4_s = striped_read_time(4, blocks, Fanout::Batch);
+    let callers_1_s = striped_read_time(1, blocks, Fanout::Callers);
+    let callers_4_s = striped_read_time(4, blocks, Fanout::Callers);
     vec![
         Check::report("read_width_1_s", width_1_s, "s"),
         Check::report("read_width_4_s", width_4_s, "s"),
         Check::at_least("read_width_4_speedup", width_1_s / width_4_s, "ratio", 2.0),
+        // Concurrent synchronous callers share each member's pipeline.
+        // Reported, not gated: a reply one caller reads fast-forwards the
+        // host's clock past the other's next send now and then (DESIGN
+        // §4), so these spread run to run.
+        Check::report("read_callers_width_1_s", callers_1_s, "s"),
+        Check::report("read_callers_width_4_s", callers_4_s, "s"),
+        Check::report("read_callers_width_4_speedup", callers_1_s / callers_4_s, "ratio"),
     ]
 }
 

@@ -51,9 +51,15 @@ pub fn cbc_encrypt_in_place_from(aes: &Aes, iv: &[u8; 16], buf: &mut Vec<u8>, fr
     debug_assert!(from <= buf.len());
     let pad = 16 - (buf.len() - from) % 16;
     buf.resize(buf.len() + pad, pad as u8);
+    cbc_encrypt_padded(aes, iv, &mut buf[from..]);
+}
 
+/// Encrypt `buf` with AES-CBC under `iv` in place, its PKCS#7 padding
+/// already written (`buf.len()` a multiple of 16). No heap allocation.
+pub fn cbc_encrypt_padded(aes: &Aes, iv: &[u8; 16], buf: &mut [u8]) {
+    assert!(buf.len().is_multiple_of(16), "CBC input must be padded to whole blocks");
     let mut prev = *iv;
-    for chunk in buf[from..].chunks_exact_mut(16) {
+    for chunk in buf.chunks_exact_mut(16) {
         let mut block = [0u8; 16];
         block.copy_from_slice(chunk);
         for (b, p) in block.iter_mut().zip(&prev) {

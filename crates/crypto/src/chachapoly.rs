@@ -51,6 +51,17 @@ impl ChaCha20Poly1305 {
         buf.extend_from_slice(&tag);
     }
 
+    /// Seal `plain` into `out`, which must be exactly
+    /// `plain.len() + TAG_LEN` bytes (`ciphertext || tag`), overwriting
+    /// whatever it held. No heap allocation.
+    pub fn seal_to(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plain: &[u8], out: &mut [u8]) {
+        assert_eq!(out.len(), plain.len() + TAG_LEN, "sealed record length");
+        let (ct, tag) = out.split_at_mut(plain.len());
+        ct.copy_from_slice(plain);
+        self.chacha.xor_stream(1, nonce, ct);
+        tag.copy_from_slice(&self.tag(nonce, aad, ct));
+    }
+
     /// Verify and decrypt `buf` (`ciphertext || tag`) in place, returning
     /// the plaintext length. Tag checked (constant-time) before decrypting;
     /// every failure is the same opaque [`AeadError`].

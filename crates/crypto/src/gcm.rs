@@ -111,14 +111,23 @@ impl AesGcm {
         self.tag(&j0, ghash(&self.ghash, aad, ct))
     }
 
-    /// Seal out of place: append `ciphertext || tag` of `plain` to `out`,
-    /// reading `plain` once. `out`'s existing bytes (e.g. a frame header)
-    /// are left untouched. No heap allocation beyond `out` growing.
+    /// Seal out of place into `out`, which must be exactly
+    /// `plain.len() + TAG_LEN` bytes: `ciphertext || tag` of `plain`,
+    /// reading `plain` once and overwriting whatever `out` held — a
+    /// reused buffer needs no zero-fill. No heap allocation.
+    pub fn seal_to(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plain: &[u8], out: &mut [u8]) {
+        assert_eq!(out.len(), plain.len() + TAG_LEN, "sealed record length");
+        let (ct, tag) = out.split_at_mut(plain.len());
+        tag.copy_from_slice(&self.encrypt(nonce, aad, Some(plain), ct));
+    }
+
+    /// Seal out of place: append `ciphertext || tag` of `plain` to `out`
+    /// ([`seal_to`](Self::seal_to) into the grown tail). `out`'s existing
+    /// bytes (e.g. a frame header) are left untouched.
     pub fn seal_into(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plain: &[u8], out: &mut Vec<u8>) {
         let start = out.len();
-        out.resize(start + plain.len(), 0);
-        let tag = self.encrypt(nonce, aad, Some(plain), &mut out[start..]);
-        out.extend_from_slice(&tag);
+        out.resize(start + plain.len() + TAG_LEN, 0);
+        self.seal_to(nonce, aad, plain, &mut out[start..]);
     }
 
     /// Encrypt `buf[from..]` in place and append the 16-byte tag.

@@ -71,15 +71,51 @@ impl HalfConn {
         aad
     }
 
-    /// Protect `payload`, appending the wire body to `out`.
+    /// Bytes of wire body that protect a `payload_len`-byte payload.
+    pub fn sealed_len(&self, payload_len: usize) -> usize {
+        let mac = if self.mac.is_some() { 20 } else { 0 };
+        self.cipher.sealed_len(payload_len + mac)
+    }
+
+    /// Protect `payload` into `out`, which must be exactly
+    /// [`sealed_len`](Self::sealed_len) bytes; whatever it held is
+    /// overwritten, so a buffer kept at its high-water length is never
+    /// zero-filled again. Zero heap allocations: the MAC/GHASH runs on
+    /// precomputed states, AES-GCM encrypts straight from `payload` into
+    /// `out`, and the other suites encrypt in place over a copy.
+    pub fn seal_to<R: RngCore>(
+        &mut self,
+        content_type: u8,
+        payload: &[u8],
+        rng: &mut R,
+        out: &mut [u8],
+    ) {
+        assert_eq!(out.len(), self.sealed_len(payload.len()), "sealed record length");
+        if self.cipher.is_aead() {
+            // One call encrypts and authenticates, header as AAD, nonce
+            // derived from the sequence counter — no per-record
+            // randomness, no IV bytes on the wire.
+            let aad = self.aad(content_type, payload.len());
+            self.cipher.seal_aead(self.seq, &aad, payload, out);
+        } else {
+            let mut filled = self.cipher.explicit_iv_len();
+            out[filled..filled + payload.len()].copy_from_slice(payload);
+            filled += payload.len();
+            if self.mac.is_some() {
+                out[filled..filled + 20].copy_from_slice(&self.mac(content_type, payload));
+                filled += 20;
+            }
+            self.cipher.seal_body(out, filled, rng);
+        }
+        self.seq = self.seq.wrapping_add(1);
+    }
+
+    /// Protect `payload`, appending the wire body to `out` ([`seal_to`]
+    /// into the grown tail). `out[..out.len()]` on entry (e.g. a frame
+    /// header) is preserved; `out` only grows until it reaches the
+    /// connection's record-size high-water mark.
     ///
-    /// `out[..out.len()]` on entry (e.g. a frame header) is preserved, so
-    /// a whole framed record can be assembled in one reused buffer. The
-    /// steady-state cost is zero heap allocations: the MAC/GHASH runs on
-    /// precomputed states, encryption writes into `out` (AES-GCM straight
-    /// from `payload`, the other suites in place over a copy), and `out`
-    /// only grows until it reaches the connection's record-size
-    /// high-water mark.
+    /// [`seal_to`]: Self::seal_to
     pub fn seal_into<R: RngCore>(
         &mut self,
         content_type: u8,
@@ -87,24 +123,9 @@ impl HalfConn {
         rng: &mut R,
         out: &mut Vec<u8>,
     ) {
-        if self.cipher.is_aead() {
-            // One call encrypts and authenticates, header as AAD, nonce
-            // derived from the sequence counter — no per-record
-            // randomness, no IV bytes on the wire.
-            let aad = self.aad(content_type, payload.len());
-            self.cipher.seal_aead(self.seq, &aad, payload, out);
-            self.seq = self.seq.wrapping_add(1);
-            return;
-        }
         let start = out.len();
-        out.resize(start + self.cipher.explicit_iv_len(), 0);
-        out.extend_from_slice(payload);
-        if self.mac.is_some() {
-            let mac = self.mac(content_type, payload);
-            out.extend_from_slice(&mac);
-        }
-        self.seq = self.seq.wrapping_add(1);
-        self.cipher.seal_in_place(out, start, rng);
+        out.resize(start + self.sealed_len(payload.len()), 0);
+        self.seal_to(content_type, payload, rng, &mut out[start..]);
     }
 
     /// Unprotect a wire body in place, returning the `(offset, len)`
@@ -186,35 +207,27 @@ pub fn write_frame_with<W: Write + ?Sized>(
     scratch: &mut Vec<u8>,
 ) -> std::io::Result<()> {
     scratch.clear();
-    scratch.push(content_type);
-    scratch.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    scratch.extend_from_slice(&frame_header(content_type, body.len()));
     scratch.extend_from_slice(body);
-    w.write_all(scratch)?;
-    w.flush()
+    write_assembled_frame(w, scratch)
+}
+
+/// Bytes of a frame header: content type and body length.
+pub const FRAME_HEADER: usize = 5;
+
+/// The header of a frame carrying a `body_len`-byte body.
+pub fn frame_header(content_type: u8, body_len: usize) -> [u8; FRAME_HEADER] {
+    let len = (body_len as u32).to_be_bytes();
+    [content_type, len[0], len[1], len[2], len[3]]
 }
 
 /// Write a pre-assembled frame (`[content_type][len][body]` already laid
-/// out in `frame`, as produced by [`frame_header_into`] + sealing into
-/// the same buffer). One write call.
+/// out in `frame`, e.g. a [`frame_header`] with a body sealed behind it by
+/// [`HalfConn::seal_to`]). One write call.
 pub fn write_assembled_frame<W: Write + ?Sized>(w: &mut W, frame: &[u8]) -> std::io::Result<()> {
-    debug_assert!(frame.len() >= 5);
+    debug_assert!(frame.len() >= FRAME_HEADER);
     w.write_all(frame)?;
     w.flush()
-}
-
-/// Reset `frame` to a 5-byte frame header with a zero length word; after
-/// appending the body (e.g. via [`HalfConn::seal_into`]) call
-/// [`finish_frame_header`] to patch the length in.
-pub fn frame_header_into(frame: &mut Vec<u8>, content_type: u8) {
-    frame.clear();
-    frame.push(content_type);
-    frame.extend_from_slice(&[0u8; 4]);
-}
-
-/// Patch the length word of a frame started by [`frame_header_into`].
-pub fn finish_frame_header(frame: &mut [u8]) {
-    let body_len = (frame.len() - 5) as u32;
-    frame[1..5].copy_from_slice(&body_len.to_be_bytes());
 }
 
 /// Read one record, returning `(content_type, body)`.
@@ -231,7 +244,7 @@ pub fn read_frame<R: Read + ?Sized>(r: &mut R) -> std::io::Result<(u8, Vec<u8>)>
 /// outgrows the previous one are zeroed before the read fills them.
 /// After an error the buffer's contents are unspecified.
 pub fn read_frame_into<R: Read + ?Sized>(r: &mut R, body: &mut Vec<u8>) -> std::io::Result<u8> {
-    let mut hdr = [0u8; 5];
+    let mut hdr = [0u8; FRAME_HEADER];
     r.read_exact(&mut hdr)?;
     let len = u32::from_be_bytes([hdr[1], hdr[2], hdr[3], hdr[4]]) as usize;
     if len > MAX_RECORD_PAYLOAD + 64 * 1024 {

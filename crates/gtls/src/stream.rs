@@ -7,8 +7,8 @@ use crate::handshake::{
 };
 use crate::suite::CipherSuite;
 use crate::record::{
-    finish_frame_header, frame_header_into, read_frame, read_frame_into, write_assembled_frame,
-    write_frame, HalfConn, CT_DATA, CT_HANDSHAKE, MAX_RECORD_PAYLOAD,
+    frame_header, read_frame, read_frame_into, write_assembled_frame, write_frame, HalfConn,
+    CT_DATA, CT_HANDSHAKE, FRAME_HEADER, MAX_RECORD_PAYLOAD,
 };
 use crate::GtlsError;
 use sgfs_net::{BoxStream, PipeWatch};
@@ -32,8 +32,9 @@ pub struct GtlsStream {
     read_buf: Vec<u8>,
     read_pos: usize,
     read_end: usize,
-    /// Reused transmit buffer: each outgoing record is framed and sealed
-    /// here, then leaves in one write call.
+    /// Reused transmit buffer, kept at its high-water length: each
+    /// outgoing record is framed and sealed into its front, then leaves
+    /// in one write call.
     write_buf: Vec<u8>,
     /// When set, each record seal/open is emitted here, timed — the
     /// proxies pass their own emitter, which attributes the crypto work
@@ -410,14 +411,23 @@ impl Write for GtlsStream {
         // (chunked only when it exceeds the record size), so the whole
         // message leaves in back-to-back frames with coherent arrival
         // stamps on the emulated link. The record is framed and sealed in
-        // the reused write buffer — no allocation at steady state — and
-        // departs in a single write call.
+        // the front of the write buffer, which never shrinks — no
+        // allocation and no zero-fill at steady state — and departs in a
+        // single write call.
         for chunk in buf.chunks(MAX_RECORD_PAYLOAD) {
             let t0 = std::time::Instant::now();
-            frame_header_into(&mut self.write_buf, CT_DATA);
-            self.tx
-                .seal_into(CT_DATA, chunk, &mut rand::thread_rng(), &mut self.write_buf);
-            finish_frame_header(&mut self.write_buf);
+            let body = self.tx.sealed_len(chunk.len());
+            let frame = FRAME_HEADER + body;
+            if self.write_buf.len() < frame {
+                self.write_buf.resize(frame, 0);
+            }
+            self.write_buf[..FRAME_HEADER].copy_from_slice(&frame_header(CT_DATA, body));
+            self.tx.seal_to(
+                CT_DATA,
+                chunk,
+                &mut rand::thread_rng(),
+                &mut self.write_buf[FRAME_HEADER..frame],
+            );
             if let Some(obs) = &self.obs {
                 let dt = t0.elapsed().as_nanos() as u64;
                 obs.emit(sgfs_obs::Hop::Seal, 0, sgfs_obs::NO_PROC, dt);
@@ -428,7 +438,7 @@ impl Write for GtlsStream {
                     chunk.len() as u64,
                 );
             }
-            write_assembled_frame(&mut self.inner, &self.write_buf)?;
+            write_assembled_frame(&mut self.inner, &self.write_buf[..frame])?;
         }
         Ok(buf.len())
     }

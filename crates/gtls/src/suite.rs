@@ -1,7 +1,7 @@
 //! Cipher suites and per-direction cipher state.
 
-use sgfs_crypto::cbc::{cbc_decrypt_in_place_ct, cbc_encrypt_in_place_from};
-use sgfs_crypto::{Aes, AesGcm, Rc4};
+use sgfs_crypto::cbc::{cbc_decrypt_in_place_ct, cbc_encrypt_padded};
+use sgfs_crypto::{Aes, AesGcm, Rc4, AEAD_TAG_LEN};
 use sgfs_crypto::chachapoly::ChaCha20Poly1305 as ChaChaPolyKey;
 use rand::RngCore;
 
@@ -172,6 +172,17 @@ impl CipherState {
         matches!(self, CipherState::Gcm(..) | CipherState::ChaChaPoly(..))
     }
 
+    /// Bytes of wire body that protect `n` bytes of plaintext (a legacy
+    /// suite's MAC included): plus the CBC IV and padding, or the AEAD
+    /// tag.
+    pub fn sealed_len(&self, n: usize) -> usize {
+        match self {
+            CipherState::Null | CipherState::Rc4(_) => n,
+            CipherState::AesCbc(_) => 16 + (n / 16 + 1) * 16,
+            CipherState::Gcm(..) | CipherState::ChaChaPoly(..) => n + AEAD_TAG_LEN,
+        }
+    }
+
     /// The record nonce: static IV with the sequence number XORed into
     /// the trailing 8 bytes (big-endian) — unique per record, no wire
     /// bytes, no randomness.
@@ -183,20 +194,16 @@ impl CipherState {
         n
     }
 
-    /// AEAD seal: append `ciphertext || tag` of `payload` to `out` under
-    /// the record nonce for `seq`, authenticating `aad`. `out`'s existing
-    /// bytes (the frame header) are left untouched. AES-GCM reads
-    /// `payload` once and writes ciphertext straight into `out`.
-    /// Panics on non-AEAD states — callers dispatch on [`Self::is_aead`].
-    pub fn seal_aead(&self, seq: u64, aad: &[u8], payload: &[u8], out: &mut Vec<u8>) {
+    /// AEAD seal: write `ciphertext || tag` of `payload` into `out`
+    /// (exactly [`sealed_len`](Self::sealed_len) bytes) under the record
+    /// nonce for `seq`, authenticating `aad`. AES-GCM reads `payload` once
+    /// and writes ciphertext straight into `out`. Panics on non-AEAD
+    /// states — callers dispatch on [`Self::is_aead`].
+    pub fn seal_aead(&self, seq: u64, aad: &[u8], payload: &[u8], out: &mut [u8]) {
         match self {
-            CipherState::Gcm(gcm, iv) => {
-                gcm.seal_into(&Self::aead_nonce(iv, seq), aad, payload, out)
-            }
+            CipherState::Gcm(gcm, iv) => gcm.seal_to(&Self::aead_nonce(iv, seq), aad, payload, out),
             CipherState::ChaChaPoly(cp, iv) => {
-                let from = out.len();
-                out.extend_from_slice(payload);
-                cp.seal_in_place(&Self::aead_nonce(iv, seq), aad, out, from)
+                cp.seal_to(&Self::aead_nonce(iv, seq), aad, payload, out)
             }
             _ => unreachable!("seal_aead on a non-AEAD cipher state"),
         }
@@ -221,20 +228,23 @@ impl CipherState {
         }
     }
 
-    /// Encrypt in place (legacy suites): `buf[from..from +
-    /// explicit_iv_len()]` is an IV slot this call fills, and everything
-    /// after it is plaintext (plus MAC) to encrypt. `buf[..from]` is left
-    /// untouched, so callers can seal directly into a framed buffer. No
-    /// heap allocation beyond `buf` growing for CBC padding.
-    pub fn seal_in_place<R: RngCore>(&mut self, buf: &mut Vec<u8>, from: usize, rng: &mut R) {
+    /// Encrypt a legacy wire body in place: `body` is
+    /// [`sealed_len`](Self::sealed_len) bytes, of which
+    /// `body[..explicit_iv_len()]` is an IV slot this call fills,
+    /// `body[explicit_iv_len()..filled]` the plaintext (plus MAC), and
+    /// `body[filled..]` room for the CBC padding this call writes. No heap
+    /// allocation.
+    pub fn seal_body<R: RngCore>(&mut self, body: &mut [u8], filled: usize, rng: &mut R) {
         match self {
             CipherState::Null => {}
-            CipherState::Rc4(rc4) => rc4.process(&mut buf[from..]),
+            CipherState::Rc4(rc4) => rc4.process(body),
             CipherState::AesCbc(aes) => {
+                let pad = body.len() - filled;
+                body[filled..].fill(pad as u8);
                 let mut iv = [0u8; 16];
                 rng.fill_bytes(&mut iv);
-                buf[from..from + 16].copy_from_slice(&iv);
-                cbc_encrypt_in_place_from(aes, &iv, buf, from + 16);
+                body[..16].copy_from_slice(&iv);
+                cbc_encrypt_padded(aes, &iv, &mut body[16..]);
             }
             CipherState::Gcm(..) | CipherState::ChaChaPoly(..) => {
                 unreachable!("AEAD states seal through seal_aead")
@@ -275,9 +285,9 @@ impl CipherState {
     /// (legacy suites).
     pub fn seal<R: RngCore>(&mut self, plain: Vec<u8>, rng: &mut R) -> Vec<u8> {
         let ivl = self.explicit_iv_len();
-        let mut out = vec![0u8; ivl];
-        out.extend_from_slice(&plain);
-        self.seal_in_place(&mut out, 0, rng);
+        let mut out = vec![0u8; self.sealed_len(plain.len())];
+        out[ivl..ivl + plain.len()].copy_from_slice(&plain);
+        self.seal_body(&mut out, ivl + plain.len(), rng);
         out
     }
 
@@ -317,7 +327,7 @@ mod tests {
             for (seq, len) in [0usize, 1, 20, 100, 32 * 1024].into_iter().enumerate() {
                 let plain: Vec<u8> = (0..len).map(|i| (i % 256) as u8).collect();
                 if suite.is_aead() {
-                    let mut buf = Vec::new();
+                    let mut buf = vec![0xEE; tx.sealed_len(plain.len())];
                     tx.seal_aead(seq as u64, b"hdr", &plain, &mut buf);
                     let n = rx.open_aead(seq as u64, b"hdr", &mut buf).unwrap();
                     assert_eq!(&buf[..n], &plain[..], "suite {suite:?} len {len}");
@@ -369,7 +379,7 @@ mod tests {
             let key = vec![7u8; suite.key_len()];
             let st = suite.new_state(&key, &[3u8; 12]);
             let plain = b"secret grid data secret grid data".to_vec();
-            let mut wire = Vec::new();
+            let mut wire = vec![0; st.sealed_len(plain.len())];
             st.seal_aead(1, b"hdr", &plain, &mut wire);
             assert!(!wire.windows(8).any(|w| w == &plain[..8]), "{suite:?} leaked plaintext");
         }

@@ -4,22 +4,35 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A monotonically increasing clock shared by every component of one
-/// emulated testbed (client host, server host, and the WAN link).
+/// A monotonically increasing clock of one emulated host.
 ///
-/// `now()` is real elapsed time since construction *plus* all virtual time
-/// added by the link emulation, so a benchmark's `clock.now()` difference
-/// is exactly what a wall clock would have read on the paper's physical
-/// testbed (CPU costs real, network latency emulated).
+/// `now()` is real elapsed time since the testbed's origin *plus* the
+/// virtual time this host has accumulated, so a benchmark's `clock.now()`
+/// difference is exactly what a wall clock on that host would have read
+/// on the paper's physical testbed (CPU costs real, network latency
+/// emulated). Every host of one testbed shares the real origin
+/// ([`SimClock::host`]); each keeps its own virtual offset, which only
+/// the messages it receives and the costs it pays move.
 pub struct SimClock {
     origin: Instant,
     virtual_ns: AtomicU64,
 }
 
 impl SimClock {
-    /// New clock at time zero.
+    /// New clock at time zero: the first host of a fresh testbed.
     pub fn new() -> Arc<Self> {
         Arc::new(Self { origin: Instant::now(), virtual_ns: AtomicU64::new(0) })
+    }
+
+    /// Another host of this clock's testbed, joining it now: the same
+    /// real origin (a second [`SimClock::new`] would be skewed by the gap
+    /// between the two constructions) and, from here on, its own virtual
+    /// offset, starting at this host's current reading.
+    pub fn host(&self) -> Arc<Self> {
+        Arc::new(Self {
+            origin: self.origin,
+            virtual_ns: AtomicU64::new(self.virtual_ns.load(Ordering::Acquire)),
+        })
     }
 
     /// Current simulated time since construction.
@@ -42,10 +55,12 @@ impl SimClock {
     /// Block (or fast-forward) until `now() >= t`.
     ///
     /// This is the receiver-side arrival gate: messages are stamped with an
-    /// arrival time at send; the receiver calls this before consuming them.
-    /// Stamping-then-gating (rather than charging the sender) means
-    /// back-to-back messages overlap their latencies exactly as they would
-    /// on a real pipelined link.
+    /// arrival time from the sender's clock at send; the receiver calls
+    /// this on its own clock before consuming them. Stamping-then-gating
+    /// (rather than charging the sender) means back-to-back messages
+    /// overlap their latencies exactly as they would on a real pipelined
+    /// link, and a receiver that consumes a message never moves the
+    /// sender's clock.
     pub fn wait_until(&self, t: Duration) {
         loop {
             let now = self.now();
@@ -133,6 +148,22 @@ mod tests {
         let v = clock.virtual_time();
         clock.wait_until(Duration::from_millis(1));
         assert_eq!(clock.virtual_time(), v);
+    }
+
+    #[test]
+    fn hosts_share_the_real_origin_and_keep_their_own_virtual_time() {
+        let client = SimClock::new();
+        client.advance(Duration::from_secs(3));
+        let server = client.host();
+        assert_eq!(server.virtual_time(), Duration::from_secs(3), "joins at the current reading");
+        server.wait_until(Duration::from_secs(10));
+        assert!(server.now() >= Duration::from_secs(10));
+        assert_eq!(client.virtual_time(), Duration::from_secs(3), "the other host is untouched");
+        // One real origin: with equal virtual offsets the readings agree
+        // to within the time between the two reads.
+        let twin = client.host();
+        let (a, b) = (client.now(), twin.now());
+        assert!(b >= a && b - a < Duration::from_millis(50));
     }
 
     #[test]

@@ -3,17 +3,18 @@
 //! The paper's testbed is two VMware hosts joined by a NIST Net router that
 //! injects wide-area latencies. This crate reproduces that setup in-process:
 //!
-//! * [`SimClock`] — a hybrid clock: real elapsed time plus a virtual offset.
-//!   CPU work (crypto, XDR, caching) runs and is measured for real; the
-//!   emulated WAN link adds its latency to the virtual offset instead of
-//!   sleeping, so an 80 ms-RTT PostMark run completes in seconds while
-//!   reporting faithful wide-area timings. A real-sleep mode exists for
-//!   integration tests that want actual delays.
+//! * [`SimClock`] — a hybrid clock, one per emulated host: real elapsed
+//!   time plus that host's virtual offset. CPU work (crypto, XDR, caching)
+//!   runs and is measured for real; the emulated WAN link adds its latency
+//!   to the receiving host's virtual offset instead of sleeping, so an
+//!   80 ms-RTT PostMark run completes in seconds while reporting faithful
+//!   wide-area timings.
 //! * [`pipe::pipe_pair`] — an in-memory duplex byte stream standing in for
 //!   a TCP connection between the client and server hosts.
-//! * [`link::Link`] — the NIST Net analog: per-direction latency and
-//!   bandwidth, applied by stamping each message with its arrival time and
-//!   gating the receiver on the shared clock.
+//! * [`link::Link`] — the NIST Net analog between two hosts: per-direction
+//!   latency and bandwidth, applied by stamping each message with its
+//!   arrival time on the sender's clock and gating the receiver's clock
+//!   on it.
 //! * [`Stream`] — the object-safe byte-stream trait every layer above
 //!   (record marking, GTLS, tunnels) is written against, so real
 //!   `TcpStream`s can be substituted for the in-memory pipes.

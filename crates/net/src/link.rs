@@ -23,15 +23,18 @@ impl LinkSpec {
     }
 }
 
-/// A bidirectional emulated link between the client and server hosts.
+/// A bidirectional emulated link between two hosts: host 0 (the client,
+/// sending in direction 0) and host 1 (the server, direction 1).
 ///
-/// Each direction serializes messages (bandwidth) and delays them
-/// (latency); the arrival stamp is computed at send time and enforced by
-/// the receiver against the shared [`SimClock`]. Byte counters feed the
-/// evaluation harness.
+/// Each host has its own [`SimClock`]. Each direction serializes messages
+/// (bandwidth) and delays them (latency); the arrival stamp is computed at
+/// send time from the *sender's* clock and enforced by the receiver
+/// against *its* clock, so consuming a message advances only the receiver.
+/// Byte counters feed the evaluation harness.
 pub struct Link {
     spec: LinkSpec,
-    clock: Arc<SimClock>,
+    /// Host `i`'s clock; host `i` sends in direction `i`.
+    hosts: [Arc<SimClock>; 2],
     /// Per-direction time at which the last queued byte clears the NIC,
     /// for bandwidth serialization. Index 0: a→b, 1: b→a.
     next_free: [Mutex<Duration>; 2],
@@ -40,20 +43,27 @@ pub struct Link {
 }
 
 impl Link {
-    /// Create a link over `clock` with the given spec.
+    /// Create a link with the given spec from host 0's `clock`; host 1
+    /// joins `clock`'s testbed as a host of its own ([`SimClock::host`]).
     pub fn new(spec: LinkSpec, clock: Arc<SimClock>) -> Arc<Self> {
+        let server = clock.host();
         Arc::new(Self {
             spec,
-            clock,
+            hosts: [clock, server],
             next_free: [Mutex::new(Duration::ZERO), Mutex::new(Duration::ZERO)],
             bytes: [AtomicU64::new(0), AtomicU64::new(0)],
             messages: [AtomicU64::new(0), AtomicU64::new(0)],
         })
     }
 
-    /// The clock this link charges time to.
+    /// Host 0's (the client's) clock.
     pub fn clock(&self) -> &Arc<SimClock> {
-        &self.clock
+        &self.hosts[0]
+    }
+
+    /// The clock of host `side` (0 = client, 1 = server).
+    pub fn host(&self, side: usize) -> &Arc<SimClock> {
+        &self.hosts[side]
     }
 
     /// The link's parameters.
@@ -61,13 +71,14 @@ impl Link {
         self.spec
     }
 
-    /// Compute the arrival time of a `len`-byte message sent now in
-    /// direction `dir` (0 or 1), updating counters and the serialization
-    /// horizon. The receiver gates on the returned deadline.
+    /// Compute the arrival time of a `len`-byte message that host `dir`
+    /// (0 or 1) sends now, read off its own clock, updating counters and
+    /// the serialization horizon. The receiver gates its clock on the
+    /// returned deadline.
     pub fn stamp_send(&self, dir: usize, len: usize) -> Duration {
         self.bytes[dir].fetch_add(len as u64, Ordering::Relaxed);
         self.messages[dir].fetch_add(1, Ordering::Relaxed);
-        let now = self.clock.now();
+        let now = self.hosts[dir].now();
         let serialization = match self.spec.bandwidth {
             Some(bw) if bw > 0 => Duration::from_nanos((len as u64).saturating_mul(1_000_000_000) / bw),
             _ => Duration::ZERO,
@@ -149,7 +160,20 @@ mod tests {
         let link = Link::new(LinkSpec::wan_rtt(Duration::from_millis(80)), clock.clone());
         // Ten messages sent back-to-back share the 40ms one-way latency.
         let last = (0..10).fold(Duration::ZERO, |_, _| link.stamp_send(0, 32 * 1024));
-        clock.wait_until(last);
-        assert!(clock.now() < Duration::from_millis(80), "not 10 x 40ms");
+        let server = link.host(1);
+        server.wait_until(last);
+        assert!(server.now() < Duration::from_millis(80), "not 10 x 40ms");
+    }
+
+    #[test]
+    fn each_direction_is_stamped_from_its_senders_clock() {
+        let clock = SimClock::new();
+        let link = Link::new(LinkSpec::wan_rtt(Duration::from_millis(40)), clock.clone());
+        assert!(Arc::ptr_eq(link.clock(), &clock));
+        // The server host is a second before the client: its reply is
+        // stamped from its own reading, not the client's.
+        link.host(1).advance(Duration::from_secs(1));
+        assert!(link.stamp_send(1, 8) >= Duration::from_millis(1020));
+        assert!(link.stamp_send(0, 8) < Duration::from_millis(500));
     }
 }

@@ -31,6 +31,8 @@ struct ChannelState {
     /// admission layer can sample a session's wire backlog in O(1)).
     queued_bytes: usize,
     closed: bool,
+    /// A [`PipeWatch::nudge`] no `wait_input` has consumed yet.
+    nudged: bool,
 }
 
 impl Channel {
@@ -125,12 +127,13 @@ impl PipeWatch {
         self.channel.watcher.lock().take();
     }
 
-    /// Block until a message is queued or the sending side has closed,
-    /// or until `deadline` passes (never, when `None`). Returns whether
-    /// input or EOF is pending.
+    /// Block until a message is queued, the sending side has closed or
+    /// the channel is [nudged](Self::nudge), or until `deadline` passes
+    /// (never, when `None`). Returns false only when the deadline ended
+    /// the wait. Each nudge ends one wait, the next if none is under way.
     pub fn wait_input(&self, deadline: Option<Instant>) -> bool {
         let mut st = self.channel.state.lock();
-        while st.queue.is_empty() && !st.closed {
+        while st.queue.is_empty() && !st.closed && !st.nudged {
             match deadline {
                 None => self.channel.cond.wait(&mut st),
                 Some(at) => {
@@ -141,7 +144,17 @@ impl PipeWatch {
                 }
             }
         }
-        !st.queue.is_empty() || st.closed
+        let woke = !st.queue.is_empty() || st.closed || st.nudged;
+        st.nudged = false;
+        woke
+    }
+
+    /// End a [`wait_input`](Self::wait_input) without input: for a thread
+    /// that sleeps on the wire but has other work another thread can hand
+    /// it.
+    pub fn nudge(&self) {
+        self.channel.state.lock().nudged = true;
+        self.channel.cond.notify_all();
     }
 
     /// Is at least one unconsumed message queued?
@@ -164,21 +177,19 @@ impl PipeWatch {
     }
 }
 
-/// One endpoint of an in-memory duplex pipe.
+/// One endpoint of an in-memory duplex pipe: a [`PipeReader`] and a
+/// [`PipeWriter`].
 ///
 /// Implements `Read`/`Write`; reads block until data or EOF. When built
-/// over a [`Link`], each written chunk is stamped with its arrival time and
-/// the reader fast-forwards the shared clock to that time before
-/// consuming it.
+/// over a [`Link`], the endpoint is one of the link's hosts: each written
+/// chunk is stamped with its arrival time from this host's clock, and the
+/// reader fast-forwards this host's clock to a chunk's stamp before
+/// consuming it. Dropping the endpoint closes both directions.
 pub struct PipeEnd {
-    incoming: Arc<Channel>,
-    outgoing: Arc<Channel>,
-    /// Link this endpoint transmits over, with its direction index.
-    link: Option<(Arc<Link>, usize)>,
-    clock: Option<Arc<SimClock>>,
-    /// Partially consumed incoming message.
-    readbuf: Vec<u8>,
-    readpos: usize,
+    // Dropped in this order: the peer sees our EOF before we stop
+    // listening to it.
+    writer: PipeWriter,
+    reader: PipeReader,
 }
 
 /// Create a connected pair of pipe endpoints with no link emulation
@@ -189,8 +200,8 @@ pub fn pipe_pair() -> (PipeEnd, PipeEnd) {
 
 /// Create a connected pair routed across an emulated WAN link.
 ///
-/// The first endpoint is the "client host" side (transmits in direction 0),
-/// the second the "server host" side (direction 1).
+/// The first endpoint is the client host (link host 0, transmitting in
+/// direction 0), the second the server host (host 1, direction 1).
 pub fn pipe_pair_over_link(link: Arc<Link>) -> (PipeEnd, PipeEnd) {
     build_pair(Some(link))
 }
@@ -198,37 +209,32 @@ pub fn pipe_pair_over_link(link: Arc<Link>) -> (PipeEnd, PipeEnd) {
 fn build_pair(link: Option<Arc<Link>>) -> (PipeEnd, PipeEnd) {
     let a_to_b = Channel::new();
     let b_to_a = Channel::new();
-    let clock = link.as_ref().map(|l| l.clock().clone());
-    let a = PipeEnd {
-        incoming: b_to_a.clone(),
-        outgoing: a_to_b.clone(),
-        link: link.as_ref().map(|l| (l.clone(), 0)),
-        clock: clock.clone(),
-        readbuf: Vec::new(),
-        readpos: 0,
+    let end = |side: usize, incoming: Arc<Channel>, outgoing: Arc<Channel>| PipeEnd {
+        reader: PipeReader {
+            incoming,
+            clock: link.as_ref().map(|l| l.host(side).clone()),
+            readbuf: Vec::new(),
+            readpos: 0,
+        },
+        writer: PipeWriter { outgoing, link: link.as_ref().map(|l| (l.clone(), side)) },
     };
-    let b = PipeEnd {
-        incoming: a_to_b,
-        outgoing: b_to_a,
-        link: link.map(|l| (l, 1)),
-        clock,
-        readbuf: Vec::new(),
-        readpos: 0,
-    };
-    (a, b)
+    (end(0, b_to_a.clone(), a_to_b.clone()), end(1, a_to_b, b_to_a))
 }
 
-/// The read half of a split [`PipeEnd`].
+/// The read half of a [`PipeEnd`]; dropping it closes the receive side.
 pub struct PipeReader {
     incoming: Arc<Channel>,
+    /// This host's clock, gated on each arrival stamp.
     clock: Option<Arc<SimClock>>,
+    /// Partially consumed incoming message.
     readbuf: Vec<u8>,
     readpos: usize,
 }
 
-/// The write half of a split [`PipeEnd`].
+/// The write half of a [`PipeEnd`]; dropping it closes the send side.
 pub struct PipeWriter {
     outgoing: Arc<Channel>,
+    /// Link this half transmits over, with its direction index.
     link: Option<(Arc<Link>, usize)>,
 }
 
@@ -237,28 +243,30 @@ impl PipeEnd {
     /// before boxing/wrapping the endpoint; it stays valid (and keeps
     /// firing) through any wrapping stack.
     pub fn watch(&self) -> PipeWatch {
-        PipeWatch { channel: self.incoming.clone() }
+        self.reader.watch()
     }
 
     /// Split into independently owned read and write halves, so one
     /// thread can block reading while another writes (the tunnel
     /// forwarders need this).
     pub fn split(self) -> (PipeReader, PipeWriter) {
-        let this = std::mem::ManuallyDrop::new(self);
-        // Safety: `this` is never dropped; each field is moved out
-        // exactly once.
-        unsafe {
-            let incoming = std::ptr::read(&this.incoming);
-            let outgoing = std::ptr::read(&this.outgoing);
-            let link = std::ptr::read(&this.link);
-            let clock = std::ptr::read(&this.clock);
-            let readbuf = std::ptr::read(&this.readbuf);
-            let readpos = this.readpos;
-            (
-                PipeReader { incoming, clock, readbuf, readpos },
-                PipeWriter { outgoing, link },
-            )
-        }
+        (self.reader, self.writer)
+    }
+}
+
+impl Read for PipeEnd {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.reader.read(buf)
+    }
+}
+
+impl Write for PipeEnd {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.writer.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.writer.flush()
     }
 }
 
@@ -320,57 +328,6 @@ impl Drop for PipeReader {
 impl Drop for PipeWriter {
     fn drop(&mut self) {
         self.outgoing.close();
-    }
-}
-
-impl Read for PipeEnd {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if buf.is_empty() {
-            return Ok(0);
-        }
-        while self.readpos == self.readbuf.len() {
-            match self.incoming.pop() {
-                Some(msg) => {
-                    if let Some(clock) = &self.clock {
-                        clock.wait_until(msg.arrive_at);
-                    }
-                    self.readbuf = msg.data;
-                    self.readpos = 0;
-                }
-                None => return Ok(0), // EOF
-            }
-        }
-        let n = buf.len().min(self.readbuf.len() - self.readpos);
-        buf[..n].copy_from_slice(&self.readbuf[self.readpos..self.readpos + n]);
-        self.readpos += n;
-        Ok(n)
-    }
-}
-
-impl Write for PipeEnd {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if buf.is_empty() {
-            return Ok(0);
-        }
-        let arrive_at = match &self.link {
-            Some((link, dir)) => link.stamp_send(*dir, buf.len()),
-            None => Duration::ZERO,
-        };
-        self.outgoing.push(Msg { arrive_at, data: buf.to_vec() })?;
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-impl Drop for PipeEnd {
-    fn drop(&mut self) {
-        self.outgoing.close();
-        // Also wake any reader blocked on our incoming side so a dropped
-        // peer is observed promptly.
-        self.incoming.close();
     }
 }
 
@@ -485,12 +442,28 @@ mod tests {
     }
 
     #[test]
-    fn wait_input_returns_on_arrival_close_or_deadline() {
+    fn wait_input_returns_on_arrival_close_nudge_or_deadline() {
         let (mut a, b) = pipe_pair();
         let watch = b.watch();
         let start = Instant::now();
         assert!(!watch.wait_input(Some(start + Duration::from_millis(15))), "deadline");
         assert!(start.elapsed() >= Duration::from_millis(15));
+
+        let nudger = {
+            let watch = watch.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(10));
+                watch.nudge();
+            })
+        };
+        assert!(watch.wait_input(None), "nudge");
+        nudger.join().unwrap();
+        assert!(!watch.has_input());
+        watch.nudge();
+        assert!(watch.wait_input(None), "a nudge with no waiter ends the next wait");
+        let at = Instant::now() + Duration::from_millis(5);
+        assert!(!watch.wait_input(Some(at)), "and only that one");
+
         let writer = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(10));
             a.write_all(b"late").unwrap();
@@ -511,15 +484,42 @@ mod tests {
     fn link_charges_virtual_latency() {
         let clock = SimClock::new();
         let link = Link::new(LinkSpec::wan_rtt(Duration::from_millis(40)), clock.clone());
+        let server = link.host(1).clone();
         let (mut a, mut b) = pipe_pair_over_link(link);
         a.write_all(b"ping").unwrap();
         let mut buf = [0u8; 4];
         b.read_exact(&mut buf).unwrap();
-        // One-way latency charged to the shared virtual clock.
-        assert!(clock.now() >= Duration::from_millis(20));
+        // One-way latency charged to the receiver's clock only.
+        assert!(server.now() >= Duration::from_millis(20));
+        assert_eq!(clock.virtual_time(), Duration::ZERO, "the sender's clock is untouched");
         b.write_all(b"pong").unwrap();
         a.read_exact(&mut buf).unwrap();
         assert!(clock.now() >= Duration::from_millis(40), "full RTT after reply");
+    }
+
+    /// The worst interleaving for a shared clock: eight requests leave back
+    /// to back, and the client consumes reply k before the server sends
+    /// reply k + 1. Each consumption advances only the client, so every
+    /// reply is stamped from the server's own reading and the window
+    /// costs one round trip (a shared clock charged ≈ 4.5).
+    #[test]
+    fn a_window_answered_one_by_one_costs_one_round_trip() {
+        let rtt = Duration::from_millis(200);
+        let clock = SimClock::new();
+        let link = Link::new(LinkSpec::wan_rtt(rtt), clock.clone());
+        let (mut client, mut server) = pipe_pair_over_link(link);
+        for k in 0..8u8 {
+            client.write_all(&[k]).unwrap();
+        }
+        let mut buf = [0u8; 1];
+        for k in 0..8u8 {
+            server.read_exact(&mut buf).unwrap();
+            server.write_all(&[k]).unwrap();
+            client.read_exact(&mut buf).unwrap();
+            assert_eq!(buf[0], k);
+        }
+        assert!(clock.now() >= rtt);
+        assert!(clock.now() <= rtt + rtt / 10, "{:?} on the client clock", clock.now());
     }
 
     #[test]

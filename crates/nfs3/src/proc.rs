@@ -280,14 +280,36 @@ pub struct ReadRes {
     pub data: Vec<u8>,
 }
 
+impl ReadRes {
+    /// Encode a successful READ result straight from borrowed `data` —
+    /// the wire form of a `ReadRes` with status OK and `count` =
+    /// `data.len()`, without the owned copy of the data one would need.
+    pub fn encode_ok(enc: &mut XdrEncoder, attr: &PostOpAttr, eof: bool, data: &[u8]) {
+        Self::encode_ok_counted(enc, attr, data.len() as u32, eof, data);
+    }
+
+    fn encode_ok_counted(
+        enc: &mut XdrEncoder,
+        attr: &PostOpAttr,
+        count: u32,
+        eof: bool,
+        data: &[u8],
+    ) {
+        NfsStat3::Ok.encode(enc);
+        attr.encode(enc);
+        enc.put_u32(count);
+        enc.put_bool(eof);
+        enc.put_opaque(data);
+    }
+}
+
 impl XdrEncode for ReadRes {
     fn encode(&self, enc: &mut XdrEncoder) {
-        self.status.encode(enc);
-        self.attr.encode(enc);
         if self.status == NfsStat3::Ok {
-            enc.put_u32(self.count);
-            enc.put_bool(self.eof);
-            enc.put_opaque(&self.data);
+            Self::encode_ok_counted(enc, &self.attr, self.count, self.eof, &self.data);
+        } else {
+            self.status.encode(enc);
+            self.attr.encode(enc);
         }
     }
 }
@@ -337,11 +359,33 @@ impl XdrEncode for WriteArgs {
 
 impl XdrDecode for WriteArgs {
     fn decode(dec: &mut XdrDecoder<'_>) -> XdrResult<Self> {
+        let a = WriteArgsRef::decode(dec)?;
+        Ok(Self { file: a.file, offset: a.offset, stable: a.stable, data: a.data.to_vec() })
+    }
+}
+
+/// WRITE arguments with the data borrowed from the call record: what a
+/// server that only copies the data into its file decodes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WriteArgsRef<'a> {
+    /// File to write.
+    pub file: Fh3,
+    /// Byte offset.
+    pub offset: u64,
+    /// Stability requested.
+    pub stable: StableHow,
+    /// The data, in place in the decoded buffer.
+    pub data: &'a [u8],
+}
+
+impl<'a> WriteArgsRef<'a> {
+    /// Decode [`WriteArgs`]' wire form without copying the data.
+    pub fn decode(dec: &mut XdrDecoder<'a>) -> XdrResult<Self> {
         let file = Fh3::decode(dec)?;
         let offset = dec.get_u64()?;
         let count = dec.get_u32()?;
         let stable = StableHow::decode(dec)?;
-        let data = dec.get_opaque()?;
+        let data = dec.get_opaque_ref()?;
         if data.len() != count as usize {
             return Err(XdrError::InvalidEnum { what: "write count", value: count });
         }

@@ -146,12 +146,12 @@ impl PageCache {
     }
 
     /// Look up a page, updating LRU order and counters.
-    pub fn get(&mut self, fh: &Fh3, page: u64) -> Option<Vec<u8>> {
+    pub fn get(&mut self, fh: &Fh3, page: u64) -> Option<&[u8]> {
         let key = (fh.clone(), page);
         if self.pages.contains_key(&key) {
             self.hits += 1;
             self.touch(&key);
-            Some(self.pages[&key].data.clone())
+            Some(&self.pages[&key].data)
         } else {
             self.misses += 1;
             None

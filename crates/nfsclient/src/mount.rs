@@ -368,24 +368,23 @@ impl NfsMount {
         while pos < end {
             let page_idx = pos / ps;
             let page_off = (pos % ps) as usize;
-            let page = match self.pages.get(&fh, page_idx) {
-                Some(p) => p,
-                None => {
-                    self.stats.read += 1;
-                    let res = self.nfs.read(&fh, page_idx * ps, ps as u32)?;
-                    if let Some(a) = &res.attr {
-                        let now = self.now();
-                        self.attrs.update(&fh, a, now);
-                    }
-                    let data = res.data;
-                    for (wfh, widx, wdata) in
-                        self.pages.insert(&fh, page_idx, data.clone(), false)
-                    {
-                        self.writeback(&wfh, widx, wdata)?;
-                    }
-                    data
+            if self.pages.get(&fh, page_idx).is_none() {
+                self.stats.read += 1;
+                let res = self.nfs.read(&fh, page_idx * ps, ps as u32)?;
+                if let Some(a) = &res.attr {
+                    let now = self.now();
+                    self.attrs.update(&fh, a, now);
                 }
-            };
+                // The fetched page moves into the cache and is read from
+                // there, like a hit.
+                for (wfh, widx, wdata) in self.pages.insert(&fh, page_idx, res.data, false) {
+                    self.writeback(&wfh, widx, wdata)?;
+                }
+            }
+            let page = self
+                .pages
+                .peek(&fh, page_idx)
+                .expect("a page just hit or inserted is resident: eviction spares the newest");
             let take = ((end - pos) as usize).min(page.len().saturating_sub(page_off));
             if take == 0 {
                 break; // short page: EOF inside this page
@@ -435,11 +434,15 @@ impl NfsMount {
                     let res = self.nfs.read(&fh, page_start, ps as u32)?;
                     res.data
                 };
+                // Only a hole in front of the write is zero-filled: the
+                // chunk overwrites what the page has and extends the rest.
                 let mut page = base;
-                if page.len() < page_off + take {
-                    page.resize(page_off + take, 0);
+                if page.len() < page_off {
+                    page.resize(page_off, 0);
                 }
-                page[page_off..page_off + take].copy_from_slice(chunk);
+                let overlap = (page.len() - page_off).min(take);
+                page[page_off..page_off + overlap].copy_from_slice(&chunk[..overlap]);
+                page.extend_from_slice(&chunk[overlap..]);
                 for (wfh, widx, wdata) in self.pages.insert(&fh, page_idx, page, true) {
                     self.writeback(&wfh, widx, wdata)?;
                 }

@@ -4,6 +4,7 @@ use crate::exports::Exports;
 use sgfs_nfs3::proc::{procnum, *};
 use sgfs_nfs3::types::*;
 use sgfs_nfs3::{NFS_PROGRAM, NFS_VERSION};
+use sgfs_oncrpc::client::NoArgs;
 use sgfs_oncrpc::server::Dispatch;
 use sgfs_oncrpc::{AcceptStat, OpaqueAuth, RpcService};
 use sgfs_vfs::{FileKind, Ino, UserContext, Vfs};
@@ -179,32 +180,32 @@ impl NfsServer {
         }
     }
 
-    fn read(&self, args: &ReadArgs, ctx: &UserContext) -> ReadRes {
+    /// READ, encoded straight from the file's extent into the reply: the
+    /// data is copied once, from the file into the reply record.
+    fn read(&self, args: &ReadArgs, ctx: &UserContext) -> Dispatch {
+        let failed = |status, attr| {
+            Dispatch::reply(&ReadRes { status, attr, count: 0, eof: false, data: Vec::new() })
+        };
         let ino = match self.ino(&args.file) {
             Ok(i) => i,
-            Err(status) => {
-                return ReadRes { status, attr: None, count: 0, eof: false, data: Vec::new() }
-            }
+            Err(status) => return failed(status, None),
         };
-        match self.vfs.read(ino, args.offset, args.count, ctx) {
-            Ok((data, eof)) => ReadRes {
-                status: NfsStat3::Ok,
-                attr: self.post_attr(ino),
-                count: data.len() as u32,
-                eof,
-                data,
-            },
-            Err(e) => ReadRes {
-                status: e.into(),
-                attr: self.post_attr(ino),
-                count: 0,
-                eof: false,
-                data: Vec::new(),
-            },
+        // Attributes first: the extent is encoded under the file system's
+        // read lock, which `post_attr` would take again.
+        let attr = self.post_attr(ino);
+        // Sized from the extent, never from the client's `count`.
+        let read = self.vfs.read_with(ino, args.offset, args.count, ctx, |data, eof| {
+            let mut enc = Dispatch::encoder(READ_RES_FIXED + data.len());
+            ReadRes::encode_ok(&mut enc, &attr, eof, data);
+            enc
+        });
+        match read {
+            Ok(enc) => Dispatch::Ok(enc.into_bytes()),
+            Err(e) => failed(e.into(), self.post_attr(ino)),
         }
     }
 
-    fn write(&self, args: &WriteArgs, ctx: &UserContext) -> WriteRes {
+    fn write(&self, args: &WriteArgsRef<'_>, ctx: &UserContext) -> WriteRes {
         let ino = match self.ino(&args.file) {
             Ok(i) => i,
             Err(status) => {
@@ -218,7 +219,7 @@ impl NfsServer {
             }
         };
         let before = self.wcc_before(ino);
-        match self.vfs.write(ino, args.offset, &args.data, ctx) {
+        match self.vfs.write(ino, args.offset, args.data, ctx) {
             Ok(_) => WriteRes {
                 status: NfsStat3::Ok,
                 wcc: self.wcc(before, ino),
@@ -545,6 +546,10 @@ impl NfsServer {
     }
 }
 
+/// Bytes of a successful READ result besides the data: status, post-op
+/// attributes, count, eof, the opaque length and its padding.
+const READ_RES_FIXED: usize = 4 + 4 + 84 + 4 + 4 + 4 + 3;
+
 /// Decode args and run the body, mapping decode failures to GarbageArgs.
 fn with_args<A: XdrDecode, R: XdrEncode>(
     args: &mut XdrDecoder<'_>,
@@ -568,14 +573,20 @@ impl RpcService for NfsServer {
     fn handle(&self, proc: u32, cred: &OpaqueAuth, args: &mut XdrDecoder<'_>) -> Dispatch {
         let ctx = self.ctx_from_cred(cred);
         match proc {
-            procnum::NULL => Dispatch::Ok(Vec::new()),
+            procnum::NULL => Dispatch::reply(&NoArgs),
             procnum::GETATTR => with_args(args, |fh: Fh3| self.getattr(&fh)),
             procnum::SETATTR => with_args(args, |a: SetAttrArgs| self.setattr(&a, &ctx)),
             procnum::LOOKUP => with_args(args, |a: DirOpArgs3| self.lookup(&a, &ctx)),
             procnum::ACCESS => with_args(args, |a: AccessArgs| self.access(&a, &ctx)),
             procnum::READLINK => with_args(args, |fh: Fh3| self.readlink(&fh)),
-            procnum::READ => with_args(args, |a: ReadArgs| self.read(&a, &ctx)),
-            procnum::WRITE => with_args(args, |a: WriteArgs| self.write(&a, &ctx)),
+            procnum::READ => match ReadArgs::decode(args) {
+                Ok(a) => self.read(&a, &ctx),
+                Err(_) => Dispatch::Error(AcceptStat::GarbageArgs),
+            },
+            procnum::WRITE => match WriteArgsRef::decode(args) {
+                Ok(a) => Dispatch::reply(&self.write(&a, &ctx)),
+                Err(_) => Dispatch::Error(AcceptStat::GarbageArgs),
+            },
             procnum::CREATE => with_args(args, |a: CreateArgs| self.create(&a, &ctx)),
             procnum::MKDIR => with_args(args, |a: MkdirArgs| self.mkdir(&a, &ctx)),
             procnum::SYMLINK => with_args(args, |a: SymlinkArgs| self.symlink(&a, &ctx)),
@@ -754,6 +765,27 @@ mod tests {
         match c.read(&fh, 0, 10) {
             Err(Nfs3Error::Status(NfsStat3::Acces)) => {}
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn read_reply_is_sized_by_the_file_not_the_requested_count() {
+        let (server, mut c, root) = testbed();
+        let (fh, _) = c.create(&root, "small", Sattr3::default()).unwrap();
+        c.write(&fh, 0, b"payload".to_vec(), StableHow::FileSync).unwrap();
+
+        let r = c.read(&fh, 0, u32::MAX).unwrap();
+        assert_eq!((r.count, r.eof, r.data.as_slice()), (7, true, &b"payload"[..]));
+
+        let args = ReadArgs { file: fh, offset: 0, count: u32::MAX }.to_xdr_bytes();
+        let cred = OpaqueAuth::sys(&AuthSysParams::new("client", 1000, 1000));
+        match server.handle(procnum::READ, &cred, &mut XdrDecoder::new(&args)) {
+            Dispatch::Ok(reply) => assert!(
+                reply.capacity() < 4096,
+                "a 7-byte READ reserved {} bytes",
+                reply.capacity()
+            ),
+            _ => panic!("READ of a readable file failed"),
         }
     }
 

@@ -31,8 +31,8 @@
 //!
 //! # Why a blocking read inside the loop is sound
 //!
-//! The record writer emits header + payload in ONE write call per
-//! fragment ([`crate::record::write_record_with`]), and the in-memory
+//! The record writer emits mark + payload in ONE write call per record
+//! ([`crate::record::write_marked`]), and the in-memory
 //! pipe turns each write call into one message, so a message never spans
 //! two records. GTLS likewise seals each write call into its own frames.
 //! Consequently, once readiness reports the first bytes of a record, the

@@ -9,45 +9,52 @@ use std::io::{self, Read, Write};
 /// Refuse records larger than this (defense against corrupt length words).
 pub const MAX_RECORD: usize = 8 * 1024 * 1024;
 
-/// Fragment size used when writing. One fragment per record in practice;
-/// splitting is exercised by tests for interoperability.
-const WRITE_FRAGMENT: usize = MAX_RECORD;
+/// Bytes of a record mark (one fragment header). A buffer that keeps this
+/// much headroom in front of a record can go out through
+/// [`write_marked`] without being copied.
+pub const MARK_LEN: usize = 4;
 
-/// Write one complete record (as a single final fragment, or several when
-/// it exceeds the fragment size).
-pub fn write_record<W: Write + ?Sized>(w: &mut W, data: &[u8]) -> io::Result<()> {
-    let mut scratch = Vec::with_capacity(4 + data.len().min(WRITE_FRAGMENT));
-    write_record_with(w, data, &mut scratch)
+/// The mark of a record of `len` bytes sent as one final fragment.
+pub(crate) fn mark(len: usize) -> [u8; MARK_LEN] {
+    (0x8000_0000 | len as u32).to_be_bytes()
 }
 
-/// Like [`write_record`] but assembles each fragment in a caller-provided
-/// scratch buffer, so a connection writing many records allocates nothing
-/// at steady state.
-pub fn write_record_with<W: Write + ?Sized>(
-    w: &mut W,
-    data: &[u8],
-    scratch: &mut Vec<u8>,
-) -> io::Result<()> {
-    if data.is_empty() {
-        // A record can be empty: single final fragment of length 0.
-        w.write_all(&0x8000_0000u32.to_be_bytes())?;
-        return w.flush();
+/// A copy of `data` behind [`MARK_LEN`] bytes of headroom, ready for
+/// [`write_marked`] as often as it is sent.
+pub fn framed(data: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(MARK_LEN + data.len());
+    buf.extend_from_slice(&[0; MARK_LEN]);
+    buf.extend_from_slice(data);
+    buf
+}
+
+/// Write one complete record, staged behind its mark in a fresh buffer.
+/// Writers of many records keep their own headroom and call
+/// [`write_marked`] instead.
+pub fn write_record<W: Write + ?Sized>(w: &mut W, data: &[u8]) -> io::Result<()> {
+    write_marked(w, &mut framed(data))
+}
+
+/// Write `buf[MARK_LEN..]` as one record (a single final fragment), its
+/// mark patched into the `MARK_LEN` bytes of headroom in front of it.
+///
+/// Mark and payload go out in ONE write call, uncopied: the in-memory
+/// pipe transport stamps arrival times per write, GTLS seals one record
+/// per write, and a logically atomic message must carry a single stamp
+/// (see sgfs-net's clock docs). A record over [`MAX_RECORD`], which no
+/// reader would accept, is refused.
+pub fn write_marked<W: Write + ?Sized>(w: &mut W, buf: &mut [u8]) -> io::Result<()> {
+    let len = buf.len().checked_sub(MARK_LEN).ok_or_else(|| {
+        io::Error::new(io::ErrorKind::InvalidInput, "record buffer lacks its mark headroom")
+    })?;
+    if len > MAX_RECORD {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("record of {len} bytes exceeds {MAX_RECORD}"),
+        ));
     }
-    // Header and payload go out in ONE write call: the in-memory pipe
-    // transport stamps arrival times per write, and a logically atomic
-    // message must carry a single stamp (see sgfs-net's clock docs).
-    let mut chunks = data.chunks(WRITE_FRAGMENT).peekable();
-    while let Some(chunk) = chunks.next() {
-        let last = chunks.peek().is_none();
-        let mut header = chunk.len() as u32;
-        if last {
-            header |= 0x8000_0000;
-        }
-        scratch.clear();
-        scratch.extend_from_slice(&header.to_be_bytes());
-        scratch.extend_from_slice(chunk);
-        w.write_all(scratch)?;
-    }
+    buf[..MARK_LEN].copy_from_slice(&mark(len));
+    w.write_all(buf)?;
     w.flush()
 }
 
@@ -66,11 +73,26 @@ pub fn read_record<R: Read + ?Sized>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
 /// record outgrows the buffer's previous length are zeroed before the
 /// read fills them. After an error the buffer's contents are unspecified.
 pub fn read_record_into<R: Read + ?Sized>(r: &mut R, out: &mut Vec<u8>) -> io::Result<bool> {
+    read_record_at(r, out, 0)
+}
+
+/// Like [`read_record_into`], but the record lands in `out[start..]` and
+/// `out[..start]` (headroom for a mark, say) is kept: on success
+/// `out.len()` is `start` plus the record's length. A buffer reused at
+/// its high-water length is overwritten, never zero-filled again.
+pub fn read_record_at<R: Read + ?Sized>(
+    r: &mut R,
+    out: &mut Vec<u8>,
+    start: usize,
+) -> io::Result<bool> {
+    if out.len() < start {
+        out.resize(start, 0);
+    }
     // Bytes of this record reassembled so far; `out` beyond it still
     // holds the previous record until the final truncate.
     let mut filled = 0;
     loop {
-        let mut hdr = [0u8; 4];
+        let mut hdr = [0u8; MARK_LEN];
         match read_exact_or_eof(r, &mut hdr)? {
             false if filled == 0 => return Ok(false),
             false => {
@@ -87,13 +109,14 @@ pub fn read_record_into<R: Read + ?Sized>(r: &mut R, out: &mut Vec<u8>) -> io::R
                 format!("record exceeds {MAX_RECORD} bytes"),
             ));
         }
-        if out.len() < filled + len {
-            out.resize(filled + len, 0);
+        let (from, to) = (start + filled, start + filled + len);
+        if out.len() < to {
+            out.resize(to, 0);
         }
-        r.read_exact(&mut out[filled..filled + len])?;
+        r.read_exact(&mut out[from..to])?;
         filled += len;
         if last {
-            out.truncate(filled);
+            out.truncate(start + filled);
             return Ok(true);
         }
     }
@@ -205,6 +228,29 @@ mod tests {
             assert_eq!(buf, want);
         }
         assert!(!read_record_into(&mut cur, &mut buf).unwrap());
+    }
+
+    /// A buffer with mark headroom leaves in one write, uncopied, and
+    /// reads back into another buffer's tail with its headroom kept.
+    #[test]
+    fn marked_records_round_trip_through_headroom() {
+        let mut wire = Vec::new();
+        let mut call = vec![0xEE; MARK_LEN];
+        call.extend_from_slice(b"payload");
+        write_marked(&mut wire, &mut call).unwrap();
+        assert_eq!(&call[..MARK_LEN], &mark(7), "the mark is patched into the headroom");
+        assert_eq!(&wire[..], &call[..]);
+        write_marked(&mut wire, &mut [0; MARK_LEN]).unwrap();
+        let mut cur = Cursor::new(wire);
+        let mut out = b"HDR!stale bytes of a longer record".to_vec();
+        assert!(read_record_at(&mut cur, &mut out, MARK_LEN).unwrap());
+        assert_eq!(out, b"HDR!payload");
+        assert!(read_record_at(&mut cur, &mut out, MARK_LEN).unwrap());
+        assert_eq!(out, b"HDR!", "an empty record leaves only the headroom");
+        assert!(!read_record_at(&mut cur, &mut out, MARK_LEN).unwrap());
+
+        let err = write_marked(&mut Vec::new(), &mut [0; 3]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]

@@ -6,9 +6,16 @@ use sgfs_net::BoxStream;
 use sgfs_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder};
 use std::sync::Arc;
 
+/// Bytes of an accepted-success reply header with an `AUTH_NONE`
+/// verifier ([`ReplyHeader::success`]): the headroom a result encoded by
+/// [`Dispatch::reply`] or into a [`Dispatch::encoder`] keeps in front.
+pub const REPLY_HEADROOM: usize = 24;
+
 /// Outcome of dispatching one procedure.
 pub enum Dispatch {
-    /// Success: XDR-encoded result bytes.
+    /// Success: [`REPLY_HEADROOM`] reserved bytes, then the XDR result, as
+    /// [`Dispatch::reply`] and [`Dispatch::encoder`] build it. The reply
+    /// header is written into the headroom, so the result is never copied.
     Ok(Vec<u8>),
     /// Accepted-but-failed (e.g. `ProcUnavail`, `GarbageArgs`).
     Error(AcceptStat),
@@ -19,7 +26,18 @@ pub enum Dispatch {
 impl Dispatch {
     /// Encode `v` as a successful result.
     pub fn reply<T: XdrEncode>(v: &T) -> Self {
-        Dispatch::Ok(v.to_xdr_bytes())
+        let mut enc = Self::encoder(256);
+        v.encode(&mut enc);
+        Dispatch::Ok(enc.into_bytes())
+    }
+
+    /// An encoder for a successful result of about `cap` bytes, positioned
+    /// behind the reply header's headroom; wrap what it encodes in
+    /// [`Dispatch::Ok`].
+    pub fn encoder(cap: usize) -> XdrEncoder {
+        let mut buf = Vec::with_capacity(REPLY_HEADROOM + cap);
+        buf.resize(REPLY_HEADROOM, 0);
+        XdrEncoder::from_vec(buf)
     }
 }
 
@@ -79,10 +97,12 @@ pub fn process_record(record: &[u8], service: &dyn RpcService) -> Vec<u8> {
 
     let mut enc = XdrEncoder::with_capacity(64);
     match reply {
-        Dispatch::Ok(body) => {
+        Dispatch::Ok(mut out) => {
             ReplyHeader::success(header.xid).encode(&mut enc);
-            let mut out = enc.into_bytes();
-            out.extend_from_slice(&body);
+            // An AUTH_NONE verifier has no body: the header is always
+            // exactly the headroom the encoder reserved.
+            assert_eq!(enc.len(), REPLY_HEADROOM, "reply header outgrew its headroom");
+            out[..REPLY_HEADROOM].copy_from_slice(enc.as_bytes());
             out
         }
         Dispatch::Error(stat) => {
@@ -118,7 +138,7 @@ mod tests {
         }
         fn handle(&self, proc: u32, _cred: &OpaqueAuth, args: &mut XdrDecoder<'_>) -> Dispatch {
             match proc {
-                0 => Dispatch::Ok(Vec::new()),
+                0 => Dispatch::reply(&crate::client::NoArgs),
                 1 => match args.get_u32() {
                     Ok(v) => Dispatch::reply(&(v * 2)),
                     Err(_) => Dispatch::Error(AcceptStat::GarbageArgs),

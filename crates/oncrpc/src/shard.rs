@@ -13,7 +13,7 @@
 //! overload-band flag.
 
 use crate::pool::{ConnPump, IoPool, PoolConn};
-use crate::record::{read_record_into, write_record_with};
+use crate::record::{read_record_into, write_marked, MARK_LEN};
 use crate::server::{process_record, RpcService};
 use sgfs_net::{BoxStream, PipeWatch, Readiness};
 use sgfs_obs::{peek_proc, peek_xid, Counter, Emitter, Hop, Obs, NO_PROC};
@@ -31,6 +31,22 @@ use std::sync::Arc;
 pub trait RecordService: Send + Sync {
     /// Consume one request record, produce one reply record.
     fn process_record(&self, record: &[u8]) -> io::Result<Vec<u8>>;
+
+    /// Like [`process_record`](Self::process_record), but the reply lands
+    /// in `out` behind the [`MARK_LEN`] bytes its caller reserves there
+    /// for the record mark: on success `out[MARK_LEN..]` is exactly the
+    /// reply. Whatever `out` held past the headroom is stale and may be
+    /// overwritten in place, so a buffer reused at its high-water length
+    /// costs no zero-fill; after an error its contents are unspecified.
+    /// The shard hands every session its one send buffer this way. The
+    /// default copies the reply `process_record` returns; a service that
+    /// can write its reply straight into `out` overrides it.
+    fn process_record_into(&self, record: &[u8], out: &mut Vec<u8>) -> io::Result<()> {
+        let reply = self.process_record(record)?;
+        out.truncate(MARK_LEN);
+        out.extend_from_slice(&reply);
+        Ok(())
+    }
 
     /// Produce a cheap "try again later" reply for `record` *without*
     /// executing it, or `None` if this service cannot shed (the shard
@@ -181,7 +197,7 @@ impl ShardServer {
                 em: em.clone(),
                 policy,
                 record: Vec::new(),
-                scratch: Vec::new(),
+                send: Vec::new(),
                 overloaded: false,
             }
         });
@@ -258,10 +274,12 @@ struct ShardState {
     gauges: Arc<ShardGauges>,
     em: Emitter,
     policy: AdmissionPolicy,
-    /// One request buffer and one write-assembly buffer shared by every
-    /// session the shard owns — zero-alloc at steady state.
+    /// One request buffer and one reply buffer shared by every session the
+    /// shard owns — zero-alloc at steady state. A reply is written into
+    /// `send` behind [`MARK_LEN`] bytes of headroom and leaves in one
+    /// write with its mark, never staged.
     record: Vec<u8>,
-    scratch: Vec<u8>,
+    send: Vec<u8>,
     /// Inside the overload hysteresis band (mirrored into the gauge).
     overloaded: bool,
 }
@@ -336,7 +354,7 @@ impl PinnedSession {
     /// Serve request records until the deficit, the per-visit record
     /// budget, or the input runs out.
     fn serve(&mut self, shard: &mut ShardState) -> ConnPump {
-        let ShardState { em, policy, record, scratch, overloaded, .. } = shard;
+        let ShardState { em, policy, record, send, overloaded, .. } = shard;
         for _ in 0..policy.max_pump {
             if self.deficit == 0 {
                 break; // DRR budget spent; yield to the neighbors.
@@ -360,6 +378,9 @@ impl PinnedSession {
                         } else {
                             policy.session_backlog_cap
                         };
+                        // A failed service may have left `send` anywhere:
+                        // every reply starts from restored headroom.
+                        send.resize(send.len().max(MARK_LEN), 0);
                         if backlog > cap {
                             if let Some(reply) = self.service.shed_record(record) {
                                 em.emit(
@@ -368,20 +389,21 @@ impl PinnedSession {
                                     peek_proc(record),
                                     backlog as u64,
                                 );
-                                if write_record_with(&mut self.stream, &reply, scratch).is_err() {
+                                send.truncate(MARK_LEN);
+                                send.extend_from_slice(&reply);
+                                if write_marked(&mut self.stream, send).is_err() {
                                     return ConnPump::Gone;
                                 }
                                 continue;
                             }
                         }
-                        let reply = match self.service.process_record(record) {
-                            Ok(r) => r,
-                            Err(_) => return ConnPump::Gone,
-                        };
+                        if self.service.process_record_into(record, send).is_err() {
+                            return ConnPump::Gone;
+                        }
                         // Count before the reply leaves: a peer that has seen
                         // the reply must also see it counted.
                         em.add(Counter::Served, 1);
-                        if write_record_with(&mut self.stream, &reply, scratch).is_err() {
+                        if write_marked(&mut self.stream, send).is_err() {
                             return ConnPump::Gone;
                         }
                     }
@@ -435,7 +457,7 @@ mod tests {
         }
         fn handle(&self, proc: u32, _cred: &OpaqueAuth, args: &mut XdrDecoder<'_>) -> Dispatch {
             match proc {
-                0 => Dispatch::Ok(Vec::new()),
+                0 => Dispatch::reply(&crate::client::NoArgs),
                 1 => match args.get_u32() {
                     Ok(v) => Dispatch::reply(&(v * 2)),
                     Err(_) => Dispatch::Error(AcceptStat::GarbageArgs),
@@ -527,6 +549,54 @@ mod tests {
                 Arc::new(RpcRecordService(Arc::new(Doubler))),
             )
             .is_err());
+    }
+
+    /// Writes its reply straight into the shard's send buffer; the record
+    /// `b"bad"` fails after wrecking the buffer's headroom.
+    struct Direct;
+
+    impl RecordService for Direct {
+        fn process_record(&self, _: &[u8]) -> io::Result<Vec<u8>> {
+            unreachable!("the shard replies through process_record_into")
+        }
+
+        fn process_record_into(&self, record: &[u8], out: &mut Vec<u8>) -> io::Result<()> {
+            if record == b"bad" {
+                out.clear();
+                return Err(io::Error::other("failed mid-reply"));
+            }
+            out.truncate(MARK_LEN);
+            out.extend_from_slice(b"direct:");
+            out.extend_from_slice(record);
+            Ok(())
+        }
+    }
+
+    /// Sessions share one send buffer per shard: a service that fails
+    /// after wrecking it drops only its own session, and the neighbour's
+    /// replies stay exact — shorter after longer included.
+    #[test]
+    fn a_failed_reply_leaves_no_trace_in_the_next() {
+        use crate::record::{read_record, write_record};
+        let _serial = serial();
+        let server = ShardServer::new(1);
+        let mut ends = Vec::new();
+        for _ in 0..2 {
+            let (client_end, server_end) = pipe_pair();
+            let watch = server_end.watch();
+            server.add_session(Box::new(server_end), watch, Arc::new(Direct)).unwrap();
+            ends.push(client_end);
+        }
+        let (mut bad, mut good) = (ends.remove(0), ends.remove(0));
+        write_record(&mut good, b"a long request first").unwrap();
+        assert_eq!(read_record(&mut good).unwrap().unwrap(), b"direct:a long request first");
+        write_record(&mut bad, b"bad").unwrap();
+        assert!(read_record(&mut bad).unwrap().is_none(), "the failing session is dropped");
+        for req in [&b"short"[..], b""] {
+            write_record(&mut good, req).unwrap();
+            assert_eq!(read_record(&mut good).unwrap().unwrap(), [b"direct:", req].concat());
+        }
+        assert_eq!(server.stats().served, 3);
     }
 
     #[test]

@@ -145,7 +145,7 @@ mod tests {
         }
         fn handle(&self, proc: u32, _cred: &OpaqueAuth, args: &mut XdrDecoder<'_>) -> Dispatch {
             match proc {
-                0 => Dispatch::Ok(Vec::new()),
+                0 => Dispatch::reply(&sgfs_oncrpc::client::NoArgs),
                 1 => Dispatch::reply(&args.get_opaque().unwrap_or_default()),
                 _ => Dispatch::Error(sgfs_oncrpc::AcceptStat::ProcUnavail),
             }

@@ -1180,7 +1180,7 @@ impl ClientProxy {
         for (m, records) in records_of.iter().enumerate() {
             if !records.is_empty() {
                 let member = self.stripe.member(m);
-                let replies = member.submit_batch(records.clone());
+                let replies = member.submit_batch(records);
                 pending.push((m, member, replies));
             }
         }
@@ -1550,7 +1550,7 @@ impl ClientProxy {
         for m in members {
             if self.stripe.is_up(m) {
                 let member = self.stripe.member(m);
-                let reply = member.submit(record.to_vec());
+                let reply = member.submit(record);
                 pending.push((m, member, reply));
             }
         }
@@ -1656,7 +1656,7 @@ impl ClientProxy {
         }
         let member = self.stripe.member(m);
         let mut verf: Option<u64> = None;
-        for (record, reply) in records.iter().zip(member.submit_batch(records.clone())) {
+        for (record, reply) in records.iter().zip(member.submit_batch(&records)) {
             let v = settle_write(&member, &self.stats, &self.channels.retry, record, reply)?;
             if *verf.get_or_insert(v) != v {
                 return Err(std::io::Error::other(
@@ -1897,7 +1897,7 @@ fn call_jukebox_patient(
     retry: &crate::config::RetryPolicy,
     record: &[u8],
 ) -> std::io::Result<Vec<u8>> {
-    let reply = pipeline.call(record.to_vec())?;
+    let reply = pipeline.call(record)?;
     settle_jukebox(pipeline, stats, retry, record, reply)
 }
 
@@ -1923,7 +1923,7 @@ fn settle_jukebox(
         );
         std::thread::sleep(backoff);
         backoff = (backoff * 2).min(retry.backoff_cap);
-        reply = pipeline.call(record.to_vec())?;
+        reply = pipeline.call(record)?;
     }
     Ok(reply)
 }

@@ -40,9 +40,18 @@
 //!
 //! Neither is a mode. A caller that finds the state held takes the ring
 //! path and waits on its reply channel; a worker that finds it held by a
-//! caller leaves a mark, and the caller wakes it on release. Steady state
-//! is allocation-free: the ring is a fixed-capacity ladder, and the
-//! record/reply scratch buffers recycle as before. Dropping the last
+//! caller leaves a mark, and the caller wakes it on release.
+//!
+//! One copy each way. A submitted record is copied once, into the
+//! pipeline's own buffer behind room for its RFC 5531 record mark; that
+//! buffer is sealed and written as it is (`write_marked`, no staging
+//! copy) and kept for retransmission. A reply is read out of the
+//! transport once, into the reply buffer, which then rides to its waiter
+//! as the reply itself while the completed call's buffer becomes the next
+//! reply buffer — so a read whose reply outgrows that recycled buffer
+//! regrows it, the only zero-fill on this path.
+//!
+//! The submission ring is a fixed-capacity ladder. Dropping the last
 //! handle closes the ring; the worker observes the close, delivers any
 //! replies that already arrived, fails the rest, flushes the depth gauge,
 //! and retires the connection — the handle's `Drop` blocks (bounded)
@@ -85,10 +94,12 @@
 //! guarantees a whole record follows, so the bounded blocking record
 //! read stalls neither party. Only a caller ever waits for *new* input:
 //! with nothing actionable it sleeps in [`PipeWatch::wait_input`], still
-//! holding the state, until input, EOF or the per-call deadline of
+//! holding the state, until input, EOF, a [`PipeWatch::nudge`] from a
+//! handle that pushed a command the window has room for (its next pass
+//! admits it, so a concurrent caller does not wait a round trip behind
+//! it) or the per-call deadline of
 //! [`RetryPolicy::call_deadline`] — a silent server yields `TimedOut`
-//! rather than a hang, and a command another thread submits meanwhile
-//! waits for that caller's reply. A timed-out call stays in flight; its
+//! rather than a hang. A timed-out call stays in flight; its
 //! late reply is collected (and discarded) by the worker, as any reply
 //! nobody is waiting on. Renegotiation and reconnect backoff block
 //! whichever party is driving (they are rare, bounded control-plane
@@ -100,7 +111,7 @@ use sgfs_obs::{Counter, Emitter, Gauge, Hop, NO_PROC};
 use crate::proxy::client::Upstream;
 use parking_lot::{Condvar, Mutex};
 use sgfs_net::{submit_ring, PipeWatch, Popped, Readiness, SubmitReceiver, SubmitSender};
-use sgfs_oncrpc::record::{is_transient_io, read_record_into, write_record_with};
+use sgfs_oncrpc::record::{framed, is_transient_io, read_record_into, write_marked, MARK_LEN};
 use sgfs_oncrpc::{ClientIoPool, ConnPump, PoolConn};
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -132,8 +143,11 @@ type BatchEntry = (Vec<u8>, ReplyTx);
 
 /// Commands from pipeline handles to the pool worker.
 enum Cmd {
-    /// Forward one raw call record; the reply (original xid restored)
-    /// goes back through `reply_tx`.
+    /// Forward one raw call record, held in the pipeline's own copy
+    /// behind mark headroom ([`framed`]: the one copy a call makes between
+    /// its caller's buffer and the wire, resent as it is after a
+    /// reconnect); the reply (original xid restored) goes back through
+    /// `reply_tx`.
     Call { record: Vec<u8>, reply_tx: ReplyTx },
     /// Several calls submitted atomically: they reach the pump as a
     /// unit, so up to a window of them is guaranteed to be admitted
@@ -154,6 +168,9 @@ struct Shared {
     is_tls: bool,
     /// Per-call reply deadline applied by `PendingReply::wait`.
     deadline: Option<Duration>,
+    /// The wire a driving caller sleeps on while it could admit another
+    /// command; a handle that pushes one nudges it (`Pipeline::push`).
+    asleep: Mutex<Option<PipeWatch>>,
 }
 
 /// Signals the handle side when the pump has retired the connection
@@ -418,6 +435,7 @@ impl Pipeline {
             handshakes: AtomicU64::new(handshakes),
             is_tls,
             deadline: retry.call_deadline,
+            asleep: Mutex::new(None),
         });
         let retired = RetireGate::new();
         let state = IoState {
@@ -444,7 +462,6 @@ impl Pipeline {
             calls_since_rekey: 0,
             reply_buf: Vec::new(),
             reply_high_water: 0,
-            write_scratch: Vec::new(),
         };
         let conn = Arc::new(Conn { io: Mutex::new(state), missed: AtomicBool::new(false) });
         pool.add_conn(Box::new(Pump(conn.clone())))?;
@@ -459,8 +476,16 @@ impl Pipeline {
         })
     }
 
-    fn sender(&self) -> &SubmitSender<Cmd> {
-        self.inner.cmd_tx.as_ref().expect("sender present until the last handle drops")
+    /// Hand `cmd` to whoever pumps: the ring wakes the worker, and a
+    /// caller asleep on the wire is nudged to admit it itself. `Err` (the
+    /// command back) once the pump has retired.
+    fn push(&self, cmd: Cmd) -> Result<(), Cmd> {
+        let sender = self.inner.cmd_tx.as_ref();
+        let pushed = sender.expect("sender present until the last handle drops").push(cmd);
+        if let Some(wire) = &*self.inner.shared.asleep.lock() {
+            wire.nudge();
+        }
+        pushed
     }
 
     fn pending(&self, rx: mpsc::Receiver<io::Result<Vec<u8>>>, admitted: bool) -> PendingReply {
@@ -469,14 +494,15 @@ impl Pipeline {
     }
 
     /// Submit a raw call record without waiting for its reply — the
-    /// split-phase half of pipelined write-back. Uncontended, with
-    /// nothing ahead of it, the call is sealed and written on this
-    /// thread; otherwise it goes through the submission ring, blocking
-    /// only while the ring is full (backpressure against a slow
-    /// upstream).
-    pub fn submit(&self, record: Vec<u8>) -> PendingReply {
+    /// split-phase half of pipelined write-back. The pipeline copies the
+    /// record once, behind room for its record mark, and sends that copy
+    /// as it is. Uncontended, with nothing ahead of it, the call is sealed
+    /// and written on this thread; otherwise it goes through the
+    /// submission ring, blocking only while the ring is full
+    /// (backpressure against a slow upstream).
+    pub fn submit(&self, record: impl AsRef<[u8]>) -> PendingReply {
         let (reply_tx, rx) = mpsc::channel();
-        let mut call = Some((record, reply_tx));
+        let mut call = Some((framed(record.as_ref()), reply_tx));
         self.inner.conn.drive(IoState::can_admit, |io| {
             let (record, reply_tx) = call.take().expect("driven at most once");
             io.admit(record, reply_tx);
@@ -484,27 +510,29 @@ impl Pipeline {
         let Some((record, reply_tx)) = call else { return self.pending(rx, true) };
         // A push failure means the pump retired; the rejected command's
         // reply sender drops here and wait() reports the broken channel.
-        let _ = self.sender().push(Cmd::Call { record, reply_tx });
+        let _ = self.push(Cmd::Call { record, reply_tx });
         self.pending(rx, false)
     }
 
     /// Submit a group of call records atomically. Up to a window of them
     /// is admitted before the pump collects any reply, so a split-phase
     /// flush overlaps its round trips deterministically.
-    pub fn submit_batch(&self, records: Vec<Vec<u8>>) -> Vec<PendingReply> {
-        let mut waiters = Vec::with_capacity(records.len());
-        let mut batch = Vec::with_capacity(records.len());
+    pub fn submit_batch<R: AsRef<[u8]>>(
+        &self,
+        records: impl IntoIterator<Item = R>,
+    ) -> Vec<PendingReply> {
+        let (mut waiters, mut batch) = (Vec::new(), Vec::new());
         for record in records {
             let (reply_tx, rx) = mpsc::channel();
-            batch.push((record, reply_tx));
+            batch.push((framed(record.as_ref()), reply_tx));
             waiters.push(self.pending(rx, false));
         }
-        let _ = self.sender().push(Cmd::Batch(batch));
+        let _ = self.push(Cmd::Batch(batch));
         waiters
     }
 
     /// Forward one call record and block for its reply.
-    pub fn call(&self, record: Vec<u8>) -> io::Result<Vec<u8>> {
+    pub fn call(&self, record: impl AsRef<[u8]>) -> io::Result<Vec<u8>> {
         self.submit(record).wait()
     }
 
@@ -512,7 +540,7 @@ impl Pipeline {
     /// until the new keys are in effect. No-op on a plaintext upstream.
     pub fn rekey(&self) -> io::Result<()> {
         let (done_tx, rx) = mpsc::channel();
-        self.sender().push(Cmd::Rekey { done_tx }).map_err(|_| terminated())?;
+        self.push(Cmd::Rekey { done_tx }).map_err(|_| terminated())?;
         rx.recv().map_err(|_| terminated())?
     }
 
@@ -529,10 +557,11 @@ impl Pipeline {
 /// One admitted call awaiting its reply.
 struct InFlight {
     orig_xid: [u8; 4],
-    /// The full wire record (wire xid already patched in), kept so the
-    /// call can be retransmitted across a reconnect. On completion this
-    /// buffer is recycled: the reply is swapped into it and handed to the
-    /// waiter, and the retired capacity becomes the next read scratch.
+    /// The full wire record (wire xid already patched in) behind its mark
+    /// headroom, kept so the call can be retransmitted across a
+    /// reconnect. On completion this buffer is recycled: the reply is
+    /// swapped into it and handed to the waiter, and the retired capacity
+    /// becomes the next read scratch.
     record: Vec<u8>,
     /// Whether retransmission on a fresh channel is safe
     /// (see [`retry::replayable`]).
@@ -602,7 +631,6 @@ struct IoState {
     /// buffers of varying capacity, growth is charged against this
     /// high-water mark, not per-read capacity deltas.
     reply_high_water: usize,
-    write_scratch: Vec<u8>,
 }
 
 impl IoState {
@@ -629,6 +657,12 @@ impl IoState {
             && self.queue.is_empty()
             && !self.rekey_due
             && !self.cmd_rx.has_input()
+    }
+
+    /// Whether a pass may admit another command: the window has room and
+    /// no rekey is quiescing it.
+    fn admitting(&self) -> bool {
+        !self.rekey_due && (self.in_flight.len() as u32) < self.window
     }
 
     /// Work a releasing caller leaves to the worker: the queue beyond the
@@ -701,7 +735,7 @@ impl IoState {
                 Step::Retire => break Some(rx.try_recv().unwrap_or_else(|_| Err(terminated()))),
                 Step::Idle if self.in_flight.is_empty() => break None,
                 Step::Idle => {
-                    if !self.watch.wait_input(deadline) {
+                    if !self.sleep(deadline) {
                         break Some(Err(timed_out()));
                     }
                 }
@@ -709,6 +743,22 @@ impl IoState {
         };
         self.hand_back();
         reply
+    }
+
+    /// A driving caller's sleep on the wire: until input or EOF, until
+    /// `deadline` (false), or — while the window has room — until another
+    /// thread pushes a command, which the next pass admits, so a call
+    /// submitted meanwhile goes out now rather than a round trip later.
+    /// The wire is published in `Shared::asleep` before the ring is
+    /// looked at: a push the look misses nudges the wire.
+    fn sleep(&mut self, deadline: Option<Instant>) -> bool {
+        if !self.admitting() {
+            return self.watch.wait_input(deadline);
+        }
+        *self.shared.asleep.lock() = Some(self.watch.clone());
+        let woke = self.cmd_rx.has_input() || self.watch.wait_input(deadline);
+        self.shared.asleep.lock().take();
+        woke
     }
 
     /// Admit one call on the caller's thread: the worker's `send_call`,
@@ -766,7 +816,7 @@ impl IoState {
 
         // Admission: top the window up from queued commands, unless a
         // rekey is pending (which quiesces the channel first).
-        if !self.rekey_due && (self.in_flight.len() as u32) < self.window {
+        if self.admitting() {
             let cmd = match self.queue.pop_front() {
                 Some(c) => Some(c),
                 None if !self.shutdown => match self.cmd_rx.pop() {
@@ -854,12 +904,13 @@ impl IoState {
         Step::Retire
     }
 
-    /// Admit one call: rewrite its xid, register the waiter, transmit.
-    /// The call is registered *before* the write so a mid-write failure
-    /// is recovered (replayed or failed) uniformly with every other
-    /// in-flight call.
+    /// Admit one [`framed`] call: rewrite its xid, register the waiter,
+    /// transmit it from its own buffer. The call is registered *before*
+    /// the write so a mid-write failure is recovered (replayed or failed)
+    /// uniformly with every other in-flight call.
     fn send_call(&mut self, mut record: Vec<u8>, reply_tx: ReplyTx) -> io::Result<()> {
-        if record.len() < 4 {
+        let call = &mut record[MARK_LEN..];
+        if call.len() < 4 {
             let _ = reply_tx.send(Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "RPC record shorter than an xid",
@@ -867,12 +918,12 @@ impl IoState {
             return Ok(());
         }
         self.wire_xid = self.wire_xid.wrapping_add(1);
-        let orig_xid = [record[0], record[1], record[2], record[3]];
-        record[0..4].copy_from_slice(&self.wire_xid.to_be_bytes());
+        let orig_xid = [call[0], call[1], call[2], call[3]];
+        call[0..4].copy_from_slice(&self.wire_xid.to_be_bytes());
         // Classification is only consulted by the recovery path.
-        let replay = self.reconnector.is_some() && retry::replayable(&record);
-        let proc = sgfs_obs::peek_proc(&record);
-        self.stats.emit(Hop::UpstreamSend, self.wire_xid, proc, record.len() as u64);
+        let replay = self.reconnector.is_some() && retry::replayable(call);
+        let proc = sgfs_obs::peek_proc(call);
+        self.stats.emit(Hop::UpstreamSend, self.wire_xid, proc, call.len() as u64);
         self.in_flight.insert(
             self.wire_xid,
             InFlight { orig_xid, record, replay, proc, sent_at: Instant::now(), reply_tx },
@@ -882,14 +933,8 @@ impl IoState {
         if self.rekey_every.is_some_and(|n| self.calls_since_rekey >= n) {
             self.rekey_due = true;
         }
-        let cap = self.write_scratch.capacity();
-        let res = write_record_with(
-            self.upstream.stream(),
-            &self.in_flight[&self.wire_xid].record,
-            &mut self.write_scratch,
-        );
-        self.stats.add(Counter::RecordAllocBytes, (self.write_scratch.capacity() - cap) as u64);
-        res
+        let sent = self.in_flight.get_mut(&self.wire_xid).expect("admitted above");
+        write_marked(self.upstream.stream(), &mut sent.record)
     }
 
     /// The window just grew (an admission, a replay): publish its depth.
@@ -1000,7 +1045,7 @@ impl IoState {
             match dialed {
                 Ok((up, watch)) => {
                     self.install(up, watch);
-                    match self.resend(&replay) {
+                    match self.resend(&mut replay) {
                         Ok(()) => {
                             let replayed = replay.len() as u64;
                             for (xid, mut call) in replay {
@@ -1061,9 +1106,9 @@ impl IoState {
     /// Retransmit every surviving call on the (fresh) upstream. Nothing
     /// is re-registered until all writes land: a mid-resend failure kills
     /// this connection too, and the next dial attempt resends them all.
-    fn resend(&mut self, replay: &[(u32, InFlight)]) -> io::Result<()> {
+    fn resend(&mut self, replay: &mut [(u32, InFlight)]) -> io::Result<()> {
         for (_, call) in replay {
-            write_record_with(self.upstream.stream(), &call.record, &mut self.write_scratch)?;
+            write_marked(self.upstream.stream(), &mut call.record)?;
         }
         Ok(())
     }
@@ -1235,7 +1280,7 @@ mod tests {
         let _server = echo_server(server_end, 4);
         let stats = Emitter::detached("client");
         let p = plain_pipeline(client_end, 4, stats.clone());
-        let records = (0..4u32).map(|i| call_record(i, b"batched")).collect();
+        let records: Vec<_> = (0..4u32).map(|i| call_record(i, b"batched")).collect();
         let pending = p.submit_batch(records);
         for (i, reply) in pending.into_iter().enumerate() {
             let reply = reply.wait().unwrap();
@@ -1251,7 +1296,7 @@ mod tests {
         let p = plain_pipeline(client_end, 2, Emitter::detached("client"));
         // 10 calls through a window of 2: overflow tops up as replies
         // complete, in submission order.
-        let records = (0..10u32).map(|i| call_record(i, b"over")).collect();
+        let records: Vec<_> = (0..10u32).map(|i| call_record(i, b"over")).collect();
         let pending = p.submit_batch(records);
         for (i, reply) in pending.into_iter().enumerate() {
             let reply = reply.wait().unwrap();
@@ -1691,7 +1736,7 @@ mod tests {
             .collect();
         // Batches wider than the window ride the ring meanwhile.
         for round in 0..30u32 {
-            let records = (0..6u32).map(|i| call_record(round << 8 | i, b"batch")).collect();
+            let records: Vec<_> = (0..6u32).map(|i| call_record(round << 8 | i, b"batch")).collect();
             for (i, reply) in p.submit_batch(records).into_iter().enumerate() {
                 let reply = reply.wait().unwrap();
                 assert_eq!(&reply[0..4], &(round << 8 | i as u32).to_be_bytes());
@@ -1704,6 +1749,48 @@ mod tests {
         for c in callers {
             c.join().unwrap();
         }
+    }
+
+    /// A caller asleep on its own reply is woken by another thread's
+    /// submission and admits it: the server here answers nothing until
+    /// it holds both calls, and with the worker parked only that sleeping
+    /// caller can send the second one.
+    #[test]
+    fn a_call_submitted_while_another_caller_sleeps_on_the_wire_goes_out_at_once() {
+        let (client_end, mut server_end) = pipe_pair();
+        let (got_first, first) = mpsc::channel();
+        let server = std::thread::spawn(move || {
+            let a = read_record(&mut server_end).unwrap().unwrap();
+            got_first.send(()).unwrap();
+            let b = read_record(&mut server_end).unwrap().unwrap();
+            for call in [b, a] {
+                let mut reply = call[0..4].to_vec();
+                reply.extend_from_slice(b"both");
+                write_record(&mut server_end, &reply).unwrap();
+            }
+            server_end
+        });
+        let deadline = Duration::from_secs(10);
+        let (p, release) = caller_driven(
+            plain_upstream(client_end),
+            Emitter::detached("client"),
+            None,
+            RetryPolicy { call_deadline: Some(deadline), ..RetryPolicy::default() },
+        );
+        let sleeper = {
+            let p = p.clone();
+            std::thread::spawn(move || p.call(call_record(0xa, b"first")))
+        };
+        first.recv_timeout(Duration::from_secs(5)).expect("the first call was sent");
+        let start = Instant::now();
+        let second = p.submit(call_record(0xb, b"second")).wait().unwrap();
+        let waited = start.elapsed();
+        assert_eq!(&second[..], &[0, 0, 0, 0xb, b'b', b'o', b't', b'h']);
+        let first = sleeper.join().unwrap().unwrap();
+        assert_eq!(&first[0..4], &0xau32.to_be_bytes());
+        assert!(waited < deadline / 2, "the second call waited {waited:?} for the first's reply");
+        drop(release);
+        drop(server.join().unwrap());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::proxy::client::Upstream;
 use sgfs_net::PipeWatch;
-use sgfs_nfs3::proc::{procnum, WriteArgs};
+use sgfs_nfs3::proc::{procnum, WriteArgsRef};
 use sgfs_nfs3::types::{NfsStat3, StableHow};
 use sgfs_nfs3::{NFS_PROGRAM, NFS_VERSION};
 use sgfs_oncrpc::{AcceptStat, CallHeader, ReplyHeader};
@@ -77,7 +77,7 @@ pub fn replayable(record: &[u8]) -> bool {
         | procnum::FSINFO
         | procnum::PATHCONF => true,
         procnum::WRITE => matches!(
-            WriteArgs::decode(&mut dec),
+            WriteArgsRef::decode(&mut dec),
             Ok(args) if args.stable == StableHow::Unstable
         ),
         _ => false,
@@ -109,6 +109,7 @@ pub fn is_jukebox_reply(reply: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sgfs_nfs3::proc::WriteArgs;
     use sgfs_nfs3::types::Fh3;
     use sgfs_oncrpc::{AuthSysParams, OpaqueAuth};
     use sgfs_xdr::{XdrEncode, XdrEncoder};

@@ -24,7 +24,7 @@ use sgfs_nfs3::proc::{procnum, *};
 use sgfs_nfs3::types::*;
 use sgfs_nfs3::{Nfs3Client, NFS_PROGRAM, NFS_VERSION};
 use sgfs_oncrpc::msg::AuthSysParams;
-use sgfs_oncrpc::record::{read_record, write_record};
+use sgfs_oncrpc::record::{read_record_at, write_marked, MARK_LEN};
 use sgfs_oncrpc::{AcceptStat, CallHeader, OpaqueAuth, ReplyHeader};
 use sgfs_net::BoxStream;
 use sgfs_pki::{DistinguishedName, MapTarget, ValidatedPeer};
@@ -41,7 +41,7 @@ pub struct ServerProxy {
     peer_dn: DistinguishedName,
     mapped: (u32, u32),
     /// Connection used to forward client traffic to the kernel server.
-    forward: Mutex<BoxStream>,
+    forward: Mutex<Forward>,
     /// The proxy's own NFS client (service credentials) for ACL files.
     acl_client: Mutex<Nfs3Client>,
     /// fh → (parent fh, name), learned from forwarded traffic.
@@ -50,8 +50,15 @@ pub struct ServerProxy {
     acl_cache: Mutex<HashMap<Fh3, Option<Arc<Acl>>>>,
     root_fh: Fh3,
     stats: Emitter,
-    /// Virtual per-hop forwarding cost, charged to the testbed clock.
+    /// Virtual per-hop forwarding cost, charged to the file host's clock.
     hop: Mutex<Option<(Arc<sgfs_net::SimClock>, HopCost)>>,
+}
+
+/// The connection to the kernel server and the buffer forwarded calls
+/// are built in.
+struct Forward {
+    stream: BoxStream,
+    call: Vec<u8>,
 }
 
 impl ServerProxy {
@@ -80,7 +87,7 @@ impl ServerProxy {
             config: Mutex::new(config),
             peer_dn: peer.effective_dn.clone(),
             mapped,
-            forward: Mutex::new(forward),
+            forward: Mutex::new(Forward { stream: forward, call: Vec::new() }),
             acl_client: Mutex::new(acl_client),
             name_map: Mutex::new(HashMap::new()),
             acl_cache: Mutex::new(HashMap::new()),
@@ -92,7 +99,7 @@ impl ServerProxy {
         }))
     }
 
-    /// Enable per-hop virtual cost accounting on `clock`.
+    /// Enable per-hop virtual cost accounting on `clock`, the file host's.
     pub fn set_hop_cost(&self, clock: Arc<sgfs_net::SimClock>, hop: HopCost) {
         *self.hop.lock() = Some((clock, hop));
     }
@@ -122,39 +129,41 @@ impl ServerProxy {
     }
 
     /// Process one call record into its reply record with full session
-    /// accounting (busy time, the virtual loopback hop). The proxy
-    /// owns no transport: this is the entry point the sharded server core
-    /// drives for every record of every connection pinned to it.
+    /// accounting — [`RecordService::process_record_into`] into a buffer
+    /// of its own. The probes and tests call this; the sharded core
+    /// writes replies straight into its send buffer instead.
+    ///
+    /// [`RecordService::process_record_into`]: sgfs_oncrpc::RecordService::process_record_into
     pub fn process_one(&self, record: &[u8]) -> std::io::Result<Vec<u8>> {
-        let t0 = std::time::Instant::now();
-        let reply = self.process(record);
-        self.stats.message(sgfs_obs::NO_PROC, t0.elapsed());
-        let reply = reply?;
-        // The proxy ↔ kernel-server loopback hop (request + reply).
-        if let Some((clock, hop)) = self.hop.lock().as_ref() {
-            clock.advance(hop.of(record.len()) + hop.of(reply.len()));
-        }
-        Ok(reply)
+        let mut out = vec![0; MARK_LEN];
+        sgfs_oncrpc::RecordService::process_record_into(self, record, &mut out)?;
+        out.drain(..MARK_LEN);
+        Ok(out)
     }
 
-    /// Process one call record into one reply record.
-    fn process(&self, record: &[u8]) -> std::io::Result<Vec<u8>> {
+    /// Process one call record into `out[MARK_LEN..]`. Forwarded calls'
+    /// replies are read from the kernel server straight into `out`; the
+    /// replies the proxy makes itself are copied in.
+    fn process(&self, record: &[u8], out: &mut Vec<u8>) -> std::io::Result<()> {
+        let made = |out: &mut Vec<u8>, reply: Vec<u8>| {
+            out.truncate(MARK_LEN);
+            out.extend_from_slice(&reply);
+            Ok(())
+        };
         let mut dec = XdrDecoder::new(record);
         let header = match CallHeader::decode(&mut dec) {
             Ok(h) => h,
-            Err(_) => {
-                return Ok(accept_error(0, AcceptStat::GarbageArgs));
-            }
+            Err(_) => return made(out, accept_error(0, AcceptStat::GarbageArgs)),
         };
         if header.prog != NFS_PROGRAM || header.vers != NFS_VERSION {
-            return Ok(accept_error(header.xid, AcceptStat::ProgUnavail));
+            return made(out, accept_error(header.xid, AcceptStat::ProgUnavail));
         }
         let args = &record[dec.position()..];
 
         // Shield ACL files from every name-bearing operation.
         if let Some(name_hit) = touches_acl_file(header.proc, args) {
             if name_hit {
-                return Ok(deny_nfs(header.xid, header.proc));
+                return made(out, deny_nfs(header.xid, header.proc));
             }
         }
 
@@ -169,9 +178,9 @@ impl ServerProxy {
                     obj_attr: None,
                     access: granted & a.access,
                 };
-                return Ok(encode_reply(header.xid, &res));
+                return made(out, encode_reply(header.xid, &res));
             }
-            return Ok(accept_error(header.xid, AcceptStat::GarbageArgs));
+            return made(out, accept_error(header.xid, AcceptStat::GarbageArgs));
         }
 
         // Identity mapping: swap in the mapped local account's credential.
@@ -184,33 +193,39 @@ impl ServerProxy {
             gid,
             gids: vec![gid],
         });
-        let mut enc = XdrEncoder::with_capacity(record.len() + 32);
-        fwd_header.encode(&mut enc);
-        let mut fwd = enc.into_bytes();
-        fwd.extend_from_slice(args);
-
-        let reply = {
+        {
             // Waiting on the kernel server is not proxy CPU time.
             let t_io = std::time::Instant::now();
-            let mut upstream = self.forward.lock();
-            let reply = write_record(&mut *upstream, &fwd).and_then(|()| {
-                read_record(&mut *upstream)?.ok_or_else(|| {
-                    std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "kernel server closed")
-                })
-            })?;
+            let forward = &mut *self.forward.lock();
+            // The forwarded call is built once, behind its mark, in the
+            // connection's reused buffer, and sent from there.
+            let mut call = std::mem::take(&mut forward.call);
+            call.clear();
+            call.extend_from_slice(&[0; MARK_LEN]);
+            let mut enc = XdrEncoder::from_vec(call);
+            fwd_header.encode(&mut enc);
+            forward.call = enc.into_bytes();
+            forward.call.extend_from_slice(args);
+            write_marked(&mut forward.stream, &mut forward.call)?;
+            if !read_record_at(&mut forward.stream, out, MARK_LEN)? {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "kernel server closed",
+                ));
+            }
             self.stats.exclude(t_io.elapsed());
-            reply
-        };
+        }
 
-        self.snoop(header.proc, args, &reply);
+        let reply = &out[MARK_LEN..];
+        self.snoop(header.proc, args, reply);
 
         // Filter ACL files out of directory listings.
         if header.proc == procnum::READDIR || header.proc == procnum::READDIRPLUS {
-            if let Some(filtered) = filter_listing(header.proc, header.xid, &reply) {
-                return Ok(filtered);
+            if let Some(filtered) = filter_listing(header.proc, header.xid, reply) {
+                return made(out, filtered);
             }
         }
-        Ok(reply)
+        Ok(())
     }
 
     /// Learn fh→(parent, name) mappings from successful replies.
@@ -395,6 +410,20 @@ impl ServerProxy {
 impl sgfs_oncrpc::shard::RecordService for ServerProxy {
     fn process_record(&self, record: &[u8]) -> std::io::Result<Vec<u8>> {
         self.process_one(record)
+    }
+
+    /// One record with full session accounting: busy time, and the
+    /// virtual proxy ↔ kernel-server loopback hop (request + reply),
+    /// charged to the file host.
+    fn process_record_into(&self, record: &[u8], out: &mut Vec<u8>) -> std::io::Result<()> {
+        let t0 = std::time::Instant::now();
+        let done = self.process(record, out);
+        self.stats.message(sgfs_obs::NO_PROC, t0.elapsed());
+        done?;
+        if let Some((clock, hop)) = self.hop.lock().as_ref() {
+            clock.advance(hop.of(record.len()) + hop.of(out.len() - MARK_LEN));
+        }
+        Ok(())
     }
 
     /// Admission-control shed: answer `NFS3ERR_JUKEBOX` *without*

@@ -361,7 +361,8 @@ impl Session {
         Self::build_from(&world.material(), params, SimClock::new())
     }
 
-    /// Assemble on a caller-provided clock (benchmarks share one).
+    /// Assemble with `clock` as the client host's clock (benchmarks share
+    /// one); the file host joins its testbed.
     pub fn build_on(
         world: &GridWorld,
         params: &SessionParams,
@@ -538,7 +539,8 @@ impl Session {
                     acl,
                     m_root,
                 )?;
-                proxy.set_hop_cost(clock.clone(), params.hop_cost);
+                // The server proxy's hops are the file host's to pay.
+                proxy.set_hop_cost(link.host(1).clone(), params.hop_cost);
                 Ok(proxy)
             };
             let (upstream, watch, m_proxy, reconnector) = if params.kind == SetupKind::GfsSsh {
@@ -551,12 +553,13 @@ impl Session {
                 }
                 let (wire_client, wire_server) = pipe_pair_over_link(link.clone());
                 let key: [u8; 32] = rand::random();
-                let hop = Some((clock.clone(), params.hop_cost));
+                // Each tunnel end charges its forwarding to its own host.
+                let hop = |side: usize| Some((link.host(side).clone(), params.hop_cost));
                 // Two-phase establishment on this thread: both hellos are
                 // written before either side reads, so no concurrent peer
                 // (and no transient thread) is needed.
-                let client_pend = tunnel_start(wire_client, &key, true, hop.clone())?;
-                let server_pend = tunnel_start(wire_server, &key, false, hop)?;
+                let client_pend = tunnel_start(wire_client, &key, true, hop(0))?;
+                let server_pend = tunnel_start(wire_server, &key, false, hop(1))?;
                 // The tunnel's forwarder threads drain the wire; the event
                 // loops must watch the local plaintext pipes they feed.
                 let (client_stream, client_watch, client_guard) = client_pend.finish()?;
@@ -618,7 +621,8 @@ impl Session {
         })
     }
 
-    /// The testbed clock.
+    /// The client host's clock: what the mount's calls and the final
+    /// write-back are timed on. The file host's is `link().host(1)`.
     pub fn clock(&self) -> &Arc<SimClock> {
         &self.clock
     }

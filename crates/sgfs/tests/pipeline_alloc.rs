@@ -4,16 +4,17 @@
 //! through the pipeline against a buffer-reusing echo server. At steady
 //! state the I/O thread recycles its buffers: the reply is handed to the
 //! waiter by swapping the reply buffer with the (spent) request buffer,
-//! so the only per-call allocations left are the caller's own record and
-//! the reply-channel plumbing. A per-reply `clone()` of the record —
-//! the regression this test pins down — would add a full record's worth
-//! of bytes to every call and trip the budget immediately.
+//! so the only per-call allocations left are the pipeline's one copy of
+//! the caller's record and the reply-channel plumbing. A per-reply
+//! `clone()` of the record — the regression this test pins down — would
+//! add a full record's worth of bytes to every call and trip the budget
+//! immediately.
 
 use sgfs::proxy::client::Upstream;
 use sgfs::proxy::pipeline::Pipeline;
 use sgfs_net::pipe_pair;
 use sgfs_obs::Emitter;
-use sgfs_oncrpc::record::{read_record_into, write_record_with};
+use sgfs_oncrpc::record::{framed, read_record_at, read_record_into, write_marked, MARK_LEN};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -53,11 +54,10 @@ static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 fn frugal_echo_server(mut end: sgfs_net::PipeEnd) {
     std::thread::spawn(move || {
         let mut buf = Vec::new();
-        let mut scratch = Vec::new();
         loop {
-            match read_record_into(&mut end, &mut buf) {
+            match read_record_at(&mut end, &mut buf, MARK_LEN) {
                 Ok(true) => {
-                    if write_record_with(&mut end, &buf, &mut scratch).is_err() {
+                    if write_marked(&mut end, &mut buf).is_err() {
                         return;
                     }
                 }
@@ -77,8 +77,10 @@ fn call_record(xid: u32) -> Vec<u8> {
 }
 
 fn pump(p: &Pipeline, n: u32) {
+    let mut record = call_record(0);
     for i in 0..n {
-        let reply = p.call(call_record(i)).expect("echo reply");
+        record[0..4].copy_from_slice(&i.to_be_bytes());
+        let reply = p.call(&record).expect("echo reply");
         assert_eq!(reply.len(), RECORD_LEN);
         assert_eq!(&reply[0..4], &i.to_be_bytes(), "xid restored");
     }
@@ -113,7 +115,7 @@ fn reply_handoff_is_clone_free_at_steady_state() {
     pump(&p, CALLS as u32);
     let per_call = (alloc_bytes() - before) / CALLS;
 
-    // Budget: the caller's own record allocation, the two in-memory-pipe
+    // Budget: the pipeline's own copy of the record, the two in-memory-pipe
     // message copies (`PipeEnd::write` clones each write — the emulated
     // transport, not the pipeline), and channel plumbing. A per-reply
     // buffer clone in the I/O thread would add a further ~RECORD_LEN per
@@ -151,15 +153,14 @@ fn shard_buffers_hold_high_water_across_interleaved_sessions() {
 
     // Reused client-side buffers: at steady state the client contributes
     // nothing, so the measurement isolates the shard loop + transport.
-    let mut req = call_record(0);
+    let mut req = framed(&call_record(0));
     let mut reply = Vec::new();
-    let mut scratch = Vec::new();
     let mut drive = |rounds: u32, ends: &mut [sgfs_net::PipeEnd]| {
         for r in 0..rounds {
             for (s, end) in ends.iter_mut().enumerate() {
                 let xid = r * SESSIONS as u32 + s as u32;
-                req[0..4].copy_from_slice(&xid.to_be_bytes());
-                write_record_with(end, &req, &mut scratch).unwrap();
+                req[MARK_LEN..MARK_LEN + 4].copy_from_slice(&xid.to_be_bytes());
+                write_marked(end, &mut req).unwrap();
                 assert!(read_record_into(end, &mut reply).unwrap());
                 assert_eq!(reply.len(), RECORD_LEN);
                 assert_eq!(&reply[0..4], &xid.to_be_bytes(), "xid restored by shard");

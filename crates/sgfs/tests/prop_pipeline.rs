@@ -71,7 +71,7 @@ fn permuting_server(mut end: sgfs_net::PipeEnd, total: usize, batch: usize, seed
 }
 
 fn run_calls(p: &Pipeline, payloads: &[Vec<u8>]) -> Vec<std::io::Result<Vec<u8>>> {
-    let records = payloads
+    let records: Vec<Vec<u8>> = payloads
         .iter()
         .enumerate()
         .map(|(i, payload)| {

@@ -218,6 +218,20 @@ impl Vfs {
 
     /// Read up to `count` bytes at `offset`; returns the data and EOF flag.
     pub fn read(&self, ino: Ino, offset: u64, count: u32, ctx: &UserContext) -> VfsResult<(Vec<u8>, bool)> {
+        self.read_with(ino, offset, count, ctx, |data, eof| (data.to_vec(), eof))
+    }
+
+    /// Like [`read`](Self::read), but hands the extent to `f` in place —
+    /// under the file system's read lock, so `f` must not call back into
+    /// it — instead of copying it out.
+    pub fn read_with<R>(
+        &self,
+        ino: Ino,
+        offset: u64,
+        count: u32,
+        ctx: &UserContext,
+        f: impl FnOnce(&[u8], bool) -> R,
+    ) -> VfsResult<R> {
         let inner = self.inner.read();
         let node = Self::node(&inner, ino)?;
         if !node.attr.permits(ctx.uid, &ctx.gids, 4) {
@@ -228,12 +242,9 @@ impl Vfs {
             Content::Dir { .. } => return Err(VfsError::IsDir),
             Content::Symlink(_) => return Err(VfsError::Inval),
         };
-        let offset = offset as usize;
-        if offset >= data.len() {
-            return Ok((Vec::new(), true));
-        }
+        let offset = (offset as usize).min(data.len());
         let end = (offset + count as usize).min(data.len());
-        Ok((data[offset..end].to_vec(), end == data.len()))
+        Ok(f(&data[offset..end], end == data.len()))
     }
 
     /// Write `data` at `offset`, growing (and zero-filling) as needed.
@@ -249,12 +260,15 @@ impl Vfs {
             Content::Dir { .. } => return Err(VfsError::IsDir),
             Content::Symlink(_) => return Err(VfsError::Inval),
         };
+        // A hole before `offset` is zero-filled; the written bytes are
+        // copied once, overwriting or appending.
         let offset = offset as usize;
-        let end = offset + data.len();
-        if end > buf.len() {
-            buf.resize(end, 0);
+        if offset > buf.len() {
+            buf.resize(offset, 0);
         }
-        buf[offset..end].copy_from_slice(data);
+        let overlap = (buf.len() - offset).min(data.len());
+        buf[offset..offset + overlap].copy_from_slice(&data[..overlap]);
+        buf.extend_from_slice(&data[overlap..]);
         node.attr.size = buf.len() as u64;
         node.attr.mtime = now;
         node.attr.ctime = now;

@@ -78,6 +78,12 @@ impl<'a> XdrDecoder<'a> {
         self.get_opaque_max(DEFAULT_MAX_LEN)
     }
 
+    /// Zero-copy variant of [`get_opaque`](Self::get_opaque): the
+    /// returned slice borrows from the decoder's buffer.
+    pub fn get_opaque_ref(&mut self) -> XdrResult<&'a [u8]> {
+        self.get_opaque_ref_max(DEFAULT_MAX_LEN)
+    }
+
     /// Read variable-length opaque data whose length must not exceed `max`.
     pub fn get_opaque_max(&mut self, max: u32) -> XdrResult<Vec<u8>> {
         Ok(self.get_opaque_ref_max(max)?.to_vec())

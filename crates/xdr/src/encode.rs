@@ -23,6 +23,12 @@ impl XdrEncoder {
         Self { buf: Vec::with_capacity(cap) }
     }
 
+    /// Continue encoding after the bytes already in `buf` — headroom a
+    /// later layer fills in, or a reused buffer's retained capacity.
+    pub fn from_vec(buf: Vec<u8>) -> Self {
+        Self { buf }
+    }
+
     /// Number of bytes encoded so far.
     pub fn len(&self) -> usize {
         self.buf.len()

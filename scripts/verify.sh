@@ -58,21 +58,26 @@ run_watchdog 120 wan_readahead  cargo test -q --test wan_readahead
 # no count, and the typed accessors read the same table.
 run_watchdog 120 metrics_plane  cargo test -q --test metrics_plane
 
-# The worker loop both planes run and its two owners: sgfs-oncrpc's
-# module tests (pool: Rearm fairness, a full inbox blocking its pinner;
-# shard and client_pool: thread ceilings, worker death, shutdown) at
-# default parallelism, then the 64-session concurrency battery. A stuck
-# loop or lost wakeup shows up as a hang here.
-run_watchdog 120 oncrpc_lib     cargo test -q -p sgfs-oncrpc --lib
-run_watchdog 120 scale_matrix   cargo test -q -p sgfs --test scale_matrix
-
-# The sgfs crate's own module tests, above all proxy::pipeline: a caller
+# Every crate's module tests, in one run — of the ten crates that carry
+# them, most had no other stanza. Among them: sgfs-oncrpc's worker loop
+# and its two owners (pool: Rearm fairness, a full inbox blocking its
+# pinner; shard and client_pool: thread ceilings, worker death,
+# shutdown; loopback and client: every record dispatched once however
+# writes cut it, no stale reply bytes); sgfs's proxy::pipeline (a caller
 # that waits drives its own pipeline, so calls must complete with the
 # pool's only worker parked elsewhere, time out on the caller's own wire
 # wait, and ride reconnect/replay on the caller's thread; concurrent
-# callers beside batches each get their own reply. A lost wake-up between
-# a driving caller and the worker hangs rather than fails.
-run_watchdog 120 sgfs_lib       cargo test -q -p sgfs --lib
+# callers beside batches each get their own reply; a call pushed while
+# another caller sleeps on the wire goes out at once); sgfs-net's per-host
+# clocks and submission ring (a lost wakeup wedges a pipeline forever);
+# the AEAD known-answer vectors, the OpenSSL vectors long enough to fill
+# the 8-block AES-NI CTR and PCLMUL GHASH groups and the CTR-vs-oracle
+# sweep in sgfs-crypto; and the gate runner's own rules (a row on the
+# wrong side fails by name, one retry, history round trip, an absent
+# contract metric fails). A stuck loop or lost wake-up hangs rather than
+# fails, hence the watchdog.
+run_watchdog 120 workspace_lib  cargo test -q --workspace --lib
+run_watchdog 120 scale_matrix   cargo test -q -p sgfs --test scale_matrix
 
 # Overload control: sustained open-loop overload must keep the sampled
 # backlog bounded and answer every request exactly once (executed or
@@ -82,31 +87,22 @@ run_watchdog 120 sgfs_lib       cargo test -q -p sgfs --lib
 # admission loop shows up as a hang, hence the watchdog.
 run_watchdog 180 overload_matrix cargo test -q -p sgfs --test overload_matrix
 
-# Client event plane: the submission ring (pipeline commands and the pin
-# inbox ride it; a lost wakeup wedges a pipeline forever, hence the
-# watchdog), then the pipeline property suite that drives records
-# through the pooled reader.
-run_watchdog 120 submit_ring    cargo test -q -p sgfs-net --lib submit::
+# The pipeline property suite that drives records through the pooled
+# reader.
 run_watchdog 180 prop_pipeline  cargo test -q -p sgfs --test prop_pipeline
 
-# AEAD record layer: RFC/NIST known-answer vectors, the OpenSSL vectors
-# long enough to fill the 8-block AES-NI CTR and PCLMUL GHASH groups (on
-# every backend pairing) and the CTR-vs-oracle sweep in aes::, then the
-# hardware-vs-portable equivalence proptests (tag before decrypt, one
-# opaque error), the tier-1 pin of the record layer's wire bytes, and the
-# negotiation/rekey matrix.
-run_watchdog 120 crypto_kat     cargo test -q -p sgfs-crypto --lib -- aes:: ghash:: gcm:: chacha:: poly1305:: chachapoly::
+# AEAD record layer beyond the module tests: the hardware-vs-portable
+# equivalence proptests (tag before decrypt, one opaque error), the
+# tier-1 pin of the record layer's wire bytes, and the negotiation/rekey
+# matrix.
 run_watchdog 120 prop_crypto    cargo test -q -p sgfs-crypto --test prop_crypto
 run_watchdog 120 aead_kat       cargo test -q --test aead_kat
 run_watchdog 120 gtls_negotiation cargo test -q -p sgfs-gtls --test negotiation
 
 # Full session stacks through the kernel-client API, including what the
 # write-back cache owes the server after RENAME-over, REMOVE of one of
-# two links and a refused REMOVE; then the gate runner's own rules (a row
-# on the wrong side fails by name, one retry, history round trip, an
-# absent contract metric fails).
+# two links and a refused REMOVE.
 run_watchdog 180 session_e2e    cargo test -q -p sgfs --test session_e2e
-run_watchdog 60  gate_runner    cargo test -q -p sgfs-bench --lib
 
 cargo test -q
 

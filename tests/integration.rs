@@ -203,7 +203,7 @@ fn secure_rpc_library_is_generic() {
             args: &mut sgfs_xdr::XdrDecoder<'_>,
         ) -> Dispatch {
             match proc {
-                0 => Dispatch::Ok(Vec::new()),
+                0 => Dispatch::reply(&sgfs_oncrpc::client::NoArgs),
                 1 => match args.get_string() {
                     Ok(job) => {
                         let mut jobs = self.jobs.lock().expect("lock");

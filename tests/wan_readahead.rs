@@ -105,14 +105,15 @@ fn a_cold_sequential_scan_is_read_ahead_by_default() {
         "only the ramp's first blocks may miss: {} hits",
         cost.prefetch_hits
     );
-    // The shared `SimClock` charges a one-way latency whenever one side
-    // consumes a message the other stamped after the previous charge; if
-    // the client's I/O worker outruns the server that is once per reply,
-    // half of serial, however many READs are in flight (DESIGN.md §4).
-    // The bound sits above that floor; a scan that exposes every round
+    // Each host keeps its own clock, so a window of READs shares one
+    // round trip: after the horizon's ramp (1, 2, 4, 8 blocks) the scan
+    // runs at a window per RTT, ≈ 6.4 blocks per RTT over 64 blocks. Half
+    // of serial leaves room for the ramp; a scan that exposes every round
     // trip is at `serial`.
+    let per_rtt = BLOCKS as f64 / (cost.elapsed.as_secs_f64() / RTT.as_secs_f64());
+    eprintln!("cold scan: {BLOCKS} blocks in {:?}, {per_rtt:.2} blocks per RTT", cost.elapsed);
     assert!(
-        cost.elapsed <= serial * 3 / 4,
+        cost.elapsed <= serial / 2,
         "a read-ahead scan of {BLOCKS} blocks took {:?}; serial is {serial:?}",
         cost.elapsed
     );
