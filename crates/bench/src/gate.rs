@@ -387,6 +387,7 @@ mod tests {
             .map(|name| metric(&name, if name.contains("cbc") { 200.0 } else { 2500.0 }))
             .collect();
         metrics.push(metric("proc.ctx_switches_per_op", 8.0));
+        metrics.push(metric("proc.threads", 4.0));
         let write = |metrics: &[String]| {
             let json = format!(r#"{{"workload": "x", "metrics": [{}]}}"#, metrics.join(","));
             std::fs::write(&file, json).unwrap();

@@ -35,8 +35,11 @@ const FLOORS: &[(&str, Floor)] = &[
     ("gtls.seal_mb_s.aes256gcm", Floor::OnHardwareGcm(2000.0)),
     ("gtls.open_mb_s.aes256gcm", Floor::OnHardwareGcm(2000.0)),
     // A small call's thread hand-offs: a caller that waits drives its own
-    // pipeline, so the client I/O worker sits off the synchronous path.
+    // pipeline, so only the wire and the shard loop switch.
     ("proc.ctx_switches_per_op", Floor::AtMost(10.0)),
+    // The session's shard loops, the workload's caller and the harness:
+    // the client side adds no thread.
+    ("proc.threads", Floor::AtMost(4.0)),
 ];
 
 #[derive(serde::Deserialize)]

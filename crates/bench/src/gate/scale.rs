@@ -1,4 +1,5 @@
-//! Session scale on the sharded server core and the pooled client plane.
+//! Session scale on the sharded server core and the caller-driven client
+//! plane.
 //!
 //! 1. **Baseline latency** — one session on a one-shard server; p50/p99
 //!    of a sequential echo round trip, the number a thread-per-connection
@@ -12,11 +13,11 @@
 //! 3. **Aggregate throughput** — a bounded driver pool round-robins the
 //!    whole population, reported for trend tracking (not gated: the
 //!    number is driver-bound on small hosts).
-//! 4. **Client plane** — 256 pipelines multiplexed onto a fixed
-//!    [`ClientIoPool`]. The mirror image of (2): the population may cost
-//!    at most `pool + server shards + 4` threads while running, and the
-//!    process must return to its pre-test thread count once the
-//!    pipelines, pool, and server are dropped — a leaked reader fails
+//! 4. **Client plane** — 256 pipelines driven by a bounded set of caller
+//!    threads. The mirror image of (2): a pipeline owns no thread, so the
+//!    population may cost at most `server shards + 4` threads while
+//!    running, and the process must return to its pre-test thread count
+//!    once the pipelines and server are dropped — a leaked reader fails
 //!    the teardown row by exactly the number of zombies.
 //!
 //! On a host without `/proc` the thread rows are absent from the table;
@@ -24,12 +25,11 @@
 
 use super::Check;
 use crate::RunOpts;
-use sgfs::config::RetryPolicy;
 use sgfs::proxy::client::Upstream;
 use sgfs::proxy::pipeline::Pipeline;
 use sgfs_net::{pipe_pair, PipeEnd};
 use sgfs_oncrpc::record::{read_record_into, write_marked, MARK_LEN};
-use sgfs_oncrpc::{process_thread_count, ClientIoPool, RecordService, ShardServer};
+use sgfs_oncrpc::{process_thread_count, RecordService, ShardServer};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -110,16 +110,14 @@ fn drive<T: Send + 'static>(items: Vec<T>, work: fn(Vec<T>, u32), rounds: u32) -
     start.elapsed().as_secs_f64()
 }
 
-/// 256 pipelines on one fixed client I/O pool: thread ceiling while the
-/// plane is live, and zero residue after teardown.
+/// 256 pipelines driven by their callers: thread ceiling while the plane
+/// is live, and zero residue after teardown.
 fn client_plane(opts: &RunOpts) -> Vec<Check> {
     let pipelines: usize = 256;
-    let pool_threads: usize = 2;
     let server_shards: usize = 2;
     let rounds: u32 = if opts.quick { 4 } else { 16 };
 
     let threads_before = process_thread_count();
-    let pool = ClientIoPool::new(pool_threads);
     let server = ShardServer::new(server_shards);
     let plane: Vec<Pipeline> = (0..pipelines)
         .map(|_| {
@@ -127,24 +125,19 @@ fn client_plane(opts: &RunOpts) -> Vec<Check> {
             let watch = server_end.watch();
             server.add_session(Box::new(server_end), watch, Arc::new(Echo)).expect("echo session");
             let client_watch = client_end.watch();
-            Pipeline::with_recovery_on(
-                &pool,
+            Pipeline::new(
                 Upstream::Plain(Box::new(client_end)),
                 client_watch,
                 8,
                 None,
                 sgfs_obs::Emitter::detached("client"),
-                None,
-                RetryPolicy::default(),
             )
-            .expect("pipeline on shared pool")
         })
         .collect();
     let threads_running = process_thread_count();
 
-    // Each share of pipelines drops inside its driver, retiring off the
-    // pool there, so teardown below waits only on the pool and server
-    // workers.
+    // Each share of pipelines drops inside its driver, retiring there, so
+    // teardown below waits only on the server workers.
     let wall_s = drive(
         plane,
         |mine, rounds| {
@@ -153,7 +146,7 @@ fn client_plane(opts: &RunOpts) -> Vec<Check> {
                     let mut record = vec![0x37u8; RECORD_LEN];
                     record[0..4].copy_from_slice(&(0x2_0000 + r).to_be_bytes());
                     let reply = p.call(record.clone()).expect("pipeline call");
-                    assert_eq!(reply, record, "echo through the shared pool");
+                    assert_eq!(reply, record, "echo through the caller-driven pipeline");
                 }
             }
         },
@@ -161,8 +154,7 @@ fn client_plane(opts: &RunOpts) -> Vec<Check> {
     );
 
     drop(server);
-    drop(pool);
-    // The drops above join their workers, but /proc can trail the reaper
+    // The drop above joins the shard workers, but /proc can trail the reaper
     // by a beat; poll briefly before declaring a leak.
     let mut threads_after = process_thread_count();
     for _ in 0..2_000 {
@@ -182,7 +174,7 @@ fn client_plane(opts: &RunOpts) -> Vec<Check> {
             "client_threads_added",
             running.saturating_sub(before) as f64,
             "count",
-            (pool_threads + server_shards + THREAD_SLACK) as f64,
+            (server_shards + THREAD_SLACK) as f64,
         ));
         rows.push(Check::at_most(
             "client_threads_leaked",
@@ -244,7 +236,7 @@ pub fn suite(opts: &RunOpts) -> Vec<Check> {
     rows.push(Check::report("calls_s", SESSIONS as f64 * rounds as f64 / wall_s, "1/s"));
     rows.push(Check::report("shard_served", (pool.stats().served - served_before) as f64, "count"));
 
-    // 4. Client plane: 256 pipelines on a 2-thread client I/O pool.
+    // 4. Client plane: 256 pipelines, no client thread of their own.
     rows.extend(client_plane(opts));
     rows
 }

@@ -4,13 +4,15 @@
 //!    sequential read script fanned split-phase across a width-4 stripe
 //!    set vs a width-1 (single-upstream) set, both over emulated
 //!    20 ms-RTT links in the testbed's virtual time. This drives the
-//!    exact primitive the read-ahead worker and the session data plane
-//!    use — `StripeMap` routing into each member's windowed pipeline —
-//!    with the same small per-member window, so the only variable is how
-//!    many servers the in-flight set can spread across. The gated rows
-//!    submit each member's blocks as one batch, as read-ahead does; the
-//!    `read_callers_*` rows (reported) run the same read as a window's
-//!    worth of synchronous callers per member sharing its pipeline.
+//!    exact primitive read-ahead and the session data plane use —
+//!    `StripeMap` routing into each member's windowed pipeline, waited on
+//!    through the stripe set — with the same small per-member window, so
+//!    the only variable is how many servers the in-flight set can spread
+//!    across. The gated rows submit each member's blocks as one batch, as
+//!    read-ahead does; the reported `read_one_clock_*` row runs that read
+//!    with every member on one client host, and the `read_callers_*`
+//!    rows run it as a window's worth of synchronous callers per member
+//!    sharing its pipeline.
 //! 2. **Replicated flush** — a width-2, 2-replica stripe set flushes a
 //!    dirty write-back cache; the two mock servers answer with *distinct*
 //!    write verifiers (7 and 9) and the rows require both per-member
@@ -168,14 +170,19 @@ fn check_block(b: u64, reply: &[u8]) {
 /// read-ahead drives: `StripeMap` routes each block to its
 /// member, and the member's windowed pipeline keeps the wire full.
 ///
-/// Each member is an independent server behind its own link and its own
-/// virtual clock (separate hosts share nothing but the client); elapsed
-/// time is the slowest member's clock. Independent clocks keep one
-/// member's arrival gates from inflating another member's stamps through
-/// real-time scheduling skew, so the measurement is the stripe's
-/// aggregate in-flight capacity and nothing else.
-fn striped_read_time(width: u32, blocks: usize, fanout: Fanout) -> f64 {
-    let clocks: Vec<Arc<SimClock>> = (0..width).map(|_| SimClock::new()).collect();
+/// Each member is an independent server behind its own link. Unless
+/// `one_clock`, each member's link also has a client clock of its own and
+/// elapsed time is the slowest of them: no member's replies move the
+/// clock another member's calls are stamped from, so the measurement is
+/// the stripe's aggregate in-flight capacity and nothing else. A session
+/// puts every member on one client host (`Session::build_from`); with
+/// `one_clock` so does this read, and then it also measures how promptly
+/// the one waiting thread keeps every member's window turning.
+fn striped_read_time(width: u32, blocks: usize, fanout: Fanout, one_clock: bool) -> f64 {
+    let client = SimClock::new();
+    let clocks: Vec<Arc<SimClock>> = (0..width)
+        .map(|_| if one_clock { client.clone() } else { SimClock::new() })
+        .collect();
     let links: Vec<Arc<Link>> =
         clocks.iter().map(|c| Link::new(LinkSpec::wan_rtt(RTT), c.clone())).collect();
     let states: Vec<ServerState> = (0..width).map(|_| Arc::default()).collect();
@@ -206,7 +213,8 @@ fn striped_read_time(width: u32, blocks: usize, fanout: Fanout) -> f64 {
     match fanout {
         // Each member's blocks go out as one batch, as the read-ahead
         // fan-out submits them: the member's pipeline admits a window of
-        // them and tops the window up as replies land.
+        // them, and whoever waits tops every member's window up as
+        // replies land.
         Fanout::Batch => {
             let batches: Vec<_> = members
                 .iter()
@@ -219,7 +227,7 @@ fn striped_read_time(width: u32, blocks: usize, fanout: Fanout) -> f64 {
                 .collect();
             for (mine, replies) in batches {
                 for (b, reply) in mine.into_iter().zip(replies) {
-                    check_block(b, &reply.wait().expect("striped read"));
+                    check_block(b, &proxy.stripe().wait(reply).expect("striped read"));
                 }
             }
         }
@@ -256,14 +264,20 @@ fn striped_read_time(width: u32, blocks: usize, fanout: Fanout) -> f64 {
 
 fn stripe_read(opts: &RunOpts) -> Vec<Check> {
     let blocks = if opts.quick { 48 } else { 96 };
-    let width_1_s = striped_read_time(1, blocks, Fanout::Batch);
-    let width_4_s = striped_read_time(4, blocks, Fanout::Batch);
-    let callers_1_s = striped_read_time(1, blocks, Fanout::Callers);
-    let callers_4_s = striped_read_time(4, blocks, Fanout::Callers);
+    let width_1_s = striped_read_time(1, blocks, Fanout::Batch, false);
+    let width_4_s = striped_read_time(4, blocks, Fanout::Batch, false);
+    let one_clock_4_s = striped_read_time(4, blocks, Fanout::Batch, true);
+    let callers_1_s = striped_read_time(1, blocks, Fanout::Callers, false);
+    let callers_4_s = striped_read_time(4, blocks, Fanout::Callers, false);
     vec![
         Check::report("read_width_1_s", width_1_s, "s"),
         Check::report("read_width_4_s", width_4_s, "s"),
         Check::at_least("read_width_4_speedup", width_1_s / width_4_s, "ratio", 2.0),
+        // The same read on one client host. Reported, not gated: which
+        // member's reply the host reads first is real-time scheduling, and
+        // a reply read ahead of a sibling's earlier one delays that
+        // sibling's next call by a round trip.
+        Check::report("read_one_clock_width_4_speedup", width_1_s / one_clock_4_s, "ratio"),
         // Concurrent synchronous callers share each member's pipeline.
         // Reported, not gated: a reply one caller reads fast-forwards the
         // host's clock past the other's next send now and then (DESIGN

@@ -101,10 +101,10 @@ pub enum HsStatus {
 /// stream's [`PipeWatch`]: each [`advance`](Self::advance) drives the
 /// machine as far as the bytes on hand allow and returns
 /// [`HsStatus::Pending`] instead of blocking when the peer's next
-/// message has not arrived. Event loops (the client I/O pool, the
-/// session reconnector) park the whole struct and re-advance on
-/// readiness — no thread is ever dedicated to a connect, reconnect, or
-/// rekey. Without a watch, `advance` blocks like the classic drivers.
+/// message has not arrived. A dialer (a session's connect, a
+/// reconnector) parks the whole struct and re-advances on readiness —
+/// no thread is ever dedicated to a connect, reconnect, or rekey.
+/// Without a watch, `advance` blocks like the classic drivers.
 ///
 /// Reading whole frames under `has_input()` is sound for the same
 /// reason the sharded server's record reads are: every handshake frame

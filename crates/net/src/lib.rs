@@ -19,10 +19,10 @@
 //!   (record marking, GTLS, tunnels) is written against, so real
 //!   `TcpStream`s can be substituted for the in-memory pipes.
 //! * [`poll::Poller`] — readiness notification over the pipe transports:
-//!   the worker loops of both planes sleep here instead of in one
+//!   the server plane's worker loops sleep here instead of in one
 //!   blocking read per connection.
 //! * [`submit::submit_ring`] — the bounded, wake-aware queue that feeds
-//!   those loops: pipeline commands, and the accept → pin handoff.
+//!   those loops the accept → pin handoff.
 
 pub mod clock;
 pub mod crash;

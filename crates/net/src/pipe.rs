@@ -52,8 +52,10 @@ impl Channel {
             }
             st.queued_bytes += msg.data.len();
             st.queue.push_back(msg);
-            self.cond.notify_one();
         }
+        // After the unlock: a reader woken under the lock would wake only
+        // to block on it again — a second context switch per message.
+        self.cond.notify_one();
         self.notify_watcher();
         Ok(())
     }

@@ -50,6 +50,8 @@ impl PollShared {
         if !st.pending[token] {
             st.pending[token] = true;
             st.ready.push_back(token);
+            // Wake the waiter once the lock is free for it to take.
+            drop(st);
             self.cond.notify_one();
         }
     }

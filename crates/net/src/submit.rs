@@ -1,12 +1,11 @@
-//! The wake-aware submission ring the worker loops drain.
+//! The wake-aware submission ring the worker loop drains.
 //!
 //! A bounded multi-producer/single-consumer queue with the same
 //! readiness contract as [`crate::pipe::PipeWatch`]: the consumer
 //! registers a [`Readiness`] handle and every push (and the final close)
-//! notifies it, so a pipeline's command stream and its upstream socket
-//! can both wake the same event-loop token. It carries two things: the
-//! commands handles submit to their pipeline, and the connections the
-//! accept side pins onto a pool worker.
+//! notifies it, so a queue and a socket can wake the same event-loop
+//! poller. It carries the connections the accept side pins onto a pool
+//! worker.
 //!
 //! Unlike an mpsc channel, the ring's storage is a fixed-capacity
 //! `VecDeque` allocated once at construction: steady-state submission
@@ -19,7 +18,7 @@
 //! Close semantics mirror the pipe: dropping the last sender closes the
 //! ring (consumer sees [`Popped::Closed`] once drained, watcher fires);
 //! dropping the receiver fails all further pushes with the value handed
-//! back, so producers can surface "pipeline terminated" errors.
+//! back, so producers can tell that the consumer is gone.
 
 use crate::poll::Readiness;
 use parking_lot::{Condvar, Mutex};
@@ -146,26 +145,6 @@ impl<T> SubmitReceiver<T> {
         popped
     }
 
-    /// Queued submissions awaiting `pop`.
-    pub fn has_input(&self) -> bool {
-        !self.shared.state.lock().queue.is_empty()
-    }
-
-    /// True once every sender has dropped (queued items may remain).
-    pub fn is_closed(&self) -> bool {
-        self.shared.state.lock().senders == 0
-    }
-
-    /// Refuse every further push and drop what is queued, exactly as
-    /// dropping the receiver does — for a consumer that outlives its
-    /// willingness to consume.
-    pub fn close(&self) {
-        let mut st = self.shared.state.lock();
-        st.rx_alive = false;
-        st.queue.clear();
-        self.shared.space.notify_all();
-    }
-
     /// Install `readiness` as the ring's watcher (replacing any prior
     /// one). Fires immediately if submissions are already queued or the
     /// ring is already closed, so registration cannot race a push.
@@ -182,8 +161,12 @@ impl<T> SubmitReceiver<T> {
 }
 
 impl<T> Drop for SubmitReceiver<T> {
+    /// Refuse every further push and drop what is queued.
     fn drop(&mut self) {
-        self.close();
+        let mut st = self.shared.state.lock();
+        st.rx_alive = false;
+        st.queue.clear();
+        self.shared.space.notify_all();
     }
 }
 
@@ -226,7 +209,6 @@ mod tests {
         let (tx, rx) = submit_ring(4);
         tx.push(7).unwrap();
         drop(tx);
-        assert!(rx.is_closed());
         assert!(matches!(rx.pop(), Popped::Value(7)));
         assert!(matches!(rx.pop(), Popped::Closed));
     }
@@ -236,15 +218,6 @@ mod tests {
         let (tx, rx) = submit_ring(4);
         drop(rx);
         assert_eq!(tx.push(42), Err(42));
-    }
-
-    #[test]
-    fn close_fails_push_and_drops_the_queue() {
-        let (tx, rx) = submit_ring(4);
-        tx.push(1).unwrap();
-        rx.close();
-        assert!(!rx.has_input(), "queued values dropped");
-        assert_eq!(tx.push(2), Err(2));
     }
 
     #[test]

@@ -12,22 +12,21 @@
 //! * [`record`] — RFC 5531 §11 record marking for stream transports.
 //! * [`client`] — a blocking RPC client (`call` = one round trip).
 //! * [`server`] — a per-connection dispatch loop over an [`RpcService`].
-//! * [`pool`] — the worker loop both planes run: a fixed set of threads,
+//! * [`pool`] — the server plane's worker loop: a fixed set of threads,
 //!   each serving every connection pinned to it from one poller.
-//! * [`shard`] — the server plane's owner of that loop: thousands of
-//!   pinned sessions served under deficit round robin and admission
-//!   control.
-//! * [`client_pool`] — the client plane's owner: many pipelined upstream
-//!   connections on a fixed set of workers.
+//! * [`shard`] — its owner: thousands of pinned sessions served under
+//!   deficit round robin and admission control.
 //! * [`loopback`] — synchronous in-process dispatch, so a proxy can call
 //!   a same-process backend without a thread or a pipe.
+//!
+//! The client plane has no worker: a pipelined upstream channel is driven
+//! by the threads that wait on it (`sgfs::proxy::pipeline`).
 //!
 //! The SGFS proxies additionally use the header types directly to inspect
 //! and rewrite credentials in-flight, which is the core of the paper's
 //! user-level virtualization technique.
 
 pub mod client;
-pub mod client_pool;
 pub mod error;
 pub mod loopback;
 pub mod msg;
@@ -37,11 +36,9 @@ pub mod server;
 pub mod shard;
 
 pub use client::RpcClient;
-pub use client_pool::ClientIoPool;
 pub use error::RpcError;
 pub use loopback::LoopbackStream;
 pub use msg::{AcceptStat, AuthFlavor, AuthSysParams, CallHeader, OpaqueAuth, ReplyHeader};
-pub use pool::{ConnPump, PoolConn};
 pub use server::{serve_connection, RpcService};
 pub use shard::{
     process_thread_count, AdmissionPolicy, RecordService, RpcRecordService, ShardServer,
@@ -50,3 +47,16 @@ pub use shard::{
 
 /// The fixed RPC protocol version this crate speaks.
 pub const RPC_VERSION: u32 = 2;
+
+/// Starts no thread and holds nothing: client pipelines are driven by the
+/// threads that wait on them. The type stays only because the benchmark
+/// harness under `benchmark/`, which this tree does not change, still
+/// constructs one.
+pub struct ClientIoPool;
+
+impl ClientIoPool {
+    /// A handle to nothing; `_threads` is ignored.
+    pub fn new(_threads: usize) -> std::sync::Arc<Self> {
+        std::sync::Arc::new(Self)
+    }
+}

@@ -1,12 +1,12 @@
-//! The worker loop both planes run.
+//! The server plane's worker loop.
 //!
 //! Thread-per-connection dies at scale: ten thousand sessions is ten
 //! thousand parked stacks. An [`IoPool`] is a fixed set of named worker
 //! threads instead, each sleeping in one [`sgfs_net::Poller`] and serving
-//! every connection pinned to it. [`crate::ShardServer`] (server sessions)
-//! and [`crate::ClientIoPool`] (client pipelines) are thin owners of one
-//! pool each; what differs between the planes is the [`PoolConn`] they pin
-//! and the worker-local state `W` the loop lends it.
+//! every connection pinned to it. [`crate::ShardServer`] is its owner: it
+//! pins server sessions as [`PoolConn`]s and lends each worker's
+//! connections the shard state `W`. The loop stays generic over `W` so
+//! its own tests can lend fake state.
 //!
 //! * **Accept → pin.** The accept side boxes a connection and pushes it
 //!   onto the chosen worker's inbox, a [`sgfs_net::submit_ring`]: the push
@@ -44,14 +44,11 @@
 //! unchanged. An abandoned partial record always ends in channel close →
 //! EOF error → teardown, never an indefinite stall.
 //!
-//! The same argument covers the one reader that is not a worker: a client
-//! caller blocked on an upstream reply drives its own pipeline with the
-//! very same pump steps (the connection's state is then simply not the
-//! worker's to take; see `sgfs::proxy::pipeline`). It reads a record only
-//! once its watch reports input, exactly as a pump does, and is the only
-//! party that ever sleeps waiting for *new* input — on the wire itself,
-//! bounded by its call deadline, with the wire's readiness withheld from
-//! the worker meanwhile.
+//! The same argument covers the client plane, which has no worker: a
+//! caller blocked on an upstream reply drives its own pipeline (see
+//! `sgfs::proxy::pipeline`), reads a record only once its watch reports
+//! input, exactly as a pump does, and sleeps for *new* input on the wire
+//! itself, bounded by its call deadline.
 
 use parking_lot::Mutex;
 use sgfs_net::{submit_ring, Poller, Popped, Readiness, SubmitReceiver, SubmitSender, Token};
@@ -72,11 +69,10 @@ pub enum ConnPump {
 
 /// One event-driven connection a pool worker owns; `W` is the state the
 /// worker lends to every connection it serves.
-pub trait PoolConn<W = ()>: Send {
+pub trait PoolConn<W>: Send {
     /// Called once when the connection is pinned to its worker. The
     /// connection must register every event source it owns against
-    /// `readiness` and keep a clone if replacement sources (e.g. a
-    /// re-dialed upstream after reconnect) have to be registered later.
+    /// `readiness`.
     fn attach(&mut self, readiness: Readiness, worker: &mut W);
     /// Drain actionable work. Must not block waiting for new input;
     /// bounded blocking reads after `has_input()` are fine.
@@ -308,7 +304,7 @@ pub(crate) mod tests {
         release: mpsc::Receiver<()>,
     }
 
-    impl PoolConn for Parked {
+    impl PoolConn<()> for Parked {
         fn attach(&mut self, readiness: Readiness, _: &mut ()) {
             self.rx.register(readiness);
         }
@@ -322,7 +318,7 @@ pub(crate) mod tests {
     /// Has no event source: pinned, never pumped.
     struct Inert;
 
-    impl PoolConn for Inert {
+    impl PoolConn<()> for Inert {
         fn attach(&mut self, _: Readiness, _: &mut ()) {}
         fn pump(&mut self, _: &mut ()) -> ConnPump {
             ConnPump::Idle

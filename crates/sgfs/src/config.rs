@@ -243,9 +243,6 @@ pub struct SessionConfig {
     /// The observability domain the client proxy's emitter attaches to
     /// (`None` = an untraced domain of the proxy's own: it still counts).
     pub obs: Option<std::sync::Arc<sgfs_obs::Obs>>,
-    /// Shared client I/O pool the session's upstream pipeline is pinned
-    /// to; `None` gives the pipeline a private single-worker pool.
-    pub client_pool: Option<std::sync::Arc<sgfs_oncrpc::ClientIoPool>>,
     /// Client side: placement (stripe width, replica count, stripe
     /// unit). `None` = the width-1 placement: one upstream holding every
     /// block, on the same data path as any other width.
@@ -271,7 +268,6 @@ impl SessionConfig {
             durability: DurabilityPolicy::default(),
             crash: None,
             obs: None,
-            client_pool: None,
             stripe: None,
         }
     }

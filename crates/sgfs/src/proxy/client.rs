@@ -162,12 +162,8 @@ pub struct ClientProxy {
 /// dial through.
 type SharedReconnector = Arc<Mutex<Box<dyn crate::proxy::retry::Reconnector>>>;
 
-/// The pool and pipeline parameters every member channel shares.
+/// The pipeline parameters every member channel shares.
 struct ChannelParams {
-    /// The client I/O pool the member pipelines multiplex onto:
-    /// `config.client_pool`, or one private single-worker pool shared by
-    /// all members — a wider stripe adds **zero** reader threads.
-    pool: Arc<sgfs_oncrpc::ClientIoPool>,
     stats: Emitter,
     window: u32,
     rekey_every: Option<u64>,
@@ -175,18 +171,17 @@ struct ChannelParams {
 }
 
 impl ChannelParams {
-    /// Pipeline one established member channel onto the pool. The
-    /// pipeline dials through `redial` for transient blips.
+    /// Pipeline one established member channel. The pipeline dials
+    /// through `redial` for transient blips.
     fn open(
         &self,
         mut upstream: Upstream,
         watch: sgfs_net::PipeWatch,
         redial: Option<&SharedReconnector>,
-    ) -> std::io::Result<Pipeline> {
+    ) -> Pipeline {
         if let Upstream::Tls(t) = &mut upstream {
-            // Attribute record crypto to this proxy's CPU account before
-            // the channel moves onto the client I/O pool. The stream's
-            // own auto-rekey stays off: a transparent mid-window
+            // Attribute record crypto to this proxy's CPU account. The
+            // stream's own auto-rekey stays off: a transparent mid-window
             // renegotiation would interleave handshake records with
             // in-flight DATA replies, so the pipeline tracks the
             // rekey-every threshold itself and rekeys at quiesce points.
@@ -197,8 +192,7 @@ impl ChannelParams {
             Box::new(move |attempt: u32| shared.lock().reconnect(attempt))
                 as Box<dyn crate::proxy::retry::Reconnector>
         });
-        Pipeline::with_recovery_on(
-            &self.pool,
+        Pipeline::with_recovery(
             upstream,
             watch,
             self.window,
@@ -428,7 +422,6 @@ impl ClientProxy {
             }
         };
         let channels = ChannelParams {
-            pool: config.client_pool.clone().unwrap_or_else(|| sgfs_oncrpc::ClientIoPool::new(1)),
             stats: stats.clone(),
             window: config.window,
             rekey_every: config.rekey_every_records,
@@ -442,7 +435,7 @@ impl ClientProxy {
             // through it again when a rejoined host needs a fresh
             // channel after the pipeline's budget ran out.
             let shared = reconnector.map(|r| Arc::new(Mutex::new(r)) as SharedReconnector);
-            pipelines.push(channels.open(upstream, watch, shared.as_ref())?);
+            pipelines.push(channels.open(upstream, watch, shared.as_ref()));
             redial.push(shared);
         }
         Ok(Self {
@@ -988,7 +981,7 @@ impl ClientProxy {
             Prefetch::Landed(data) => Some(data),
             Prefetch::Pending(m, reply) => {
                 let t_io = std::time::Instant::now();
-                let reply = reply.wait();
+                let reply = self.stripe.wait(reply);
                 self.stats.exclude(t_io.elapsed());
                 self.settle_prefetch(file, m, reply)
             }
@@ -1190,6 +1183,7 @@ impl ClientProxy {
         for (m, member, replies) in pending {
             for ((offset, record), reply) in offsets_of[m].iter().zip(&records_of[m]).zip(replies)
             {
+                let reply = self.stripe.wait(reply);
                 match settle_write(&member, &self.stats, &self.channels.retry, record, reply) {
                     Ok(verf) => {
                         if *member_verf[m].get_or_insert(verf) != verf {
@@ -1617,7 +1611,7 @@ impl ClientProxy {
     fn revive_member(&mut self, m: usize) -> std::io::Result<()> {
         let Some(redial) = self.redial[m].clone() else { return Ok(()) };
         let (upstream, watch) = redial.lock().reconnect(0)?;
-        let pipeline = self.channels.open(upstream, watch, Some(&redial))?;
+        let pipeline = self.channels.open(upstream, watch, Some(&redial));
         self.stripe.replace_member(m, pipeline);
         Ok(())
     }
@@ -1657,6 +1651,7 @@ impl ClientProxy {
         let member = self.stripe.member(m);
         let mut verf: Option<u64> = None;
         for (record, reply) in records.iter().zip(member.submit_batch(&records)) {
+            let reply = reply.wait();
             let v = settle_write(&member, &self.stats, &self.channels.retry, record, reply)?;
             if *verf.get_or_insert(v) != v {
                 return Err(std::io::Error::other(
@@ -1810,16 +1805,16 @@ enum FlushOutcome {
     Retry,
 }
 
-/// Await one write-back WRITE reply — riding out JUKEBOX against the
+/// Settle one write-back WRITE reply — riding out JUKEBOX against the
 /// member that shed it — and extract its write verifier.
 fn settle_write(
     member: &Pipeline,
     stats: &Emitter,
     retry: &RetryPolicy,
     record: &[u8],
-    reply: PendingReply,
+    reply: std::io::Result<Vec<u8>>,
 ) -> std::io::Result<u64> {
-    let reply = settle_jukebox(member, stats, retry, record, reply.wait()?)?;
+    let reply = settle_jukebox(member, stats, retry, record, reply?)?;
     let res: WriteRes = decode_reply(&reply)?;
     if res.status != NfsStat3::Ok {
         return Err(std::io::Error::other(format!("write-back failed: {:?}", res.status)));

@@ -1,6 +1,5 @@
-//! Xid-demultiplexed RPC pipelining over the upstream channel, driven by
-//! whoever waits on it: the caller blocked on a reply, or the shared
-//! client I/O pool.
+//! Xid-demultiplexed RPC pipelining over the upstream channel, driven only
+//! by the threads that submit to it or wait on it.
 //!
 //! The client proxy used to issue upstream calls strictly serially: write
 //! one record, block for its reply, repeat. Over a WAN that bounds
@@ -10,37 +9,30 @@
 //! id that is the first word of every ONC RPC call *and* reply record
 //! (RFC 5531 §9).
 //!
-//! Who drives the channel. Earlier revisions parked a dedicated blocking
-//! reader thread per pipeline (N sessions cost N stacks, and a dropped
-//! handle leaked its thread); the next made every call cross to a
-//! [`ClientIoPool`] worker and back — caller → submission ring → worker →
-//! wire → worker → reply channel → caller, four thread hand-offs where
-//! the wire needs two. Now the pipeline's whole I/O state sits behind one
-//! mutex that either of two parties may hold, and both run the same
-//! `pump_once` / `send_call` / `read_one_reply` / `recover` code:
+//! Who drives the channel: only its callers, as the paper's client proxy
+//! is a loop-back process that runs when the kernel client calls it. The
+//! pipeline owns no thread. Its whole I/O state sits behind one mutex,
+//! and whichever thread holds it runs the `pump_once` / `send_call` /
+//! `read_one_reply` / `recover` code:
 //!
-//! * **The caller.** One that finds the state free, the window empty,
-//!   nothing queued (in the pump or the ring), no rekey due and the
-//!   connection attached admits its own call: it seals and writes on its
-//!   own thread, with no ring push and no worker wake-up. Whoever then
-//!   waits on a reply ([`PendingReply::wait`]) pumps the state until that
-//!   reply lands, completing every other reply it reads on the way. While
-//!   it pumps, the wire's readiness is withheld from the worker; it is
-//!   re-registered afterwards, and registration fires at once if input is
-//!   pending.
-//! * **The pool worker.** The state is pinned to a [`ClientIoPool`]
-//!   worker as a [`PoolConn`] and keeps everything no caller is waiting
-//!   on: read-ahead landing, write-back batches, late replies, and rekey
-//!   and reconnect when nobody drives. Its event
-//!   sources — the upstream transport's [`PipeWatch`] and a wake-aware
-//!   submission ring ([`sgfs_net::submit_ring`]) carrying the commands
-//!   callers did not admit themselves — share one readiness token, and a
-//!   `pump` pass drains whatever is actionable without ever blocking for
-//!   *new* input.
+//! * **Submitting** queues the call and, when the state is free, sends
+//!   what the window has room for on the submitting thread.
+//! * **Waiting** ([`PendingReply::wait`]) pumps the state until the reply
+//!   lands, completing every other reply it reads on the way, and sleeps
+//!   on the wire while nothing is actionable.
+//! * **Polling** ([`PendingReply::try_wait`]) lands what has already
+//!   arrived and never sleeps; read-ahead lands this way, on the READs
+//!   that follow it.
 //!
-//! Neither is a mode. A caller that finds the state held takes the ring
-//! path and waits on its reply channel; a worker that finds it held by a
-//! caller leaves a mark, and the caller wakes it on release.
+//! Contention is a queue, not a thread. A caller that finds the state
+//! held leaves its call in the queue and waits for its turn. The holder
+//! sends queued calls as the window allows — a holder asleep on the wire
+//! with room in the window is nudged awake to do so — and sends what fits
+//! before it lets go. Each reply it delivers, and its letting go, wake
+//! the waiting callers: one whose reply is still out takes the state
+//! over. Calls beyond the window stay queued for whoever pumps next, and
+//! so do late replies to calls whose caller gave up (the next pump reads
+//! and drops them).
 //!
 //! One copy each way. A submitted record is copied once, into the
 //! pipeline's own buffer behind room for its RFC 5531 record mark; that
@@ -51,12 +43,10 @@
 //! reply buffer — so a read whose reply outgrows that recycled buffer
 //! regrows it, the only zero-fill on this path.
 //!
-//! The submission ring is a fixed-capacity ladder. Dropping the last
-//! handle closes the ring; the worker observes the close, delivers any
-//! replies that already arrived, fails the rest, flushes the depth gauge,
-//! and retires the connection — the handle's `Drop` blocks (bounded)
-//! until that retirement is signalled, so teardown is deterministic and
-//! nothing is left parked.
+//! Dropping the last handle drains the pipeline on the dropping thread:
+//! replies that already arrived are delivered, everything else fails, the
+//! depth gauge is flushed and the transport closed — nothing is left
+//! parked.
 //!
 //! Because independently numbered calls (the kernel client's forwarded
 //! requests, the proxy's own split-phase write-back and read-ahead) share
@@ -72,7 +62,9 @@
 //! *quiesces* first — stops admitting, drains every outstanding reply —
 //! and only then renegotiates. The periodic `rekey_every` threshold is
 //! tracked here, not in the stream's writer (which would fire
-//! mid-window), for the same reason.
+//! mid-window), for the same reason; once it is due, the next call's pump
+//! runs it. [`Pipeline::rekey`] runs on its own caller's thread and, like
+//! a call, gives up at the per-call deadline.
 //!
 //! Fault recovery: sessions are expected to outlive transient WAN
 //! failures, so a transport error is not the end of the channel when a
@@ -80,8 +72,7 @@
 //! ([`is_transient_io`]), fails the in-flight calls that are unsafe to
 //! retransmit (see [`retry::replayable`]), re-dials with capped
 //! exponential backoff, and replays the idempotent remainder — in their
-//! original wire-xid order — on the fresh channel, re-registering the
-//! replacement transport's watch on the same pool token. A successful
+//! original wire-xid order — on the fresh channel. A successful
 //! reconnect re-runs the full GTLS handshake, which also satisfies any
 //! pending rekey request. Without a reconnector any transport error
 //! remains terminal, as before.
@@ -92,74 +83,45 @@
 //! read once the transport watch reports input, and the message-atomic
 //! writer invariant (see the pool module docs in `sgfs-oncrpc`)
 //! guarantees a whole record follows, so the bounded blocking record
-//! read stalls neither party. Only a caller ever waits for *new* input:
-//! with nothing actionable it sleeps in [`PipeWatch::wait_input`], still
-//! holding the state, until input, EOF, a [`PipeWatch::nudge`] from a
-//! handle that pushed a command the window has room for (its next pass
-//! admits it, so a concurrent caller does not wait a round trip behind
-//! it) or the per-call deadline of
-//! [`RetryPolicy::call_deadline`] — a silent server yields `TimedOut`
-//! rather than a hang. A timed-out call stays in flight; its
-//! late reply is collected (and discarded) by the worker, as any reply
-//! nobody is waiting on. Renegotiation and reconnect backoff block
-//! whichever party is driving (they are rare, bounded control-plane
-//! events); pool sizing accounts for that.
+//! read never stalls. Only a waiting caller ever sleeps for *new* input:
+//! in [`PipeWatch::wait_input`], still holding the state, until input,
+//! EOF, a [`PipeWatch::nudge`] from a submitter whose call the window has
+//! room for, or the per-call deadline of [`RetryPolicy::call_deadline`]
+//! — a silent server yields `TimedOut` rather than a hang. A timed-out
+//! call stays in flight until its late reply turns up. Renegotiation and
+//! reconnect backoff block whichever caller is driving (they are rare,
+//! bounded control-plane events).
 
 use crate::config::RetryPolicy;
-use crate::proxy::retry::{self, Reconnector};
-use sgfs_obs::{Counter, Emitter, Gauge, Hop, NO_PROC};
 use crate::proxy::client::Upstream;
-use parking_lot::{Condvar, Mutex};
-use sgfs_net::{submit_ring, PipeWatch, Popped, Readiness, SubmitReceiver, SubmitSender};
+use crate::proxy::retry::{self, Reconnector};
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use sgfs_net::PipeWatch;
+use sgfs_obs::{Counter, Emitter, Gauge, Hop, NO_PROC};
 use sgfs_oncrpc::record::{framed, is_transient_io, read_record_into, write_marked, MARK_LEN};
-use sgfs_oncrpc::{ClientIoPool, ConnPump, PoolConn};
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Weak};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Default in-flight window (calls admitted before a reply is required).
 pub const DEFAULT_WINDOW: u32 = 8;
 
-/// Capacity of the submission ring between handles and the pump.
-/// Producers block (backpressure) when it is full.
-const RING_CAPACITY: usize = 256;
-
-/// Fairness budget: work items one pump pass performs before re-arming
-/// its token so neighbor connections on the same worker get a turn.
-const MAX_PUMP: usize = 32;
-
-/// Upper bound a dropping handle waits for the pump to acknowledge
-/// retirement. Retirement is normally immediate; the bound only guards
-/// against a wedged pool worker.
-const RETIRE_WAIT: Duration = Duration::from_secs(5);
+/// Longest a waiter sleeps on its own wire while a sibling it keeps
+/// moving has calls out.
+const SIBLING_SLICE: Duration = Duration::from_micros(500);
 
 /// Where one call's reply (original xid restored) is delivered.
 type ReplyTx = mpsc::Sender<io::Result<Vec<u8>>>;
 
-/// One record plus the channel its reply is delivered on.
-type BatchEntry = (Vec<u8>, ReplyTx);
+/// One submitted call: the record, held in the pipeline's own copy behind
+/// mark headroom ([`framed`]: the one copy a call makes between its
+/// caller's buffer and the wire, resent as it is after a reconnect), and
+/// the channel its reply goes back through.
+type Call = (Vec<u8>, ReplyTx);
 
-/// Commands from pipeline handles to the pool worker.
-enum Cmd {
-    /// Forward one raw call record, held in the pipeline's own copy
-    /// behind mark headroom ([`framed`]: the one copy a call makes between
-    /// its caller's buffer and the wire, resent as it is after a
-    /// reconnect); the reply (original xid restored) goes back through
-    /// `reply_tx`.
-    Call { record: Vec<u8>, reply_tx: ReplyTx },
-    /// Several calls submitted atomically: they reach the pump as a
-    /// unit, so up to a window of them is guaranteed to be admitted
-    /// before it reads a reply. Individual `submit` calls race against
-    /// admission — a batch of N ≤ window never leaves a member stranded
-    /// behind a blocking read.
-    Batch(Vec<BatchEntry>),
-    /// Quiesce the window and renegotiate the session keys.
-    Rekey { done_tx: mpsc::Sender<io::Result<()>> },
-}
-
-/// State shared between handles and the pump.
+/// What handles and waiters share outside the state's lock.
 struct Shared {
     /// Mirror of the upstream's completed-handshake count (cumulative
     /// across reconnections).
@@ -168,158 +130,153 @@ struct Shared {
     is_tls: bool,
     /// Per-call reply deadline applied by `PendingReply::wait`.
     deadline: Option<Duration>,
-    /// The wire a driving caller sleeps on while it could admit another
-    /// command; a handle that pushes one nudges it (`Pipeline::push`).
+    /// Calls submitted and not yet sent, oldest first. Whoever holds the
+    /// state sends them as the window allows. A batch lands here in one
+    /// piece, so up to a window of it goes out before the holder reads a
+    /// reply — a batch of N ≤ window never leaves a member stranded
+    /// behind a blocking read.
+    queue: Mutex<VecDeque<Call>>,
+    /// The wire a holder sleeps on while it could send another call; a
+    /// submitter nudges it (`Pipeline::enqueue`).
     asleep: Mutex<Option<PipeWatch>>,
+    /// The turn, which moves on whenever a reply is delivered or the
+    /// state is let go, and how many callers that found the state held
+    /// sleep until it does.
+    turn: Mutex<(u64, usize)>,
+    turned: Condvar,
 }
 
-/// Signals the handle side when the pump has retired the connection
-/// (stats flushed, waiters completed, upstream released).
-#[derive(Clone)]
-struct RetireGate(Arc<(Mutex<bool>, Condvar)>);
-
-impl RetireGate {
-    fn new() -> Self {
-        Self(Arc::new((Mutex::new(false), Condvar::new())))
+impl Shared {
+    fn turn(&self) -> u64 {
+        self.turn.lock().0
     }
 
-    fn set(&self) {
-        let (lock, cvar) = &*self.0;
-        *lock.lock() = true;
-        cvar.notify_all();
-    }
-
-    fn wait(&self, timeout: Duration) {
-        let (lock, cvar) = &*self.0;
-        let until = Instant::now() + timeout;
-        let mut done = lock.lock();
-        while !*done {
-            let left = until.saturating_duration_since(Instant::now());
-            if cvar.wait_for(&mut done, left).timed_out() {
-                break;
-            }
+    /// Move the turn on, waking every caller asleep on it.
+    fn pass(&self) {
+        let mut turn = self.turn.lock();
+        turn.0 += 1;
+        let asleep = turn.1 > 0;
+        drop(turn);
+        if asleep {
+            self.turned.notify_all();
         }
     }
+
+    /// Sleep until the turn moves past `seen`; false once `deadline`
+    /// passed first.
+    fn wait_turn(&self, seen: u64, deadline: Option<Instant>) -> bool {
+        let mut turn = self.turn.lock();
+        turn.1 += 1;
+        let moved = loop {
+            if turn.0 != seen {
+                break true;
+            }
+            match deadline {
+                None => self.turned.wait(&mut turn),
+                Some(at) => {
+                    let left = at.saturating_duration_since(Instant::now());
+                    if self.turned.wait_for(&mut turn, left).timed_out() {
+                        break turn.0 != seen;
+                    }
+                }
+            }
+        };
+        turn.1 -= 1;
+        moved
+    }
 }
 
-/// The pipeline's I/O state, shared by the handles — whose callers drive
-/// it while they wait — and the pool worker it is pinned to.
+/// The pipeline's I/O state and the turn-taking around it.
 struct Conn {
     io: Mutex<IoState>,
-    /// The worker came to pump while a caller held `io`. Stored before
-    /// the worker's second `try_lock` and swapped after the caller's
-    /// unlock, so either that retry wins or the caller sees the mark and
-    /// wakes the worker.
-    missed: AtomicBool,
+    shared: Arc<Shared>,
 }
 
 impl Conn {
-    /// Run `f` on the calling thread if the state is free, attached, not
-    /// retired and `ready` for this caller; `None` leaves the work to
-    /// whoever holds it. On release the worker is woken if it missed a
-    /// pump meanwhile or is owed work the caller leaves behind.
-    fn drive<R>(&self, ready: fn(&IoState) -> bool, f: impl FnOnce(&mut IoState) -> R) -> Option<R> {
-        let mut io = self.io.try_lock().filter(|io| io.drivable() && ready(io))?;
-        let out = f(&mut io);
-        let owed = io.owes_worker();
-        let readiness = io.readiness.clone();
+    /// Let go of the state: send what the window has room for first, then
+    /// wake every caller waiting for a turn.
+    fn release(&self, mut io: MutexGuard<'_, IoState>) {
+        io.admit_queued();
         drop(io);
-        if self.missed.swap(false, Ordering::SeqCst) || owed {
-            if let Some(r) = readiness {
-                r.notify();
+        self.shared.pass();
+    }
+
+    /// Land what has already arrived and send what fits, if nobody holds
+    /// the state (a holder is doing it already). True if calls are still
+    /// in flight afterwards.
+    fn poll(&self) -> bool {
+        let Some(mut io) = self.io.try_lock() else { return false };
+        io.poll();
+        let busy = !io.in_flight.is_empty();
+        self.release(io);
+        busy
+    }
+
+    /// Take a turn at the state: run `f` once this thread holds it, unless
+    /// `done` has the answer first. Between tries the caller sleeps until
+    /// a reply is delivered or the state is let go; `TimedOut` once
+    /// `deadline` passes.
+    fn take_turn<R>(
+        &self,
+        deadline: Option<Instant>,
+        done: impl Fn() -> Option<io::Result<R>>,
+        f: impl FnOnce(&mut IoState) -> io::Result<R>,
+    ) -> io::Result<R> {
+        loop {
+            let seen = self.shared.turn();
+            if let Some(out) = done() {
+                return out;
             }
-        }
-        Some(out)
-    }
-}
-
-/// The pool worker's hold on a [`Conn`].
-struct Pump(Arc<Conn>);
-
-impl PoolConn for Pump {
-    fn attach(&mut self, readiness: Readiness, _: &mut ()) {
-        self.0.io.lock().attach(readiness);
-    }
-
-    fn pump(&mut self, _: &mut ()) -> ConnPump {
-        let conn = &self.0;
-        let held = conn.io.try_lock().or_else(|| {
-            conn.missed.store(true, Ordering::SeqCst);
-            conn.io.try_lock()
-        });
-        // Held by a driving caller, who wakes us when it lets go.
-        held.map_or(ConnPump::Idle, |mut io| io.pump())
-    }
-}
-
-impl Drop for Pump {
-    fn drop(&mut self) {
-        // Pool shutdown drops a connection it never retired: flush every
-        // waiter (and the depth gauge) before the handles learn of it.
-        let mut io = self.0.io.lock();
-        if !io.retired {
-            io.fail_channel(&broken("client I/O pool shut down"));
-            io.retire();
+            if let Some(mut io) = self.io.try_lock() {
+                let out = f(&mut io);
+                self.release(io);
+                return out;
+            }
+            if !self.shared.wait_turn(seen, deadline) {
+                return Err(timed_out());
+            }
         }
     }
 }
 
 /// A cloneable handle to the pipelined upstream channel.
 ///
-/// Dropping every handle closes the submission ring; the pool worker
-/// observes the close, delivers replies that already arrived, fails the
-/// remainder, flushes stats, and retires the connection. The last
-/// handle's drop blocks (bounded by [`RETIRE_WAIT`]) for that
-/// acknowledgment — the event-plane equivalent of joining the old
-/// per-pipeline reader thread.
+/// Dropping the last handle drains the channel on the dropping thread:
+/// replies that already arrived are delivered, the remainder fails, the
+/// stats are flushed and the transport is closed before the drop returns.
 #[derive(Clone)]
 pub struct Pipeline {
     inner: Arc<PipelineInner>,
 }
 
 struct PipelineInner {
-    /// `Some` until drop; taken there so the ring closes before the
-    /// retirement wait begins.
-    cmd_tx: Option<SubmitSender<Cmd>>,
     conn: Arc<Conn>,
-    shared: Arc<Shared>,
-    retired: RetireGate,
-    /// Keeps the I/O pool alive for as long as the pipeline is; a
-    /// private (per-pipeline) pool shuts down and joins when this Arc
-    /// drops.
-    _pool: Arc<ClientIoPool>,
 }
 
 impl Drop for PipelineInner {
     fn drop(&mut self) {
-        self.cmd_tx.take();
-        self.retired.wait(RETIRE_WAIT);
+        let mut io = self.conn.io.lock();
+        io.finish();
+        self.conn.release(io);
     }
 }
 
 /// A submitted call whose reply has not been collected yet.
 pub struct PendingReply {
     rx: mpsc::Receiver<io::Result<Vec<u8>>>,
-    deadline: Option<Duration>,
-    /// The pipeline's state when this thread admitted the call itself,
-    /// for the waiter to drive; empty for a call that took the ring —
-    /// the worker delivers those — and gone once the pipeline dropped.
-    conn: Weak<Conn>,
+    conn: Arc<Conn>,
 }
 
 impl PendingReply {
     /// The reply if it has already arrived (or the channel has died),
-    /// without blocking; `None` while it is still on the wire.
+    /// without blocking; `None` while it is still on the wire. A free
+    /// pipeline is pumped on the way, without sleeping, so a poller lands
+    /// what has arrived and tops up the window.
     pub fn try_wait(&self) -> Option<io::Result<Vec<u8>>> {
-        let landed = self.landed();
-        if landed.is_none() {
-            // A poller does not pump: if this thread's own admission
-            // withheld the wire, the worker gets it back to land the reply.
-            if let Some(conn) = self.conn.upgrade() {
-                conn.drive(|io| io.withheld, IoState::hand_back);
-            }
-        }
-        landed
+        self.landed().or_else(|| {
+            self.conn.poll();
+            self.landed()
+        })
     }
 
     fn landed(&self) -> Option<io::Result<Vec<u8>>> {
@@ -334,36 +291,33 @@ impl PendingReply {
     /// the per-call deadline expires — a silent server yields `TimedOut`
     /// rather than a hang.
     ///
-    /// Whoever waits, pumps: for a call its own thread admitted, the
-    /// waiter drives the pipeline's state until the reply lands, unless
-    /// somebody else holds it — then, as for every ring-path call,
-    /// whoever holds it delivers the reply through the channel.
+    /// Whoever waits, pumps: the waiter drives the pipeline's state until
+    /// the reply lands, unless another caller holds it — then it waits
+    /// for that caller to deliver the reply or let go.
     pub fn wait(self) -> io::Result<Vec<u8>> {
-        let deadline = self.deadline.map(|d| Instant::now() + d);
-        if let Some(reply) = self.landed() {
-            return reply;
-        }
-        let driven = self
-            .conn
-            .upgrade()
-            .and_then(|conn| conn.drive(|_| true, |io| io.pump_until(&self.rx, deadline)));
-        if let Some(Some(reply)) = driven {
-            return reply;
-        }
-        match deadline {
-            None => self.rx.recv().unwrap_or_else(|_| Err(terminated())),
-            Some(at) => match self.rx.recv_timeout(at.saturating_duration_since(Instant::now())) {
-                Ok(reply) => reply,
-                Err(mpsc::RecvTimeoutError::Disconnected) => Err(terminated()),
-                Err(mpsc::RecvTimeoutError::Timeout) => Err(timed_out()),
-            },
-        }
+        self.wait_beside(&[])
+    }
+
+    /// [`wait`](Self::wait), also keeping `siblings` moving: after each
+    /// reply it reads here, and whenever this pipeline has nothing to do,
+    /// the waiter lands what has arrived on them and sends what their
+    /// windows have room for. With no other
+    /// driver, a member of a striped fan-out waited on after this one
+    /// would otherwise send nothing beyond its first window until its
+    /// own turn came.
+    pub fn wait_beside(self, siblings: &[Pipeline]) -> io::Result<Vec<u8>> {
+        let deadline = self.conn.shared.deadline.map(|d| Instant::now() + d);
+        self.conn.take_turn(
+            deadline,
+            || self.landed(),
+            |io| io.pump_until(&self.rx, deadline, siblings),
+        )
     }
 }
 
 impl Pipeline {
-    /// Take ownership of `upstream` and pin it onto a private pool, with
-    /// no fault recovery: any transport error is terminal for the channel.
+    /// Take ownership of `upstream`, with no fault recovery: any transport
+    /// error is terminal for the channel.
     ///
     /// `window` is clamped to at least 1 (a window of 1 degenerates to
     /// the serial protocol); `rekey_every` renegotiates after that many
@@ -389,13 +343,9 @@ impl Pipeline {
     /// Like [`new`](Self::new), but with fault recovery: on a transient
     /// transport error the pump re-dials through `reconnector` under
     /// `retry`'s backoff bounds and replays idempotent in-flight calls
-    /// on the fresh channel.
-    ///
-    /// The pipeline runs on a private single-worker [`ClientIoPool`] —
-    /// thread-for-thread what the old dedicated reader cost, but with
-    /// deterministic teardown. This is the standalone form (tests,
-    /// benches); the client proxy always has a pool and builds every
-    /// member channel with [`with_recovery_on`](Self::with_recovery_on).
+    /// on the fresh channel. `watch` must observe the raw transport under
+    /// `upstream` (for a GTLS channel, the pipe beneath the secure
+    /// stream).
     pub fn with_recovery(
         upstream: Upstream,
         watch: PipeWatch,
@@ -405,28 +355,6 @@ impl Pipeline {
         reconnector: Option<Box<dyn Reconnector>>,
         retry: RetryPolicy,
     ) -> Self {
-        let pool = ClientIoPool::new(1);
-        Self::with_recovery_on(&pool, upstream, watch, window, rekey_every, stats, reconnector, retry)
-            .expect("a fresh private pool accepts its first connection")
-    }
-
-    /// Pin this pipeline's upstream onto an existing client I/O pool so
-    /// many sessions multiplex a fixed set of event-loop threads.
-    /// `watch` must observe the raw transport under `upstream` (for a
-    /// GTLS channel, the pipe beneath the secure stream). Fails only if
-    /// `pool` is already shut down.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_recovery_on(
-        pool: &Arc<ClientIoPool>,
-        upstream: Upstream,
-        watch: PipeWatch,
-        window: u32,
-        rekey_every: Option<u64>,
-        stats: Emitter,
-        reconnector: Option<Box<dyn Reconnector>>,
-        retry: RetryPolicy,
-    ) -> io::Result<Self> {
-        let (cmd_tx, cmd_rx) = submit_ring(RING_CAPACITY);
         let (is_tls, handshakes) = match &upstream {
             Upstream::Tls(t) => (true, t.handshake_count()),
             Upstream::Plain(_) => (false, 0),
@@ -435,18 +363,15 @@ impl Pipeline {
             handshakes: AtomicU64::new(handshakes),
             is_tls,
             deadline: retry.call_deadline,
+            queue: Mutex::new(VecDeque::new()),
             asleep: Mutex::new(None),
+            turn: Mutex::new((0, 0)),
+            turned: Condvar::new(),
         });
-        let retired = RetireGate::new();
         let state = IoState {
             upstream,
             watch,
-            cmd_rx,
-            readiness: None,
-            withheld: false,
-            shutdown: false,
             retired: false,
-            gate: retired.clone(),
             window: window.max(1),
             rekey_every,
             stats,
@@ -454,80 +379,70 @@ impl Pipeline {
             reconnector,
             retry,
             reconnects_used: 0,
-            queue: VecDeque::new(),
             in_flight: HashMap::new(),
-            rekey_waiters: Vec::new(),
             rekey_due: false,
             wire_xid: 0x9000_0000,
             calls_since_rekey: 0,
             reply_buf: Vec::new(),
             reply_high_water: 0,
         };
-        let conn = Arc::new(Conn { io: Mutex::new(state), missed: AtomicBool::new(false) });
-        pool.add_conn(Box::new(Pump(conn.clone())))?;
-        Ok(Self {
-            inner: Arc::new(PipelineInner {
-                cmd_tx: Some(cmd_tx),
-                conn,
-                shared,
-                retired,
-                _pool: pool.clone(),
-            }),
-        })
+        let conn = Arc::new(Conn { io: Mutex::new(state), shared });
+        Self { inner: Arc::new(PipelineInner { conn }) }
     }
 
-    /// Hand `cmd` to whoever pumps: the ring wakes the worker, and a
-    /// caller asleep on the wire is nudged to admit it itself. `Err` (the
-    /// command back) once the pump has retired.
-    fn push(&self, cmd: Cmd) -> Result<(), Cmd> {
-        let sender = self.inner.cmd_tx.as_ref();
-        let pushed = sender.expect("sender present until the last handle drops").push(cmd);
-        if let Some(wire) = &*self.inner.shared.asleep.lock() {
-            wire.nudge();
+    /// Queue `calls` and send what fits now if the state is free; a
+    /// holder asleep on the wire is nudged to send them itself, so a
+    /// concurrent caller does not wait a round trip behind it.
+    fn enqueue(&self, calls: impl IntoIterator<Item = Call>) {
+        let conn = &self.inner.conn;
+        conn.shared.queue.lock().extend(calls);
+        match conn.io.try_lock() {
+            Some(io) => conn.release(io),
+            None => {
+                if let Some(wire) = &*conn.shared.asleep.lock() {
+                    wire.nudge();
+                }
+            }
         }
-        pushed
     }
 
-    fn pending(&self, rx: mpsc::Receiver<io::Result<Vec<u8>>>, admitted: bool) -> PendingReply {
-        let conn = if admitted { Arc::downgrade(&self.inner.conn) } else { Weak::new() };
-        PendingReply { rx, deadline: self.inner.shared.deadline, conn }
+    fn pending(&self, rx: mpsc::Receiver<io::Result<Vec<u8>>>) -> PendingReply {
+        PendingReply { rx, conn: self.inner.conn.clone() }
+    }
+
+    /// Land what has arrived and top up the window, without sleeping;
+    /// whether calls are still out with nobody else driving.
+    fn poll(&self) -> bool {
+        self.inner.conn.poll()
     }
 
     /// Submit a raw call record without waiting for its reply — the
     /// split-phase half of pipelined write-back. The pipeline copies the
     /// record once, behind room for its record mark, and sends that copy
-    /// as it is. Uncontended, with nothing ahead of it, the call is sealed
-    /// and written on this thread; otherwise it goes through the
-    /// submission ring, blocking only while the ring is full
-    /// (backpressure against a slow upstream).
+    /// as it is: on this thread when the state is free and the window has
+    /// room, otherwise from the queue, by whoever pumps next.
     pub fn submit(&self, record: impl AsRef<[u8]>) -> PendingReply {
         let (reply_tx, rx) = mpsc::channel();
-        let mut call = Some((framed(record.as_ref()), reply_tx));
-        self.inner.conn.drive(IoState::can_admit, |io| {
-            let (record, reply_tx) = call.take().expect("driven at most once");
-            io.admit(record, reply_tx);
-        });
-        let Some((record, reply_tx)) = call else { return self.pending(rx, true) };
-        // A push failure means the pump retired; the rejected command's
-        // reply sender drops here and wait() reports the broken channel.
-        let _ = self.push(Cmd::Call { record, reply_tx });
-        self.pending(rx, false)
+        self.enqueue([(framed(record.as_ref()), reply_tx)]);
+        self.pending(rx)
     }
 
     /// Submit a group of call records atomically. Up to a window of them
-    /// is admitted before the pump collects any reply, so a split-phase
-    /// flush overlaps its round trips deterministically.
+    /// is sent before the pump collects any reply, so a split-phase flush
+    /// overlaps its round trips deterministically; the rest wait in the
+    /// queue and go out as replies free the window.
     pub fn submit_batch<R: AsRef<[u8]>>(
         &self,
         records: impl IntoIterator<Item = R>,
     ) -> Vec<PendingReply> {
-        let (mut waiters, mut batch) = (Vec::new(), Vec::new());
-        for record in records {
-            let (reply_tx, rx) = mpsc::channel();
-            batch.push((framed(record.as_ref()), reply_tx));
-            waiters.push(self.pending(rx, false));
-        }
-        let _ = self.push(Cmd::Batch(batch));
+        let (calls, waiters): (Vec<Call>, Vec<PendingReply>) = records
+            .into_iter()
+            .map(|record| {
+                let (reply_tx, rx) = mpsc::channel();
+                ((framed(record.as_ref()), reply_tx), self.pending(rx))
+            })
+            .unzip();
+        self.enqueue(calls);
         waiters
     }
 
@@ -536,21 +451,21 @@ impl Pipeline {
         self.submit(record).wait()
     }
 
-    /// Quiesce the window and renegotiate the session keys, blocking
-    /// until the new keys are in effect. No-op on a plaintext upstream.
+    /// Quiesce the window and renegotiate the session keys on this
+    /// thread, blocking until the new keys are in effect. Bounded by the
+    /// per-call deadline: a reply that never comes yields `TimedOut` and
+    /// withdraws the request. No-op on a plaintext upstream.
     pub fn rekey(&self) -> io::Result<()> {
-        let (done_tx, rx) = mpsc::channel();
-        self.push(Cmd::Rekey { done_tx }).map_err(|_| terminated())?;
-        rx.recv().map_err(|_| terminated())?
+        let conn = &self.inner.conn;
+        let deadline = conn.shared.deadline.map(|d| Instant::now() + d);
+        conn.take_turn(deadline, || None, |io| io.rekey(deadline))
     }
 
     /// Completed handshakes on the secure channel (`None` when plain),
     /// cumulative across reconnections.
     pub fn handshake_count(&self) -> Option<u64> {
-        self.inner
-            .shared
-            .is_tls
-            .then(|| self.inner.shared.handshakes.load(Ordering::Acquire))
+        let shared = &self.inner.conn.shared;
+        shared.is_tls.then(|| shared.handshakes.load(Ordering::Acquire))
     }
 }
 
@@ -576,36 +491,25 @@ struct InFlight {
 
 /// Outcome of one unit of pump work.
 enum Step {
-    /// Did something; the pass may continue within its budget.
+    /// Sent a call, renegotiated or recovered.
     Progress,
-    /// Nothing actionable until the next readiness notification.
+    /// Read one reply and completed its waiter.
+    Landed,
+    /// Nothing actionable until more input arrives.
     Idle,
-    /// The connection is retired: cleanly (ring closed and drained), or
-    /// because the channel died and every waiter was failed.
+    /// The channel died and every waiter was failed, or the pipeline was
+    /// dropped.
     Retire,
 }
 
-/// The pipeline's entire I/O state, driven by a waiting caller or by the
-/// pool worker it is pinned to; the recovery path re-enters the same
-/// machinery on a fresh upstream.
+/// The pipeline's entire I/O state, driven by whichever caller holds it;
+/// the recovery path re-enters the same machinery on a fresh upstream.
 struct IoState {
     upstream: Upstream,
     /// Readiness watch on the raw transport under `upstream`.
     watch: PipeWatch,
-    /// Consumer side of the handle-to-pump submission ring.
-    cmd_rx: SubmitReceiver<Cmd>,
-    /// The pool token's readiness, kept so a reconnected transport's
-    /// watch can be routed to the same token. `None` until the worker
-    /// attaches.
-    readiness: Option<Readiness>,
-    /// The watch is deregistered on a caller's behalf: from its own
-    /// admission until its wait ends, or until the worker pumps.
-    withheld: bool,
-    /// Every handle dropped (ring closed); retire once `queue` drains.
-    shutdown: bool,
-    /// Retired: waiters completed, ring closed, upstream released.
+    /// Retired: waiters completed, queue failed, upstream released.
     retired: bool,
-    gate: RetireGate,
     window: u32,
     rekey_every: Option<u64>,
     stats: Emitter,
@@ -614,10 +518,8 @@ struct IoState {
     retry: RetryPolicy,
     /// Reconnections performed so far (lifetime budget).
     reconnects_used: u32,
-    /// Commands accepted but not yet admitted (window full or rekeying).
-    queue: VecDeque<Cmd>,
     in_flight: HashMap<u32, InFlight>,
-    rekey_waiters: Vec<mpsc::Sender<io::Result<()>>>,
+    /// A renegotiation is due: admission stops until the window drains.
     rekey_due: bool,
     /// Wire xids live only between the two proxies; any monotonic counter
     /// works as long as at most `window` are outstanding at once.
@@ -634,154 +536,128 @@ struct IoState {
 }
 
 impl IoState {
-    fn attach(&mut self, readiness: Readiness) {
-        // Both event sources share the token: commands and upstream data
-        // each wake the same pump. Registration fires immediately when
-        // anything is already pending, so submissions racing the pin are
-        // not lost.
-        self.watch.register(readiness.clone());
-        self.cmd_rx.register(readiness.clone());
-        self.readiness = Some(readiness);
-    }
-
-    /// Whether a caller may hold the state at all: the worker has
-    /// attached it (so readiness can be handed back) and it is alive.
-    fn drivable(&self) -> bool {
-        self.readiness.is_some() && !self.retired
-    }
-
-    /// Whether a caller may admit its own call: nothing in flight beside
-    /// it, nothing queued ahead of it, no rekey waiting for a quiesce.
-    fn can_admit(&self) -> bool {
-        self.in_flight.is_empty()
-            && self.queue.is_empty()
-            && !self.rekey_due
-            && !self.cmd_rx.has_input()
-    }
-
-    /// Whether a pass may admit another command: the window has room and
+    /// Whether a queued call may go out: alive, the window has room and
     /// no rekey is quiescing it.
     fn admitting(&self) -> bool {
-        !self.rekey_due && (self.in_flight.len() as u32) < self.window
+        !self.retired && !self.rekey_due && (self.in_flight.len() as u32) < self.window
     }
 
-    /// Work a releasing caller leaves to the worker: the queue beyond the
-    /// window, a due rekey, or unpinning a retired connection.
-    fn owes_worker(&self) -> bool {
-        self.retired || self.rekey_due || !self.queue.is_empty()
-    }
-
-    /// Deregister the wire's readiness on a caller's behalf: the reply
-    /// it is about to wait for must not wake the worker.
-    fn withhold(&mut self) {
-        if !self.withheld {
-            self.watch.deregister();
-            self.withheld = true;
-        }
-    }
-
-    /// Give the wire back to the worker; registration fires at once if
-    /// input arrived meanwhile.
-    fn hand_back(&mut self) {
-        if self.withheld {
-            self.withheld = false;
-            if let Some(r) = &self.readiness {
-                self.watch.register(r.clone());
-            }
-        }
-    }
-
-    /// The worker's pass: at most [`MAX_PUMP`] units of work. Whatever
-    /// woke the worker, the wire is its business again.
-    fn pump(&mut self) -> ConnPump {
+    /// Send queued calls while the window has room — what a holder does
+    /// before it lets go.
+    fn admit_queued(&mut self) {
         if self.retired {
-            return ConnPump::Gone;
+            // Submitted after retirement: the dropped senders tell their
+            // waiters the pipeline is gone.
+            self.shared.queue.lock().clear();
         }
-        self.hand_back();
-        for _ in 0..MAX_PUMP {
-            match self.advance() {
-                Step::Progress => {}
-                Step::Idle => return ConnPump::Idle,
-                Step::Retire => return ConnPump::Gone,
+        while self.admitting() {
+            let Some((record, reply_tx)) = self.shared.queue.lock().pop_front() else { return };
+            if let Err(e) = self.send_call(record, reply_tx) {
+                self.recover_or_retire(e);
             }
         }
-        // Budget spent; there may or may not be work left — re-arming
-        // unconditionally costs at most one extra (idle) pass.
-        ConnPump::Rearm
     }
 
-    /// The caller's drive: pump until `rx` holds this caller's reply,
-    /// completing every other reply read on the way, and sleep on the
-    /// wire while nothing is actionable. The wire's readiness is withheld
-    /// from the worker meanwhile and handed back on the way out. `None`
-    /// if nothing is left in flight to wait for — the reply is then
-    /// someone else's to deliver.
+    /// Land what has already arrived and send what fits, without sleeping:
+    /// at most one reply per call in flight when the pass began. A pass
+    /// never runs on into the replies to calls it sent itself — on a
+    /// client host shared with sibling pipelines, reading those first
+    /// would move the host's clock past replies the siblings have waiting.
+    fn poll(&mut self) {
+        let mut replies = self.in_flight.len();
+        while replies > 0 {
+            match self.advance() {
+                Step::Landed => replies -= 1,
+                Step::Progress => {}
+                Step::Idle | Step::Retire => return,
+            }
+        }
+    }
+
+    /// The waiter's drive: pump until `rx` holds this caller's reply,
+    /// completing every other reply read on the way, polling `siblings`
+    /// after each, and sleeping on the wire while nothing is actionable.
     fn pump_until(
         &mut self,
         rx: &mpsc::Receiver<io::Result<Vec<u8>>>,
         deadline: Option<Instant>,
-    ) -> Option<io::Result<Vec<u8>>> {
-        self.withhold();
-        let reply = loop {
+        siblings: &[Pipeline],
+    ) -> io::Result<Vec<u8>> {
+        loop {
             match rx.try_recv() {
-                Ok(reply) => break Some(reply),
-                Err(mpsc::TryRecvError::Disconnected) => break Some(Err(terminated())),
+                Ok(reply) => return reply,
+                Err(mpsc::TryRecvError::Disconnected) => return Err(terminated()),
                 Err(mpsc::TryRecvError::Empty) => {}
             }
+            // Turn about with the siblings, one reply of this pipeline at a
+            // time: on a shared client clock, reading a run of this one's
+            // replies first would stamp their next calls late.
+            let poll_siblings = || siblings.iter().filter(|s| s.poll()).count() > 0;
             match self.advance() {
                 Step::Progress => {}
-                // Retirement completed every waiter, or dropped its
-                // command with the ring.
-                Step::Retire => break Some(rx.try_recv().unwrap_or_else(|_| Err(terminated()))),
-                Step::Idle if self.in_flight.is_empty() => break None,
+                Step::Landed => {
+                    poll_siblings();
+                }
+                // Retirement completed every waiter, or dropped its call.
+                Step::Retire => return rx.try_recv().unwrap_or_else(|_| Err(terminated())),
+                // Nothing queued, nothing in flight: no reply is coming.
+                Step::Idle if self.in_flight.is_empty() => return Err(terminated()),
                 Step::Idle => {
-                    if !self.sleep(deadline) {
-                        break Some(Err(timed_out()));
+                    // A sibling's arrivals do not wake this wire: while
+                    // one has calls out, come back for it within a slice.
+                    let slice = poll_siblings().then(|| Instant::now() + SIBLING_SLICE);
+                    let until = deadline.into_iter().chain(slice).min();
+                    if !self.sleep(until) && deadline.is_some_and(|d| Instant::now() >= d) {
+                        return Err(timed_out());
                     }
+                    poll_siblings();
                 }
             }
-        };
-        self.hand_back();
-        reply
+        }
     }
 
-    /// A driving caller's sleep on the wire: until input or EOF, until
-    /// `deadline` (false), or — while the window has room — until another
-    /// thread pushes a command, which the next pass admits, so a call
-    /// submitted meanwhile goes out now rather than a round trip later.
-    /// The wire is published in `Shared::asleep` before the ring is
-    /// looked at: a push the look misses nudges the wire.
+    /// A waiter's sleep on the wire: until input or EOF, until `deadline`
+    /// (false), or — while the window has room — until another thread
+    /// queues a call, which the next pass sends, so a call submitted
+    /// meanwhile goes out now rather than a round trip later. The wire is
+    /// published in `Shared::asleep` before the queue is looked at: a
+    /// submission the look misses nudges the wire.
     fn sleep(&mut self, deadline: Option<Instant>) -> bool {
         if !self.admitting() {
             return self.watch.wait_input(deadline);
         }
         *self.shared.asleep.lock() = Some(self.watch.clone());
-        let woke = self.cmd_rx.has_input() || self.watch.wait_input(deadline);
+        let woke = !self.shared.queue.lock().is_empty() || self.watch.wait_input(deadline);
         self.shared.asleep.lock().take();
         woke
     }
 
-    /// Admit one call on the caller's thread: the worker's `send_call`,
-    /// with the worker's recovery applied to a failed write. The wire is
-    /// withheld from before the write — a fast reply must not wake the
-    /// worker ahead of the caller's wait.
-    fn admit(&mut self, record: Vec<u8>, reply_tx: ReplyTx) {
-        self.withhold();
-        if let Err(e) = self.send_call(record, reply_tx) {
-            self.recover_or_retire(e);
+    /// Renegotiate on the caller's thread: stop admitting, collect what is
+    /// in flight, renegotiate. A reply that never comes ends the wait at
+    /// `deadline`, and the request is withdrawn so the window opens again
+    /// — unless the periodic threshold is itself due.
+    fn rekey(&mut self, deadline: Option<Instant>) -> io::Result<()> {
+        self.rekey_due = true;
+        loop {
+            match self.advance() {
+                Step::Retire => return Err(terminated()),
+                // Renegotiated, or a reconnect's fresh handshake did it.
+                _ if !self.rekey_due => return Ok(()),
+                Step::Progress | Step::Landed => {}
+                Step::Idle => {
+                    if !self.watch.wait_input(deadline) {
+                        self.rekey_due =
+                            self.rekey_every.is_some_and(|n| self.calls_since_rekey >= n);
+                        return Err(timed_out());
+                    }
+                }
+            }
         }
     }
 
     /// One unit of work with recovery applied to a transport error.
     fn advance(&mut self) -> Step {
-        match self.pump_once() {
-            Ok(Step::Retire) => {
-                self.retire();
-                Step::Retire
-            }
-            Ok(step) => step,
-            Err(e) => self.recover_or_retire(e),
-        }
+        self.pump_once().unwrap_or_else(|e| self.recover_or_retire(e))
     }
 
     /// Reconnect and replay after a transport error, or — when the
@@ -797,77 +673,42 @@ impl IoState {
         }
     }
 
-    /// Later submissions fail fast instead of queueing for nobody, the
-    /// transport closes now rather than when the last handle drops, and
-    /// a dropping handle stops waiting.
+    /// Later submissions fail fast instead of queueing for nobody (the
+    /// holder's release drops them), and the transport closes now rather
+    /// than when the last handle drops.
     fn retire(&mut self) {
         self.retired = true;
-        self.cmd_rx.close();
         self.upstream = Upstream::Plain(Box::new(io::empty()));
-        self.gate.set();
     }
 
-    /// Perform at most one unit of work. Priority: retirement check,
-    /// admission (fills the window), rekey at quiesce, reply collection.
+    /// Perform at most one unit of work. Priority: admission (fills the
+    /// window), rekey at quiesce, reply collection.
     fn pump_once(&mut self) -> io::Result<Step> {
-        if self.shutdown && self.queue.is_empty() {
-            return Ok(self.finish());
+        if self.retired {
+            return Ok(Step::Retire);
         }
 
-        // Admission: top the window up from queued commands, unless a
-        // rekey is pending (which quiesces the channel first).
         if self.admitting() {
-            let cmd = match self.queue.pop_front() {
-                Some(c) => Some(c),
-                None if !self.shutdown => match self.cmd_rx.pop() {
-                    Popped::Value(c) => Some(c),
-                    Popped::Empty => None,
-                    Popped::Closed => {
-                        self.shutdown = true;
-                        // Loop back into the retirement check.
-                        return Ok(Step::Progress);
-                    }
-                },
-                None => None,
-            };
-            if let Some(cmd) = cmd {
-                match cmd {
-                    Cmd::Call { record, reply_tx } => self.send_call(record, reply_tx)?,
-                    Cmd::Batch(calls) => {
-                        // Expand at the head of the queue, preserving
-                        // batch order; admission re-pops them before any
-                        // reply is read (admission has priority) and
-                        // parks overflow beyond the window.
-                        for (record, reply_tx) in calls.into_iter().rev() {
-                            self.queue.push_front(Cmd::Call { record, reply_tx });
-                        }
-                    }
-                    Cmd::Rekey { done_tx } => {
-                        self.rekey_due = true;
-                        self.rekey_waiters.push(done_tx);
-                    }
-                }
+            let next = self.shared.queue.lock().pop_front();
+            if let Some((record, reply_tx)) = next {
+                self.send_call(record, reply_tx)?;
                 return Ok(Step::Progress);
             }
         }
 
         if self.rekey_due && self.in_flight.is_empty() {
             // Quiesced: safe to renegotiate over the shared channel. On
-            // failure the waiters stay parked — a successful recovery
-            // (full fresh handshake) satisfies them.
+            // failure the recovery path's fresh handshake stands in.
             self.rekey_due = false;
             self.calls_since_rekey = 0;
             renegotiate(&mut self.upstream, &self.shared)?;
-            for w in self.rekey_waiters.drain(..) {
-                let _ = w.send(Ok(()));
-            }
             return Ok(Step::Progress);
         }
 
         if !self.in_flight.is_empty() {
             if self.watch.has_input() {
                 self.read_one_reply()?;
-                return Ok(Step::Progress);
+                return Ok(Step::Landed);
             }
             if self.watch.is_closed() {
                 return Err(io::Error::new(
@@ -880,28 +721,21 @@ impl IoState {
         Ok(Step::Idle)
     }
 
-    /// Final drain once every handle is gone: deliver replies that have
-    /// already arrived, then fail anything still outstanding — dropping
-    /// the last handle abandons calls whose replies are still in the
-    /// air. Leaves the depth gauge at zero.
-    fn finish(&mut self) -> Step {
+    /// The last handle is gone: deliver replies that have already arrived,
+    /// fail everything else — dropping the last handle abandons calls
+    /// whose replies are still in the air — and retire. Leaves the depth
+    /// gauge at zero.
+    fn finish(&mut self) {
         while !self.in_flight.is_empty() && self.watch.has_input() {
             if self.read_one_reply().is_err() {
                 break;
             }
         }
-        if !self.in_flight.is_empty() {
-            for (_, call) in self.in_flight.drain() {
-                let _ = call
-                    .reply_tx
-                    .send(Err(broken("pipeline dropped with calls in flight")));
-            }
-            self.stats.set(Gauge::PipelineDepth, 0);
+        for (_, call) in self.in_flight.drain() {
+            let _ = call.reply_tx.send(Err(broken("pipeline dropped with calls in flight")));
         }
-        for w in self.rekey_waiters.drain(..) {
-            let _ = w.send(Err(terminated()));
-        }
-        Step::Retire
+        self.stats.set(Gauge::PipelineDepth, 0);
+        self.retire();
     }
 
     /// Admit one [`framed`] call: rewrite its xid, register the waiter,
@@ -991,9 +825,10 @@ impl IoState {
         call.record[0..4].copy_from_slice(&call.orig_xid);
         self.reply_buf.clear();
         self.stats.set(Gauge::PipelineDepth, self.in_flight.len() as u64);
-        // The caller may have given up on the reply; channel teardown
-        // handles the rest.
+        // The caller may have given up on the reply (a late reply after
+        // `TimedOut`): it is dropped here.
         let _ = call.reply_tx.send(Ok(call.record));
+        self.shared.pass();
         Ok(())
     }
 
@@ -1025,6 +860,8 @@ impl IoState {
                 )));
             }
         }
+        // Their callers need not sit out the backoff below.
+        self.shared.pass();
         replay.sort_by_key(|(xid, _)| *xid);
         self.stats.set(Gauge::PipelineDepth, 0);
 
@@ -1060,9 +897,6 @@ impl IoState {
                             // any pending rekey request is satisfied.
                             self.rekey_due = false;
                             self.calls_since_rekey = 0;
-                            for w in self.rekey_waiters.drain(..) {
-                                let _ = w.send(Ok(()));
-                            }
                             return Ok(());
                         }
                         Err(e) if is_transient_io(&e) => last = e,
@@ -1084,10 +918,7 @@ impl IoState {
     }
 
     /// Adopt a fresh upstream, carrying the cumulative handshake count
-    /// (and crypto-time accounting) over to the replacement channel and
-    /// routing the new transport's readiness into the existing pool
-    /// token (registration fires immediately if data already arrived) —
-    /// unless the wire is withheld, when handing it back registers it.
+    /// (and crypto-time accounting) over to the replacement channel.
     fn install(&mut self, mut up: Upstream, watch: PipeWatch) {
         if let Upstream::Tls(t) = &mut up {
             t.obs = Some(self.stats.clone());
@@ -1097,14 +928,10 @@ impl IoState {
         }
         self.upstream = up;
         self.watch = watch;
-        match &self.readiness {
-            Some(r) if !self.withheld => self.watch.register(r.clone()),
-            _ => {}
-        }
     }
 
     /// Retransmit every surviving call on the (fresh) upstream. Nothing
-    /// is re-registered until all writes land: a mid-resend failure kills
+    /// is back in flight until all writes land: a mid-resend failure kills
     /// this connection too, and the next dial attempt resends them all.
     fn resend(&mut self, replay: &mut [(u32, InFlight)]) -> io::Result<()> {
         for (_, call) in replay {
@@ -1121,23 +948,8 @@ impl IoState {
             let _ = call.reply_tx.send(Err(broken(&msg)));
         }
         self.stats.set(Gauge::PipelineDepth, 0);
-        for cmd in self.queue.drain(..) {
-            match cmd {
-                Cmd::Call { reply_tx, .. } => {
-                    let _ = reply_tx.send(Err(broken(&msg)));
-                }
-                Cmd::Batch(calls) => {
-                    for (_, reply_tx) in calls {
-                        let _ = reply_tx.send(Err(broken(&msg)));
-                    }
-                }
-                Cmd::Rekey { done_tx } => {
-                    let _ = done_tx.send(Err(broken(&msg)));
-                }
-            }
-        }
-        for w in self.rekey_waiters.drain(..) {
-            let _ = w.send(Err(broken(&msg)));
+        for (_, reply_tx) in self.shared.queue.lock().drain(..) {
+            let _ = reply_tx.send(Err(broken(&msg)));
         }
     }
 }
@@ -1173,6 +985,7 @@ fn terminated() -> io::Error {
 fn timed_out() -> io::Error {
     io::Error::new(io::ErrorKind::TimedOut, "upstream reply deadline exceeded")
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1223,6 +1036,17 @@ mod tests {
         Pipeline::new(up, watch, window, None, stats)
     }
 
+    /// A plaintext pipeline of window 4 under `retry`.
+    fn retrying_pipeline(
+        end: sgfs_net::PipeEnd,
+        stats: Emitter,
+        reconnector: Option<Box<dyn Reconnector>>,
+        retry: RetryPolicy,
+    ) -> Pipeline {
+        let (up, watch) = plain_upstream(end);
+        Pipeline::with_recovery(up, watch, 4, None, stats, reconnector, retry)
+    }
+
     #[test]
     fn replies_match_calls_across_reordering() {
         let (client_end, server_end) = pipe_pair();
@@ -1254,6 +1078,7 @@ mod tests {
         for i in 0..20u32 {
             let reply = p.call(call_record(i, b"x")).unwrap();
             assert_eq!(&reply[0..4], &i.to_be_bytes());
+            assert_eq!(&reply[4..], b"echo:x");
         }
     }
 
@@ -1304,6 +1129,74 @@ mod tests {
         }
     }
 
+    /// Read-ahead's landing path: nobody ever waits, the submitting
+    /// thread only polls, and no other client thread exists to land the
+    /// replies. The server answers nothing until it holds all four, so
+    /// the batch also went out on the submitting thread.
+    #[test]
+    fn a_batch_lands_through_try_wait_polling_alone() {
+        let (client_end, server_end) = pipe_pair();
+        let _server = echo_server(server_end, 4);
+        let p = plain_pipeline(client_end, 4, Emitter::detached("client"));
+        let records: Vec<_> = (0..4u32).map(|i| call_record(0x30 + i, b"polled")).collect();
+        let pending = p.submit_batch(records);
+        let mut landed: Vec<Option<Vec<u8>>> = vec![None; pending.len()];
+        let give_up = Instant::now() + Duration::from_secs(5);
+        while landed.iter().any(Option::is_none) {
+            assert!(Instant::now() < give_up, "polling alone never landed {landed:?}");
+            for (slot, reply) in landed.iter_mut().zip(&pending) {
+                if slot.is_none() {
+                    *slot = reply.try_wait().map(|r| r.unwrap());
+                }
+            }
+            std::thread::yield_now();
+        }
+        for (i, reply) in landed.into_iter().enumerate() {
+            let reply = reply.unwrap();
+            assert_eq!(&reply[0..4], &(0x30 + i as u32).to_be_bytes());
+            assert_eq!(&reply[4..], b"echo:polled");
+        }
+    }
+
+    /// A striped fan-out waits on its members one at a time. Member `b`'s
+    /// batch is twice its window, and member `a`'s server answers only
+    /// once `b`'s has seen all four calls: with no other driver, only the
+    /// waiter on `a` can send `b`'s second window.
+    #[test]
+    fn a_waiter_keeps_its_siblings_queues_moving() {
+        let (a_end, mut a_server) = pipe_pair();
+        let (b_end, b_server) = pipe_pair();
+        let (all_four, heard) = mpsc::channel();
+        let b_thread = std::thread::spawn(move || {
+            let mut end = b_server;
+            for _ in 0..4 {
+                let call = read_record(&mut end).unwrap().unwrap();
+                write_record(&mut end, &call).unwrap();
+            }
+            all_four.send(()).unwrap();
+            end
+        });
+        let a_thread = std::thread::spawn(move || {
+            let call = read_record(&mut a_server).unwrap().unwrap();
+            heard.recv().unwrap();
+            write_record(&mut a_server, &call).unwrap();
+            a_server
+        });
+        let deadline = RetryPolicy { call_deadline: Some(Duration::from_secs(10)), ..quick_retry() };
+        let a = retrying_pipeline(a_end, Emitter::detached("client"), None, deadline);
+        let (up, watch) = plain_upstream(b_end);
+        let b = Pipeline::with_recovery(up, watch, 2, None, Emitter::detached("client"), None, deadline);
+        let first = a.submit(call_record(0xa0, b"a"));
+        let second: Vec<_> = b.submit_batch((0..4u32).map(|i| call_record(0xb0 + i, b"b")));
+        let reply = first.wait_beside(&[a.clone(), b.clone()]).unwrap();
+        assert_eq!(&reply[..], &call_record(0xa0, b"a")[..]);
+        for (i, reply) in second.into_iter().enumerate() {
+            assert_eq!(&reply.wait().unwrap()[0..4], &(0xb0 + i as u32).to_be_bytes());
+        }
+        drop(b_thread.join().unwrap());
+        drop(a_thread.join().unwrap());
+    }
+
     #[test]
     fn upstream_eof_fails_outstanding_calls() {
         let (client_end, server_end) = pipe_pair();
@@ -1323,6 +1216,38 @@ mod tests {
         assert!(p.rekey().is_ok());
         assert_eq!(p.handshake_count(), None);
         assert_eq!(&p.call(call_record(9, b"after")).unwrap()[0..4], &9u32.to_be_bytes());
+    }
+
+    /// A rekey quiesces the window first, and a call that timed out stays
+    /// in it: one reply lost on a silent but connected server must not
+    /// wedge `rekey()` — nor, through a request left set, every later
+    /// admission.
+    #[test]
+    fn rekey_gives_up_at_the_call_deadline_and_the_window_opens_again() {
+        let (client_end, mut server_end) = pipe_pair();
+        let deadline = Duration::from_millis(50);
+        let p = retrying_pipeline(
+            client_end,
+            Emitter::detached("client"),
+            None,
+            RetryPolicy { call_deadline: Some(deadline), ..RetryPolicy::default() },
+        );
+        let lost = p.submit(call_record(0x71, b"lost"));
+        let _ = read_record(&mut server_end).unwrap().unwrap();
+        assert_eq!(lost.wait().unwrap_err().kind(), io::ErrorKind::TimedOut);
+
+        let (done_tx, done) = mpsc::channel();
+        let rekeyer = {
+            let p = p.clone();
+            std::thread::spawn(move || done_tx.send(p.rekey()).unwrap())
+        };
+        let rekeyed = done.recv_timeout(Duration::from_secs(2)).expect("rekey() returned");
+        assert_eq!(rekeyed.unwrap_err().kind(), io::ErrorKind::TimedOut);
+        rekeyer.join().unwrap();
+
+        let _server = echo_server(server_end, 1);
+        let next = p.call(call_record(0x72, b"next")).unwrap();
+        assert_eq!(&next[..], b"\0\0\0\x72echo:next");
     }
 
     #[test]
@@ -1411,49 +1336,36 @@ mod tests {
         }
     }
 
+    /// Reads one call, then hangs up without answering it.
+    fn hang_up_after_one(mut end: sgfs_net::PipeEnd) -> std::thread::JoinHandle<()> {
+        std::thread::spawn(move || {
+            let _ = read_record(&mut end);
+        })
+    }
+
     #[test]
     fn reconnect_replays_idempotent_calls() {
         let (client_end, server_end) = pipe_pair();
         let stats = Emitter::detached("client");
-        let (up, watch) = plain_upstream(client_end);
-        let p = Pipeline::with_recovery(
-            up,
-            watch,
-            4,
-            None,
-            stats.clone(),
-            Some(echo_reconnector(0)),
-            quick_retry(),
-        );
-        let pending = p.submit(nfs_record(0x77, procnum::GETATTR));
-        // Kill the first connection before any reply: the GETATTR must be
-        // replayed on the fresh channel and still complete correctly.
-        drop(server_end);
-        let reply = pending.wait().unwrap();
+        let p = retrying_pipeline(client_end, stats.clone(), Some(echo_reconnector(0)), quick_retry());
+        // The first connection dies after reading the GETATTR, before any
+        // reply: the waiter replays it on the fresh channel and it still
+        // completes correctly.
+        hang_up_after_one(server_end);
+        let reply = p.call(nfs_record(0x77, procnum::GETATTR)).unwrap();
         assert_eq!(&reply[0..4], &0x77u32.to_be_bytes(), "caller xid restored");
         assert_eq!(stats.reconnects(), 1);
         assert_eq!(stats.replays(), 1);
-        // Channel stays serviceable afterwards.
-        assert!(p.call(nfs_record(0x78, procnum::ACCESS)).is_ok());
+        assert!(p.call(nfs_record(0x78, procnum::ACCESS)).is_ok(), "fresh channel serves");
     }
 
     #[test]
     fn connect_refusals_are_retried_with_backoff() {
         let (client_end, server_end) = pipe_pair();
         let stats = Emitter::detached("client");
-        let (up, watch) = plain_upstream(client_end);
-        let p = Pipeline::with_recovery(
-            up,
-            watch,
-            4,
-            None,
-            stats.clone(),
-            Some(echo_reconnector(2)),
-            quick_retry(),
-        );
-        let pending = p.submit(nfs_record(1, procnum::LOOKUP));
-        drop(server_end);
-        assert!(pending.wait().is_ok());
+        let p = retrying_pipeline(client_end, stats.clone(), Some(echo_reconnector(2)), quick_retry());
+        hang_up_after_one(server_end);
+        assert!(p.call(nfs_record(1, procnum::LOOKUP)).is_ok());
         assert_eq!(stats.reconnects(), 1);
         assert!(stats.sum(Hop::Backoff) > 0, "refused dials must back off");
     }
@@ -1462,39 +1374,27 @@ mod tests {
     fn non_idempotent_calls_fail_cleanly_on_reconnect() {
         let (client_end, server_end) = pipe_pair();
         let stats = Emitter::detached("client");
-        let (up, watch) = plain_upstream(client_end);
-        let p = Pipeline::with_recovery(
-            up,
-            watch,
-            4,
-            None,
-            stats.clone(),
-            Some(echo_reconnector(0)),
-            quick_retry(),
-        );
+        let p = retrying_pipeline(client_end, stats.clone(), Some(echo_reconnector(0)), quick_retry());
         // Batch admission puts both calls in flight atomically before
         // the pump collects any reply.
         let mut pending =
             p.submit_batch(vec![nfs_record(2, procnum::RENAME), nfs_record(3, procnum::GETATTR)]);
         let getattr = pending.pop().unwrap();
         let rename = pending.pop().unwrap();
-        std::thread::sleep(Duration::from_millis(50));
         drop(server_end);
         let err = rename.wait().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionReset, "{err}");
         assert!(getattr.wait().is_ok(), "idempotent neighbor must survive");
         assert_eq!(stats.replays(), 1, "only the GETATTR is replayed");
+        assert_eq!(stats.reconnects(), 1);
+        assert!(p.call(nfs_record(4, procnum::GETATTR)).is_ok(), "fresh channel serves");
     }
 
     #[test]
     fn reconnect_budget_exhaustion_is_terminal() {
         let (client_end, server_end) = pipe_pair();
-        let (up, watch) = plain_upstream(client_end);
-        let p = Pipeline::with_recovery(
-            up,
-            watch,
-            4,
-            None,
+        let p = retrying_pipeline(
+            client_end,
             Emitter::detached("client"),
             // Every dial refused: recovery must give up, not spin.
             Some(Box::new(|_attempt: u32| {
@@ -1510,9 +1410,8 @@ mod tests {
                 ..quick_retry()
             },
         );
-        let pending = p.submit(nfs_record(4, procnum::GETATTR));
-        drop(server_end);
-        assert!(pending.wait().is_err());
+        hang_up_after_one(server_end);
+        assert!(p.call(nfs_record(4, procnum::GETATTR)).is_err());
         assert!(p.call(nfs_record(5, procnum::GETATTR)).is_err(), "channel is dead");
     }
 
@@ -1521,16 +1420,7 @@ mod tests {
         let (client_end, server_end) = pipe_pair();
         let obs = sgfs_obs::Obs::new();
         let stats = Emitter::new(&obs, "client");
-        let (up, watch) = plain_upstream(client_end);
-        let p = Pipeline::with_recovery(
-            up,
-            watch,
-            4,
-            None,
-            stats.clone(),
-            Some(echo_reconnector(1)),
-            quick_retry(),
-        );
+        let p = retrying_pipeline(client_end, stats.clone(), Some(echo_reconnector(1)), quick_retry());
         // A one-shot server: answers the first call, then hangs up — the
         // second call must ride the recovery path.
         let server = std::thread::spawn(move || {
@@ -1559,127 +1449,18 @@ mod tests {
     }
 
     #[test]
-    fn silent_server_trips_call_deadline() {
-        let (client_end, server_end) = pipe_pair();
-        // No echo server: the connection is open but never answers.
-        let (up, watch) = plain_upstream(client_end);
-        let p = Pipeline::with_recovery(
-            up,
-            watch,
-            4,
-            None,
-            Emitter::detached("client"),
-            None,
-            RetryPolicy {
-                call_deadline: Some(Duration::from_millis(50)),
-                ..RetryPolicy::default()
-            },
-        );
-        let err = p.call(nfs_record(6, procnum::GETATTR)).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
-        drop(server_end);
-    }
-
-    // --- the caller drives ----------------------------------------------
-
-    /// Reports that its worker entered `pump`, then parks it there until
-    /// `release` is dropped.
-    struct Parked {
-        rx: SubmitReceiver<()>,
-        entered: mpsc::Sender<()>,
-        release: mpsc::Receiver<()>,
-    }
-
-    impl PoolConn for Parked {
-        fn attach(&mut self, readiness: Readiness, _: &mut ()) {
-            self.rx.register(readiness);
-        }
-        fn pump(&mut self, _: &mut ()) -> ConnPump {
-            let _ = self.entered.send(());
-            let _ = self.release.recv();
-            ConnPump::Gone
-        }
-    }
-
-    /// Pin `upstream` onto a one-worker pool, then park that worker inside
-    /// another connection's pump: from here on only callers move the
-    /// pipeline. Dropping the returned sender releases the worker.
-    fn caller_driven(
-        upstream: (Upstream, PipeWatch),
-        stats: Emitter,
-        reconnector: Option<Box<dyn Reconnector>>,
-        retry: RetryPolicy,
-    ) -> (Pipeline, mpsc::Sender<()>) {
-        let pool = ClientIoPool::new(1);
-        let (up, watch) = upstream;
-        let p = Pipeline::with_recovery_on(&pool, up, watch, 4, None, stats, reconnector, retry)
-            .unwrap();
-        wait_for("pipeline attached", || pool.active_conns() == 1);
-        let (wake, rx) = submit_ring(1);
-        let (entered, entered_rx) = mpsc::channel();
-        let (release, parked) = mpsc::channel();
-        pool.add_conn(Box::new(Parked { rx, entered, release: parked })).unwrap();
-        wake.push(()).unwrap();
-        entered_rx.recv_timeout(Duration::from_secs(5)).expect("worker parked");
-        (p, release)
-    }
-
-    /// Reads one call, then hangs up without answering it.
-    fn hang_up_after_one(mut end: sgfs_net::PipeEnd) -> std::thread::JoinHandle<()> {
-        std::thread::spawn(move || {
-            let _ = read_record(&mut end);
-        })
-    }
-
-    #[test]
-    fn a_call_completes_while_the_only_worker_is_parked_elsewhere() {
-        let (client_end, server_end) = pipe_pair();
-        let _server = echo_server(server_end, 1);
-        let (p, release) = caller_driven(
-            plain_upstream(client_end),
-            Emitter::detached("client"),
-            None,
-            RetryPolicy::default(),
-        );
-        // Run the call on its own thread: were it handed to the parked
-        // worker it would hang, and the deadline below turns that into
-        // a failure.
-        let (done_tx, done) = mpsc::channel();
-        let caller = {
-            let p = p.clone();
-            std::thread::spawn(move || {
-                for i in 0..8u32 {
-                    let reply = p.call(call_record(0x50 + i, b"self-driven"));
-                    let _ = done_tx.send(reply.map(|r| (i, r)));
-                }
-            })
-        };
-        for i in 0..8u32 {
-            let (n, reply) = done
-                .recv_timeout(Duration::from_secs(5))
-                .expect("an uncontended call is sealed, sent and collected by its caller")
-                .unwrap();
-            assert_eq!(n, i);
-            assert_eq!(&reply[0..4], &(0x50 + i).to_be_bytes());
-            assert_eq!(&reply[4..], b"echo:self-driven");
-        }
-        caller.join().unwrap();
-        drop(release);
-    }
-
-    #[test]
-    fn caller_driven_deadline_times_out_and_a_late_reply_does_not_break_the_next_call() {
+    fn silent_server_trips_call_deadline_and_the_next_call_drops_the_late_reply() {
         let (client_end, mut server_end) = pipe_pair();
         let stats = Emitter::detached("client");
         let deadline = Duration::from_millis(50);
-        let (p, release) = caller_driven(
-            plain_upstream(client_end),
+        let p = retrying_pipeline(
+            client_end,
             stats.clone(),
             None,
             RetryPolicy { call_deadline: Some(deadline), ..RetryPolicy::default() },
         );
-        // The server reads the call and stays silent; with the worker
-        // parked only the caller's own timed wait on the wire ends it.
+        // The connection is open but never answers: only the caller's own
+        // timed wait on the wire ends the call.
         let start = Instant::now();
         let err = p.call(nfs_record(0x61, procnum::GETATTR)).unwrap_err();
         let waited = start.elapsed();
@@ -1687,33 +1468,29 @@ mod tests {
         assert!(waited >= deadline, "timed out early: {waited:?}");
         assert!(waited < deadline + Duration::from_secs(2), "deadline overrun: {waited:?}");
 
-        // The reply turns up late: the worker, back at work, collects and
-        // discards it.
-        drop(release);
+        // The reply turns up late, ahead of the next call's: that call's
+        // pump collects and drops it, and gets its own.
         let late = read_record(&mut server_end).unwrap().unwrap();
         let mut reply = late[0..4].to_vec();
         reply.extend_from_slice(b"late");
         write_record(&mut server_end, &reply).unwrap();
-        wait_for("late reply collected", || stats.gauge(Gauge::PipelineDepth) == 0);
-
         let _server = echo_server(server_end, 1);
         let next = p.call(nfs_record(0x62, procnum::GETATTR)).unwrap();
         assert_eq!(&next[0..4], &0x62u32.to_be_bytes(), "the next call gets its own reply");
         assert!(!next.ends_with(b"late"));
+        assert_eq!(stats.gauge(Gauge::PipelineDepth), 0, "the late reply was collected");
     }
+
+    // --- concurrent callers ---------------------------------------------
 
     #[test]
     fn concurrent_callers_beside_batches_each_get_their_own_reply() {
         let (client_end, server_end) = pipe_pair();
         let _server = echo_server(server_end, 1);
-        let (up, watch) = plain_upstream(client_end);
         // No per-call deadline: a lost wake-up hangs, and the deadline on
         // `done` below names it.
-        let p = Pipeline::with_recovery(
-            up,
-            watch,
-            4,
-            None,
+        let p = retrying_pipeline(
+            client_end,
             Emitter::detached("client"),
             None,
             RetryPolicy { call_deadline: None, ..RetryPolicy::default() },
@@ -1734,7 +1511,7 @@ mod tests {
                 })
             })
             .collect();
-        // Batches wider than the window ride the ring meanwhile.
+        // Batches wider than the window queue behind it meanwhile.
         for round in 0..30u32 {
             let records: Vec<_> = (0..6u32).map(|i| call_record(round << 8 | i, b"batch")).collect();
             for (i, reply) in p.submit_batch(records).into_iter().enumerate() {
@@ -1752,9 +1529,8 @@ mod tests {
     }
 
     /// A caller asleep on its own reply is woken by another thread's
-    /// submission and admits it: the server here answers nothing until
-    /// it holds both calls, and with the worker parked only that sleeping
-    /// caller can send the second one.
+    /// submission and sends it: the server here answers nothing until it
+    /// holds both calls, and only the sleeping caller can send the second.
     #[test]
     fn a_call_submitted_while_another_caller_sleeps_on_the_wire_goes_out_at_once() {
         let (client_end, mut server_end) = pipe_pair();
@@ -1771,8 +1547,8 @@ mod tests {
             server_end
         });
         let deadline = Duration::from_secs(10);
-        let (p, release) = caller_driven(
-            plain_upstream(client_end),
+        let p = retrying_pipeline(
+            client_end,
             Emitter::detached("client"),
             None,
             RetryPolicy { call_deadline: Some(deadline), ..RetryPolicy::default() },
@@ -1789,108 +1565,13 @@ mod tests {
         let first = sleeper.join().unwrap().unwrap();
         assert_eq!(&first[0..4], &0xau32.to_be_bytes());
         assert!(waited < deadline / 2, "the second call waited {waited:?} for the first's reply");
-        drop(release);
         drop(server.join().unwrap());
     }
 
-    #[test]
-    fn reconnect_replays_an_idempotent_call_its_caller_drives() {
-        let (client_end, server_end) = pipe_pair();
-        let stats = Emitter::detached("client");
-        let (p, release) = caller_driven(
-            plain_upstream(client_end),
-            stats.clone(),
-            Some(echo_reconnector(0)),
-            quick_retry(),
-        );
-        hang_up_after_one(server_end);
-        let reply = p.call(nfs_record(0x77, procnum::GETATTR)).unwrap();
-        assert_eq!(&reply[0..4], &0x77u32.to_be_bytes(), "caller xid restored");
-        assert_eq!(stats.reconnects(), 1);
-        assert_eq!(stats.replays(), 1);
-        assert!(p.call(nfs_record(0x78, procnum::ACCESS)).is_ok(), "fresh channel serves");
-        drop(release);
-    }
+    // --- teardown -------------------------------------------------------
 
     #[test]
-    fn connect_refusals_are_retried_with_backoff_by_the_caller() {
-        let (client_end, server_end) = pipe_pair();
-        let stats = Emitter::detached("client");
-        let (p, release) = caller_driven(
-            plain_upstream(client_end),
-            stats.clone(),
-            Some(echo_reconnector(2)),
-            quick_retry(),
-        );
-        hang_up_after_one(server_end);
-        assert!(p.call(nfs_record(1, procnum::LOOKUP)).is_ok());
-        assert_eq!(stats.reconnects(), 1);
-        assert!(stats.sum(Hop::Backoff) > 0, "refused dials must back off");
-        drop(release);
-    }
-
-    #[test]
-    fn a_non_idempotent_call_its_caller_drives_fails_cleanly_on_reconnect() {
-        let (client_end, server_end) = pipe_pair();
-        let stats = Emitter::detached("client");
-        let (p, release) = caller_driven(
-            plain_upstream(client_end),
-            stats.clone(),
-            Some(echo_reconnector(0)),
-            quick_retry(),
-        );
-        hang_up_after_one(server_end);
-        let err = p.call(nfs_record(2, procnum::RENAME)).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::ConnectionReset, "{err}");
-        assert_eq!(stats.replays(), 0, "a RENAME is never replayed");
-        assert_eq!(stats.reconnects(), 1);
-        assert!(p.call(nfs_record(3, procnum::GETATTR)).is_ok(), "fresh channel serves");
-        drop(release);
-    }
-
-    #[test]
-    fn reconnect_budget_exhaustion_is_terminal_for_a_caller_driven_call() {
-        let (client_end, server_end) = pipe_pair();
-        let refuse = |_attempt: u32| {
-            Err::<(Upstream, PipeWatch), _>(io::Error::new(
-                io::ErrorKind::ConnectionRefused,
-                "always refused",
-            ))
-        };
-        let (p, release) = caller_driven(
-            plain_upstream(client_end),
-            Emitter::detached("client"),
-            Some(Box::new(refuse)),
-            RetryPolicy {
-                dial_attempts: 2,
-                backoff_base: Duration::from_millis(1),
-                backoff_cap: Duration::from_millis(2),
-                ..quick_retry()
-            },
-        );
-        hang_up_after_one(server_end);
-        assert!(p.call(nfs_record(4, procnum::GETATTR)).is_err());
-        assert!(p.call(nfs_record(5, procnum::GETATTR)).is_err(), "channel is dead");
-        drop(release);
-    }
-
-    // --- event-plane teardown -------------------------------------------
-
-    use sgfs_oncrpc::process_thread_count;
-
-    fn wait_for<F: Fn() -> bool>(what: &str, f: F) {
-        for _ in 0..1000 {
-            if f() {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        panic!("timed out waiting for {what}");
-    }
-
-    #[test]
-    fn drop_flushes_stats_and_joins_private_pool() {
-        let before = process_thread_count();
+    fn drop_flushes_stats_before_returning() {
         let (client_end, server_end) = pipe_pair();
         let _server = echo_server(server_end, 1);
         let stats = Emitter::detached("client");
@@ -1899,16 +1580,8 @@ mod tests {
             p.call(call_record(i, b"x")).unwrap();
         }
         assert_eq!(stats.pipeline_peak(), 1);
-        // Dropping the last handle retires the connection: the depth
-        // gauge is flushed to zero before drop returns, and the private
-        // pool worker joins — no leaked reader thread.
         drop(p);
         assert_eq!(stats.gauge(Gauge::PipelineDepth), 0, "depth gauge flushed before drop returned");
-        if let (Some(b), Some(_)) = (before, process_thread_count()) {
-            wait_for("threads back to baseline", || {
-                process_thread_count().is_some_and(|a| a <= b)
-            });
-        }
     }
 
     #[test]
@@ -1917,63 +1590,11 @@ mod tests {
         // Silent server: the reply never comes.
         let p = plain_pipeline(client_end, 4, Emitter::detached("client"));
         let pending = p.submit(call_record(1, b"abandoned"));
-        // Give the pump time to admit the call before abandoning it.
-        std::thread::sleep(Duration::from_millis(20));
         let start = Instant::now();
         drop(p);
-        assert!(
-            start.elapsed() < RETIRE_WAIT,
-            "retirement must not wait out the backstop timeout"
-        );
+        assert!(start.elapsed() < Duration::from_secs(1), "teardown waits for nothing");
         // The abandoned call fails instead of hanging.
         assert!(pending.wait().is_err());
         drop(server_end);
-    }
-
-    #[test]
-    fn pipelines_share_a_fixed_pool() {
-        let before = process_thread_count();
-        let pool = ClientIoPool::new(2);
-        let mut servers = Vec::new();
-        let pipelines: Vec<Pipeline> = (0..16)
-            .map(|_| {
-                let (client_end, server_end) = pipe_pair();
-                servers.push(echo_server(server_end, 1));
-                let (up, watch) = plain_upstream(client_end);
-                Pipeline::with_recovery_on(
-                    &pool,
-                    up,
-                    watch,
-                    4,
-                    None,
-                    Emitter::detached("client"),
-                    None,
-                    RetryPolicy::default(),
-                )
-                .unwrap()
-            })
-            .collect();
-        wait_for("all conns pinned", || pool.active_conns() == 16);
-        // Interleave traffic across every pipeline on the 2 workers.
-        for round in 0..4u32 {
-            let pending: Vec<PendingReply> = pipelines
-                .iter()
-                .map(|p| p.submit(call_record(round, b"pooled")))
-                .collect();
-            for reply in pending {
-                assert_eq!(&reply.wait().unwrap()[4..], b"echo:pooled");
-            }
-        }
-        drop(pipelines);
-        wait_for("all conns retired", || pool.active_conns() == 0);
-        for s in servers {
-            s.join().unwrap();
-        }
-        drop(pool);
-        if let (Some(b), Some(_)) = (before, process_thread_count()) {
-            wait_for("pool threads joined", || {
-                process_thread_count().is_some_and(|a| a <= b)
-            });
-        }
     }
 }

@@ -29,9 +29,9 @@ use std::io;
 /// driven inline on the calling thread, never on a transient one.
 ///
 /// Alongside the stream, the reconnector returns the [`PipeWatch`] of the
-/// *raw transport* underneath it, so the event-driven pipeline can route
-/// the replacement channel's readiness into the same I/O-pool token the
-/// dead channel used.
+/// *raw transport* underneath it: the pipeline's waiting callers learn
+/// from it when the replacement channel has input, as they did from the
+/// dead one's.
 pub trait Reconnector: Send {
     /// Dial a fresh upstream. `ConnectionRefused` (and other transient
     /// kinds) are retried under the session's `RetryPolicy`; fatal kinds

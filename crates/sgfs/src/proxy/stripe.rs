@@ -16,7 +16,7 @@
 //! the one thread that drives the proxy.
 
 use crate::config::StripePolicy;
-use crate::proxy::pipeline::Pipeline;
+use crate::proxy::pipeline::{PendingReply, Pipeline};
 
 /// Pure block → members placement for one session.
 ///
@@ -165,6 +165,13 @@ impl StripeSet {
     /// The member's pipelined channel (a cheap cloneable handle).
     pub fn member(&self, idx: usize) -> Pipeline {
         self.members[idx].clone()
+    }
+
+    /// Wait for one member's reply while keeping every other member's
+    /// window turning: a fan-out submits to each member before waiting on
+    /// them one at a time, and the waiter is the only driver they have.
+    pub fn wait(&self, reply: PendingReply) -> std::io::Result<Vec<u8>> {
+        reply.wait_beside(&self.members)
     }
 
     /// Swap in a fresh channel for `idx` — the rejoin half of failover.

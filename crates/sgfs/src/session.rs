@@ -264,10 +264,10 @@ pub struct SessionParams {
     /// [`DEFAULT_SHARDS`] event loops; pass a shared one to multiplex many
     /// sessions over the same fixed thread pool (the 10k-session path).
     pub shard_server: Option<Arc<ShardServer>>,
-    /// The client-side I/O pool this session's upstream pipeline pins to.
-    /// `None` = the pipeline gets a private single-worker pool; pass a
-    /// shared pool to multiplex many sessions' upstream channels over a
-    /// fixed client thread budget (the client mirror of `shard_server`).
+    /// Never read: a session's client side owns no thread, and its
+    /// upstream pipelines are driven by the threads that call them. The
+    /// field stays only because the benchmark harness under `benchmark/`,
+    /// which this tree does not change, still sets it.
     pub client_pool: Option<Arc<sgfs_oncrpc::ClientIoPool>>,
     /// Placement: stripe the session's file blocks across `width` FSS
     /// upstreams and replicate each block to `replicas` of them. `None`
@@ -489,7 +489,6 @@ impl Session {
         client_cfg.retry = params.retry;
         client_cfg.durability = params.durability;
         client_cfg.obs = Some(obs.clone());
-        client_cfg.client_pool = params.client_pool.clone();
 
         // --- one full server stack per member, one client proxy across
         // all of them. Each member is its own file host: member 0 is the
@@ -779,7 +778,7 @@ fn dial<E: From<GtlsError> + From<std::io::Error>>(
     // Readiness must observe the raw wire, before GTLS wraps the stream:
     // arrivals are arrivals regardless of what decrypts them. Both
     // directions get a watch — the server side feeds a shard loop, the
-    // client side feeds the client I/O pool.
+    // client side the pipeline's waiting callers.
     let client_watch = wire_client.watch();
     let server_watch = wire_server.watch();
     match (client_gtls, server_gtls) {

@@ -14,9 +14,9 @@
 //!
 //! A separate case re-syncs the dead member from the write-back store and
 //! checks it rejoins with byte-identical state; a thread-ceiling case
-//! proves stripe width adds zero client reader threads at widths 1, 2
-//! and 4 alike (the PR 8 pool budget covers every member, and read-ahead
-//! is one worker for the whole set).
+//! proves stripe width adds zero client threads at widths 1, 2 and 4
+//! alike (every member pipeline is driven by the proxy's caller, and so
+//! is read-ahead).
 
 use sgfs::config::{CacheMode, RetryPolicy, SecurityLevel, SessionConfig, StripePolicy};
 use sgfs::proxy::blockstore::BlockKey;
@@ -31,7 +31,7 @@ use sgfs_nfs3::{NFS_PROGRAM, NFS_VERSION};
 use sgfs_obs::{Gauge, Hop};
 use sgfs_oncrpc::msg::AuthSysParams;
 use sgfs_oncrpc::record::{read_record, write_record};
-use sgfs_oncrpc::{CallHeader, ClientIoPool, OpaqueAuth, ReplyHeader};
+use sgfs_oncrpc::{CallHeader, OpaqueAuth, ReplyHeader};
 use sgfs_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -620,18 +620,16 @@ fn settled_thread_count() -> usize {
 }
 
 /// Neither stripe width nor read-ahead moves the client thread budget:
-/// every member pipeline multiplexes onto the one shared I/O pool, the
-/// proxy runs on its caller's thread and read-ahead is submitted from
-/// there. At widths 1, 2 and 4 alike, building the proxy adds exactly the
-/// mock server threads, and driving reads through it with read-ahead
+/// the proxy runs on its caller's thread, every member pipeline is driven
+/// by the threads that wait on it, and read-ahead is submitted and landed
+/// from there. At widths 1, 2 and 4 alike, building the proxy adds exactly
+/// the mock server threads, and driving reads through it with read-ahead
 /// landing hits adds none.
 #[test]
 fn stripe_width_adds_zero_client_reader_threads() {
     let _serial = serial();
-    let pool = ClientIoPool::new(2);
     for (width, replicas) in [(1u32, 1u32), (2, 2), (4, 2)] {
         let mut config = striped_config();
-        config.client_pool = Some(pool.clone());
         config.stripe = Some(StripePolicy { width, replicas, block_size: BLOCK as u32 });
         config.readahead = 4;
         let states: Vec<ServerState> = (0..width).map(|_| Arc::default()).collect();

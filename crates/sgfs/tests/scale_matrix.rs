@@ -17,7 +17,7 @@
 //!    round-robin, so every shard constantly switches between sessions
 //!    mid-stream.
 
-use sgfs::config::{RetryPolicy, SecurityLevel, SessionConfig};
+use sgfs::config::{SecurityLevel, SessionConfig};
 use sgfs::proxy::client::Upstream;
 use sgfs::proxy::pipeline::Pipeline;
 use sgfs::proxy::server::ServerProxy;
@@ -29,7 +29,7 @@ use sgfs_nfs3::{Fh3, Nfs3Client};
 use sgfs_nfsd::{ExportEntry, Exports, NfsServer};
 use sgfs_obs::Emitter;
 use sgfs_oncrpc::msg::AuthSysParams;
-use sgfs_oncrpc::{process_thread_count, ClientIoPool, LoopbackStream, OpaqueAuth, ShardServer};
+use sgfs_oncrpc::{process_thread_count, LoopbackStream, OpaqueAuth, ShardServer};
 use sgfs_pki::ValidatedPeer;
 use sgfs_vfs::{UserContext, Vfs};
 use std::sync::{Arc, Mutex};
@@ -44,8 +44,8 @@ const ROUNDS: usize = 12;
 /// free to run in parallel with them.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Poll until `cond` holds or ~2 s elapse (thread exits and pool
-/// retirements are asynchronous but fast).
+/// Poll until `cond` holds or ~2 s elapse (thread exits are asynchronous
+/// but fast).
 fn wait_for(mut cond: impl FnMut() -> bool) -> bool {
     for _ in 0..2000 {
         if cond() {
@@ -298,69 +298,56 @@ fn sixty_four_sessions_one_sharded_server() {
 }
 
 // ---------------------------------------------------------------------
-// The client-plane axis: 256 pipelines on one fixed client I/O pool.
+// The client-plane axis: 256 pipelines that own no thread.
 // ---------------------------------------------------------------------
 
 const PIPELINES: usize = 256;
-const CLIENT_POOL: usize = 2;
 
 /// Record echo with a marker suffix, served from the shard event loops.
-struct PooledEcho;
+struct ShardEcho;
 
-impl sgfs_oncrpc::RecordService for PooledEcho {
+impl sgfs_oncrpc::RecordService for ShardEcho {
     fn process_record(&self, record: &[u8]) -> std::io::Result<Vec<u8>> {
         let mut r = record.to_vec();
-        r.extend_from_slice(b":pooled");
+        r.extend_from_slice(b":echoed");
         Ok(r)
     }
 }
 
-/// 256 concurrent client pipelines multiplexed onto a 2-worker
-/// [`ClientIoPool`] against a sharded echo server: the client side of the
-/// paper's scaling story. Asserts the client mirror of the server-side
-/// thread ceiling — pipelines cost pool workers, not a reader thread
-/// each — and that teardown returns the process to its exact thread
-/// baseline (the reader-thread leak this PR fixes would strand 256).
+/// 256 concurrent client pipelines against a sharded echo server, driven
+/// by a bounded set of caller threads: the client side of the paper's
+/// scaling story. Asserts the client mirror of the server-side thread
+/// ceiling — a pipeline costs no thread at all, its callers drive it —
+/// and that teardown returns the process to its exact thread baseline.
 #[test]
-fn two_hundred_fifty_six_pipelines_one_client_pool() {
+fn two_hundred_fifty_six_pipelines_add_no_client_thread() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let t0 = process_thread_count();
 
     let shards = ShardServer::new(SHARDS);
-    let pool = ClientIoPool::new(CLIENT_POOL);
-
     let mut pipelines: Vec<(usize, Pipeline)> = Vec::new();
     for i in 0..PIPELINES {
         let (client_end, server_end) = pipe_pair();
         let watch = server_end.watch();
-        shards.add_session(Box::new(server_end), watch, Arc::new(PooledEcho)).unwrap();
+        shards.add_session(Box::new(server_end), watch, Arc::new(ShardEcho)).unwrap();
         let client_watch = client_end.watch();
-        let p = Pipeline::with_recovery_on(
-            &pool,
+        let p = Pipeline::new(
             Upstream::Plain(Box::new(client_end)),
             client_watch,
             8,
             None,
             Emitter::detached("client"),
-            None,
-            RetryPolicy::default(),
-        )
-        .unwrap();
+        );
         pipelines.push((i, p));
     }
-    assert!(
-        wait_for(|| pool.active_conns() == PIPELINES),
-        "every pipeline pinned to the pool (got {})",
-        pool.active_conns()
-    );
 
-    // Ceiling while everything is live: the shard pool plus the client
-    // pool, never a thread per pipeline.
+    // Ceiling while everything is live: the shard pool, never a thread
+    // per pipeline.
     if let (Some(before), Some(now)) = (t0, process_thread_count()) {
         assert!(
-            now <= before + SHARDS + CLIENT_POOL + 2,
-            "256 pipelines must cost pool workers, not reader threads \
-             (before={before}, now={now}, shards={SHARDS}, pool={CLIENT_POOL})"
+            now <= before + SHARDS + 2,
+            "256 pipelines must cost no client thread \
+             (before={before}, now={now}, shards={SHARDS})"
         );
     }
 
@@ -375,8 +362,8 @@ fn two_hundred_fifty_six_pipelines_one_client_pool() {
             std::thread::spawn(move || {
                 for round in 0..4u32 {
                     // Submit one call per pipeline, then collect: keeps
-                    // DRIVERS × (PIPELINES / DRIVERS) calls in flight
-                    // across the pool at once.
+                    // DRIVERS × (PIPELINES / DRIVERS) calls in flight at
+                    // once.
                     let pending: Vec<_> = mine
                         .iter()
                         .map(|(i, p)| {
@@ -387,9 +374,9 @@ fn two_hundred_fifty_six_pipelines_one_client_pool() {
                         })
                         .collect();
                     for (record, reply) in pending {
-                        let got = reply.wait().expect("pooled echo reply");
+                        let got = reply.wait().expect("echo reply");
                         assert_eq!(got.len(), record.len() + 7, "echo shape");
-                        assert!(got.ends_with(b":pooled"), "served by the shard echo");
+                        assert!(got.ends_with(b":echoed"), "served by the shard echo");
                         assert_eq!(&got[..record.len()], &record[..], "xid restored");
                     }
                 }
@@ -402,16 +389,11 @@ fn two_hundred_fifty_six_pipelines_one_client_pool() {
         finished.extend(d.join().unwrap());
     }
 
-    // Teardown: dropping every handle retires each pipeline's pool slot
-    // (stats flushed, no join leaks) and the thread count returns to the
-    // exact pre-test baseline once the pools themselves are gone.
+    // Teardown: dropping every handle retires its pipeline on the spot
+    // (stats flushed, transport closed), and the thread count returns to
+    // the exact pre-test baseline once the shard pool is gone.
     drop(finished);
-    assert!(
-        wait_for(|| pool.active_conns() == 0),
-        "all pipeline slots retired after the last handle dropped"
-    );
     drop(shards);
-    drop(pool);
     if let Some(before) = t0 {
         assert!(
             wait_for(|| process_thread_count().is_some_and(|now| now <= before)),

@@ -60,16 +60,16 @@ run_watchdog 120 metrics_plane  cargo test -q --test metrics_plane
 
 # Every crate's module tests, in one run — of the ten crates that carry
 # them, most had no other stanza. Among them: sgfs-oncrpc's worker loop
-# and its two owners (pool: Rearm fairness, a full inbox blocking its
-# pinner; shard and client_pool: thread ceilings, worker death,
-# shutdown; loopback and client: every record dispatched once however
-# writes cut it, no stale reply bytes); sgfs's proxy::pipeline (a caller
-# that waits drives its own pipeline, so calls must complete with the
-# pool's only worker parked elsewhere, time out on the caller's own wire
-# wait, and ride reconnect/replay on the caller's thread; concurrent
-# callers beside batches each get their own reply; a call pushed while
-# another caller sleeps on the wire goes out at once); sgfs-net's per-host
-# clocks and submission ring (a lost wakeup wedges a pipeline forever);
+# and its owner (pool: Rearm fairness, a full inbox blocking its
+# pinner; shard: thread ceilings, unpinning, shutdown; loopback and
+# client: every record dispatched once however writes cut it, no stale
+# reply bytes); sgfs's proxy::pipeline, which only its callers drive (a
+# batch lands through try_wait polling alone; a waiter keeps its
+# siblings' queues moving; a rekey gives up at the call deadline;
+# reconnect/replay and the deadline on the caller's thread; concurrent
+# callers beside batches each get their own reply; a call queued while
+# another caller sleeps on the wire goes out at once); sgfs-net's
+# per-host clocks and submission ring (a lost wakeup wedges a loop);
 # the AEAD known-answer vectors, the OpenSSL vectors long enough to fill
 # the 8-block AES-NI CTR and PCLMUL GHASH groups and the CTR-vs-oracle
 # sweep in sgfs-crypto; and the gate runner's own rules (a row on the
@@ -87,8 +87,8 @@ run_watchdog 120 scale_matrix   cargo test -q -p sgfs --test scale_matrix
 # admission loop shows up as a hang, hence the watchdog.
 run_watchdog 180 overload_matrix cargo test -q -p sgfs --test overload_matrix
 
-# The pipeline property suite that drives records through the pooled
-# reader.
+# The pipeline property suite: write-back WRITEs and COMMIT through a
+# caller-driven pipeline against a server that withholds replies.
 run_watchdog 180 prop_pipeline  cargo test -q -p sgfs --test prop_pipeline
 
 # AEAD record layer beyond the module tests: the hardware-vs-portable

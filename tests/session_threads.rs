@@ -1,15 +1,15 @@
-//! A session adds no thread of its own. On a shared server core and a
-//! shared client I/O pool the process runs the pools' threads and nothing
-//! else, however many sessions are mounted: the client proxy runs on the
-//! thread that makes the NFS call, and read-ahead is submitted from
-//! there.
+//! A session adds no thread of its own. On a shared server core the
+//! process runs the shard loops and nothing else, however many sessions
+//! are mounted: the client proxy runs on the thread that makes the NFS
+//! call, its upstream pipelines are driven by the threads that wait on
+//! them, and read-ahead is submitted and landed from there.
 //!
 //! One `#[test]` in this binary on purpose: the assertion reads the
 //! process-wide count in `/proc/self/status`, which must be its own.
 
 use sgfs::config::SecurityLevel;
 use sgfs::session::{GridWorld, Session, SessionParams, SetupKind};
-use sgfs_oncrpc::{process_thread_count, ClientIoPool, ShardServer};
+use sgfs_oncrpc::{process_thread_count, ShardServer};
 use sgfs_vfs::UserContext;
 use std::time::{Duration, Instant};
 
@@ -32,21 +32,20 @@ fn sessions_on_shared_pools_add_zero_threads() {
         return; // no /proc/self/status on this platform
     };
     const SESSIONS: usize = 8;
+    const SHARDS: usize = 2;
     const SCAN: usize = 256 * 1024;
     let world = GridWorld::new();
     let spool = std::env::temp_dir().join(format!("sgfs-session-threads-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&spool);
 
-    let shards = ShardServer::new(2);
-    let pool = ClientIoPool::new(2);
-    let pooled = process_thread_count().expect("checked above");
-    assert_eq!(pooled, bare + 4, "two shard loops and two client I/O workers");
+    let shards = ShardServer::new(SHARDS);
+    let served = bare + SHARDS;
+    assert_eq!(process_thread_count(), Some(served), "two shard loops");
 
     let mut sessions: Vec<Session> = (0..SESSIONS)
         .map(|i| {
             let mut params = SessionParams::lan(SetupKind::Sgfs(SecurityLevel::AeadCipher));
             params.shard_server = Some(shards.clone());
-            params.client_pool = Some(pool.clone());
             // Read-ahead rides the proxy's attribute cache, so give the
             // proxy one.
             params.disk_cache_dir = Some(spool.join(i.to_string()));
@@ -54,7 +53,7 @@ fn sessions_on_shared_pools_add_zero_threads() {
             Session::build(&world, &params).expect("session")
         })
         .collect();
-    assert_eq!(process_thread_count(), Some(pooled), "{SESSIONS} sessions built");
+    assert_eq!(process_thread_count(), Some(served), "{SESSIONS} sessions built");
 
     for (i, session) in sessions.iter_mut().enumerate() {
         // A file the client has never seen, scanned cold: the sequential
@@ -72,16 +71,15 @@ fn sessions_on_shared_pools_add_zero_threads() {
         assert_eq!(session.mount.stat("/mix.bin").expect("stat").size, data.len() as u64);
 
         let stats = session.client_proxy_stats().expect("proxied stack");
-        assert!(stats.prefetch_hits() > 0, "session {i}: read-ahead served part of the scan");
+        assert!(stats.prefetch_hits() > 0, "session {i}: read-ahead landed part of the scan");
     }
-    assert_eq!(process_thread_count(), Some(pooled), "{SESSIONS} sessions driven");
+    assert_eq!(process_thread_count(), Some(served), "{SESSIONS} sessions driven");
 
     for session in sessions {
         session.finish().expect("teardown");
     }
-    assert_eq!(process_thread_count(), Some(pooled), "teardown ends no thread either");
-    drop(pool);
+    assert_eq!(process_thread_count(), Some(served), "teardown ends no thread either");
     drop(shards);
-    assert_eq!(threads_settling_to(bare), bare, "only the pools ever had threads");
+    assert_eq!(threads_settling_to(bare), bare, "only the shard loops ever had threads");
     let _ = std::fs::remove_dir_all(&spool);
 }

@@ -1,8 +1,7 @@
 //! A shard thread that dies — any panic out of
 //! `RecordService::process_record` — must not take its acceptors with it:
 //! the next `add_session` placed on the dead shard fails, promptly, and
-//! the other shards keep serving. The server-plane twin of
-//! `client_pool::add_conn_fails_fast_after_worker_death`.
+//! the other shards keep serving.
 //!
 //! Every step that would hang on a regression runs against a deadline of
 //! its own, so this fails instead of stalling `cargo test`.
