@@ -249,8 +249,8 @@ impl PipeEnd {
     }
 
     /// Split into independently owned read and write halves, so one
-    /// thread can block reading while another writes (the tunnel
-    /// forwarders need this).
+    /// thread can block reading while another writes (a relay spliced
+    /// into a connection, say).
     pub fn split(self) -> (PipeReader, PipeWriter) {
         (self.reader, self.writer)
     }

@@ -9,8 +9,8 @@ use sgfs_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder};
 /// A blocking RPC client bound to one program/version on one connection.
 ///
 /// Mirrors TI-RPC's `clnt_tli_create`: the transport is supplied by the
-/// caller, so the same client works over a plain pipe, a GTLS channel
-/// (`sgfs-secrpc`'s `clnt_ssl_create` analog) or the SSH-tunnel baseline.
+/// caller, so the same client works over a plain pipe or a GTLS channel
+/// (`sgfs-secrpc`'s `clnt_ssl_create` analog).
 ///
 /// Calls are strictly sequential — the paper notes its SGFS prototype uses
 /// blocking RPCs (one outstanding request), and this faithfully reproduces

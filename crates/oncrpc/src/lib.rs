@@ -11,7 +11,7 @@
 //!   credentials, accept/reject status codes.
 //! * [`record`] — RFC 5531 §11 record marking for stream transports.
 //! * [`client`] — a blocking RPC client (`call` = one round trip).
-//! * [`server`] — a per-connection dispatch loop over an [`RpcService`].
+//! * [`server`] — dispatch of one call record into an [`RpcService`].
 //! * [`pool`] — the server plane's worker loop: a fixed set of threads,
 //!   each serving every connection pinned to it from one poller.
 //! * [`shard`] — its owner: thousands of pinned sessions served under
@@ -39,7 +39,7 @@ pub use client::RpcClient;
 pub use error::RpcError;
 pub use loopback::LoopbackStream;
 pub use msg::{AcceptStat, AuthFlavor, AuthSysParams, CallHeader, OpaqueAuth, ReplyHeader};
-pub use server::{serve_connection, RpcService};
+pub use server::RpcService;
 pub use shard::{
     process_thread_count, AdmissionPolicy, RecordService, RpcRecordService, ShardServer,
     ShardStats,

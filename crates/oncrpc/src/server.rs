@@ -1,10 +1,9 @@
-//! ONC RPC server dispatch loop.
+//! ONC RPC server dispatch: one call record in, one reply record out.
+//! Connections are served by the shard core ([`crate::shard`]), in-process
+//! backends by [`crate::loopback`].
 
 use crate::msg::{AcceptStat, AuthStat, CallHeader, OpaqueAuth, ReplyHeader};
-use crate::record::{read_record, write_record};
-use sgfs_net::BoxStream;
 use sgfs_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder};
-use std::sync::Arc;
 
 /// Bytes of an accepted-success reply header with an `AUTH_NONE`
 /// verifier ([`ReplyHeader::success`]): the headroom a result encoded by
@@ -54,19 +53,6 @@ pub trait RpcService: Send + Sync {
     /// Execute procedure `proc` with `args` positioned after the call
     /// header. `cred` is the caller's credential.
     fn handle(&self, proc: u32, cred: &OpaqueAuth, args: &mut XdrDecoder<'_>) -> Dispatch;
-}
-
-/// Serve RPC requests on `stream` until EOF or transport error.
-///
-/// Each connection gets one of these loops (typically on its own thread);
-/// requests on a single connection are processed in order, matching the
-/// kernel NFS server's per-connection semantics for a single client.
-pub fn serve_connection(mut stream: BoxStream, service: Arc<dyn RpcService>) -> std::io::Result<()> {
-    while let Some(record) = read_record(&mut stream)? {
-        let reply = process_record(&record, service.as_ref());
-        write_record(&mut stream, &reply)?;
-    }
-    Ok(())
 }
 
 /// Decode one call record and produce the full reply record.
@@ -124,6 +110,7 @@ mod tests {
     use crate::{LoopbackStream, RpcError};
     use sgfs_net::pipe_pair;
     use sgfs_xdr::XdrResult;
+    use std::sync::Arc;
 
     /// Test program: proc 1 doubles a u32; proc 2 echoes opaque data;
     /// proc 3 denies everyone.
@@ -162,20 +149,6 @@ mod tests {
 
     fn start() -> RpcClient {
         connect(0x2000_0001, 1)
-    }
-
-    #[test]
-    fn serve_connection_runs_until_eof() {
-        let _serial = crate::pool::tests::serial();
-        let (client_end, server_end) = pipe_pair();
-        let server =
-            std::thread::spawn(move || serve_connection(Box::new(server_end), Arc::new(Doubler)));
-        let mut c = RpcClient::new(Box::new(client_end), 0x2000_0001, 1);
-        c.null().unwrap();
-        let r: u32 = c.call(1, &21u32).unwrap();
-        assert_eq!(r, 42);
-        drop(c);
-        server.join().expect("server thread").expect("clean EOF ends the loop");
     }
 
     #[test]

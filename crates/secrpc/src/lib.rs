@@ -4,7 +4,10 @@
 //! exposing `clnt_tli_ssl_create` / `svc_tli_ssl_create` — the regular RPC
 //! creation APIs plus one extra parameter, the security configuration
 //! structure. This crate is that library for the Rust stack: it layers
-//! [`sgfs_oncrpc`] over [`sgfs_gtls`], keeping the exact API shape.
+//! [`sgfs_oncrpc`] over [`sgfs_gtls`], keeping the exact API shape, except
+//! that [`svc_ssl_create`] also names the dispatcher that serves the
+//! connection: a [`ShardServer`], where TI-RPC has its process-wide
+//! `svc_run` loop.
 //!
 //! Because [`GtlsStream`] is itself a [`sgfs_net::Stream`], *any*
 //! RPC-based application can use this crate unchanged — the property the
@@ -15,7 +18,7 @@
 //! # use sgfs_secrpc::*;
 //! # use sgfs_pki::*;
 //! # use sgfs_gtls::GtlsConfig;
-//! # use sgfs_oncrpc::{RpcService, OpaqueAuth, server::Dispatch};
+//! # use sgfs_oncrpc::{RpcService, OpaqueAuth, ShardServer, server::Dispatch};
 //! # use sgfs_crypto::rsa::RsaKeyPair;
 //! # use std::sync::Arc;
 //! # struct Echo;
@@ -36,21 +39,26 @@
 //! # let k2 = RsaKeyPair::generate(512, &mut rng);
 //! # let c2 = ca.issue(&DistinguishedName::parse("/O=G/CN=s").unwrap(), &k2.public);
 //! # let host = Credential::new(c2, k2);
+//! let shards = ShardServer::new(1);
 //! let (client_end, server_end) = sgfs_net::pipe_pair();
+//! let watch = server_end.watch();
 //! let server_cfg = GtlsConfig::new(host, trust.clone());
-//! std::thread::spawn(move || {
-//!     svc_ssl_create(Box::new(server_end), server_cfg, Arc::new(Echo)).unwrap();
+//! // Client and server handshake concurrently, as two hosts would.
+//! let (peer, mut client) = std::thread::scope(|s| {
+//!     let server = s.spawn(|| {
+//!         svc_ssl_create(Box::new(server_end), watch, server_cfg, Arc::new(Echo), &shards)
+//!     });
+//!     let client = clnt_ssl_create(Box::new(client_end), GtlsConfig::new(user, trust), 7, 1);
+//!     (server.join().unwrap().unwrap(), client.unwrap())
 //! });
-//! let mut client = clnt_ssl_create(
-//!     Box::new(client_end), GtlsConfig::new(user, trust), 7, 1,
-//! ).unwrap();
+//! assert_eq!(peer.effective_dn.to_string(), "/O=G/CN=u");
 //! let doubled: u32 = client.client.call(1, &21u32).unwrap();
 //! assert_eq!(doubled, 21);
 //! ```
 
 use sgfs_gtls::{GtlsConfig, GtlsError, GtlsStream};
-use sgfs_net::BoxStream;
-use sgfs_oncrpc::{serve_connection, RpcClient, RpcService};
+use sgfs_net::{BoxStream, PipeWatch};
+use sgfs_oncrpc::{RpcClient, RpcRecordService, RpcService, ShardServer};
 use sgfs_pki::ValidatedPeer;
 use std::sync::Arc;
 
@@ -79,45 +87,26 @@ pub fn clnt_ssl_create(
     Ok(SecureRpcClient { client: RpcClient::new(Box::new(tls), prog, vers), peer })
 }
 
-/// Serve RPC over a secure channel on `transport` — the analog of
-/// `svc_tli_ssl_create`. Blocks until the connection closes.
+/// Serve `service` over a secure channel on `transport` — the analog of
+/// `svc_tli_ssl_create`. Runs the server side of the handshake on the
+/// calling thread, then registers the protected connection with the
+/// dispatcher, as TI-RPC's create does: the connection is pinned onto
+/// `shards`, whose loops serve its calls from then on. Returns the
+/// authenticated peer at once.
 ///
-/// Returns the authenticated peer so callers can log who connected; most
-/// callers need [`accept_ssl`] instead to make authorization decisions
-/// *before* serving.
+/// `watch` observes `transport`'s raw receive side: take it from the pipe
+/// end before boxing it.
 pub fn svc_ssl_create(
     transport: BoxStream,
+    watch: PipeWatch,
     security: GtlsConfig,
     service: Arc<dyn RpcService>,
+    shards: &ShardServer,
 ) -> Result<ValidatedPeer, GtlsError> {
     let tls = GtlsStream::server(transport, security)?;
     let peer = tls.peer().clone();
-    serve_connection(Box::new(tls), service)?;
+    shards.add_session(Box::new(tls), watch, Arc::new(RpcRecordService(service)))?;
     Ok(peer)
-}
-
-/// Accept the handshake only, returning the protected stream and the
-/// authenticated peer. The SGFS server-side proxy uses this to run its
-/// gridmap authorization check between authentication and service.
-pub fn accept_ssl(
-    transport: BoxStream,
-    security: GtlsConfig,
-) -> Result<(GtlsStream, ValidatedPeer), GtlsError> {
-    let tls = GtlsStream::server(transport, security)?;
-    let peer = tls.peer().clone();
-    Ok((tls, peer))
-}
-
-/// Connect the handshake only, returning the protected stream and the
-/// authenticated server identity. The SGFS client-side proxy uses this
-/// when it needs direct control of the channel (renegotiation timers).
-pub fn connect_ssl(
-    transport: BoxStream,
-    security: GtlsConfig,
-) -> Result<(GtlsStream, ValidatedPeer), GtlsError> {
-    let tls = GtlsStream::client(transport, security)?;
-    let peer = tls.peer().clone();
-    Ok((tls, peer))
 }
 
 #[cfg(test)]
@@ -167,37 +156,48 @@ mod tests {
         )
     }
 
+    /// Handshake both ends concurrently; the server end is then served
+    /// by `shards`. Returns the client and the peer the server saw.
+    fn connect(
+        shards: &ShardServer,
+        ccfg: GtlsConfig,
+        scfg: GtlsConfig,
+    ) -> (SecureRpcClient, ValidatedPeer) {
+        let (a, b) = sgfs_net::pipe_pair();
+        let watch = b.watch();
+        std::thread::scope(|s| {
+            let server =
+                s.spawn(|| svc_ssl_create(Box::new(b), watch, scfg, Arc::new(Echo), shards));
+            let client = clnt_ssl_create(Box::new(a), ccfg, 0x3000_0001, 1).unwrap();
+            (client, server.join().unwrap().unwrap())
+        })
+    }
+
     #[test]
     fn secure_rpc_roundtrip_per_suite() {
+        let shards = ShardServer::new(1);
         for suite in [CipherSuite::NullSha1, CipherSuite::Rc4_128Sha1, CipherSuite::Aes256CbcSha1]
         {
             let (ccfg, scfg) = creds();
-            let ccfg = ccfg.with_suite(suite);
-            let (a, b) = sgfs_net::pipe_pair();
-            std::thread::spawn(move || {
-                let _ = svc_ssl_create(Box::new(b), scfg, Arc::new(Echo));
-            });
-            let mut c = clnt_ssl_create(Box::new(a), ccfg, 0x3000_0001, 1).unwrap();
+            let (mut c, _) = connect(&shards, ccfg.with_suite(suite), scfg);
             assert_eq!(c.peer.effective_dn.to_string(), "/O=Grid/CN=host");
             let payload: Vec<u8> = (0..50_000).map(|i| (i % 256) as u8).collect();
             let echoed: Vec<u8> = c.client.call(1, &payload).unwrap();
             assert_eq!(echoed, payload, "suite {suite:?}");
         }
+        assert_eq!(shards.stats().accepted, 3);
     }
 
+    /// The create call returns the authenticated identity as soon as the
+    /// handshake is done; the shard core serves the calls that follow.
     #[test]
-    fn accept_ssl_exposes_identity_before_serving() {
+    fn svc_ssl_create_returns_the_peer_then_the_shards_serve() {
+        let shards = ShardServer::new(1);
         let (ccfg, scfg) = creds();
-        let (a, b) = sgfs_net::pipe_pair();
-        let h = std::thread::spawn(move || {
-            let (tls, peer) = accept_ssl(Box::new(b), scfg).unwrap();
-            assert_eq!(peer.effective_dn.to_string(), "/O=Grid/CN=user");
-            // Authorization hook would run here; then serve.
-            serve_connection(Box::new(tls), Arc::new(Echo)).unwrap();
-        });
-        let mut c = clnt_ssl_create(Box::new(a), ccfg, 0x3000_0001, 1).unwrap();
+        let (mut c, peer) = connect(&shards, ccfg, scfg);
+        assert_eq!(peer.effective_dn.to_string(), "/O=Grid/CN=user");
+        assert_eq!(shards.stats().served, 0, "nothing served before the first call");
         c.client.null().unwrap();
-        drop(c);
-        h.join().unwrap();
+        assert_eq!(shards.stats().served, 1);
     }
 }

@@ -26,8 +26,8 @@
 //! * [`session`] assembles the pieces per configuration — `nfs-v3`, `gfs`,
 //!   `sgfs-sha/rc/aes`, `gfs-ssh`, `sfs` — exactly the setups §6 measures.
 //! * [`tunnel`] is the `gfs-ssh` baseline's SSH-like encrypted tunnel with
-//!   session-key inter-proxy authentication and real double user-level
-//!   forwarding.
+//!   session-key inter-proxy authentication: a stream under the proxies'
+//!   RPC stream, each end charging the double user-level forwarding hop.
 //! * [`acl`] implements the grid ACL model. The CPU-utilization
 //!   instrumentation behind the paper's Figures 5 and 6 — and every other
 //!   count the proxies keep — is the [`obs::Emitter`] each proxy holds.

@@ -55,8 +55,8 @@ use std::sync::Arc;
 
 /// The channel to the server-side proxy.
 pub enum Upstream {
-    /// Unprotected (the `gfs` baseline and the tunneled `gfs-ssh` path,
-    /// where protection lives in the tunnel).
+    /// No GTLS: the raw wire of the `gfs` baseline, or the `gfs-ssh`
+    /// tunnel stream, which protects itself and is never rekeyed.
     Plain(BoxStream),
     /// GTLS-protected (all `sgfs-*` configurations and the SFS analog).
     Tls(Box<GtlsStream>),

@@ -21,7 +21,7 @@ use crate::proxy::client::{ClientProxy, ClientProxyController, SharedClientProxy
 use crate::proxy::server::ServerProxy;
 use crate::proxy::stripe::StripeMap;
 use crate::proxy::ProxyError;
-use crate::tunnel::{tunnel_start, TunnelGuard};
+use crate::tunnel::tunnel_start;
 use sgfs_crypto::rsa::RsaKeyPair;
 use sgfs_gtls::{handshake_pair, GtlsConfig, GtlsError, GtlsHandshake};
 use sgfs_net::{pipe_pair_over_link, Link, LinkSpec, SimClock};
@@ -273,8 +273,8 @@ pub struct SessionParams {
     /// upstreams and replicate each block to `replicas` of them. `None`
     /// = the width-1 placement (one upstream holding every block), which
     /// runs the same data path as any other width. More than one member
-    /// requires a proxied stack (gfs / sgfs / sfs): the kernel baselines
-    /// and the ssh tunnel have a single wire by construction.
+    /// requires a proxied stack (gfs / sgfs / sfs / gfs-ssh): the kernel
+    /// baselines have a single wire by construction.
     pub stripe: Option<crate::config::StripePolicy>,
 }
 
@@ -349,10 +349,6 @@ pub struct Session {
     controller: Option<ClientProxyController>,
     obs: Arc<sgfs_obs::Obs>,
     shards: Arc<ShardServer>,
-    // Last field on purpose: the guards' drop-join runs after everything
-    // above has been torn down, by which point the proxy/pipeline drops
-    // have closed the tunnel's local pipes and both forwarders exit.
-    _tunnel_guards: Vec<TunnelGuard>,
 }
 
 impl Session {
@@ -441,7 +437,6 @@ impl Session {
                 controller: None,
                 obs,
                 shards,
-                _tunnel_guards: Vec::new(),
             });
         }
 
@@ -490,18 +485,23 @@ impl Session {
         client_cfg.durability = params.durability;
         client_cfg.obs = Some(obs.clone());
 
+        let protection = match (params.kind, client_cfg.gtls(), server_cfg.gtls()) {
+            // One middleware-distributed key per session: every member's
+            // tunnel, and every re-dial of it, authenticates with it.
+            (SetupKind::GfsSsh, _, _) => Protection::Tunnel(rand::random(), params.hop_cost),
+            (_, Some(client), Some(server)) => Protection::Gtls(Box::new((client, server))),
+            _ => Protection::Plain,
+        };
+
         // --- one full server stack per member, one client proxy across
         // all of them. Each member is its own file host: member 0 is the
         // host assembled above, the others get a fresh backing store that
         // receives the identical mirrored metadata op sequence, so handles
         // and directory structure stay byte-identical across the set and
         // any member can serve any metadata call.
-        let client_gtls = client_cfg.gtls();
-        let server_gtls = server_cfg.gtls();
         let mut upstreams: Vec<crate::proxy::client::StripeUpstream> = Vec::new();
         let mut replica_servers = Vec::new();
         let mut server_proxy = None;
-        let mut tunnel_guards = Vec::new();
         for m in 0..map.width() {
             let (m_server, m_root) = if m == 0 {
                 (server.clone(), root_fh.clone())
@@ -542,53 +542,25 @@ impl Session {
                 proxy.set_hop_cost(link.host(1).clone(), params.hop_cost);
                 Ok(proxy)
             };
-            let (upstream, watch, m_proxy, reconnector) = if params.kind == SetupKind::GfsSsh {
-                // The tunnel is a dial-once member: a single wire by
-                // construction, and no re-keying path to re-dial through.
-                if m > 0 {
-                    return Err(SessionError::Proxy(ProxyError::Protocol(
-                        "the ssh tunnel stack has a single upstream".into(),
-                    )));
-                }
-                let (wire_client, wire_server) = pipe_pair_over_link(link.clone());
-                let key: [u8; 32] = rand::random();
-                // Each tunnel end charges its forwarding to its own host.
-                let hop = |side: usize| Some((link.host(side).clone(), params.hop_cost));
-                // Two-phase establishment on this thread: both hellos are
-                // written before either side reads, so no concurrent peer
-                // (and no transient thread) is needed.
-                let client_pend = tunnel_start(wire_client, &key, true, hop(0))?;
-                let server_pend = tunnel_start(wire_server, &key, false, hop(1))?;
-                // The tunnel's forwarder threads drain the wire; the event
-                // loops must watch the local plaintext pipes they feed.
-                let (client_stream, client_watch, client_guard) = client_pend.finish()?;
-                let (server_stream, server_watch, server_guard) = server_pend.finish()?;
-                tunnel_guards.extend([client_guard, server_guard]);
-                let proxy = accept(None)?;
-                shards.add_session(server_stream, server_watch, proxy.clone())?;
-                (Upstream::Plain(client_stream), client_watch, proxy, None)
-            } else {
-                let (upstream, watch, proxy) =
-                    dial(&link, &shards, client_gtls.clone(), server_gtls.clone(), accept)?;
-                // Per-member fault recovery: when the member's channel
-                // dies with a transient fault, its pipeline re-dials the
-                // same host through this closure — the same `dial`, with
-                // the established server proxy as the service.
-                let (link, shards, sp) = (link.clone(), shards.clone(), proxy.clone());
-                let (client_gtls, server_gtls) = (client_gtls.clone(), server_gtls.clone());
-                let redial = move |_attempt: u32| -> std::io::Result<_> {
+            let (upstream, watch, m_proxy) = dial(&link, &shards, &protection, accept)?;
+            // Per-member fault recovery: when the member's channel dies
+            // with a transient fault, its pipeline re-dials the same host
+            // through this closure — the same `dial`, with the established
+            // server proxy as the service.
+            let redial = {
+                let (link, shards, sp) = (link.clone(), shards.clone(), m_proxy.clone());
+                let protection = protection.clone();
+                move |_attempt: u32| -> std::io::Result<_> {
                     let service = |_: Option<&ValidatedPeer>| Ok::<_, std::io::Error>(sp.clone());
-                    dial(&link, &shards, client_gtls.clone(), server_gtls.clone(), service)
+                    dial(&link, &shards, &protection, service)
                         .map(|(upstream, watch, _)| (upstream, watch))
-                };
-                let redial: Box<dyn crate::proxy::retry::Reconnector> = Box::new(redial);
-                (upstream, watch, proxy, Some(redial))
+                }
             };
             if m == 0 {
                 server_proxy = Some(m_proxy);
             }
             replica_servers.push(m_server);
-            upstreams.push((upstream, watch, reconnector));
+            upstreams.push((upstream, watch, Some(Box::new(redial))));
         }
 
         // Client proxy. Its upstreams are pipelined (xid-demultiplexed),
@@ -616,7 +588,6 @@ impl Session {
             controller: Some(controller),
             obs,
             shards,
-            _tunnel_guards: tunnel_guards,
         })
     }
 
@@ -759,44 +730,65 @@ fn file_host(vfs: Arc<Vfs>) -> Result<(Arc<NfsServer>, Fh3), SessionError> {
     Ok((server, root_fh))
 }
 
+/// How a member's inter-proxy channel is protected.
+#[derive(Clone)]
+enum Protection {
+    /// The raw wire (`gfs`).
+    Plain,
+    /// GTLS mutual authentication: the client's and the server's config.
+    Gtls(Box<(GtlsConfig, GtlsConfig)>),
+    /// The `gfs-ssh` tunnel under the session key; each end charges the
+    /// hop cost to its own host.
+    Tunnel([u8; 32], HopCost),
+}
+
 /// Dial one inter-proxy channel: lay a fresh pipe over the emulated link,
-/// run the GTLS mutual authentication for secure kinds (the two resumable
-/// handshake machines alternate inline on the calling thread — no
-/// handshake thread, no persistent acceptor), and pin the server end onto
-/// the shard core behind the proxy `service` yields for the authenticated
-/// peer (`None` on an unauthenticated channel). Both the first connection
-/// of a member and every reconnection go through here; a handshake
-/// failure kills this dial only.
+/// establish its protection — the two resumable GTLS handshake machines,
+/// or the two tunnel hellos, alternate inline on the calling thread (no
+/// handshake thread, no persistent acceptor) — and pin the server end
+/// onto the shard core behind the proxy `service` yields for the
+/// authenticated peer (`None` on a channel the session key or nothing
+/// protects). Both the first connection of a member and every
+/// reconnection go through here; a failed establishment kills this dial
+/// only.
 fn dial<E: From<GtlsError> + From<std::io::Error>>(
     link: &Arc<Link>,
     shards: &ShardServer,
-    client_gtls: Option<GtlsConfig>,
-    server_gtls: Option<GtlsConfig>,
+    protection: &Protection,
     service: impl FnOnce(Option<&ValidatedPeer>) -> Result<Arc<ServerProxy>, E>,
 ) -> Result<(Upstream, sgfs_net::PipeWatch, Arc<ServerProxy>), E> {
     let (wire_client, wire_server) = pipe_pair_over_link(link.clone());
-    // Readiness must observe the raw wire, before GTLS wraps the stream:
-    // arrivals are arrivals regardless of what decrypts them. Both
-    // directions get a watch — the server side feeds a shard loop, the
-    // client side the pipeline's waiting callers.
+    // Readiness must observe the raw wire, before GTLS or the tunnel wraps
+    // the stream: arrivals are arrivals regardless of what decrypts them.
+    // Both directions get a watch — the server side feeds a shard loop,
+    // the client side the pipeline's waiting callers.
     let client_watch = wire_client.watch();
     let server_watch = wire_server.watch();
-    match (client_gtls, server_gtls) {
-        (Some(ccfg), Some(scfg)) => {
+    let (upstream, server_end, proxy): (_, sgfs_net::BoxStream, _) = match protection {
+        Protection::Gtls(configs) => {
+            let (ccfg, scfg) = configs.as_ref();
+            let (cw, sw) = (Some(client_watch.clone()), Some(server_watch.clone()));
             let (client_tls, mut server_tls) = handshake_pair(
-                GtlsHandshake::client(Box::new(wire_client), Some(client_watch.clone()), ccfg),
-                GtlsHandshake::server(Box::new(wire_server), Some(server_watch.clone()), scfg),
+                GtlsHandshake::client(Box::new(wire_client), cw, ccfg.clone()),
+                GtlsHandshake::server(Box::new(wire_server), sw, scfg.clone()),
             )?;
             let proxy = service(Some(server_tls.peer()))?;
             // Attribute record crypto to the server proxy's CPU account.
             server_tls.obs = Some(proxy.stats().clone());
-            shards.add_session(Box::new(server_tls), server_watch, proxy.clone())?;
-            Ok((Upstream::Tls(Box::new(client_tls)), client_watch, proxy))
+            (Upstream::Tls(Box::new(client_tls)), Box::new(server_tls), proxy)
         }
-        _ => {
-            let proxy = service(None)?;
-            shards.add_session(Box::new(wire_server), server_watch, proxy.clone())?;
-            Ok((Upstream::Plain(Box::new(wire_client)), client_watch, proxy))
+        Protection::Tunnel(key, hop) => {
+            let at = |side: usize| Some((link.host(side).clone(), *hop));
+            // Both hellos are written before either side reads.
+            let client = tunnel_start(Box::new(wire_client), key, true, at(0))?;
+            let server = tunnel_start(Box::new(wire_server), key, false, at(1))?;
+            let (client, server) = (client.finish()?, server.finish()?);
+            (Upstream::Plain(Box::new(client)), Box::new(server), service(None)?)
         }
-    }
+        Protection::Plain => {
+            (Upstream::Plain(Box::new(wire_client)), Box::new(wire_server), service(None)?)
+        }
+    };
+    shards.add_session(server_end, server_watch, proxy.clone())?;
+    Ok((upstream, client_watch, proxy))
 }

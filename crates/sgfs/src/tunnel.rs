@@ -6,62 +6,36 @@
 //! reproduces that stack: both tunnel endpoints prove knowledge of the
 //! session key, derive AES-256-CBC + SHA1-HMAC record keys from it (the
 //! paper configures the SSH tunnels with exactly those algorithms), and
-//! then *forward* bytes between a local pipe and the wire on dedicated
-//! threads — the "double user-level forwarding" whose cost Figure 4 shows:
-//! every RPC message makes two extra user-level hops with two extra copies
-//! and context switches, plus a second encryption layer.
+//! then carry the already-proxied RPC stream as a [`TunnelStream`] over
+//! the raw wire — the "double user-level forwarding" whose cost Figure 4
+//! shows: every RPC message pays each tunnel endpoint's in+out hop
+//! ([`HopCost`], doubled) and a second encryption layer.
 //!
 //! Establishment is two-phase ([`tunnel_start`] writes this side's hello,
-//! [`TunnelPending::finish`] reads the peer's), so an in-process pair can
-//! be brought up on one thread: start both sides, then finish both — each
-//! finish finds the peer's hello already in the pipe. The forwarder
-//! threads are owned by a [`TunnelGuard`] that joins them on drop; tie the
-//! guard's lifetime to the session so teardown reclaims the threads
-//! deterministically instead of leaking them.
+//! [`TunnelPending::finish`] reads the peer's), so an in-process pair is
+//! brought up on one thread: start both sides, then finish both — each
+//! finish finds the peer's hello already in the pipe.
 
 use crate::config::HopCost;
-use crate::proxy::ProxyError;
-use sgfs_net::SimClock;
-use std::sync::Arc;
 use sgfs_crypto::prf::prf_sha256;
 use sgfs_crypto::{ct_eq, hmac_sha256};
-use sgfs_gtls::record::{read_frame, write_frame, HalfConn, CT_DATA};
+use sgfs_gtls::record::{
+    frame_header, read_frame, read_frame_into, write_assembled_frame, write_frame, HalfConn,
+    CT_DATA,
+};
 use sgfs_gtls::CipherSuite;
-use sgfs_net::{pipe_pair, BoxStream};
-use std::io::{Read, Write};
+use sgfs_net::{BoxStream, SimClock};
+use std::io::{self, Read, Write};
+use std::sync::Arc;
 
-/// Tunnel chunk size: how much is read from the local side per frame.
+/// Tunnel chunk size: the most plaintext one frame carries.
 const CHUNK: usize = 32 * 1024 + 512;
-
-/// Owns a tunnel endpoint's two forwarder threads and joins them on
-/// drop. The forwarders exit when either side of the tunnel closes
-/// (dropping the local plaintext stream cascades the teardown), so the
-/// guard's join terminates once the endpoint's user is gone — keep it
-/// with the session and teardown reclaims the threads deterministically.
-pub struct TunnelGuard {
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl TunnelGuard {
-    /// Wait for both forwarders to exit. Idempotent.
-    pub fn join(&mut self) {
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for TunnelGuard {
-    fn drop(&mut self) {
-        self.join();
-    }
-}
 
 /// A tunnel endpoint that has written its own hello but not yet read the
 /// peer's — the pause point that lets one thread establish both ends of
 /// an in-process tunnel (start both, then finish both).
 pub struct TunnelPending {
-    wire: sgfs_net::PipeEnd,
+    wire: BoxStream,
     key: Vec<u8>,
     is_client: bool,
     hop: Option<(Arc<SimClock>, HopCost)>,
@@ -71,14 +45,14 @@ pub struct TunnelPending {
 /// Write this side's hello (`nonce, HMAC(key, role || nonce)`) — the MAC
 /// proves knowledge of the session key, the inter-proxy authentication of
 /// the session-key model — and return the endpoint paused before the
-/// peer-hello read.
+/// peer-hello read. `hop` is this end's host clock and the cost it pays
+/// per forwarded message.
 pub fn tunnel_start(
-    wire: sgfs_net::PipeEnd,
+    mut wire: BoxStream,
     key: &[u8],
     is_client: bool,
     hop: Option<(Arc<SimClock>, HopCost)>,
-) -> Result<TunnelPending, ProxyError> {
-    let mut wire = wire;
+) -> io::Result<TunnelPending> {
     let my_role: &[u8] = if is_client { b"tunnel-client" } else { b"tunnel-server" };
     let my_nonce: [u8; 16] = rand::random();
     let mut msg = my_role.to_vec();
@@ -91,35 +65,32 @@ pub fn tunnel_start(
 }
 
 impl TunnelPending {
-    /// Read and verify the peer's hello, derive the per-direction record
-    /// states, and start the two forwarder threads. Returns the local
-    /// plaintext stream the proxy connects to, a readiness watch on it
-    /// (what an event loop must observe — the forwarders, not the loop,
-    /// drain the encrypted wire), and the guard owning the forwarders.
-    pub fn finish(self) -> Result<(BoxStream, sgfs_net::PipeWatch, TunnelGuard), ProxyError> {
+    /// Read and verify the peer's hello and derive the per-direction
+    /// record states. Returns the endpoint's protected stream; a
+    /// readiness watch over the raw wire observes it, as for GTLS.
+    pub fn finish(self) -> io::Result<TunnelStream> {
         let TunnelPending { mut wire, key, is_client, hop, my_nonce } = self;
         let peer_role: &[u8] = if is_client { b"tunnel-server" } else { b"tunnel-client" };
 
         let (_, peer_hello) = read_frame(&mut wire)?;
         if peer_hello.len() != 16 + 32 {
-            return Err(ProxyError::Protocol("bad tunnel hello".into()));
+            return Err(io::Error::new(io::ErrorKind::InvalidData, "bad tunnel hello"));
         }
         let peer_nonce = &peer_hello[..16];
         let mut expect = peer_role.to_vec();
         expect.extend_from_slice(peer_nonce);
         if !ct_eq(&hmac_sha256(&key, &expect), &peer_hello[16..]) {
-            return Err(ProxyError::Unauthorized("tunnel session key mismatch".into()));
+            return Err(io::Error::new(
+                io::ErrorKind::PermissionDenied,
+                "tunnel session key mismatch",
+            ));
         }
 
-        // Key block: client-write then server-write material.
-        let mut seed = Vec::with_capacity(32);
-        if is_client {
-            seed.extend_from_slice(&my_nonce);
-            seed.extend_from_slice(peer_nonce);
-        } else {
-            seed.extend_from_slice(peer_nonce);
-            seed.extend_from_slice(&my_nonce);
-        }
+        // Key block: client-write then server-write material, seeded by
+        // the client's nonce, then the server's.
+        let seed =
+            if is_client { [&my_nonce[..], peer_nonce] } else { [peer_nonce, &my_nonce[..]] }
+                .concat();
         let block = prf_sha256(&key, b"ssh tunnel keys", &seed, 2 * (32 + 20));
         let (c_key, rest) = block.split_at(32);
         let (c_mac, rest) = rest.split_at(20);
@@ -127,186 +98,180 @@ impl TunnelPending {
         let suite = CipherSuite::Aes256CbcSha1;
         let c2s = HalfConn::new(suite, c_key, c_mac, &[]);
         let s2c = HalfConn::new(suite, s_key, s_mac, &[]);
-        let (mut tx_state, mut rx_state) = if is_client { (c2s, s2c) } else { (s2c, c2s) };
-
-        let hop_tx = hop.clone();
-        let hop_rx = hop;
-
-        // Reads and writes happen on separate forwarder threads, so both
-        // the wire and the local pipe are split into independent halves.
-        let (local_for_proxy, local_for_tunnel) = pipe_pair();
-        let (mut local_read, mut local_write) = local_for_tunnel.split();
-        let (mut wire_read, mut wire_write) = wire.split();
-
-        // local → wire (encrypt).
-        let tx_handle = std::thread::spawn(move || {
-            let mut rng = rand::thread_rng();
-            let mut buf = vec![0u8; CHUNK];
-            loop {
-                let n = match local_read.read(&mut buf) {
-                    Ok(0) | Err(_) => break,
-                    Ok(n) => n,
-                };
-                // The extra user-level hop: this forwarder is a separate
-                // process in the paper's SSH model, paying a read syscall
-                // from the local pipe and a write to the wire per message.
-                if let Some((clock, hop)) = &hop_tx {
-                    clock.advance(hop.of(n) * 2);
-                }
-                let sealed = tx_state.seal(CT_DATA, &buf[..n], &mut rng);
-                if write_frame(&mut wire_write, CT_DATA, &sealed).is_err() {
-                    break;
-                }
-            }
-        });
-
-        // wire → local (decrypt).
-        let rx_handle = std::thread::spawn(move || {
-            while let Ok((_, body)) = read_frame(&mut wire_read) {
-                let plain = match rx_state.open(CT_DATA, body) {
-                    Ok(p) => p,
-                    Err(_) => break,
-                };
-                if let Some((clock, hop)) = &hop_rx {
-                    clock.advance(hop.of(plain.len()) * 2);
-                }
-                if local_write.write_all(&plain).is_err() {
-                    break;
-                }
-            }
-        });
-
-        let watch = local_for_proxy.watch();
-        Ok((
-            Box::new(local_for_proxy),
-            watch,
-            TunnelGuard { handles: vec![tx_handle, rx_handle] },
-        ))
+        let (tx, rx) = if is_client { (c2s, s2c) } else { (s2c, c2s) };
+        Ok(TunnelStream {
+            wire,
+            tx,
+            rx,
+            hop,
+            read_buf: Vec::new(),
+            read_pos: 0,
+            read_end: 0,
+            write_buf: Vec::new(),
+        })
     }
 }
 
-/// Client-side tunnel endpoint (the `ssh` process on the compute host).
-/// Blocks for the server's hello; use [`tunnel_start`] when both ends
-/// are established from one thread.
-pub fn tunnel_client(
-    wire: sgfs_net::PipeEnd,
-    key: &[u8],
+/// One established tunnel endpoint: plaintext in and out, sealed frames
+/// on the wire. Each write seals at most [`CHUNK`] bytes per frame and
+/// sends each frame in one write call (the single-stamp rule); each read
+/// opens one frame. Every frame charges this end's host twice its
+/// [`HopCost`] — the tunnel daemon's read and write syscalls.
+pub struct TunnelStream {
+    wire: BoxStream,
+    tx: HalfConn,
+    rx: HalfConn,
     hop: Option<(Arc<SimClock>, HopCost)>,
-) -> Result<(BoxStream, TunnelGuard), ProxyError> {
-    tunnel_start(wire, key, true, hop)?.finish().map(|(s, _, g)| (s, g))
+    /// The current frame's body, opened in place; `read_pos..read_end` is
+    /// unconsumed plaintext.
+    read_buf: Vec<u8>,
+    read_pos: usize,
+    read_end: usize,
+    /// Reused transmit buffer: one frame, header and sealed body.
+    write_buf: Vec<u8>,
 }
 
-/// Server-side tunnel endpoint (the `sshd` on the file-server host).
-pub fn tunnel_server(
-    wire: sgfs_net::PipeEnd,
-    key: &[u8],
-    hop: Option<(Arc<SimClock>, HopCost)>,
-) -> Result<(BoxStream, TunnelGuard), ProxyError> {
-    tunnel_start(wire, key, false, hop)?.finish().map(|(s, _, g)| (s, g))
+impl TunnelStream {
+    fn charge(&self, len: usize) {
+        if let Some((clock, hop)) = &self.hop {
+            clock.advance(hop.of(len) * 2);
+        }
+    }
+}
+
+impl Read for TunnelStream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        while self.read_pos == self.read_end {
+            let ct = match read_frame_into(&mut self.wire, &mut self.read_buf) {
+                Ok(ct) => ct,
+                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(0),
+                Err(e) => return Err(e),
+            };
+            if ct != CT_DATA {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("unexpected tunnel frame type {ct}"),
+                ));
+            }
+            let (off, len) =
+                self.rx.open_in_place(CT_DATA, &mut self.read_buf).map_err(io::Error::from)?;
+            self.charge(len);
+            self.read_pos = off;
+            self.read_end = off + len;
+        }
+        let n = buf.len().min(self.read_end - self.read_pos);
+        buf[..n].copy_from_slice(&self.read_buf[self.read_pos..self.read_pos + n]);
+        self.read_pos += n;
+        Ok(n)
+    }
+}
+
+impl Write for TunnelStream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        for chunk in buf.chunks(CHUNK) {
+            self.charge(chunk.len());
+            let header = frame_header(CT_DATA, self.tx.sealed_len(chunk.len()));
+            self.write_buf.clear();
+            self.write_buf.extend_from_slice(&header);
+            self.tx.seal_into(CT_DATA, chunk, &mut rand::thread_rng(), &mut self.write_buf);
+            write_assembled_frame(&mut self.wire, &self.write_buf)?;
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.wire.flush()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
+    use sgfs_net::{pipe_pair, PipeEnd};
 
     fn key() -> Vec<u8> {
         b"shared-session-key-from-middleware".to_vec()
     }
 
+    /// Both ends of a tunnel over `a` / `b`, established on this thread:
+    /// start, start, finish, finish.
+    fn establish(
+        a: BoxStream,
+        b: BoxStream,
+        client_key: &[u8],
+        server_key: &[u8],
+    ) -> (io::Result<TunnelStream>, io::Result<TunnelStream>) {
+        let client = tunnel_start(a, client_key, true, None).unwrap();
+        let server = tunnel_start(b, server_key, false, None).unwrap();
+        (client.finish(), server.finish())
+    }
+
+    fn pair() -> (TunnelStream, TunnelStream) {
+        let (a, b) = pipe_pair();
+        let (c, s) = establish(Box::new(a), Box::new(b), &key(), &key());
+        (c.unwrap(), s.unwrap())
+    }
+
     #[test]
     fn tunnel_roundtrip() {
-        let (wire_a, wire_b) = pipe_pair();
-        let k = key();
-        let k2 = k.clone();
-        let server = std::thread::spawn(move || tunnel_server(wire_b, &k2, None).unwrap());
-        let (mut client_side, _cg) = tunnel_client(wire_a, &k, None).unwrap();
-        let (mut server_side, _sg) = server.join().unwrap();
+        let (a, b) = pipe_pair();
+        let server_watch = b.watch();
+        let (c, s) = establish(Box::new(a), Box::new(b), &key(), &key());
+        let (mut client_side, mut server_side) = (c.unwrap(), s.unwrap());
 
         client_side.write_all(b"rpc request").unwrap();
+        assert!(server_watch.has_input(), "the raw wire carries the frame");
         let mut buf = [0u8; 11];
         server_side.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"rpc request");
+        assert!(!server_watch.has_input(), "watch drained with the read");
 
         server_side.write_all(b"rpc reply").unwrap();
         let mut buf = [0u8; 9];
         client_side.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"rpc reply");
 
-        // Close the endpoints before the guards drop: their drop-join
-        // only terminates once the local pipes are gone.
         drop(client_side);
-        drop(server_side);
-    }
-
-    #[test]
-    fn two_phase_pair_establishes_on_one_thread() {
-        let (wire_a, wire_b) = pipe_pair();
-        let k = key();
-        // start/start then finish/finish: each finish reads a hello that
-        // is already in the pipe, so no concurrent peer thread is needed.
-        let client_pend = tunnel_start(wire_a, &k, true, None).unwrap();
-        let server_pend = tunnel_start(wire_b, &k, false, None).unwrap();
-        let (mut client_side, _cw, mut cg) = client_pend.finish().unwrap();
-        let (mut server_side, server_watch, mut sg) = server_pend.finish().unwrap();
-
-        client_side.write_all(b"ping").unwrap();
-        let mut buf = [0u8; 4];
-        server_side.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"ping");
-        assert!(!server_watch.has_input(), "watch drained with the read");
-
-        // Dropping the endpoints cascades teardown; the guards' joins
-        // terminate instead of leaking the forwarders.
-        drop(client_side);
-        drop(server_side);
-        cg.join();
-        sg.join();
+        assert_eq!(server_side.read(&mut buf).unwrap(), 0, "peer close is EOF");
     }
 
     #[test]
     fn wrong_session_key_rejected() {
-        let (wire_a, wire_b) = pipe_pair();
-        let server =
-            std::thread::spawn(move || tunnel_server(wire_b, b"key-one", None).is_err());
-        let client_err = tunnel_client(wire_a, b"key-two", None).is_err();
-        let server_err = server.join().unwrap();
-        assert!(client_err || server_err, "at least one side must reject");
+        let (a, b) = pipe_pair();
+        let (c, s) = establish(Box::new(a), Box::new(b), b"key-two", b"key-one");
+        for end in [c, s] {
+            let err = end.err().expect("each side rejects the other's hello");
+            assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
+        }
+    }
+
+    /// A wire end that keeps a copy of everything written through it.
+    struct Tap(PipeEnd, Arc<Mutex<Vec<u8>>>);
+
+    impl Read for Tap {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.0.read(buf)
+        }
+    }
+
+    impl Write for Tap {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.1.lock().extend_from_slice(buf);
+            self.0.write(buf)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.0.flush()
+        }
     }
 
     #[test]
     fn wire_carries_no_plaintext() {
-        // Tap the wire by interposing a recording relay (both directions).
-        let (wire_a, tap_a) = pipe_pair();
-        let (tap_b, wire_b) = pipe_pair();
-        let k = key();
-        let k2 = k.clone();
-        let captured = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let (a_read, a_write) = tap_a.split();
-        let (b_read, b_write) = tap_b.split();
-        let relay = |mut from: sgfs_net::PipeReader,
-                     mut to: sgfs_net::PipeWriter,
-                     cap: Option<std::sync::Arc<parking_lot::Mutex<Vec<u8>>>>| {
-            std::thread::spawn(move || {
-                let mut buf = [0u8; 4096];
-                loop {
-                    let n = match from.read(&mut buf) {
-                        Ok(0) | Err(_) => break,
-                        Ok(n) => n,
-                    };
-                    if let Some(c) = &cap {
-                        c.lock().extend_from_slice(&buf[..n]);
-                    }
-                    if to.write_all(&buf[..n]).is_err() {
-                        break;
-                    }
-                }
-            })
-        };
-        relay(a_read, b_write, Some(captured.clone())); // client → server, recorded
-        relay(b_read, a_write, None); // server → client
-        let server = std::thread::spawn(move || tunnel_server(wire_b, &k2, None).unwrap());
-        let (mut client_side, _cg) = tunnel_client(wire_a, &k, None).unwrap();
-        let (mut server_side, _sg) = server.join().unwrap();
+        let (a, b) = pipe_pair();
+        let captured = Arc::new(Mutex::new(Vec::new()));
+        let (c, s) =
+            establish(Box::new(Tap(a, captured.clone())), Box::new(b), &key(), &key());
+        let (mut client_side, mut server_side) = (c.unwrap(), s.unwrap());
 
         let secret = b"TOPSECRET-GRID-DATA-TOPSECRET";
         client_side.write_all(secret).unwrap();
@@ -320,31 +285,26 @@ mod tests {
             !wire_bytes.windows(10).any(|w| w == &secret[..10]),
             "plaintext leaked onto the wire"
         );
-        drop(client_side);
-        drop(server_side);
     }
 
     #[test]
     fn large_transfer_through_tunnel() {
-        let (wire_a, wire_b) = pipe_pair();
-        let k = key();
-        let k2 = k.clone();
-        let server = std::thread::spawn(move || tunnel_server(wire_b, &k2, None).unwrap());
-        let (mut client_side, _cg) = tunnel_client(wire_a, &k, None).unwrap();
-        let (mut server_side, _sg) = server.join().unwrap();
-
+        let (mut client_side, mut server_side) = pair();
         let data: Vec<u8> = (0..500_000).map(|i| (i % 251) as u8).collect();
-        let expected = data.clone();
-        let writer = std::thread::spawn(move || {
-            client_side.write_all(&data).unwrap();
-            client_side
-        });
-        let mut got = vec![0u8; expected.len()];
+        // The pipe queues without bound, so one thread writes it all first.
+        client_side.write_all(&data).unwrap();
+        let mut got = vec![0u8; data.len()];
         server_side.read_exact(&mut got).unwrap();
-        assert_eq!(got, expected);
-        // The writer returns (and thereby drops) the client endpoint;
-        // drop the server one too so the guards' drop-joins terminate.
-        writer.join().unwrap();
-        drop(server_side);
+        assert_eq!(got, data);
+    }
+
+    #[test]
+    fn a_frame_that_is_not_data_is_rejected() {
+        let (mut client_side, mut server_side) = pair();
+        // A record sealed as data under the right key, framed as handshake.
+        let body = client_side.tx.seal(CT_DATA, b"payload", &mut rand::thread_rng());
+        write_frame(&mut client_side.wire, sgfs_gtls::record::CT_HANDSHAKE, &body).unwrap();
+        let err = server_side.read(&mut [0u8; 16]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -403,11 +403,16 @@ fn acl_files_are_shielded_from_remote_access() {
 #[test]
 fn gfs_ssh_tunnel_stack_moves_data_encrypted() {
     let world = GridWorld::new();
-    let mut session = Session::build(&world, &SessionParams::lan(SetupKind::GfsSsh)).unwrap();
-    let data = vec![0x5au8; 200_000];
-    session.mount.write_file("/tunneled.bin", &data).unwrap();
-    assert_eq!(session.mount.read_file("/tunneled.bin").unwrap(), data);
-    session.finish().unwrap();
+    // One tunnel, and a stripe set of two members each behind its own.
+    for stripe in [None, Some(StripePolicy::striped(2))] {
+        let mut params = SessionParams::lan(SetupKind::GfsSsh);
+        params.stripe = stripe;
+        let mut session = Session::build(&world, &params).unwrap();
+        let data = vec![0x5au8; 200_000];
+        session.mount.write_file("/tunneled.bin", &data).unwrap();
+        assert_eq!(session.mount.read_file("/tunneled.bin").unwrap(), data, "{stripe:?}");
+        session.finish().unwrap();
+    }
 }
 
 #[test]

@@ -77,6 +77,11 @@ run_watchdog 120 metrics_plane  cargo test -q --test metrics_plane
 # contract metric fails). A stuck loop or lost wake-up hangs rather than
 # fails, hence the watchdog.
 run_watchdog 120 workspace_lib  cargo test -q --workspace --lib
+
+# The workspace's doctests, which neither stanza above nor tier-1 runs.
+# Among them is sgfs-secrpc's usage example: a secure RPC server pinned
+# onto a ShardServer, called over GTLS.
+run_watchdog 180 doctests       cargo test -q --workspace --doc
 run_watchdog 120 scale_matrix   cargo test -q -p sgfs --test scale_matrix
 
 # Overload control: sustained open-loop overload must keep the sampled

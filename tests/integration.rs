@@ -231,13 +231,17 @@ fn secure_rpc_library_is_generic() {
     let hk = RsaKeyPair::generate(512, &mut rng);
     let hc = ca.issue(&dn("/O=G/CN=queue-host"), &hk.public);
 
+    let shards = sgfs_oncrpc::ShardServer::new(1);
     let (a, b) = sgfs_net::pipe_pair();
+    let watch = b.watch();
     let scfg = GtlsConfig::new(Credential::new(hc, hk), trust.clone());
-    std::thread::spawn(move || {
-        let _ = svc_ssl_create(Box::new(b), scfg, Arc::new(JobQueue { jobs: Default::default() }));
-    });
+    let service = Arc::new(JobQueue { jobs: Default::default() });
+    let pinned = shards.clone();
+    let server =
+        std::thread::spawn(move || svc_ssl_create(Box::new(b), watch, scfg, service, &pinned));
     let ccfg = GtlsConfig::new(Credential::new(uc, uk), trust);
     let mut client = clnt_ssl_create(Box::new(a), ccfg, 0x4000_0099, 1).expect("connect");
+    server.join().expect("server thread").expect("server handshake");
     assert_eq!(client.peer.effective_dn.to_string(), "/O=G/CN=queue-host");
 
     let n: u32 = client.client.call(1, &"seismic-run-1".to_string()).expect("submit");

@@ -2,7 +2,9 @@
 //! process runs the shard loops and nothing else, however many sessions
 //! are mounted: the client proxy runs on the thread that makes the NFS
 //! call, its upstream pipelines are driven by the threads that wait on
-//! them, and read-ahead is submitted and landed from there.
+//! them, and read-ahead is submitted and landed from there. The gfs-ssh
+//! baseline is no exception: its tunnel ends are streams the shard and
+//! the callers drive, not forwarder threads.
 //!
 //! One `#[test]` in this binary on purpose: the assertion reads the
 //! process-wide count in `/proc/self/status`, which must be its own.
@@ -31,7 +33,8 @@ fn sessions_on_shared_pools_add_zero_threads() {
     let Some(bare) = process_thread_count() else {
         return; // no /proc/self/status on this platform
     };
-    const SESSIONS: usize = 8;
+    // Eight sgfs-gcm sessions and one gfs-ssh session.
+    const SESSIONS: usize = 9;
     const SHARDS: usize = 2;
     const SCAN: usize = 256 * 1024;
     let world = GridWorld::new();
@@ -44,7 +47,12 @@ fn sessions_on_shared_pools_add_zero_threads() {
 
     let mut sessions: Vec<Session> = (0..SESSIONS)
         .map(|i| {
-            let mut params = SessionParams::lan(SetupKind::Sgfs(SecurityLevel::AeadCipher));
+            let kind = if i + 1 == SESSIONS {
+                SetupKind::GfsSsh
+            } else {
+                SetupKind::Sgfs(SecurityLevel::AeadCipher)
+            };
+            let mut params = SessionParams::lan(kind);
             params.shard_server = Some(shards.clone());
             // Read-ahead rides the proxy's attribute cache, so give the
             // proxy one.
