@@ -43,8 +43,11 @@ impl SecurityLevel {
 pub enum CacheMode {
     /// No proxy caching (the paper's LAN runs).
     None,
-    /// Aggressive in-memory caching of attributes/access/lookups only —
-    /// the SFS-style daemon behaviour.
+    /// Aggressive in-memory caching of attributes, access rights and
+    /// lookups — the SFS-style daemon behaviour — over a 64 MiB
+    /// in-memory write-back block store that holds read-ahead blocks
+    /// and absorbs WRITEs. Sessions under partial placement without a
+    /// disk cache run it for that store: it is their size authority.
     MemoryMeta,
     /// Full disk caching of attributes, access rights and data blocks
     /// with write-back — the paper's WAN configuration. The path is the

@@ -5,10 +5,9 @@
 //! feature is the per-session cache (§6.1 "aggressive disk caching of
 //! attributes, access permissions and data"):
 //!
-//! * **attributes / access / lookup / readdir** results are cached in
-//!   memory for the session (the session is single-user, so no
-//!   cross-client coherence is needed — the paper defers shared-session
-//!   consistency to application-tailored protocols);
+//! * what the session knows about names and files — attributes, ACCESS
+//!   verdicts, lookups, listings — is the [`NameCache`]'s: the proxy asks
+//!   it to answer a call, and hands it every forwarded call's reply;
 //! * **data blocks** are cached in a [`BlockStore`] (on local disk for the
 //!   WAN configuration, in memory for the SFS-style daemon);
 //! * **writes are write-back**: WRITE is absorbed into the dirty cache
@@ -38,6 +37,7 @@
 
 use crate::config::{CacheMode, HopCost, RetryPolicy, SessionConfig, StripePolicy};
 use crate::proxy::blockstore::{BlockStore, DiskStore, MemStore};
+use crate::proxy::namecache::{Call, NameCache};
 use crate::proxy::pipeline::{PendingReply, Pipeline};
 use crate::proxy::stripe::{StripeMap, StripeSet};
 use parking_lot::Mutex;
@@ -85,54 +85,19 @@ enum Prefetch {
 pub type StripeUpstream =
     (Upstream, sgfs_net::PipeWatch, Option<Box<dyn crate::proxy::retry::Reconnector>>);
 
-struct MetaCache {
-    attrs: HashMap<Fh3, Fattr3>,
-    /// Per (file, uid): (mask of bits ever checked upstream, granted
-    /// bits within that mask). A request is only served from cache when
-    /// every bit it asks about has actually been checked — granted bits
-    /// say nothing about bits the server was never asked to evaluate.
-    access: HashMap<(Fh3, u32), (u32, u32)>,
-    lookups: HashMap<(Fh3, String), (Fh3, Option<Fattr3>)>,
-    /// Raw READDIR/READDIRPLUS result bodies keyed (dir, cookie, plus?).
-    readdirs: HashMap<(Fh3, u64, bool), Vec<u8>>,
-}
-
-impl MetaCache {
-    fn new() -> Self {
-        Self {
-            attrs: HashMap::new(),
-            access: HashMap::new(),
-            lookups: HashMap::new(),
-            readdirs: HashMap::new(),
-        }
-    }
-
-    fn invalidate_dir(&mut self, dir: &Fh3) {
-        self.readdirs.retain(|(d, _, _), _| d != dir);
-        self.attrs.remove(dir);
-    }
-
-    fn invalidate_fh(&mut self, fh: &Fh3) {
-        self.attrs.remove(fh);
-        self.access.retain(|(f, _), _| f != fh);
-        self.lookups.retain(|_, (f, _)| f != fh);
-    }
-}
-
 /// The client-side proxy for one SGFS session.
 pub struct ClientProxy {
     /// The session's upstreams: the placement map plus one pipelined
     /// channel per member. A single-upstream session is the stripe set
     /// of one.
     stripe: StripeSet,
+    /// The write-back block cache; `None` (the LAN runs) also leaves the
+    /// namespace cache unused.
     store: Option<Box<dyn BlockStore>>,
-    meta_enabled: bool,
-    meta: MetaCache,
+    namecache: NameCache,
     stats: Emitter,
     next_xid: u32,
     client_cred: OpaqueAuth,
-    /// Monotonic synthesized mtime for locally acknowledged writes.
-    synth_mtime: u64,
     write_verf: u64,
     /// The sequential readers being run ahead of, each with its horizon
     /// and its landing zone. A WRITE, a resize or a REMOVE forgets its
@@ -401,13 +366,12 @@ impl ClientProxy {
         }
         let obs = config.obs.clone().unwrap_or_else(sgfs_obs::Obs::disabled);
         let stats = Emitter::new(&obs, "client");
-        let (store, meta_enabled): (Option<Box<dyn BlockStore>>, bool) = match &config.cache {
-            CacheMode::None => (None, false),
-            CacheMode::MemoryMeta => {
-                // SFS-style: metadata aggressively cached; data blocks only
-                // via read-ahead, held in a bounded memory store.
-                (Some(Box::new(MemStore::new(64 * 1024 * 1024))), true)
-            }
+        let store: Option<Box<dyn BlockStore>> = match &config.cache {
+            CacheMode::None => None,
+            // SFS-style: metadata aggressively cached; read-ahead blocks
+            // and absorbed WRITEs held in a bounded write-back memory
+            // store (the size authority under partial placement).
+            CacheMode::MemoryMeta => Some(Box::new(MemStore::new(64 * 1024 * 1024))),
             CacheMode::Disk { dir } => {
                 // Crash-consistent disk cache: recover the previous
                 // incarnation's journal (re-marking survivors dirty)
@@ -418,7 +382,7 @@ impl ClientProxy {
                     stats.clone(),
                     config.crash.clone(),
                 )?;
-                (Some(Box::new(store)), true)
+                Some(Box::new(store))
             }
         };
         let channels = ChannelParams {
@@ -439,14 +403,12 @@ impl ClientProxy {
             redial.push(shared);
         }
         Ok(Self {
+            namecache: NameCache::new(map.is_partial(), stats.clone()),
             stripe: StripeSet::new(map, pipelines),
             store,
-            meta_enabled,
-            meta: MetaCache::new(),
             stats,
             next_xid: 0x7000_0000,
             client_cred: OpaqueAuth::none(),
-            synth_mtime: 1,
             write_verf: rand::random(),
             prefetch_gov: PrefetchGovernor::new(config.readahead),
             rekey_requested: Arc::new(std::sync::atomic::AtomicBool::new(false)),
@@ -572,255 +534,47 @@ impl ClientProxy {
         self.client_cred = header.cred.clone();
         let args = &record[dec.position()..];
 
-        if !self.meta_enabled {
+        if self.store.is_none() {
             return self.forward(record, header.proc, args);
         }
-
         match header.proc {
-            procnum::GETATTR => {
-                if let Ok(fh) = Fh3::from_xdr_bytes(args) {
-                    if let Some(a) = self.meta.attrs.get(&fh) {
-                        self.stats.emit(Hop::CacheHit, header.xid, header.proc, 0);
-                        let res = GetAttrRes { status: NfsStat3::Ok, attr: Some(a.clone()) };
-                        return Ok(encode_reply(header.xid, &res));
-                    }
-                    self.stats.emit(Hop::CacheMiss, header.xid, header.proc, 0);
-                }
-                self.forward(record, header.proc, args)
-            }
-            procnum::ACCESS => {
-                if let Ok(a) = AccessArgs::from_xdr_bytes(args) {
-                    let uid = header.cred.as_sys().map(|s| s.uid).unwrap_or(u32::MAX);
-                    match self.meta.access.get(&(a.object.clone(), uid)) {
-                        // Cache hit only when every requested bit has been
-                        // checked upstream; unchecked bits fall through to
-                        // the server instead of reading as denied.
-                        Some(&(checked, granted)) if a.access & !checked == 0 => {
-                            self.stats.emit(Hop::CacheHit, header.xid, header.proc, 0);
-                            let res = AccessRes {
-                                status: NfsStat3::Ok,
-                                obj_attr: self.meta.attrs.get(&a.object).cloned(),
-                                access: granted & a.access,
-                            };
-                            return Ok(encode_reply(header.xid, &res));
-                        }
-                        _ => {
-                            self.stats.emit(Hop::CacheMiss, header.xid, header.proc, 0);
-                        }
-                    }
-                }
-                self.forward(record, header.proc, args)
-            }
-            procnum::LOOKUP => {
-                if let Ok(a) = DirOpArgs3::from_xdr_bytes(args) {
-                    let key = (a.dir.clone(), a.name.clone());
-                    if let Some((fh, attr)) = self.meta.lookups.get(&key) {
-                        self.stats.emit(Hop::CacheHit, header.xid, header.proc, 0);
-                        // The tuple's attr is a snapshot from lookup time;
-                        // the live attr entry tracks absorbed writes (size,
-                        // mtime) and must win when present.
-                        let live = self.meta.attrs.get(fh).cloned();
-                        let res = LookupRes {
-                            status: NfsStat3::Ok,
-                            object: Some(fh.clone()),
-                            obj_attr: live.or_else(|| attr.clone()),
-                            dir_attr: None,
-                        };
-                        return Ok(encode_reply(header.xid, &res));
-                    }
-                    self.stats.emit(Hop::CacheMiss, header.xid, header.proc, 0);
-                }
-                let reply = self.forward(record, header.proc, args)?;
-                // A file with unflushed write-back data: the server's
-                // attributes are stale (it has not seen the data yet) —
-                // substitute the proxy's authoritative attributes.
-                if let Some(body) = success_body(&reply) {
-                    if let Ok(res) = LookupRes::from_xdr_bytes(body) {
-                        let fh = res.object.clone();
-                        if let Some(fh) = fh {
-                            let dirty = self
-                                .store
-                                .as_ref()
-                                .map(|s| !s.dirty_blocks_of(&fh).is_empty())
-                                .unwrap_or(false);
-                            if dirty {
-                                if let Some(ours) = self.meta.attrs.get(&fh).cloned() {
-                                    let patched =
-                                        LookupRes { obj_attr: Some(ours.clone()), ..res };
-                                    if let Ok(da) = DirOpArgs3::from_xdr_bytes(args) {
-                                        self.meta.lookups.insert(
-                                            (da.dir, da.name),
-                                            (fh.clone(), Some(ours)),
-                                        );
-                                    }
-                                    return Ok(encode_reply(header.xid, &patched));
-                                }
-                            }
-                        }
-                    }
-                }
-                Ok(reply)
-            }
-            procnum::READ => self.handle_read(header.xid, record, args),
-            procnum::WRITE => self.handle_write(header.xid, record, args),
+            procnum::READ => return self.handle_read(header.xid, record, args),
+            procnum::WRITE => return self.handle_write(header.xid, record, args),
             procnum::COMMIT => {
                 // Write-back: the disk cache *is* the commit target; dirty
                 // blocks stay local until session teardown (or memory
                 // pressure), which is where the paper's end-of-run
                 // write-back time comes from. Only files we know nothing
                 // about fall through to the server.
-                if self.store.is_some() {
-                    if let Ok(a) = CommitArgs::from_xdr_bytes(args) {
-                        if let Some(attr) = self.meta.attrs.get(&a.file) {
-                            let res = CommitRes {
-                                status: NfsStat3::Ok,
-                                wcc: WccData { before: None, after: Some(attr.clone()) },
-                                verf: self.write_verf,
-                            };
-                            return Ok(encode_reply(header.xid, &res));
-                        }
-                    }
+                let commit = CommitArgs::from_xdr_bytes(args).ok();
+                if let Some(attr) = commit.and_then(|a| self.namecache.attr(&a.file)) {
+                    let wcc = WccData { before: None, after: Some(attr) };
+                    let res = CommitRes { status: NfsStat3::Ok, wcc, verf: self.write_verf };
+                    return Ok(encode_reply(header.xid, &res));
                 }
-                self.forward(record, header.proc, args)
+                return self.forward(record, header.proc, args);
             }
-            procnum::SETATTR => {
-                if let Ok(a) = SetAttrArgs::from_xdr_bytes(args) {
-                    // Truncation invalidates cached blocks; flush dirty
-                    // data first so nothing is lost.
-                    if a.new_attributes.size.is_some() {
-                        self.flush_file(&a.object)?;
-                        if let Some(store) = &mut self.store {
-                            store.drop_file(&a.object);
-                        }
-                        self.prefetch_gov.forget(&a.object);
-                    }
-                    self.meta.invalidate_fh(&a.object);
-                }
-                self.forward(record, header.proc, args)
-            }
-            procnum::CREATE | procnum::MKDIR | procnum::SYMLINK => {
-                let dir = dir_of_create(header.proc, args);
-                let reply = self.forward(record, header.proc, args)?;
-                if let Some(dir) = dir {
-                    self.meta.invalidate_dir(&dir);
-                    // The reply's wcc data carries the directory's fresh
-                    // attributes — keep them cached so the kernel client's
-                    // next revalidation is served locally.
-                    if let Some(body) = success_body(&reply) {
-                        if let Ok(res) = CreateRes::from_xdr_bytes(body) {
-                            if let Some(a) = res.dir_wcc.after {
-                                self.meta.attrs.insert(dir, a);
-                            }
-                        }
-                    }
-                }
-                self.snoop_create(header.proc, args, &reply);
-                Ok(reply)
-            }
-            procnum::REMOVE | procnum::RMDIR => {
-                if let Ok(a) = DirOpArgs3::from_xdr_bytes(args) {
-                    let target = self.meta.lookups.remove(&(a.dir.clone(), a.name.clone()));
-                    self.meta.invalidate_dir(&a.dir);
-                    let reply = self.forward(record, header.proc, args)?;
-                    if let Some(body) = success_body(&reply) {
-                        if let Ok(res) = WccRes::from_xdr_bytes(body) {
-                            // Only what the server agreed to remove is
-                            // forgotten: a refused REMOVE leaves a file
-                            // whose write-back data is still owed to it.
-                            if let (NfsStat3::Ok, Some((fh, _))) = (res.status, target) {
-                                self.unlinked(&fh);
-                            }
-                            if let Some(attr) = res.wcc.after {
-                                self.meta.attrs.insert(a.dir, attr);
-                            }
-                        }
-                    }
-                    return Ok(reply);
-                }
-                self.forward(record, header.proc, args)
-            }
-            procnum::RENAME => {
-                if let Ok(a) = RenameArgs::from_xdr_bytes(args) {
-                    let moved = self.meta.lookups.remove(&(a.from.dir.clone(), a.from.name.clone()));
-                    let replaced = self.meta.lookups.remove(&(a.to.dir.clone(), a.to.name.clone()));
-                    self.meta.invalidate_dir(&a.from.dir);
-                    self.meta.invalidate_dir(&a.to.dir);
-                    let reply = self.forward(record, header.proc, args)?;
-                    if let Some(body) = success_body(&reply) {
-                        if let Ok(res) = RenameRes::from_xdr_bytes(body) {
-                            // The file the destination name used to reach
-                            // was unlinked by the server (two names of one
-                            // file: RENAME does nothing).
-                            if let (NfsStat3::Ok, Some((fh, _))) = (res.status, replaced) {
-                                if moved.is_none_or(|(m, _)| m != fh) {
-                                    self.unlinked(&fh);
-                                }
-                            }
-                            if let Some(attr) = res.from_wcc.after {
-                                self.meta.attrs.insert(a.from.dir, attr);
-                            }
-                            if let Some(attr) = res.to_wcc.after {
-                                self.meta.attrs.insert(a.to.dir, attr);
-                            }
-                        }
-                    }
-                    return Ok(reply);
-                }
-                self.forward(record, header.proc, args)
-            }
-            procnum::LINK => {
-                let reply = self.forward(record, header.proc, args)?;
-                if let (Ok(a), Some(body)) = (LinkArgs::from_xdr_bytes(args), success_body(&reply)) {
-                    if let Ok(res) = LinkRes::from_xdr_bytes(body) {
-                        self.meta.invalidate_dir(&a.link.dir);
-                        if let Some(attr) = res.dir_wcc.after {
-                            self.meta.attrs.insert(a.link.dir, attr);
-                        }
-                        // The link count is what `unlinked` decides by; size
-                        // and times stay ours while write-back data is held.
-                        if let Some(theirs) = res.attr {
-                            if let Some(ours) = self.meta.attrs.get_mut(&a.file) {
-                                ours.nlink = theirs.nlink;
-                            } else if !self.is_dirty(&a.file) {
-                                self.note_attr(&a.file, theirs);
-                            }
-                        }
-                    }
-                }
-                Ok(reply)
-            }
-            procnum::READDIR | procnum::READDIRPLUS => {
-                let plus = header.proc == procnum::READDIRPLUS;
-                let key = match readdir_key(header.proc, args) {
-                    Some((dir, cookie)) => (dir, cookie, plus),
-                    None => return self.forward(record, header.proc, args),
-                };
-                if let Some(body) = self.meta.readdirs.get(&key) {
-                    self.stats.emit(Hop::CacheHit, header.xid, header.proc, 0);
-                    let mut enc = XdrEncoder::with_capacity(body.len() + 32);
-                    ReplyHeader::success(header.xid).encode(&mut enc);
-                    let mut out = enc.into_bytes();
-                    out.extend_from_slice(body);
-                    return Ok(out);
-                }
-                self.stats.emit(Hop::CacheMiss, header.xid, header.proc, 0);
-                let reply = self.forward(record, header.proc, args)?;
-                if let Some(body) = success_body(&reply) {
-                    self.meta.readdirs.insert(key, body.to_vec());
-                    if plus {
-                        if let Ok(res) = ReaddirPlusRes::from_xdr_bytes(body) {
-                            for e in res.entries {
-                                if let (Some(fh), Some(attr)) = (e.handle, e.attr) {
-                                    self.meta.attrs.insert(fh, attr);
-                                }
-                            }
-                        }
-                    }
-                }
-                Ok(reply)
-            }
-            _ => self.forward(record, header.proc, args),
+            _ => {}
         }
+        let call = Call::decode(header.proc, args, &header.cred);
+        if let Some(reply) = self.namecache.answer(header.xid, header.proc, &call) {
+            return Ok(reply);
+        }
+        // Truncation invalidates cached blocks; flush dirty data first so
+        // nothing is lost.
+        if let Call::SetAttr(a) = &call {
+            if a.new_attributes.size.is_some() {
+                self.flush_file(&a.object)?;
+                self.forget_data(&a.object);
+            }
+        }
+        let reply = self.forward(record, header.proc, args)?;
+        let store = &self.store;
+        let (reply, unlinked) = self.namecache.apply(&call, reply, |fh| is_dirty(store, fh));
+        if let Some(fh) = unlinked {
+            self.forget_data(&fh);
+        }
+        Ok(reply)
     }
 
     fn handle_read(&mut self, xid: u32, record: &[u8], args: &[u8]) -> std::io::Result<Vec<u8>> {
@@ -836,7 +590,7 @@ impl ClientProxy {
         // the wire while this block is still being waited for — and once
         // per READ: told twice, the governor would take it for a seek.
         let mut ran_ahead = false;
-        if let Some(attr) = self.meta.attrs.get(&a.file).cloned() {
+        if let Some(attr) = self.namecache.attr(&a.file) {
             // 1. Block cache.
             let t_blk = std::time::Instant::now();
             if let Some(data) = self.store.as_mut().and_then(|s| s.get(&key)) {
@@ -863,14 +617,15 @@ impl ClientProxy {
         self.stats.emit(Hop::CacheMiss, xid, procnum::READ, 0);
         // 3. Upstream, after making dirty data visible. The demand READ
         // enters the window ahead of anything speculative.
-        if self.is_dirty(&a.file) {
+        if is_dirty(&self.store, &a.file) {
             self.flush_file(&a.file)?;
         }
         let reply = self.forward(record, procnum::READ, args)?;
         if let Some(body) = success_body(&reply) {
             if let Ok(res) = ReadRes::from_xdr_bytes(body) {
-                if let Some(attr) = &res.attr {
-                    self.note_attr(&a.file, attr.clone());
+                if let Some(attr) = res.attr {
+                    // Clean: flushed above if it was dirty.
+                    self.namecache.observe(&a.file, attr, false);
                 }
                 // An error reply (a JUKEBOX the retries could not ride
                 // out, a stale handle) carries no block to cache.
@@ -880,8 +635,8 @@ impl ClientProxy {
             }
         }
         if !ran_ahead {
-            if let Some(size) = self.meta.attrs.get(&a.file).map(|attr| attr.size) {
-                self.read_ahead(&a, size);
+            if let Some(attr) = self.namecache.attr(&a.file) {
+                self.read_ahead(&a, attr.size);
             }
         }
         Ok(reply)
@@ -911,7 +666,7 @@ impl ClientProxy {
         let batch = self.prefetch_gov.on_read(&a.file, a.offset, a.count, size);
         // The server has not seen unflushed writes: what it would send
         // for their blocks predates them.
-        if batch.is_empty() || self.is_dirty(&a.file) {
+        if batch.is_empty() || is_dirty(&self.store, &a.file) {
             return;
         }
         let map = *self.stripe.map();
@@ -1015,19 +770,17 @@ impl ClientProxy {
     }
 
     fn handle_write(&mut self, xid: u32, record: &[u8], args: &[u8]) -> std::io::Result<Vec<u8>> {
-        if self.store.is_none() {
-            return self.forward(record, procnum::WRITE, args);
-        }
         let a = match WriteArgs::from_xdr_bytes(args) {
             Ok(a) => a,
             Err(_) => return self.forward(record, procnum::WRITE, args),
         };
         self.prefetch_gov.forget(&a.file);
         // Need attributes to fabricate a coherent reply.
-        if !self.meta.attrs.contains_key(&a.file) {
+        if self.namecache.attr(&a.file).is_none() {
             match self.call_upstream::<GetAttrRes>(procnum::GETATTR, &a.file) {
-                Ok(res) if res.status == NfsStat3::Ok => {
-                    self.meta.attrs.insert(a.file.clone(), res.attr.expect("OK has attrs"));
+                Ok(GetAttrRes { status: NfsStat3::Ok, attr: Some(attr) }) => {
+                    let dirty = is_dirty(&self.store, &a.file);
+                    self.namecache.observe(&a.file, attr, dirty);
                 }
                 _ => return self.forward(record, procnum::WRITE, args),
             }
@@ -1040,7 +793,7 @@ impl ClientProxy {
         // extent to the first block's members only. Under full-copy
         // placement the extent is absorbed in one piece.
         let map = *self.stripe.map();
-        let store = self.store.as_mut().expect("checked");
+        let store = self.store.as_mut().expect("only a caching proxy absorbs WRITEs");
         let (mut off, mut data) = (a.offset, &a.data[..]);
         let put = loop {
             let take = map.contiguous(off, data.len() as u64) as usize;
@@ -1064,13 +817,11 @@ impl ClientProxy {
             return self.forward(record, procnum::WRITE, args);
         }
         self.stats.emit(Hop::BlockWrite, xid, procnum::WRITE, t_blk.elapsed().as_nanos() as u64);
-        self.synth_mtime += 1;
-        let attr = self.meta.attrs.get_mut(&a.file).expect("ensured above");
-        attr.size = attr.size.max(a.offset + a.data.len() as u64);
-        attr.mtime = NfsTime3::from_nanos(attr.mtime.as_nanos() + self.synth_mtime);
+        let end = a.offset + a.data.len() as u64;
+        let attr = self.namecache.wrote(&a.file, end).expect("ensured above");
         let res = WriteRes {
             status: NfsStat3::Ok,
-            wcc: WccData { before: None, after: Some(attr.clone()) },
+            wcc: WccData { before: None, after: Some(attr) },
             count: a.data.len() as u32,
             committed: StableHow::FileSync,
             verf: self.write_verf,
@@ -1230,7 +981,7 @@ impl ClientProxy {
         // the COMMIT must carry one verifier, any change means that
         // server lost its uncommitted (unstable) data.
         let mut commit_after: Option<Fattr3> = None;
-        let file_size = self.meta.attrs.get(fh).map(|a| a.size);
+        let file_size = self.namecache.attr(fh).map(|a| a.size);
         for m in 0..width {
             let Some(write_verf) = member_verf[m] else { continue };
             match self.commit_member(m, fh, file_size) {
@@ -1278,9 +1029,9 @@ impl ClientProxy {
         }
         if let Some(a) = commit_after {
             // The wcc attr came from one member's COMMIT, which ran
-            // before any size mirror: `note_attr` keeps a partial
+            // before any size mirror: `observe` keeps a partial
             // replica's size from shrinking the attr the client has seen.
-            self.note_attr(fh, a);
+            self.namecache.observe(fh, a, false);
         }
         Ok(FlushOutcome::Committed)
     }
@@ -1386,22 +1137,14 @@ impl ClientProxy {
         first_err.map_or(Ok(before), Err)
     }
 
-    /// The server unlinked a name of `fh` (REMOVE, RMDIR, or a RENAME
-    /// onto it). With its last link gone nothing of it is kept — the
-    /// paper's temporary-file optimization: dirty blocks of a deleted
-    /// file are dropped, never flushed. A file the cached attributes show
-    /// another link to lives on, and its blocks flush to that handle.
-    fn unlinked(&mut self, fh: &Fh3) {
-        match self.meta.attrs.get_mut(fh) {
-            Some(attr) if attr.ftype != FType3::Dir && attr.nlink > 1 => attr.nlink -= 1,
-            _ => {
-                if let Some(store) = &mut self.store {
-                    store.drop_file(fh);
-                }
-                self.meta.invalidate_fh(fh);
-                self.prefetch_gov.forget(fh);
-            }
+    /// Drop every block of `fh` and its read-ahead stream: a truncation
+    /// makes them stale, and a file whose last link the server removed
+    /// is never flushed — the paper's temporary-file optimization.
+    fn forget_data(&mut self, fh: &Fh3) {
+        if let Some(store) = &mut self.store {
+            store.drop_file(fh);
         }
+        self.prefetch_gov.forget(fh);
     }
 
     /// Bytes currently dirty in the write-back cache.
@@ -1409,25 +1152,8 @@ impl ClientProxy {
         self.store.as_ref().map(|s| s.dirty_bytes()).unwrap_or(0)
     }
 
-    fn snoop_create(&mut self, proc: u32, args: &[u8], reply: &[u8]) {
-        let Some(body) = success_body(reply) else { return };
-        let Ok(res) = CreateRes::from_xdr_bytes(body) else { return };
-        let where_ = match proc {
-            procnum::CREATE => CreateArgs::from_xdr_bytes(args).ok().map(|a| a.where_),
-            procnum::MKDIR => MkdirArgs::from_xdr_bytes(args).ok().map(|a| a.where_),
-            procnum::SYMLINK => SymlinkArgs::from_xdr_bytes(args).ok().map(|a| a.where_),
-            _ => None,
-        };
-        if let (Some(w), Some(fh)) = (where_, res.obj) {
-            if let Some(attr) = &res.obj_attr {
-                self.meta.attrs.insert(fh.clone(), attr.clone());
-            }
-            self.meta.lookups.insert((w.dir, w.name), (fh, res.obj_attr));
-        }
-    }
-
-    /// Forward a raw record upstream and return the raw reply, snooping
-    /// cacheable results — the one routing function of every placement.
+    /// Forward a raw record upstream and return the raw reply — the one
+    /// routing function of every placement.
     /// READs go to a mapped member of their block (failing over past down
     /// members); a write-through WRITE reaches every member mapped to a
     /// block it covers; namespace mutations and COMMIT are mirrored to
@@ -1466,9 +1192,6 @@ impl ClientProxy {
             (procnum::GETATTR, _) if map.is_partial() => self.getattr_every_member(record)?,
             _ => self.call_first_live(record)?,
         };
-        if self.meta_enabled {
-            self.snoop_meta(proc, args, &reply);
-        }
         Ok(reply)
     }
 
@@ -1690,80 +1413,6 @@ impl ClientProxy {
         Ok(())
     }
 
-    /// Whether we hold unflushed data for `fh` (server attrs are stale).
-    fn is_dirty(&self, fh: &Fh3) -> bool {
-        self.store
-            .as_ref()
-            .map(|s| !s.dirty_blocks_of(fh).is_empty())
-            .unwrap_or(false)
-    }
-
-    /// Record a passively-observed attr (GETATTR/LOOKUP/ACCESS/READ/COMMIT
-    /// replies). A partial member's attr undershoots the file size
-    /// whenever that member lacks the final block, so under partial
-    /// placement passive observations may only *grow* the cached size; an
-    /// explicit client SETATTR (truncation) updates the cache directly
-    /// instead.
-    fn note_attr(&mut self, fh: &Fh3, mut attr: Fattr3) -> Fattr3 {
-        if self.stripe.map().is_partial() {
-            if let Some(prev) = self.meta.attrs.get(fh) {
-                attr.size = attr.size.max(prev.size);
-            }
-        }
-        self.meta.attrs.insert(fh.clone(), attr.clone());
-        attr
-    }
-
-    fn snoop_meta(&mut self, proc: u32, args: &[u8], reply: &[u8]) {
-        let Some(body) = success_body(reply) else { return };
-        match proc {
-            procnum::GETATTR => {
-                if let (Ok(fh), Ok(res)) =
-                    (Fh3::from_xdr_bytes(args), GetAttrRes::from_xdr_bytes(body))
-                {
-                    if let Some(a) = res.attr {
-                        if !self.is_dirty(&fh) {
-                            self.note_attr(&fh, a);
-                        }
-                    }
-                }
-            }
-            procnum::ACCESS => {
-                if let (Ok(a), Ok(res)) =
-                    (AccessArgs::from_xdr_bytes(args), AccessRes::from_xdr_bytes(body))
-                {
-                    let uid = self.client_cred.as_sys().map(|s| s.uid).unwrap_or(u32::MAX);
-                    // Merge: remember which bits this check covered and
-                    // refresh the granted state within that mask only.
-                    let entry =
-                        self.meta.access.entry((a.object.clone(), uid)).or_insert((0, 0));
-                    entry.1 = (entry.1 & !a.access) | res.access;
-                    entry.0 |= a.access;
-                    if let Some(attr) = res.obj_attr {
-                        self.note_attr(&a.object, attr);
-                    }
-                }
-            }
-            procnum::LOOKUP => {
-                if let (Ok(a), Ok(res)) =
-                    (DirOpArgs3::from_xdr_bytes(args), LookupRes::from_xdr_bytes(body))
-                {
-                    if let Some(fh) = res.object {
-                        if self.is_dirty(&fh) {
-                            // Keep our attrs; cache the mapping with them.
-                            let ours = self.meta.attrs.get(&fh).cloned();
-                            self.meta.lookups.insert((a.dir, a.name), (fh, ours));
-                        } else {
-                            let noted = res.obj_attr.map(|attr| self.note_attr(&fh, attr));
-                            self.meta.lookups.insert((a.dir, a.name), (fh, noted));
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
     /// A proxy-initiated upstream call (attr fetches), routed to the
     /// first live member, walking down the set as members fail.
     fn call_upstream<T: XdrDecode>(
@@ -1839,7 +1488,7 @@ fn encode_call(xid: u32, proc: u32, cred: &OpaqueAuth, args: &dyn XdrEncode) -> 
 }
 
 /// Decode the result body of an accepted-success reply record.
-fn decode_reply<T: XdrDecode>(reply: &[u8]) -> std::io::Result<T> {
+pub(crate) fn decode_reply<T: XdrDecode>(reply: &[u8]) -> std::io::Result<T> {
     success_body(reply)
         .and_then(|body| T::from_xdr_bytes(body).ok())
         .ok_or_else(|| std::io::Error::other("upstream reply rejected or malformed"))
@@ -1871,6 +1520,12 @@ fn clamp_read(map: &StripeMap, offset: u64, count: u32, reply: Vec<u8>) -> Vec<u
     res.count = keep as u32;
     res.eof = false;
     encode_reply(sgfs_obs::peek_xid(&reply), &res)
+}
+
+/// Whether `store` holds unflushed data for `fh` (server attrs are
+/// stale).
+fn is_dirty(store: &Option<Box<dyn BlockStore>>, fh: &Fh3) -> bool {
+    store.as_ref().is_some_and(|s| !s.dirty_blocks_of(fh).is_empty())
 }
 
 fn all_down(what: &str) -> std::io::Error {
@@ -1936,7 +1591,7 @@ fn serve_read(xid: u32, a: &ReadArgs, attr: Fattr3, data: &[u8]) -> Vec<u8> {
     encode_reply(xid, &res)
 }
 
-fn encode_reply<T: XdrEncode>(xid: u32, result: &T) -> Vec<u8> {
+pub(crate) fn encode_reply<T: XdrEncode>(xid: u32, result: &T) -> Vec<u8> {
     let mut enc = XdrEncoder::with_capacity(128);
     ReplyHeader::success(xid).encode(&mut enc);
     result.encode(&mut enc);
@@ -1947,30 +1602,11 @@ fn accept_error(xid: u32, stat: AcceptStat) -> Vec<u8> {
     ReplyHeader::Accepted { xid, verf: OpaqueAuth::none(), stat }.to_xdr_bytes()
 }
 
-fn success_body(reply: &[u8]) -> Option<&[u8]> {
+pub(crate) fn success_body(reply: &[u8]) -> Option<&[u8]> {
     let mut dec = XdrDecoder::new(reply);
     match ReplyHeader::decode(&mut dec) {
         Ok(ReplyHeader::Accepted { stat: AcceptStat::Success, .. }) => {
             Some(&reply[dec.position()..])
-        }
-        _ => None,
-    }
-}
-
-fn dir_of_create(proc: u32, args: &[u8]) -> Option<Fh3> {
-    match proc {
-        procnum::CREATE => CreateArgs::from_xdr_bytes(args).ok().map(|a| a.where_.dir),
-        procnum::MKDIR => MkdirArgs::from_xdr_bytes(args).ok().map(|a| a.where_.dir),
-        procnum::SYMLINK => SymlinkArgs::from_xdr_bytes(args).ok().map(|a| a.where_.dir),
-        _ => None,
-    }
-}
-
-fn readdir_key(proc: u32, args: &[u8]) -> Option<(Fh3, u64)> {
-    match proc {
-        procnum::READDIR => ReaddirArgs::from_xdr_bytes(args).ok().map(|a| (a.dir, a.cookie)),
-        procnum::READDIRPLUS => {
-            ReaddirPlusArgs::from_xdr_bytes(args).ok().map(|a| (a.dir, a.cookie))
         }
         _ => None,
     }

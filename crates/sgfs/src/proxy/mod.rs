@@ -3,6 +3,7 @@
 pub mod blockstore;
 pub mod client;
 pub mod journal;
+mod namecache;
 pub mod pipeline;
 pub mod retry;
 pub mod server;

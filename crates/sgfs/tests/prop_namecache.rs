@@ -1,0 +1,414 @@
+//! The client proxy's namespace cache against a serial oracle.
+//!
+//! One client proxy (memory cache, width 1) fronts a real `sgfs-nfsd`
+//! over a shard; an oracle `NfsServer` on its own `Vfs` executes the same
+//! call records serially. Every GETATTR, LOOKUP and ACCESS reply the
+//! proxy hands back — answered from its cache or forwarded — must equal
+//! the oracle's in everything but times, every READDIR(PLUS) must list
+//! the same names and handles, every other reply must carry the same
+//! status, and once the proxy has written back, the two exported trees
+//! must be byte-identical.
+//!
+//! WRITEs are whole aligned blocks, as the kernel client sends them: the
+//! block store keys an absorbed extent by its offset. Modes always leave
+//! the owner (the caller) read and write permission on files and search
+//! permission on directories: an absorbed WRITE and a cached LOOKUP are
+//! not permission-checked until the server sees them.
+
+use proptest::prelude::*;
+use sgfs::config::{CacheMode, SecurityLevel, SessionConfig};
+use sgfs::proxy::client::{ClientProxy, Upstream};
+use sgfs_net::pipe_pair;
+use sgfs_nfs3::proc::*;
+use sgfs_nfs3::types::*;
+use sgfs_nfs3::{NFS_PROGRAM, NFS_VERSION};
+use sgfs_nfsd::{ExportEntry, Exports, NfsServer};
+use sgfs_oncrpc::msg::AuthSysParams;
+use sgfs_oncrpc::server::{process_record, RpcService};
+use sgfs_oncrpc::shard::RpcRecordService;
+use sgfs_oncrpc::{CallHeader, OpaqueAuth, ReplyHeader, ShardServer};
+use sgfs_vfs::{FileKind, UserContext, Vfs};
+use sgfs_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder};
+use std::sync::Arc;
+
+/// The caller, who owns the export.
+const UID: u32 = 1000;
+/// The directories calls name, each there while a directory holds that
+/// path; the third is the second's child, so a RENAME can give a listed
+/// directory another parent.
+const DIRS: [&str; 3] = ["/GFS", "/GFS/d1", "/GFS/d1/d2"];
+const NAMES: [&str; 4] = ["a", "b", "d1", "d2"];
+const BLOCK: u64 = 4096;
+
+/// One generated call; a `(dir, name)` pair indexes [`DIRS`] × [`NAMES`].
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Create(usize, usize),
+    Mkdir(usize, usize),
+    /// The block of that index, filled with that byte.
+    Write(usize, usize, u64, u8),
+    SetSize(usize, usize, u64),
+    SetMode(usize, usize, usize),
+    GetAttr(usize, usize),
+    /// A handle seen earlier in the run, which may have gone stale.
+    GetAttrSeen(usize),
+    Lookup(usize, usize),
+    Access(usize, usize, u32),
+    Readdir(usize, bool),
+    Remove(usize, usize),
+    Rmdir(usize, usize),
+    Rename(usize, usize, usize, usize),
+    Link(usize, usize, usize, usize),
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    (0u8..16, any::<u64>()).prop_map(|(kind, r)| {
+        let pick = |shift: u32, n: u64| ((r >> shift) % n) as usize;
+        // Half the calls land in the root, where most names live.
+        let dir = |shift: u32| [0, 0, 1, 2][pick(shift, 4)];
+        let (d, n, d2, n2) = (dir(0), pick(8, 4), dir(16), pick(24, 4));
+        match kind {
+            0 | 1 => Op::Create(d, n),
+            2 => Op::Mkdir(d, n),
+            3 | 4 => Op::Write(d, n, pick(32, 4) as u64, (r >> 40) as u8),
+            5 => Op::SetSize(d, n, [0, 100, 5000, 20_000][pick(32, 4)]),
+            6 => Op::SetMode(d, n, pick(32, 4)),
+            7 => Op::GetAttr(d, n),
+            8 => Op::GetAttrSeen(pick(32, 64)),
+            9 => Op::Lookup(d, n),
+            10 => Op::Access(d, n, [0x01, 0x20, 0x3f][pick(32, 3)]),
+            11 => Op::Readdir(d, r >> 32 & 1 == 1),
+            12 => Op::Remove(d, n),
+            13 => Op::Rmdir(d, n),
+            14 => Op::Rename(d, n, d2, n2),
+            _ => Op::Link(d, n, d2, n2),
+        }
+    })
+}
+
+fn export() -> (Arc<NfsServer>, Arc<Vfs>) {
+    let vfs = Arc::new(Vfs::new());
+    let root = UserContext::root();
+    let top = vfs.mkdir_p("/GFS", 0o755, &root).unwrap();
+    let own = sgfs_vfs::SetAttrs { uid: Some(UID), gid: Some(UID), ..Default::default() };
+    vfs.setattr(top.ino, &own, &root).unwrap();
+    let mut exports = Exports::new();
+    exports.add(ExportEntry::localhost("/GFS"));
+    (NfsServer::new_no_squash(vfs.clone(), exports), vfs)
+}
+
+/// The proxy in front of its upstream server, and the oracle.
+struct Rig {
+    proxy: ClientProxy,
+    upstream: Arc<Vfs>,
+    oracle: Arc<NfsServer>,
+    xid: u32,
+    seen: Vec<Fh3>,
+    _shards: Arc<ShardServer>,
+}
+
+impl Rig {
+    fn new() -> Self {
+        let (server, upstream) = export();
+        let shards = ShardServer::new(1);
+        let (client_end, server_end) = pipe_pair();
+        let watch = server_end.watch();
+        let service = Arc::new(RpcRecordService(server as Arc<dyn RpcService>));
+        shards.add_session(Box::new(server_end), watch, service).unwrap();
+        let mut config = SessionConfig::new(SecurityLevel::None);
+        config.cache = CacheMode::MemoryMeta;
+        let watch = client_end.watch();
+        let upstream_end = Upstream::Plain(Box::new(client_end));
+        let proxy = ClientProxy::new(upstream_end, watch, &config).unwrap();
+        Rig { proxy, upstream, oracle: export().0, xid: 1, seen: Vec::new(), _shards: shards }
+    }
+
+    /// The handle and kind of `path` as the oracle has it now.
+    fn resolve(&mut self, path: &str) -> Option<(Fh3, FileKind)> {
+        let attr = self.oracle.vfs().resolve(path, &UserContext::root()).ok()?;
+        let fh = Fh3::from_ino(1, attr.ino);
+        self.seen.push(fh.clone());
+        Some((fh, attr.kind))
+    }
+
+    fn dir(&mut self, d: usize) -> Option<Fh3> {
+        self.resolve(DIRS[d]).filter(|(_, kind)| *kind == FileKind::Directory).map(|(fh, _)| fh)
+    }
+
+    fn where_(&mut self, d: usize, n: usize) -> Option<DirOpArgs3> {
+        Some(DirOpArgs3 { dir: self.dir(d)?, name: NAMES[n].into() })
+    }
+
+    fn object(&mut self, d: usize, n: usize) -> Option<(Fh3, FileKind)> {
+        self.dir(d)?;
+        self.resolve(&format!("{}/{}", DIRS[d], NAMES[n]))
+    }
+
+    /// One call through the proxy and through the oracle; both replies'
+    /// result bodies.
+    fn call(&mut self, proc: u32, args: &dyn XdrEncode) -> (Vec<u8>, Vec<u8>) {
+        self.xid += 1;
+        let header = CallHeader {
+            xid: self.xid,
+            prog: NFS_PROGRAM,
+            vers: NFS_VERSION,
+            proc,
+            cred: OpaqueAuth::sys(&AuthSysParams::new("compute-host", UID, UID)),
+            verf: OpaqueAuth::none(),
+        };
+        let mut enc = XdrEncoder::with_capacity(256);
+        header.encode(&mut enc);
+        args.encode(&mut enc);
+        let record = enc.into_bytes();
+        let proxied = self.proxy.process_one(&record).expect("the proxy stays up");
+        let expected = process_record(&record, self.oracle.as_ref());
+        (body(&proxied), body(&expected))
+    }
+
+    /// Run `op`; panic where the proxy's reply differs from the oracle's.
+    fn run(&mut self, op: Op) {
+        let (got, want) = match op {
+            Op::Create(d, n) => {
+                let Some(where_) = self.where_(d, n) else { return };
+                let how = CreateMode::Unchecked(Sattr3 { mode: Some(0o644), ..Default::default() });
+                self.call(procnum::CREATE, &CreateArgs { where_, how })
+            }
+            Op::Mkdir(d, n) => {
+                let Some(where_) = self.where_(d, n) else { return };
+                let attributes = Sattr3 { mode: Some(0o755), ..Default::default() };
+                self.call(procnum::MKDIR, &MkdirArgs { where_, attributes })
+            }
+            Op::Write(d, n, block, byte) => {
+                let Some((file, FileKind::Regular)) = self.object(d, n) else { return };
+                let data = vec![byte; BLOCK as usize];
+                let offset = block * BLOCK;
+                let args = WriteArgs { file, offset, stable: StableHow::Unstable, data };
+                self.call(procnum::WRITE, &args)
+            }
+            Op::SetSize(d, n, size) => {
+                let Some((object, FileKind::Regular)) = self.object(d, n) else { return };
+                let new_attributes = Sattr3 { size: Some(size), ..Default::default() };
+                self.call(procnum::SETATTR, &SetAttrArgs { object, new_attributes })
+            }
+            Op::SetMode(d, n, m) => {
+                let Some((object, kind)) = self.object(d, n) else { return };
+                let modes = match kind {
+                    FileKind::Directory => [0o700, 0o755, 0o711, 0o750],
+                    _ => [0o600, 0o644, 0o700, 0o744],
+                };
+                let new_attributes = Sattr3 { mode: Some(modes[m]), ..Default::default() };
+                self.call(procnum::SETATTR, &SetAttrArgs { object, new_attributes })
+            }
+            Op::GetAttr(d, n) => {
+                let Some((fh, _)) = self.object(d, n) else { return };
+                return self.getattr(&fh);
+            }
+            Op::GetAttrSeen(i) => {
+                let Some(fh) = self.seen.get(i % self.seen.len().max(1)).cloned() else { return };
+                return self.getattr(&fh);
+            }
+            Op::Lookup(d, n) => {
+                let Some(args) = self.where_(d, n) else { return };
+                let (got, want) = self.call(procnum::LOOKUP, &args);
+                let (got, want) = (decode::<LookupRes>(&got), decode::<LookupRes>(&want));
+                assert_eq!(
+                    (got.status, &got.object, attrs(&got.obj_attr)),
+                    (want.status, &want.object, attrs(&want.obj_attr)),
+                    "LOOKUP {args:?}"
+                );
+                return;
+            }
+            Op::Access(d, n, mask) => {
+                let Some((object, _)) = self.object(d, n) else { return };
+                let (got, want) = self.call(procnum::ACCESS, &AccessArgs { object, access: mask });
+                let (got, want) = (decode::<AccessRes>(&got), decode::<AccessRes>(&want));
+                assert_eq!(
+                    (got.status, got.access, attrs(&got.obj_attr)),
+                    (want.status, want.access, attrs(&want.obj_attr)),
+                    "ACCESS {mask:#x} of {}/{}",
+                    DIRS[d],
+                    NAMES[n]
+                );
+                return;
+            }
+            Op::Readdir(d, plus) => {
+                let Some(dir) = self.dir(d) else { return };
+                let listing = |body: &[u8]| match plus {
+                    true => {
+                        let res = decode::<ReaddirPlusRes>(body);
+                        let entries = res.entries.into_iter();
+                        (res.status, entries.map(|e| (e.name, e.fileid, e.handle)).collect())
+                    }
+                    false => {
+                        let res = decode::<ReaddirRes>(body);
+                        let entries = res.entries.into_iter();
+                        (res.status, entries.map(|e| (e.name, e.fileid, None)).collect::<Vec<_>>())
+                    }
+                };
+                let (got, want) = match plus {
+                    true => {
+                        let (dircount, maxcount) = (8192, 65536);
+                        let args =
+                            ReaddirPlusArgs { dir, cookie: 0, cookieverf: 0, dircount, maxcount };
+                        self.call(procnum::READDIRPLUS, &args)
+                    }
+                    false => {
+                        let args = ReaddirArgs { dir, cookie: 0, cookieverf: 0, count: 65536 };
+                        self.call(procnum::READDIR, &args)
+                    }
+                };
+                assert_eq!(listing(&got), listing(&want), "READDIR (plus: {plus}) of {}", DIRS[d]);
+                return;
+            }
+            Op::Remove(d, n) | Op::Rmdir(d, n) => {
+                let Some(args) = self.where_(d, n) else { return };
+                let proc =
+                    if matches!(op, Op::Remove(..)) { procnum::REMOVE } else { procnum::RMDIR };
+                self.call(proc, &args)
+            }
+            Op::Rename(d, n, d2, n2) => {
+                let (Some(from), Some(to)) = (self.where_(d, n), self.where_(d2, n2)) else {
+                    return;
+                };
+                self.call(procnum::RENAME, &RenameArgs { from, to })
+            }
+            Op::Link(d, n, d2, n2) => {
+                let Some((file, _)) = self.object(d, n) else { return };
+                let Some(link) = self.where_(d2, n2) else { return };
+                self.call(procnum::LINK, &LinkArgs { file, link })
+            }
+        };
+        // Every result body opens with its status.
+        assert_eq!(got[..4], want[..4], "status of {op:?}");
+    }
+
+    fn getattr(&mut self, fh: &Fh3) {
+        let (got, want) = self.call(procnum::GETATTR, fh);
+        let (got, want) = (decode::<GetAttrRes>(&got), decode::<GetAttrRes>(&want));
+        let (got, want) = ((got.status, attrs(&got.attr)), (want.status, attrs(&want.attr)));
+        assert_eq!(got, want, "GETATTR {fh:?}");
+    }
+
+    /// Write back, then compare the two trees.
+    fn settle(mut self) {
+        self.proxy.flush_all().expect("write-back");
+        assert_eq!(tree(&self.upstream), tree(self.oracle.vfs()));
+    }
+}
+
+/// The result body of an accepted reply.
+fn body(reply: &[u8]) -> Vec<u8> {
+    let mut dec = XdrDecoder::new(reply);
+    ReplyHeader::decode(&mut dec).expect("reply header");
+    reply[dec.position()..].to_vec()
+}
+
+fn decode<T: XdrDecode>(body: &[u8]) -> T {
+    T::from_xdr_bytes(body).expect("result body")
+}
+
+/// The compared part of a reply's attributes: all but the times and
+/// the space used.
+fn attrs(a: &Option<Fattr3>) -> Option<(u32, u32, u32, u32, u32, u64, u64)> {
+    a.as_ref().map(|a| (a.ftype as u32, a.mode, a.nlink, a.uid, a.gid, a.size, a.fileid))
+}
+
+/// Every node of the export: path, kind, mode, owner, link count and
+/// content.
+fn tree(vfs: &Vfs) -> Vec<(String, FileKind, u32, u32, u32, Vec<u8>)> {
+    let root = UserContext::root();
+    let mut out = Vec::new();
+    let mut stack = vec![(String::from("/GFS"), vfs.resolve("/GFS", &root).unwrap().ino)];
+    while let Some((path, ino)) = stack.pop() {
+        let a = vfs.getattr(ino).unwrap();
+        let data = match a.kind {
+            FileKind::Regular => vfs.read(ino, 0, a.size as u32, &root).unwrap().0,
+            _ => Vec::new(),
+        };
+        if a.kind == FileKind::Directory {
+            for e in vfs.readdir(ino, &root).unwrap() {
+                if e.name != "." && e.name != ".." {
+                    stack.push((format!("{path}/{}", e.name), e.ino));
+                }
+            }
+        }
+        out.push((path, a.kind, a.mode, a.uid, a.nlink, data));
+    }
+    out.sort_by(|x, y| x.0.cmp(&y.0));
+    out
+}
+
+fn check(ops: &[Op]) {
+    let mut rig = Rig::new();
+    for &op in ops {
+        rig.run(op);
+    }
+    rig.settle();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4000))]
+
+    #[test]
+    fn the_namespace_cache_answers_as_the_server_would(
+        ops in proptest::collection::vec(op(), 1..64),
+    ) {
+        check(&ops);
+    }
+}
+
+/// A READDIRPLUS entry carries the server's attributes of a file whose
+/// write-back data it has not seen: the proxy's size must survive them.
+#[test]
+fn a_listing_keeps_a_dirty_files_size() {
+    check(&[Op::Create(0, 0), Op::Write(0, 0, 1, 7), Op::Readdir(0, true), Op::GetAttr(0, 0)]);
+}
+
+/// A SETATTR of a dirty file's mode changes no name and no size.
+#[test]
+fn a_mode_change_keeps_a_dirty_files_size() {
+    check(&[Op::Create(0, 0), Op::Write(0, 0, 1, 7), Op::SetMode(0, 0, 0), Op::GetAttr(0, 0)]);
+}
+
+/// An UNCHECKED CREATE of an existing name sets that file's mode: its
+/// cached ACCESS verdicts are stale.
+#[test]
+fn a_create_over_an_existing_file_rechecks_its_access() {
+    let (a, execute) = (0, 0x20);
+    check(&[
+        Op::Create(0, a),
+        Op::SetMode(0, a, 3),
+        Op::Access(0, a, execute),
+        Op::Create(0, a),
+        Op::Access(0, a, execute),
+    ]);
+}
+
+/// A directory listed, then moved under another parent, lists a new "..".
+#[test]
+fn a_moved_directory_is_listed_afresh() {
+    let (a, d1, d2) = (0, 2, 3);
+    check(&[
+        Op::Mkdir(0, d1),
+        Op::Mkdir(1, d2),
+        Op::Readdir(2, false),
+        Op::Rename(1, d2, 0, a),
+        Op::Rmdir(0, d1),
+        Op::Rename(0, a, 0, d1),
+        Op::Readdir(1, false),
+    ]);
+}
+
+/// A dirty file unlinked by its second name, which only its LINK made
+/// known, is gone: its write-back data must not be shipped to it.
+#[test]
+fn a_dirty_file_unlinked_by_its_link_name_is_dropped() {
+    let (a, b) = (0, 1);
+    check(&[
+        Op::Create(0, a),
+        Op::Write(0, a, 0, 7),
+        Op::Link(0, a, 0, b),
+        Op::Remove(0, a),
+        Op::Remove(0, b),
+    ]);
+}

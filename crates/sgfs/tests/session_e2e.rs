@@ -239,6 +239,34 @@ fn a_refused_remove_discards_no_acknowledged_write() {
 }
 
 #[test]
+fn access_on_a_dirty_file_keeps_its_size() {
+    let world = GridWorld::new();
+    let mut session = wan_cached_session(&world);
+    let data = vec![0x3Cu8; 70_000];
+    session.mount.write_file("/f", &data).unwrap();
+    // The server has not seen the write-back data: the attributes its
+    // ACCESS reply carries must not replace the proxy's.
+    session.mount.access("/f", 0x1).unwrap();
+    assert_eq!(session.mount.read_file("/f").unwrap(), data);
+    session.finish().expect("teardown");
+}
+
+#[test]
+fn a_rewritten_temporary_is_never_shipped() {
+    let world = GridWorld::new();
+    let mut session = wan_cached_session(&world);
+    let server = session.server().clone();
+    session.mount.write_file("/t", &[0x11u8; 70_000]).unwrap();
+    // The rewrite truncates first (SETATTR): the proxy must still know
+    // which file `/t` names when it is unlinked.
+    session.mount.write_file("/t", &[0x22u8; 70_000]).unwrap();
+    session.mount.unlink("/t").unwrap();
+    let report = session.finish().expect("teardown after unlinking a rewritten temporary");
+    assert_eq!(report.writeback_bytes, 0);
+    assert!(server.vfs().resolve("/GFS/t", &UserContext::root()).is_err());
+}
+
+#[test]
 fn rekey_during_session_is_transparent() {
     let world = GridWorld::new();
     let mut params = SessionParams::lan(SetupKind::Sgfs(SecurityLevel::MediumCipher));

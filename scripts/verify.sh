@@ -96,6 +96,11 @@ run_watchdog 180 overload_matrix cargo test -q -p sgfs --test overload_matrix
 # caller-driven pipeline against a server that withholds replies.
 run_watchdog 180 prop_pipeline  cargo test -q -p sgfs --test prop_pipeline
 
+# The namespace cache against a serial nfsd oracle: every GETATTR,
+# LOOKUP, ACCESS and READDIR(PLUS) answer the client proxy gives equals
+# the server's, and after write-back the exported trees are identical.
+run_watchdog 180 prop_namecache cargo test -q -p sgfs --test prop_namecache
+
 # AEAD record layer beyond the module tests: the hardware-vs-portable
 # equivalence proptests (tag before decrypt, one opaque error), the
 # tier-1 pin of the record layer's wire bytes, and the negotiation/rekey
