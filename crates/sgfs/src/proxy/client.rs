@@ -36,7 +36,7 @@
 //!   drive it (DESIGN.md §15).
 
 use crate::config::{CacheMode, HopCost, RetryPolicy, SessionConfig, StripePolicy};
-use crate::proxy::blockstore::{BlockStore, DiskStore, MemStore};
+use crate::proxy::blockstore::{BlockKey, BlockStore, DiskStore, MemStore};
 use crate::proxy::namecache::{Call, NameCache};
 use crate::proxy::pipeline::{PendingReply, Pipeline};
 use crate::proxy::stripe::{StripeMap, StripeSet};
@@ -113,7 +113,7 @@ pub struct ClientProxy {
     /// Per-member blocks a down member missed while out of the write
     /// set; [`resync_member`](Self::resync_member) replays them from the
     /// store before the member rejoins.
-    missed: Vec<HashSet<(Fh3, u64)>>,
+    missed: Vec<HashSet<BlockKey>>,
     /// Per-member reconnectors, shared with the member pipelines, so a
     /// re-sync can dial a rejoined host afresh after the old pipeline
     /// exhausted its reconnect budget and went terminal.
@@ -829,271 +829,251 @@ impl ClientProxy {
         Ok(encode_reply(xid, &res))
     }
 
-    /// Push all dirty blocks of `fh` upstream (WRITE + COMMIT), honoring
-    /// the NFSv3 crash-recovery contract: if the server's write verifier
-    /// changes at any point (it rebooted and lost uncommitted data), all
-    /// unstable writes of this flush are re-sent and re-committed.
-    ///
-    /// Split-phase: every dirty block's WRITE is submitted into the
-    /// pipelined window first, then all replies are awaited, and only
-    /// then does COMMIT go out — so COMMIT can never overtake data, and a
-    /// WAN flush overlaps up to a window of WRITE round trips.
+    /// Write every dirty block of `fh` back upstream and make it stable,
+    /// under the NFSv3 write-verifier contract (RFC 1813 §3.3.7,
+    /// §3.3.21): the plan sends each block to every live member mapped
+    /// to it — a down member gets it in its missed set instead — and
+    /// [`write_back`](Self::write_back) runs the round. A block no member
+    /// committed, or one a member still in the set did not commit under a
+    /// stable verifier (the server rebooted and lost its unstable data),
+    /// is re-dirtied and the round runs again. When the round fails every
+    /// block of the file is dirty again, so a later flush re-sends it: no
+    /// block is left clean without a COMMIT covering it.
     pub fn flush_file(&mut self, fh: &Fh3) -> std::io::Result<()> {
         // A verifier change mid-flush means a server reboot; more than a
         // couple in one flush means the server is crash-looping and
         // retrying forever would hide that.
         const MAX_VERIFIER_RETRIES: u32 = 3;
         for _ in 0..MAX_VERIFIER_RETRIES {
-            match self.flush_file_once(fh)? {
-                FlushOutcome::Committed => return Ok(()),
-                FlushOutcome::VerifierChanged | FlushOutcome::Retry => continue,
+            let dirty = match &self.store {
+                Some(s) => s.dirty_blocks_of(fh),
+                None => return Ok(()),
+            };
+            if dirty.is_empty() {
+                return Ok(());
             }
+            // One split-phase round is starting: aux = dirty blocks in it.
+            self.stats.emit(Hop::FlushRound, 0, procnum::COMMIT, dirty.len() as u64);
+            let map = *self.stripe.map();
+            let mut plan = vec![Vec::new(); self.stripe.width()];
+            for &offset in &dirty {
+                let block = map.block_of(offset);
+                if self.stripe.live_members_of_block(block).next().is_none() {
+                    self.redirty(fh, &dirty);
+                    return Err(all_down("every replica of a dirty block is down"));
+                }
+                for m in map.members_of_block(block) {
+                    let key = (fh.clone(), offset);
+                    if self.stripe.is_up(m) {
+                        plan[m].push(key);
+                    } else {
+                        self.missed[m].insert(key);
+                    }
+                }
+            }
+            let mut round = match self.write_back(&plan) {
+                Ok(round) => round,
+                Err(e) => {
+                    self.redirty(fh, &dirty);
+                    return Err(e);
+                }
+            };
+            // Settled: some member committed the block, and no member
+            // still in the set lost it.
+            let unsettled: Vec<u64> = dirty
+                .iter()
+                .copied()
+                .filter(|&offset| {
+                    let key = (fh.clone(), offset);
+                    let (mut held, mut lost) = (false, false);
+                    for m in map.members_of_block(map.block_of(offset)) {
+                        let has = round.committed[m].contains(&key);
+                        held |= has;
+                        lost |= !has && self.stripe.is_up(m);
+                    }
+                    !held || lost
+                })
+                .collect();
+            if !unsettled.is_empty() {
+                self.redirty(fh, &unsettled);
+                continue;
+            }
+            // Kill point: the server has committed but the journal has not
+            // heard — recovery re-sends the blocks, which is idempotent.
+            self.hit_crash(CrashPoint::FlushAfterCommit)?;
+            if let Some(store) = &mut self.store {
+                store.commit_file(fh)?;
+            }
+            if let Some(a) = round.after.remove(fh) {
+                // The wcc attr came from one member's COMMIT, which ran
+                // before any size mirror: `observe` keeps a partial
+                // replica's size from shrinking the attr the client has seen.
+                self.namecache.observe(fh, a, false);
+            }
+            return Ok(());
         }
         Err(std::io::Error::other(
             "write verifier kept changing across flush attempts (server crash-looping?)",
         ))
     }
 
-    /// One WRITE-batch + per-member COMMIT round — the flush round of
-    /// every placement.
+    /// One write-back round, the only code that sends a write-back WRITE
+    /// or COMMIT: `plan[m]` lists the blocks member `m` is sent, grouped
+    /// by file (a block the store no longer holds is skipped).
     ///
-    /// Every dirty block's WRITE is encoded once per live mapped member
-    /// and every member's batch enters its pipeline window before any
-    /// reply is awaited, so the replicas of a flush proceed in parallel
-    /// and a WAN flush overlaps up to a window of round trips per member.
-    /// A WRITE, COMMIT or size mirror the server sheds at admission
-    /// (JUKEBOX — never executed) is re-sent verbatim under backoff to
-    /// the member that shed it; only a real failure takes a member out.
-    /// A block goes clean only when at least one replica confirmed its
-    /// WRITE *and* that member's COMMIT verifier matched — members that
-    /// fail mid-flush are failed over, their blocks are recorded in the
-    /// missed set for re-sync, and the flush completes at reduced
-    /// redundancy as long as one replica per block survives. When the
-    /// failing member is the last one standing there is nothing to
-    /// degrade to: the round ends with that member's own error.
+    /// Split-phase: every member's UNSTABLE WRITE batch enters its
+    /// pipeline window before any reply is awaited, so the members of a
+    /// round proceed in parallel, a WAN round overlaps up to a window of
+    /// round trips per member, and no COMMIT can overtake data. A call a
+    /// server sheds at admission (JUKEBOX — never executed) is re-sent
+    /// verbatim under backoff to that member. A dirty block some member
+    /// confirmed goes clean before any COMMIT goes out; then each member
+    /// gets one COMMIT per file and, under partial placement, the proxy's
+    /// size of the file (SETATTR): a member lacking the final block would
+    /// otherwise undershoot it, and any member must be able to serve
+    /// GETATTR.
     ///
-    /// `VerifierChanged` and `Retry` mean the blocks were re-marked dirty
-    /// and the caller must flush again; on `Err` the blocks are also
-    /// re-marked dirty so a later retry re-sends them — no block is left
-    /// clean without a COMMIT covering it.
-    fn flush_file_once(&mut self, fh: &Fh3) -> std::io::Result<FlushOutcome> {
-        let dirty = match &self.store {
-            Some(s) => s.dirty_blocks_of(fh),
-            None => return Ok(FlushOutcome::Committed),
-        };
-        if dirty.is_empty() {
-            return Ok(FlushOutcome::Committed);
-        }
-        // One split-phase round is starting: aux = dirty blocks in it.
-        self.stats.emit(Hop::FlushRound, 0, procnum::COMMIT, dirty.len() as u64);
-        let width = self.stripe.width();
-        // Per-member WRITE batches, one pass over the dirty set. The
-        // records are kept for the verbatim JUKEBOX re-send.
-        let mut offsets_of: Vec<Vec<u64>> = vec![Vec::new(); width];
-        let mut records_of: Vec<Vec<Vec<u8>>> = vec![Vec::new(); width];
-        for &offset in &dirty {
-            let data = self
-                .store
-                .as_mut()
-                .and_then(|s| s.get(&(fh.clone(), offset)))
-                .unwrap_or_default();
-            let block = self.stripe.map().block_of(offset);
-            if self.stripe.live_members_of_block(block).next().is_none() {
-                self.redirty(fh, &dirty);
-                return Err(all_down("every replica of a dirty block is down"));
-            }
-            let args = WriteArgs { file: fh.clone(), offset, stable: StableHow::Unstable, data };
-            for m in self.stripe.map().members_of_block(block) {
-                if self.stripe.is_up(m) {
-                    self.next_xid = self.next_xid.wrapping_add(1);
-                    offsets_of[m].push(offset);
-                    records_of[m].push(encode_call(
-                        self.next_xid,
-                        procnum::WRITE,
-                        &self.client_cred,
-                        &args,
-                    ));
-                } else {
-                    self.missed[m].insert((fh.clone(), offset));
-                }
+    /// Failures are classified here, by one rule. A reply that could not
+    /// be delivered or decoded is a transport failure: its member is
+    /// struck (see [`strike`](Self::strike)). An NFS error status is the
+    /// server's answer about that file: when every member sent the file
+    /// answered one, the round fails with it and no member changes state;
+    /// when only some did, those have diverged from their replicas and
+    /// are struck.
+    fn write_back(&mut self, plan: &[Vec<BlockKey>]) -> std::io::Result<Round> {
+        let width = plan.len();
+        let mut sent: Vec<Vec<BlockKey>> = vec![Vec::new(); width];
+        let mut records: Vec<Vec<Vec<u8>>> = vec![Vec::new(); width];
+        for (m, keys) in plan.iter().enumerate() {
+            for key in keys {
+                let Some(data) = self.store.as_mut().and_then(|s| s.get(key)) else { continue };
+                let (file, offset) = key.clone();
+                let args = WriteArgs { file, offset, stable: StableHow::Unstable, data };
+                self.next_xid = self.next_xid.wrapping_add(1);
+                let record = encode_call(self.next_xid, procnum::WRITE, &self.client_cred, &args);
+                records[m].push(record);
+                sent[m].push(key.clone());
             }
         }
         // Fan out: every member's batch is submitted (atomically, so up
         // to a window of it is on the wire) before any reply is awaited.
         let mut pending = Vec::new();
-        for (m, records) in records_of.iter().enumerate() {
-            if !records.is_empty() {
-                let member = self.stripe.member(m);
-                let replies = member.submit_batch(records);
-                pending.push((m, member, replies));
-            }
+        for (m, batch) in records.iter().enumerate().filter(|(_, b)| !b.is_empty()) {
+            let member = self.stripe.member(m);
+            let replies = member.submit_batch(batch);
+            pending.push((m, member, replies));
         }
-        let mut confirmed: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut member_verf: Vec<Option<u64>> = vec![None; width];
-        let mut verifier_changed = false;
+        let mut parts: Vec<Part> = (0..width).map(|_| Part::default()).collect();
         for (m, member, replies) in pending {
-            for ((offset, record), reply) in offsets_of[m].iter().zip(&records_of[m]).zip(replies)
-            {
-                let reply = self.stripe.wait(reply);
-                match settle_write(&member, &self.stats, &self.channels.retry, record, reply) {
-                    Ok(verf) => {
-                        if *member_verf[m].get_or_insert(verf) != verf {
-                            verifier_changed = true;
-                        }
-                        confirmed.entry(*offset).or_default().push(m);
+            for ((key, record), reply) in sent[m].iter().zip(&records[m]).zip(replies) {
+                let reply = self.stripe.wait(reply).and_then(|r| {
+                    settle_jukebox(&member, &self.stats, &self.channels.retry, record, r)
+                });
+                match reply.and_then(|r| decode_reply::<WriteRes>(&r)) {
+                    Ok(res) if res.status == NfsStat3::Ok => {
+                        parts[m].verify(res.verf);
+                        parts[m].written.push(key.clone());
                     }
+                    Ok(res) => parts[m].rejected.push((key.0.clone(), res.status)),
                     Err(e) => {
-                        // Failed mid-batch: no verifier to commit under.
-                        member_verf[m] = None;
-                        let offsets = &offsets_of[m];
-                        if let Err(e) = self.drop_from_round(m, fh, offsets, &mut confirmed, e) {
-                            self.redirty(fh, &dirty);
-                            return Err(e);
-                        }
+                        // Failed mid-batch: the rest of its replies are moot.
+                        self.strike(m, &plan[m], &mut parts[m], e)?;
                         break;
                     }
                 }
             }
         }
-        // Blocks confirmed by at least one replica go clean; the rest
-        // stay dirty for the next round.
-        for offset in dirty.iter().filter(|o| confirmed.contains_key(o)) {
-            let cleaned = match &mut self.store {
-                Some(store) => store.set_clean(&(fh.clone(), *offset)),
-                None => Ok(()),
-            };
-            if let Err(e) = cleaned {
-                // The journal could not record the transition; the block
-                // stays dirty (the store updates its index only after the
-                // append succeeds) and a later flush re-sends it.
-                self.redirty(fh, &dirty);
-                return Err(e);
+        // What a member confirmed of a file it did not reject goes clean
+        // (journaled) before any COMMIT goes out; the caller re-dirties
+        // whatever the round does not make stable.
+        for part in &parts {
+            for key in part.written.iter().filter(|k| part.accepts(&k.0)) {
+                if let Some(store) = &mut self.store {
+                    if store.meta(key).is_some_and(|b| b.dirty) {
+                        store.set_clean(key)?;
+                    }
+                }
             }
         }
         // Kill point: blocks are clean locally, COMMIT never goes out.
         // Recovery must re-dirty them (clean-before-COMMIT is not stable).
-        if let Err(e) = self.hit_crash(CrashPoint::FlushBeforeCommit) {
-            self.redirty(fh, &dirty);
-            return Err(e);
-        }
-        // One COMMIT per member that confirmed writes; each replica's
-        // verifier contract is enforced independently: every WRITE and
-        // the COMMIT must carry one verifier, any change means that
-        // server lost its uncommitted (unstable) data.
-        let mut commit_after: Option<Fattr3> = None;
-        let file_size = self.namecache.attr(fh).map(|a| a.size);
+        self.hit_crash(CrashPoint::FlushBeforeCommit)?;
+        let partial = self.stripe.map().is_partial();
+        let mut after = HashMap::new();
         for m in 0..width {
-            let Some(write_verf) = member_verf[m] else { continue };
-            match self.commit_member(m, fh, file_size) {
-                Ok(res) => {
-                    if res.verf != write_verf {
-                        verifier_changed = true;
+            let mut files: Vec<Fh3> = parts[m].written.iter().map(|k| k.0.clone()).collect();
+            files.dedup();
+            files.retain(|f| parts[m].accepts(f));
+            for fh in files {
+                let size = self.namecache.attr(&fh).map(|a| a.size).filter(|_| partial);
+                let commit = CommitArgs { file: fh.clone(), offset: 0, count: 0 };
+                let answer = self.call_on::<CommitRes>(m, procnum::COMMIT, &commit);
+                let answer = answer.and_then(|res| {
+                    let Some(size) = size.filter(|_| res.status == NfsStat3::Ok) else {
+                        return Ok((res.status, res));
+                    };
+                    let new_attributes = Sattr3 { size: Some(size), ..Default::default() };
+                    let mirror = SetAttrArgs { object: fh.clone(), new_attributes };
+                    let mirrored: WccRes = self.call_on(m, procnum::SETATTR, &mirror)?;
+                    Ok((mirrored.status, res))
+                });
+                match answer {
+                    Ok((NfsStat3::Ok, res)) => {
+                        parts[m].verify(res.verf);
+                        if let Some(a) = res.wcc.after {
+                            after.entry(fh).or_insert(a);
+                        }
+                        self.stats.emit(Hop::ReplicaWrite, 0, procnum::COMMIT, m as u64);
                     }
-                    if commit_after.is_none() {
-                        commit_after = res.wcc.after;
-                    }
-                    self.stats.emit(Hop::ReplicaWrite, 0, procnum::COMMIT, m as u64);
-                }
-                // Its WRITEs landed but its COMMIT (or the size mirror
-                // behind it) did not: nothing it holds of this round is
-                // stable.
-                Err(e) => {
-                    let offsets = &offsets_of[m];
-                    if let Err(e) = self.drop_from_round(m, fh, offsets, &mut confirmed, e) {
-                        self.redirty(fh, &dirty);
-                        return Err(e);
+                    Ok((status, _)) => parts[m].rejected.push((fh, status)),
+                    Err(e) => {
+                        self.strike(m, &plan[m], &mut parts[m], e)?;
+                        break;
                     }
                 }
             }
         }
-        if verifier_changed {
-            self.redirty(fh, &dirty);
-            return Ok(FlushOutcome::VerifierChanged);
+        // An error status is the server's answer about its file: the file
+        // fails the round unless a member still in it accepted the file.
+        for (fh, status) in parts.iter().filter(|p| !p.struck).flat_map(|p| &p.rejected) {
+            if !parts.iter().any(|p| p.accepts(fh) && p.written.iter().any(|k| k.0 == *fh)) {
+                return Err(rejected(*status));
+            }
         }
-        // A block whose every confirming replica fell over must be
-        // re-sent to the survivors of its stripe.
-        let uncovered: Vec<u64> = dirty
-            .iter()
-            .copied()
-            .filter(|o| confirmed.get(o).is_none_or(|v| v.is_empty()))
-            .collect();
-        if !uncovered.is_empty() {
-            self.redirty(fh, &uncovered);
-            return Ok(FlushOutcome::Retry);
+        // Otherwise the members that rejected it diverged from a replica.
+        for m in 0..width {
+            if let Some(&(_, status)) = parts[m].rejected.first().filter(|_| !parts[m].struck) {
+                self.strike(m, &plan[m], &mut parts[m], rejected(status))?;
+            }
         }
-        // Kill point: the server has committed but the journal has not
-        // heard — recovery re-sends the blocks, which is idempotent.
-        self.hit_crash(CrashPoint::FlushAfterCommit)?;
-        if let Some(store) = &mut self.store {
-            store.commit_file(fh)?;
-        }
-        if let Some(a) = commit_after {
-            // The wcc attr came from one member's COMMIT, which ran
-            // before any size mirror: `observe` keeps a partial
-            // replica's size from shrinking the attr the client has seen.
-            self.namecache.observe(fh, a, false);
-        }
-        Ok(FlushOutcome::Committed)
+        let committed = parts.into_iter().map(|p| {
+            if p.struck || p.unstable {
+                HashSet::new()
+            } else {
+                p.written.into_iter().collect()
+            }
+        });
+        Ok(Round { committed: committed.collect(), after })
     }
 
-    /// Member `m` failed its part of a flush round with `e`. Degrade to
-    /// the survivors: fail the member over, queue the round's blocks for
-    /// its re-sync and strike it from every block it confirmed. The last
-    /// member standing cannot be degraded away from — its error is handed
-    /// back for the round to fail with.
-    fn drop_from_round(
+    /// Member `m` failed `part` of a write-back round with `e`: fail it
+    /// over and queue `keys`, its plan, for its re-sync. A member that
+    /// cannot be degraded away from — the last one standing, or a
+    /// re-syncing one that is not in the set — fails the round with `e`
+    /// instead.
+    fn strike(
         &mut self,
         m: usize,
-        fh: &Fh3,
-        offsets: &[u64],
-        confirmed: &mut HashMap<u64, Vec<usize>>,
+        keys: &[BlockKey],
+        part: &mut Part,
         e: std::io::Error,
     ) -> std::io::Result<()> {
-        if !self.fail_member(m) {
+        if !self.stripe.is_up(m) || !self.fail_member(m) {
             return Err(e);
         }
-        for offset in offsets {
-            self.missed[m].insert((fh.clone(), *offset));
-            if let Some(members) = confirmed.get_mut(offset) {
-                members.retain(|&c| c != m);
-            }
-        }
+        self.missed[m].extend(keys.iter().cloned());
+        part.struck = true;
         Ok(())
-    }
-
-    /// Member `m`'s COMMIT of a flush round, then its size mirror: a
-    /// partial member holds only its mapped blocks, so its own file size
-    /// undershoots the file whenever it lacks the final block — once its
-    /// COMMIT confirms, the client-visible size is mirrored to it
-    /// (SETATTR) so *any* member can serve GETATTR/LOOKUP for the file. A
-    /// full-copy member already has the true size and is sent nothing.
-    /// An `Err` (the member died or rejected either call) leaves the
-    /// member without a stable, consistently sized copy of the round.
-    fn commit_member(
-        &mut self,
-        m: usize,
-        fh: &Fh3,
-        size: Option<u64>,
-    ) -> std::io::Result<CommitRes> {
-        let commit = CommitArgs { file: fh.clone(), offset: 0, count: 0 };
-        let res: CommitRes = self.call_on(m, procnum::COMMIT, &commit)?;
-        if res.status != NfsStat3::Ok {
-            return Err(std::io::Error::other(format!("commit failed: {:?}", res.status)));
-        }
-        if let (true, Some(size)) = (self.stripe.map().is_partial(), size) {
-            let sa = SetAttrArgs {
-                object: fh.clone(),
-                new_attributes: Sattr3 { size: Some(size), ..Default::default() },
-            };
-            let mirrored: WccRes = self.call_on(m, procnum::SETATTR, &sa)?;
-            if mirrored.status != NfsStat3::Ok {
-                return Err(std::io::Error::other(format!(
-                    "size mirror failed: {:?}",
-                    mirrored.status
-                )));
-            }
-        }
-        Ok(res)
     }
 
     fn hit_crash(&self, point: CrashPoint) -> std::io::Result<()> {
@@ -1340,71 +1320,35 @@ impl ClientProxy {
     }
 
     /// Re-sync a rejoining member and return it to the read/write set:
-    /// every block it missed while down is replayed from the local store
-    /// (UNSTABLE WRITE, then one COMMIT per file under the verifier
-    /// contract, JUKEBOX ridden out like any flush) before the member
-    /// serves reads or counts toward replication again. On error the
-    /// member stays down and the missed set is kept — re-sync is
-    /// idempotent and can simply run again.
+    /// every block it missed while down that the store still holds clean
+    /// is replayed by [`write_back`](Self::write_back) — the plan is
+    /// those blocks on member `m` and nothing else — before the member
+    /// serves reads or counts toward replication again. A missed block
+    /// that is still dirty is left to its file's next flush, which sends
+    /// it to every live member, `m` included. On error the member stays
+    /// down and the missed set is kept — re-sync is idempotent and can
+    /// simply run again.
     pub fn resync_member(&mut self, m: usize) -> std::io::Result<()> {
         if !self.stripe.is_up(m) {
             self.revive_member(m)?;
         }
-        let mut missed: Vec<(Fh3, u64)> = self.missed[m].iter().cloned().collect();
-        missed.sort();
-        let mut files: Vec<Fh3> = missed.iter().map(|(f, _)| f.clone()).collect();
-        files.dedup();
-        let mut records = Vec::new();
-        for (fh, offset) in &missed {
-            // A missing block means the file was dropped (deleted) or
-            // evicted after a covering COMMIT — nothing to replay.
-            let Some(data) = self.store.as_mut().and_then(|s| s.get(&(fh.clone(), *offset)))
-            else {
-                continue;
-            };
-            let args = WriteArgs {
-                file: fh.clone(),
-                offset: *offset,
-                stable: StableHow::Unstable,
-                data,
-            };
-            self.next_xid = self.next_xid.wrapping_add(1);
-            records.push(encode_call(self.next_xid, procnum::WRITE, &self.client_cred, &args));
-        }
-        let member = self.stripe.member(m);
-        let mut verf: Option<u64> = None;
-        for (record, reply) in records.iter().zip(member.submit_batch(&records)) {
-            let reply = reply.wait();
-            let v = settle_write(&member, &self.stats, &self.channels.retry, record, reply)?;
-            if *verf.get_or_insert(v) != v {
-                return Err(std::io::Error::other(
-                    "replica write verifier changed during re-sync",
-                ));
-            }
-        }
-        if files.is_empty() {
-            // Nothing was replayed, so no traffic proved the revived
+        let store = self.store.as_ref();
+        let clean = |key: &&BlockKey| store.and_then(|s| s.meta(key)).is_some_and(|b| !b.dirty);
+        let mut keys: Vec<BlockKey> = self.missed[m].iter().filter(clean).cloned().collect();
+        keys.sort();
+        let count = keys.len();
+        let mut plan = vec![Vec::new(); self.stripe.width()];
+        plan[m] = keys;
+        if count == 0 {
+            // Nothing to replay, so no traffic would prove the revived
             // channel end-to-end. Without this probe a rejoin with an
             // empty missed set would mark the member up — and drop the
             // `degraded` gauge to zero — on pure faith in a channel that
             // may be as dead as the one it replaced. Any decodable reply
             // counts: the probe tests the transport, not the file.
             self.call_on::<GetAttrRes>(m, procnum::GETATTR, &Fh3::from_ino(0, 0))?;
-        }
-        for fh in files {
-            let commit = CommitArgs { file: fh, offset: 0, count: 0 };
-            let res: CommitRes = self.call_on(m, procnum::COMMIT, &commit)?;
-            if res.status != NfsStat3::Ok {
-                return Err(std::io::Error::other(format!(
-                    "re-sync COMMIT failed: {:?}",
-                    res.status
-                )));
-            }
-            if verf.is_some_and(|v| v != res.verf) {
-                return Err(std::io::Error::other(
-                    "replica rebooted mid-re-sync (verifier changed)",
-                ));
-            }
+        } else if self.write_back(&plan)?.committed[m].len() < count {
+            return Err(std::io::Error::other("replica write verifier changed during re-sync"));
         }
         self.missed[m].clear();
         self.stripe.mark_up(m);
@@ -1441,34 +1385,44 @@ impl ClientProxy {
     }
 }
 
-/// Outcome of one WRITE-batch + COMMIT round of `flush_file_once`.
-enum FlushOutcome {
-    /// Data durable under a single, stable write verifier.
-    Committed,
-    /// The server's verifier changed (reboot): blocks re-dirtied, flush
-    /// must run again.
-    VerifierChanged,
-    /// Replicated flush: a member fell over mid-round and some blocks
-    /// lost every confirming replica — those were re-dirtied and the
-    /// flush must run again against the survivors.
-    Retry,
+/// What one write-back round made stable.
+struct Round {
+    /// Per member, the blocks it committed under one unchanged write
+    /// verifier.
+    committed: Vec<HashSet<BlockKey>>,
+    /// Per file, the post-op attributes of its first successful COMMIT.
+    after: HashMap<Fh3, Fattr3>,
 }
 
-/// Settle one write-back WRITE reply — riding out JUKEBOX against the
-/// member that shed it — and extract its write verifier.
-fn settle_write(
-    member: &Pipeline,
-    stats: &Emitter,
-    retry: &RetryPolicy,
-    record: &[u8],
-    reply: std::io::Result<Vec<u8>>,
-) -> std::io::Result<u64> {
-    let reply = settle_jukebox(member, stats, retry, record, reply?)?;
-    let res: WriteRes = decode_reply(&reply)?;
-    if res.status != NfsStat3::Ok {
-        return Err(std::io::Error::other(format!("write-back failed: {:?}", res.status)));
+/// One member's share of a write-back round.
+#[derive(Default)]
+struct Part {
+    /// The blocks whose WRITE it confirmed.
+    written: Vec<BlockKey>,
+    /// The write verifier of its first confirmed reply; `unstable` once
+    /// another reply carried a different one.
+    verf: Option<u64>,
+    unstable: bool,
+    /// The files it answered with an NFS error status.
+    rejected: Vec<(Fh3, NfsStat3)>,
+    /// Failed over in this round.
+    struck: bool,
+}
+
+impl Part {
+    fn verify(&mut self, verf: u64) {
+        self.unstable |= *self.verf.get_or_insert(verf) != verf;
     }
-    Ok(res.verf)
+
+    /// Still in the round, and answered no error status for `fh`.
+    fn accepts(&self, fh: &Fh3) -> bool {
+        !self.struck && self.rejected.iter().all(|(f, _)| f != fh)
+    }
+}
+
+/// The round's error for a file the server answered with `status`.
+fn rejected(status: NfsStat3) -> std::io::Error {
+    std::io::Error::other(format!("write-back failed: {status:?}"))
 }
 
 /// Encode one complete call record (header + arguments).

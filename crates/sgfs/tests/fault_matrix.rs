@@ -9,7 +9,9 @@
 //! 2. For idempotent calls the replies a faulted run produces are
 //!    byte-identical to the fault-free run.
 //! 3. A COMMIT never reaches the server before every WRITE it covers,
-//!    even when the WRITEs were replayed across a reconnection.
+//!    even when the WRITEs were replayed across a reconnection; an NFS
+//!    error status in a write-back reply fails that file, and fails over
+//!    only a replica that alone answered it.
 //! 4. A changed write verifier forces re-transmission of unstable WRITEs
 //!    (the NFSv3 crash-recovery contract).
 //! 5. The ACCESS cache answers only for bits it has actually checked.
@@ -40,7 +42,7 @@ use sgfs::session::GridWorld;
 use sgfs_gtls::{handshake_pair, GtlsHandshake, GtlsStream, HsStatus};
 use sgfs_net::{pipe_pair, BoxStream, FaultInjector, FaultPlan, FaultStream, PipeEnd};
 use sgfs_nfs3::proc::{
-    procnum, AccessArgs, AccessRes, CommitRes, GetAttrRes, ReadArgs, ReadRes, SetAttrArgs,
+    procnum, AccessArgs, AccessRes, CommitArgs, CommitRes, GetAttrRes, ReadArgs, ReadRes, SetAttrArgs,
     WccRes, WriteArgs, WriteRes,
 };
 use sgfs_nfs3::types::*;
@@ -526,6 +528,152 @@ fn rejected_write_back_surfaces_the_server_status() {
     full.store(false, Ordering::SeqCst);
     assert_eq!(proxy.flush_all().expect("space is back"), 1024);
     assert_eq!(proxy.dirty_bytes(), 0);
+}
+
+/// A replica that answers every WRITE of `reject`'s file with its
+/// status and serves the rest of the write-back surface, logging
+/// `(proc, file)` for every WRITE it accepts and every COMMIT.
+fn rejecting_server(
+    mut end: PipeEnd,
+    reject: Option<(Fh3, NfsStat3)>,
+    log: Arc<Mutex<Vec<(u32, Fh3)>>>,
+) {
+    std::thread::spawn(move || {
+        while let Ok(Some(record)) = read_record(&mut end) {
+            let mut dec = XdrDecoder::new(&record);
+            let header = CallHeader::decode(&mut dec).expect("call header");
+            let args = &record[dec.position()..];
+            let reply = match header.proc {
+                procnum::GETATTR => reply_bytes(
+                    header.xid,
+                    &GetAttrRes { status: NfsStat3::Ok, attr: Some(base_attr(0)) },
+                ),
+                procnum::WRITE => {
+                    let a = WriteArgs::from_xdr_bytes(args).expect("write args");
+                    let status = match &reject {
+                        Some((fh, status)) if *fh == a.file => *status,
+                        _ => {
+                            log.lock().unwrap().push((procnum::WRITE, a.file.clone()));
+                            NfsStat3::Ok
+                        }
+                    };
+                    reply_bytes(
+                        header.xid,
+                        &WriteRes {
+                            status,
+                            wcc: WccData { before: None, after: None },
+                            count: a.data.len() as u32,
+                            committed: StableHow::Unstable,
+                            verf: 7,
+                        },
+                    )
+                }
+                procnum::COMMIT => {
+                    let a = CommitArgs::from_xdr_bytes(args).expect("commit args");
+                    log.lock().unwrap().push((procnum::COMMIT, a.file));
+                    reply_bytes(
+                        header.xid,
+                        &CommitRes {
+                            status: NfsStat3::Ok,
+                            wcc: WccData { before: None, after: Some(base_attr(0)) },
+                            verf: 7,
+                        },
+                    )
+                }
+                other => panic!("unexpected proc {other}"),
+            };
+            if write_record(&mut end, &reply).is_err() {
+                return;
+            }
+        }
+    });
+}
+
+type ReplicaLog = Arc<Mutex<Vec<(u32, Fh3)>>>;
+
+/// A width-2, 2-replica session over two `rejecting_server`s — member
+/// `m` answers every WRITE of file A (`ino` 42) with `rejects[m]` — with
+/// one 512-byte block each of files A and B (`ino` 43) absorbed.
+fn two_replicas_two_files(rejects: [Option<NfsStat3>; 2]) -> (ClientProxy, Vec<ReplicaLog>) {
+    let (file_a, file_b) = (Fh3::from_ino(1, 42), Fh3::from_ino(1, 43));
+    let mut config = SessionConfig::new(SecurityLevel::None);
+    config.cache = CacheMode::MemoryMeta;
+    config.stripe = Some(StripePolicy { width: 2, replicas: 2, block_size: 512 });
+    let mut upstreams = Vec::new();
+    let mut logs = Vec::new();
+    for reject in rejects {
+        let (end, srv) = pipe_pair();
+        let log = ReplicaLog::default();
+        rejecting_server(srv, reject.map(|status| (file_a.clone(), status)), log.clone());
+        let watch = end.watch();
+        upstreams.push((Upstream::Plain(Box::new(end)), watch, None));
+        logs.push(log);
+    }
+    let mut proxy = ClientProxy::with_stripe(upstreams, &config).expect("replicated proxy");
+    for (i, file) in [file_a, file_b].into_iter().enumerate() {
+        let record = nfs_call(0x400 + i as u32, procnum::WRITE, |enc| {
+            WriteArgs { file, offset: 0, stable: StableHow::Unstable, data: vec![i as u8; 512] }
+                .encode(enc)
+        });
+        let res = WriteRes::from_xdr_bytes(&call(&mut proxy, &record)).expect("write res");
+        assert_eq!(res.status, NfsStat3::Ok, "block {i} absorbed");
+    }
+    (proxy, logs)
+}
+
+/// An NFS error status is the server's answer about one file, not a dead
+/// wire: when both replicas answer every WRITE of file A with STALE, file
+/// A fails its round and stays dirty, no member is failed over or owes a
+/// re-sync, and file B still commits on both members.
+#[test]
+fn a_file_every_replica_rejects_fails_alone() {
+    let (mut proxy, logs) = two_replicas_two_files([Some(NfsStat3::Stale); 2]);
+    let stats = proxy.stats().clone();
+
+    let err = proxy.flush_all().expect_err("file A is stale on both replicas");
+    assert!(err.to_string().contains("Stale"), "the server's status surfaces: {err}");
+    assert_eq!(
+        (stats.count(Hop::ReplicaFailover), stats.gauge(Gauge::Degraded)),
+        (0, 0),
+        "a stale file fails no replica"
+    );
+    assert!(proxy.stripe().is_up(0) && proxy.stripe().is_up(1), "both members stay up");
+    assert_eq!((proxy.missed_blocks(0), proxy.missed_blocks(1)), (0, 0), "no re-sync owed");
+    assert_eq!(proxy.dirty_bytes(), 512, "file A's block is still dirty, file B's is clean");
+    let file_b = Fh3::from_ino(1, 43);
+    for (m, log) in logs.iter().enumerate() {
+        let log = log.lock().unwrap();
+        let committed = [(procnum::WRITE, file_b.clone()), (procnum::COMMIT, file_b.clone())];
+        assert_eq!(log[..], committed, "member {m} took and committed file B alone");
+    }
+}
+
+/// The other half of the rule: a replica that alone answers a file with
+/// an error status has diverged from the replica that accepted it, so it
+/// is failed over and owes a re-sync while the file goes clean through
+/// the survivor.
+#[test]
+fn a_replica_that_alone_rejects_a_file_has_diverged() {
+    let (mut proxy, logs) = two_replicas_two_files([None, Some(NfsStat3::NoSpc)]);
+    let stats = proxy.stats().clone();
+
+    assert_eq!(proxy.flush_all().expect("member 0 takes every block"), 1024);
+    assert_eq!(proxy.dirty_bytes(), 0, "both files went clean through member 0");
+    assert_eq!(
+        (stats.count(Hop::ReplicaFailover), stats.gauge(Gauge::Degraded)),
+        (1, 1),
+        "member 1 failed over"
+    );
+    assert!(proxy.stripe().is_up(0) && !proxy.stripe().is_up(1));
+    assert!(proxy.missed_blocks(1) > 0, "member 1 owes a re-sync");
+    let commits: Vec<Fh3> = logs[0]
+        .lock()
+        .unwrap()
+        .iter()
+        .filter(|(proc, _)| *proc == procnum::COMMIT)
+        .map(|(_, fh)| fh.clone())
+        .collect();
+    assert_eq!(commits, [Fh3::from_ino(1, 42), Fh3::from_ino(1, 43)], "member 0 committed both");
 }
 
 // ---------------------------------------------------------------------

@@ -24,7 +24,7 @@ use sgfs::proxy::client::{ClientProxy, Upstream};
 use sgfs::proxy::stripe::StripeMap;
 use sgfs_net::{pipe_pair, PipeEnd};
 use sgfs_nfs3::proc::{
-    procnum, CommitRes, GetAttrRes, ReadArgs, ReadRes, WccRes, WriteArgs, WriteRes,
+    procnum, CommitRes, GetAttrRes, ReadArgs, ReadRes, SetAttrArgs, WccRes, WriteArgs, WriteRes,
 };
 use sgfs_nfs3::types::*;
 use sgfs_nfs3::{NFS_PROGRAM, NFS_VERSION};
@@ -115,10 +115,18 @@ fn seeded(seed: u64, max: u64) -> u64 {
     (seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) % max + 1
 }
 
+/// The `(file, size)` of every size-mirror SETATTR a mock replica took.
+type SizeLog = Arc<Mutex<Vec<(Fh3, u64)>>>;
+
 /// Mock replica applying WRITEs/READs to `state`; verifier fixed at 7.
 /// When the kill switch fires the request is *dropped* (never applied,
 /// never answered) and the server thread exits, closing the wire.
-fn byte_server(mut end: PipeEnd, state: ServerState, kill: Kill) {
+fn byte_server(end: PipeEnd, state: ServerState, kill: Kill) {
+    mirror_logging_byte_server(end, state, kill, SizeLog::default());
+}
+
+/// A [`byte_server`] that also logs the size mirrors it is sent.
+fn mirror_logging_byte_server(mut end: PipeEnd, state: ServerState, kill: Kill, sizes: SizeLog) {
     std::thread::spawn(move || loop {
         let record = match read_record(&mut end) {
             Ok(Some(r)) => r,
@@ -179,13 +187,20 @@ fn byte_server(mut end: PipeEnd, state: ServerState, kill: Kill) {
                 },
             ),
             // Post-COMMIT size mirror from the striped flush.
-            procnum::SETATTR => reply_bytes(
-                header.xid,
-                &WccRes {
-                    status: NfsStat3::Ok,
-                    wcc: WccData { before: None, after: Some(base_attr(FILE_SIZE)) },
-                },
-            ),
+            procnum::SETATTR => {
+                let args =
+                    SetAttrArgs::from_xdr_bytes(&record[dec.position()..]).expect("setattr args");
+                if let Some(size) = args.new_attributes.size {
+                    sizes.lock().unwrap().push((args.object, size));
+                }
+                reply_bytes(
+                    header.xid,
+                    &WccRes {
+                        status: NfsStat3::Ok,
+                        wcc: WccData { before: None, after: Some(base_attr(FILE_SIZE)) },
+                    },
+                )
+            }
             other => panic!("unexpected proc {other} at a mock replica"),
         };
         if write_record(&mut end, &reply).is_err() {
@@ -513,7 +528,9 @@ fn killing_any_single_replica_never_loses_bytes() {
 
 /// A rejoining replica is re-synced from the write-back store before it
 /// re-enters the write set: after `resync_member` it holds byte-identical
-/// state for every block it missed, and the degraded gauge drops to zero.
+/// state for every block it missed, has been sent the proxy's size of each
+/// file (placement here is partial, so a flush mirrors it too), and the
+/// degraded gauge drops to zero.
 #[test]
 fn rejoining_replica_is_resynced_from_the_journal() {
     let _serial = serial();
@@ -527,6 +544,8 @@ fn rejoining_replica_is_resynced_from_the_journal() {
     let host_up = Arc::new(AtomicBool::new(false));
     let dial_up = host_up.clone();
     let dial_state = states[victim].clone();
+    let sizes = SizeLog::default();
+    let dial_sizes = sizes.clone();
     let mut reconnectors: Vec<Reconnector> = (0..WIDTH).map(|_| None).collect();
     reconnectors[victim] = Some(Box::new(
         move |_attempt: u32| -> std::io::Result<(Upstream, sgfs_net::PipeWatch)> {
@@ -534,7 +553,7 @@ fn rejoining_replica_is_resynced_from_the_journal() {
                 return Err(std::io::Error::other("host still down"));
             }
             let (end, srv) = pipe_pair();
-            byte_server(srv, dial_state.clone(), Kill::never());
+            mirror_logging_byte_server(srv, dial_state.clone(), Kill::never(), dial_sizes.clone());
             let watch = end.watch();
             Ok((Upstream::Plain(Box::new(end)), watch))
         },
@@ -565,7 +584,18 @@ fn rejoining_replica_is_resynced_from_the_journal() {
     assert_eq!(proxy.missed_blocks(victim), 0, "re-sync drained the missed set");
     assert_eq!(proxy.stats().gauge(Gauge::Degraded), 0, "member is back in the write set");
     assert!(proxy.stripe().is_up(victim));
-    drop(proxy);
+    let mut driver = Driver::start(proxy);
+    let attr = GetAttrRes::from_xdr_bytes(&driver.call(procnum::GETATTR, &fh1()))
+        .expect("getattr res")
+        .attr
+        .expect("fh1 attributes");
+    assert!(
+        sizes.lock().unwrap().contains(&(fh1(), attr.size)),
+        "re-sync mirrors the proxy's size of fh1 ({}) to the rejoined member: {:?}",
+        attr.size,
+        sizes.lock().unwrap(),
+    );
+    drop(driver.finish());
 
     // The rejoined member now holds the oracle content for every block
     // the map assigns to it.

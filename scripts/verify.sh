@@ -30,6 +30,11 @@ run_watchdog() {
 cargo build --release
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Size of the proxy layer, for the record: counted lines per file (code
+# before the first `#[cfg(test)]`, neither blank nor a comment line).
+# Printed only; nothing is gated on it.
+scripts/loc.sh crates/sgfs/src/proxy/*.rs
+
 # Fault-injection and golden-trace suites first and under a watchdog: a
 # broken retry loop shows up as a hang, and it must fail loudly within
 # 120 s rather than stall the whole run. Binaries are prebuilt so the
