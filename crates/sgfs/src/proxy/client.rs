@@ -1649,6 +1649,94 @@ mod tests {
         assert_eq!(batches.last().unwrap(), &(16..18));
     }
 
+    /// An upstream that makes a MKNOD's node as a regular file, as a
+    /// server implementing MKNOD would, and hands every other call to
+    /// `sgfs-nfsd`.
+    struct MknodServer(Arc<sgfs_nfsd::NfsServer>);
+
+    impl sgfs_oncrpc::server::RpcService for MknodServer {
+        fn program(&self) -> u32 {
+            NFS_PROGRAM
+        }
+
+        fn version(&self) -> u32 {
+            NFS_VERSION
+        }
+
+        fn handle(
+            &self,
+            proc: u32,
+            cred: &OpaqueAuth,
+            args: &mut XdrDecoder<'_>,
+        ) -> sgfs_oncrpc::server::Dispatch {
+            if proc != procnum::MKNOD {
+                return self.0.handle(proc, cred, args);
+            }
+            let where_ = DirOpArgs3::decode(args).expect("MKNOD opens with its where");
+            let how = CreateMode::Unchecked(Sattr3::default());
+            let create = CreateArgs { where_, how }.to_xdr_bytes();
+            self.0.handle(procnum::CREATE, cred, &mut XdrDecoder::new(&create))
+        }
+    }
+
+    /// A MKNOD is a name-making call like CREATE: the directory's cached
+    /// listing is stale once the server has made the node.
+    #[test]
+    fn a_mknod_makes_its_directorys_listing_stale() {
+        let vfs = Arc::new(sgfs_vfs::Vfs::new());
+        let top = vfs.mkdir_p("/GFS", 0o755, &sgfs_vfs::UserContext::root()).unwrap();
+        let mut exports = sgfs_nfsd::Exports::new();
+        exports.add(sgfs_nfsd::ExportEntry::localhost("/GFS"));
+        let server = MknodServer(sgfs_nfsd::NfsServer::new_no_squash(vfs, exports));
+        let shards = sgfs_oncrpc::ShardServer::new(1);
+        let (client_end, server_end) = sgfs_net::pipe_pair();
+        let watch = server_end.watch();
+        let service = Arc::new(sgfs_oncrpc::shard::RpcRecordService(Arc::new(server)));
+        shards.add_session(Box::new(server_end), watch, service).unwrap();
+        let mut config = SessionConfig::new(crate::config::SecurityLevel::None);
+        config.cache = CacheMode::MemoryMeta;
+        let watch = client_end.watch();
+        let upstream = Upstream::Plain(Box::new(client_end));
+        let mut proxy = ClientProxy::new(upstream, watch, &config).unwrap();
+
+        let dir = Fh3::from_ino(1, top.ino);
+        let mut xid = 0;
+        let mut call = |proxy: &mut ClientProxy, proc: u32, args: &[u8]| {
+            xid += 1;
+            let header = CallHeader {
+                xid,
+                prog: NFS_PROGRAM,
+                vers: NFS_VERSION,
+                proc,
+                cred: OpaqueAuth::sys(&sgfs_oncrpc::msg::AuthSysParams::new("host", 0, 0)),
+                verf: OpaqueAuth::none(),
+            };
+            let mut record = header.to_xdr_bytes();
+            record.extend_from_slice(args);
+            let reply = proxy.process_one(&record).unwrap();
+            success_body(&reply).expect("accepted").to_vec()
+        };
+        let readdir = ReaddirArgs { dir: dir.clone(), cookie: 0, cookieverf: 0, count: 65536 };
+        let readdir = readdir.to_xdr_bytes();
+        let listing = |body: Vec<u8>| {
+            let res = ReaddirRes::from_xdr_bytes(&body).unwrap();
+            res.entries.into_iter().map(|e| e.name).filter(|n| !n.starts_with('.')).collect()
+        };
+        let names: Vec<String> = listing(call(&mut proxy, procnum::READDIR, &readdir));
+        assert!(names.is_empty(), "{names:?}");
+
+        // MKNOD's `where`, then a FIFO's type (NF3FIFO = 7) and attributes.
+        let mut mknod = DirOpArgs3 { dir, name: "fifo".into() }.to_xdr_bytes();
+        mknod.extend_from_slice(&7u32.to_xdr_bytes());
+        mknod.extend_from_slice(&Sattr3::default().to_xdr_bytes());
+        let made = call(&mut proxy, procnum::MKNOD, &mknod);
+        assert_eq!(CreateRes::from_xdr_bytes(&made).unwrap().status, NfsStat3::Ok);
+
+        let names: Vec<String> = listing(call(&mut proxy, procnum::READDIR, &readdir));
+        assert_eq!(names, ["fifo"]);
+        assert_eq!(proxy.forwarded_by_proc()[procnum::READDIR as usize], 2);
+    }
+
     #[test]
     fn the_reader_table_is_bounded() {
         let mut gov = PrefetchGovernor::new(8);

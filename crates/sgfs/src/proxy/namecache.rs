@@ -8,6 +8,9 @@
 //! * two calls cover every metadata procedure: [`NameCache::answer`] says
 //!   whether a call can be served locally, [`NameCache::apply`] takes a
 //!   forwarded call's reply in — its snoops and invalidations;
+//! * a directory this session's MKDIR made is **known completely**: it
+//!   started empty and every name in it since went through this cache,
+//!   so a LOOKUP of a name absent from it is answered NOENT locally;
 //! * every attribute a reply carries enters through one rule,
 //!   [`NameCache::observe`]: a file with unflushed write-back data keeps
 //!   the proxy's size and mtime, under partial placement a regular
@@ -17,13 +20,14 @@
 //!   [`NameCache::attr`] and whose [`BlockStore`](super::blockstore::BlockStore)
 //!   alone says whether a file is dirty.
 
+use crate::acl::is_acl_file_name;
 use crate::proxy::client::{decode_reply, encode_reply, success_body};
 use sgfs_nfs3::proc::{procnum, *};
 use sgfs_nfs3::types::*;
 use sgfs_obs::{Emitter, Hop};
 use sgfs_oncrpc::{OpaqueAuth, ReplyHeader};
-use sgfs_xdr::{XdrDecode, XdrEncode, XdrEncoder};
-use std::collections::HashMap;
+use sgfs_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder};
+use std::collections::{HashMap, HashSet};
 
 /// A call's arguments as far as the namespace cache reads them, decoded
 /// once.
@@ -35,8 +39,10 @@ pub(crate) enum Call {
     /// Directory, cookie, and whether the listing is READDIRPLUS.
     Readdir(Fh3, u64, bool),
     SetAttr(SetAttrArgs),
-    /// CREATE, MKDIR or SYMLINK: the name made.
+    /// CREATE, SYMLINK or MKNOD: the name made.
     Create(DirOpArgs3),
+    /// MKDIR: the name made, a directory known completely once made.
+    Mkdir(DirOpArgs3),
     /// REMOVE or RMDIR.
     Remove(DirOpArgs3),
     Rename(RenameArgs),
@@ -62,8 +68,10 @@ impl Call {
             }
             procnum::SETATTR => SetAttrArgs::from_xdr_bytes(args).map(Call::SetAttr),
             procnum::CREATE => CreateArgs::from_xdr_bytes(args).map(|a| Call::Create(a.where_)),
-            procnum::MKDIR => MkdirArgs::from_xdr_bytes(args).map(|a| Call::Create(a.where_)),
+            procnum::MKDIR => MkdirArgs::from_xdr_bytes(args).map(|a| Call::Mkdir(a.where_)),
             procnum::SYMLINK => SymlinkArgs::from_xdr_bytes(args).map(|a| Call::Create(a.where_)),
+            // Only the leading `where` is read; the node's type follows.
+            procnum::MKNOD => DirOpArgs3::decode(&mut XdrDecoder::new(args)).map(Call::Create),
             procnum::REMOVE | procnum::RMDIR => DirOpArgs3::from_xdr_bytes(args).map(Call::Remove),
             procnum::RENAME => RenameArgs::from_xdr_bytes(args).map(Call::Rename),
             procnum::LINK => LinkArgs::from_xdr_bytes(args).map(Call::Link),
@@ -83,6 +91,10 @@ pub(crate) struct NameCache {
     access: HashMap<(Fh3, u32), (u32, u32)>,
     /// (directory, name) → the file it reaches.
     names: HashMap<(Fh3, String), Fh3>,
+    /// Every name in each directory known completely. Kept from reply
+    /// statuses alone, never from `names`, which may forget a name that
+    /// still exists: here a missing name means "absent", there "ask".
+    complete: HashMap<Fh3, HashSet<String>>,
     /// Raw READDIR/READDIRPLUS result bodies keyed (dir, cookie, plus?).
     readdirs: HashMap<(Fh3, u64, bool), Vec<u8>>,
     /// Partial placement: a member lacking a file's final block
@@ -99,6 +111,7 @@ impl NameCache {
             attrs: HashMap::new(),
             access: HashMap::new(),
             names: HashMap::new(),
+            complete: HashMap::new(),
             readdirs: HashMap::new(),
             partial,
             synth_mtime: 1,
@@ -114,7 +127,8 @@ impl NameCache {
     /// The reply to `call` (xid `xid`, procedure `proc`) when the cache
     /// can give it, counting the hit or miss of every call it could have
     /// answered. A name or an ACCESS verdict is answered only with its
-    /// file's attributes in hand: the reply carries them.
+    /// file's attributes in hand, an absent name only with its
+    /// directory's: the reply carries them.
     pub(crate) fn answer(&self, xid: u32, proc: u32, call: &Call) -> Option<Vec<u8>> {
         let reply = match call {
             Call::GetAttr(fh) => self.attr(fh).map(|attr| {
@@ -132,15 +146,26 @@ impl NameCache {
                 }
                 _ => None,
             },
-            Call::Lookup(a) => self.names.get(&(a.dir.clone(), a.name.clone())).and_then(|fh| {
-                let res = LookupRes {
-                    status: NfsStat3::Ok,
-                    object: Some(fh.clone()),
-                    obj_attr: Some(self.attr(fh)?),
-                    dir_attr: None,
-                };
-                Some(encode_reply(xid, &res))
-            }),
+            Call::Lookup(a) => match self.names.get(&(a.dir.clone(), a.name.clone())) {
+                Some(fh) => self.attr(fh).map(|attr| {
+                    let res = LookupRes {
+                        status: NfsStat3::Ok,
+                        object: Some(fh.clone()),
+                        obj_attr: Some(attr),
+                        dir_attr: None,
+                    };
+                    encode_reply(xid, &res)
+                }),
+                None => self.absent(a).map(|attr| {
+                    let res = LookupRes {
+                        status: NfsStat3::NoEnt,
+                        object: None,
+                        obj_attr: None,
+                        dir_attr: Some(attr),
+                    };
+                    encode_reply(xid, &res)
+                }),
+            },
             Call::Readdir(dir, cookie, plus) => {
                 self.readdirs.get(&(dir.clone(), *cookie, *plus)).map(|body| {
                     let mut enc = XdrEncoder::with_capacity(body.len() + 32);
@@ -189,13 +214,33 @@ impl NameCache {
                 self.take_in(&a.object, &mut res.obj_attr, dirty);
                 dirty.then(|| encode_reply(xid, &res))
             }),
-            Call::Lookup(a) => decode_reply::<LookupRes>(&reply).ok().and_then(|mut res| {
-                let fh = res.object.clone()?;
-                let dirty = dirty(&fh);
-                self.take_in(&fh, &mut res.obj_attr, dirty);
-                self.names.insert((a.dir.clone(), a.name.clone()), fh);
-                dirty.then(|| encode_reply(xid, &res))
-            }),
+            Call::Lookup(a) => {
+                let res = decode_reply::<LookupRes>(&reply).ok();
+                // The server's word on a known directory's name must be
+                // the set's; if it is not, the set is not trusted again.
+                if let Some(known) = self.complete.get(&a.dir) {
+                    let agrees = match res.as_ref().map(|r| r.status) {
+                        Some(NfsStat3::Ok) => known.contains(&a.name) || is_dot(&a.name),
+                        Some(NfsStat3::NoEnt) => !known.contains(&a.name),
+                        Some(_) => true,
+                        None => false,
+                    };
+                    if !agrees {
+                        self.complete.remove(&a.dir);
+                    }
+                }
+                res.and_then(|mut res| {
+                    let fh = res.object.clone()?;
+                    let dirty = dirty(&fh);
+                    self.take_in(&fh, &mut res.obj_attr, dirty);
+                    // "." and ".." are the server's to resolve: a moved
+                    // directory has a new "..".
+                    if !is_dot(&a.name) {
+                        self.names.insert((a.dir.clone(), a.name.clone()), fh);
+                    }
+                    dirty.then(|| encode_reply(xid, &res))
+                })
+            }
             Call::Readdir(dir, cookie, plus) => {
                 if let Some(body) = success_body(&reply) {
                     self.readdirs.insert((dir.clone(), *cookie, *plus), body.to_vec());
@@ -226,9 +271,19 @@ impl NameCache {
                 }
                 None
             }
-            Call::Create(w) => {
+            Call::Create(w) | Call::Mkdir(w) => {
                 self.invalidate_dir(&w.dir);
-                if let Ok(mut res) = decode_reply::<CreateRes>(&reply) {
+                let res = decode_reply::<CreateRes>(&reply).ok();
+                let made =
+                    res.as_ref().filter(|r| r.status == NfsStat3::Ok).and_then(|r| r.obj.clone());
+                // An OK without a handle leaves the directory in doubt. A
+                // directory made here starts empty, and every name made
+                // in it later passes through this cache.
+                self.learn(w, made.is_some(), true);
+                if let (Some(fh), Call::Mkdir(_)) = (made, call) {
+                    self.complete.insert(fh, HashSet::new());
+                }
+                if let Some(mut res) = res {
                     // The directory's fresh attributes serve the kernel
                     // client's next revalidation locally.
                     self.take_in(&w.dir, &mut res.dir_wcc.after, false);
@@ -249,7 +304,9 @@ impl NameCache {
             // the files they reach.
             Call::Remove(w) => {
                 self.invalidate_dir(&w.dir);
-                if let Ok(mut res) = decode_reply::<WccRes>(&reply) {
+                let res = decode_reply::<WccRes>(&reply).ok();
+                self.learn(w, res.as_ref().is_some_and(|r| r.status == NfsStat3::Ok), false);
+                if let Some(mut res) = res {
                     if res.status == NfsStat3::Ok {
                         if let Some(fh) = self.names.remove(&(w.dir.clone(), w.name.clone())) {
                             gone = self.unlink(fh);
@@ -263,7 +320,15 @@ impl NameCache {
                 let (from, to) = (&a.from, &a.to);
                 self.invalidate_dir(&from.dir);
                 self.invalidate_dir(&to.dir);
-                if let Ok(mut res) = decode_reply::<RenameRes>(&reply) {
+                let res = decode_reply::<RenameRes>(&reply).ok();
+                let ok = res.as_ref().is_some_and(|r| r.status == NfsStat3::Ok);
+                // A RENAME onto another link of the same file leaves both
+                // names: the source is known gone only when the target
+                // was known absent.
+                let free = self.complete.get(&to.dir).is_some_and(|k| !k.contains(&to.name));
+                self.learn(from, ok && free, false);
+                self.learn(to, ok, true);
+                if let Some(mut res) = res {
                     if res.status == NfsStat3::Ok {
                         let from_name = (from.dir.clone(), from.name.clone());
                         let to_name = (to.dir.clone(), to.name.clone());
@@ -293,7 +358,9 @@ impl NameCache {
             }
             Call::Link(a) => {
                 self.invalidate_dir(&a.link.dir);
-                if let Ok(mut res) = decode_reply::<LinkRes>(&reply) {
+                let res = decode_reply::<LinkRes>(&reply).ok();
+                self.learn(&a.link, res.as_ref().is_some_and(|r| r.status == NfsStat3::Ok), true);
+                if let Some(mut res) = res {
                     self.take_in(&a.link.dir, &mut res.dir_wcc.after, false);
                     // The link count is what `unlink` decides by.
                     let dirty = dirty(&a.file);
@@ -359,8 +426,38 @@ impl NameCache {
             _ => {
                 self.invalidate_dir(&fh);
                 self.drop_access(&fh);
+                self.complete.remove(&fh);
                 self.names.retain(|_, f| *f != fh);
                 Some(fh)
+            }
+        }
+    }
+
+    /// The attributes of `a.dir` when `a.name` is known absent from it:
+    /// the directory is known completely, its attributes are in hand, and
+    /// the name is one the server looks up — not "." or "..", which it
+    /// resolves, nor an ACL file's, which the server proxy refuses whether
+    /// or not it exists.
+    fn absent(&self, a: &DirOpArgs3) -> Option<Fattr3> {
+        let known = self.complete.get(&a.dir)?;
+        if known.contains(&a.name) || is_dot(&a.name) || is_acl_file_name(&a.name) {
+            return None;
+        }
+        self.attr(&a.dir)
+    }
+
+    /// A call changed the name `w` in its directory. When `done`, the
+    /// server did it and the name is `present` now; otherwise the reply
+    /// leaves the directory's contents in doubt, and it stops being known
+    /// completely.
+    fn learn(&mut self, w: &DirOpArgs3, done: bool, present: bool) {
+        if !done {
+            self.complete.remove(&w.dir);
+        } else if let Some(known) = self.complete.get_mut(&w.dir) {
+            if present {
+                known.insert(w.name.clone());
+            } else {
+                known.remove(&w.name);
             }
         }
     }
@@ -374,4 +471,8 @@ impl NameCache {
         self.readdirs.retain(|(d, _, _), _| d != dir);
         self.attrs.remove(dir);
     }
+}
+
+fn is_dot(name: &str) -> bool {
+    name == "." || name == ".."
 }

@@ -37,13 +37,16 @@ const UID: u32 = 1000;
 /// path; the third is the second's child, so a RENAME can give a listed
 /// directory another parent.
 const DIRS: [&str; 3] = ["/GFS", "/GFS/d1", "/GFS/d1/d2"];
-const NAMES: [&str; 4] = ["a", "b", "d1", "d2"];
+/// The last two are looked up only by the deterministic cases: the
+/// generator picks among the first four.
+const NAMES: [&str; 6] = ["a", "b", "d1", "d2", ".", ".."];
 const BLOCK: u64 = 4096;
 
 /// One generated call; a `(dir, name)` pair indexes [`DIRS`] × [`NAMES`].
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    Create(usize, usize),
+    /// GUARDED when the flag is set, UNCHECKED otherwise.
+    Create(usize, usize, bool),
     Mkdir(usize, usize),
     /// The block of that index, filled with that byte.
     Write(usize, usize, u64, u8),
@@ -68,7 +71,7 @@ fn op() -> impl Strategy<Value = Op> {
         let dir = |shift: u32| [0, 0, 1, 2][pick(shift, 4)];
         let (d, n, d2, n2) = (dir(0), pick(8, 4), dir(16), pick(24, 4));
         match kind {
-            0 | 1 => Op::Create(d, n),
+            0 | 1 => Op::Create(d, n, r >> 32 & 1 == 1),
             2 => Op::Mkdir(d, n),
             3 | 4 => Op::Write(d, n, pick(32, 4) as u64, (r >> 40) as u8),
             5 => Op::SetSize(d, n, [0, 100, 5000, 20_000][pick(32, 4)]),
@@ -168,9 +171,13 @@ impl Rig {
     /// Run `op`; panic where the proxy's reply differs from the oracle's.
     fn run(&mut self, op: Op) {
         let (got, want) = match op {
-            Op::Create(d, n) => {
+            Op::Create(d, n, guarded) => {
                 let Some(where_) = self.where_(d, n) else { return };
-                let how = CreateMode::Unchecked(Sattr3 { mode: Some(0o644), ..Default::default() });
+                let attrs = Sattr3 { mode: Some(0o644), ..Default::default() };
+                let how = match guarded {
+                    true => CreateMode::Guarded(attrs),
+                    false => CreateMode::Unchecked(attrs),
+                };
                 self.call(procnum::CREATE, &CreateArgs { where_, how })
             }
             Op::Mkdir(d, n) => {
@@ -211,9 +218,14 @@ impl Rig {
                 let Some(args) = self.where_(d, n) else { return };
                 let (got, want) = self.call(procnum::LOOKUP, &args);
                 let (got, want) = (decode::<LookupRes>(&got), decode::<LookupRes>(&want));
+                // A failed LOOKUP carries the directory's attributes.
+                let dir_attr = |r: &LookupRes| match r.status {
+                    NfsStat3::Ok => None,
+                    _ => attrs(&r.dir_attr),
+                };
                 assert_eq!(
-                    (got.status, &got.object, attrs(&got.obj_attr)),
-                    (want.status, &want.object, attrs(&want.obj_attr)),
+                    (got.status, &got.object, attrs(&got.obj_attr), dir_attr(&got)),
+                    (want.status, &want.object, attrs(&want.obj_attr), dir_attr(&want)),
                     "LOOKUP {args:?}"
                 );
                 return;
@@ -361,13 +373,23 @@ proptest! {
 /// write-back data it has not seen: the proxy's size must survive them.
 #[test]
 fn a_listing_keeps_a_dirty_files_size() {
-    check(&[Op::Create(0, 0), Op::Write(0, 0, 1, 7), Op::Readdir(0, true), Op::GetAttr(0, 0)]);
+    check(&[
+        Op::Create(0, 0, false),
+        Op::Write(0, 0, 1, 7),
+        Op::Readdir(0, true),
+        Op::GetAttr(0, 0),
+    ]);
 }
 
 /// A SETATTR of a dirty file's mode changes no name and no size.
 #[test]
 fn a_mode_change_keeps_a_dirty_files_size() {
-    check(&[Op::Create(0, 0), Op::Write(0, 0, 1, 7), Op::SetMode(0, 0, 0), Op::GetAttr(0, 0)]);
+    check(&[
+        Op::Create(0, 0, false),
+        Op::Write(0, 0, 1, 7),
+        Op::SetMode(0, 0, 0),
+        Op::GetAttr(0, 0),
+    ]);
 }
 
 /// An UNCHECKED CREATE of an existing name sets that file's mode: its
@@ -376,10 +398,10 @@ fn a_mode_change_keeps_a_dirty_files_size() {
 fn a_create_over_an_existing_file_rechecks_its_access() {
     let (a, execute) = (0, 0x20);
     check(&[
-        Op::Create(0, a),
+        Op::Create(0, a, false),
         Op::SetMode(0, a, 3),
         Op::Access(0, a, execute),
-        Op::Create(0, a),
+        Op::Create(0, a, false),
         Op::Access(0, a, execute),
     ]);
 }
@@ -405,10 +427,112 @@ fn a_moved_directory_is_listed_afresh() {
 fn a_dirty_file_unlinked_by_its_link_name_is_dropped() {
     let (a, b) = (0, 1);
     check(&[
-        Op::Create(0, a),
+        Op::Create(0, a, false),
         Op::Write(0, a, 0, 7),
         Op::Link(0, a, 0, b),
         Op::Remove(0, a),
         Op::Remove(0, b),
     ]);
+}
+
+/// LOOKUPs run through `rig`; returns how many the proxy forwarded.
+fn forwarded_lookups(rig: &mut Rig, ops: &[Op]) -> u64 {
+    let before = rig.proxy.forwarded_by_proc()[procnum::LOOKUP as usize];
+    for &op in ops {
+        rig.run(op);
+    }
+    rig.proxy.forwarded_by_proc()[procnum::LOOKUP as usize] - before
+}
+
+/// A directory the session made is known completely: a name absent from
+/// it is answered NOENT, with the directory's attributes, without asking
+/// the server.
+#[test]
+fn an_absent_name_in_a_made_directory_is_answered_locally() {
+    let (a, b, d1, d2) = (0, 1, 2, 3);
+    let mut rig = Rig::new();
+    for op in [Op::Mkdir(0, d1), Op::Create(1, a, false), Op::Mkdir(1, d2), Op::Remove(1, a)] {
+        rig.run(op);
+    }
+    let absent = [Op::Lookup(1, a), Op::Lookup(1, b), Op::Lookup(2, a)];
+    assert_eq!(forwarded_lookups(&mut rig, &absent), 0);
+    rig.settle();
+}
+
+/// "." and ".." are the server's to resolve, in a made directory too.
+#[test]
+fn dot_and_dot_dot_in_a_made_directory_are_the_servers() {
+    let (d1, d2, dot, dotdot) = (2, 3, 4, 5);
+    let mut rig = Rig::new();
+    rig.run(Op::Mkdir(0, d1));
+    rig.run(Op::Mkdir(1, d2));
+    let dots = [Op::Lookup(1, dot), Op::Lookup(1, dotdot), Op::Lookup(2, dotdot)];
+    assert_eq!(forwarded_lookups(&mut rig, &dots), 3);
+    rig.settle();
+}
+
+/// A directory removed and made again under the same name starts empty.
+#[test]
+fn a_directory_made_again_knows_none_of_its_old_names() {
+    let (a, d1) = (0, 2);
+    let mut rig = Rig::new();
+    let ops = [
+        Op::Mkdir(0, d1),
+        Op::Create(1, a, false),
+        Op::Lookup(1, a),
+        Op::Remove(1, a),
+        Op::Rmdir(0, d1),
+        Op::Mkdir(0, d1),
+    ];
+    for op in ops {
+        rig.run(op);
+    }
+    assert_eq!(forwarded_lookups(&mut rig, &[Op::Lookup(1, a)]), 0);
+    rig.settle();
+}
+
+/// A made directory moved under another parent keeps its names, and its
+/// ".." is the new parent.
+#[test]
+fn a_made_directory_moved_under_another_parent_stays_known() {
+    let (a, b, d1, d2, dotdot) = (0, 1, 2, 3, 5);
+    let mut rig = Rig::new();
+    let ops = [
+        Op::Mkdir(0, d1),
+        Op::Mkdir(1, d2),
+        Op::Create(2, a, false),
+        Op::Lookup(2, dotdot),
+        // d2 moves from d1 to the root, then takes the path "/GFS/d1".
+        Op::Rename(1, d2, 0, a),
+        Op::Rename(0, d1, 0, b),
+        Op::Rename(0, a, 0, d1),
+        Op::Lookup(1, dotdot),
+        Op::Lookup(1, a),
+    ];
+    for op in ops {
+        rig.run(op);
+    }
+    assert_eq!(forwarded_lookups(&mut rig, &[Op::Lookup(1, b)]), 0);
+    rig.settle();
+}
+
+/// The name → handle map forgets every name of a file whose last link
+/// it believes gone, and it believes so whenever the file's attributes
+/// are not cached. A made directory's names must not follow it.
+#[test]
+fn a_name_the_handle_map_forgot_is_never_answered_absent() {
+    let (a, b, d1, d2, mode) = (0, 1, 2, 3, 1);
+    // "a" and "b" in d1 are links of one file; its third link, in the
+    // root, goes while its attributes are not cached.
+    let forget = [
+        Op::Mkdir(0, d1),
+        Op::Create(1, a, false),
+        Op::Link(1, a, 1, b),
+        Op::Link(1, a, 0, d2),
+        Op::SetMode(1, a, mode),
+        Op::Remove(0, d2),
+    ];
+    check(&[&forget[..], &[Op::Lookup(1, a), Op::Lookup(1, b)]].concat());
+    // A RENAME onto another link of the same file leaves both names.
+    check(&[&forget[..], &[Op::Rename(1, a, 1, b), Op::Lookup(1, a), Op::Lookup(1, b)]].concat());
 }

@@ -3,8 +3,11 @@
 
 use sgfs::config::{SecurityLevel, StripePolicy};
 use sgfs::session::{GridWorld, Session, SessionParams, SetupKind};
-use sgfs_nfsclient::OpenFlags;
+use sgfs_nfs3::proc::procnum;
+use sgfs_nfs3::{Nfs3Error, NfsStat3};
+use sgfs_nfsclient::{FsError, OpenFlags};
 use sgfs_vfs::UserContext;
+use sgfs_workloads::postmark::{self, PostmarkConfig};
 use std::time::Duration;
 
 fn all_kinds() -> Vec<SetupKind> {
@@ -425,6 +428,35 @@ fn acl_files_are_shielded_from_remote_access() {
     let names = session.mount.readdir("/").unwrap();
     assert!(names.iter().all(|n| !n.ends_with(".acl")), "{names:?}");
     assert!(names.contains(&"visible.txt".to_string()));
+    session.finish().unwrap();
+}
+
+/// Under a directory the session made, an ACL file's name is still the
+/// server proxy's to refuse: the proxy never answers it as absent.
+#[test]
+fn an_acl_name_in_a_made_directory_is_refused_over_the_wan() {
+    let world = GridWorld::new();
+    let mut session = wan_cached_session(&world);
+    session.mount.mkdir("/d", 0o755).unwrap();
+    session.mount.write_file("/d/f", b"data").unwrap();
+    let err = session.mount.stat("/d/.f.acl").unwrap_err();
+    assert!(matches!(err, FsError::Nfs(Nfs3Error::Status(NfsStat3::Acces))), "{err:?}");
+    session.finish().unwrap();
+}
+
+/// PostMark makes every file in a directory the session made: the proxy
+/// answers each open(O_CREAT)'s LOOKUP itself, so a CREATE crosses the
+/// WAN alone.
+#[test]
+fn wan_postmark_creates_without_looking_up_first() {
+    let world = GridWorld::new();
+    let mut session = wan_cached_session(&world);
+    let cfg = PostmarkConfig { dirs: 4, files: 20, transactions: 40, ..Default::default() };
+    let clock = session.clock().clone();
+    let result = postmark::run(&mut session.mount, &clock, &cfg).unwrap();
+    let forwarded = session.client_proxy_stats().unwrap().forwarded_by_proc();
+    assert_eq!(forwarded[procnum::LOOKUP as usize], 0);
+    assert_eq!(forwarded[procnum::CREATE as usize], result.created as u64);
     session.finish().unwrap();
 }
 

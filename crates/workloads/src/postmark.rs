@@ -52,6 +52,8 @@ pub struct PostmarkResult {
     pub deletion: Duration,
     /// Total.
     pub total: Duration,
+    /// Files created, each deleted again before the run ends.
+    pub created: usize,
 }
 
 fn dir_of(i: usize, dirs: usize) -> String {
@@ -138,6 +140,7 @@ pub fn run(
         transaction,
         deletion,
         total: creation + transaction + deletion,
+        created: next_new,
     })
 }
 
