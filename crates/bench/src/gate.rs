@@ -24,6 +24,7 @@
 //! | `slo`      | per-procedure p99/p999 under a 4 × storm, storm real, all answered, backlog bounded, drained |
 //! | `crypto`   | dispatched AES ≥ 5 × the scalar reference, both directions |
 //! | `pipeline` | window 8 ≥ 2 × window 1 at 20 ms |
+//! | `wan`      | quick PostMark at 5 and 40 ms: LOOKUP, CREATE and REMOVE never cross the WAN, MKDIR and RMDIR once per directory; the fit `runtime = fixed + n × RTT` |
 //! | `contract` | floors on numbers `benchmark/` already prints ([`contract`]): AEAD ≥ 1.1 × CBC, hardware GCM ≥ 2 000 MiB/s, ≤ 10 context switches per call |
 
 mod contract;
@@ -35,6 +36,7 @@ mod pipeline;
 mod scale;
 mod slo;
 mod stripe;
+mod wan;
 
 use crate::RunOpts;
 use serde::{Deserialize, Serialize};
@@ -249,6 +251,7 @@ pub fn main() -> ExitCode {
         ("slo", slo::suite),
         ("crypto", crypto::suite),
         ("pipeline", pipeline::suite),
+        ("wan", wan::suite),
     ]
     .into_iter()
     .map(|(name, run)| Suite { name, run: Box::new(run) })

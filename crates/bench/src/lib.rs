@@ -105,6 +105,43 @@ pub fn wan_session(world: &GridWorld, kind: SetupKind, rtt: Duration, mem_cache:
     Session::build(world, &params).unwrap_or_else(|e| panic!("{}: {e}", kind.label()))
 }
 
+/// One PostMark run on a WAN session of `kind`, and what crossed the WAN.
+pub struct WanPostmark {
+    /// PostMark's own runtime: the number Figure 8 plots.
+    pub runtime: Duration,
+    /// The final write-back at teardown, which PostMark does not time.
+    pub writeback: Duration,
+    /// Upstream calls by procedure during the run; `None` without a
+    /// client proxy.
+    pub forwarded: Option<[u64; sgfs_obs::NUM_PROCS]>,
+    /// Upstream calls the teardown forwarded: names shipped there.
+    pub shipped_at_teardown: u64,
+}
+
+/// Run PostMark `cfg` on a WAN session of `kind` at `rtt`, then tear the
+/// session down.
+pub fn postmark_wan(
+    world: &GridWorld,
+    kind: SetupKind,
+    rtt: Duration,
+    mem_cache: usize,
+    cfg: &sgfs_workloads::postmark::PostmarkConfig,
+) -> WanPostmark {
+    let mut session = wan_session(world, kind, rtt, mem_cache);
+    let clock = session.clock().clone();
+    let res = sgfs_workloads::postmark::run(&mut session.mount, &clock, cfg)
+        .unwrap_or_else(|e| panic!("{} @ {rtt:?}: {e}", kind.label()));
+    let forwarded = session.client_proxy_stats().map(|s| s.forwarded_by_proc());
+    let (report, after) = session.finish_with(|proxy| proxy.forwarded_by_proc()).expect("teardown");
+    let total = |counts: Option<[u64; sgfs_obs::NUM_PROCS]>| counts.map_or(0, |c| c.iter().sum());
+    WanPostmark {
+        runtime: res.total,
+        writeback: report.writeback_time,
+        shipped_at_teardown: total(after) - total(forwarded),
+        forwarded,
+    }
+}
+
 /// Mean and sample standard deviation.
 pub fn mean_std(xs: &[f64]) -> (f64, f64) {
     let n = xs.len() as f64;

@@ -4,7 +4,7 @@
 //! *wire*; this module breaks the *process*. A [`CrashInjector`] arms one
 //! [`CrashPoint`] — a named instant in the write-back cache's durability
 //! protocol (spool write, journal append, fsync, compaction rename,
-//! flush commit) — and when execution reaches that point for the N-th
+//! flush commit, namespace ship) — and when execution reaches that point for the N-th
 //! time, every subsequent durability operation fails with a sentinel
 //! error, freezing the on-disk state exactly as a killed process would
 //! leave it. The driver observes the error, abandons the cache, and
@@ -48,10 +48,16 @@ pub enum CrashPoint {
     FlushBeforeCommit,
     /// After the server's COMMIT reply, before the journal learns of it.
     FlushAfterCommit,
+    /// Between two dependency levels of a namespace ship: the parents
+    /// are made on the server and journaled, their children not yet sent.
+    ShipBetweenLevels,
+    /// After a namespace ship's replies, before the journal learns which
+    /// names the server made.
+    ShipAfterReply,
 }
 
 /// Every kill point, for matrix iteration.
-pub const ALL_CRASH_POINTS: [CrashPoint; 10] = [
+pub const ALL_CRASH_POINTS: [CrashPoint; 12] = [
     CrashPoint::BeforeSpoolWrite,
     CrashPoint::AfterSpoolWrite,
     CrashPoint::BeforeJournalAppend,
@@ -62,6 +68,8 @@ pub const ALL_CRASH_POINTS: [CrashPoint; 10] = [
     CrashPoint::BeforeCompactionRename,
     CrashPoint::FlushBeforeCommit,
     CrashPoint::FlushAfterCommit,
+    CrashPoint::ShipBetweenLevels,
+    CrashPoint::ShipAfterReply,
 ];
 
 /// Arms one kill point and trips every durability operation once hit.

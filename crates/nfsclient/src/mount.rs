@@ -158,6 +158,12 @@ impl NfsMount {
         &self.root
     }
 
+    /// The NFS client under the mount, for calls no system call here
+    /// makes (an EXCLUSIVE CREATE). Its calls bypass the mount's caches.
+    pub fn nfs(&mut self) -> &mut Nfs3Client {
+        &mut self.nfs
+    }
+
     /// RPC counters so far.
     pub fn stats(&self) -> &OpStats {
         &self.stats

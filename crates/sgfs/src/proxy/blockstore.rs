@@ -12,14 +12,15 @@
 //! restarts, and [`DiskStore::with_durability`] replays the journal to
 //! re-mark surviving blocks dirty before the proxy serves its first call.
 
-use super::journal::{Journal, RecoveryReport, Survivor};
+use super::journal::{Journal, NameRecord, RecoveryReport, Survivor};
 use crate::config::DurabilityPolicy;
 use sgfs_net::{CrashInjector, CrashPoint};
 use sgfs_nfs3::Fh3;
 use sgfs_obs::{Counter, Emitter, Hop, NO_PROC};
 use std::collections::HashMap;
+use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Key of one cached block.
@@ -60,6 +61,11 @@ pub trait BlockStore: Send {
     fn commit_file(&mut self, _fh: &Fh3) -> std::io::Result<()> {
         Ok(())
     }
+    /// Make one change to the client proxy's namespace log durable,
+    /// before it is acknowledged. Only a journaled store keeps it.
+    fn record_name(&mut self, _rec: &NameRecord) -> std::io::Result<()> {
+        Ok(())
+    }
     /// All block offsets cached for `fh`, sorted.
     fn blocks_of(&self, fh: &Fh3) -> Vec<u64>;
     /// All dirty block offsets for `fh`, sorted.
@@ -75,27 +81,127 @@ pub trait BlockStore: Send {
     fn dirty_bytes(&self) -> u64;
 }
 
-/// Disk-backed store: one spool file per cached file handle, written at
-/// block offsets (sparse), with an in-memory index. Real file I/O makes
-/// the disk-cache cost in the benchmarks genuine.
+/// Disk-backed store: block payloads in spool files, with an in-memory
+/// index. Real file I/O makes the disk-cache cost in the benchmarks
+/// genuine.
 ///
 /// Two modes:
 ///
 /// * [`new`](Self::new) — ephemeral: the spool directory is cleared on
 ///   open and removed on drop (each benchmark session starts cold, per
-///   the paper's methodology). A crash discards dirty blocks.
+///   the paper's methodology). A crash discards dirty blocks. Every
+///   block lives in one shared spool file ([`Extents`]).
 /// * [`with_durability`](Self::with_durability) — crash-consistent: the
 ///   spool and a write-ahead journal persist across restarts, and
-///   construction replays the journal into the index.
+///   construction replays the journal into the index. Each file handle
+///   has a spool file of its own, written at block offsets (sparse), so
+///   recovery finds a survivor's bytes from its key alone.
 pub struct DiskStore {
     dir: PathBuf,
     index: HashMap<BlockKey, BlockMeta>,
-    open: HashMap<Fh3, std::fs::File>,
+    spool: Spool,
     journal: Option<Journal>,
     stats: Emitter,
     crash: Option<Arc<CrashInjector>>,
-    /// Keep the spool directory on drop (journal mode).
-    persist: bool,
+}
+
+/// Where a [`DiskStore`] keeps its payloads.
+enum Spool {
+    /// Journal mode: one file per handle, opened on first use.
+    PerHandle(HashMap<Fh3, File>),
+    /// Ephemeral mode: one file for every block.
+    Shared(Extents),
+}
+
+/// The ephemeral store's one spool file, cut into extents whose sizes
+/// are powers of two (4 KiB and up). A block keeps its extent while its
+/// payload fits; a freed extent goes to the next block of its size, so
+/// the file grows only to the most the store ever held at once.
+///
+/// How long the host file system takes to create a file depends on what
+/// it did in the minutes before (from 10 µs to 700 µs on a 2-CPU ext4
+/// host): a store that created a file per cached handle made a session's
+/// wall time, and with it the simulated runtime of a WAN session, swing
+/// by that much for every file it cached. This one creates a file once.
+struct Extents {
+    file: File,
+    /// Where each resident block's payload starts, and its extent's size.
+    at: HashMap<BlockKey, (u64, u64)>,
+    /// Freed extents' starts, by size.
+    free: HashMap<u64, Vec<u64>>,
+    /// End of the highest extent handed out.
+    end: u64,
+}
+
+/// The smallest extent: one page.
+const MIN_EXTENT: u64 = 4096;
+
+impl Extents {
+    fn create(dir: &Path) -> std::io::Result<Self> {
+        let file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create_new(true)
+            .open(dir.join("blocks.spool"))?;
+        Ok(Self { file, at: HashMap::new(), free: HashMap::new(), end: 0 })
+    }
+
+    fn read(&mut self, key: &BlockKey, buf: &mut [u8]) -> std::io::Result<()> {
+        let Some(&(at, _)) = self.at.get(key) else {
+            return Err(std::io::ErrorKind::NotFound.into());
+        };
+        self.file.seek(SeekFrom::Start(at))?;
+        self.file.read_exact(buf)
+    }
+
+    /// Write `data` as `key`'s payload: in place if its extent still
+    /// fits it, else into another extent, freeing the old one only once
+    /// the write has landed.
+    fn write(&mut self, key: &BlockKey, data: &[u8]) -> std::io::Result<()> {
+        let len = data.len() as u64;
+        let held = self.at.get(key).copied();
+        let (at, size) = match held {
+            Some((at, size)) if size >= len => (at, size),
+            _ => {
+                let size = len.next_power_of_two().max(MIN_EXTENT);
+                let reused = self.free.get_mut(&size).and_then(Vec::pop);
+                let at = reused.unwrap_or_else(|| {
+                    self.end += size;
+                    self.end - size
+                });
+                (at, size)
+            }
+        };
+        let written = self
+            .file
+            .seek(SeekFrom::Start(at))
+            .and_then(|_| self.file.write_all(data));
+        if held != Some((at, size)) {
+            match written {
+                Ok(()) => {
+                    if let Some((old, old_size)) = held {
+                        self.release(old, old_size);
+                    }
+                    self.at.insert(key.clone(), (at, size));
+                }
+                Err(_) => self.release(at, size),
+            }
+        }
+        written
+    }
+
+    fn forget(&mut self, fh: &Fh3) {
+        let gone: Vec<BlockKey> = self.at.keys().filter(|(f, _)| f == fh).cloned().collect();
+        for key in gone {
+            if let Some((at, size)) = self.at.remove(&key) {
+                self.release(at, size);
+            }
+        }
+    }
+
+    fn release(&mut self, at: u64, size: u64) {
+        self.free.entry(size).or_default().push(at);
+    }
 }
 
 impl DiskStore {
@@ -115,15 +221,8 @@ impl DiskStore {
             std::fs::remove_dir_all(&dir)?;
         }
         std::fs::create_dir_all(&dir)?;
-        Ok(Self {
-            dir,
-            index: HashMap::new(),
-            open: HashMap::new(),
-            journal: None,
-            stats,
-            crash,
-            persist: false,
-        })
+        let spool = Spool::Shared(Extents::create(&dir)?);
+        Ok(Self { dir, index: HashMap::new(), spool, journal: None, stats, crash })
     }
 
     /// Open a crash-consistent store under `dir`: recover the journal
@@ -148,11 +247,10 @@ impl DiskStore {
         let mut store = Self {
             dir,
             index: HashMap::new(),
-            open: HashMap::new(),
+            spool: Spool::PerHandle(HashMap::new()),
             journal: None,
             stats: stats.clone(),
             crash: crash.clone(),
-            persist: true,
         };
         // Re-admit survivors, verifying the spool actually holds the
         // bytes the journal promises (spool writes precede journal
@@ -180,6 +278,7 @@ impl DiskStore {
         }
         let mut journal =
             Journal::open(&store.dir, policy, &recovered, report.records_replayed)?;
+        journal.seed_names(&report.names);
         journal.instrument(stats.clone(), crash);
         store.journal = Some(journal);
         report.survivors = recovered;
@@ -219,8 +318,12 @@ impl DiskStore {
         self.stats.add(Counter::CacheIoErrors, 1);
     }
 
-    fn file_for(&mut self, fh: &Fh3) -> std::io::Result<&mut std::fs::File> {
-        if !self.open.contains_key(fh) {
+    /// Journal mode's spool file for `fh`, opened (or made) on first use.
+    fn file_for(&mut self, fh: &Fh3) -> std::io::Result<&mut File> {
+        let Spool::PerHandle(open) = &mut self.spool else {
+            unreachable!("only a journaled store spools per handle");
+        };
+        if !open.contains_key(fh) {
             let path = self.dir.join(Self::spool_name(fh));
             let f = std::fs::OpenOptions::new()
                 .read(true)
@@ -228,30 +331,40 @@ impl DiskStore {
                 .create(true)
                 .truncate(false)
                 .open(path)?;
-            self.open.insert(fh.clone(), f);
+            open.insert(fh.clone(), f);
         }
-        Ok(self.open.get_mut(fh).expect("just inserted"))
+        Ok(open.get_mut(fh).expect("just inserted"))
     }
 
     fn spool_name(fh: &Fh3) -> String {
         let name: String = fh.0.iter().map(|b| format!("{b:02x}")).collect();
         format!("{name}.spool")
     }
+
+    fn read(&mut self, key: &BlockKey, buf: &mut [u8]) -> std::io::Result<()> {
+        if let Spool::Shared(extents) = &mut self.spool {
+            return extents.read(key, buf);
+        }
+        let f = self.file_for(&key.0)?;
+        f.seek(SeekFrom::Start(key.1))?;
+        f.read_exact(buf)
+    }
+
+    fn write(&mut self, key: &BlockKey, data: &[u8]) -> std::io::Result<()> {
+        if let Spool::Shared(extents) = &mut self.spool {
+            return extents.write(key, data);
+        }
+        let f = self.file_for(&key.0)?;
+        f.seek(SeekFrom::Start(key.1))?;
+        f.write_all(data)
+    }
 }
 
 impl BlockStore for DiskStore {
     fn get(&mut self, key: &BlockKey) -> Option<Vec<u8>> {
         let meta = *self.index.get(key)?;
-        let (fh, offset) = key;
-        let fh = fh.clone();
-        let offset = *offset;
         let mut buf = vec![0u8; meta.len as usize];
-        let read = (|| -> std::io::Result<()> {
-            let f = self.file_for(&fh)?;
-            f.seek(SeekFrom::Start(offset))?;
-            f.read_exact(&mut buf)
-        })();
-        match read {
+        match self.read(key, &mut buf) {
             Ok(()) => Some(buf),
             Err(_) => {
                 // Spool read failed: the index promised bytes the disk
@@ -266,15 +379,7 @@ impl BlockStore for DiskStore {
 
     fn put(&mut self, key: BlockKey, data: &[u8], dirty: bool) -> std::io::Result<()> {
         self.hit(CrashPoint::BeforeSpoolWrite)?;
-        let (fh, offset) = &key;
-        let fh = fh.clone();
-        let offset = *offset;
-        let write = (|| -> std::io::Result<()> {
-            let f = self.file_for(&fh)?;
-            f.seek(SeekFrom::Start(offset))?;
-            f.write_all(data)
-        })();
-        if let Err(e) = write {
+        if let Err(e) = self.write(&key, data) {
             // Short writes / ENOSPC no longer insert a lying index entry;
             // the caller decides whether to degrade to write-through.
             self.count_io_error();
@@ -326,6 +431,13 @@ impl BlockStore for DiskStore {
         Ok(())
     }
 
+    fn record_name(&mut self, rec: &NameRecord) -> std::io::Result<()> {
+        match &mut self.journal {
+            Some(j) => j.record_name(rec),
+            None => Ok(()),
+        }
+    }
+
     fn blocks_of(&self, fh: &Fh3) -> Vec<u64> {
         let mut v: Vec<u64> =
             self.index.keys().filter(|(f, _)| f == fh).map(|(_, o)| *o).collect();
@@ -367,9 +479,17 @@ impl BlockStore for DiskStore {
             }
         }
         self.index.retain(|(f, _), _| f != fh);
-        if self.open.remove(fh).is_some()
-            && std::fs::remove_file(self.dir.join(Self::spool_name(fh))).is_err()
-        {
+        let unlinked = match &mut self.spool {
+            Spool::Shared(extents) => {
+                extents.forget(fh);
+                true
+            }
+            Spool::PerHandle(open) => {
+                open.remove(fh).is_none()
+                    || std::fs::remove_file(self.dir.join(Self::spool_name(fh))).is_ok()
+            }
+        };
+        if !unlinked {
             // The spool file lingers (it will be truncated on reuse or
             // removed with the directory); count, don't ignore.
             self.count_io_error();
@@ -387,16 +507,15 @@ impl BlockStore for DiskStore {
 
 impl Drop for DiskStore {
     fn drop(&mut self) {
-        if self.persist {
+        if let Some(j) = &mut self.journal {
             // Crash-consistent mode: the spool and journal ARE the
             // durable state; flush journal buffers and leave everything
             // in place for the next incarnation.
-            if let Some(j) = &mut self.journal {
-                let _ = j.sync();
-            }
+            let _ = j.sync();
             return;
         }
-        self.open.clear();
+        // Close the spool file before removing it.
+        self.spool = Spool::PerHandle(HashMap::new());
         if std::fs::remove_dir_all(&self.dir).is_err() && self.dir.exists() {
             self.count_io_error();
         }
@@ -610,6 +729,35 @@ mod tests {
         assert_eq!(store.get(&(fh(1), 0)).unwrap(), vec![9; 80]);
         assert!(store.meta(&(fh(1), 0)).unwrap().dirty);
         assert_eq!(store.total_bytes(), 80);
+    }
+
+    #[test]
+    fn ephemeral_store_reuses_freed_extents_in_one_file() {
+        let dir = temp_dir("extents");
+        let mut store = DiskStore::new(dir.clone()).unwrap();
+        let spool_len = || std::fs::metadata(dir.join("blocks.spool")).unwrap().len();
+        store.put((fh(1), 0), &[1; 100], true).unwrap();
+        store.put((fh(1), 32768), &[2; 5000], true).unwrap();
+        assert_eq!(spool_len(), 4096 + 5000, "a 4 KiB extent, then an 8 KiB one");
+        // A grown payload moves to a larger extent; a shrunk one stays.
+        store.put((fh(1), 0), &[3; 6000], true).unwrap();
+        store.put((fh(1), 32768), &[4; 10], true).unwrap();
+        assert_eq!(store.get(&(fh(1), 0)).unwrap(), vec![3; 6000]);
+        assert_eq!(store.get(&(fh(1), 32768)).unwrap(), vec![4; 10]);
+        // Another handle takes the extents the dropped one freed.
+        store.drop_file(&fh(1));
+        for (i, n) in [(2u64, 7000usize), (3, 8000), (4, 4096)] {
+            store.put((fh(i), 0), &vec![i as u8; n], false).unwrap();
+        }
+        // The three extents handed out so far: 4 KiB, 8 KiB and 8 KiB.
+        assert!(spool_len() <= 4096 + 2 * 8192, "no extent past the high-water mark");
+        for (i, n) in [(2u64, 7000usize), (3, 8000), (4, 4096)] {
+            assert_eq!(store.get(&(fh(i), 0)).unwrap(), vec![i as u8; n]);
+        }
+        let files = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(files, 1, "every block in one spool file");
+        drop(store);
+        assert!(!dir.exists());
     }
 
     #[test]

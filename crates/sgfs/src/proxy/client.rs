@@ -37,7 +37,8 @@
 
 use crate::config::{CacheMode, HopCost, RetryPolicy, SessionConfig, StripePolicy};
 use crate::proxy::blockstore::{BlockKey, BlockStore, DiskStore, MemStore};
-use crate::proxy::namecache::{Call, NameCache};
+use crate::proxy::journal::NameRecord;
+use crate::proxy::namecache::{is_minted, Call, Entry, NameCache};
 use crate::proxy::pipeline::{PendingReply, Pipeline};
 use crate::proxy::stripe::{StripeMap, StripeSet};
 use parking_lot::Mutex;
@@ -49,6 +50,7 @@ use sgfs_oncrpc::{AcceptStat, CallHeader, OpaqueAuth, RecordService, ReplyHeader
 use sgfs_net::{BoxStream, CrashInjector, CrashPoint};
 use sgfs_obs::{Counter, Emitter, Gauge, Hop, NO_PROC};
 use sgfs_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::Range;
 use std::sync::Arc;
@@ -366,6 +368,7 @@ impl ClientProxy {
         }
         let obs = config.obs.clone().unwrap_or_else(sgfs_obs::Obs::disabled);
         let stats = Emitter::new(&obs, "client");
+        let mut namecache = NameCache::new(map.is_partial(), stats.clone());
         let store: Option<Box<dyn BlockStore>> = match &config.cache {
             CacheMode::None => None,
             // SFS-style: metadata aggressively cached; read-ahead blocks
@@ -374,14 +377,16 @@ impl ClientProxy {
             CacheMode::MemoryMeta => Some(Box::new(MemStore::new(64 * 1024 * 1024))),
             CacheMode::Disk { dir } => {
                 // Crash-consistent disk cache: recover the previous
-                // incarnation's journal (re-marking survivors dirty)
-                // before serving the first call, then journal new state.
-                let (store, _report) = DiskStore::with_durability(
+                // incarnation's journal (re-marking survivors dirty, and
+                // re-logging the names it had not shipped) before serving
+                // the first call, then journal new state.
+                let (store, report) = DiskStore::with_durability(
                     dir.clone(),
                     config.durability,
                     stats.clone(),
                     config.crash.clone(),
                 )?;
+                namecache.recover(report.names);
                 Some(Box::new(store))
             }
         };
@@ -403,7 +408,7 @@ impl ClientProxy {
             redial.push(shared);
         }
         Ok(Self {
-            namecache: NameCache::new(map.is_partial(), stats.clone()),
+            namecache,
             stripe: StripeSet::new(map, pipelines),
             store,
             stats,
@@ -506,8 +511,14 @@ impl ClientProxy {
         // everything): the procedure's latency sample; the waits are
         // excluded from the busy time where they happen.
         let t0 = std::time::Instant::now();
-        let reply = self.process(record);
-        self.stats.message(sgfs_obs::peek_proc(record), t0.elapsed());
+        let proc = sgfs_obs::peek_proc(record);
+        // A logged name the call needed upstream was refused there: the
+        // call fails with the server's status.
+        let reply = self.process(record).or_else(|e| match refusal(&e) {
+            Some(status) => Ok(failure_reply(sgfs_obs::peek_xid(record), proc, status)),
+            None => Err(e),
+        });
+        self.stats.message(proc, t0.elapsed());
         let reply = reply?;
         // The kernel-client ↔ proxy loopback hop (request + reply).
         if let Some(clock) = &self.clock {
@@ -560,6 +571,13 @@ impl ClientProxy {
         if let Some(reply) = self.namecache.answer(header.xid, header.proc, &call) {
             return Ok(reply);
         }
+        if let Some(reply) = self.write_behind(header.xid, &call, &header.cred)? {
+            return Ok(reply);
+        }
+        let due = self.namecache.barrier(&call);
+        if !due.is_empty() {
+            self.ship(&due)?;
+        }
         // Truncation invalidates cached blocks; flush dirty data first so
         // nothing is lost.
         if let Call::SetAttr(a) = &call {
@@ -573,6 +591,10 @@ impl ClientProxy {
         let (reply, unlinked) = self.namecache.apply(&call, reply, |fh| is_dirty(store, fh));
         if let Some(fh) = unlinked {
             self.forget_data(&fh);
+            // A shipped name gone for good: recovery need not map it.
+            if is_minted(&fh) && !self.namecache.is_mapped(&fh) {
+                self.journal_name(&NameRecord::Cancelled { fh })?;
+            }
         }
         Ok(reply)
     }
@@ -685,8 +707,10 @@ impl ClientProxy {
             let count = map.contiguous(offset, a.count as u64) as u32;
             let args = ReadArgs { file: key.0, offset, count };
             self.next_xid = self.next_xid.wrapping_add(1);
+            let record = encode_call(self.next_xid, procnum::READ, &self.client_cred, &args);
+            let Ok(record) = self.upstream(Cow::Owned(record)) else { return };
             offsets_of[m].push(offset);
-            records_of[m].push(encode_call(self.next_xid, procnum::READ, &self.client_cred, &args));
+            records_of[m].push(record.into_owned());
         }
         let stream =
             self.prefetch_gov.stream(&a.file).expect("on_read keeps the stream it has a batch for");
@@ -844,6 +868,10 @@ impl ClientProxy {
         // couple in one flush means the server is crash-looping and
         // retrying forever would hide that.
         const MAX_VERIFIER_RETRIES: u32 = 3;
+        // A file's blocks follow its name.
+        if self.namecache.is_logged(fh) {
+            self.ship(std::slice::from_ref(fh))?;
+        }
         for _ in 0..MAX_VERIFIER_RETRIES {
             let dirty = match &self.store {
                 Some(s) => s.dirty_blocks_of(fh),
@@ -951,7 +979,7 @@ impl ClientProxy {
                 let args = WriteArgs { file, offset, stable: StableHow::Unstable, data };
                 self.next_xid = self.next_xid.wrapping_add(1);
                 let record = encode_call(self.next_xid, procnum::WRITE, &self.client_cred, &args);
-                records[m].push(record);
+                records[m].push(self.upstream(Cow::Owned(record))?.into_owned());
                 sent[m].push(key.clone());
             }
         }
@@ -1101,14 +1129,17 @@ impl ClientProxy {
     /// the harness times this as the paper's separate "write back at the
     /// end of execution" figure. Returns the number of bytes flushed.
     pub fn flush_all(&mut self) -> std::io::Result<u64> {
-        let files = match &self.store {
-            Some(s) => s.dirty_files(),
-            None => return Ok(0),
-        };
-        let before = self.store.as_ref().map(|s| s.dirty_bytes()).unwrap_or(0);
+        let Some(store) = &self.store else { return Ok(0) };
+        let before = store.dirty_bytes();
+        // Names first: every logged name becomes visible now, as the data
+        // does, and a file's blocks follow its name.
+        let logged = self.namecache.logged();
+        let mut first_err = self.ship(&logged).err();
+        let mut files = self.store.as_ref().map(|s| s.dirty_files()).unwrap_or_default();
+        files.retain(|fh| !self.namecache.is_logged(fh));
         // Every file is attempted: one that cannot be written back (its
-        // handle went stale behind the cache) must not strand the rest.
-        let mut first_err = None;
+        // handle went stale behind the cache) must not strand the rest. A
+        // file whose name was refused stays dirty; the error names it.
         for fh in files {
             if let Err(e) = self.flush_file(&fh) {
                 first_err.get_or_insert(e);
@@ -1140,8 +1171,12 @@ impl ClientProxy {
     /// every live member so replica state stays structurally identical
     /// (file handles are derived from the op sequence, which every member
     /// sees in the same order); GETATTR asks every member when members
-    /// are partial; everything else rides the first live member.
+    /// are partial; everything else rides the first live member. The
+    /// call crosses the upstream boundary under the server's handles
+    /// ([`upstream`](Self::upstream)), the reply under the mount's
+    /// ([`NameCache::to_mount`]).
     fn forward(&mut self, record: &[u8], proc: u32, args: &[u8]) -> std::io::Result<Vec<u8>> {
+        let record = &self.upstream(Cow::Borrowed(record))?;
         self.stats.forwarded(proc);
         let map = *self.stripe.map();
         let extent = match proc {
@@ -1154,7 +1189,8 @@ impl ClientProxy {
             // mapped member receives the whole extent; reads still route
             // per block.
             (procnum::WRITE, Some((offset, count))) => {
-                self.mirror_to(map.members_of_extent(offset, count as u64), record)?
+                let members = map.members_of_extent(offset, count as u64);
+                self.mirror_to(members, &[record])?.swap_remove(0)
             }
             (
                 procnum::SETATTR
@@ -1168,11 +1204,11 @@ impl ClientProxy {
                 | procnum::LINK
                 | procnum::COMMIT,
                 _,
-            ) => self.mirror_to(0..self.stripe.width(), record)?,
+            ) => self.mirror_to(0..self.stripe.width(), &[record])?.swap_remove(0),
             (procnum::GETATTR, _) if map.is_partial() => self.getattr_every_member(record)?,
             _ => self.call_first_live(record)?,
         };
-        Ok(reply)
+        Ok(self.namecache.to_mount(proc, reply))
     }
 
     /// GETATTR under partial placement: any single member undershoots
@@ -1235,34 +1271,39 @@ impl ClientProxy {
         }
     }
 
-    /// Mirror one call to every live member of `members` (submitting all
-    /// before waiting on any), replying from the lowest-index survivor.
-    fn mirror_to(
+    /// Mirror calls to every live member of `members` — each member's
+    /// batch submitted before any reply is awaited — and return the
+    /// replies of the lowest-index member that answered them all.
+    fn mirror_to<R: AsRef<[u8]>>(
         &mut self,
         members: impl IntoIterator<Item = usize>,
-        record: &[u8],
-    ) -> std::io::Result<Vec<u8>> {
+        records: &[R],
+    ) -> std::io::Result<Vec<Vec<u8>>> {
         let t_io = std::time::Instant::now();
         let mut pending = Vec::new();
         for m in members {
             if self.stripe.is_up(m) {
                 let member = self.stripe.member(m);
-                let reply = member.submit(record);
-                pending.push((m, member, reply));
+                let replies = member.submit_batch(records);
+                pending.push((m, member, replies));
             }
         }
-        let mut first: Option<Vec<u8>> = None;
-        let mut last = None;
-        for (m, member, reply) in pending {
+        let (mut first, mut last) = (None, None);
+        for (m, member, replies) in pending {
             // A shed call never executed on that member, so it is settled
             // (re-sent verbatim under backoff) against the same member —
             // the replicas that accepted the call are unaffected.
-            let reply = reply.wait().and_then(|r| {
-                settle_jukebox(&member, &self.stats, &self.channels.retry, record, r)
-            });
-            match reply {
-                Ok(reply) => {
-                    first.get_or_insert(reply);
+            let answered: std::io::Result<Vec<Vec<u8>>> = records
+                .iter()
+                .zip(replies)
+                .map(|(record, reply)| {
+                    let retry = &self.channels.retry;
+                    settle_jukebox(&member, &self.stats, retry, record.as_ref(), reply.wait()?)
+                })
+                .collect();
+            match answered {
+                Ok(replies) => {
+                    first.get_or_insert(replies);
                 }
                 Err(e) => {
                     self.fail_member(m);
@@ -1366,6 +1407,7 @@ impl ClientProxy {
     ) -> std::io::Result<T> {
         self.next_xid = self.next_xid.wrapping_add(1);
         let record = encode_call(self.next_xid, proc, &self.client_cred, args);
+        let record = self.upstream(Cow::Owned(record))?;
         decode_reply(&self.call_first_live(&record)?)
     }
 
@@ -1380,9 +1422,221 @@ impl ClientProxy {
     ) -> std::io::Result<T> {
         self.next_xid = self.next_xid.wrapping_add(1);
         let record = encode_call(self.next_xid, proc, &self.client_cred, args);
+        let record = self.upstream(Cow::Owned(record))?;
         let member = self.stripe.member(m);
         decode_reply(&call_jukebox_patient(&member, &self.stats, &self.channels.retry, &record)?)
     }
+
+    /// The upstream boundary every call the proxy sends crosses: a logged
+    /// name the call names ships first, then the namespace cache swaps
+    /// each minted handle for the server's ([`NameCache::to_server`]).
+    fn upstream<'r>(&mut self, record: Cow<'r, [u8]>) -> std::io::Result<Cow<'r, [u8]>> {
+        let due = self.namecache.unshipped_in(&record);
+        if !due.is_empty() {
+            self.ship(&due)?;
+        }
+        Ok(self.namecache.to_server(&record).map_or(record, Cow::Owned))
+    }
+
+    /// Log a CREATE or MKDIR the namespace cache can make here, or cancel
+    /// the logged name a REMOVE or RMDIR removes, and return the local
+    /// reply — once the journal, if any, holds the change. `None` sends
+    /// the call upstream, which a journal that failed for real also does.
+    fn write_behind(
+        &mut self,
+        xid: u32,
+        call: &Call,
+        cred: &OpaqueAuth,
+    ) -> std::io::Result<Option<Vec<u8>>> {
+        if let Some(entry) = self.namecache.loggable(call, cred) {
+            if self.journal_name(&entry.record())? {
+                return Ok(Some(self.namecache.log(xid, entry)));
+            }
+        } else if let Some(fh) = self.namecache.cancellable(call) {
+            if self.journal_name(&NameRecord::Cancelled { fh: fh.clone() })? {
+                self.forget_data(&fh);
+                return Ok(Some(self.namecache.cancel(xid, &fh)));
+            }
+        }
+        Ok(None)
+    }
+
+    /// Journal one change to the namespace log; whether it is durable.
+    /// Only an injected crash is an error: a store whose journal failed
+    /// for real stops promising, as a spool that fails a WRITE does.
+    fn journal_name(&mut self, rec: &NameRecord) -> std::io::Result<bool> {
+        match self.store.as_mut().map(|s| s.record_name(rec)) {
+            Some(Err(e)) if sgfs_net::crash::is_crash(&e) => Err(e),
+            Some(Err(_)) => Ok(false),
+            _ => Ok(true),
+        }
+    }
+
+    /// Ship the logged entries `due` and the logged directories above
+    /// them: a parent before its children, each dependency level as one
+    /// split-phase batch to every live member (a member that is down
+    /// misses it, as it misses any mirrored namespace call), a CREATE as
+    /// GUARDED (see [`Entry::shipped`]). Each entry is journaled as sent
+    /// before its call leaves, and with its server handle once made. One
+    /// the server refused — another client took the name, or anything
+    /// else — is journaled refused and stays logged with everything
+    /// beneath it, and the ship fails naming its path; it is never renamed
+    /// or retried UNCHECKED. The one exception is an entry still marked
+    /// sent, whose earlier call's outcome never reached the journal (a
+    /// lost reply, a killed process): EXIST may then be that call's doing,
+    /// and the name the server has, if it is of the entry's kind, is
+    /// taken as the entry's ([`adopt`](Self::adopt)).
+    fn ship(&mut self, due: &[Fh3]) -> std::io::Result<()> {
+        let mut refused = None;
+        for (depth, level) in self.namecache.ship_plan(due).into_iter().enumerate() {
+            if depth > 0 {
+                self.hit_crash(CrashPoint::ShipBetweenLevels)?;
+            }
+            let level: Vec<Entry> =
+                level.into_iter().filter(|e| !self.namecache.is_logged(&e.where_().dir)).collect();
+            let mut records = Vec::with_capacity(level.len());
+            for e in &level {
+                // A journal that failed for real keeps the mark in memory
+                // only, as it keeps no other promise.
+                self.journal_name(&NameRecord::Sent { fh: e.fh.clone() })?;
+                self.namecache.sent(&e.fh, true);
+                self.stats.forwarded(e.proc());
+                records.push(self.name_call(&e.cred, e.proc(), &e.shipped())?);
+            }
+            if records.is_empty() {
+                continue;
+            }
+            let replies = self.mirror_to(0..self.stripe.width(), &records)?;
+            self.hit_crash(CrashPoint::ShipAfterReply)?;
+            for (e, reply) in level.iter().zip(replies) {
+                let status = match decode_reply::<CreateRes>(&reply) {
+                    Ok(CreateRes {
+                        status: NfsStat3::Ok,
+                        obj: Some(server),
+                        obj_attr,
+                        dir_wcc,
+                    }) => {
+                        self.made(e, server, obj_attr, dir_wcc.after)?;
+                        continue;
+                    }
+                    // Made or not, the server did not say: the entry
+                    // stays sent.
+                    Ok(CreateRes { status: NfsStat3::Ok, .. }) | Err(_) => NfsStat3::ServerFault,
+                    Ok(CreateRes { status, .. }) => {
+                        if status == NfsStat3::Exist && e.was_sent() && self.adopt(e)? {
+                            continue;
+                        }
+                        // The server did not make it: a name the entry
+                        // meets there later is another's.
+                        self.journal_name(&NameRecord::Refused { fh: e.fh.clone() })?;
+                        self.namecache.sent(&e.fh, false);
+                        status
+                    }
+                };
+                let path = self.namecache.path(e.where_());
+                refused.get_or_insert(Refused { path, status });
+            }
+        }
+        refused.map_or(Ok(()), |r| Err(std::io::Error::other(r)))
+    }
+
+    /// The server made the logged entry `e` as `server`: journal it, then
+    /// let the namespace cache map it.
+    fn made(
+        &mut self,
+        e: &Entry,
+        server: Fh3,
+        obj: Option<Fattr3>,
+        dir: Option<Fattr3>,
+    ) -> std::io::Result<()> {
+        let fileid = obj.as_ref().map(|a| a.fileid);
+        let rec = NameRecord::Shipped { fh: e.fh.clone(), server: server.clone(), fileid };
+        // A journal that failed for real leaves the entry marked sent,
+        // which is what recovery needs to adopt it.
+        self.journal_name(&rec)?;
+        let dirty = is_dirty(&self.store, &e.fh);
+        self.namecache.shipped(&e.fh, server, obj, dir, dirty);
+        Ok(())
+    }
+
+    /// A sent entry met EXIST: LOOKUP its name and take what the server
+    /// has as the entry, if it is of the entry's kind. Whether it did.
+    fn adopt(&mut self, e: &Entry) -> std::io::Result<bool> {
+        self.stats.forwarded(procnum::LOOKUP);
+        let record = self.name_call(&e.cred, procnum::LOOKUP, &e.where_().to_xdr_bytes())?;
+        let kind = if e.is_dir() { FType3::Dir } else { FType3::Reg };
+        match decode_reply::<LookupRes>(&self.call_first_live(&record)?) {
+            Ok(LookupRes {
+                status: NfsStat3::Ok,
+                object: Some(server),
+                obj_attr: Some(attr),
+                dir_attr,
+            }) if attr.ftype == kind => {
+                self.made(e, server, Some(attr), dir_attr)?;
+                Ok(true)
+            }
+            _ => Ok(false),
+        }
+    }
+
+    /// A call a logged entry's ship makes, as `cred` made the entry,
+    /// through the upstream boundary.
+    fn name_call(&mut self, cred: &OpaqueAuth, proc: u32, args: &[u8]) -> std::io::Result<Vec<u8>> {
+        self.next_xid = self.next_xid.wrapping_add(1);
+        let header = CallHeader {
+            xid: self.next_xid,
+            prog: NFS_PROGRAM,
+            vers: NFS_VERSION,
+            proc,
+            cred: cred.clone(),
+            verf: OpaqueAuth::none(),
+        };
+        let mut record = header.to_xdr_bytes();
+        record.extend_from_slice(args);
+        Ok(self.upstream(Cow::Owned(record))?.into_owned())
+    }
+}
+
+/// A logged name the server refused to make.
+#[derive(Debug)]
+struct Refused {
+    path: String,
+    status: NfsStat3,
+}
+
+impl std::fmt::Display for Refused {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "write-back of the name {} failed: {:?}", self.path, self.status)
+    }
+}
+
+impl std::error::Error for Refused {}
+
+/// The server's status, when `e` is a refused name.
+fn refusal(e: &std::io::Error) -> Option<NfsStat3> {
+    e.get_ref().and_then(|e| e.downcast_ref::<Refused>()).map(|r| r.status)
+}
+
+/// The reply of a `proc` call that failed with `status`: the status, and
+/// every attribute its failure body may carry left out.
+fn failure_reply(xid: u32, proc: u32, status: NfsStat3) -> Vec<u8> {
+    // A post_op_attr is one word, a wcc_data two.
+    let absent = match proc {
+        procnum::GETATTR => 0,
+        procnum::SETATTR | procnum::WRITE | procnum::CREATE | procnum::MKDIR => 2,
+        procnum::SYMLINK | procnum::MKNOD | procnum::REMOVE | procnum::RMDIR => 2,
+        procnum::COMMIT => 2,
+        procnum::LINK => 3,
+        procnum::RENAME => 4,
+        _ => 1,
+    };
+    let mut enc = XdrEncoder::with_capacity(64);
+    ReplyHeader::success(xid).encode(&mut enc);
+    status.encode(&mut enc);
+    for _ in 0..absent {
+        enc.put_u32(0);
+    }
+    enc.into_bytes()
 }
 
 /// What one write-back round made stable.

@@ -23,6 +23,11 @@
 //! u8 op | u8 flag | u16 fh_len | fh bytes | u64 offset | u32 len
 //! ```
 //!
+//! A namespace record (ops 6–10) keeps `op | 0 | u16 fh_len | fh` and
+//! follows it with its own payload (see [`NameRecord`]): the namespace
+//! log's entries live in the same file, so one replay recovers names and
+//! blocks together.
+//!
 //! The CRC (IEEE 802.3, table-based — no external crate) covers the body
 //! only; the length prefix is validated by bounds-checking against the
 //! remaining file. Replay stops at the first short, oversized, or
@@ -54,7 +59,7 @@ use crate::config::DurabilityPolicy;
 use sgfs_net::{CrashInjector, CrashPoint};
 use sgfs_nfs3::Fh3;
 use sgfs_obs::{Emitter, Hop, NO_PROC};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -72,6 +77,11 @@ const OP_SET_CLEAN: u8 = 2;
 const OP_SET_DIRTY: u8 = 3;
 const OP_DROP_FILE: u8 = 4;
 const OP_COMMIT_FILE: u8 = 5;
+const OP_NAME_LOGGED: u8 = 6;
+const OP_NAME_SHIPPED: u8 = 7;
+const OP_NAME_CANCELLED: u8 = 8;
+const OP_NAME_SENT: u8 = 9;
+const OP_NAME_REFUSED: u8 = 10;
 
 const FLAG_CLEAN: u8 = 0;
 const FLAG_DIRTY: u8 = 1;
@@ -120,11 +130,196 @@ pub struct Survivor {
     pub len: u32,
 }
 
+/// One change to the client proxy's namespace log. A logged name's
+/// blocks are keyed by its minted handle, so recovery needs both the
+/// names still unshipped and the server handle of every minted one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum NameRecord {
+    /// A name made locally: its minted handle, and the CREATE or MKDIR
+    /// (procedure and XDR arguments) that makes it on the server.
+    Logged {
+        /// The minted handle.
+        fh: Fh3,
+        /// `procnum::CREATE` or `procnum::MKDIR`.
+        proc: u32,
+        /// The call's arguments.
+        args: Vec<u8>,
+    },
+    /// Its call is about to leave: from here on the server may have
+    /// made it without the journal hearing back.
+    Sent {
+        /// The minted handle.
+        fh: Fh3,
+    },
+    /// The server refused its call: the server did not make it, and a
+    /// name the entry meets there later is not its own.
+    Refused {
+        /// The minted handle.
+        fh: Fh3,
+    },
+    /// The server made it, under `server`.
+    Shipped {
+        /// The minted handle.
+        fh: Fh3,
+        /// The server's handle for it.
+        server: Fh3,
+        /// The server's fileid for it, when its reply carried one.
+        fileid: Option<u64>,
+    },
+    /// Gone: removed before it shipped, so the server never hears of it,
+    /// or its last link removed on the server after it shipped.
+    Cancelled {
+        /// The minted handle.
+        fh: Fh3,
+    },
+}
+
+impl NameRecord {
+    fn encode(&self) -> Vec<u8> {
+        let (op, fh) = match self {
+            NameRecord::Logged { fh, .. } => (OP_NAME_LOGGED, fh),
+            NameRecord::Sent { fh } => (OP_NAME_SENT, fh),
+            NameRecord::Refused { fh } => (OP_NAME_REFUSED, fh),
+            NameRecord::Shipped { fh, .. } => (OP_NAME_SHIPPED, fh),
+            NameRecord::Cancelled { fh } => (OP_NAME_CANCELLED, fh),
+        };
+        let mut body = vec![op, 0];
+        body.extend_from_slice(&(fh.0.len() as u16).to_le_bytes());
+        body.extend_from_slice(&fh.0);
+        match self {
+            NameRecord::Logged { proc, args, .. } => {
+                body.extend_from_slice(&proc.to_le_bytes());
+                body.extend_from_slice(args);
+            }
+            NameRecord::Shipped { server, fileid, .. } => {
+                body.extend_from_slice(&(server.0.len() as u16).to_le_bytes());
+                body.extend_from_slice(&server.0);
+                if let Some(id) = fileid {
+                    body.extend_from_slice(&id.to_le_bytes());
+                }
+            }
+            NameRecord::Sent { .. }
+            | NameRecord::Refused { .. }
+            | NameRecord::Cancelled { .. } => {}
+        }
+        body
+    }
+
+    /// `None` for a block record or a malformed one.
+    fn decode(body: &[u8]) -> Option<Self> {
+        if !(OP_NAME_LOGGED..=OP_NAME_REFUSED).contains(&body[0]) {
+            return None;
+        }
+        let take = |at: usize| -> Option<(Fh3, usize)> {
+            let len = u16::from_le_bytes(body.get(at..at + 2)?.try_into().ok()?) as usize;
+            Some((Fh3(body.get(at + 2..at + 2 + len)?.to_vec()), at + 2 + len))
+        };
+        let (fh, at) = take(2)?;
+        match body[0] {
+            OP_NAME_LOGGED => {
+                let proc = u32::from_le_bytes(body.get(at..at + 4)?.try_into().ok()?);
+                Some(NameRecord::Logged { fh, proc, args: body[at + 4..].to_vec() })
+            }
+            OP_NAME_SENT => Some(NameRecord::Sent { fh }),
+            OP_NAME_REFUSED => Some(NameRecord::Refused { fh }),
+            OP_NAME_SHIPPED => {
+                let (server, at) = take(at)?;
+                let fileid = match body.get(at..) {
+                    Some([]) => None,
+                    Some(id) => Some(u64::from_le_bytes(id.try_into().ok()?)),
+                    None => return None,
+                };
+                Some(NameRecord::Shipped { fh, server, fileid })
+            }
+            OP_NAME_CANCELLED => Some(NameRecord::Cancelled { fh }),
+            _ => None,
+        }
+    }
+}
+
+/// The namespace log as replay leaves it: the server handle of every
+/// minted file that still has a name there, and the entries still
+/// unshipped, in the order they were made, with the ones already sent.
+#[derive(Debug, Default, Clone)]
+struct Names {
+    shipped: HashMap<Fh3, (Fh3, Option<u64>)>,
+    /// Unshipped `Logged` records by the order made, and where each is.
+    logged: BTreeMap<u64, NameRecord>,
+    seq_of: HashMap<Fh3, u64>,
+    next: u64,
+    sent: HashSet<Fh3>,
+}
+
+impl Names {
+    fn apply(&mut self, rec: NameRecord) {
+        match rec {
+            NameRecord::Logged { ref fh, .. } => {
+                self.seq_of.insert(fh.clone(), self.next);
+                self.logged.insert(self.next, rec);
+                self.next += 1;
+            }
+            NameRecord::Sent { fh } => {
+                if self.seq_of.contains_key(&fh) {
+                    self.sent.insert(fh);
+                }
+            }
+            NameRecord::Refused { fh } => {
+                self.sent.remove(&fh);
+            }
+            NameRecord::Shipped { fh, server, fileid } => {
+                self.unlog(&fh);
+                self.shipped.insert(fh, (server, fileid));
+            }
+            NameRecord::Cancelled { fh } => {
+                self.unlog(&fh);
+                self.shipped.remove(&fh);
+            }
+        }
+    }
+
+    fn unlog(&mut self, fh: &Fh3) {
+        if let Some(seq) = self.seq_of.remove(fh) {
+            self.logged.remove(&seq);
+        }
+        self.sent.remove(fh);
+    }
+
+    fn len(&self) -> usize {
+        self.shipped.len() + self.logged.len() + self.sent.len()
+    }
+
+    /// Shipped mappings first, then the unshipped entries in log order,
+    /// then a `Sent` mark for each entry already sent.
+    fn records(&self) -> Vec<NameRecord> {
+        let mut shipped: Vec<_> = self.shipped.iter().collect();
+        shipped.sort();
+        let shipped = shipped.into_iter().map(|(fh, (server, fileid))| NameRecord::Shipped {
+            fh: fh.clone(),
+            server: server.clone(),
+            fileid: *fileid,
+        });
+        let logged = self.logged.values().cloned();
+        let sent = self.logged.values().filter_map(|rec| match rec {
+            NameRecord::Logged { fh, .. } if self.sent.contains(fh) => {
+                Some(NameRecord::Sent { fh: fh.clone() })
+            }
+            _ => None,
+        });
+        shipped.chain(logged).chain(sent).collect()
+    }
+}
+
 /// What [`Journal::recover`] found on disk.
 #[derive(Debug, Default)]
 pub struct RecoveryReport {
     /// Blocks to re-mark dirty, spool payloads already on disk.
     pub survivors: Vec<Survivor>,
+    /// The namespace log: a [`NameRecord::Shipped`] for every minted
+    /// handle that reached the server and still has a name there, then a
+    /// [`NameRecord::Logged`] for every entry that did not, in the order
+    /// they were made, then a [`NameRecord::Sent`] for each of those the
+    /// server may have made.
+    pub names: Vec<NameRecord>,
     /// Journal records replayed before the tail (if any) was hit.
     pub records_replayed: u64,
     /// Bytes of torn/corrupt tail discarded (0 = clean shutdown tail).
@@ -140,6 +335,8 @@ pub struct Journal {
     /// Mirror of the live (journaled, not yet committed/erased) entries,
     /// for compaction and the dead-record trigger.
     live: HashMap<BlockKey, (LiveState, u32)>,
+    /// Mirror of the live namespace log.
+    names: Names,
     /// Records in the file since the last compaction.
     records: u64,
     /// Appends since the last fsync.
@@ -175,6 +372,7 @@ impl Journal {
             file,
             policy,
             live,
+            names: Names::default(),
             records,
             unsynced: 0,
             stats: Emitter::detached("journal"),
@@ -187,6 +385,21 @@ impl Journal {
     pub fn instrument(&mut self, stats: Emitter, crash: Option<Arc<CrashInjector>>) {
         self.stats = stats;
         self.crash = crash;
+    }
+
+    /// Seed the namespace mirror with what [`recover`](Self::recover)
+    /// found, when opening over a recovered journal.
+    pub fn seed_names(&mut self, names: &[NameRecord]) {
+        for rec in names {
+            self.names.apply(rec.clone());
+        }
+    }
+
+    /// Journal one change to the namespace log.
+    pub fn record_name(&mut self, rec: &NameRecord) -> std::io::Result<()> {
+        self.append(&rec.encode())?;
+        self.names.apply(rec.clone());
+        self.maybe_compact()
     }
 
     /// Dirty-block entries the journal currently protects.
@@ -319,7 +532,7 @@ impl Journal {
     fn maybe_compact(&mut self) -> std::io::Result<()> {
         if self.policy.compact_min_records == 0
             || self.records < self.policy.compact_min_records
-            || self.records < 2 * self.live.len() as u64
+            || self.records < 2 * (self.live.len() + self.names.len()) as u64
         {
             return Ok(());
         }
@@ -338,6 +551,13 @@ impl Journal {
             rec.extend_from_slice(&crc32(&body).to_le_bytes());
             rec.extend_from_slice(&body);
             tmp.write_all(&rec)?;
+            kept += 1;
+        }
+        for name in &self.names.records() {
+            let body = name.encode();
+            tmp.write_all(&(body.len() as u32).to_le_bytes())?;
+            tmp.write_all(&crc32(&body).to_le_bytes())?;
+            tmp.write_all(&body)?;
             kept += 1;
         }
         tmp.sync_data()?;
@@ -372,6 +592,7 @@ impl Journal {
             return report;
         }
         let mut live: HashMap<BlockKey, (LiveState, u32)> = HashMap::new();
+        let mut names = Names::default();
         let mut pos = MAGIC.len();
         let valid_end = loop {
             if pos == buf.len() {
@@ -391,7 +612,10 @@ impl Journal {
             if crc32(body) != crc {
                 break pos; // torn/corrupt payload
             }
-            Self::replay_body(body, &mut live);
+            match NameRecord::decode(body) {
+                Some(rec) => names.apply(rec),
+                None => Self::replay_body(body, &mut live),
+            }
             report.records_replayed += 1;
             pos += 8 + body_len;
         };
@@ -402,6 +626,7 @@ impl Journal {
             .collect();
         // Deterministic recovery order for tests and replay.
         report.survivors.sort_by(|a, b| a.key.cmp(&b.key));
+        report.names = names.records();
         report
     }
 
@@ -641,6 +866,40 @@ mod tests {
         assert_eq!(r.records_replayed, 1, "torn record never replayed");
         assert_eq!(r.survivors.len(), 1);
         assert_eq!(r.survivors[0].key, (fh(1), 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_namespace_log_recovers_in_order_through_compaction() {
+        let dir = tmp("names");
+        let pol = DurabilityPolicy { journal: true, fsync_every: 1, compact_min_records: 4 };
+        let logged = |n: u64| NameRecord::Logged { fh: fh(n), proc: 9, args: vec![n as u8; 3] };
+        let mut j = Journal::open(&dir, pol, &[], 0).unwrap();
+        for n in 1..=4 {
+            j.record_name(&logged(n)).unwrap();
+        }
+        let shipped = NameRecord::Shipped { fh: fh(1), server: fh(101), fileid: Some(7) };
+        j.record_name(&shipped).unwrap();
+        j.record_name(&NameRecord::Cancelled { fh: fh(3) }).unwrap();
+        j.record_name(&NameRecord::Sent { fh: fh(4) }).unwrap();
+        j.record_name(&NameRecord::Sent { fh: fh(2) }).unwrap();
+        j.record_name(&NameRecord::Refused { fh: fh(2) }).unwrap();
+        // A shipped name whose last link went is forgotten.
+        j.record_name(&logged(5)).unwrap();
+        j.record_name(&NameRecord::Sent { fh: fh(5) }).unwrap();
+        j.record_name(&NameRecord::Shipped { fh: fh(5), server: fh(105), fileid: None }).unwrap();
+        j.record_name(&NameRecord::Cancelled { fh: fh(5) }).unwrap();
+        // Enough dead block records to force a compaction.
+        for i in 0..8 {
+            j.record_put(&(fh(50), i), 10, true).unwrap();
+            j.record_drop_file(&fh(50)).unwrap();
+        }
+        drop(j);
+        let r = Journal::recover(&dir);
+        let sent = NameRecord::Sent { fh: fh(4) };
+        assert_eq!(r.names, vec![shipped, logged(2), logged(4), sent]);
+        assert!(r.survivors.is_empty());
+        assert!(r.records_replayed < 4 + 2 + 7 + 16, "compacted: {}", r.records_replayed);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -15,19 +15,29 @@
 //!   [`NameCache::observe`]: a file with unflushed write-back data keeps
 //!   the proxy's size and mtime, under partial placement a regular
 //!   file's size only grows, otherwise the reply wins;
-//! * it never answers a mutation, and never READ, WRITE or COMMIT: those
-//!   belong to the data path, which reads attributes through
-//!   [`NameCache::attr`] and whose [`BlockStore`](super::blockstore::BlockStore)
-//!   alone says whether a file is dirty.
+//! * it never answers a mutation it did not make itself, and never READ,
+//!   WRITE or COMMIT: those belong to the data path, which reads
+//!   attributes through [`NameCache::attr`] and whose
+//!   [`BlockStore`](super::blockstore::BlockStore) alone says whether a
+//!   file is dirty;
+//! * **the namespace log** (DESIGN.md §15): a CREATE or MKDIR of a name
+//!   known absent from a directory the session made is made here, under a
+//!   minted handle, and shipped later; a REMOVE or RMDIR of a name not
+//!   yet shipped cancels it. At the upstream boundary,
+//!   [`NameCache::to_server`] makes each minted handle in a call the
+//!   server's and [`NameCache::to_mount`] makes each server handle and
+//!   fileid in a reply the mount's.
 
 use crate::acl::is_acl_file_name;
 use crate::proxy::client::{decode_reply, encode_reply, success_body};
+use crate::proxy::journal::NameRecord;
 use sgfs_nfs3::proc::{procnum, *};
 use sgfs_nfs3::types::*;
 use sgfs_obs::{Emitter, Hop};
-use sgfs_oncrpc::{OpaqueAuth, ReplyHeader};
+use sgfs_oncrpc::{CallHeader, OpaqueAuth, ReplyHeader};
 use sgfs_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::ops::Range;
 
 /// A call's arguments as far as the namespace cache reads them, decoded
 /// once.
@@ -39,12 +49,13 @@ pub(crate) enum Call {
     /// Directory, cookie, and whether the listing is READDIRPLUS.
     Readdir(Fh3, u64, bool),
     SetAttr(SetAttrArgs),
-    /// CREATE, SYMLINK or MKNOD: the name made.
-    Create(DirOpArgs3),
-    /// MKDIR: the name made, a directory known completely once made.
-    Mkdir(DirOpArgs3),
-    /// REMOVE or RMDIR.
-    Remove(DirOpArgs3),
+    /// CREATE, SYMLINK or MKNOD: the name made, and how a CREATE makes it.
+    Create(DirOpArgs3, Option<CreateMode>),
+    /// MKDIR: the name made, a directory known completely once made, and
+    /// its attributes.
+    Mkdir(DirOpArgs3, Sattr3),
+    /// REMOVE, or RMDIR when the flag is set.
+    Remove(DirOpArgs3, bool),
     Rename(RenameArgs),
     Link(LinkArgs),
     /// Anything the cache neither answers nor learns from.
@@ -67,17 +78,165 @@ impl Call {
                 ReaddirPlusArgs::from_xdr_bytes(args).map(|a| Call::Readdir(a.dir, a.cookie, true))
             }
             procnum::SETATTR => SetAttrArgs::from_xdr_bytes(args).map(Call::SetAttr),
-            procnum::CREATE => CreateArgs::from_xdr_bytes(args).map(|a| Call::Create(a.where_)),
-            procnum::MKDIR => MkdirArgs::from_xdr_bytes(args).map(|a| Call::Mkdir(a.where_)),
-            procnum::SYMLINK => SymlinkArgs::from_xdr_bytes(args).map(|a| Call::Create(a.where_)),
+            procnum::CREATE => {
+                CreateArgs::from_xdr_bytes(args).map(|a| Call::Create(a.where_, Some(a.how)))
+            }
+            procnum::MKDIR => {
+                MkdirArgs::from_xdr_bytes(args).map(|a| Call::Mkdir(a.where_, a.attributes))
+            }
+            procnum::SYMLINK => {
+                SymlinkArgs::from_xdr_bytes(args).map(|a| Call::Create(a.where_, None))
+            }
             // Only the leading `where` is read; the node's type follows.
-            procnum::MKNOD => DirOpArgs3::decode(&mut XdrDecoder::new(args)).map(Call::Create),
-            procnum::REMOVE | procnum::RMDIR => DirOpArgs3::from_xdr_bytes(args).map(Call::Remove),
+            procnum::MKNOD => {
+                DirOpArgs3::decode(&mut XdrDecoder::new(args)).map(|w| Call::Create(w, None))
+            }
+            procnum::REMOVE | procnum::RMDIR => {
+                let rmdir = proc == procnum::RMDIR;
+                DirOpArgs3::from_xdr_bytes(args).map(|w| Call::Remove(w, rmdir))
+            }
             procnum::RENAME => RenameArgs::from_xdr_bytes(args).map(Call::Rename),
             procnum::LINK => LinkArgs::from_xdr_bytes(args).map(Call::Link),
             _ => return Call::Other,
         };
         call.unwrap_or(Call::Other)
+    }
+}
+
+/// Opens every minted handle.
+const MINTED_TAG: &[u8; 8] = b"sgfsname";
+/// A minted handle is the tag, the proxy's nonce and a counter: 24
+/// bytes. `sgfs-nfsd` issues 16-byte handles (`Fh3::from_ino`), so none
+/// of its handles equals a minted one.
+const MINTED_LEN: usize = 24;
+
+/// Whether the proxy minted `fh` for a name it made.
+pub(crate) fn is_minted(fh: &Fh3) -> bool {
+    fh.0.len() == MINTED_LEN && fh.0.starts_with(MINTED_TAG)
+}
+
+/// The fileid the mount knows a minted file by, before and after it
+/// ships: unique per handle, with the top bit set, which no `sgfs-vfs`
+/// inode number has.
+fn minted_fileid(fh: &Fh3) -> u64 {
+    let word = |at: usize| u64::from_be_bytes(fh.0[at..at + 8].try_into().expect("8 bytes"));
+    1 << 63 | (word(8).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ word(16)) & (u64::MAX >> 1)
+}
+
+/// A name the session made locally: the CREATE or MKDIR that makes it
+/// on the server, and who asked.
+#[derive(Clone)]
+pub(crate) struct Entry {
+    /// The minted handle the mount knows it by.
+    pub(crate) fh: Fh3,
+    pub(crate) cred: OpaqueAuth,
+    where_: DirOpArgs3,
+    /// A MKDIR's, else a CREATE's.
+    is_dir: bool,
+    attrs: Sattr3,
+    /// Whether a call of it left for the server and no reply said the
+    /// server refused it: the reply may have been lost, or the process
+    /// killed before the journal heard it.
+    sent: bool,
+}
+
+impl Entry {
+    pub(crate) fn where_(&self) -> &DirOpArgs3 {
+        &self.where_
+    }
+
+    pub(crate) fn is_dir(&self) -> bool {
+        self.is_dir
+    }
+
+    pub(crate) fn was_sent(&self) -> bool {
+        self.sent
+    }
+
+    pub(crate) fn proc(&self) -> u32 {
+        if self.is_dir {
+            procnum::MKDIR
+        } else {
+            procnum::CREATE
+        }
+    }
+
+    /// The arguments it ships with. A CREATE always goes GUARDED: a name
+    /// another client took in the meantime fails the ship instead of
+    /// opening their file.
+    pub(crate) fn shipped(&self) -> Vec<u8> {
+        let (where_, attrs) = (self.where_.clone(), self.attrs.clone());
+        if self.is_dir {
+            MkdirArgs { where_, attributes: attrs }.to_xdr_bytes()
+        } else {
+            CreateArgs { where_, how: CreateMode::Guarded(attrs) }.to_xdr_bytes()
+        }
+    }
+
+    /// Its journal record: the caller's credential, then the arguments.
+    pub(crate) fn record(&self) -> NameRecord {
+        let mut args = self.cred.to_xdr_bytes();
+        args.extend_from_slice(&self.shipped());
+        NameRecord::Logged { fh: self.fh.clone(), proc: self.proc(), args }
+    }
+
+    fn from_record(fh: Fh3, proc: u32, args: &[u8]) -> Option<Self> {
+        let mut dec = XdrDecoder::new(args);
+        let cred = OpaqueAuth::decode(&mut dec).ok()?;
+        let (where_, attrs) = match proc {
+            procnum::MKDIR => MkdirArgs::decode(&mut dec).map(|a| (a.where_, a.attributes)).ok()?,
+            _ => match CreateArgs::decode(&mut dec).ok()? {
+                CreateArgs { where_, how: CreateMode::Guarded(attrs) } => (where_, attrs),
+                _ => return None,
+            },
+        };
+        Some(Entry { fh, cred, where_, is_dir: proc == procnum::MKDIR, attrs, sent: false })
+    }
+}
+
+/// The namespace log: the entries not yet shipped, in the order they were
+/// made, found by handle, by name and by directory.
+#[derive(Default)]
+struct Log {
+    entries: BTreeMap<u64, Entry>,
+    next: u64,
+    seq_of: HashMap<Fh3, u64>,
+    by_name: HashMap<(Fh3, String), u64>,
+    in_dir: HashMap<Fh3, BTreeSet<u64>>,
+}
+
+impl Log {
+    fn push(&mut self, e: Entry) {
+        let (seq, w) = (self.next, e.where_());
+        self.next += 1;
+        self.seq_of.insert(e.fh.clone(), seq);
+        self.by_name.insert((w.dir.clone(), w.name.clone()), seq);
+        self.in_dir.entry(w.dir.clone()).or_default().insert(seq);
+        self.entries.insert(seq, e);
+    }
+
+    fn remove(&mut self, fh: &Fh3) -> Option<Entry> {
+        let seq = self.seq_of.remove(fh)?;
+        let e = self.entries.remove(&seq)?;
+        let w = e.where_();
+        self.by_name.remove(&(w.dir.clone(), w.name.clone()));
+        if let Some(dir) = self.in_dir.get_mut(&w.dir) {
+            dir.remove(&seq);
+            if dir.is_empty() {
+                self.in_dir.remove(&w.dir);
+            }
+        }
+        Some(e)
+    }
+
+    fn at(&self, w: &DirOpArgs3) -> Option<&Entry> {
+        let seq = self.by_name.get(&(w.dir.clone(), w.name.clone()))?;
+        self.entries.get(seq)
+    }
+
+    /// The entries made in `dir`, in the order made.
+    fn in_dir(&self, dir: &Fh3) -> impl Iterator<Item = &Entry> {
+        self.in_dir.get(dir).into_iter().flatten().filter_map(|seq| self.entries.get(seq))
     }
 }
 
@@ -102,6 +261,19 @@ pub(crate) struct NameCache {
     partial: bool,
     /// Monotonic synthesized mtime for locally acknowledged writes.
     synth_mtime: u64,
+    /// The namespace log: names made here and not yet shipped.
+    log: Log,
+    /// Every shipped minted handle that still has a name: its server
+    /// handle and, once a reply has shown it, its server fileid. A file's
+    /// entry goes with its last link.
+    server_of: HashMap<Fh3, (Fh3, Option<u64>)>,
+    /// The same, back: server handle → minted handle, and server fileid →
+    /// the fileid the mount knows.
+    alias_of: HashMap<Fh3, Fh3>,
+    fileid_of: HashMap<u64, u64>,
+    /// What the next minted handle is made of.
+    nonce: u64,
+    minted: u64,
     stats: Emitter,
 }
 
@@ -115,7 +287,30 @@ impl NameCache {
             readdirs: HashMap::new(),
             partial,
             synth_mtime: 1,
+            log: Log::default(),
+            server_of: HashMap::new(),
+            alias_of: HashMap::new(),
+            fileid_of: HashMap::new(),
+            nonce: rand::random(),
+            minted: 0,
             stats,
+        }
+    }
+
+    /// Take in the namespace log a journal recovered: the server handle
+    /// of every minted one, and the entries still to ship.
+    pub(crate) fn recover(&mut self, names: Vec<NameRecord>) {
+        for rec in names {
+            match rec {
+                NameRecord::Shipped { fh, server, fileid } => self.map(&fh, server, fileid),
+                NameRecord::Logged { fh, proc, args } => {
+                    if let Some(e) = Entry::from_record(fh, proc, &args) {
+                        self.log.push(e);
+                    }
+                }
+                NameRecord::Sent { fh } => self.sent(&fh, true),
+                NameRecord::Refused { .. } | NameRecord::Cancelled { .. } => {}
+            }
         }
     }
 
@@ -181,13 +376,16 @@ impl NameCache {
         reply
     }
 
-    /// Take in the `reply` the server gave to `call`: drop what the call
-    /// made stale, learn what the reply shows. `dirty` says whether the
-    /// proxy holds unflushed data of a file, whose GETATTR, LOOKUP and
-    /// ACCESS replies are handed on with the proxy's attributes. Returns
-    /// the reply to hand on and the file, if any, whose last link the
-    /// server removed: nothing of it is kept here, and the caller drops
-    /// its blocks (the paper's temporary-file optimization).
+    /// Take in the `reply` the server gave to `call` (already under the
+    /// mount's handles, see [`to_mount`](Self::to_mount)): drop what the
+    /// call made stale, learn what the reply shows. `dirty` says whether
+    /// the proxy holds unflushed data of a file. A reply is re-encoded only
+    /// where it hands on the cache's attributes instead of the server's:
+    /// those of a dirty file, of a directory holding logged names, or of a
+    /// minted file (see [`take_in`](Self::take_in)). Returns the reply to
+    /// hand on and the file, if any, whose last link the server removed:
+    /// nothing of it is kept here, and the caller drops its blocks (the
+    /// paper's temporary-file optimization).
     pub(crate) fn apply(
         &mut self,
         call: &Call,
@@ -198,9 +396,8 @@ impl NameCache {
         let mut gone = None;
         let patched = match call {
             Call::GetAttr(fh) => decode_reply::<GetAttrRes>(&reply).ok().and_then(|mut res| {
-                let dirty = dirty(fh);
-                self.take_in(fh, &mut res.attr, dirty);
-                dirty.then(|| encode_reply(xid, &res))
+                let held = self.take_in(fh, &mut res.attr, dirty(fh));
+                held.then(|| encode_reply(xid, &res))
             }),
             Call::Access(a, uid) => decode_reply::<AccessRes>(&reply).ok().and_then(|mut res| {
                 if res.status == NfsStat3::Ok {
@@ -210,9 +407,8 @@ impl NameCache {
                     entry.1 = (entry.1 & !a.access) | res.access;
                     entry.0 |= a.access;
                 }
-                let dirty = dirty(&a.object);
-                self.take_in(&a.object, &mut res.obj_attr, dirty);
-                dirty.then(|| encode_reply(xid, &res))
+                let held = self.take_in(&a.object, &mut res.obj_attr, dirty(&a.object));
+                held.then(|| encode_reply(xid, &res))
             }),
             Call::Lookup(a) => {
                 let res = decode_reply::<LookupRes>(&reply).ok();
@@ -231,14 +427,13 @@ impl NameCache {
                 }
                 res.and_then(|mut res| {
                     let fh = res.object.clone()?;
-                    let dirty = dirty(&fh);
-                    self.take_in(&fh, &mut res.obj_attr, dirty);
+                    let held = self.take_in(&fh, &mut res.obj_attr, dirty(&fh));
                     // "." and ".." are the server's to resolve: a moved
                     // directory has a new "..".
                     if !is_dot(&a.name) {
                         self.names.insert((a.dir.clone(), a.name.clone()), fh);
                     }
-                    dirty.then(|| encode_reply(xid, &res))
+                    held.then(|| encode_reply(xid, &res))
                 })
             }
             Call::Readdir(dir, cookie, plus) => {
@@ -262,16 +457,15 @@ impl NameCache {
             Call::SetAttr(a) => {
                 let fh = &a.object;
                 self.drop_access(fh);
+                let res = decode_reply::<WccRes>(&reply).ok();
                 if !dirty(fh) {
                     self.attrs.remove(fh);
-                } else if let Ok(WccRes { wcc: WccData { after: Some(attr), .. }, .. }) =
-                    decode_reply(&reply)
-                {
-                    self.observe(fh, attr, true);
+                } else if let Some(WccRes { wcc: WccData { after: Some(attr), .. }, .. }) = &res {
+                    self.observe(fh, attr.clone(), true);
                 }
                 None
             }
-            Call::Create(w) | Call::Mkdir(w) => {
+            Call::Create(w, _) | Call::Mkdir(w, _) => {
                 self.invalidate_dir(&w.dir);
                 let res = decode_reply::<CreateRes>(&reply).ok();
                 let made =
@@ -280,41 +474,40 @@ impl NameCache {
                 // directory made here starts empty, and every name made
                 // in it later passes through this cache.
                 self.learn(w, made.is_some(), true);
-                if let (Some(fh), Call::Mkdir(_)) = (made, call) {
+                if let (Some(fh), Call::Mkdir(..)) = (made, call) {
                     self.complete.insert(fh, HashSet::new());
                 }
-                if let Some(mut res) = res {
+                res.and_then(|mut res| {
                     // The directory's fresh attributes serve the kernel
                     // client's next revalidation locally.
-                    self.take_in(&w.dir, &mut res.dir_wcc.after, false);
-                    if let Some(fh) = res.obj {
+                    let mut held = self.take_in(&w.dir, &mut res.dir_wcc.after, false);
+                    if let Some(fh) = res.obj.clone() {
                         // An UNCHECKED CREATE of an existing name returns
                         // that file, which may be dirty, with the mode it
                         // was just given.
                         self.drop_access(&fh);
-                        let dirty = dirty(&fh);
-                        self.take_in(&fh, &mut res.obj_attr, dirty);
+                        held |= self.take_in(&fh, &mut res.obj_attr, dirty(&fh));
                         self.names.insert((w.dir.clone(), w.name.clone()), fh);
                     }
-                }
-                None
+                    held.then(|| encode_reply(xid, &res))
+                })
             }
             // Only what the server did is learned: a refused REMOVE or
             // RENAME leaves every name, and the write-back data owed to
             // the files they reach.
-            Call::Remove(w) => {
+            Call::Remove(w, _) => {
                 self.invalidate_dir(&w.dir);
                 let res = decode_reply::<WccRes>(&reply).ok();
                 self.learn(w, res.as_ref().is_some_and(|r| r.status == NfsStat3::Ok), false);
-                if let Some(mut res) = res {
+                res.and_then(|mut res| {
                     if res.status == NfsStat3::Ok {
                         if let Some(fh) = self.names.remove(&(w.dir.clone(), w.name.clone())) {
                             gone = self.unlink(fh);
                         }
                     }
-                    self.take_in(&w.dir, &mut res.wcc.after, false);
-                }
-                None
+                    let held = self.take_in(&w.dir, &mut res.wcc.after, false);
+                    held.then(|| encode_reply(xid, &res))
+                })
             }
             Call::Rename(a) => {
                 let (from, to) = (&a.from, &a.to);
@@ -328,7 +521,7 @@ impl NameCache {
                 let free = self.complete.get(&to.dir).is_some_and(|k| !k.contains(&to.name));
                 self.learn(from, ok && free, false);
                 self.learn(to, ok, true);
-                if let Some(mut res) = res {
+                res.and_then(|mut res| {
                     if res.status == NfsStat3::Ok {
                         let from_name = (from.dir.clone(), from.name.clone());
                         let to_name = (to.dir.clone(), to.name.clone());
@@ -351,41 +544,100 @@ impl NameCache {
                         // new "..".
                         self.readdirs.retain(|(d, _, _), _| Some(d) != moved.as_ref());
                     }
-                    self.take_in(&from.dir, &mut res.from_wcc.after, false);
-                    self.take_in(&to.dir, &mut res.to_wcc.after, false);
-                }
-                None
+                    let held = self.take_in(&from.dir, &mut res.from_wcc.after, false)
+                        | self.take_in(&to.dir, &mut res.to_wcc.after, false);
+                    held.then(|| encode_reply(xid, &res))
+                })
             }
             Call::Link(a) => {
                 self.invalidate_dir(&a.link.dir);
                 let res = decode_reply::<LinkRes>(&reply).ok();
                 self.learn(&a.link, res.as_ref().is_some_and(|r| r.status == NfsStat3::Ok), true);
-                if let Some(mut res) = res {
-                    self.take_in(&a.link.dir, &mut res.dir_wcc.after, false);
+                res.and_then(|mut res| {
                     // The link count is what `unlink` decides by.
-                    let dirty = dirty(&a.file);
-                    self.take_in(&a.file, &mut res.attr, dirty);
+                    let held = self.take_in(&a.link.dir, &mut res.dir_wcc.after, false)
+                        | self.take_in(&a.file, &mut res.attr, dirty(&a.file));
                     if res.status == NfsStat3::Ok {
                         let name = (a.link.dir.clone(), a.link.name.clone());
                         self.names.insert(name, a.file.clone());
                     }
-                }
-                None
+                    held.then(|| encode_reply(xid, &res))
+                })
             }
             Call::Other => None,
         };
         (patched.unwrap_or(reply), gone)
     }
 
+    /// Hand a reply the server gave to a `proc` call on as the mount
+    /// knows the files it names: a server handle with a minted alias
+    /// becomes the alias, and so does the fileid of a shipped minted file.
+    /// The one translation point for replies, as
+    /// [`to_server`](Self::to_server) is for calls: a reply that names no
+    /// shipped file is handed on as it came.
+    pub(crate) fn to_mount(&self, proc: u32, reply: Vec<u8>) -> Vec<u8> {
+        fn swap<T: XdrDecode + XdrEncode + Aliased>(
+            cache: &NameCache,
+            reply: &[u8],
+        ) -> Option<Vec<u8>> {
+            let mut res = decode_reply::<T>(reply).ok()?;
+            res.alias(cache).then(|| encode_reply(sgfs_obs::peek_xid(reply), &res))
+        }
+        if self.server_of.is_empty() {
+            return reply;
+        }
+        let swapped = match proc {
+            procnum::GETATTR => swap::<GetAttrRes>(self, &reply),
+            procnum::SETATTR | procnum::REMOVE | procnum::RMDIR => swap::<WccRes>(self, &reply),
+            procnum::LOOKUP => swap::<LookupRes>(self, &reply),
+            procnum::ACCESS => swap::<AccessRes>(self, &reply),
+            procnum::READLINK => swap::<ReadlinkRes>(self, &reply),
+            procnum::READ => swap::<ReadRes>(self, &reply),
+            procnum::WRITE => swap::<WriteRes>(self, &reply),
+            procnum::CREATE | procnum::MKDIR | procnum::SYMLINK | procnum::MKNOD => {
+                swap::<CreateRes>(self, &reply)
+            }
+            procnum::RENAME => swap::<RenameRes>(self, &reply),
+            procnum::LINK => swap::<LinkRes>(self, &reply),
+            procnum::READDIR => swap::<ReaddirRes>(self, &reply),
+            procnum::READDIRPLUS => swap::<ReaddirPlusRes>(self, &reply),
+            procnum::FSSTAT => swap::<FsStatRes>(self, &reply),
+            procnum::FSINFO => swap::<FsInfoRes>(self, &reply),
+            procnum::PATHCONF => swap::<PathConfRes>(self, &reply),
+            procnum::COMMIT => swap::<CommitRes>(self, &reply),
+            _ => None,
+        };
+        swapped.unwrap_or(reply)
+    }
+
     /// The one rule every attribute a reply carries is cached by. A
-    /// `dirty` file keeps the proxy's size and mtime — the server has not
-    /// seen its write-back data — and takes the rest. Under partial
-    /// placement a regular file's size only grows: a member lacking the
-    /// final block undershoots it (an explicit truncation drops the
-    /// attributes instead). Otherwise the reply wins. Returns what is
-    /// cached now.
+    /// minted file keeps the fileid the mount knows it by. A directory
+    /// holding logged entries keeps what the log made of it — the server
+    /// has not seen them. A `dirty` file keeps the proxy's size and mtime
+    /// — the server has not seen its write-back data — and takes the rest.
+    /// Under partial placement a regular file's size only grows: a member
+    /// lacking the final block undershoots it (an explicit truncation
+    /// drops the attributes instead). Otherwise the reply wins. Returns
+    /// what is cached now.
     pub(crate) fn observe(&mut self, fh: &Fh3, mut attr: Fattr3, dirty: bool) -> Fattr3 {
+        if is_minted(fh) {
+            let id = minted_fileid(fh);
+            if attr.fileid != id {
+                // The server's fileid for it, learned here when the ship's
+                // reply carried no attributes.
+                match self.server_of.get(fh) {
+                    Some((server, known)) if *known != Some(attr.fileid) => {
+                        self.map(fh, server.clone(), Some(attr.fileid));
+                    }
+                    _ => {}
+                }
+                attr.fileid = id;
+            }
+        }
         if let Some(prev) = self.attrs.get(fh) {
+            if self.holds_logged(fh) {
+                return prev.clone();
+            }
             if dirty {
                 (attr.size, attr.mtime) = (prev.size, prev.mtime);
             } else if self.partial && attr.ftype == FType3::Reg {
@@ -406,24 +658,322 @@ impl NameCache {
         Some(attr.clone())
     }
 
-    /// Observe the attributes in a reply's `slot` and leave there what
-    /// is cached now.
-    fn take_in(&mut self, fh: &Fh3, slot: &mut Option<Fattr3>, dirty: bool) {
-        if let Some(attr) = slot.take() {
-            *slot = Some(self.observe(fh, attr, dirty));
+    /// The call a logged entry would make, when `call` can be made here:
+    /// an UNCHECKED or GUARDED CREATE or a MKDIR, of a name `sgfs-vfs`
+    /// accepts, known absent from a directory the session made, whose
+    /// cached mode grants its owner write and search. Its attributes set
+    /// a mode and at most a size: an owner, a group or a time is the
+    /// server's to check.
+    pub(crate) fn loggable(&mut self, call: &Call, cred: &OpaqueAuth) -> Option<Entry> {
+        let (w, attrs) = match call {
+            Call::Create(w, Some(CreateMode::Unchecked(s) | CreateMode::Guarded(s))) => (w, s),
+            Call::Mkdir(w, s) => (w, s),
+            _ => return None,
+        };
+        let plain = attrs.mode.is_some()
+            && (attrs.uid, attrs.gid, attrs.atime, attrs.mtime) == (None, None, None, None);
+        let dir = self.absent(w)?;
+        if !plain || dir.mode & 0o300 != 0o300 || sgfs_vfs::Vfs::check_name(&w.name).is_err() {
+            return None;
         }
+        self.minted += 1;
+        let mut fh = MINTED_TAG.to_vec();
+        fh.extend_from_slice(&self.nonce.to_be_bytes());
+        fh.extend_from_slice(&self.minted.to_be_bytes());
+        let is_dir = matches!(call, Call::Mkdir(..));
+        let (where_, attrs) = (w.clone(), attrs.clone());
+        Some(Entry { fh: Fh3(fh), cred: cred.clone(), where_, is_dir, attrs, sent: false })
+    }
+
+    /// Make `entry` here and return its reply: the minted handle, the
+    /// attributes the parent's owner, group and filesystem and the call's
+    /// mode and size give it, and the parent's attributes moved on.
+    pub(crate) fn log(&mut self, xid: u32, entry: Entry) -> Vec<u8> {
+        let (w, is_dir) = (entry.where_.clone(), entry.is_dir);
+        let parent = self.moved_on(&w.dir, if is_dir { 1 } else { 0 });
+        let parent = parent.expect("a logged name's directory has its attributes cached");
+        let size = if is_dir { 0 } else { entry.attrs.size.unwrap_or(0) };
+        let attr = Fattr3 {
+            ftype: if is_dir { FType3::Dir } else { FType3::Reg },
+            mode: entry.attrs.mode.unwrap_or(0) & 0o7777,
+            nlink: if is_dir { 2 } else { 1 },
+            uid: parent.uid,
+            gid: parent.gid,
+            size,
+            used: size,
+            fsid: parent.fsid,
+            fileid: minted_fileid(&entry.fh),
+            atime: parent.mtime,
+            mtime: parent.mtime,
+            ctime: parent.mtime,
+        };
+        self.learn(&w, true, true);
+        self.names.insert((w.dir.clone(), w.name.clone()), entry.fh.clone());
+        self.attrs.insert(entry.fh.clone(), attr.clone());
+        if is_dir {
+            self.complete.insert(entry.fh.clone(), HashSet::new());
+        }
+        let res = CreateRes {
+            status: NfsStat3::Ok,
+            obj: Some(entry.fh.clone()),
+            obj_attr: Some(attr),
+            dir_wcc: WccData { before: None, after: Some(parent) },
+        };
+        self.log.push(entry);
+        encode_reply(xid, &res)
+    }
+
+    /// The logged entry a REMOVE or RMDIR `call` cancels: one of its kind
+    /// that has not shipped and holds no entry of its own.
+    pub(crate) fn cancellable(&self, call: &Call) -> Option<Fh3> {
+        let Call::Remove(w, rmdir) = call else { return None };
+        let entry = self.log.at(w)?;
+        let ok = entry.is_dir == *rmdir && !self.holds_logged(&entry.fh);
+        ok.then(|| entry.fh.clone())
+    }
+
+    /// Cancel the logged entry `fh`: the server never hears of it. Returns
+    /// the REMOVE or RMDIR reply, the parent's attributes moved on.
+    pub(crate) fn cancel(&mut self, xid: u32, fh: &Fh3) -> Vec<u8> {
+        let entry = self.log.remove(fh).expect("cancellable");
+        let w = entry.where_();
+        self.names.remove(&(w.dir.clone(), w.name.clone()));
+        self.learn(w, true, false);
+        self.unlink(fh.clone());
+        let parent = self.moved_on(&w.dir, if entry.is_dir { -1 } else { 0 });
+        encode_reply(
+            xid,
+            &WccRes { status: NfsStat3::Ok, wcc: WccData { before: None, after: parent } },
+        )
+    }
+
+    /// A name in `dir` was made or removed here: its listings are stale,
+    /// and its attributes move on as the server's would (a new mtime and
+    /// ctime, `links` more subdirectories). What they are now.
+    fn moved_on(&mut self, dir: &Fh3, links: i32) -> Option<Fattr3> {
+        self.readdirs.retain(|(d, _, _), _| d != dir);
+        self.synth_mtime += 1;
+        let attr = self.attrs.get_mut(dir)?;
+        attr.mtime = NfsTime3::from_nanos(attr.mtime.as_nanos() + self.synth_mtime);
+        attr.ctime = attr.mtime;
+        attr.nlink = attr.nlink.saturating_add_signed(links);
+        Some(attr.clone())
+    }
+
+    /// The logged entries `call` must find on the server when it gets
+    /// there (a call naming a minted handle needs that handle too — see
+    /// [`unshipped_in`](Self::unshipped_in)): a LOOKUP needs the entry it
+    /// names; a call that lists a directory or changes its entries — a
+    /// READDIR(PLUS), CREATE, MKDIR, REMOVE, RMDIR, RENAME or LINK — needs
+    /// every entry the directory holds, as do a SETATTR of a directory and
+    /// a REMOVE, RMDIR or RENAME of one.
+    pub(crate) fn barrier(&self, call: &Call) -> Vec<Fh3> {
+        if self.log.entries.is_empty() {
+            return Vec::new();
+        }
+        let object = |w: &DirOpArgs3| self.names.get(&(w.dir.clone(), w.name.clone()));
+        let (mut at, mut dirs): (Vec<&DirOpArgs3>, Vec<&Fh3>) = (Vec::new(), Vec::new());
+        match call {
+            Call::Lookup(w) => at.push(w),
+            Call::Create(w, _) | Call::Mkdir(w, _) => dirs.push(&w.dir),
+            Call::Remove(w, _) => {
+                dirs.push(&w.dir);
+                dirs.extend(object(w));
+            }
+            Call::Readdir(dir, _, _) => dirs.push(dir),
+            Call::SetAttr(a) => dirs.push(&a.object),
+            Call::Rename(a) => {
+                at.extend([&a.from, &a.to]);
+                dirs.extend([&a.from.dir, &a.to.dir]);
+                dirs.extend(object(&a.from).into_iter().chain(object(&a.to)));
+            }
+            Call::Link(a) => {
+                at.push(&a.link);
+                dirs.push(&a.link.dir);
+            }
+            _ => {}
+        }
+        let named = at.into_iter().filter_map(|w| self.log.at(w));
+        let listed = dirs.into_iter().flat_map(|dir| self.log.in_dir(dir));
+        named.chain(listed).map(|e| e.fh.clone()).collect()
+    }
+
+    /// The logged entries a call `record` names by their minted handles.
+    pub(crate) fn unshipped_in(&self, record: &[u8]) -> Vec<Fh3> {
+        if self.log.entries.is_empty() {
+            return Vec::new();
+        }
+        let (_, handles) = handles_in(record);
+        handles.into_iter().map(|(_, fh)| fh).filter(|fh| self.is_logged(fh)).collect()
+    }
+
+    /// The one translation point at the upstream boundary: `record` with
+    /// each shipped minted handle swapped for the server's, or `None` when
+    /// it names none. A session that never logged re-encodes nothing.
+    pub(crate) fn to_server(&self, record: &[u8]) -> Option<Vec<u8>> {
+        if self.server_of.is_empty() {
+            return None;
+        }
+        let (at, handles) = handles_in(record);
+        let mut out = Vec::new();
+        let mut copied = 0;
+        for (span, fh) in handles {
+            if let Some((server, _)) = self.server_of.get(&fh) {
+                out.extend_from_slice(&record[copied..at + span.start]);
+                out.extend_from_slice(&server.to_xdr_bytes());
+                copied = at + span.end;
+            }
+        }
+        if copied == 0 {
+            return None;
+        }
+        out.extend_from_slice(&record[copied..]);
+        Some(out)
+    }
+
+    /// Whether `fh` is a logged entry that has not shipped.
+    pub(crate) fn is_logged(&self, fh: &Fh3) -> bool {
+        self.log.seq_of.contains_key(fh)
+    }
+
+    /// Every logged entry, in the order made.
+    pub(crate) fn logged(&self) -> Vec<Fh3> {
+        self.log.entries.values().map(|e| e.fh.clone()).collect()
+    }
+
+    /// Whether a logged entry lives in directory `dir`.
+    fn holds_logged(&self, dir: &Fh3) -> bool {
+        self.log.in_dir.contains_key(dir)
+    }
+
+    /// The entries `due` and every logged directory above them, by
+    /// dependency level: a parent's level before its children's, each in
+    /// log order.
+    pub(crate) fn ship_plan(&self, due: &[Fh3]) -> Vec<Vec<Entry>> {
+        // Log position → depth below the first unlogged directory.
+        let mut wanted: BTreeMap<u64, usize> = BTreeMap::new();
+        for fh in due {
+            let mut chain = Vec::new();
+            let mut at = self.log.seq_of.get(fh);
+            while let Some(&seq) = at.filter(|seq| !wanted.contains_key(seq)) {
+                chain.push(seq);
+                at = self.log.seq_of.get(&self.log.entries[&seq].where_().dir);
+            }
+            // Where the walk stopped at an entry already placed, its
+            // depth is known; otherwise the chain starts at depth 0.
+            let base = at.map_or(0, |seq| wanted[seq] + 1);
+            for (up, seq) in chain.into_iter().rev().enumerate() {
+                wanted.insert(seq, base + up);
+            }
+        }
+        let mut levels: Vec<Vec<Entry>> = Vec::new();
+        for (seq, depth) in wanted {
+            levels.resize_with(levels.len().max(depth + 1), Vec::new);
+            levels[depth].push(self.log.entries[&seq].clone());
+        }
+        levels
+    }
+
+    /// The logged entry `fh`'s call is about to leave for the server
+    /// (`true`), or the server refused it (`false`).
+    pub(crate) fn sent(&mut self, fh: &Fh3, sent: bool) {
+        if let Some(&seq) = self.log.seq_of.get(fh) {
+            self.log.entries.get_mut(&seq).expect("indexed").sent = sent;
+        }
+    }
+
+    /// The server made the logged entry `fh` as `server`: the call that
+    /// reaches `fh` upstream now names `server`. `obj` and `dir` are the
+    /// reply's attributes of the file and of its directory.
+    pub(crate) fn shipped(
+        &mut self,
+        fh: &Fh3,
+        server: Fh3,
+        obj: Option<Fattr3>,
+        dir: Option<Fattr3>,
+        dirty: bool,
+    ) {
+        let Some(entry) = self.log.remove(fh) else { return };
+        self.map(fh, server, obj.as_ref().map(|a| a.fileid));
+        if let Some(attr) = obj {
+            self.observe(fh, attr, dirty);
+        }
+        if let Some(attr) = dir {
+            self.observe(&entry.where_().dir, attr, false);
+        }
+    }
+
+    /// Record that the minted `fh` is `server` on the server, with the
+    /// server fileid `fileid` when known.
+    fn map(&mut self, fh: &Fh3, server: Fh3, fileid: Option<u64>) {
+        self.alias_of.insert(server.clone(), fh.clone());
+        if let Some(id) = fileid {
+            self.fileid_of.insert(id, minted_fileid(fh));
+        }
+        self.server_of.insert(fh.clone(), (server, fileid));
+    }
+
+    /// `a/b/c`: the path of `w`, as far as the cache knows the names of
+    /// the directories above it.
+    pub(crate) fn path(&self, w: &DirOpArgs3) -> String {
+        let mut parts = vec![w.name.as_str()];
+        let mut dir = &w.dir;
+        while parts.len() < 256 {
+            let Some(((parent, name), _)) = self.names.iter().find(|(_, f)| *f == dir) else {
+                break;
+            };
+            parts.push(name);
+            dir = parent;
+        }
+        parts.reverse();
+        parts.join("/")
+    }
+
+    fn alias_fh(&self, fh: &mut Option<Fh3>) -> bool {
+        let alias = fh.as_ref().and_then(|fh| self.alias_of.get(fh));
+        alias.map(|m| *fh = Some(m.clone())).is_some()
+    }
+
+    fn alias_fileid(&self, id: &mut u64) -> bool {
+        self.fileid_of.get(id).map(|m| *id = *m).is_some()
+    }
+
+    fn alias_attr(&self, attr: &mut Option<Fattr3>) -> bool {
+        attr.as_mut().is_some_and(|a| self.alias_fileid(&mut a.fileid))
+    }
+
+    /// Observe the attributes in a reply's `slot` and leave there what
+    /// is cached now. Whether the slot holds the cache's view rather than
+    /// the server's: that of a dirty file, of a directory holding logged
+    /// names, or of a minted file, which keeps its minted fileid.
+    fn take_in(&mut self, fh: &Fh3, slot: &mut Option<Fattr3>, dirty: bool) -> bool {
+        let Some(attr) = slot.take() else { return false };
+        *slot = Some(self.observe(fh, attr, dirty));
+        dirty || is_minted(fh) || self.holds_logged(fh)
     }
 
     /// The server unlinked a name of `fh` (REMOVE, RMDIR, or a RENAME
     /// onto it). A file the cached attributes show another link to lives
-    /// on; with its last link gone it is forgotten and handed back.
+    /// on; with its last link gone it is forgotten and handed back. A
+    /// shipped minted file's server handle is forgotten only when the
+    /// cached attributes show that link was the last — a directory's, or
+    /// a file's one link: without them the server may still reach the
+    /// file by another name, which must keep coming back under its alias.
     fn unlink(&mut self, fh: Fh3) -> Option<Fh3> {
         match self.attrs.get_mut(&fh) {
             Some(attr) if attr.ftype != FType3::Dir && attr.nlink > 1 => {
                 attr.nlink -= 1;
                 None
             }
-            _ => {
+            cached => {
+                if cached.is_some() {
+                    if let Some((server, fileid)) = self.server_of.remove(&fh) {
+                        self.alias_of.remove(&server);
+                        if let Some(id) = fileid {
+                            self.fileid_of.remove(&id);
+                        }
+                    }
+                }
                 self.invalidate_dir(&fh);
                 self.drop_access(&fh);
                 self.complete.remove(&fh);
@@ -431,6 +981,11 @@ impl NameCache {
                 Some(fh)
             }
         }
+    }
+
+    /// Whether the minted `fh` has a server handle.
+    pub(crate) fn is_mapped(&self, fh: &Fh3) -> bool {
+        self.server_of.contains_key(fh)
     }
 
     /// The attributes of `a.dir` when `a.name` is known absent from it:
@@ -475,4 +1030,112 @@ impl NameCache {
 
 fn is_dot(name: &str) -> bool {
     name == "." || name == ".."
+}
+
+/// Where a call record's arguments start, and the handles they name with
+/// their byte ranges there: every NFSv3 call opens with a handle, RENAME
+/// names a second directory after its first name, LINK a directory after
+/// its file.
+fn handles_in(record: &[u8]) -> (usize, Vec<(Range<usize>, Fh3)>) {
+    let mut dec = XdrDecoder::new(record);
+    let Ok(header) = CallHeader::decode(&mut dec) else { return (0, Vec::new()) };
+    let at = dec.position();
+    let mut dec = XdrDecoder::new(&record[at..]);
+    let mut handles = Vec::new();
+    let mut next = |dec: &mut XdrDecoder<'_>| {
+        let start = dec.position();
+        Fh3::decode(dec).map(|fh| handles.push((start..dec.position(), fh))).is_ok()
+    };
+    if header.proc != procnum::NULL && next(&mut dec) {
+        let second = match header.proc {
+            procnum::RENAME => dec.get_string().is_ok(),
+            procnum::LINK => true,
+            _ => false,
+        };
+        if second {
+            next(&mut dec);
+        }
+    }
+    (at, handles)
+}
+
+/// A reply that names files by handle or fileid.
+trait Aliased {
+    /// Swap in the mount's names of them (see [`NameCache::to_mount`]);
+    /// whether anything changed.
+    fn alias(&mut self, cache: &NameCache) -> bool;
+}
+
+/// Replies whose one file is in one attribute slot.
+macro_rules! aliased_attr {
+    ($($res:ty: $($slot:ident).+;)*) => {$(
+        impl Aliased for $res {
+            fn alias(&mut self, cache: &NameCache) -> bool {
+                cache.alias_attr(&mut self.$($slot).+)
+            }
+        }
+    )*};
+}
+
+aliased_attr! {
+    GetAttrRes: attr;
+    WccRes: wcc.after;
+    AccessRes: obj_attr;
+    ReadlinkRes: attr;
+    ReadRes: attr;
+    WriteRes: wcc.after;
+    FsStatRes: attr;
+    FsInfoRes: attr;
+    PathConfRes: attr;
+    CommitRes: wcc.after;
+}
+
+impl Aliased for LookupRes {
+    fn alias(&mut self, cache: &NameCache) -> bool {
+        cache.alias_fh(&mut self.object)
+            | cache.alias_attr(&mut self.obj_attr)
+            | cache.alias_attr(&mut self.dir_attr)
+    }
+}
+
+impl Aliased for CreateRes {
+    fn alias(&mut self, cache: &NameCache) -> bool {
+        cache.alias_fh(&mut self.obj)
+            | cache.alias_attr(&mut self.obj_attr)
+            | cache.alias_attr(&mut self.dir_wcc.after)
+    }
+}
+
+impl Aliased for RenameRes {
+    fn alias(&mut self, cache: &NameCache) -> bool {
+        cache.alias_attr(&mut self.from_wcc.after) | cache.alias_attr(&mut self.to_wcc.after)
+    }
+}
+
+impl Aliased for LinkRes {
+    fn alias(&mut self, cache: &NameCache) -> bool {
+        cache.alias_attr(&mut self.attr) | cache.alias_attr(&mut self.dir_wcc.after)
+    }
+}
+
+impl Aliased for ReaddirRes {
+    fn alias(&mut self, cache: &NameCache) -> bool {
+        let mut changed = cache.alias_attr(&mut self.dir_attr);
+        for e in &mut self.entries {
+            changed |= cache.alias_fileid(&mut e.fileid);
+        }
+        changed
+    }
+}
+
+impl Aliased for ReaddirPlusRes {
+    fn alias(&mut self, cache: &NameCache) -> bool {
+        let mut changed = cache.alias_attr(&mut self.dir_attr);
+        for e in &mut self.entries {
+            changed |= cache.alias_fileid(&mut e.fileid)
+                | cache.alias_attr(&mut e.attr)
+                | cache.alias_fh(&mut e.handle);
+        }
+        changed
+    }
 }

@@ -14,14 +14,21 @@
 //! > server or survives the restart as a **dirty** block (never clean) —
 //! > and a torn or corrupted journal tail is detected and discarded,
 //! > never replayed and never fatal.
+//!
+//! The namespace log gets the same treatment against a real `sgfs-nfsd`:
+//! every acknowledged logged name either reached the server or survives
+//! the restart still logged, and ships before its blocks.
 
 use sgfs::config::{CacheMode, DurabilityPolicy, RetryPolicy, SecurityLevel, SessionConfig};
 use sgfs::proxy::blockstore::{BlockKey, BlockStore, DiskStore};
 use sgfs::proxy::client::{ClientProxy, SharedClientProxy, Upstream};
-use sgfs::proxy::journal::JOURNAL_FILE;
+use sgfs::proxy::journal::{Journal, NameRecord, JOURNAL_FILE};
 use sgfs_net::crash::is_crash;
-use sgfs_net::{pipe_pair, CrashInjector, PipeEnd, ALL_CRASH_POINTS};
-use sgfs_nfs3::proc::{procnum, CommitRes, GetAttrRes, WriteArgs, WriteRes};
+use sgfs_net::{pipe_pair, CrashInjector, CrashPoint, PipeEnd, ALL_CRASH_POINTS};
+use sgfs_nfs3::proc::{
+    procnum, CommitRes, CreateArgs, CreateMode, CreateRes, GetAttrRes, MkdirArgs, WriteArgs,
+    WriteRes,
+};
 use sgfs_nfs3::types::*;
 use sgfs_nfs3::{NFS_PROGRAM, NFS_VERSION};
 use sgfs_obs::{Counter, Emitter, Hop};
@@ -473,5 +480,265 @@ fn corrupted_record_stops_replay_and_store_stays_usable() {
         DiskStore::with_durability(dir.clone(), durability(), Emitter::detached("client"), None).unwrap();
     assert_eq!(report2.torn_bytes, 0);
     assert_eq!(report2.survivors.len(), report.survivors.len() + 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---- The namespace log -----------------------------------------------------
+
+/// One step of the namespace script; paths are below the export root.
+#[derive(Clone, Copy)]
+enum Step {
+    /// GETATTR: a remounted client revalidates its root first, which
+    /// also hands the proxy the caller's credential for the write-back.
+    Revalidate(&'static str),
+    Mkdir(&'static str),
+    Create(&'static str),
+    /// One block at offset 0, filled with the byte.
+    Write(&'static str, u8),
+    Remove(&'static str),
+    Flush,
+}
+
+/// `/d` is made in the export root, which the session did not make, so
+/// it goes upstream at once; everything below it is logged — a file with
+/// data, a directory with a file with data, and a temporary that is
+/// cancelled — and ships at the flush, `f` and `e` on the first
+/// dependency level and `g` on the second.
+const NAMES: [Step; 10] = [
+    Step::Mkdir("d"),
+    Step::Create("d/f"),
+    Step::Write("d/f", 0xF1),
+    Step::Mkdir("d/e"),
+    Step::Create("d/e/g"),
+    Step::Write("d/e/g", 0xE1),
+    Step::Create("d/t"),
+    Step::Write("d/t", 0x77),
+    Step::Remove("d/t"),
+    Step::Flush,
+];
+
+/// A real `sgfs-nfsd` exporting `/GFS`, owned by the caller, on its own
+/// shard core.
+struct NameServer {
+    vfs: Arc<sgfs_vfs::Vfs>,
+    service: Arc<sgfs_oncrpc::shard::RpcRecordService>,
+    shards: Arc<sgfs_oncrpc::ShardServer>,
+    root: Fh3,
+}
+
+impl NameServer {
+    fn new() -> Self {
+        let vfs = Arc::new(sgfs_vfs::Vfs::new());
+        let root_ctx = sgfs_vfs::UserContext::root();
+        let top = vfs.mkdir_p("/GFS", 0o755, &root_ctx).unwrap();
+        let own = sgfs_vfs::SetAttrs { uid: Some(1001), gid: Some(1001), ..Default::default() };
+        vfs.setattr(top.ino, &own, &root_ctx).unwrap();
+        let mut exports = sgfs_nfsd::Exports::new();
+        exports.add(sgfs_nfsd::ExportEntry::localhost("/GFS"));
+        let server = sgfs_nfsd::NfsServer::new_no_squash(vfs.clone(), exports);
+        let service = Arc::new(sgfs_oncrpc::shard::RpcRecordService(server));
+        let shards = sgfs_oncrpc::ShardServer::new(1);
+        Self { vfs, service, shards, root: Fh3::from_ino(1, top.ino) }
+    }
+
+    /// A client proxy on a fresh connection, recovering `config`'s spool.
+    fn proxy(&self, config: &SessionConfig) -> ClientProxy {
+        let (end, srv) = pipe_pair();
+        let watch = srv.watch();
+        self.shards.add_session(Box::new(srv), watch, self.service.clone()).unwrap();
+        let watch = end.watch();
+        ClientProxy::new(Upstream::Plain(Box::new(end)), watch, config).expect("proxy")
+    }
+
+    /// Every node below the export: path, kind, mode and content.
+    fn tree(&self) -> Vec<(String, sgfs_vfs::FileKind, u32, Vec<u8>)> {
+        let ctx = sgfs_vfs::UserContext::root();
+        let mut out = Vec::new();
+        let mut stack = vec![(String::new(), self.vfs.resolve("/GFS", &ctx).unwrap().ino)];
+        while let Some((path, ino)) = stack.pop() {
+            let a = self.vfs.getattr(ino).unwrap();
+            if a.kind == sgfs_vfs::FileKind::Directory {
+                for e in self.vfs.readdir(ino, &ctx).unwrap() {
+                    if e.name != "." && e.name != ".." {
+                        stack.push((format!("{path}/{}", e.name), e.ino));
+                    }
+                }
+                out.push((path, a.kind, a.mode, Vec::new()));
+            } else {
+                let data = self.vfs.read(ino, 0, a.size as u32, &ctx).unwrap().0;
+                out.push((path, a.kind, a.mode, data));
+            }
+        }
+        out.sort_by(|x, y| x.0.cmp(&y.0));
+        out
+    }
+}
+
+/// Run `steps` through `proxy` as a mount would, learning each handle
+/// from the reply that made it (`handles` maps paths; "" is the root).
+/// Any error must be the injected crash.
+fn run_names(
+    proxy: &mut ClientProxy,
+    steps: &[Step],
+    handles: &mut BTreeMap<String, Fh3>,
+) -> Result<(), std::io::Error> {
+    let at = |handles: &BTreeMap<String, Fh3>, path: &str| {
+        let (dir, name) = path.rsplit_once('/').unwrap_or(("", path));
+        DirOpArgs3 { dir: handles[dir].clone(), name: name.into() }
+    };
+    for (xid, step) in (0x500u32..).zip(steps) {
+        let record = match *step {
+            Step::Revalidate(path) => {
+                nfs_call(xid, procnum::GETATTR, |enc| handles[path].encode(enc))
+            }
+            Step::Mkdir(path) => nfs_call(xid, procnum::MKDIR, |enc| {
+                let attributes = Sattr3 { mode: Some(0o755), ..Default::default() };
+                MkdirArgs { where_: at(handles, path), attributes }.encode(enc)
+            }),
+            Step::Create(path) => nfs_call(xid, procnum::CREATE, |enc| {
+                let how = CreateMode::Unchecked(Sattr3 { mode: Some(0o644), ..Default::default() });
+                CreateArgs { where_: at(handles, path), how }.encode(enc)
+            }),
+            Step::Write(path, byte) => nfs_call(xid, procnum::WRITE, |enc| {
+                let (file, data) = (handles[path].clone(), vec![byte; BLOCK]);
+                WriteArgs { file, offset: 0, stable: StableHow::Unstable, data }.encode(enc)
+            }),
+            Step::Remove(path) => {
+                nfs_call(xid, procnum::REMOVE, |enc| at(handles, path).encode(enc))
+            }
+            Step::Flush => {
+                proxy.flush_all()?;
+                continue;
+            }
+        };
+        let reply = proxy.process_one(&record)?;
+        let mut dec = XdrDecoder::new(&reply);
+        ReplyHeader::decode(&mut dec).expect("reply header");
+        let body = &reply[dec.position()..];
+        assert_eq!(NfsStat3::from_xdr_bytes(&body[..4]).unwrap(), NfsStat3::Ok, "step {xid:#x}");
+        if let Step::Mkdir(path) | Step::Create(path) = *step {
+            let made = CreateRes::from_xdr_bytes(body).unwrap();
+            handles.insert(path.into(), made.obj.expect("a handle"));
+        }
+    }
+    Ok(())
+}
+
+/// The namespace log under a kill: after a logged CREATE and its WRITE,
+/// after a logged MKDIR with a CREATE beneath it, in the middle of the
+/// ship between its two dependency levels, and after the first level's
+/// replies, before the journal heard which names the server made — the
+/// revived proxy's ship then meets EXIST for its own earlier calls and
+/// must take those names as its own. In each case a fresh proxy recovers
+/// the spool, the script carries on with the handles it was given, and
+/// one flush leaves the server's tree as the crash-free run leaves it.
+#[test]
+fn a_killed_namespace_log_recovers_to_the_crash_free_tree() {
+    let script = |dir: &PathBuf, crash| config_for(dir.clone(), crash);
+    let oracle = {
+        let dir = temp_dir("names-oracle");
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = NameServer::new();
+        let mut handles = BTreeMap::from([(String::new(), server.root.clone())]);
+        let mut proxy = server.proxy(&script(&dir, None));
+        run_names(&mut proxy, &NAMES, &mut handles).expect("crash-free");
+        let upstream = proxy.forwarded_by_proc();
+        assert_eq!(
+            (upstream[procnum::MKDIR as usize], upstream[procnum::CREATE as usize]),
+            (2, 2),
+            "/d at once; /d/f, /d/e and /d/e/g at the flush; /d/t never"
+        );
+        assert_eq!(upstream[procnum::REMOVE as usize], 0);
+        let _ = std::fs::remove_dir_all(&dir);
+        server.tree()
+    };
+    assert_eq!(oracle.len(), 5, "{oracle:?}");
+
+    let kill = |point| Some(CrashInjector::at(point, 1));
+    let kills: [(&str, usize, Option<Arc<CrashInjector>>); 4] = [
+        ("after-create-write", 3, None),
+        ("after-mkdir-create", 5, None),
+        ("mid-ship", NAMES.len(), kill(CrashPoint::ShipBetweenLevels)),
+        ("after-ship-reply", NAMES.len(), kill(CrashPoint::ShipAfterReply)),
+    ];
+    for (label, kill_at, inj) in kills {
+        let dir = temp_dir(&format!("names-{label}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = NameServer::new();
+        let mut handles = BTreeMap::from([(String::new(), server.root.clone())]);
+        let mut victim = server.proxy(&script(&dir, inj.clone()));
+        match run_names(&mut victim, &NAMES[..kill_at], &mut handles) {
+            Ok(()) => assert!(inj.is_none(), "{label}: the armed kill never fired"),
+            Err(e) => assert!(is_crash(&e), "{label}: {e}"),
+        }
+        if inj.is_some() {
+            // The first level reached the server; the second did not.
+            let ctx = sgfs_vfs::UserContext::root();
+            assert!(server.vfs.resolve("/GFS/d/e", &ctx).is_ok(), "{label}");
+            assert!(server.vfs.resolve("/GFS/d/e/g", &ctx).is_err(), "{label}");
+        }
+        drop(victim); // killed: the spool directory stays as it was
+
+        let mut revived = server.proxy(&script(&dir, None));
+        let rest = if inj.is_some() { &NAMES[NAMES.len() - 1..] } else { &NAMES[kill_at..] };
+        let rest = [&[Step::Revalidate("")][..], rest].concat();
+        run_names(&mut revived, &rest, &mut handles)
+            .unwrap_or_else(|e| panic!("{label}: after recovery: {e}"));
+        assert_eq!(server.tree(), oracle, "{label}");
+        assert_eq!(revived.dirty_bytes(), 0, "{label}");
+        drop(revived);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A shipped name whose last link the server removed leaves the
+/// journal's namespace log: recovery maps only the names the server
+/// still has.
+#[test]
+fn a_removed_shipped_name_leaves_the_journal() {
+    let dir = temp_dir("names-removed");
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = NameServer::new();
+    let mut handles = BTreeMap::from([(String::new(), server.root.clone())]);
+    let mut proxy = server.proxy(&config_for(dir.clone(), None));
+    let steps = [&NAMES[..], &[Step::Remove("d/f"), Step::Remove("d/e/g")]].concat();
+    run_names(&mut proxy, &steps, &mut handles).expect("crash-free");
+    drop(proxy);
+    let mapped: Vec<Fh3> = Journal::recover(&dir)
+        .names
+        .into_iter()
+        .map(|rec| match rec {
+            NameRecord::Shipped { fh, .. } => fh,
+            other => panic!("{other:?} after a flush"),
+        })
+        .collect();
+    assert_eq!(mapped, vec![handles["d/e"].clone()]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A name another client took is refused, and the refusal is journaled:
+/// a proxy revived from the spool fails the flush again instead of
+/// taking the other client's file as its own earlier call's doing.
+#[test]
+fn a_refused_name_stays_refused_after_a_restart() {
+    let dir = temp_dir("names-refused");
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = NameServer::new();
+    let mut handles = BTreeMap::from([(String::new(), server.root.clone())]);
+    let mut proxy = server.proxy(&config_for(dir.clone(), None));
+    run_names(&mut proxy, &NAMES[..3], &mut handles).expect("crash-free");
+    // Another client makes /d/f first.
+    let ctx = sgfs_vfs::UserContext::root();
+    let d = server.vfs.resolve("/GFS/d", &ctx).unwrap().ino;
+    let theirs = server.vfs.create(d, "f", 0o600, true, &ctx).unwrap().ino;
+    server.vfs.write(theirs, 0, b"theirs", &ctx).unwrap();
+    for attempt in ["first", "after a restart"] {
+        let err = proxy.flush_all().expect_err(attempt).to_string();
+        assert!(err.contains("Exist"), "{attempt}: {err}");
+        drop(proxy);
+        proxy = server.proxy(&config_for(dir.clone(), None));
+        run_names(&mut proxy, &[Step::Revalidate("")], &mut handles).unwrap();
+    }
+    assert_eq!(server.vfs.read(theirs, 0, 64, &ctx).unwrap().0, b"theirs");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,12 +2,21 @@
 //!
 //! One client proxy (memory cache, width 1) fronts a real `sgfs-nfsd`
 //! over a shard; an oracle `NfsServer` on its own `Vfs` executes the same
-//! call records serially. Every GETATTR, LOOKUP and ACCESS reply the
-//! proxy hands back — answered from its cache or forwarded — must equal
-//! the oracle's in everything but times, every READDIR(PLUS) must list
-//! the same names and handles, every other reply must carry the same
-//! status, and once the proxy has written back, the two exported trees
-//! must be byte-identical.
+//! calls serially. The proxy makes names in directories the session made
+//! under handles it mints, and ships them later, so its handles and
+//! fileids are not the oracle's: the harness keeps a bijection between
+//! the two, learned from the replies that carry handles (CREATE, MKDIR,
+//! LOOKUP, READDIRPLUS), sends each call with the proxy's handles, and
+//! checks every handle and fileid a reply carries through it — a
+//! mutation's post-operation attributes included. Every
+//! GETATTR, LOOKUP and ACCESS reply the proxy hands back — answered from
+//! its cache or forwarded — must equal the oracle's in everything but
+//! times and a directory's size (the server's to choose: the proxy moves
+//! a directory's attributes on without knowing it), every READDIR(PLUS)
+//! must list the same names, every other reply must carry the same
+//! status, and whenever the proxy has written back — a flush
+//! mid-sequence, and at the end — the two exported trees must be
+//! byte-identical.
 //!
 //! WRITEs are whole aligned blocks, as the kernel client sends them: the
 //! block store keys an absorbed extent by its offset. Modes always leave
@@ -29,6 +38,8 @@ use sgfs_oncrpc::shard::RpcRecordService;
 use sgfs_oncrpc::{CallHeader, OpaqueAuth, ReplyHeader, ShardServer};
 use sgfs_vfs::{FileKind, UserContext, Vfs};
 use sgfs_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder};
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// The caller, who owns the export.
@@ -62,10 +73,12 @@ enum Op {
     Rmdir(usize, usize),
     Rename(usize, usize, usize, usize),
     Link(usize, usize, usize, usize),
+    /// Write everything back, names included.
+    Flush,
 }
 
 fn op() -> impl Strategy<Value = Op> {
-    (0u8..16, any::<u64>()).prop_map(|(kind, r)| {
+    (0u8..17, any::<u64>()).prop_map(|(kind, r)| {
         let pick = |shift: u32, n: u64| ((r >> shift) % n) as usize;
         // Half the calls land in the root, where most names live.
         let dir = |shift: u32| [0, 0, 1, 2][pick(shift, 4)];
@@ -84,7 +97,8 @@ fn op() -> impl Strategy<Value = Op> {
             12 => Op::Remove(d, n),
             13 => Op::Rmdir(d, n),
             14 => Op::Rename(d, n, d2, n2),
-            _ => Op::Link(d, n, d2, n2),
+            15 => Op::Link(d, n, d2, n2),
+            _ => Op::Flush,
         }
     })
 }
@@ -100,13 +114,49 @@ fn export() -> (Arc<NfsServer>, Arc<Vfs>) {
     (NfsServer::new_no_squash(vfs.clone(), exports), vfs)
 }
 
+/// One side of a bijection, each value paired with at most one of the
+/// other side's.
+struct Bijection<T> {
+    ours: HashMap<T, T>,
+    theirs: HashMap<T, T>,
+}
+
+impl<T: Clone + Eq + Hash + std::fmt::Debug> Bijection<T> {
+    fn new() -> Self {
+        Self { ours: HashMap::new(), theirs: HashMap::new() }
+    }
+
+    /// Pair the proxy's `ours` with the oracle's `theirs`, or check they
+    /// are already paired with each other.
+    fn pair(&mut self, ours: &T, theirs: &T, what: &str) {
+        let known = (self.ours.get(ours), self.theirs.get(theirs));
+        match known {
+            (None, None) => {
+                self.ours.insert(ours.clone(), theirs.clone());
+                self.theirs.insert(theirs.clone(), ours.clone());
+            }
+            (Some(t), Some(o)) if t == theirs && o == ours => {}
+            _ => {
+                panic!("{what}: proxy {ours:?} and oracle {theirs:?} break the bijection {known:?}")
+            }
+        }
+    }
+
+    fn ours(&self, theirs: &T) -> T {
+        self.theirs.get(theirs).unwrap_or_else(|| panic!("no proxy twin of {theirs:?}")).clone()
+    }
+}
+
 /// The proxy in front of its upstream server, and the oracle.
 struct Rig {
     proxy: ClientProxy,
     upstream: Arc<Vfs>,
     oracle: Arc<NfsServer>,
     xid: u32,
+    /// Oracle handles seen earlier in the run.
     seen: Vec<Fh3>,
+    handles: Bijection<Fh3>,
+    fileids: Bijection<u64>,
     _shards: Arc<ShardServer>,
 }
 
@@ -123,7 +173,49 @@ impl Rig {
         let watch = client_end.watch();
         let upstream_end = Upstream::Plain(Box::new(client_end));
         let proxy = ClientProxy::new(upstream_end, watch, &config).unwrap();
-        Rig { proxy, upstream, oracle: export().0, xid: 1, seen: Vec::new(), _shards: shards }
+        let oracle = export().0;
+        let mut rig = Rig {
+            proxy,
+            upstream,
+            oracle,
+            xid: 1,
+            seen: Vec::new(),
+            handles: Bijection::new(),
+            fileids: Bijection::new(),
+            _shards: shards,
+        };
+        // The export root is the one handle both sides share.
+        let root = rig.oracle.vfs().resolve("/GFS", &UserContext::root()).unwrap().ino;
+        rig.handles.pair(&Fh3::from_ino(1, root), &Fh3::from_ino(1, root), "root");
+        rig.fileids.pair(&root, &root, "root");
+        rig
+    }
+
+    /// The proxy's handle of the oracle's `fh`.
+    fn ours(&self, fh: &Fh3) -> Fh3 {
+        self.handles.ours(fh)
+    }
+
+    fn ours_at(&self, w: &DirOpArgs3) -> DirOpArgs3 {
+        DirOpArgs3 { dir: self.ours(&w.dir), name: w.name.clone() }
+    }
+
+    /// Pair the handles of two replies, when both carry one.
+    fn pair_fh(&mut self, got: &Option<Fh3>, want: &Option<Fh3>, what: &str) {
+        match (got, want) {
+            (Some(g), Some(w)) => self.handles.pair(g, w, what),
+            (None, None) => {}
+            _ => panic!("{what}: handle {got:?} where the oracle has {want:?}"),
+        }
+    }
+
+    /// The compared part of two replies' attributes, the fileids paired:
+    /// all but the times, the space used and a directory's size.
+    fn same_attrs(&mut self, got: &Option<Fattr3>, want: &Option<Fattr3>, what: &str) {
+        if let (Some(g), Some(w)) = (got, want) {
+            self.fileids.pair(&g.fileid, &w.fileid, what);
+        }
+        assert_eq!(attrs(got), attrs(want), "{what}");
     }
 
     /// The handle and kind of `path` as the oracle has it now.
@@ -147,9 +239,14 @@ impl Rig {
         self.resolve(&format!("{}/{}", DIRS[d], NAMES[n]))
     }
 
-    /// One call through the proxy and through the oracle; both replies'
-    /// result bodies.
-    fn call(&mut self, proc: u32, args: &dyn XdrEncode) -> (Vec<u8>, Vec<u8>) {
+    /// One call through the proxy, with `ours` (the proxy's handles), and
+    /// through the oracle, with `theirs`; both replies' result bodies.
+    fn call(
+        &mut self,
+        proc: u32,
+        ours: &dyn XdrEncode,
+        theirs: &dyn XdrEncode,
+    ) -> (Vec<u8>, Vec<u8>) {
         self.xid += 1;
         let header = CallHeader {
             xid: self.xid,
@@ -159,12 +256,14 @@ impl Rig {
             cred: OpaqueAuth::sys(&AuthSysParams::new("compute-host", UID, UID)),
             verf: OpaqueAuth::none(),
         };
-        let mut enc = XdrEncoder::with_capacity(256);
-        header.encode(&mut enc);
-        args.encode(&mut enc);
-        let record = enc.into_bytes();
-        let proxied = self.proxy.process_one(&record).expect("the proxy stays up");
-        let expected = process_record(&record, self.oracle.as_ref());
+        let record = |args: &dyn XdrEncode| {
+            let mut enc = XdrEncoder::with_capacity(256);
+            header.encode(&mut enc);
+            args.encode(&mut enc);
+            enc.into_bytes()
+        };
+        let proxied = self.proxy.process_one(&record(ours)).expect("the proxy stays up");
+        let expected = process_record(&record(theirs), self.oracle.as_ref());
         (body(&proxied), body(&expected))
     }
 
@@ -178,24 +277,36 @@ impl Rig {
                     true => CreateMode::Guarded(attrs),
                     false => CreateMode::Unchecked(attrs),
                 };
-                self.call(procnum::CREATE, &CreateArgs { where_, how })
+                let ours = CreateArgs { where_: self.ours_at(&where_), how: how.clone() };
+                let made = self.call(procnum::CREATE, &ours, &CreateArgs { where_, how });
+                self.made(&made, &format!("{op:?}"));
+                made
             }
             Op::Mkdir(d, n) => {
                 let Some(where_) = self.where_(d, n) else { return };
                 let attributes = Sattr3 { mode: Some(0o755), ..Default::default() };
-                self.call(procnum::MKDIR, &MkdirArgs { where_, attributes })
+                let ours =
+                    MkdirArgs { where_: self.ours_at(&where_), attributes: attributes.clone() };
+                let made = self.call(procnum::MKDIR, &ours, &MkdirArgs { where_, attributes });
+                self.made(&made, &format!("{op:?}"));
+                made
             }
             Op::Write(d, n, block, byte) => {
                 let Some((file, FileKind::Regular)) = self.object(d, n) else { return };
                 let data = vec![byte; BLOCK as usize];
                 let offset = block * BLOCK;
-                let args = WriteArgs { file, offset, stable: StableHow::Unstable, data };
-                self.call(procnum::WRITE, &args)
+                let stable = StableHow::Unstable;
+                let ours = WriteArgs { file: self.ours(&file), offset, stable, data: data.clone() };
+                self.call(procnum::WRITE, &ours, &WriteArgs { file, offset, stable, data })
             }
             Op::SetSize(d, n, size) => {
                 let Some((object, FileKind::Regular)) = self.object(d, n) else { return };
                 let new_attributes = Sattr3 { size: Some(size), ..Default::default() };
-                self.call(procnum::SETATTR, &SetAttrArgs { object, new_attributes })
+                let ours = SetAttrArgs {
+                    object: self.ours(&object),
+                    new_attributes: new_attributes.clone(),
+                };
+                self.call(procnum::SETATTR, &ours, &SetAttrArgs { object, new_attributes })
             }
             Op::SetMode(d, n, m) => {
                 let Some((object, kind)) = self.object(d, n) else { return };
@@ -204,7 +315,11 @@ impl Rig {
                     _ => [0o600, 0o644, 0o700, 0o744],
                 };
                 let new_attributes = Sattr3 { mode: Some(modes[m]), ..Default::default() };
-                self.call(procnum::SETATTR, &SetAttrArgs { object, new_attributes })
+                let ours = SetAttrArgs {
+                    object: self.ours(&object),
+                    new_attributes: new_attributes.clone(),
+                };
+                self.call(procnum::SETATTR, &ours, &SetAttrArgs { object, new_attributes })
             }
             Op::GetAttr(d, n) => {
                 let Some((fh, _)) = self.object(d, n) else { return };
@@ -216,89 +331,148 @@ impl Rig {
             }
             Op::Lookup(d, n) => {
                 let Some(args) = self.where_(d, n) else { return };
-                let (got, want) = self.call(procnum::LOOKUP, &args);
+                let (got, want) = self.call(procnum::LOOKUP, &self.ours_at(&args), &args);
                 let (got, want) = (decode::<LookupRes>(&got), decode::<LookupRes>(&want));
+                let what = format!("LOOKUP {}/{}", DIRS[d], NAMES[n]);
+                assert_eq!(got.status, want.status, "{what}");
+                self.pair_fh(&got.object, &want.object, &what);
+                self.same_attrs(&got.obj_attr, &want.obj_attr, &what);
                 // A failed LOOKUP carries the directory's attributes.
-                let dir_attr = |r: &LookupRes| match r.status {
-                    NfsStat3::Ok => None,
-                    _ => attrs(&r.dir_attr),
-                };
-                assert_eq!(
-                    (got.status, &got.object, attrs(&got.obj_attr), dir_attr(&got)),
-                    (want.status, &want.object, attrs(&want.obj_attr), dir_attr(&want)),
-                    "LOOKUP {args:?}"
-                );
+                if got.status != NfsStat3::Ok {
+                    self.same_attrs(&got.dir_attr, &want.dir_attr, &what);
+                }
                 return;
             }
             Op::Access(d, n, mask) => {
                 let Some((object, _)) = self.object(d, n) else { return };
-                let (got, want) = self.call(procnum::ACCESS, &AccessArgs { object, access: mask });
+                let ours = AccessArgs { object: self.ours(&object), access: mask };
+                let (got, want) =
+                    self.call(procnum::ACCESS, &ours, &AccessArgs { object, access: mask });
                 let (got, want) = (decode::<AccessRes>(&got), decode::<AccessRes>(&want));
-                assert_eq!(
-                    (got.status, got.access, attrs(&got.obj_attr)),
-                    (want.status, want.access, attrs(&want.obj_attr)),
-                    "ACCESS {mask:#x} of {}/{}",
-                    DIRS[d],
-                    NAMES[n]
-                );
+                let what = format!("ACCESS {mask:#x} of {}/{}", DIRS[d], NAMES[n]);
+                assert_eq!((got.status, got.access), (want.status, want.access), "{what}");
+                self.same_attrs(&got.obj_attr, &want.obj_attr, &what);
                 return;
             }
             Op::Readdir(d, plus) => {
                 let Some(dir) = self.dir(d) else { return };
-                let listing = |body: &[u8]| match plus {
-                    true => {
-                        let res = decode::<ReaddirPlusRes>(body);
-                        let entries = res.entries.into_iter();
-                        (res.status, entries.map(|e| (e.name, e.fileid, e.handle)).collect())
-                    }
-                    false => {
-                        let res = decode::<ReaddirRes>(body);
-                        let entries = res.entries.into_iter();
-                        (res.status, entries.map(|e| (e.name, e.fileid, None)).collect::<Vec<_>>())
+                let ours = self.ours(&dir);
+                let what = format!("READDIR (plus: {plus}) of {}", DIRS[d]);
+                type Listing = (NfsStat3, Vec<(String, u64, Option<Fh3>)>);
+                let listing = |body: &[u8]| -> Listing {
+                    match plus {
+                        true => {
+                            let res = decode::<ReaddirPlusRes>(body);
+                            let entries = res.entries.into_iter();
+                            (res.status, entries.map(|e| (e.name, e.fileid, e.handle)).collect())
+                        }
+                        false => {
+                            let res = decode::<ReaddirRes>(body);
+                            let entries = res.entries.into_iter();
+                            (res.status, entries.map(|e| (e.name, e.fileid, None)).collect())
+                        }
                     }
                 };
                 let (got, want) = match plus {
                     true => {
                         let (dircount, maxcount) = (8192, 65536);
-                        let args =
-                            ReaddirPlusArgs { dir, cookie: 0, cookieverf: 0, dircount, maxcount };
-                        self.call(procnum::READDIRPLUS, &args)
+                        let args = |dir| ReaddirPlusArgs {
+                            dir,
+                            cookie: 0,
+                            cookieverf: 0,
+                            dircount,
+                            maxcount,
+                        };
+                        self.call(procnum::READDIRPLUS, &args(ours), &args(dir))
                     }
                     false => {
-                        let args = ReaddirArgs { dir, cookie: 0, cookieverf: 0, count: 65536 };
-                        self.call(procnum::READDIR, &args)
+                        let args =
+                            |dir| ReaddirArgs { dir, cookie: 0, cookieverf: 0, count: 65536 };
+                        self.call(procnum::READDIR, &args(ours), &args(dir))
                     }
                 };
-                assert_eq!(listing(&got), listing(&want), "READDIR (plus: {plus}) of {}", DIRS[d]);
+                let ((got_status, got), (want_status, want)) = (listing(&got), listing(&want));
+                let names = |l: &[(String, u64, Option<Fh3>)]| {
+                    l.iter().map(|e| e.0.clone()).collect::<Vec<_>>()
+                };
+                assert_eq!((got_status, names(&got)), (want_status, names(&want)), "{what}");
+                for ((_, got_id, got_fh), (_, want_id, want_fh)) in got.iter().zip(&want) {
+                    self.fileids.pair(got_id, want_id, &what);
+                    self.pair_fh(got_fh, want_fh, &what);
+                }
                 return;
             }
             Op::Remove(d, n) | Op::Rmdir(d, n) => {
                 let Some(args) = self.where_(d, n) else { return };
                 let proc =
                     if matches!(op, Op::Remove(..)) { procnum::REMOVE } else { procnum::RMDIR };
-                self.call(proc, &args)
+                self.call(proc, &self.ours_at(&args), &args)
             }
             Op::Rename(d, n, d2, n2) => {
                 let (Some(from), Some(to)) = (self.where_(d, n), self.where_(d2, n2)) else {
                     return;
                 };
-                self.call(procnum::RENAME, &RenameArgs { from, to })
+                let ours = RenameArgs { from: self.ours_at(&from), to: self.ours_at(&to) };
+                self.call(procnum::RENAME, &ours, &RenameArgs { from, to })
             }
             Op::Link(d, n, d2, n2) => {
                 let Some((file, _)) = self.object(d, n) else { return };
                 let Some(link) = self.where_(d2, n2) else { return };
-                self.call(procnum::LINK, &LinkArgs { file, link })
+                let ours = LinkArgs { file: self.ours(&file), link: self.ours_at(&link) };
+                self.call(procnum::LINK, &ours, &LinkArgs { file, link })
+            }
+            Op::Flush => {
+                self.proxy.flush_all().expect("write-back");
+                assert_eq!(tree(&self.upstream), tree(self.oracle.vfs()), "after a flush");
+                return;
             }
         };
         // Every result body opens with its status.
         assert_eq!(got[..4], want[..4], "status of {op:?}");
+        self.pair_after(op, &got, &want);
+    }
+
+    /// Pair the fileids in the attributes a mutation's reply carries: a
+    /// file or directory the mount knows by one fileid must never be
+    /// handed on under another.
+    fn pair_after(&mut self, op: Op, got: &[u8], want: &[u8]) {
+        let slots = |body: &[u8]| match op {
+            Op::Create(..) | Op::Mkdir(..) => vec![decode::<CreateRes>(body).dir_wcc.after],
+            Op::Write(..) => vec![decode::<WriteRes>(body).wcc.after],
+            Op::SetSize(..) | Op::SetMode(..) | Op::Remove(..) | Op::Rmdir(..) => {
+                vec![decode::<WccRes>(body).wcc.after]
+            }
+            Op::Rename(..) => {
+                let res = decode::<RenameRes>(body);
+                vec![res.from_wcc.after, res.to_wcc.after]
+            }
+            Op::Link(..) => {
+                let res = decode::<LinkRes>(body);
+                vec![res.attr, res.dir_wcc.after]
+            }
+            _ => Vec::new(),
+        };
+        for (g, w) in slots(got).into_iter().zip(slots(want)) {
+            if let (Some(g), Some(w)) = (g, w) {
+                self.fileids.pair(&g.fileid, &w.fileid, &format!("attributes after {op:?}"));
+            }
+        }
+    }
+
+    /// Pair what a CREATE or MKDIR made on each side.
+    fn made(&mut self, (got, want): &(Vec<u8>, Vec<u8>), what: &str) {
+        let (got, want) = (decode::<CreateRes>(got), decode::<CreateRes>(want));
+        if got.status == NfsStat3::Ok && want.status == NfsStat3::Ok {
+            self.pair_fh(&got.obj, &want.obj, what);
+            self.same_attrs(&got.obj_attr, &want.obj_attr, what);
+        }
     }
 
     fn getattr(&mut self, fh: &Fh3) {
-        let (got, want) = self.call(procnum::GETATTR, fh);
+        let (got, want) = self.call(procnum::GETATTR, &self.ours(fh), fh);
         let (got, want) = (decode::<GetAttrRes>(&got), decode::<GetAttrRes>(&want));
-        let (got, want) = ((got.status, attrs(&got.attr)), (want.status, attrs(&want.attr)));
-        assert_eq!(got, want, "GETATTR {fh:?}");
+        assert_eq!(got.status, want.status, "GETATTR {fh:?}");
+        self.same_attrs(&got.attr, &want.attr, &format!("GETATTR {fh:?}"));
     }
 
     /// Write back, then compare the two trees.
@@ -319,10 +493,11 @@ fn decode<T: XdrDecode>(body: &[u8]) -> T {
     T::from_xdr_bytes(body).expect("result body")
 }
 
-/// The compared part of a reply's attributes: all but the times and
-/// the space used.
-fn attrs(a: &Option<Fattr3>) -> Option<(u32, u32, u32, u32, u32, u64, u64)> {
-    a.as_ref().map(|a| (a.ftype as u32, a.mode, a.nlink, a.uid, a.gid, a.size, a.fileid))
+/// The compared part of a reply's attributes: all but the fileid
+/// (paired instead), the times, the space used and a directory's size.
+fn attrs(a: &Option<Fattr3>) -> Option<(u32, u32, u32, u32, u32, u64)> {
+    let size = |a: &Fattr3| if a.ftype == FType3::Dir { 0 } else { a.size };
+    a.as_ref().map(|a| (a.ftype as u32, a.mode, a.nlink, a.uid, a.gid, size(a)))
 }
 
 /// Every node of the export: path, kind, mode, owner, link count and
@@ -535,4 +710,131 @@ fn a_name_the_handle_map_forgot_is_never_answered_absent() {
     check(&[&forget[..], &[Op::Lookup(1, a), Op::Lookup(1, b)]].concat());
     // A RENAME onto another link of the same file leaves both names.
     check(&[&forget[..], &[Op::Rename(1, a, 1, b), Op::Lookup(1, a), Op::Lookup(1, b)]].concat());
+}
+
+/// What `ops` sent upstream, by procedure.
+fn forwarded(rig: &mut Rig, ops: &[Op]) -> [u64; sgfs_obs::NUM_PROCS] {
+    let before = rig.proxy.forwarded_by_proc();
+    for &op in ops {
+        rig.run(op);
+    }
+    let mut sent = rig.proxy.forwarded_by_proc();
+    for (n, b) in sent.iter_mut().zip(before) {
+        *n -= b;
+    }
+    sent
+}
+
+/// Names made and removed in a directory the session made never reach
+/// the server, and neither does their data.
+#[test]
+fn a_name_removed_before_it_ships_never_reaches_the_server() {
+    let (a, b, d1, d2) = (0, 1, 2, 3);
+    let mut rig = Rig::new();
+    rig.run(Op::Mkdir(0, d1));
+    let ops = [
+        Op::Create(1, a, false),
+        Op::Write(1, a, 0, 7),
+        Op::Mkdir(1, d2),
+        Op::Create(2, b, true),
+        Op::Lookup(2, b),
+        Op::GetAttr(2, b),
+        Op::Remove(2, b),
+        Op::Rmdir(1, d2),
+        Op::Remove(1, a),
+        Op::Lookup(1, a),
+        Op::GetAttr(0, d1),
+    ];
+    let sent = forwarded(&mut rig, &ops);
+    assert_eq!(sent.iter().sum::<u64>(), 0, "{sent:?}");
+    rig.settle();
+}
+
+/// A flush ships a logged tree parents first, then its data; the names
+/// answer as the server's afterwards.
+#[test]
+fn a_flush_ships_a_logged_tree_parents_first() {
+    let (a, d1, d2) = (0, 2, 3);
+    let mut rig = Rig::new();
+    let ops = [
+        Op::Mkdir(0, d1),
+        Op::Mkdir(1, d2),
+        Op::Create(2, a, false),
+        Op::Write(2, a, 1, 9),
+        Op::Flush,
+    ];
+    let sent = forwarded(&mut rig, &ops);
+    assert_eq!((sent[procnum::MKDIR as usize], sent[procnum::CREATE as usize]), (2, 1), "{sent:?}");
+    for op in [Op::GetAttr(2, a), Op::Readdir(2, true), Op::Readdir(1, false), Op::Lookup(2, a)] {
+        rig.run(op);
+    }
+    rig.settle();
+}
+
+/// A call the cache cannot answer about a logged name ships it first:
+/// ACCESS, SETATTR, a listing, RENAME, LINK — and the name answers as
+/// the oracle's does through all of them.
+#[test]
+fn a_call_the_cache_cannot_answer_ships_the_name_first() {
+    let (a, b, d1, d2, mode) = (0, 1, 2, 3, 2);
+    check(&[
+        Op::Mkdir(0, d1),
+        Op::Create(1, a, false),
+        Op::Write(1, a, 0, 3),
+        Op::Access(1, a, 0x3f),
+        Op::Mkdir(1, d2),
+        Op::SetMode(1, d2, mode),
+        Op::Create(2, b, false),
+        Op::Readdir(2, false),
+        Op::Create(1, b, true),
+        Op::Rename(1, b, 0, b),
+        Op::Link(1, a, 2, a),
+        Op::GetAttr(2, a),
+        Op::Remove(1, a),
+        Op::GetAttr(2, a),
+    ]);
+}
+
+/// An RMDIR of a logged directory that holds a logged name is the
+/// server's NOTEMPTY, not a cancellation; so is a REMOVE of a logged
+/// directory, and an RMDIR of a logged file.
+#[test]
+fn a_logged_name_is_cancelled_only_by_a_call_the_server_would_accept() {
+    let (a, d1, d2) = (0, 2, 3);
+    check(&[
+        Op::Mkdir(0, d1),
+        Op::Mkdir(1, d2),
+        Op::Create(2, a, false),
+        Op::Rmdir(1, d2),
+        Op::Remove(1, d2),
+        Op::Rmdir(2, a),
+        Op::GetAttr(1, d2),
+        Op::Readdir(2, true),
+    ]);
+}
+
+/// A shipped file keeps the fileid the mount knows through a mode change
+/// and a truncation, whose replies the server fills with its own; once
+/// removed, its minted handle is as stale as the server's handle is.
+#[test]
+fn a_shipped_file_keeps_its_fileid_until_it_is_removed() {
+    let (a, d1, mode) = (0, 2, 1);
+    let mut rig = Rig::new();
+    let ops = [
+        Op::Mkdir(0, d1),
+        Op::Create(1, a, false),
+        Op::Write(1, a, 0, 5),
+        Op::Flush,
+        Op::SetMode(1, a, mode),
+        Op::SetSize(1, a, 100),
+        Op::Write(1, a, 1, 6),
+        Op::GetAttr(1, a),
+    ];
+    for op in ops {
+        rig.run(op);
+    }
+    let (file, _) = rig.object(1, a).expect("made");
+    rig.run(Op::Remove(1, a));
+    rig.getattr(&file);
+    rig.settle();
 }

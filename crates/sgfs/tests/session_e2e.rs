@@ -230,6 +230,8 @@ fn a_refused_remove_discards_no_acknowledged_write() {
     session.mount.mkdir("/ro", 0o755).unwrap();
     let data = vec![0xE7u8; 70_000];
     session.mount.write_file("/ro/kept", &data).unwrap();
+    // An ACCESS needs the name on the server: the logged CREATE ships.
+    session.mount.access("/ro/kept", 0x1).unwrap();
     // Behind the session's back the directory turns read-only: the server
     // will answer the REMOVE with NFS3ERR_ACCES.
     let root = UserContext::root();
@@ -444,9 +446,10 @@ fn an_acl_name_in_a_made_directory_is_refused_over_the_wan() {
     session.finish().unwrap();
 }
 
-/// PostMark makes every file in a directory the session made: the proxy
-/// answers each open(O_CREAT)'s LOOKUP itself, so a CREATE crosses the
-/// WAN alone.
+/// PostMark makes every file in a directory the session made, and
+/// deletes every file before the session ends: the proxy answers each
+/// open(O_CREAT)'s LOOKUP itself, logs each CREATE under a minted handle,
+/// and each REMOVE cancels one, so only the directories cross the WAN.
 #[test]
 fn wan_postmark_creates_without_looking_up_first() {
     let world = GridWorld::new();
@@ -454,9 +457,16 @@ fn wan_postmark_creates_without_looking_up_first() {
     let cfg = PostmarkConfig { dirs: 4, files: 20, transactions: 40, ..Default::default() };
     let clock = session.clock().clone();
     let result = postmark::run(&mut session.mount, &clock, &cfg).unwrap();
+    assert!(result.created > 0);
     let forwarded = session.client_proxy_stats().unwrap().forwarded_by_proc();
-    assert_eq!(forwarded[procnum::LOOKUP as usize], 0);
-    assert_eq!(forwarded[procnum::CREATE as usize], result.created as u64);
+    for proc in [procnum::LOOKUP, procnum::CREATE, procnum::REMOVE] {
+        assert_eq!(forwarded[proc as usize], 0, "proc {proc}");
+    }
+    for proc in [procnum::MKDIR, procnum::RMDIR] {
+        assert_eq!(forwarded[proc as usize], cfg.dirs as u64, "proc {proc}");
+    }
+    // Nothing else: the mount's revalidations are answered locally.
+    assert_eq!(forwarded.iter().sum::<u64>(), 2 * cfg.dirs as u64, "{forwarded:?}");
     session.finish().unwrap();
 }
 
@@ -501,4 +511,84 @@ fn wan_latency_is_accounted() {
     // while real wall time is microseconds.
     assert!(elapsed >= Duration::from_millis(80), "only {elapsed:?} accounted");
     session.finish().unwrap();
+}
+
+/// A WAN session with a disk cache, and a second session (LAN, no cache)
+/// on the same file server's `Vfs`: another client of the same files.
+fn two_sessions(world: &GridWorld) -> (Session, Session) {
+    let ours = wan_cached_session(world);
+    let mut params = SessionParams::lan(SetupKind::Sgfs(SecurityLevel::StrongCipher));
+    params.vfs = Some(ours.server().vfs().clone());
+    (ours, Session::build(world, &params).unwrap())
+}
+
+/// Names, like data, become visible to other clients at flush: a name
+/// made in a directory the session made is not on the server until the
+/// session writes back, and then it is, byte-identical.
+#[test]
+fn another_client_sees_a_logged_name_at_flush() {
+    let world = GridWorld::new();
+    let (mut ours, mut other) = two_sessions(&world);
+    let server = ours.server().clone();
+    ours.mount.mkdir("/d", 0o755).unwrap();
+    ours.mount.mkdir("/d/sub", 0o750).unwrap();
+    let data: Vec<u8> = (0..70_000).map(|i| (i % 241) as u8).collect();
+    ours.mount.write_file("/d/sub/f", &data).unwrap();
+    let before = ours.client_proxy_stats().unwrap().forwarded_by_proc();
+    assert_eq!(before[procnum::CREATE as usize], 0);
+    assert_eq!(before[procnum::MKDIR as usize], 1, "only /d, in a directory not made here");
+    let err = other.mount.stat("/d/sub").unwrap_err();
+    assert!(matches!(err, FsError::Nfs(Nfs3Error::Status(NfsStat3::NoEnt))), "{err:?}");
+    ours.finish().unwrap();
+    assert_eq!(other.mount.read_file("/d/sub/f").unwrap(), data);
+    assert_eq!(other.mount.stat("/d/sub").unwrap().mode & 0o777, 0o750);
+    assert_eq!(server_file(&server, "/GFS/d/sub/f"), data);
+    other.finish().unwrap();
+}
+
+/// A name another client took first fails the write-back with its path;
+/// the other client's file is never opened, renamed or written.
+#[test]
+fn a_name_another_client_took_fails_the_flush_with_its_path() {
+    let world = GridWorld::new();
+    let (mut ours, mut other) = two_sessions(&world);
+    let server = ours.server().clone();
+    ours.mount.mkdir("/d", 0o755).unwrap();
+    ours.mount.write_file("/d/f", b"ours").unwrap();
+    ours.mount.write_file("/d/g", b"also ours").unwrap();
+    other.mount.write_file("/d/f", b"theirs").unwrap();
+    // A call that needs the name on the server fails with its status.
+    let err = ours.mount.access("/d/f", 0x1).unwrap_err();
+    assert!(matches!(err, FsError::Nfs(Nfs3Error::Status(NfsStat3::Exist))), "{err:?}");
+    let err = ours.finish().expect_err("the name is taken").to_string();
+    assert!(err.contains("d/f") && err.contains("Exist"), "{err}");
+    assert_eq!(server_file(&server, "/GFS/d/f"), b"theirs");
+    assert_eq!(server_file(&server, "/GFS/d/g"), b"also ours");
+    other.finish().unwrap();
+}
+
+/// Only UNCHECKED and GUARDED CREATE and MKDIR are logged: an EXCLUSIVE
+/// CREATE, a SYMLINK and a LINK in a directory the session made still
+/// cross the WAN.
+#[test]
+fn exclusive_create_symlink_and_link_are_still_forwarded() {
+    let world = GridWorld::new();
+    let mut session = wan_cached_session(&world);
+    let server = session.server().clone();
+    session.mount.mkdir("/d", 0o755).unwrap();
+    session.mount.write_file("/d/f", b"data").unwrap();
+    let root = session.mount.root().clone();
+    let (dir, _) = session.mount.nfs().lookup(&root, "d").unwrap();
+    let exclusive = sgfs_nfs3::proc::CreateMode::Exclusive(0x5eed);
+    session.mount.nfs().create_how(&dir, "x", exclusive).unwrap();
+    session.mount.symlink("f", "/d/s").unwrap();
+    session.mount.link("/d/f", "/d/l").unwrap();
+    let forwarded = session.client_proxy_stats().unwrap().forwarded_by_proc();
+    let sent = |proc: u32| forwarded[proc as usize];
+    // A SYMLINK into /d needs every name /d holds on the server first:
+    // the logged CREATE ships.
+    assert_eq!((sent(procnum::CREATE), sent(procnum::SYMLINK), sent(procnum::LINK)), (2, 1, 1));
+    session.finish().unwrap();
+    assert_eq!(server_file(&server, "/GFS/d/l"), b"data");
+    assert!(server.vfs().resolve("/GFS/d/x", &UserContext::root()).is_ok());
 }

@@ -100,7 +100,9 @@ impl Vfs {
         }
     }
 
-    fn check_name(name: &str) -> VfsResult<()> {
+    /// Whether `name` may name an entry: not empty, `.`, `..`, a path or
+    /// longer than `NAME_MAX` bytes.
+    pub fn check_name(name: &str) -> VfsResult<()> {
         if name.is_empty() || name == "." || name == ".." || name.contains('/') {
             return Err(VfsError::Inval);
         }

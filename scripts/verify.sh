@@ -103,7 +103,9 @@ run_watchdog 180 prop_pipeline  cargo test -q -p sgfs --test prop_pipeline
 
 # The namespace cache against a serial nfsd oracle: every GETATTR,
 # LOOKUP, ACCESS and READDIR(PLUS) answer the client proxy gives equals
-# the server's, and after write-back the exported trees are identical.
+# the server's — through a handle bijection, since names made in the
+# session's own directories get proxy-minted handles and ship later —
+# and after every write-back the exported trees are identical.
 run_watchdog 180 prop_namecache cargo test -q -p sgfs --test prop_namecache
 
 # AEAD record layer beyond the module tests: the hardware-vs-portable
@@ -138,7 +140,8 @@ run_watchdog 300 contract_run cargo run --release --offline --quiet \
     --workload lan_smallfile --seed 2007 --seconds 20 --trace 1
 
 # Every bench floor, one runner (crates/bench/src/gate.rs lists them):
-# obs, journal, scale, stripe, slo, crypto, pipeline measure; contract
+# obs, journal, scale, stripe, slo, crypto, pipeline, wan measure (wan
+# gates what quick PostMark sends across the WAN, as counts); contract
 # reads the run above. A suite with a failed row is measured once more
 # from scratch; a row that fails both times is named on stderr and the
 # run exits nonzero. Writes results/BENCH_gates.json and appends the run
