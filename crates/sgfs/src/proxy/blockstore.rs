@@ -294,19 +294,6 @@ impl DiskStore {
         Ok((store, report))
     }
 
-    /// The spool directory.
-    pub fn dir(&self) -> &PathBuf {
-        &self.dir
-    }
-
-    /// Force journal buffers to disk (session teardown).
-    pub fn sync_journal(&mut self) -> std::io::Result<()> {
-        match &mut self.journal {
-            Some(j) => j.sync(),
-            None => Ok(()),
-        }
-    }
-
     fn hit(&self, point: CrashPoint) -> std::io::Result<()> {
         match &self.crash {
             Some(c) => c.hit(point),

@@ -38,15 +38,16 @@
 use crate::config::{CacheMode, HopCost, RetryPolicy, SessionConfig, StripePolicy};
 use crate::proxy::blockstore::{BlockKey, BlockStore, DiskStore, MemStore};
 use crate::proxy::journal::NameRecord;
-use crate::proxy::namecache::{is_minted, Call, Entry, NameCache};
+use crate::proxy::namecache::{is_minted, Entry, NameCache};
 use crate::proxy::pipeline::{PendingReply, Pipeline};
 use crate::proxy::stripe::{StripeMap, StripeSet};
+use crate::proxy::wire::{decode_reply, encode_reply, failure, nfs_call, success_body, Call};
 use parking_lot::Mutex;
 use sgfs_gtls::GtlsStream;
 use sgfs_nfs3::proc::{procnum, *};
 use sgfs_nfs3::types::*;
 use sgfs_nfs3::{NFS_PROGRAM, NFS_VERSION};
-use sgfs_oncrpc::{AcceptStat, CallHeader, OpaqueAuth, RecordService, ReplyHeader};
+use sgfs_oncrpc::{CallHeader, OpaqueAuth, RecordService};
 use sgfs_net::{BoxStream, CrashInjector, CrashPoint};
 use sgfs_obs::{Counter, Emitter, Gauge, Hop, NO_PROC};
 use sgfs_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder};
@@ -515,7 +516,7 @@ impl ClientProxy {
         // A logged name the call needed upstream was refused there: the
         // call fails with the server's status.
         let reply = self.process(record).or_else(|e| match refusal(&e) {
-            Some(status) => Ok(failure_reply(sgfs_obs::peek_xid(record), proc, status)),
+            Some(status) => Ok(failure(sgfs_obs::peek_xid(record), proc, status)),
             None => Err(e),
         });
         self.stats.message(proc, t0.elapsed());
@@ -534,16 +535,11 @@ impl ClientProxy {
     }
 
     fn process(&mut self, record: &[u8]) -> std::io::Result<Vec<u8>> {
-        let mut dec = XdrDecoder::new(record);
-        let header = match CallHeader::decode(&mut dec) {
-            Ok(h) => h,
-            Err(_) => return Ok(accept_error(0, AcceptStat::GarbageArgs)),
+        let (header, args) = match nfs_call(record) {
+            Ok(call) => call,
+            Err(reply) => return Ok(reply),
         };
-        if header.prog != NFS_PROGRAM || header.vers != NFS_VERSION {
-            return Ok(accept_error(header.xid, AcceptStat::ProgUnavail));
-        }
         self.client_cred = header.cred.clone();
-        let args = &record[dec.position()..];
 
         if self.store.is_none() {
             return self.forward(record, header.proc, args);
@@ -706,11 +702,9 @@ impl ClientProxy {
             // the file: ask only for what it holds.
             let count = map.contiguous(offset, a.count as u64) as u32;
             let args = ReadArgs { file: key.0, offset, count };
-            self.next_xid = self.next_xid.wrapping_add(1);
-            let record = encode_call(self.next_xid, procnum::READ, &self.client_cred, &args);
-            let Ok(record) = self.upstream(Cow::Owned(record)) else { return };
+            let Ok(record) = self.own_call(None, procnum::READ, &args) else { return };
             offsets_of[m].push(offset);
-            records_of[m].push(record.into_owned());
+            records_of[m].push(record);
         }
         let stream =
             self.prefetch_gov.stream(&a.file).expect("on_read keeps the stream it has a batch for");
@@ -806,7 +800,7 @@ impl ClientProxy {
                     let dirty = is_dirty(&self.store, &a.file);
                     self.namecache.observe(&a.file, attr, dirty);
                 }
-                _ => return self.forward(record, procnum::WRITE, args),
+                _ => return self.write_through(xid, record, args, &a.file),
             }
         }
         let t_blk = std::time::Instant::now();
@@ -838,7 +832,7 @@ impl ClientProxy {
             // store): degrade this WRITE to write-through so the ack the
             // client sees is the server's, not a fabrication the cache
             // can no longer back.
-            return self.forward(record, procnum::WRITE, args);
+            return self.write_through(xid, record, args, &a.file);
         }
         self.stats.emit(Hop::BlockWrite, xid, procnum::WRITE, t_blk.elapsed().as_nanos() as u64);
         let end = a.offset + a.data.len() as u64;
@@ -851,6 +845,35 @@ impl ClientProxy {
             verf: self.write_verf,
         };
         Ok(encode_reply(xid, &res))
+    }
+
+    /// Send WRITE `record` on `file` to the server instead of absorbing
+    /// it. Whatever the store holds of the file would be stale behind it —
+    /// a READ would serve it, a flush write it over the new data — so the
+    /// file is flushed and its blocks forgotten first, and the reply's
+    /// attributes are taken in as clean. A file whose flush fails is
+    /// answered NFS3ERR_IO and the WRITE never sent.
+    fn write_through(
+        &mut self,
+        xid: u32,
+        record: &[u8],
+        args: &[u8],
+        file: &Fh3,
+    ) -> std::io::Result<Vec<u8>> {
+        if self.store.as_ref().is_some_and(|s| !s.blocks_of(file).is_empty()) {
+            if let Err(e) = self.flush_file(file) {
+                if sgfs_net::crash::is_crash(&e) {
+                    return Err(e);
+                }
+                return Ok(failure(xid, procnum::WRITE, NfsStat3::Io));
+            }
+            self.forget_data(file);
+        }
+        let reply = self.forward(record, procnum::WRITE, args)?;
+        if let Ok(WriteRes { wcc: WccData { after: Some(attr), .. }, .. }) = decode_reply(&reply) {
+            self.namecache.observe(file, attr, false);
+        }
+        Ok(reply)
     }
 
     /// Write every dirty block of `fh` back upstream and make it stable,
@@ -977,9 +1000,7 @@ impl ClientProxy {
                 let Some(data) = self.store.as_mut().and_then(|s| s.get(key)) else { continue };
                 let (file, offset) = key.clone();
                 let args = WriteArgs { file, offset, stable: StableHow::Unstable, data };
-                self.next_xid = self.next_xid.wrapping_add(1);
-                let record = encode_call(self.next_xid, procnum::WRITE, &self.client_cred, &args);
-                records[m].push(self.upstream(Cow::Owned(record))?.into_owned());
+                records[m].push(self.own_call(None, procnum::WRITE, &args)?);
                 sent[m].push(key.clone());
             }
         }
@@ -1405,9 +1426,7 @@ impl ClientProxy {
         proc: u32,
         args: &dyn XdrEncode,
     ) -> std::io::Result<T> {
-        self.next_xid = self.next_xid.wrapping_add(1);
-        let record = encode_call(self.next_xid, proc, &self.client_cred, args);
-        let record = self.upstream(Cow::Owned(record))?;
+        let record = self.own_call(None, proc, args)?;
         decode_reply(&self.call_first_live(&record)?)
     }
 
@@ -1420,11 +1439,33 @@ impl ClientProxy {
         proc: u32,
         args: &dyn XdrEncode,
     ) -> std::io::Result<T> {
-        self.next_xid = self.next_xid.wrapping_add(1);
-        let record = encode_call(self.next_xid, proc, &self.client_cred, args);
-        let record = self.upstream(Cow::Owned(record))?;
+        let record = self.own_call(None, proc, args)?;
         let member = self.stripe.member(m);
         decode_reply(&call_jukebox_patient(&member, &self.stats, &self.channels.retry, &record)?)
+    }
+
+    /// Write a call of the proxy's own — as `cred` made it, else as the
+    /// mount's latest call did — under the next xid, and take it across
+    /// the [`upstream`](Self::upstream) boundary.
+    fn own_call(
+        &mut self,
+        cred: Option<&OpaqueAuth>,
+        proc: u32,
+        args: &dyn XdrEncode,
+    ) -> std::io::Result<Vec<u8>> {
+        self.next_xid = self.next_xid.wrapping_add(1);
+        let header = CallHeader {
+            xid: self.next_xid,
+            prog: NFS_PROGRAM,
+            vers: NFS_VERSION,
+            proc,
+            cred: cred.unwrap_or(&self.client_cred).clone(),
+            verf: OpaqueAuth::none(),
+        };
+        let mut enc = XdrEncoder::with_capacity(128);
+        header.encode(&mut enc);
+        args.encode(&mut enc);
+        Ok(self.upstream(Cow::Owned(enc.into_bytes()))?.into_owned())
     }
 
     /// The upstream boundary every call the proxy sends crosses: a logged
@@ -1501,7 +1542,7 @@ impl ClientProxy {
                 self.journal_name(&NameRecord::Sent { fh: e.fh.clone() })?;
                 self.namecache.sent(&e.fh, true);
                 self.stats.forwarded(e.proc());
-                records.push(self.name_call(&e.cred, e.proc(), &e.shipped())?);
+                records.push(self.own_call(Some(&e.cred), e.proc(), &*e.shipped())?);
             }
             if records.is_empty() {
                 continue;
@@ -1563,7 +1604,7 @@ impl ClientProxy {
     /// has as the entry, if it is of the entry's kind. Whether it did.
     fn adopt(&mut self, e: &Entry) -> std::io::Result<bool> {
         self.stats.forwarded(procnum::LOOKUP);
-        let record = self.name_call(&e.cred, procnum::LOOKUP, &e.where_().to_xdr_bytes())?;
+        let record = self.own_call(Some(&e.cred), procnum::LOOKUP, e.where_())?;
         let kind = if e.is_dir() { FType3::Dir } else { FType3::Reg };
         match decode_reply::<LookupRes>(&self.call_first_live(&record)?) {
             Ok(LookupRes {
@@ -1577,23 +1618,6 @@ impl ClientProxy {
             }
             _ => Ok(false),
         }
-    }
-
-    /// A call a logged entry's ship makes, as `cred` made the entry,
-    /// through the upstream boundary.
-    fn name_call(&mut self, cred: &OpaqueAuth, proc: u32, args: &[u8]) -> std::io::Result<Vec<u8>> {
-        self.next_xid = self.next_xid.wrapping_add(1);
-        let header = CallHeader {
-            xid: self.next_xid,
-            prog: NFS_PROGRAM,
-            vers: NFS_VERSION,
-            proc,
-            cred: cred.clone(),
-            verf: OpaqueAuth::none(),
-        };
-        let mut record = header.to_xdr_bytes();
-        record.extend_from_slice(args);
-        Ok(self.upstream(Cow::Owned(record))?.into_owned())
     }
 }
 
@@ -1615,28 +1639,6 @@ impl std::error::Error for Refused {}
 /// The server's status, when `e` is a refused name.
 fn refusal(e: &std::io::Error) -> Option<NfsStat3> {
     e.get_ref().and_then(|e| e.downcast_ref::<Refused>()).map(|r| r.status)
-}
-
-/// The reply of a `proc` call that failed with `status`: the status, and
-/// every attribute its failure body may carry left out.
-fn failure_reply(xid: u32, proc: u32, status: NfsStat3) -> Vec<u8> {
-    // A post_op_attr is one word, a wcc_data two.
-    let absent = match proc {
-        procnum::GETATTR => 0,
-        procnum::SETATTR | procnum::WRITE | procnum::CREATE | procnum::MKDIR => 2,
-        procnum::SYMLINK | procnum::MKNOD | procnum::REMOVE | procnum::RMDIR => 2,
-        procnum::COMMIT => 2,
-        procnum::LINK => 3,
-        procnum::RENAME => 4,
-        _ => 1,
-    };
-    let mut enc = XdrEncoder::with_capacity(64);
-    ReplyHeader::success(xid).encode(&mut enc);
-    status.encode(&mut enc);
-    for _ in 0..absent {
-        enc.put_u32(0);
-    }
-    enc.into_bytes()
 }
 
 /// What one write-back round made stable.
@@ -1677,29 +1679,6 @@ impl Part {
 /// The round's error for a file the server answered with `status`.
 fn rejected(status: NfsStat3) -> std::io::Error {
     std::io::Error::other(format!("write-back failed: {status:?}"))
-}
-
-/// Encode one complete call record (header + arguments).
-fn encode_call(xid: u32, proc: u32, cred: &OpaqueAuth, args: &dyn XdrEncode) -> Vec<u8> {
-    let header = CallHeader {
-        xid,
-        prog: NFS_PROGRAM,
-        vers: NFS_VERSION,
-        proc,
-        cred: cred.clone(),
-        verf: OpaqueAuth::none(),
-    };
-    let mut enc = XdrEncoder::with_capacity(128);
-    header.encode(&mut enc);
-    args.encode(&mut enc);
-    enc.into_bytes()
-}
-
-/// Decode the result body of an accepted-success reply record.
-pub(crate) fn decode_reply<T: XdrDecode>(reply: &[u8]) -> std::io::Result<T> {
-    success_body(reply)
-        .and_then(|body| T::from_xdr_bytes(body).ok())
-        .ok_or_else(|| std::io::Error::other("upstream reply rejected or malformed"))
 }
 
 /// The `(offset, count)` of a READ or WRITE call, peeked without copying
@@ -1799,27 +1778,6 @@ fn serve_read(xid: u32, a: &ReadArgs, attr: Fattr3, data: &[u8]) -> Vec<u8> {
     encode_reply(xid, &res)
 }
 
-pub(crate) fn encode_reply<T: XdrEncode>(xid: u32, result: &T) -> Vec<u8> {
-    let mut enc = XdrEncoder::with_capacity(128);
-    ReplyHeader::success(xid).encode(&mut enc);
-    result.encode(&mut enc);
-    enc.into_bytes()
-}
-
-fn accept_error(xid: u32, stat: AcceptStat) -> Vec<u8> {
-    ReplyHeader::Accepted { xid, verf: OpaqueAuth::none(), stat }.to_xdr_bytes()
-}
-
-pub(crate) fn success_body(reply: &[u8]) -> Option<&[u8]> {
-    let mut dec = XdrDecoder::new(reply);
-    match ReplyHeader::decode(&mut dec) {
-        Ok(ReplyHeader::Accepted { stat: AcceptStat::Success, .. }) => {
-            Some(&reply[dec.position()..])
-        }
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1903,6 +1861,52 @@ mod tests {
         assert_eq!(batches.last().unwrap(), &(16..18));
     }
 
+    /// A `/GFS` export of a fresh file system, and its root handle.
+    fn export() -> (Arc<sgfs_vfs::Vfs>, Arc<sgfs_nfsd::NfsServer>, Fh3) {
+        let vfs = Arc::new(sgfs_vfs::Vfs::new());
+        vfs.mkdir_p("/GFS", 0o755, &sgfs_vfs::UserContext::root()).unwrap();
+        let mut exports = sgfs_nfsd::Exports::new();
+        exports.add(sgfs_nfsd::ExportEntry::localhost("/GFS"));
+        let server = sgfs_nfsd::NfsServer::new_no_squash(vfs.clone(), exports);
+        let root = server.mount("/GFS", "localhost").unwrap();
+        (vfs, server, root)
+    }
+
+    /// A caching (`MemoryMeta`) proxy over `server`, which a shard serves
+    /// while the returned `ShardServer` lives.
+    fn caching_proxy(
+        server: Arc<dyn sgfs_oncrpc::server::RpcService>,
+    ) -> (Arc<sgfs_oncrpc::ShardServer>, ClientProxy) {
+        let shards = sgfs_oncrpc::ShardServer::new(1);
+        let (client_end, server_end) = sgfs_net::pipe_pair();
+        let watch = server_end.watch();
+        let service = Arc::new(sgfs_oncrpc::shard::RpcRecordService(server));
+        shards.add_session(Box::new(server_end), watch, service).unwrap();
+        let mut config = SessionConfig::new(crate::config::SecurityLevel::None);
+        config.cache = CacheMode::MemoryMeta;
+        let watch = client_end.watch();
+        let upstream = Upstream::Plain(Box::new(client_end));
+        (shards, ClientProxy::new(upstream, watch, &config).unwrap())
+    }
+
+    /// The result body of `proxy`'s reply to call `xid` of `proc`, made
+    /// as root.
+    fn call(proxy: &mut ClientProxy, xid: u32, proc: u32, args: &[u8]) -> Vec<u8> {
+        let header = CallHeader {
+            xid,
+            prog: NFS_PROGRAM,
+            vers: NFS_VERSION,
+            proc,
+            cred: OpaqueAuth::sys(&sgfs_oncrpc::msg::AuthSysParams::new("host", 0, 0)),
+            verf: OpaqueAuth::none(),
+        };
+        let mut record = header.to_xdr_bytes();
+        record.extend_from_slice(args);
+        let reply = proxy.process_one(&record).unwrap();
+        assert_eq!(sgfs_obs::peek_xid(&reply), xid);
+        success_body(&reply).expect("accepted").to_vec()
+    }
+
     /// An upstream that makes a MKNOD's node as a regular file, as a
     /// server implementing MKNOD would, and hands every other call to
     /// `sgfs-nfsd`.
@@ -1937,58 +1941,143 @@ mod tests {
     /// listing is stale once the server has made the node.
     #[test]
     fn a_mknod_makes_its_directorys_listing_stale() {
-        let vfs = Arc::new(sgfs_vfs::Vfs::new());
-        let top = vfs.mkdir_p("/GFS", 0o755, &sgfs_vfs::UserContext::root()).unwrap();
-        let mut exports = sgfs_nfsd::Exports::new();
-        exports.add(sgfs_nfsd::ExportEntry::localhost("/GFS"));
-        let server = MknodServer(sgfs_nfsd::NfsServer::new_no_squash(vfs, exports));
-        let shards = sgfs_oncrpc::ShardServer::new(1);
-        let (client_end, server_end) = sgfs_net::pipe_pair();
-        let watch = server_end.watch();
-        let service = Arc::new(sgfs_oncrpc::shard::RpcRecordService(Arc::new(server)));
-        shards.add_session(Box::new(server_end), watch, service).unwrap();
-        let mut config = SessionConfig::new(crate::config::SecurityLevel::None);
-        config.cache = CacheMode::MemoryMeta;
-        let watch = client_end.watch();
-        let upstream = Upstream::Plain(Box::new(client_end));
-        let mut proxy = ClientProxy::new(upstream, watch, &config).unwrap();
-
-        let dir = Fh3::from_ino(1, top.ino);
-        let mut xid = 0;
-        let mut call = |proxy: &mut ClientProxy, proc: u32, args: &[u8]| {
-            xid += 1;
-            let header = CallHeader {
-                xid,
-                prog: NFS_PROGRAM,
-                vers: NFS_VERSION,
-                proc,
-                cred: OpaqueAuth::sys(&sgfs_oncrpc::msg::AuthSysParams::new("host", 0, 0)),
-                verf: OpaqueAuth::none(),
-            };
-            let mut record = header.to_xdr_bytes();
-            record.extend_from_slice(args);
-            let reply = proxy.process_one(&record).unwrap();
-            success_body(&reply).expect("accepted").to_vec()
-        };
+        let (_, server, dir) = export();
+        let (_shards, mut proxy) = caching_proxy(Arc::new(MknodServer(server)));
         let readdir = ReaddirArgs { dir: dir.clone(), cookie: 0, cookieverf: 0, count: 65536 };
         let readdir = readdir.to_xdr_bytes();
         let listing = |body: Vec<u8>| {
             let res = ReaddirRes::from_xdr_bytes(&body).unwrap();
             res.entries.into_iter().map(|e| e.name).filter(|n| !n.starts_with('.')).collect()
         };
-        let names: Vec<String> = listing(call(&mut proxy, procnum::READDIR, &readdir));
+        let names: Vec<String> = listing(call(&mut proxy, 1, procnum::READDIR, &readdir));
         assert!(names.is_empty(), "{names:?}");
 
         // MKNOD's `where`, then a FIFO's type (NF3FIFO = 7) and attributes.
         let mut mknod = DirOpArgs3 { dir, name: "fifo".into() }.to_xdr_bytes();
         mknod.extend_from_slice(&7u32.to_xdr_bytes());
         mknod.extend_from_slice(&Sattr3::default().to_xdr_bytes());
-        let made = call(&mut proxy, procnum::MKNOD, &mknod);
+        let made = call(&mut proxy, 2, procnum::MKNOD, &mknod);
         assert_eq!(CreateRes::from_xdr_bytes(&made).unwrap().status, NfsStat3::Ok);
 
-        let names: Vec<String> = listing(call(&mut proxy, procnum::READDIR, &readdir));
+        let names: Vec<String> = listing(call(&mut proxy, 3, procnum::READDIR, &readdir));
         assert_eq!(names, ["fifo"]);
         assert_eq!(proxy.forwarded_by_proc()[procnum::READDIR as usize], 2);
+    }
+
+    /// A store whose `put` fails while `full` is set, as a spool out of
+    /// space does.
+    struct Full {
+        inner: Box<dyn BlockStore>,
+        full: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl BlockStore for Full {
+        fn get(&mut self, key: &BlockKey) -> Option<Vec<u8>> {
+            self.inner.get(key)
+        }
+        fn put(&mut self, key: BlockKey, data: &[u8], dirty: bool) -> std::io::Result<()> {
+            if self.full.load(std::sync::atomic::Ordering::Relaxed) {
+                return Err(std::io::Error::other("spool full"));
+            }
+            self.inner.put(key, data, dirty)
+        }
+        fn meta(&self, key: &BlockKey) -> Option<crate::proxy::blockstore::BlockMeta> {
+            self.inner.meta(key)
+        }
+        fn set_clean(&mut self, key: &BlockKey) -> std::io::Result<()> {
+            self.inner.set_clean(key)
+        }
+        fn set_dirty(&mut self, key: &BlockKey) -> std::io::Result<()> {
+            self.inner.set_dirty(key)
+        }
+        fn blocks_of(&self, fh: &Fh3) -> Vec<u64> {
+            self.inner.blocks_of(fh)
+        }
+        fn dirty_blocks_of(&self, fh: &Fh3) -> Vec<u64> {
+            self.inner.dirty_blocks_of(fh)
+        }
+        fn dirty_files(&self) -> Vec<Fh3> {
+            self.inner.dirty_files()
+        }
+        fn drop_file(&mut self, fh: &Fh3) {
+            self.inner.drop_file(fh)
+        }
+        fn total_bytes(&self) -> u64 {
+            self.inner.total_bytes()
+        }
+        fn dirty_bytes(&self) -> u64 {
+            self.inner.dirty_bytes()
+        }
+    }
+
+    /// A caching proxy over a fresh export whose store can be filled up,
+    /// the file `f` made through it, and WRITE "old" absorbed into it.
+    fn absorbed_old() -> (
+        Arc<sgfs_vfs::Vfs>,
+        Arc<sgfs_oncrpc::ShardServer>,
+        ClientProxy,
+        Arc<std::sync::atomic::AtomicBool>,
+        Fh3,
+    ) {
+        let (vfs, server, root) = export();
+        let (shards, mut proxy) = caching_proxy(server);
+        let full = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let inner = proxy.store.take().expect("a caching proxy");
+        proxy.store = Some(Box::new(Full { inner, full: full.clone() }));
+        let how = CreateMode::Unchecked(Sattr3 { mode: Some(0o644), ..Default::default() });
+        let create = CreateArgs { where_: DirOpArgs3 { dir: root, name: "f".into() }, how };
+        let made = call(&mut proxy, 1, procnum::CREATE, &create.to_xdr_bytes());
+        let file = CreateRes::from_xdr_bytes(&made).unwrap().obj.expect("made");
+        assert_eq!(write(&mut proxy, 2, &file, b"old"), NfsStat3::Ok);
+        assert_eq!(proxy.forwarded_by_proc()[procnum::WRITE as usize], 0, "absorbed");
+        (vfs, shards, proxy, full, file)
+    }
+
+    /// The status of an UNSTABLE WRITE of `data` at offset 0 of `file`.
+    fn write(proxy: &mut ClientProxy, xid: u32, file: &Fh3, data: &[u8]) -> NfsStat3 {
+        let stable = StableHow::Unstable;
+        let args = WriteArgs { file: file.clone(), offset: 0, stable, data: data.to_vec() };
+        let reply = call(proxy, xid, procnum::WRITE, &args.to_xdr_bytes());
+        WriteRes::from_xdr_bytes(&reply).unwrap().status
+    }
+
+    fn on_server(vfs: &sgfs_vfs::Vfs) -> Vec<u8> {
+        let ctx = sgfs_vfs::UserContext::root();
+        let ino = vfs.resolve("/GFS/f", &ctx).unwrap().ino;
+        vfs.read(ino, 0, 16, &ctx).unwrap().0
+    }
+
+    /// A WRITE the store cannot absorb goes to the server, and what the
+    /// store held of the file goes first: no READ serves it and no flush
+    /// writes it over the new data.
+    #[test]
+    fn a_write_the_store_cannot_absorb_leaves_no_older_block_behind() {
+        let (vfs, _shards, mut proxy, full, file) = absorbed_old();
+        full.store(true, std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(write(&mut proxy, 3, &file, b"NEW"), NfsStat3::Ok);
+        assert_eq!(proxy.forwarded_by_proc()[procnum::WRITE as usize], 1, "written through");
+        assert_eq!(on_server(&vfs), b"NEW");
+
+        full.store(false, std::sync::atomic::Ordering::Relaxed);
+        let read = ReadArgs { file, offset: 0, count: 16 }.to_xdr_bytes();
+        let res = ReadRes::from_xdr_bytes(&call(&mut proxy, 4, procnum::READ, &read)).unwrap();
+        assert_eq!(res.data, b"NEW");
+        assert_eq!(res.attr.map(|a| a.size), Some(3));
+        proxy.flush_all().unwrap();
+        assert_eq!(on_server(&vfs), b"NEW");
+    }
+
+    /// When the older data cannot be flushed ahead of it, the WRITE fails
+    /// with NFS3ERR_IO and is never sent.
+    #[test]
+    fn a_write_through_whose_flush_fails_is_answered_io_unsent() {
+        let (vfs, _shards, mut proxy, full, file) = absorbed_old();
+        // The file goes behind the proxy's back: its write-back is refused.
+        let ctx = sgfs_vfs::UserContext::root();
+        vfs.remove(vfs.resolve("/GFS", &ctx).unwrap().ino, "f", &ctx).unwrap();
+        full.store(true, std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(write(&mut proxy, 3, &file, b"NEW"), NfsStat3::Io);
+        assert_eq!(proxy.forwarded_by_proc()[procnum::WRITE as usize], 0);
     }
 
     #[test]

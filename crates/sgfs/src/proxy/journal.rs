@@ -402,11 +402,6 @@ impl Journal {
         self.maybe_compact()
     }
 
-    /// Dirty-block entries the journal currently protects.
-    pub fn live_len(&self) -> usize {
-        self.live.len()
-    }
-
     fn encode_body(op: u8, flag: u8, fh: &Fh3, offset: u64, len: u32) -> Vec<u8> {
         let mut body = Vec::with_capacity(2 + 2 + fh.0.len() + 12);
         body.push(op);

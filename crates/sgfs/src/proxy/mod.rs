@@ -8,6 +8,7 @@ pub mod pipeline;
 pub mod retry;
 pub mod server;
 pub mod stripe;
+mod wire;
 
 pub use client::ClientProxy;
 pub use pipeline::Pipeline;

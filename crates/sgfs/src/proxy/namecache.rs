@@ -29,79 +29,15 @@
 //!   fileid in a reply the mount's.
 
 use crate::acl::is_acl_file_name;
-use crate::proxy::client::{decode_reply, encode_reply, success_body};
 use crate::proxy::journal::NameRecord;
+use crate::proxy::wire::{decode_reply, encode_reply, success_body, Call, Encoded};
 use sgfs_nfs3::proc::{procnum, *};
 use sgfs_nfs3::types::*;
 use sgfs_obs::{Emitter, Hop};
-use sgfs_oncrpc::{CallHeader, OpaqueAuth, ReplyHeader};
-use sgfs_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder};
+use sgfs_oncrpc::{CallHeader, OpaqueAuth};
+use sgfs_xdr::{XdrDecode, XdrDecoder, XdrEncode};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::ops::Range;
-
-/// A call's arguments as far as the namespace cache reads them, decoded
-/// once.
-pub(crate) enum Call {
-    GetAttr(Fh3),
-    /// The arguments and the caller's uid.
-    Access(AccessArgs, u32),
-    Lookup(DirOpArgs3),
-    /// Directory, cookie, and whether the listing is READDIRPLUS.
-    Readdir(Fh3, u64, bool),
-    SetAttr(SetAttrArgs),
-    /// CREATE, SYMLINK or MKNOD: the name made, and how a CREATE makes it.
-    Create(DirOpArgs3, Option<CreateMode>),
-    /// MKDIR: the name made, a directory known completely once made, and
-    /// its attributes.
-    Mkdir(DirOpArgs3, Sattr3),
-    /// REMOVE, or RMDIR when the flag is set.
-    Remove(DirOpArgs3, bool),
-    Rename(RenameArgs),
-    Link(LinkArgs),
-    /// Anything the cache neither answers nor learns from.
-    Other,
-}
-
-impl Call {
-    pub(crate) fn decode(proc: u32, args: &[u8], cred: &OpaqueAuth) -> Self {
-        let call = match proc {
-            procnum::GETATTR => Fh3::from_xdr_bytes(args).map(Call::GetAttr),
-            procnum::ACCESS => {
-                let uid = cred.as_sys().map(|s| s.uid).unwrap_or(u32::MAX);
-                AccessArgs::from_xdr_bytes(args).map(|a| Call::Access(a, uid))
-            }
-            procnum::LOOKUP => DirOpArgs3::from_xdr_bytes(args).map(Call::Lookup),
-            procnum::READDIR => {
-                ReaddirArgs::from_xdr_bytes(args).map(|a| Call::Readdir(a.dir, a.cookie, false))
-            }
-            procnum::READDIRPLUS => {
-                ReaddirPlusArgs::from_xdr_bytes(args).map(|a| Call::Readdir(a.dir, a.cookie, true))
-            }
-            procnum::SETATTR => SetAttrArgs::from_xdr_bytes(args).map(Call::SetAttr),
-            procnum::CREATE => {
-                CreateArgs::from_xdr_bytes(args).map(|a| Call::Create(a.where_, Some(a.how)))
-            }
-            procnum::MKDIR => {
-                MkdirArgs::from_xdr_bytes(args).map(|a| Call::Mkdir(a.where_, a.attributes))
-            }
-            procnum::SYMLINK => {
-                SymlinkArgs::from_xdr_bytes(args).map(|a| Call::Create(a.where_, None))
-            }
-            // Only the leading `where` is read; the node's type follows.
-            procnum::MKNOD => {
-                DirOpArgs3::decode(&mut XdrDecoder::new(args)).map(|w| Call::Create(w, None))
-            }
-            procnum::REMOVE | procnum::RMDIR => {
-                let rmdir = proc == procnum::RMDIR;
-                DirOpArgs3::from_xdr_bytes(args).map(|w| Call::Remove(w, rmdir))
-            }
-            procnum::RENAME => RenameArgs::from_xdr_bytes(args).map(Call::Rename),
-            procnum::LINK => LinkArgs::from_xdr_bytes(args).map(Call::Link),
-            _ => return Call::Other,
-        };
-        call.unwrap_or(Call::Other)
-    }
-}
 
 /// Opens every minted handle.
 const MINTED_TAG: &[u8; 8] = b"sgfsname";
@@ -164,19 +100,19 @@ impl Entry {
     /// The arguments it ships with. A CREATE always goes GUARDED: a name
     /// another client took in the meantime fails the ship instead of
     /// opening their file.
-    pub(crate) fn shipped(&self) -> Vec<u8> {
+    pub(crate) fn shipped(&self) -> Box<dyn XdrEncode> {
         let (where_, attrs) = (self.where_.clone(), self.attrs.clone());
         if self.is_dir {
-            MkdirArgs { where_, attributes: attrs }.to_xdr_bytes()
+            Box::new(MkdirArgs { where_, attributes: attrs })
         } else {
-            CreateArgs { where_, how: CreateMode::Guarded(attrs) }.to_xdr_bytes()
+            Box::new(CreateArgs { where_, how: CreateMode::Guarded(attrs) })
         }
     }
 
     /// Its journal record: the caller's credential, then the arguments.
     pub(crate) fn record(&self) -> NameRecord {
         let mut args = self.cred.to_xdr_bytes();
-        args.extend_from_slice(&self.shipped());
+        args.extend_from_slice(&self.shipped().to_xdr_bytes());
         NameRecord::Logged { fh: self.fh.clone(), proc: self.proc(), args }
     }
 
@@ -362,13 +298,8 @@ impl NameCache {
                 }),
             },
             Call::Readdir(dir, cookie, plus) => {
-                self.readdirs.get(&(dir.clone(), *cookie, *plus)).map(|body| {
-                    let mut enc = XdrEncoder::with_capacity(body.len() + 32);
-                    ReplyHeader::success(xid).encode(&mut enc);
-                    let mut out = enc.into_bytes();
-                    out.extend_from_slice(body);
-                    out
-                })
+                let body = self.readdirs.get(&(dir.clone(), *cookie, *plus));
+                body.map(|body| encode_reply(xid, &Encoded(body)))
             }
             _ => return None,
         };

@@ -10,11 +10,12 @@
 //! under the write-verifier protocol anyway).
 
 use crate::proxy::client::Upstream;
+use crate::proxy::wire::success_body;
 use sgfs_net::PipeWatch;
 use sgfs_nfs3::proc::{procnum, WriteArgsRef};
 use sgfs_nfs3::types::{NfsStat3, StableHow};
 use sgfs_nfs3::{NFS_PROGRAM, NFS_VERSION};
-use sgfs_oncrpc::{AcceptStat, CallHeader, ReplyHeader};
+use sgfs_oncrpc::CallHeader;
 use sgfs_xdr::{XdrDecode, XdrDecoder};
 use std::io;
 
@@ -98,12 +99,8 @@ pub fn replayable(record: &[u8]) -> bool {
 /// uniform: an RPC-accepted, RPC-successful reply whose first result word
 /// is 10008. NULL replies have an empty body and never match.
 pub fn is_jukebox_reply(reply: &[u8]) -> bool {
-    let mut dec = XdrDecoder::new(reply);
-    let Ok(ReplyHeader::Accepted { stat: AcceptStat::Success, .. }) = ReplyHeader::decode(&mut dec)
-    else {
-        return false;
-    };
-    matches!(NfsStat3::decode(&mut dec), Ok(NfsStat3::Jukebox))
+    let status = success_body(reply).map(|body| NfsStat3::decode(&mut XdrDecoder::new(body)));
+    matches!(status, Some(Ok(NfsStat3::Jukebox)))
 }
 
 #[cfg(test)]
@@ -111,7 +108,7 @@ mod tests {
     use super::*;
     use sgfs_nfs3::proc::WriteArgs;
     use sgfs_nfs3::types::Fh3;
-    use sgfs_oncrpc::{AuthSysParams, OpaqueAuth};
+    use sgfs_oncrpc::{AuthSysParams, OpaqueAuth, ReplyHeader};
     use sgfs_xdr::{XdrEncode, XdrEncoder};
 
     fn record(proc: u32, body: impl FnOnce(&mut XdrEncoder)) -> Vec<u8> {

@@ -17,18 +17,19 @@
 
 use crate::acl::{acl_file_name, is_acl_file_name, Acl};
 use crate::config::{HopCost, SessionConfig};
+use crate::proxy::wire::{accept_error, encode_reply, failure, nfs_call, success_body, Call};
 use crate::proxy::ProxyError;
 use sgfs_obs::Emitter;
 use parking_lot::Mutex;
 use sgfs_nfs3::proc::{procnum, *};
 use sgfs_nfs3::types::*;
-use sgfs_nfs3::{Nfs3Client, NFS_PROGRAM, NFS_VERSION};
+use sgfs_nfs3::Nfs3Client;
 use sgfs_oncrpc::msg::AuthSysParams;
 use sgfs_oncrpc::record::{read_record_at, write_marked, MARK_LEN};
-use sgfs_oncrpc::{AcceptStat, CallHeader, OpaqueAuth, ReplyHeader};
+use sgfs_oncrpc::{AcceptStat, OpaqueAuth};
 use sgfs_net::BoxStream;
 use sgfs_pki::{DistinguishedName, MapTarget, ValidatedPeer};
-use sgfs_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder};
+use sgfs_xdr::{XdrDecode, XdrEncode, XdrEncoder};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -150,27 +151,21 @@ impl ServerProxy {
             out.extend_from_slice(&reply);
             Ok(())
         };
-        let mut dec = XdrDecoder::new(record);
-        let header = match CallHeader::decode(&mut dec) {
-            Ok(h) => h,
-            Err(_) => return made(out, accept_error(0, AcceptStat::GarbageArgs)),
+        let (header, args) = match nfs_call(record) {
+            Ok(call) => call,
+            Err(reply) => return made(out, reply),
         };
-        if header.prog != NFS_PROGRAM || header.vers != NFS_VERSION {
-            return made(out, accept_error(header.xid, AcceptStat::ProgUnavail));
-        }
-        let args = &record[dec.position()..];
+        let call = Call::decode(header.proc, args, &header.cred);
 
         // Shield ACL files from every name-bearing operation.
-        if let Some(name_hit) = touches_acl_file(header.proc, args) {
-            if name_hit {
-                return made(out, deny_nfs(header.xid, header.proc));
-            }
+        if call.names().any(is_acl_file_name) {
+            return made(out, failure(header.xid, header.proc, NfsStat3::Acces));
         }
 
         // Fine-grained access control: terminate ACCESS locally.
         let fine = self.config.lock().fine_grained_acl;
         if fine && header.proc == procnum::ACCESS {
-            if let Ok(a) = AccessArgs::from_xdr_bytes(args) {
+            if let Call::Access(a, _) = &call {
                 let acl = self.effective_acl(&a.object);
                 let granted = acl.map(|acl| acl.mask_for(&self.peer_dn)).unwrap_or(0);
                 let res = AccessRes {
@@ -217,7 +212,7 @@ impl ServerProxy {
         }
 
         let reply = &out[MARK_LEN..];
-        self.snoop(header.proc, args, reply);
+        self.snoop(&call, reply);
 
         // Filter ACL files out of directory listings.
         if header.proc == procnum::READDIR || header.proc == procnum::READDIRPLUS {
@@ -228,76 +223,50 @@ impl ServerProxy {
         Ok(())
     }
 
-    /// Learn fh→(parent, name) mappings from successful replies.
-    fn snoop(&self, proc: u32, args: &[u8], reply: &[u8]) {
+    /// Learn fh→(parent, name) mappings from successful replies: of a
+    /// LOOKUP, CREATE, MKDIR or READDIRPLUS, and what a RENAME, REMOVE or
+    /// RMDIR moved or unlinked.
+    fn snoop(&self, call: &Call, reply: &[u8]) {
         let Some(result) = success_body(reply) else { return };
-        match proc {
-            procnum::LOOKUP => {
-                if let (Ok(a), Ok(r)) =
-                    (DirOpArgs3::from_xdr_bytes(args), LookupRes::from_xdr_bytes(result))
-                {
-                    if let Some(fh) = r.object {
-                        self.name_map.lock().insert(fh, (a.dir, a.name));
-                    }
-                }
+        let learn = |w: &DirOpArgs3, fh: Option<Fh3>| {
+            if let Some(fh) = fh {
+                self.name_map.lock().insert(fh, (w.dir.clone(), w.name.clone()));
             }
-            procnum::CREATE => {
-                if let (Ok(a), Ok(r)) =
-                    (CreateArgs::from_xdr_bytes(args), CreateRes::from_xdr_bytes(result))
-                {
-                    if let Some(fh) = r.obj {
-                        self.name_map.lock().insert(fh, (a.where_.dir, a.where_.name));
-                    }
-                }
+        };
+        match call {
+            Call::Lookup(w) => {
+                learn(w, LookupRes::from_xdr_bytes(result).ok().and_then(|r| r.object))
             }
-            procnum::MKDIR => {
-                if let (Ok(a), Ok(r)) =
-                    (MkdirArgs::from_xdr_bytes(args), CreateRes::from_xdr_bytes(result))
-                {
-                    if let Some(fh) = r.obj {
-                        self.name_map.lock().insert(fh, (a.where_.dir, a.where_.name));
-                    }
-                }
+            // A CREATE's, not a SYMLINK's or a MKNOD's.
+            Call::Create(w, Some(_)) | Call::Mkdir(w, _) => {
+                learn(w, CreateRes::from_xdr_bytes(result).ok().and_then(|r| r.obj))
             }
-            procnum::READDIRPLUS => {
-                if let (Ok(a), Ok(r)) = (
-                    ReaddirPlusArgs::from_xdr_bytes(args),
-                    ReaddirPlusRes::from_xdr_bytes(result),
-                ) {
+            Call::Readdir(dir, _, true) => {
+                if let Ok(r) = ReaddirPlusRes::from_xdr_bytes(result) {
                     let mut map = self.name_map.lock();
                     for e in r.entries {
                         if let Some(fh) = e.handle {
                             if e.name != "." && e.name != ".." {
-                                map.insert(fh, (a.dir.clone(), e.name));
+                                map.insert(fh, (dir.clone(), e.name));
                             }
                         }
                     }
                 }
             }
-            procnum::RENAME => {
-                if let Ok(a) = RenameArgs::from_xdr_bytes(args) {
-                    let mut map = self.name_map.lock();
-                    let moved: Option<Fh3> = map
-                        .iter()
-                        .find(|(_, (d, n))| *d == a.from.dir && *n == a.from.name)
-                        .map(|(fh, _)| fh.clone());
-                    if let Some(fh) = moved {
-                        map.insert(fh.clone(), (a.to.dir, a.to.name));
-                        self.acl_cache.lock().remove(&fh);
-                    }
+            Call::Rename(a) => {
+                let mut map = self.name_map.lock();
+                let moved = map.iter().find(|(_, (d, n))| *d == a.from.dir && *n == a.from.name);
+                if let Some(fh) = moved.map(|(fh, _)| fh.clone()) {
+                    map.insert(fh.clone(), (a.to.dir.clone(), a.to.name.clone()));
+                    self.acl_cache.lock().remove(&fh);
                 }
             }
-            procnum::REMOVE | procnum::RMDIR => {
-                if let Ok(a) = DirOpArgs3::from_xdr_bytes(args) {
-                    let mut map = self.name_map.lock();
-                    let gone: Option<Fh3> = map
-                        .iter()
-                        .find(|(_, (d, n))| *d == a.dir && *n == a.name)
-                        .map(|(fh, _)| fh.clone());
-                    if let Some(fh) = gone {
-                        map.remove(&fh);
-                        self.acl_cache.lock().remove(&fh);
-                    }
+            Call::Remove(w, _) => {
+                let mut map = self.name_map.lock();
+                let gone = map.iter().find(|(_, (d, n))| *d == w.dir && *n == w.name);
+                if let Some(fh) = gone.map(|(fh, _)| fh.clone()) {
+                    map.remove(&fh);
+                    self.acl_cache.lock().remove(&fh);
                 }
             }
             _ => {}
@@ -389,21 +358,6 @@ impl ServerProxy {
         self.acl_cache.lock().clear();
         Ok(())
     }
-
-    /// Read the ACL stored for `name` under `dir`, if any.
-    pub fn get_acl(&self, dir: &Fh3, name: Option<&str>) -> Option<Acl> {
-        let acl_name = match name {
-            Some(n) => acl_file_name(n),
-            None => ".acl".to_string(),
-        };
-        let text = self.read_file_in(dir, &acl_name)?;
-        Acl::parse(&text).ok()
-    }
-
-    /// Drop all cached ACL resolutions (after out-of-band ACL edits).
-    pub fn invalidate_acl_cache(&self) {
-        self.acl_cache.lock().clear();
-    }
 }
 
 /// The sharded server core drives the proxy one record at a time.
@@ -430,151 +384,25 @@ impl sgfs_oncrpc::shard::RecordService for ServerProxy {
     /// executing the call. The kernel-server never sees the request, no
     /// state changes, and the status contract tells the client its
     /// verbatim retry is safe — even for CREATE/RENAME-class procedures.
-    /// Records we cannot shape a JUKEBOX reply for (NULL, non-NFS
-    /// programs, garbage) return `None` and are processed normally.
+    /// The calls [`jukebox_nfs`] never sheds, other programs' and
+    /// garbage return `None` and are processed normally.
     fn shed_record(&self, record: &[u8]) -> Option<Vec<u8>> {
-        let mut dec = XdrDecoder::new(record);
-        let header = CallHeader::decode(&mut dec).ok()?;
-        if header.prog != NFS_PROGRAM || header.vers != NFS_VERSION {
-            return None;
-        }
+        let (header, _) = nfs_call(record).ok()?;
         jukebox_nfs(header.xid, header.proc)
     }
 }
 
-/// An NFS-level JUKEBOX ("try again later") reply shaped correctly for
-/// each procedure, or `None` for procedures without a status field
-/// (NULL, the FS-info probes, and anything unknown — those are never
-/// shed, the shard executes them instead). Public so alternative
-/// [`RecordService`](sgfs_oncrpc::RecordService) implementations (test
-/// backends included) can answer admission pushback with the same wire
-/// bytes the production proxy produces.
+/// An NFS-level JUKEBOX ("try again later") reply from the failure
+/// table, or `None` for the calls that are never shed: NULL, which has no
+/// status; MKNOD and the FS-info probes (FSSTAT, FSINFO, PATHCONF), which
+/// the shard executes instead; and any unknown number. Public so
+/// alternative [`RecordService`](sgfs_oncrpc::RecordService)
+/// implementations (test backends included) can answer admission
+/// pushback with the same wire bytes the production proxy produces.
 pub fn jukebox_nfs(xid: u32, proc: u32) -> Option<Vec<u8>> {
-    let status = NfsStat3::Jukebox;
-    Some(match proc {
-        procnum::GETATTR => encode_reply(xid, &GetAttrRes { status, attr: None }),
-        procnum::SETATTR | procnum::WRITE | procnum::REMOVE | procnum::RMDIR => {
-            // WRITE's OK-only fields (count/committed/verf) are absent on
-            // an error arm, so WccRes is the wire shape for all four.
-            encode_reply(xid, &WccRes { status, wcc: WccData::default() })
-        }
-        procnum::LOOKUP => encode_reply(
-            xid,
-            &LookupRes { status, object: None, obj_attr: None, dir_attr: None },
-        ),
-        procnum::ACCESS => encode_reply(xid, &AccessRes { status, obj_attr: None, access: 0 }),
-        procnum::READLINK => {
-            encode_reply(xid, &ReadlinkRes { status, attr: None, path: String::new() })
-        }
-        procnum::READ => encode_reply(
-            xid,
-            &ReadRes { status, attr: None, count: 0, eof: false, data: Vec::new() },
-        ),
-        procnum::CREATE | procnum::MKDIR | procnum::SYMLINK => encode_reply(
-            xid,
-            &CreateRes { status, obj: None, obj_attr: None, dir_wcc: WccData::default() },
-        ),
-        procnum::RENAME => encode_reply(
-            xid,
-            &RenameRes { status, from_wcc: WccData::default(), to_wcc: WccData::default() },
-        ),
-        procnum::LINK => {
-            encode_reply(xid, &LinkRes { status, attr: None, dir_wcc: WccData::default() })
-        }
-        procnum::READDIR => encode_reply(
-            xid,
-            &ReaddirRes {
-                status,
-                dir_attr: None,
-                cookieverf: 0,
-                entries: Vec::new(),
-                eof: false,
-            },
-        ),
-        procnum::READDIRPLUS => encode_reply(
-            xid,
-            &ReaddirPlusRes {
-                status,
-                dir_attr: None,
-                cookieverf: 0,
-                entries: Vec::new(),
-                eof: false,
-            },
-        ),
-        procnum::COMMIT => {
-            encode_reply(xid, &CommitRes { status, wcc: WccData::default(), verf: 0 })
-        }
-        _ => return None,
-    })
-}
-
-/// Does this call name an ACL file? `Some(true)` = yes (deny),
-/// `Some(false)` = carries names but none are ACLs, `None` = nameless proc.
-fn touches_acl_file(proc: u32, args: &[u8]) -> Option<bool> {
-    let check = |name: &str| is_acl_file_name(name);
-    match proc {
-        procnum::LOOKUP | procnum::REMOVE | procnum::RMDIR => {
-            DirOpArgs3::from_xdr_bytes(args).ok().map(|a| check(&a.name))
-        }
-        procnum::CREATE => CreateArgs::from_xdr_bytes(args).ok().map(|a| check(&a.where_.name)),
-        procnum::MKDIR => MkdirArgs::from_xdr_bytes(args).ok().map(|a| check(&a.where_.name)),
-        procnum::SYMLINK => SymlinkArgs::from_xdr_bytes(args).ok().map(|a| check(&a.where_.name)),
-        procnum::RENAME => RenameArgs::from_xdr_bytes(args)
-            .ok()
-            .map(|a| check(&a.from.name) || check(&a.to.name)),
-        procnum::LINK => LinkArgs::from_xdr_bytes(args).ok().map(|a| check(&a.link.name)),
-        _ => None,
-    }
-}
-
-/// Encode a successful reply: header + result body.
-fn encode_reply<T: XdrEncode>(xid: u32, result: &T) -> Vec<u8> {
-    let mut enc = XdrEncoder::with_capacity(64);
-    ReplyHeader::success(xid).encode(&mut enc);
-    result.encode(&mut enc);
-    enc.into_bytes()
-}
-
-/// Encode an RPC-level accepted-error reply.
-fn accept_error(xid: u32, stat: AcceptStat) -> Vec<u8> {
-    ReplyHeader::Accepted { xid, verf: OpaqueAuth::none(), stat }.to_xdr_bytes()
-}
-
-/// An NFS-level ACCES denial shaped correctly for each procedure.
-fn deny_nfs(xid: u32, proc: u32) -> Vec<u8> {
-    let status = NfsStat3::Acces;
-    match proc {
-        procnum::LOOKUP => encode_reply(
-            xid,
-            &LookupRes { status, object: None, obj_attr: None, dir_attr: None },
-        ),
-        procnum::CREATE | procnum::MKDIR | procnum::SYMLINK => encode_reply(
-            xid,
-            &CreateRes { status, obj: None, obj_attr: None, dir_wcc: WccData::default() },
-        ),
-        procnum::REMOVE | procnum::RMDIR => {
-            encode_reply(xid, &WccRes { status, wcc: WccData::default() })
-        }
-        procnum::RENAME => encode_reply(
-            xid,
-            &RenameRes { status, from_wcc: WccData::default(), to_wcc: WccData::default() },
-        ),
-        procnum::LINK => {
-            encode_reply(xid, &LinkRes { status, attr: None, dir_wcc: WccData::default() })
-        }
-        _ => accept_error(xid, AcceptStat::SystemErr),
-    }
-}
-
-/// The result bytes of an accepted-success reply, if that is what it is.
-fn success_body(reply: &[u8]) -> Option<&[u8]> {
-    let mut dec = XdrDecoder::new(reply);
-    match ReplyHeader::decode(&mut dec) {
-        Ok(ReplyHeader::Accepted { stat: AcceptStat::Success, .. }) => {
-            Some(&reply[dec.position()..])
-        }
-        _ => None,
-    }
+    let kept = [procnum::NULL, procnum::MKNOD, procnum::FSSTAT, procnum::FSINFO, procnum::PATHCONF];
+    let shed = proc <= procnum::COMMIT && !kept.contains(&proc);
+    shed.then(|| failure(xid, proc, NfsStat3::Jukebox))
 }
 
 /// Rewrite a READDIR/READDIRPLUS success reply without ACL-file entries.
@@ -599,3 +427,84 @@ fn filter_listing(proc: u32, xid: u32, reply: &[u8]) -> Option<Vec<u8>> {
     }
 }
 
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sgfs_nfs3::{NFS_PROGRAM, NFS_VERSION};
+    use sgfs_oncrpc::server::{Dispatch, RpcService};
+    use sgfs_oncrpc::CallHeader;
+    use sgfs_xdr::XdrDecoder;
+    use std::sync::atomic::{AtomicU32, Ordering};
+
+    /// `sgfs-nfsd`, counting the calls that reach it.
+    struct Counted(Arc<sgfs_nfsd::NfsServer>, AtomicU32);
+
+    impl RpcService for Counted {
+        fn program(&self) -> u32 {
+            NFS_PROGRAM
+        }
+
+        fn version(&self) -> u32 {
+            NFS_VERSION
+        }
+
+        fn handle(&self, proc: u32, cred: &OpaqueAuth, args: &mut XdrDecoder<'_>) -> Dispatch {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.handle(proc, cred, args)
+        }
+    }
+
+    #[test]
+    fn the_shield_refuses_a_mknod_of_an_acl_file_before_the_backend() {
+        let vfs = Arc::new(sgfs_vfs::Vfs::new());
+        vfs.mkdir_p("/GFS", 0o755, &sgfs_vfs::UserContext::root()).unwrap();
+        let mut exports = sgfs_nfsd::Exports::new();
+        exports.add(sgfs_nfsd::ExportEntry::localhost("/GFS"));
+        let nfsd = sgfs_nfsd::NfsServer::new_no_squash(vfs, exports);
+        let root = nfsd.mount("/GFS", "localhost").unwrap();
+        let backend = Arc::new(Counted(nfsd, AtomicU32::new(0)));
+        let dn = DistinguishedName::parse("/O=Grid/CN=alice").unwrap();
+        let mut config = SessionConfig::new(crate::config::SecurityLevel::None);
+        config.gridmap.insert(dn.clone(), "alice");
+        config.accounts.insert("alice".into(), (0, 0));
+        let peer = ValidatedPeer { leaf_dn: dn.clone(), effective_dn: dn, via_proxy: false };
+        let forward = Box::new(sgfs_oncrpc::LoopbackStream::new(backend.clone()));
+        let acl = Nfs3Client::new(Box::new(sgfs_oncrpc::LoopbackStream::new(backend.clone())));
+        let proxy = ServerProxy::new(config, &peer, forward, acl, root.clone()).unwrap();
+
+        // MKNOD's `where`, then a FIFO's type (NF3FIFO = 7) and attributes.
+        let header = CallHeader {
+            xid: 41,
+            prog: NFS_PROGRAM,
+            vers: NFS_VERSION,
+            proc: procnum::MKNOD,
+            cred: OpaqueAuth::sys(&AuthSysParams::new("compute-host", 0, 0)),
+            verf: OpaqueAuth::none(),
+        };
+        let mut record = header.to_xdr_bytes();
+        record.extend_from_slice(&DirOpArgs3 { dir: root, name: ".f.acl".into() }.to_xdr_bytes());
+        record.extend_from_slice(&7u32.to_xdr_bytes());
+        record.extend_from_slice(&Sattr3::default().to_xdr_bytes());
+        let reply = proxy.process_one(&record).unwrap();
+
+        assert_eq!(sgfs_obs::peek_xid(&reply), 41);
+        let res = CreateRes::from_xdr_bytes(success_body(&reply).expect("accepted")).unwrap();
+        assert_eq!(res.status, NfsStat3::Acces);
+        assert_eq!(backend.1.load(Ordering::Relaxed), 0, "the MKNOD reached the backend");
+    }
+
+    #[test]
+    fn jukebox_sheds_every_procedure_but_null_mknod_and_the_fs_info_probes() {
+        let kept =
+            [procnum::NULL, procnum::MKNOD, procnum::FSSTAT, procnum::FSINFO, procnum::PATHCONF];
+        for proc in 0..=procnum::COMMIT + 3 {
+            let shed = jukebox_nfs(3, proc);
+            let expect = proc <= procnum::COMMIT && !kept.contains(&proc);
+            assert_eq!(shed.is_some(), expect, "procedure {proc}");
+            if let Some(reply) = shed {
+                assert_eq!(reply, failure(3, proc, NfsStat3::Jukebox));
+            }
+        }
+        assert!(jukebox_nfs(3, u32::MAX).is_none());
+    }
+}
