@@ -110,15 +110,15 @@ impl Nfs3Client {
         Ok(res)
     }
 
-    /// WRITE.
+    /// WRITE, encoded straight from `data`.
     pub fn write(
         &mut self,
         fh: &Fh3,
         offset: u64,
-        data: Vec<u8>,
+        data: impl AsRef<[u8]>,
         stable: StableHow,
     ) -> Nfs3Result<WriteRes> {
-        let args = WriteArgs { file: fh.clone(), offset, stable, data };
+        let args = WriteArgsRef { file: fh.clone(), offset, stable, data: data.as_ref() };
         let res: WriteRes = self.rpc.call(procnum::WRITE, &args)?;
         ok_status(res.status)?;
         Ok(res)

@@ -349,12 +349,17 @@ pub struct WriteArgs {
 
 impl XdrEncode for WriteArgs {
     fn encode(&self, enc: &mut XdrEncoder) {
-        self.file.encode(enc);
-        enc.put_u64(self.offset);
-        enc.put_u32(self.data.len() as u32);
-        self.stable.encode(enc);
-        enc.put_opaque(&self.data);
+        encode_write(enc, &self.file, self.offset, self.stable, &self.data);
     }
+}
+
+/// WRITE's wire form: the count is the data's length.
+fn encode_write(enc: &mut XdrEncoder, file: &Fh3, offset: u64, stable: StableHow, data: &[u8]) {
+    file.encode(enc);
+    enc.put_u64(offset);
+    enc.put_u32(data.len() as u32);
+    stable.encode(enc);
+    enc.put_opaque(data);
 }
 
 impl XdrDecode for WriteArgs {
@@ -364,8 +369,9 @@ impl XdrDecode for WriteArgs {
     }
 }
 
-/// WRITE arguments with the data borrowed from the call record: what a
-/// server that only copies the data into its file decodes.
+/// WRITE arguments with the data borrowed: what a server that only
+/// copies the data into its file decodes from the call record, and what a
+/// client encodes straight from its page.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteArgsRef<'a> {
     /// File to write.
@@ -390,6 +396,12 @@ impl<'a> WriteArgsRef<'a> {
             return Err(XdrError::InvalidEnum { what: "write count", value: count });
         }
         Ok(Self { file, offset, stable, data })
+    }
+}
+
+impl XdrEncode for WriteArgsRef<'_> {
+    fn encode(&self, enc: &mut XdrEncoder) {
+        encode_write(enc, &self.file, self.offset, self.stable, self.data);
     }
 }
 

@@ -356,7 +356,7 @@ impl NfsMount {
         }
         // Dirty files: our local size is authoritative; clean files:
         // revalidate attributes when expired.
-        let size = if self.pages.take_dirty_peek(&fh) {
+        let size = if self.pages.has_dirty(&fh) {
             fsize
         } else {
             let attr = self.revalidate(&fh)?;
@@ -460,15 +460,11 @@ impl NfsMount {
         Ok(data.len())
     }
 
+    /// Write back an evicted dirty page.
     fn writeback(&mut self, fh: &Fh3, page_idx: u64, data: Vec<u8>) -> FsResult<()> {
         let ps = self.pages.page_size() as u64;
-        self.stats.write += 1;
-        let res = self.nfs.write(fh, page_idx * ps, data, StableHow::Unstable)?;
-        if let Some(a) = res.wcc.after {
-            let now = self.now();
-            self.attrs.update(fh, &a, now);
-        }
-        Ok(())
+        let clock = &self.opts.clock;
+        write_page(&mut self.nfs, &mut self.stats, &mut self.attrs, clock, fh, page_idx * ps, &data)
     }
 
     /// `fsync(2)`: push dirty pages and COMMIT.
@@ -477,13 +473,18 @@ impl NfsMount {
         self.flush_file(&fh)
     }
 
+    /// Send every dirty page of `fh`, each encoded straight from the
+    /// cache, then COMMIT.
     fn flush_file(&mut self, fh: &Fh3) -> FsResult<()> {
         let dirty = self.pages.take_dirty(fh);
         if dirty.is_empty() {
             return Ok(());
         }
-        for (idx, data) in dirty {
-            self.writeback(fh, idx, data)?;
+        let ps = self.pages.page_size() as u64;
+        let clock = &self.opts.clock;
+        for idx in dirty {
+            let page = self.pages.peek(fh, idx).expect("a flush evicts nothing");
+            write_page(&mut self.nfs, &mut self.stats, &mut self.attrs, clock, fh, idx * ps, page)?;
         }
         self.stats.other += 1;
         let res = self.nfs.commit(fh, 0, 0)?;
@@ -672,11 +673,23 @@ impl NfsMount {
     }
 }
 
-impl PageCache {
-    /// True when the file has any dirty page (cheap peek used by reads).
-    pub fn take_dirty_peek(&self, fh: &Fh3) -> bool {
-        self.dirty_fh_contains(fh)
+/// One UNSTABLE WRITE of a page's bytes at `offset`; its post-op
+/// attributes refresh the attribute cache as of the reply.
+fn write_page(
+    nfs: &mut Nfs3Client,
+    stats: &mut OpStats,
+    attrs: &mut AttrCache,
+    clock: &SimClock,
+    fh: &Fh3,
+    offset: u64,
+    data: &[u8],
+) -> FsResult<()> {
+    stats.write += 1;
+    let res = nfs.write(fh, offset, data, StableHow::Unstable)?;
+    if let Some(a) = res.wcc.after {
+        attrs.update(fh, &a, clock.now());
     }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -650,7 +650,7 @@ mod tests {
         let payload: Vec<u8> = (0..100_000).map(|i| (i % 256) as u8).collect();
         let mut off = 0u64;
         for chunk in payload.chunks(32 * 1024) {
-            let res = c.write(&fh, off, chunk.to_vec(), StableHow::Unstable).unwrap();
+            let res = c.write(&fh, off, chunk, StableHow::Unstable).unwrap();
             assert_eq!(res.count as usize, chunk.len());
             off += chunk.len() as u64;
         }
@@ -738,7 +738,7 @@ mod tests {
     fn rename_link_symlink() {
         let (_s, mut c, root) = testbed();
         let (fh, _) = c.create(&root, "orig", Sattr3::default()).unwrap();
-        c.write(&fh, 0, b"payload".to_vec(), StableHow::FileSync).unwrap();
+        c.write(&fh, 0, b"payload", StableHow::FileSync).unwrap();
         c.rename(&root, "orig", &root, "renamed").unwrap();
         let (fh2, _) = c.lookup(&root, "renamed").unwrap();
         assert_eq!(fh2, fh);
@@ -772,7 +772,7 @@ mod tests {
     fn read_reply_is_sized_by_the_file_not_the_requested_count() {
         let (server, mut c, root) = testbed();
         let (fh, _) = c.create(&root, "small", Sattr3::default()).unwrap();
-        c.write(&fh, 0, b"payload".to_vec(), StableHow::FileSync).unwrap();
+        c.write(&fh, 0, b"payload", StableHow::FileSync).unwrap();
 
         let r = c.read(&fh, 0, u32::MAX).unwrap();
         assert_eq!((r.count, r.eof, r.data.as_slice()), (7, true, &b"payload"[..]));

@@ -17,9 +17,10 @@
 //!   shipping temporary files across the WAN;
 //! * the upstream channel is **pipelined**: a [`Pipeline`] owns the
 //!   connection and keeps up to a window of calls in flight, demultiplexing
-//!   replies by xid — the write-back flush submits every dirty block
-//!   before waiting, and **read-ahead** READs are submitted split-phase
-//!   into the same channel from the demand path instead of a second
+//!   replies by xid — the write-back flush keeps a window of dirty
+//!   blocks in flight per member, and **read-ahead** READs are
+//!   submitted split-phase into the same channel from the demand path
+//!   instead of a second
 //!   connection (and second handshake), reproducing SFS's
 //!   asynchronous-RPC advantage;
 //! * the upstreams are a [`StripeSet`]: one member for the paper's
@@ -972,12 +973,19 @@ impl ClientProxy {
     /// or COMMIT: `plan[m]` lists the blocks member `m` is sent, grouped
     /// by file (a block the store no longer holds is skipped).
     ///
-    /// Split-phase: every member's UNSTABLE WRITE batch enters its
-    /// pipeline window before any reply is awaited, so the members of a
-    /// round proceed in parallel, a WAN round overlaps up to a window of
-    /// round trips per member, and no COMMIT can overtake data. A call a
+    /// Split-phase and window-bounded: every member is first handed up
+    /// to a window of UNSTABLE WRITEs, before any reply is awaited, so
+    /// the members of a round proceed in parallel and a WAN round
+    /// overlaps a window of round trips per member. Replies are then
+    /// awaited round-robin across the members, and each one that settles
+    /// feeds its member the next block of its plan, encoded only then —
+    /// so a round has at most a window of calls per member in flight,
+    /// whatever the size of the plan, and no COMMIT can overtake data.
+    /// Xids are taken at encode time, so across members they interleave;
+    /// each member's calls still go out in its plan's order. A call a
     /// server sheds at admission (JUKEBOX — never executed) is re-sent
-    /// verbatim under backoff to that member. A dirty block some member
+    /// verbatim under backoff to that member
+    /// ([`settle_write`](Self::settle_write)). A dirty block some member
     /// confirmed goes clean before any COMMIT goes out; then each member
     /// gets one COMMIT per file and, under partial placement, the proxy's
     /// size of the file (SETATTR): a member lacking the final block would
@@ -986,49 +994,54 @@ impl ClientProxy {
     ///
     /// Failures are classified here, by one rule. A reply that could not
     /// be delivered or decoded is a transport failure: its member is
-    /// struck (see [`strike`](Self::strike)). An NFS error status is the
-    /// server's answer about that file: when every member sent the file
-    /// answered one, the round fails with it and no member changes state;
-    /// when only some did, those have diverged from their replicas and
-    /// are struck.
+    /// struck (see [`strike`](Self::strike)) and fed no more. An NFS
+    /// error status is the server's answer about that file: when every
+    /// member sent the file answered one, the round fails with it and no
+    /// member changes state; when only some did, those have diverged from
+    /// their replicas and are struck.
     fn write_back(&mut self, plan: &[Vec<BlockKey>]) -> std::io::Result<Round> {
         let width = plan.len();
-        let mut sent: Vec<Vec<BlockKey>> = vec![Vec::new(); width];
-        let mut records: Vec<Vec<Vec<u8>>> = vec![Vec::new(); width];
+        let window = self.channels.window.max(1) as usize;
+        let mut feeds = Vec::with_capacity(width);
         for (m, keys) in plan.iter().enumerate() {
-            for key in keys {
-                let Some(data) = self.store.as_mut().and_then(|s| s.get(key)) else { continue };
-                let (file, offset) = key.clone();
-                let args = WriteArgs { file, offset, stable: StableHow::Unstable, data };
-                records[m].push(self.own_call(None, procnum::WRITE, &args)?);
-                sent[m].push(key.clone());
-            }
-        }
-        // Fan out: every member's batch is submitted (atomically, so up
-        // to a window of it is on the wire) before any reply is awaited.
-        let mut pending = Vec::new();
-        for (m, batch) in records.iter().enumerate().filter(|(_, b)| !b.is_empty()) {
             let member = self.stripe.member(m);
-            let replies = member.submit_batch(batch);
-            pending.push((m, member, replies));
+            let mut feed = Feed { member, rest: keys.iter(), out: VecDeque::new() };
+            let mut first = Vec::new();
+            while first.len() < window {
+                match self.next_write(&mut feed.rest)? {
+                    Some(call) => first.push(call),
+                    None => break,
+                }
+            }
+            // Up to a window goes on the wire before any reply is awaited.
+            let replies = feed.member.submit_batch(first.iter().map(|(_, _, record)| record));
+            feed.out.extend(first.into_iter().zip(replies).map(|((k, x, _), reply)| (k, x, reply)));
+            feeds.push(feed);
         }
         let mut parts: Vec<Part> = (0..width).map(|_| Part::default()).collect();
-        for (m, member, replies) in pending {
-            for ((key, record), reply) in sent[m].iter().zip(&records[m]).zip(replies) {
-                let reply = self.stripe.wait(reply).and_then(|r| {
-                    settle_jukebox(&member, &self.stats, &self.channels.retry, record, r)
-                });
+        while feeds.iter().any(|f| !f.out.is_empty()) {
+            for m in 0..width {
+                let Some((key, xid, reply)) = feeds[m].out.pop_front() else { continue };
+                let member = feeds[m].member.clone();
+                let reply = self.stripe.wait(reply);
+                let reply = reply.and_then(|r| self.settle_write(&member, &key, xid, r));
                 match reply.and_then(|r| decode_reply::<WriteRes>(&r)) {
                     Ok(res) if res.status == NfsStat3::Ok => {
                         parts[m].verify(res.verf);
-                        parts[m].written.push(key.clone());
+                        parts[m].written.push(key);
                     }
-                    Ok(res) => parts[m].rejected.push((key.0.clone(), res.status)),
+                    Ok(res) => parts[m].rejected.push((key.0, res.status)),
                     Err(e) => {
-                        // Failed mid-batch: the rest of its replies are moot.
+                        // Failed mid-plan: the rest of its replies are moot.
                         self.strike(m, &plan[m], &mut parts[m], e)?;
-                        break;
+                        feeds[m].out.clear();
+                        feeds[m].rest = [].iter();
+                        continue;
                     }
+                }
+                if let Some((key, xid, record)) = self.next_write(&mut feeds[m].rest)? {
+                    let reply = member.submit(&record);
+                    feeds[m].out.push_back((key, xid, reply));
                 }
             }
         }
@@ -1123,6 +1136,48 @@ impl ClientProxy {
         self.missed[m].extend(keys.iter().cloned());
         part.struck = true;
         Ok(())
+    }
+
+    /// The write-back WRITE of the next block in `keys` the store still
+    /// holds, under the next xid; `None` once `keys` is spent.
+    fn next_write(
+        &mut self,
+        keys: &mut std::slice::Iter<'_, BlockKey>,
+    ) -> std::io::Result<Option<(BlockKey, u32, Vec<u8>)>> {
+        for key in keys {
+            let Some(args) = self.write_args(key) else { continue };
+            let record = self.own_call(None, procnum::WRITE, &args)?;
+            return Ok(Some((key.clone(), self.next_xid, record)));
+        }
+        Ok(None)
+    }
+
+    /// An UNSTABLE WRITE of the block `key` the store holds.
+    fn write_args(&mut self, key: &BlockKey) -> Option<WriteArgs> {
+        let data = self.store.as_mut()?.get(key)?;
+        let (file, offset) = key.clone();
+        Some(WriteArgs { file, offset, stable: StableHow::Unstable, data })
+    }
+
+    /// A write-back WRITE's reply; when the server shed the call
+    /// unexecuted (JUKEBOX), the reply to its verbatim re-send under
+    /// backoff. The round keeps no record to re-send: the call is encoded
+    /// again, under its `xid`, from the block the store still holds —
+    /// nothing changes the block, the credential or the handle mapping
+    /// while the round runs, so the bytes are the ones first sent.
+    fn settle_write(
+        &mut self,
+        member: &Pipeline,
+        key: &BlockKey,
+        xid: u32,
+        reply: Vec<u8>,
+    ) -> std::io::Result<Vec<u8>> {
+        if !crate::proxy::retry::is_jukebox_reply(&reply) {
+            return Ok(reply);
+        }
+        let Some(args) = self.write_args(key) else { return Ok(reply) };
+        let record = self.call_as(xid, None, procnum::WRITE, &args)?;
+        settle_jukebox(member, &self.stats, &self.channels.retry, &record, reply)
     }
 
     fn hit_crash(&self, point: CrashPoint) -> std::io::Result<()> {
@@ -1454,8 +1509,19 @@ impl ClientProxy {
         args: &dyn XdrEncode,
     ) -> std::io::Result<Vec<u8>> {
         self.next_xid = self.next_xid.wrapping_add(1);
+        self.call_as(self.next_xid, cred, proc, args)
+    }
+
+    /// [`own_call`](Self::own_call) under `xid`, taken before.
+    fn call_as(
+        &mut self,
+        xid: u32,
+        cred: Option<&OpaqueAuth>,
+        proc: u32,
+        args: &dyn XdrEncode,
+    ) -> std::io::Result<Vec<u8>> {
         let header = CallHeader {
-            xid: self.next_xid,
+            xid,
             prog: NFS_PROGRAM,
             vers: NFS_VERSION,
             proc,
@@ -1648,6 +1714,14 @@ struct Round {
     committed: Vec<HashSet<BlockKey>>,
     /// Per file, the post-op attributes of its first successful COMMIT.
     after: HashMap<Fh3, Fattr3>,
+}
+
+/// One member's WRITEs in a write-back round: the blocks of its plan not
+/// yet encoded, and its calls in flight, oldest first, each with its xid.
+struct Feed<'p> {
+    member: Pipeline,
+    rest: std::slice::Iter<'p, BlockKey>,
+    out: VecDeque<(BlockKey, u32, PendingReply)>,
 }
 
 /// One member's share of a write-back round.

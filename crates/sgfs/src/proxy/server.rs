@@ -29,7 +29,7 @@ use sgfs_oncrpc::record::{read_record_at, write_marked, MARK_LEN};
 use sgfs_oncrpc::{AcceptStat, OpaqueAuth};
 use sgfs_net::BoxStream;
 use sgfs_pki::{DistinguishedName, MapTarget, ValidatedPeer};
-use sgfs_xdr::{XdrDecode, XdrEncode, XdrEncoder};
+use sgfs_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -225,9 +225,15 @@ impl ServerProxy {
 
     /// Learn fh→(parent, name) mappings from successful replies: of a
     /// LOOKUP, CREATE, MKDIR or READDIRPLUS, and what a RENAME, REMOVE or
-    /// RMDIR moved or unlinked.
+    /// RMDIR moved or unlinked. A call the server refused changed no
+    /// name: a RENAME or RMDIR that failed (NOTEMPTY, say) leaves the map
+    /// as it was.
     fn snoop(&self, call: &Call, reply: &[u8]) {
         let Some(result) = success_body(reply) else { return };
+        // Every NFS result opens with its status.
+        if NfsStat3::decode(&mut XdrDecoder::new(result)).ok() != Some(NfsStat3::Ok) {
+            return;
+        }
         let learn = |w: &DirOpArgs3, fh: Option<Fh3>| {
             if let Some(fh) = fh {
                 self.name_map.lock().insert(fh, (w.dir.clone(), w.name.clone()));
@@ -433,7 +439,6 @@ mod tests {
     use sgfs_nfs3::{NFS_PROGRAM, NFS_VERSION};
     use sgfs_oncrpc::server::{Dispatch, RpcService};
     use sgfs_oncrpc::CallHeader;
-    use sgfs_xdr::XdrDecoder;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     /// `sgfs-nfsd`, counting the calls that reach it.
@@ -454,8 +459,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn the_shield_refuses_a_mknod_of_an_acl_file_before_the_backend() {
+    /// A server proxy for alice over `sgfs-nfsd`, the backend that counts
+    /// the calls reaching it, and the export root.
+    fn proxy_for_alice(
+        fine_grained_acl: bool,
+    ) -> (Arc<ServerProxy>, Arc<Counted>, Fh3, DistinguishedName) {
         let vfs = Arc::new(sgfs_vfs::Vfs::new());
         vfs.mkdir_p("/GFS", 0o755, &sgfs_vfs::UserContext::root()).unwrap();
         let mut exports = sgfs_nfsd::Exports::new();
@@ -467,30 +475,73 @@ mod tests {
         let mut config = SessionConfig::new(crate::config::SecurityLevel::None);
         config.gridmap.insert(dn.clone(), "alice");
         config.accounts.insert("alice".into(), (0, 0));
-        let peer = ValidatedPeer { leaf_dn: dn.clone(), effective_dn: dn, via_proxy: false };
+        config.fine_grained_acl = fine_grained_acl;
+        let peer =
+            ValidatedPeer { leaf_dn: dn.clone(), effective_dn: dn.clone(), via_proxy: false };
         let forward = Box::new(sgfs_oncrpc::LoopbackStream::new(backend.clone()));
-        let acl = Nfs3Client::new(Box::new(sgfs_oncrpc::LoopbackStream::new(backend.clone())));
+        let acl_stream = sgfs_oncrpc::LoopbackStream::new(backend.clone());
+        let mut acl = Nfs3Client::new(Box::new(acl_stream));
+        acl.set_cred(OpaqueAuth::sys(&AuthSysParams::new("file-host", 0, 0)));
         let proxy = ServerProxy::new(config, &peer, forward, acl, root.clone()).unwrap();
+        (proxy, backend, root, dn)
+    }
 
-        // MKNOD's `where`, then a FIFO's type (NF3FIFO = 7) and attributes.
+    /// Send call `proc` with `args` (already in XDR) through `proxy`;
+    /// the reply's result body.
+    fn call(proxy: &ServerProxy, xid: u32, proc: u32, args: &[u8]) -> Vec<u8> {
         let header = CallHeader {
-            xid: 41,
+            xid,
             prog: NFS_PROGRAM,
             vers: NFS_VERSION,
-            proc: procnum::MKNOD,
+            proc,
             cred: OpaqueAuth::sys(&AuthSysParams::new("compute-host", 0, 0)),
             verf: OpaqueAuth::none(),
         };
         let mut record = header.to_xdr_bytes();
-        record.extend_from_slice(&DirOpArgs3 { dir: root, name: ".f.acl".into() }.to_xdr_bytes());
-        record.extend_from_slice(&7u32.to_xdr_bytes());
-        record.extend_from_slice(&Sattr3::default().to_xdr_bytes());
+        record.extend_from_slice(args);
         let reply = proxy.process_one(&record).unwrap();
+        assert_eq!(sgfs_obs::peek_xid(&reply), xid);
+        success_body(&reply).expect("accepted").to_vec()
+    }
 
-        assert_eq!(sgfs_obs::peek_xid(&reply), 41);
-        let res = CreateRes::from_xdr_bytes(success_body(&reply).expect("accepted")).unwrap();
+    #[test]
+    fn the_shield_refuses_a_mknod_of_an_acl_file_before_the_backend() {
+        let (proxy, backend, root, _) = proxy_for_alice(false);
+        // MKNOD's `where`, then a FIFO's type (NF3FIFO = 7) and attributes.
+        let mut args = DirOpArgs3 { dir: root, name: ".f.acl".into() }.to_xdr_bytes();
+        args.extend_from_slice(&7u32.to_xdr_bytes());
+        args.extend_from_slice(&Sattr3::default().to_xdr_bytes());
+        let res = CreateRes::from_xdr_bytes(&call(&proxy, 41, procnum::MKNOD, &args)).unwrap();
         assert_eq!(res.status, NfsStat3::Acces);
         assert_eq!(backend.1.load(Ordering::Relaxed), 0, "the MKNOD reached the backend");
+    }
+
+    #[test]
+    fn a_refused_rmdir_leaves_the_directorys_name_and_its_acl_in_force() {
+        let (proxy, _, root, dn) = proxy_for_alice(true);
+        let at = |dir: &Fh3, name: &str| DirOpArgs3 { dir: dir.clone(), name: name.into() };
+        let made = |xid, proc, args: Vec<u8>| {
+            let res = CreateRes::from_xdr_bytes(&call(&proxy, xid, proc, &args)).unwrap();
+            res.obj.expect("made")
+        };
+        let mkdir = MkdirArgs { where_: at(&root, "d"), attributes: Sattr3::default() };
+        let d = made(1, procnum::MKDIR, mkdir.to_xdr_bytes());
+        let create = |name: &str| {
+            let how = CreateMode::Unchecked(Sattr3::default());
+            CreateArgs { where_: at(&d, name), how }.to_xdr_bytes()
+        };
+        made(2, procnum::CREATE, create("f"));
+        let mut acl = Acl::new();
+        acl.grant(dn, 0x1);
+        proxy.set_acl(&root, Some("d"), &acl).unwrap();
+
+        let refused = call(&proxy, 3, procnum::RMDIR, &at(&root, "d").to_xdr_bytes());
+        assert_eq!(WccRes::from_xdr_bytes(&refused).unwrap().status, NfsStat3::NotEmpty);
+
+        let g = made(4, procnum::CREATE, create("g"));
+        let access = AccessArgs { object: g, access: 0x3f }.to_xdr_bytes();
+        let res = AccessRes::from_xdr_bytes(&call(&proxy, 5, procnum::ACCESS, &access)).unwrap();
+        assert_eq!(res.access, 0x1, "d/g inherits d's ACL");
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::attr::{FileAttr, FileKind, SetAttrs};
 use crate::error::{VfsError, VfsResult};
+use crate::extents::Extents;
 use crate::{access, Ino, UserContext};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
@@ -27,7 +28,7 @@ pub struct DirEntry {
 }
 
 enum Content {
-    Regular(Vec<u8>),
+    Regular(Extents),
     Dir { entries: BTreeMap<String, Ino>, parent: Ino },
     Symlink(String),
 }
@@ -173,7 +174,7 @@ impl Vfs {
                 return Err(VfsError::Access);
             }
             match &mut node.content {
-                Content::Regular(data) => data.resize(size as usize, 0),
+                Content::Regular(data) => data.resize(size as usize),
                 _ => return Err(VfsError::Inval),
             }
             node.attr.size = size;
@@ -220,12 +221,15 @@ impl Vfs {
 
     /// Read up to `count` bytes at `offset`; returns the data and EOF flag.
     pub fn read(&self, ino: Ino, offset: u64, count: u32, ctx: &UserContext) -> VfsResult<(Vec<u8>, bool)> {
-        self.read_with(ino, offset, count, ctx, |data, eof| (data.to_vec(), eof))
+        self.read_range(ino, offset, count, ctx, |data, start, end| {
+            (data.gather(start, end), end == data.len())
+        })
     }
 
-    /// Like [`read`](Self::read), but hands the extent to `f` in place —
+    /// Like [`read`](Self::read), but hands the bytes to `f` in place —
     /// under the file system's read lock, so `f` must not call back into
-    /// it — instead of copying it out.
+    /// it — instead of copying them out. Only a range that crosses an
+    /// extent boundary is gathered into a buffer first.
     pub fn read_with<R>(
         &self,
         ino: Ino,
@@ -233,6 +237,26 @@ impl Vfs {
         count: u32,
         ctx: &UserContext,
         f: impl FnOnce(&[u8], bool) -> R,
+    ) -> VfsResult<R> {
+        self.read_range(ino, offset, count, ctx, |data, start, end| {
+            let eof = end == data.len();
+            match data.slice(start, end) {
+                Some(bytes) => f(bytes, eof),
+                None => f(&data.gather(start, end), eof),
+            }
+        })
+    }
+
+    /// The bytes of regular file `ino` and the range `[start, end)` a
+    /// READ of `count` at `offset` covers, clamped to the file, handed to
+    /// `f` under the read lock.
+    fn read_range<R>(
+        &self,
+        ino: Ino,
+        offset: u64,
+        count: u32,
+        ctx: &UserContext,
+        f: impl FnOnce(&Extents, usize, usize) -> R,
     ) -> VfsResult<R> {
         let inner = self.inner.read();
         let node = Self::node(&inner, ino)?;
@@ -244,9 +268,9 @@ impl Vfs {
             Content::Dir { .. } => return Err(VfsError::IsDir),
             Content::Symlink(_) => return Err(VfsError::Inval),
         };
-        let offset = (offset as usize).min(data.len());
-        let end = (offset + count as usize).min(data.len());
-        Ok(f(&data[offset..end], end == data.len()))
+        let start = (offset as usize).min(data.len());
+        let end = (start + count as usize).min(data.len());
+        Ok(f(data, start, end))
     }
 
     /// Write `data` at `offset`, growing (and zero-filling) as needed.
@@ -262,15 +286,7 @@ impl Vfs {
             Content::Dir { .. } => return Err(VfsError::IsDir),
             Content::Symlink(_) => return Err(VfsError::Inval),
         };
-        // A hole before `offset` is zero-filled; the written bytes are
-        // copied once, overwriting or appending.
-        let offset = offset as usize;
-        if offset > buf.len() {
-            buf.resize(offset, 0);
-        }
-        let overlap = (buf.len() - offset).min(data.len());
-        buf[offset..offset + overlap].copy_from_slice(&data[..overlap]);
-        buf.extend_from_slice(&data[overlap..]);
+        buf.write(offset as usize, data);
         node.attr.size = buf.len() as u64;
         node.attr.mtime = now;
         node.attr.ctime = now;
@@ -359,7 +375,8 @@ impl Vfs {
             }
         }
         let mut inner = self.inner.write();
-        match self.insert_child(&mut inner, dir, name, FileKind::Regular, mode, ctx, Content::Regular(Vec::new())) {
+        let content = Content::Regular(Extents::default());
+        match self.insert_child(&mut inner, dir, name, FileKind::Regular, mode, ctx, content) {
             Err(VfsError::Exists) if !exclusive => {
                 // Raced with another creator; return the existing file.
                 let dnode = Self::node(&inner, dir)?;

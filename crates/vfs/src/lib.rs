@@ -14,6 +14,7 @@
 
 mod attr;
 mod error;
+mod extents;
 mod fs;
 
 pub use attr::{FileAttr, FileKind, SetAttrs};

@@ -31,6 +31,36 @@ fn name(f: u8) -> String {
     format!("file{:02}", f % 16) // small namespace to force collisions
 }
 
+/// One step on a single file large enough to span several 64 KiB
+/// extents: a write (its bytes derived from a seed), a SETATTR size, or a
+/// read through both `read` and `read_with`.
+#[derive(Debug, Clone)]
+enum BigOp {
+    Write(u32, u32, u8),
+    Resize(u32),
+    Read(u32, u32),
+}
+
+/// Offsets and lengths reach past three extents and straddle their
+/// edges; some writes and reads start within 64 bytes of an edge.
+const SPAN: u32 = 200 * 1024;
+
+/// An offset within 64 bytes of an extent edge.
+fn near_edge(extent: u32, delta: u32) -> u32 {
+    (extent * 64 * 1024 + delta).saturating_sub(64)
+}
+
+fn big_op_strategy() -> impl Strategy<Value = BigOp> {
+    prop_oneof![
+        (0..SPAN, 0u32..80 * 1024, any::<u8>()).prop_map(|(o, n, s)| BigOp::Write(o, n, s)),
+        (0u32..4, 0u32..128, 0u32..128, any::<u8>())
+            .prop_map(|(e, d, n, s)| BigOp::Write(near_edge(e, d), n, s)),
+        (0..SPAN).prop_map(BigOp::Resize),
+        (0..SPAN + 1024, 0u32..140 * 1024).prop_map(|(o, n)| BigOp::Read(o, n)),
+        (0u32..4, 0u32..128, 0u32..128).prop_map(|(e, d, n)| BigOp::Read(near_edge(e, d), n)),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -159,5 +189,48 @@ proptest! {
         } else {
             prop_assert!(data.len() as u64 <= size - roff);
         }
+    }
+
+    /// A file's extents agree with a plain `Vec<u8>` under writes with
+    /// holes, SETATTR truncation and extension, and reads that cross
+    /// extent edges — through both the copying and the in-place read.
+    #[test]
+    fn extents_match_a_flat_vec(ops in proptest::collection::vec(big_op_strategy(), 1..40)) {
+        let vfs = Vfs::new();
+        let ctx = UserContext::root();
+        let ino = vfs.create(ROOT_INO, "big", 0o644, false, &ctx).unwrap().ino;
+        let mut model: Vec<u8> = Vec::new();
+        for op in ops {
+            match op {
+                BigOp::Write(off, len, seed) => {
+                    let data: Vec<u8> =
+                        (0..len).map(|i| seed.wrapping_add((i % 253) as u8)).collect();
+                    let attr = vfs.write(ino, off as u64, &data, &ctx).unwrap();
+                    let (off, end) = (off as usize, off as usize + data.len());
+                    if model.len() < end {
+                        model.resize(end, 0);
+                    }
+                    model[off..end].copy_from_slice(&data);
+                    prop_assert_eq!(attr.size, model.len() as u64);
+                }
+                BigOp::Resize(size) => {
+                    let set = sgfs_vfs::SetAttrs { size: Some(size as u64), ..Default::default() };
+                    vfs.setattr(ino, &set, &ctx).unwrap();
+                    model.resize(size as usize, 0);
+                }
+                BigOp::Read(off, count) => {
+                    let start = (off as usize).min(model.len());
+                    let end = (start + count as usize).min(model.len());
+                    let want = (model[start..end].to_vec(), end == model.len());
+                    prop_assert_eq!(&vfs.read(ino, off as u64, count, &ctx).unwrap(), &want);
+                    let seen = vfs.read_with(ino, off as u64, count, &ctx, |d, eof| (d.to_vec(), eof));
+                    prop_assert_eq!(&seen.unwrap(), &want);
+                }
+            }
+        }
+        let (data, eof) = vfs.read(ino, 0, u32::MAX / 2, &ctx).unwrap();
+        prop_assert!(eof);
+        prop_assert_eq!(data, model);
+        prop_assert_eq!(vfs.statfs().0, vfs.getattr(ino).unwrap().size);
     }
 }
