@@ -4,10 +4,12 @@
 //! 5 and at 40 ms RTT. Its runtime is linear in the round trips it
 //! exposes, so the two runs give the fit `runtime = fixed + n × RTT`
 //! (reported). The gated rows are the upstream call counts of the
-//! namespace procedures: every file PostMark makes lives in a directory
-//! the session made and is deleted before the run ends, so no LOOKUP,
-//! CREATE or REMOVE crosses the WAN, and each directory's MKDIR and RMDIR
-//! do once. Counts do not depend on the host's clock, so no row flakes.
+//! namespace procedures: PostMark's directories sit in the export root,
+//! which the first MKDIR lists in one READDIRPLUS batch, and every file
+//! lives in one of those directories and is deleted before the run ends,
+//! so every name is logged and cancelled: no LOOKUP, CREATE, REMOVE, MKDIR
+//! or RMDIR crosses the WAN. Counts do not depend on the host's clock, so
+//! no row flakes.
 
 use super::Check;
 use crate::{postmark_wan, RunOpts};
@@ -29,16 +31,17 @@ pub(super) fn suite(opts: &RunOpts) -> Vec<Check> {
         .collect();
     let forwarded = runs[1].forwarded.expect("an sgfs session has a client proxy");
     let count = |proc: u32| forwarded[proc as usize] as f64;
-    let dirs = cfg.dirs as f64;
     let (near, far) = (runs[0].runtime.as_secs_f64(), runs[1].runtime.as_secs_f64());
     let rtt = |i: usize| RTTS_MS[i] as f64 / 1e3;
     let round_trips = (far - near) / (rtt(1) - rtt(0));
+    let listings = count(procnum::READDIRPLUS);
     vec![
         Check::at_most("postmark.forwarded.lookup", count(procnum::LOOKUP), "count", 0.0),
         Check::at_most("postmark.forwarded.create", count(procnum::CREATE), "count", 0.0),
         Check::at_most("postmark.forwarded.remove", count(procnum::REMOVE), "count", 0.0),
-        Check::at_most("postmark.forwarded.mkdir", count(procnum::MKDIR), "count", dirs),
-        Check::at_most("postmark.forwarded.rmdir", count(procnum::RMDIR), "count", dirs),
+        Check::at_most("postmark.forwarded.mkdir", count(procnum::MKDIR), "count", 0.0),
+        Check::at_most("postmark.forwarded.rmdir", count(procnum::RMDIR), "count", 0.0),
+        Check::at_most("postmark.forwarded.readdirplus", listings, "count", 1.0),
         Check::report("postmark.shipped_at_teardown", runs[1].shipped_at_teardown as f64, "count"),
         Check::report("postmark.runtime_5ms_s", near, "s"),
         Check::report("postmark.runtime_40ms_s", far, "s"),

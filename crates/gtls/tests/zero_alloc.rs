@@ -3,22 +3,37 @@
 //! A counting global allocator wraps the system allocator; after a warm-up
 //! phase that lets every scratch buffer reach its high-water capacity, the
 //! record hot path (seal → open, 10k records with reused scratch) must
-//! perform zero heap allocations.
+//! perform zero heap allocations. Only allocations made on the thread that
+//! runs the measured loop count: the test harness allocates on its own
+//! threads (a slow test's "has been running for over 60 seconds" notice,
+//! another test's work), and those are not the record path's.
 
 use sgfs_gtls::record::{HalfConn, CT_DATA};
 use sgfs_gtls::suite::CipherSuite;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Whether this thread's allocations are counted. A `const` `Cell`
+    /// needs no lazy initialization and no destructor, so reading it
+    /// never allocates.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -27,8 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -36,12 +50,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-fn allocs() -> u64 {
-    ALLOC_CALLS.load(Ordering::SeqCst)
+/// The allocations `f` makes on the calling thread.
+fn allocs_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOC_CALLS.load(Ordering::SeqCst);
+    COUNTING.with(|c| c.set(true));
+    f();
+    COUNTING.with(|c| c.set(false));
+    ALLOC_CALLS.load(Ordering::SeqCst) - before
 }
 
-/// The counter is process-wide: a test that allocates beside one that is
-/// counting shows up in its delta, so every test holds this while it runs.
+/// The counter is shared by every thread that counts: two tests counting
+/// at once would see each other's allocations, so every test holds this
+/// while it runs.
 fn serial() -> std::sync::MutexGuard<'static, ()> {
     static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
@@ -79,11 +99,9 @@ fn seal_open_10k_records_zero_alloc_steady_state() {
         // Warm-up: settle thread-local RNG state and scratch capacity.
         pump(&mut tx, &mut rx, &mut wire, &payload, 64);
 
-        let before = allocs();
-        pump(&mut tx, &mut rx, &mut wire, &payload, 10_000);
-        let after = allocs();
+        let allocs = allocs_during(|| pump(&mut tx, &mut rx, &mut wire, &payload, 10_000));
         assert_eq!(
-            after - before,
+            allocs,
             0,
             "{suite:?}: heap allocations on the steady-state record path"
         );
@@ -128,10 +146,8 @@ fn interleaved_sessions_zero_alloc_steady_state() {
     // with interleaving already happening.
     lap(&mut conns, &mut wires, 8);
 
-    let before = allocs();
-    lap(&mut conns, &mut wires, 500);
     assert_eq!(
-        allocs() - before,
+        allocs_during(|| lap(&mut conns, &mut wires, 500)),
         0,
         "interleaving {SESSIONS} sessions on one thread must stay allocation-free"
     );
@@ -156,9 +172,8 @@ fn scratch_survives_renegotiation_mid_stream() {
     // One warm record under the new keys, then steady state.
     pump(&mut tx, &mut rx, &mut wire, &payload, 1);
 
-    let before = allocs();
-    pump(&mut tx, &mut rx, &mut wire, &payload, 5_000);
-    assert_eq!(allocs() - before, 0, "post-rekey steady state must stay allocation-free");
+    let allocs = allocs_during(|| pump(&mut tx, &mut rx, &mut wire, &payload, 5_000));
+    assert_eq!(allocs, 0, "post-rekey steady state must stay allocation-free");
 }
 
 /// A record sealed under the old keys must not open under the new ones.

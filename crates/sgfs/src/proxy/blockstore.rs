@@ -17,9 +17,9 @@ use crate::config::DurabilityPolicy;
 use sgfs_net::{CrashInjector, CrashPoint};
 use sgfs_nfs3::Fh3;
 use sgfs_obs::{Counter, Emitter, Hop, NO_PROC};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -70,6 +70,15 @@ pub trait BlockStore: Send {
     fn blocks_of(&self, fh: &Fh3) -> Vec<u64>;
     /// All dirty block offsets for `fh`, sorted.
     fn dirty_blocks_of(&self, fh: &Fh3) -> Vec<u64>;
+    /// Whether `fh` has a dirty block.
+    fn has_dirty(&self, fh: &Fh3) -> bool {
+        !self.dirty_blocks_of(fh).is_empty()
+    }
+    /// Whether [`record_name`](Self::record_name) keeps what it is given:
+    /// a caller may skip building a record no one keeps.
+    fn keeps_names(&self) -> bool {
+        false
+    }
     /// Every file handle with at least one dirty block.
     fn dirty_files(&self) -> Vec<Fh3>;
     /// Drop all blocks of `fh` (cached *and* dirty — deletion of a file
@@ -98,11 +107,73 @@ pub trait BlockStore: Send {
 ///   recovery finds a survivor's bytes from its key alone.
 pub struct DiskStore {
     dir: PathBuf,
-    index: HashMap<BlockKey, BlockMeta>,
+    index: Index,
     spool: Spool,
     journal: Option<Journal>,
     stats: Emitter,
     crash: Option<Arc<CrashInjector>>,
+}
+
+/// A [`DiskStore`]'s resident blocks, per file in offset order, with
+/// running byte totals: a call about one file — a REMOVE dropping its
+/// blocks, a reply asking whether it is dirty — touches that file's blocks
+/// only, not every block the store holds.
+#[derive(Default)]
+struct Index {
+    files: HashMap<Fh3, BTreeMap<u64, BlockMeta>>,
+    total: u64,
+    dirty: u64,
+}
+
+impl Index {
+    fn get(&self, (fh, offset): &BlockKey) -> Option<BlockMeta> {
+        self.files.get(fh)?.get(offset).copied()
+    }
+
+    fn insert(&mut self, (fh, offset): BlockKey, meta: BlockMeta) {
+        let old = self.files.entry(fh).or_default().insert(offset, meta);
+        self.count(meta, 1);
+        if let Some(old) = old {
+            self.count(old, -1);
+        }
+    }
+
+    fn remove(&mut self, (fh, offset): &BlockKey) {
+        let Some(blocks) = self.files.get_mut(fh) else { return };
+        let Some(old) = blocks.remove(offset) else { return };
+        if blocks.is_empty() {
+            self.files.remove(fh);
+        }
+        self.count(old, -1);
+    }
+
+    /// Mark a resident block dirty or clean.
+    fn mark(&mut self, (fh, offset): &BlockKey, dirty: bool) {
+        let Some(meta) = self.files.get_mut(fh).and_then(|b| b.get_mut(offset)) else { return };
+        let old = *meta;
+        meta.dirty = dirty;
+        self.count(old, -1);
+        self.count(BlockMeta { dirty, ..old }, 1);
+    }
+
+    fn remove_file(&mut self, fh: &Fh3) {
+        for meta in self.files.remove(fh).into_iter().flat_map(BTreeMap::into_values) {
+            self.count(meta, -1);
+        }
+    }
+
+    fn offsets(&self, fh: &Fh3, dirty_only: bool) -> Vec<u64> {
+        let blocks = self.files.get(fh).into_iter().flatten();
+        blocks.filter(|(_, m)| m.dirty || !dirty_only).map(|(o, _)| *o).collect()
+    }
+
+    fn count(&mut self, meta: BlockMeta, sign: i64) {
+        let len = (meta.len as i64 * sign) as u64;
+        self.total = self.total.wrapping_add(len);
+        if meta.dirty {
+            self.dirty = self.dirty.wrapping_add(len);
+        }
+    }
 }
 
 /// Where a [`DiskStore`] keeps its payloads.
@@ -125,8 +196,9 @@ enum Spool {
 /// by that much for every file it cached. This one creates a file once.
 struct Extents {
     file: File,
-    /// Where each resident block's payload starts, and its extent's size.
-    at: HashMap<BlockKey, (u64, u64)>,
+    /// Where each resident block's payload starts, and its extent's size,
+    /// per file.
+    at: HashMap<Fh3, HashMap<u64, (u64, u64)>>,
     /// Freed extents' starts, by size.
     free: HashMap<u64, Vec<u64>>,
     /// End of the highest extent handed out.
@@ -146,12 +218,15 @@ impl Extents {
         Ok(Self { file, at: HashMap::new(), free: HashMap::new(), end: 0 })
     }
 
-    fn read(&mut self, key: &BlockKey, buf: &mut [u8]) -> std::io::Result<()> {
-        let Some(&(at, _)) = self.at.get(key) else {
+    fn held(&self, (fh, offset): &BlockKey) -> Option<(u64, u64)> {
+        self.at.get(fh)?.get(offset).copied()
+    }
+
+    fn read(&self, key: &BlockKey, buf: &mut [u8]) -> std::io::Result<()> {
+        let Some((at, _)) = self.held(key) else {
             return Err(std::io::ErrorKind::NotFound.into());
         };
-        self.file.seek(SeekFrom::Start(at))?;
-        self.file.read_exact(buf)
+        self.file.read_exact_at(buf, at)
     }
 
     /// Write `data` as `key`'s payload: in place if its extent still
@@ -159,7 +234,7 @@ impl Extents {
     /// the write has landed.
     fn write(&mut self, key: &BlockKey, data: &[u8]) -> std::io::Result<()> {
         let len = data.len() as u64;
-        let held = self.at.get(key).copied();
+        let held = self.held(key);
         let (at, size) = match held {
             Some((at, size)) if size >= len => (at, size),
             _ => {
@@ -172,17 +247,14 @@ impl Extents {
                 (at, size)
             }
         };
-        let written = self
-            .file
-            .seek(SeekFrom::Start(at))
-            .and_then(|_| self.file.write_all(data));
+        let written = self.file.write_all_at(data, at);
         if held != Some((at, size)) {
             match written {
                 Ok(()) => {
                     if let Some((old, old_size)) = held {
                         self.release(old, old_size);
                     }
-                    self.at.insert(key.clone(), (at, size));
+                    self.at.entry(key.0.clone()).or_default().insert(key.1, (at, size));
                 }
                 Err(_) => self.release(at, size),
             }
@@ -191,11 +263,8 @@ impl Extents {
     }
 
     fn forget(&mut self, fh: &Fh3) {
-        let gone: Vec<BlockKey> = self.at.keys().filter(|(f, _)| f == fh).cloned().collect();
-        for key in gone {
-            if let Some((at, size)) = self.at.remove(&key) {
-                self.release(at, size);
-            }
+        for (at, size) in self.at.remove(fh).into_iter().flat_map(HashMap::into_values) {
+            self.release(at, size);
         }
     }
 
@@ -222,7 +291,7 @@ impl DiskStore {
         }
         std::fs::create_dir_all(&dir)?;
         let spool = Spool::Shared(Extents::create(&dir)?);
-        Ok(Self { dir, index: HashMap::new(), spool, journal: None, stats, crash })
+        Ok(Self { dir, index: Index::default(), spool, journal: None, stats, crash })
     }
 
     /// Open a crash-consistent store under `dir`: recover the journal
@@ -246,7 +315,7 @@ impl DiskStore {
         Journal::truncate_tail(&dir, &report)?;
         let mut store = Self {
             dir,
-            index: HashMap::new(),
+            index: Index::default(),
             spool: Spool::PerHandle(HashMap::new()),
             journal: None,
             stats: stats.clone(),
@@ -267,9 +336,7 @@ impl DiskStore {
                 .map(|m| m.len() >= end)
                 .unwrap_or(false);
             if ok {
-                store
-                    .index
-                    .insert(s.key.clone(), BlockMeta { len: s.len, dirty: true });
+                store.index.insert(s.key.clone(), BlockMeta { len: s.len, dirty: true });
                 recovered_bytes += s.len as u64;
                 recovered.push(s);
             } else {
@@ -329,27 +396,23 @@ impl DiskStore {
     }
 
     fn read(&mut self, key: &BlockKey, buf: &mut [u8]) -> std::io::Result<()> {
-        if let Spool::Shared(extents) = &mut self.spool {
+        if let Spool::Shared(extents) = &self.spool {
             return extents.read(key, buf);
         }
-        let f = self.file_for(&key.0)?;
-        f.seek(SeekFrom::Start(key.1))?;
-        f.read_exact(buf)
+        self.file_for(&key.0)?.read_exact_at(buf, key.1)
     }
 
     fn write(&mut self, key: &BlockKey, data: &[u8]) -> std::io::Result<()> {
         if let Spool::Shared(extents) = &mut self.spool {
             return extents.write(key, data);
         }
-        let f = self.file_for(&key.0)?;
-        f.seek(SeekFrom::Start(key.1))?;
-        f.write_all(data)
+        self.file_for(&key.0)?.write_all_at(data, key.1)
     }
 }
 
 impl BlockStore for DiskStore {
     fn get(&mut self, key: &BlockKey) -> Option<Vec<u8>> {
-        let meta = *self.index.get(key)?;
+        let meta = self.index.get(key)?;
         let mut buf = vec![0u8; meta.len as usize];
         match self.read(key, &mut buf) {
             Ok(()) => Some(buf),
@@ -376,38 +439,33 @@ impl BlockStore for DiskStore {
         if let Some(j) = &mut self.journal {
             j.record_put(&key, data.len() as u32, dirty)?;
         }
-        self.index
-            .insert(key, BlockMeta { len: data.len() as u32, dirty });
+        self.index.insert(key, BlockMeta { len: data.len() as u32, dirty });
         Ok(())
     }
 
     fn meta(&self, key: &BlockKey) -> Option<BlockMeta> {
-        self.index.get(key).copied()
+        self.index.get(key)
     }
 
     fn set_clean(&mut self, key: &BlockKey) -> std::io::Result<()> {
-        if !self.index.contains_key(key) {
+        if self.index.get(key).is_none() {
             return Ok(());
         }
         if let Some(j) = &mut self.journal {
             j.record_set_clean(key)?;
         }
-        if let Some(m) = self.index.get_mut(key) {
-            m.dirty = false;
-        }
+        self.index.mark(key, false);
         Ok(())
     }
 
     fn set_dirty(&mut self, key: &BlockKey) -> std::io::Result<()> {
-        let Some(len) = self.index.get(key).map(|m| m.len) else {
+        let Some(meta) = self.index.get(key) else {
             return Ok(());
         };
         if let Some(j) = &mut self.journal {
-            j.record_set_dirty(key, len)?;
+            j.record_set_dirty(key, meta.len)?;
         }
-        if let Some(m) = self.index.get_mut(key) {
-            m.dirty = true;
-        }
+        self.index.mark(key, true);
         Ok(())
     }
 
@@ -425,33 +483,27 @@ impl BlockStore for DiskStore {
         }
     }
 
+    fn keeps_names(&self) -> bool {
+        self.journal.is_some()
+    }
+
     fn blocks_of(&self, fh: &Fh3) -> Vec<u64> {
-        let mut v: Vec<u64> =
-            self.index.keys().filter(|(f, _)| f == fh).map(|(_, o)| *o).collect();
-        v.sort_unstable();
-        v
+        self.index.offsets(fh, false)
     }
 
     fn dirty_blocks_of(&self, fh: &Fh3) -> Vec<u64> {
-        let mut v: Vec<u64> = self
-            .index
-            .iter()
-            .filter(|((f, _), m)| f == fh && m.dirty)
-            .map(|((_, o), _)| *o)
-            .collect();
-        v.sort_unstable();
-        v
+        self.index.offsets(fh, true)
+    }
+
+    fn has_dirty(&self, fh: &Fh3) -> bool {
+        self.index.files.get(fh).is_some_and(|blocks| blocks.values().any(|m| m.dirty))
     }
 
     fn dirty_files(&self) -> Vec<Fh3> {
-        let mut v: Vec<Fh3> = self
-            .index
-            .iter()
-            .filter(|(_, m)| m.dirty)
-            .map(|((f, _), _)| f.clone())
-            .collect();
+        let files = self.index.files.iter();
+        let mut v: Vec<Fh3> =
+            files.filter(|(_, b)| b.values().any(|m| m.dirty)).map(|(f, _)| f.clone()).collect();
         v.sort();
-        v.dedup();
         v
     }
 
@@ -465,7 +517,7 @@ impl BlockStore for DiskStore {
                 return;
             }
         }
-        self.index.retain(|(f, _), _| f != fh);
+        self.index.remove_file(fh);
         let unlinked = match &mut self.spool {
             Spool::Shared(extents) => {
                 extents.forget(fh);
@@ -484,11 +536,11 @@ impl BlockStore for DiskStore {
     }
 
     fn total_bytes(&self) -> u64 {
-        self.index.values().map(|m| m.len as u64).sum()
+        self.index.total
     }
 
     fn dirty_bytes(&self) -> u64 {
-        self.index.values().filter(|m| m.dirty).map(|m| m.len as u64).sum()
+        self.index.dirty
     }
 }
 

@@ -39,10 +39,12 @@
 use crate::config::{CacheMode, HopCost, RetryPolicy, SessionConfig, StripePolicy};
 use crate::proxy::blockstore::{BlockKey, BlockStore, DiskStore, MemStore};
 use crate::proxy::journal::NameRecord;
-use crate::proxy::namecache::{is_minted, Entry, NameCache};
+use crate::proxy::namecache::{is_minted, Entry, NameCache, ADD_NAMES};
 use crate::proxy::pipeline::{PendingReply, Pipeline};
 use crate::proxy::stripe::{StripeMap, StripeSet};
-use crate::proxy::wire::{decode_reply, encode_reply, failure, nfs_call, success_body, Call};
+use crate::proxy::wire::{
+    decode_reply, encode_reply, failure, nfs_call, success_body, uid_of, Call,
+};
 use parking_lot::Mutex;
 use sgfs_gtls::GtlsStream;
 use sgfs_nfs3::proc::{procnum, *};
@@ -56,6 +58,13 @@ use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::Range;
 use std::sync::Arc;
+
+/// The most READDIRPLUS batches a listing of a directory takes
+/// ([`ClientProxy::list`]); a directory that needs more is never listed.
+const LISTING_BATCHES: usize = 4;
+/// The bytes of one listing batch (`dircount` and `maxcount`): about 160
+/// `sgfs-nfsd` entries.
+const LISTING_BYTES: u32 = 32 * 1024;
 
 /// The channel to the server-side proxy.
 pub enum Upstream {
@@ -565,7 +574,12 @@ impl ClientProxy {
             _ => {}
         }
         let call = Call::decode(header.proc, args, &header.cred);
-        if let Some(reply) = self.namecache.answer(header.xid, header.proc, &call) {
+        let listed = self.namecache.listable(&call);
+        if let Some(dir) = &listed {
+            self.list(dir, &header.cred)?;
+        }
+        let answered = self.namecache.answer(header.xid, header.proc, &call, listed.is_some());
+        if let Some(reply) = answered {
             return Ok(reply);
         }
         if let Some(reply) = self.write_behind(header.xid, &call, &header.cred)? {
@@ -593,7 +607,78 @@ impl ClientProxy {
                 self.journal_name(&NameRecord::Cancelled { fh })?;
             }
         }
+        // A directory the reply showed changed by another client ships
+        // the names logged in it now. One the server refuses stays
+        // logged, and fails the flush with its path.
+        let due = self.namecache.take_expired();
+        if !due.is_empty() {
+            match self.ship(&due) {
+                Err(e) if refusal(&e).is_none() => return Err(e),
+                _ => {}
+            }
+        }
         Ok(reply)
+    }
+
+    /// List `dir` to EOF with READDIRPLUS, as the caller `cred`, for the
+    /// namespace cache ([`NameCache::listed`]): the first batch in one
+    /// split-phase round with an ACCESS of [`ADD_NAMES`] on `dir`, whose
+    /// verdict says whether the caller may log names there, then a batch
+    /// per round trip while the listing goes on, [`LISTING_BATCHES`] in
+    /// all. A directory that does not fit stays unknown.
+    fn list(&mut self, dir: &Fh3, cred: &OpaqueAuth) -> std::io::Result<()> {
+        let batch = |cookie, cookieverf| ReaddirPlusArgs {
+            dir: dir.clone(),
+            cookie,
+            cookieverf,
+            dircount: LISTING_BYTES,
+            maxcount: LISTING_BYTES,
+        };
+        let access = AccessArgs { object: dir.clone(), access: ADD_NAMES };
+        let mut records = vec![
+            self.own_call(Some(cred), procnum::READDIRPLUS, &batch(0, 0))?,
+            self.own_call(Some(cred), procnum::ACCESS, &access)?,
+        ];
+        self.stats.forwarded(procnum::ACCESS);
+        let (mut batches, mut verdict) = (Vec::new(), None);
+        while batches.len() < LISTING_BATCHES {
+            self.stats.forwarded(procnum::READDIRPLUS);
+            let mut replies = self.round_first_live(&records)?.into_iter();
+            let listing = replies.next().expect("a reply per call");
+            let reply = self.namecache.to_mount(procnum::READDIRPLUS, listing);
+            verdict = verdict.or(replies.next());
+            let Ok(res) = decode_reply::<ReaddirPlusRes>(&reply) else { break };
+            let next = res.entries.last().map(|e| (e.cookie, res.cookieverf));
+            let more = res.status == NfsStat3::Ok && !res.eof;
+            batches.push(res);
+            match next.filter(|_| more) {
+                Some((cookie, verf)) => {
+                    let next = batch(cookie, verf);
+                    records = vec![self.own_call(Some(cred), procnum::READDIRPLUS, &next)?];
+                }
+                None => break,
+            }
+        }
+        let store = &self.store;
+        self.namecache.listed(dir, &batches, |fh| is_dirty(store, fh));
+        if let Some(reply) = verdict {
+            let reply = self.namecache.to_mount(procnum::ACCESS, reply);
+            let call = Call::Access(access, uid_of(cred));
+            self.namecache.apply(&call, reply, |fh| is_dirty(store, fh));
+        }
+        Ok(())
+    }
+
+    /// One split-phase round of `records` on the lowest-index live
+    /// member, walking down the set as members fail over.
+    fn round_first_live(&mut self, records: &[Vec<u8>]) -> std::io::Result<Vec<Vec<u8>>> {
+        loop {
+            let m = self.stripe.first_live();
+            match self.mirror_to([m], records) {
+                Err(_) if !self.stripe.is_up(m) => {} // failed over; next survivor
+                result => return result,
+            }
+        }
     }
 
     fn handle_read(&mut self, xid: u32, record: &[u8], args: &[u8]) -> std::io::Result<Vec<u8>> {
@@ -789,9 +874,11 @@ impl ClientProxy {
     }
 
     fn handle_write(&mut self, xid: u32, record: &[u8], args: &[u8]) -> std::io::Result<Vec<u8>> {
-        let a = match WriteArgs::from_xdr_bytes(args) {
-            Ok(a) => a,
-            Err(_) => return self.forward(record, procnum::WRITE, args),
+        // The data stays in the call record: the store copies it once.
+        let mut dec = XdrDecoder::new(args);
+        let a = match WriteArgsRef::decode(&mut dec) {
+            Ok(a) if dec.remaining() == 0 => a,
+            _ => return self.forward(record, procnum::WRITE, args),
         };
         self.prefetch_gov.forget(&a.file);
         // Need attributes to fabricate a coherent reply.
@@ -813,7 +900,7 @@ impl ClientProxy {
         // placement the extent is absorbed in one piece.
         let map = *self.stripe.map();
         let store = self.store.as_mut().expect("only a caching proxy absorbs WRITEs");
-        let (mut off, mut data) = (a.offset, &a.data[..]);
+        let (mut off, mut data) = (a.offset, a.data);
         let put = loop {
             let take = map.contiguous(off, data.len() as u64) as usize;
             let res = store.put((a.file.clone(), off), &data[..take], true);
@@ -1556,7 +1643,9 @@ impl ClientProxy {
         cred: &OpaqueAuth,
     ) -> std::io::Result<Option<Vec<u8>>> {
         if let Some(entry) = self.namecache.loggable(call, cred) {
-            if self.journal_name(&entry.record())? {
+            // The record is built only for a store that keeps it.
+            let kept = self.store.as_ref().is_some_and(|s| s.keeps_names());
+            if !kept || self.journal_name(&entry.record())? {
                 return Ok(Some(self.namecache.log(xid, entry)));
             }
         } else if let Some(fh) = self.namecache.cancellable(call) {
@@ -1623,7 +1712,7 @@ impl ClientProxy {
                         obj_attr,
                         dir_wcc,
                     }) => {
-                        self.made(e, server, obj_attr, dir_wcc.after)?;
+                        self.made(e, server, obj_attr, dir_wcc)?;
                         continue;
                     }
                     // Made or not, the server did not say: the entry
@@ -1654,7 +1743,7 @@ impl ClientProxy {
         e: &Entry,
         server: Fh3,
         obj: Option<Fattr3>,
-        dir: Option<Fattr3>,
+        dir: WccData,
     ) -> std::io::Result<()> {
         let fileid = obj.as_ref().map(|a| a.fileid);
         let rec = NameRecord::Shipped { fh: e.fh.clone(), server: server.clone(), fileid };
@@ -1679,7 +1768,7 @@ impl ClientProxy {
                 obj_attr: Some(attr),
                 dir_attr,
             }) if attr.ftype == kind => {
-                self.made(e, server, Some(attr), dir_attr)?;
+                self.made(e, server, Some(attr), WccData { before: None, after: dir_attr })?;
                 Ok(true)
             }
             _ => Ok(false),
@@ -1786,7 +1875,7 @@ fn clamp_read(map: &StripeMap, offset: u64, count: u32, reply: Vec<u8>) -> Vec<u
 /// Whether `store` holds unflushed data for `fh` (server attrs are
 /// stale).
 fn is_dirty(store: &Option<Box<dyn BlockStore>>, fh: &Fh3) -> bool {
-    store.as_ref().is_some_and(|s| !s.dirty_blocks_of(fh).is_empty())
+    store.as_ref().is_some_and(|s| s.has_dirty(fh))
 }
 
 fn all_down(what: &str) -> std::io::Error {
@@ -1966,12 +2055,17 @@ mod tests {
     /// The result body of `proxy`'s reply to call `xid` of `proc`, made
     /// as root.
     fn call(proxy: &mut ClientProxy, xid: u32, proc: u32, args: &[u8]) -> Vec<u8> {
+        call_by(proxy, 0, xid, proc, args)
+    }
+
+    /// [`call`], made as `uid`.
+    fn call_by(proxy: &mut ClientProxy, uid: u32, xid: u32, proc: u32, args: &[u8]) -> Vec<u8> {
         let header = CallHeader {
             xid,
             prog: NFS_PROGRAM,
             vers: NFS_VERSION,
             proc,
-            cred: OpaqueAuth::sys(&sgfs_oncrpc::msg::AuthSysParams::new("host", 0, 0)),
+            cred: OpaqueAuth::sys(&sgfs_oncrpc::msg::AuthSysParams::new("host", uid, uid)),
             verf: OpaqueAuth::none(),
         };
         let mut record = header.to_xdr_bytes();
@@ -2038,6 +2132,93 @@ mod tests {
         assert_eq!(proxy.forwarded_by_proc()[procnum::READDIR as usize], 2);
     }
 
+    /// A caching proxy over an export whose root holds `files` empty files
+    /// made on the server, named `f0000`, `f0001`, …, and the root.
+    fn listing_rig(files: usize) -> (Arc<sgfs_oncrpc::ShardServer>, ClientProxy, Fh3) {
+        let (vfs, server, root) = export();
+        let ctx = sgfs_vfs::UserContext::root();
+        let top = vfs.resolve("/GFS", &ctx).unwrap().ino;
+        for i in 0..files {
+            vfs.create(top, &format!("f{i:04}"), 0o644, true, &ctx).unwrap();
+        }
+        let (shards, proxy) = caching_proxy(server);
+        (shards, proxy, root)
+    }
+
+    fn sent(proxy: &ClientProxy, proc: u32) -> u64 {
+        proxy.forwarded_by_proc()[proc as usize]
+    }
+
+    fn create_args(dir: &Fh3, name: &str) -> Vec<u8> {
+        let how = CreateMode::Guarded(Sattr3 { mode: Some(0o644), ..Default::default() });
+        let where_ = DirOpArgs3 { dir: dir.clone(), name: name.into() };
+        CreateArgs { where_, how }.to_xdr_bytes()
+    }
+
+    /// The first LOOKUP miss in a directory lists it, with the ACCESS
+    /// verdict beside the first batch, and is answered from the listing;
+    /// so is every LOOKUP in it after, present or absent.
+    #[test]
+    fn the_triggering_lookup_is_answered_from_the_listing() {
+        let (_shards, mut proxy, root) = listing_rig(3);
+        let mut lookup = |xid, name: &str| {
+            let args = DirOpArgs3 { dir: root.clone(), name: name.into() }.to_xdr_bytes();
+            LookupRes::from_xdr_bytes(&call(&mut proxy, xid, procnum::LOOKUP, &args)).unwrap()
+        };
+        let found = lookup(1, "f0001");
+        assert_eq!(found.status, NfsStat3::Ok);
+        assert_eq!(found.obj_attr.map(|a| a.ftype), Some(FType3::Reg));
+        assert_eq!(lookup(2, "g").status, NfsStat3::NoEnt);
+        assert_eq!(lookup(3, "f0002").status, NfsStat3::Ok);
+        let upstream = [procnum::LOOKUP, procnum::READDIRPLUS, procnum::ACCESS];
+        assert_eq!(upstream.map(|p| sent(&proxy, p)), [0, 1, 1], "LOOKUP, READDIRPLUS, ACCESS");
+    }
+
+    /// A directory that does not list to EOF within the budget stays
+    /// unknown: the call that tried is forwarded as before, a CREATE in it
+    /// is not logged, and it is never listed again.
+    #[test]
+    fn an_over_budget_directory_is_forwarded_as_today() {
+        let (_shards, mut proxy, root) = listing_rig(800);
+        let lookup = DirOpArgs3 { dir: root.clone(), name: "g".into() }.to_xdr_bytes();
+        let res = LookupRes::from_xdr_bytes(&call(&mut proxy, 1, procnum::LOOKUP, &lookup));
+        assert_eq!(res.unwrap().status, NfsStat3::NoEnt);
+        let made = call(&mut proxy, 2, procnum::CREATE, &create_args(&root, "g"));
+        let made = CreateRes::from_xdr_bytes(&made).unwrap();
+        assert_eq!(made.status, NfsStat3::Ok);
+        assert!(!is_minted(&made.obj.expect("made")), "the server's handle");
+        let res = LookupRes::from_xdr_bytes(&call(&mut proxy, 3, procnum::LOOKUP, &lookup));
+        assert_eq!(res.unwrap().status, NfsStat3::Ok);
+        let upstream = [procnum::LOOKUP, procnum::CREATE, procnum::READDIRPLUS];
+        let upstream = upstream.map(|p| sent(&proxy, p));
+        assert_eq!(upstream, [1, 1, LISTING_BATCHES as u64], "LOOKUP, CREATE, READDIRPLUS");
+    }
+
+    /// In a listed directory the caller's right to add names is the
+    /// server's ACCESS verdict: a caller it denies MODIFY and EXTEND logs
+    /// nothing, though the directory's owner may write there.
+    #[test]
+    fn a_directory_whose_access_verdict_denies_modify_or_extend_logs_nothing() {
+        let (_shards, mut proxy, root) = listing_rig(1);
+        let stranger = 1000;
+        let made = call_by(&mut proxy, stranger, 1, procnum::CREATE, &create_args(&root, "g"));
+        assert_eq!(CreateRes::from_xdr_bytes(&made).unwrap().status, NfsStat3::Acces);
+        let mkdir = MkdirArgs {
+            where_: DirOpArgs3 { dir: root.clone(), name: "d".into() },
+            attributes: Sattr3 { mode: Some(0o755), ..Default::default() },
+        };
+        let made = call_by(&mut proxy, stranger, 2, procnum::MKDIR, &mkdir.to_xdr_bytes());
+        assert_eq!(CreateRes::from_xdr_bytes(&made).unwrap().status, NfsStat3::Acces);
+        // A refused call leaves its directory in doubt: the MKDIR lists it
+        // again.
+        let upstream = [procnum::CREATE, procnum::MKDIR, procnum::READDIRPLUS];
+        assert_eq!(upstream.map(|p| sent(&proxy, p)), [1, 1, 2], "CREATE, MKDIR, READDIRPLUS");
+        assert!(proxy.namecache.logged().is_empty());
+        // The owner, whom the server grants them, logs.
+        let made = call(&mut proxy, 3, procnum::CREATE, &create_args(&root, "g"));
+        assert!(is_minted(&CreateRes::from_xdr_bytes(&made).unwrap().obj.expect("made")));
+    }
+
     /// A store whose `put` fails while `full` is set, as a spool out of
     /// space does.
     struct Full {
@@ -2070,6 +2251,9 @@ mod tests {
         fn dirty_blocks_of(&self, fh: &Fh3) -> Vec<u64> {
             self.inner.dirty_blocks_of(fh)
         }
+        fn has_dirty(&self, fh: &Fh3) -> bool {
+            self.inner.has_dirty(fh)
+        }
         fn dirty_files(&self) -> Vec<Fh3> {
             self.inner.dirty_files()
         }
@@ -2085,7 +2269,8 @@ mod tests {
     }
 
     /// A caching proxy over a fresh export whose store can be filled up,
-    /// the file `f` made through it, and WRITE "old" absorbed into it.
+    /// the server's file `f` looked up through it, and WRITE "old"
+    /// absorbed into it.
     fn absorbed_old() -> (
         Arc<sgfs_vfs::Vfs>,
         Arc<sgfs_oncrpc::ShardServer>,
@@ -2094,14 +2279,15 @@ mod tests {
         Fh3,
     ) {
         let (vfs, server, root) = export();
+        let ctx = sgfs_vfs::UserContext::root();
+        vfs.create(vfs.resolve("/GFS", &ctx).unwrap().ino, "f", 0o644, true, &ctx).unwrap();
         let (shards, mut proxy) = caching_proxy(server);
         let full = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let inner = proxy.store.take().expect("a caching proxy");
         proxy.store = Some(Box::new(Full { inner, full: full.clone() }));
-        let how = CreateMode::Unchecked(Sattr3 { mode: Some(0o644), ..Default::default() });
-        let create = CreateArgs { where_: DirOpArgs3 { dir: root, name: "f".into() }, how };
-        let made = call(&mut proxy, 1, procnum::CREATE, &create.to_xdr_bytes());
-        let file = CreateRes::from_xdr_bytes(&made).unwrap().obj.expect("made");
+        let lookup = DirOpArgs3 { dir: root, name: "f".into() };
+        let found = call(&mut proxy, 1, procnum::LOOKUP, &lookup.to_xdr_bytes());
+        let file = LookupRes::from_xdr_bytes(&found).unwrap().object.expect("found");
         assert_eq!(write(&mut proxy, 2, &file, b"old"), NfsStat3::Ok);
         assert_eq!(proxy.forwarded_by_proc()[procnum::WRITE as usize], 0, "absorbed");
         (vfs, shards, proxy, full, file)

@@ -8,9 +8,12 @@
 //! * two calls cover every metadata procedure: [`NameCache::answer`] says
 //!   whether a call can be served locally, [`NameCache::apply`] takes a
 //!   forwarded call's reply in — its snoops and invalidations;
-//! * a directory this session's MKDIR made is **known completely**: it
-//!   started empty and every name in it since went through this cache,
-//!   so a LOOKUP of a name absent from it is answered NOENT locally;
+//! * a directory is **known completely** when this session's MKDIR made
+//!   it (it started empty and every name in it since went through this
+//!   cache) or when the proxy listed it to EOF
+//!   ([`NameCache::listable`], [`NameCache::listed`]); a LOOKUP of a name
+//!   absent from it is answered NOENT locally, until a reply shows the
+//!   directory changed by a call this session did not make;
 //! * every attribute a reply carries enters through one rule,
 //!   [`NameCache::observe`]: a file with unflushed write-back data keeps
 //!   the proxy's size and mtime, under partial placement a regular
@@ -21,7 +24,7 @@
 //!   [`BlockStore`](super::blockstore::BlockStore) alone says whether a
 //!   file is dirty;
 //! * **the namespace log** (DESIGN.md §15): a CREATE or MKDIR of a name
-//!   known absent from a directory the session made is made here, under a
+//!   known absent from a directory known completely is made here, under a
 //!   minted handle, and shipped later; a REMOVE or RMDIR of a name not
 //!   yet shipped cancels it. At the upstream boundary,
 //!   [`NameCache::to_server`] makes each minted handle in a call the
@@ -30,7 +33,7 @@
 
 use crate::acl::is_acl_file_name;
 use crate::proxy::journal::NameRecord;
-use crate::proxy::wire::{decode_reply, encode_reply, success_body, Call, Encoded};
+use crate::proxy::wire::{decode_reply, encode_reply, success_body, uid_of, Call, Encoded};
 use sgfs_nfs3::proc::{procnum, *};
 use sgfs_nfs3::types::*;
 use sgfs_obs::{Emitter, Hop};
@@ -38,6 +41,11 @@ use sgfs_oncrpc::{CallHeader, OpaqueAuth};
 use sgfs_xdr::{XdrDecode, XdrDecoder, XdrEncode};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::ops::Range;
+
+/// ACCESS3_LOOKUP | ACCESS3_MODIFY | ACCESS3_EXTEND (RFC 1813): search a
+/// directory, and change and add to its entries. A listed directory takes
+/// logged names only from a caller the server granted all three.
+pub(crate) const ADD_NAMES: u32 = 0x02 | 0x04 | 0x08;
 
 /// Opens every minted handle.
 const MINTED_TAG: &[u8; 8] = b"sgfsname";
@@ -130,6 +138,40 @@ impl Entry {
     }
 }
 
+/// A map keyed by (directory, name), held as directory → name → value
+/// so that a lookup borrows the call's handle and name instead of
+/// building a key of copies.
+struct ByName<V>(HashMap<Fh3, HashMap<String, V>>);
+
+impl<V> Default for ByName<V> {
+    fn default() -> Self {
+        Self(HashMap::new())
+    }
+}
+
+impl<V> ByName<V> {
+    fn get(&self, w: &DirOpArgs3) -> Option<&V> {
+        self.0.get(&w.dir)?.get(&w.name)
+    }
+
+    /// Set `w`'s value; the one it had.
+    fn insert(&mut self, w: &DirOpArgs3, v: V) -> Option<V> {
+        match self.0.get_mut(&w.dir) {
+            Some(names) => names.insert(w.name.clone(), v),
+            None => self.0.entry(w.dir.clone()).or_default().insert(w.name.clone(), v),
+        }
+    }
+
+    fn remove(&mut self, dir: &Fh3, name: &str) -> Option<V> {
+        let names = self.0.get_mut(dir)?;
+        let v = names.remove(name)?;
+        if names.is_empty() {
+            self.0.remove(dir);
+        }
+        Some(v)
+    }
+}
+
 /// The namespace log: the entries not yet shipped, in the order they were
 /// made, found by handle, by name and by directory.
 #[derive(Default)]
@@ -137,7 +179,7 @@ struct Log {
     entries: BTreeMap<u64, Entry>,
     next: u64,
     seq_of: HashMap<Fh3, u64>,
-    by_name: HashMap<(Fh3, String), u64>,
+    by_name: ByName<u64>,
     in_dir: HashMap<Fh3, BTreeSet<u64>>,
 }
 
@@ -146,8 +188,15 @@ impl Log {
         let (seq, w) = (self.next, e.where_());
         self.next += 1;
         self.seq_of.insert(e.fh.clone(), seq);
-        self.by_name.insert((w.dir.clone(), w.name.clone()), seq);
-        self.in_dir.entry(w.dir.clone()).or_default().insert(seq);
+        self.by_name.insert(w, seq);
+        match self.in_dir.get_mut(&w.dir) {
+            Some(seqs) => {
+                seqs.insert(seq);
+            }
+            None => {
+                self.in_dir.insert(w.dir.clone(), BTreeSet::from([seq]));
+            }
+        }
         self.entries.insert(seq, e);
     }
 
@@ -155,7 +204,7 @@ impl Log {
         let seq = self.seq_of.remove(fh)?;
         let e = self.entries.remove(&seq)?;
         let w = e.where_();
-        self.by_name.remove(&(w.dir.clone(), w.name.clone()));
+        self.by_name.remove(&w.dir, &w.name);
         if let Some(dir) = self.in_dir.get_mut(&w.dir) {
             dir.remove(&seq);
             if dir.is_empty() {
@@ -166,8 +215,7 @@ impl Log {
     }
 
     fn at(&self, w: &DirOpArgs3) -> Option<&Entry> {
-        let seq = self.by_name.get(&(w.dir.clone(), w.name.clone()))?;
-        self.entries.get(seq)
+        self.entries.get(self.by_name.get(w)?)
     }
 
     /// The entries made in `dir`, in the order made.
@@ -176,20 +224,99 @@ impl Log {
     }
 }
 
+/// (directory, name) → the file it reaches, indexed both ways: a file's
+/// own names are found without a scan. A file has one name but for its
+/// hard links, so its names are a short list.
+#[derive(Default)]
+struct Names {
+    to: ByName<Fh3>,
+    of: HashMap<Fh3, Vec<(Fh3, String)>>,
+}
+
+impl Names {
+    fn get(&self, w: &DirOpArgs3) -> Option<&Fh3> {
+        self.to.get(w)
+    }
+
+    /// Name `w` `fh`; what it named before.
+    fn insert(&mut self, w: &DirOpArgs3, fh: Fh3) -> Option<Fh3> {
+        let old = self.to.insert(w, fh.clone());
+        if old.as_ref() == Some(&fh) {
+            return old;
+        }
+        if let Some(old) = &old {
+            self.unname(old, w);
+        }
+        // `w` did not name `fh`: it is not in its list yet.
+        self.of.entry(fh).or_default().push((w.dir.clone(), w.name.clone()));
+        old
+    }
+
+    fn remove(&mut self, w: &DirOpArgs3) -> Option<Fh3> {
+        let fh = self.to.remove(&w.dir, &w.name)?;
+        self.unname(&fh, w);
+        Some(fh)
+    }
+
+    fn unname(&mut self, fh: &Fh3, w: &DirOpArgs3) {
+        if let Some(keys) = self.of.get_mut(fh) {
+            keys.retain(|(dir, name)| (dir, name) != (&w.dir, &w.name));
+            if keys.is_empty() {
+                self.of.remove(fh);
+            }
+        }
+    }
+
+    /// Forget every name of `fh`.
+    fn forget(&mut self, fh: &Fh3) {
+        for (dir, name) in self.of.remove(fh).into_iter().flatten() {
+            self.to.remove(&dir, &name);
+        }
+    }
+
+    /// One name of `fh`, as (directory, name).
+    fn name_of(&self, fh: &Fh3) -> Option<&(Fh3, String)> {
+        self.of.get(fh)?.first()
+    }
+}
+
+/// A directory known completely; by default, one the session made.
+#[derive(Default)]
+struct Known {
+    /// Every name in it. Kept from reply statuses alone, never from
+    /// `names`, which may forget a name that still exists: here a missing
+    /// name means "absent", there "ask".
+    names: HashSet<String>,
+    /// The server's mtime and ctime of it as of the last change this
+    /// session accounted for; `None` until a reply shows them.
+    stamp: Option<(NfsTime3, NfsTime3)>,
+    /// Whether a listing made it known rather than the session's MKDIR:
+    /// then a caller's right to add names to it is the server's ACCESS
+    /// verdict, not its mode bits.
+    listed: bool,
+}
+
+fn stamp(attr: &Fattr3) -> (NfsTime3, NfsTime3) {
+    (attr.mtime, attr.ctime)
+}
+
 /// What the session knows about names and files.
 pub(crate) struct NameCache {
     attrs: HashMap<Fh3, Fattr3>,
-    /// Per (file, uid): (mask of bits ever checked upstream, granted
+    /// Per file, per uid: (mask of bits ever checked upstream, granted
     /// bits within that mask). A request is only served from cache when
     /// every bit it asks about has actually been checked — granted bits
     /// say nothing about bits the server was never asked to evaluate.
-    access: HashMap<(Fh3, u32), (u32, u32)>,
-    /// (directory, name) → the file it reaches.
-    names: HashMap<(Fh3, String), Fh3>,
-    /// Every name in each directory known completely. Kept from reply
-    /// statuses alone, never from `names`, which may forget a name that
-    /// still exists: here a missing name means "absent", there "ask".
-    complete: HashMap<Fh3, HashSet<String>>,
+    access: HashMap<Fh3, HashMap<u32, (u32, u32)>>,
+    names: Names,
+    /// The directories known completely.
+    complete: HashMap<Fh3, Known>,
+    /// Directories a listing found too large to list within its budget:
+    /// never listed again.
+    unlistable: HashSet<Fh3>,
+    /// Directories that stopped being known while holding logged names,
+    /// which must ship now ([`take_expired`](Self::take_expired)).
+    expired: Vec<Fh3>,
     /// Raw READDIR/READDIRPLUS result bodies keyed (dir, cookie, plus?).
     readdirs: HashMap<(Fh3, u64, bool), Vec<u8>>,
     /// Partial placement: a member lacking a file's final block
@@ -218,8 +345,10 @@ impl NameCache {
         Self {
             attrs: HashMap::new(),
             access: HashMap::new(),
-            names: HashMap::new(),
+            names: Names::default(),
             complete: HashMap::new(),
+            unlistable: HashSet::new(),
+            expired: Vec::new(),
             readdirs: HashMap::new(),
             partial,
             synth_mtime: 1,
@@ -257,15 +386,22 @@ impl NameCache {
 
     /// The reply to `call` (xid `xid`, procedure `proc`) when the cache
     /// can give it, counting the hit or miss of every call it could have
-    /// answered. A name or an ACCESS verdict is answered only with its
-    /// file's attributes in hand, an absent name only with its
-    /// directory's: the reply carries them.
-    pub(crate) fn answer(&self, xid: u32, proc: u32, call: &Call) -> Option<Vec<u8>> {
+    /// answered; a call the proxy just `listed` a directory for counts as
+    /// a miss, answered or not: it cost a round trip. A name or an ACCESS
+    /// verdict is answered only with its file's attributes in hand, an
+    /// absent name only with its directory's: the reply carries them.
+    pub(crate) fn answer(
+        &self,
+        xid: u32,
+        proc: u32,
+        call: &Call,
+        listed: bool,
+    ) -> Option<Vec<u8>> {
         let reply = match call {
             Call::GetAttr(fh) => self.attr(fh).map(|attr| {
                 encode_reply(xid, &GetAttrRes { status: NfsStat3::Ok, attr: Some(attr) })
             }),
-            Call::Access(a, uid) => match self.access.get(&(a.object.clone(), *uid)) {
+            Call::Access(a, uid) => match self.access.get(&a.object).and_then(|by| by.get(uid)) {
                 // Unchecked bits fall through to the server instead of
                 // reading as denied.
                 Some(&(checked, granted)) if a.access & !checked == 0 => {
@@ -277,7 +413,7 @@ impl NameCache {
                 }
                 _ => None,
             },
-            Call::Lookup(a) => match self.names.get(&(a.dir.clone(), a.name.clone())) {
+            Call::Lookup(a) => match self.names.get(a) {
                 Some(fh) => self.attr(fh).map(|attr| {
                     let res = LookupRes {
                         status: NfsStat3::Ok,
@@ -303,7 +439,8 @@ impl NameCache {
             }
             _ => return None,
         };
-        self.stats.emit(if reply.is_some() { Hop::CacheHit } else { Hop::CacheMiss }, xid, proc, 0);
+        let hit = reply.is_some() && !listed;
+        self.stats.emit(if hit { Hop::CacheHit } else { Hop::CacheMiss }, xid, proc, 0);
         reply
     }
 
@@ -334,7 +471,8 @@ impl NameCache {
                 if res.status == NfsStat3::Ok {
                     // Remember which bits this check covered and refresh
                     // the granted state within that mask only.
-                    let entry = self.access.entry((a.object.clone(), *uid)).or_insert((0, 0));
+                    let by_uid = self.access.entry(a.object.clone()).or_default();
+                    let entry = by_uid.entry(*uid).or_insert((0, 0));
                     entry.1 = (entry.1 & !a.access) | res.access;
                     entry.0 |= a.access;
                 }
@@ -347,14 +485,17 @@ impl NameCache {
                 // the set's; if it is not, the set is not trusted again.
                 if let Some(known) = self.complete.get(&a.dir) {
                     let agrees = match res.as_ref().map(|r| r.status) {
-                        Some(NfsStat3::Ok) => known.contains(&a.name) || is_dot(&a.name),
-                        Some(NfsStat3::NoEnt) => !known.contains(&a.name),
+                        Some(NfsStat3::Ok) => known.names.contains(&a.name) || is_dot(&a.name),
+                        Some(NfsStat3::NoEnt) => !known.names.contains(&a.name),
                         Some(_) => true,
                         None => false,
                     };
                     if !agrees {
-                        self.complete.remove(&a.dir);
+                        self.forget_dir(&a.dir);
                     }
+                }
+                if let Some(attr) = res.as_ref().and_then(|r| r.dir_attr.as_ref()) {
+                    self.check_stamp(&a.dir, attr);
                 }
                 res.and_then(|mut res| {
                     let fh = res.object.clone()?;
@@ -362,7 +503,7 @@ impl NameCache {
                     // "." and ".." are the server's to resolve: a moved
                     // directory has a new "..".
                     if !is_dot(&a.name) {
-                        self.names.insert((a.dir.clone(), a.name.clone()), fh);
+                        self.names.insert(a, fh);
                     }
                     held.then(|| encode_reply(xid, &res))
                 })
@@ -370,14 +511,11 @@ impl NameCache {
             Call::Readdir(dir, cookie, plus) => {
                 if let Some(body) = success_body(&reply) {
                     self.readdirs.insert((dir.clone(), *cookie, *plus), body.to_vec());
-                    // The entries' attributes are cached; the listing
-                    // itself is handed on as the server wrote it.
+                    // The entries' names and attributes are cached; the
+                    // listing itself is handed on as the server wrote it.
                     let res = plus.then(|| ReaddirPlusRes::from_xdr_bytes(body).ok()).flatten();
-                    for e in res.into_iter().flat_map(|r| r.entries) {
-                        if let (Some(fh), Some(attr)) = (e.handle, e.attr) {
-                            let dirty = dirty(&fh);
-                            self.observe(&fh, attr, dirty);
-                        }
+                    if let Some(res) = res {
+                        self.snoop_listing(dir, &res, &dirty);
                     }
                 }
                 None
@@ -389,6 +527,7 @@ impl NameCache {
                 let fh = &a.object;
                 self.drop_access(fh);
                 let res = decode_reply::<WccRes>(&reply).ok();
+                self.restamp(fh, res.as_ref().and_then(|r| r.wcc.before.as_ref()));
                 if !dirty(fh) {
                     self.attrs.remove(fh);
                 } else if let Some(WccRes { wcc: WccData { after: Some(attr), .. }, .. }) = &res {
@@ -406,19 +545,19 @@ impl NameCache {
                 // in it later passes through this cache.
                 self.learn(w, made.is_some(), true);
                 if let (Some(fh), Call::Mkdir(..)) = (made, call) {
-                    self.complete.insert(fh, HashSet::new());
+                    self.complete.insert(fh, Known::default());
                 }
                 res.and_then(|mut res| {
                     // The directory's fresh attributes serve the kernel
                     // client's next revalidation locally.
-                    let mut held = self.take_in(&w.dir, &mut res.dir_wcc.after, false);
+                    let mut held = self.take_in_wcc(&w.dir, &mut res.dir_wcc);
                     if let Some(fh) = res.obj.clone() {
                         // An UNCHECKED CREATE of an existing name returns
                         // that file, which may be dirty, with the mode it
                         // was just given.
                         self.drop_access(&fh);
                         held |= self.take_in(&fh, &mut res.obj_attr, dirty(&fh));
-                        self.names.insert((w.dir.clone(), w.name.clone()), fh);
+                        self.names.insert(w, fh);
                     }
                     held.then(|| encode_reply(xid, &res))
                 })
@@ -432,11 +571,11 @@ impl NameCache {
                 self.learn(w, res.as_ref().is_some_and(|r| r.status == NfsStat3::Ok), false);
                 res.and_then(|mut res| {
                     if res.status == NfsStat3::Ok {
-                        if let Some(fh) = self.names.remove(&(w.dir.clone(), w.name.clone())) {
+                        if let Some(fh) = self.names.remove(w) {
                             gone = self.unlink(fh);
                         }
                     }
-                    let held = self.take_in(&w.dir, &mut res.wcc.after, false);
+                    let held = self.take_in_wcc(&w.dir, &mut res.wcc);
                     held.then(|| encode_reply(xid, &res))
                 })
             }
@@ -449,32 +588,37 @@ impl NameCache {
                 // A RENAME onto another link of the same file leaves both
                 // names: the source is known gone only when the target
                 // was known absent.
-                let free = self.complete.get(&to.dir).is_some_and(|k| !k.contains(&to.name));
+                let free = self.complete.get(&to.dir).is_some_and(|k| !k.names.contains(&to.name));
                 self.learn(from, ok && free, false);
                 self.learn(to, ok, true);
                 res.and_then(|mut res| {
                     if res.status == NfsStat3::Ok {
-                        let from_name = (from.dir.clone(), from.name.clone());
-                        let to_name = (to.dir.clone(), to.name.clone());
-                        let moved = self.names.remove(&from_name);
+                        let moved = self.names.remove(from);
                         let replaced = match &moved {
-                            Some(fh) => self.names.insert(to_name, fh.clone()),
-                            None => self.names.remove(&to_name),
+                            Some(fh) => self.names.insert(to, fh.clone()),
+                            None => self.names.remove(to),
                         };
                         match replaced {
                             // Two names of one file: RENAME does nothing.
                             Some(fh) if moved.as_ref() == Some(&fh) => {
-                                self.names.insert(from_name, fh);
+                                self.names.insert(from, fh);
                             }
                             // The server unlinked what the destination
                             // name used to reach.
                             Some(fh) => gone = self.unlink(fh),
                             None => {}
                         }
-                        // A directory moved to another parent lists a
-                        // new "..".
-                        self.readdirs.retain(|(d, _, _), _| Some(d) != moved.as_ref());
+                        if let Some(fh) = &moved {
+                            // A directory moved to another parent lists a
+                            // new "..", and the move is its change too.
+                            self.readdirs.retain(|(d, _, _), _| d != fh);
+                            self.restamp(fh, None);
+                        }
                     }
+                    // Both stamps move before either directory's new
+                    // attributes are taken in: they may be one directory.
+                    self.restamp(&from.dir, res.from_wcc.before.as_ref());
+                    self.restamp(&to.dir, res.to_wcc.before.as_ref());
                     let held = self.take_in(&from.dir, &mut res.from_wcc.after, false)
                         | self.take_in(&to.dir, &mut res.to_wcc.after, false);
                     held.then(|| encode_reply(xid, &res))
@@ -486,11 +630,10 @@ impl NameCache {
                 self.learn(&a.link, res.as_ref().is_some_and(|r| r.status == NfsStat3::Ok), true);
                 res.and_then(|mut res| {
                     // The link count is what `unlink` decides by.
-                    let held = self.take_in(&a.link.dir, &mut res.dir_wcc.after, false)
+                    let held = self.take_in_wcc(&a.link.dir, &mut res.dir_wcc)
                         | self.take_in(&a.file, &mut res.attr, dirty(&a.file));
                     if res.status == NfsStat3::Ok {
-                        let name = (a.link.dir.clone(), a.link.name.clone());
-                        self.names.insert(name, a.file.clone());
+                        self.names.insert(&a.link, a.file.clone());
                     }
                     held.then(|| encode_reply(xid, &res))
                 })
@@ -498,6 +641,82 @@ impl NameCache {
             Call::Other => None,
         };
         (patched.unwrap_or(reply), gone)
+    }
+
+    /// What a READDIRPLUS reply of `dir` shows: the name and attributes
+    /// of every entry — a file the mount reaches by a listed handle is
+    /// known by its name, so a REMOVE of that name drops what the proxy
+    /// holds of it — and the attributes of `dir` itself, which a known
+    /// directory is checked by.
+    fn snoop_listing(&mut self, dir: &Fh3, res: &ReaddirPlusRes, dirty: &impl Fn(&Fh3) -> bool) {
+        if let Some(attr) = &res.dir_attr {
+            self.check_stamp(dir, attr);
+        }
+        for e in &res.entries {
+            let Some(fh) = &e.handle else { continue };
+            if !is_dot(&e.name) {
+                let w = DirOpArgs3 { dir: dir.clone(), name: e.name.clone() };
+                self.names.insert(&w, fh.clone());
+            }
+            if let Some(attr) = &e.attr {
+                self.observe(fh, attr.clone(), dirty(fh));
+            }
+        }
+    }
+
+    /// The directory to list before `call` ([`listed`](Self::listed)): a
+    /// LOOKUP the cache cannot answer, or a CREATE or MKDIR, in a directory
+    /// not known completely that holds no logged name and that no listing
+    /// found too large. A dot or an ACL file name is the server's to
+    /// resolve, listed or not.
+    pub(crate) fn listable(&self, call: &Call) -> Option<Fh3> {
+        let w = match call {
+            Call::Lookup(w) if self.names.get(w).is_some_and(|fh| self.attrs.contains_key(fh)) => {
+                return None
+            }
+            Call::Lookup(w) | Call::Create(w, Some(_)) | Call::Mkdir(w, _) => w,
+            _ => return None,
+        };
+        let skip = is_dot(&w.name)
+            || is_acl_file_name(&w.name)
+            || self.complete.contains_key(&w.dir)
+            || self.unlistable.contains(&w.dir)
+            || self.holds_logged(&w.dir);
+        (!skip).then(|| w.dir.clone())
+    }
+
+    /// Take in the listing the proxy made of `dir`, its READDIRPLUS
+    /// batches in cookie order (already under the mount's handles). Every
+    /// entry's name and attributes enter as a forwarded READDIRPLUS's do. A
+    /// listing that read to EOF, with `dir`'s attributes the same in every
+    /// batch, leaves `dir` known completely from then on,
+    /// stamped with those attributes; one that did not (too large for its
+    /// budget, or refused) leaves `dir` unknown for good.
+    pub(crate) fn listed(
+        &mut self,
+        dir: &Fh3,
+        batches: &[ReaddirPlusRes],
+        dirty: impl Fn(&Fh3) -> bool,
+    ) {
+        // A listing cached before is older than this one.
+        self.readdirs.retain(|(d, _, _), _| d != dir);
+        for res in batches {
+            self.snoop_listing(dir, res, &dirty);
+        }
+        let read = batches.iter().all(|r| r.status == NfsStat3::Ok);
+        if !read || !batches.last().is_some_and(|r| r.eof) {
+            self.unlistable.insert(dir.clone());
+            return;
+        }
+        let Some(attr) = batches[0].dir_attr.clone() else { return };
+        if batches.iter().any(|r| r.dir_attr.as_ref().map(stamp) != Some(stamp(&attr))) {
+            return; // changed while listed: the names may be of two states
+        }
+        let at = stamp(&attr);
+        self.observe(dir, attr, false);
+        let entries = batches.iter().flat_map(|r| &r.entries);
+        let names = entries.filter(|e| !is_dot(&e.name)).map(|e| e.name.clone()).collect();
+        self.complete.insert(dir.clone(), Known { names, stamp: Some(at), listed: true });
     }
 
     /// Hand a reply the server gave to a `proc` call on as the mount
@@ -541,8 +760,10 @@ impl NameCache {
         swapped.unwrap_or(reply)
     }
 
-    /// The one rule every attribute a reply carries is cached by. A
-    /// minted file keeps the fileid the mount knows it by. A directory
+    /// The one rule every attribute a reply carries is cached by. A known
+    /// directory whose mtime or ctime moved stops being known
+    /// ([`check_stamp`](Self::check_stamp)). A minted file keeps the
+    /// fileid the mount knows it by. A directory
     /// holding logged entries keeps what the log made of it — the server
     /// has not seen them. A `dirty` file keeps the proxy's size and mtime
     /// — the server has not seen its write-back data — and takes the rest.
@@ -551,6 +772,7 @@ impl NameCache {
     /// drops the attributes instead). Otherwise the reply wins. Returns
     /// what is cached now.
     pub(crate) fn observe(&mut self, fh: &Fh3, mut attr: Fattr3, dirty: bool) -> Fattr3 {
+        self.check_stamp(fh, &attr);
         if is_minted(fh) {
             let id = minted_fileid(fh);
             if attr.fileid != id {
@@ -591,10 +813,13 @@ impl NameCache {
 
     /// The call a logged entry would make, when `call` can be made here:
     /// an UNCHECKED or GUARDED CREATE or a MKDIR, of a name `sgfs-vfs`
-    /// accepts, known absent from a directory the session made, whose
-    /// cached mode grants its owner write and search. Its attributes set
-    /// a mode and at most a size: an owner, a group or a time is the
-    /// server's to check.
+    /// accepts, known absent from a directory known completely, where the
+    /// caller may add it: in a directory the session made, its cached
+    /// mode grants its owner write and search; in a listed one, the
+    /// server's cached ACCESS verdict for the caller grants [`ADD_NAMES`]
+    /// (the server maps the caller to its own uid, and may apply a
+    /// per-file ACL). Its attributes set a mode and at most a size: an
+    /// owner, a group or a time is the server's to check.
     pub(crate) fn loggable(&mut self, call: &Call, cred: &OpaqueAuth) -> Option<Entry> {
         let (w, attrs) = match call {
             Call::Create(w, Some(CreateMode::Unchecked(s) | CreateMode::Guarded(s))) => (w, s),
@@ -604,7 +829,14 @@ impl NameCache {
         let plain = attrs.mode.is_some()
             && (attrs.uid, attrs.gid, attrs.atime, attrs.mtime) == (None, None, None, None);
         let dir = self.absent(w)?;
-        if !plain || dir.mode & 0o300 != 0o300 || sgfs_vfs::Vfs::check_name(&w.name).is_err() {
+        let may_add = match self.complete[&w.dir].listed {
+            true => {
+                let verdict = self.access.get(&w.dir).and_then(|by| by.get(&uid_of(cred)));
+                verdict.is_some_and(|&(checked, given)| checked & given & ADD_NAMES == ADD_NAMES)
+            }
+            false => dir.mode & 0o300 == 0o300,
+        };
+        if !plain || !may_add || sgfs_vfs::Vfs::check_name(&w.name).is_err() {
             return None;
         }
         self.minted += 1;
@@ -639,10 +871,10 @@ impl NameCache {
             ctime: parent.mtime,
         };
         self.learn(&w, true, true);
-        self.names.insert((w.dir.clone(), w.name.clone()), entry.fh.clone());
+        self.names.insert(&w, entry.fh.clone());
         self.attrs.insert(entry.fh.clone(), attr.clone());
         if is_dir {
-            self.complete.insert(entry.fh.clone(), HashSet::new());
+            self.complete.insert(entry.fh.clone(), Known::default());
         }
         let res = CreateRes {
             status: NfsStat3::Ok,
@@ -668,7 +900,7 @@ impl NameCache {
     pub(crate) fn cancel(&mut self, xid: u32, fh: &Fh3) -> Vec<u8> {
         let entry = self.log.remove(fh).expect("cancellable");
         let w = entry.where_();
-        self.names.remove(&(w.dir.clone(), w.name.clone()));
+        self.names.remove(w);
         self.learn(w, true, false);
         self.unlink(fh.clone());
         let parent = self.moved_on(&w.dir, if entry.is_dir { -1 } else { 0 });
@@ -702,7 +934,7 @@ impl NameCache {
         if self.log.entries.is_empty() {
             return Vec::new();
         }
-        let object = |w: &DirOpArgs3| self.names.get(&(w.dir.clone(), w.name.clone()));
+        let object = |w: &DirOpArgs3| self.names.get(w);
         let (mut at, mut dirs): (Vec<&DirOpArgs3>, Vec<&Fh3>) = (Vec::new(), Vec::new());
         match call {
             Call::Lookup(w) => at.push(w),
@@ -814,14 +1046,14 @@ impl NameCache {
     }
 
     /// The server made the logged entry `fh` as `server`: the call that
-    /// reaches `fh` upstream now names `server`. `obj` and `dir` are the
-    /// reply's attributes of the file and of its directory.
+    /// reaches `fh` upstream now names `server`. `obj` is the reply's
+    /// attributes of the file, `dir` what it shows of its directory.
     pub(crate) fn shipped(
         &mut self,
         fh: &Fh3,
         server: Fh3,
         obj: Option<Fattr3>,
-        dir: Option<Fattr3>,
+        mut dir: WccData,
         dirty: bool,
     ) {
         let Some(entry) = self.log.remove(fh) else { return };
@@ -829,9 +1061,7 @@ impl NameCache {
         if let Some(attr) = obj {
             self.observe(fh, attr, dirty);
         }
-        if let Some(attr) = dir {
-            self.observe(&entry.where_().dir, attr, false);
-        }
+        self.take_in_wcc(&entry.where_().dir, &mut dir);
     }
 
     /// Record that the minted `fh` is `server` on the server, with the
@@ -850,9 +1080,7 @@ impl NameCache {
         let mut parts = vec![w.name.as_str()];
         let mut dir = &w.dir;
         while parts.len() < 256 {
-            let Some(((parent, name), _)) = self.names.iter().find(|(_, f)| *f == dir) else {
-                break;
-            };
+            let Some((parent, name)) = self.names.name_of(dir) else { break };
             parts.push(name);
             dir = parent;
         }
@@ -908,7 +1136,7 @@ impl NameCache {
                 self.invalidate_dir(&fh);
                 self.drop_access(&fh);
                 self.complete.remove(&fh);
-                self.names.retain(|_, f| *f != fh);
+                self.names.forget(&fh);
                 Some(fh)
             }
         }
@@ -926,7 +1154,7 @@ impl NameCache {
     /// or not it exists.
     fn absent(&self, a: &DirOpArgs3) -> Option<Fattr3> {
         let known = self.complete.get(&a.dir)?;
-        if known.contains(&a.name) || is_dot(&a.name) || is_acl_file_name(&a.name) {
+        if known.names.contains(&a.name) || is_dot(&a.name) || is_acl_file_name(&a.name) {
             return None;
         }
         self.attr(&a.dir)
@@ -938,18 +1166,68 @@ impl NameCache {
     /// completely.
     fn learn(&mut self, w: &DirOpArgs3, done: bool, present: bool) {
         if !done {
-            self.complete.remove(&w.dir);
+            self.forget_dir(&w.dir);
         } else if let Some(known) = self.complete.get_mut(&w.dir) {
             if present {
-                known.insert(w.name.clone());
+                known.names.insert(w.name.clone());
             } else {
-                known.remove(&w.name);
+                known.names.remove(&w.name);
             }
         }
     }
 
+    /// `dir` stops being known completely, and its cached listings go
+    /// with that knowledge. The names logged in it were logged on it:
+    /// they ship now ([`take_expired`](Self::take_expired)).
+    fn forget_dir(&mut self, dir: &Fh3) {
+        self.readdirs.retain(|(d, _, _), _| d != dir);
+        if self.complete.remove(dir).is_some() && self.holds_logged(dir) {
+            self.expired.push(dir.clone());
+        }
+    }
+
+    /// The logged entries of every directory that stopped being known
+    /// since the last call: the caller ships them.
+    pub(crate) fn take_expired(&mut self) -> Vec<Fh3> {
+        let dirs = std::mem::take(&mut self.expired);
+        dirs.iter().flat_map(|dir| self.log.in_dir(dir)).map(|e| e.fh.clone()).collect()
+    }
+
+    /// A reply shows `attr` of `fh`. A known directory whose mtime or
+    /// ctime is not what the session last accounted for was changed by a
+    /// call this session did not make, and stops being known; one whose
+    /// stamp is not yet known takes this one.
+    fn check_stamp(&mut self, fh: &Fh3, attr: &Fattr3) {
+        let Some(known) = self.complete.get_mut(fh) else { return };
+        match known.stamp {
+            None => known.stamp = Some(stamp(attr)),
+            Some(s) if s != stamp(attr) => self.forget_dir(fh),
+            Some(_) => {}
+        }
+    }
+
+    /// A call of this session changed `dir` on the server. `before` (the
+    /// reply's pre-operation attributes) must show what the session last
+    /// accounted for, else another client's call came first and `dir`
+    /// stops being known; otherwise the next attributes a reply shows are
+    /// its new stamp.
+    fn restamp(&mut self, dir: &Fh3, before: Option<&WccAttr>) {
+        let Some(known) = self.complete.get_mut(dir) else { return };
+        match (known.stamp, before) {
+            (Some(s), Some(b)) if s != (b.mtime, b.ctime) => self.forget_dir(dir),
+            _ => known.stamp = None,
+        }
+    }
+
+    /// [`take_in`](Self::take_in) for the attributes a call of this
+    /// session leaves its directory with, [`restamp`](Self::restamp)ed.
+    fn take_in_wcc(&mut self, dir: &Fh3, wcc: &mut WccData) -> bool {
+        self.restamp(dir, wcc.before.as_ref());
+        self.take_in(dir, &mut wcc.after, false)
+    }
+
     fn drop_access(&mut self, fh: &Fh3) {
-        self.access.retain(|(f, _), _| f != fh);
+        self.access.remove(fh);
     }
 
     /// A name in `dir` changed: its listings and attributes are stale.

@@ -259,13 +259,16 @@ impl ServerProxy {
                     }
                 }
             }
+            // Everything below a moved directory inherits anew, and the
+            // map cannot list a directory's descendants: the whole cache
+            // goes, as a `set_acl` clears it.
             Call::Rename(a) => {
                 let mut map = self.name_map.lock();
                 let moved = map.iter().find(|(_, (d, n))| *d == a.from.dir && *n == a.from.name);
                 if let Some(fh) = moved.map(|(fh, _)| fh.clone()) {
-                    map.insert(fh.clone(), (a.to.dir.clone(), a.to.name.clone()));
-                    self.acl_cache.lock().remove(&fh);
+                    map.insert(fh, (a.to.dir.clone(), a.to.name.clone()));
                 }
+                self.acl_cache.lock().clear();
             }
             Call::Remove(w, _) => {
                 let mut map = self.name_map.lock();
@@ -542,6 +545,40 @@ mod tests {
         let access = AccessArgs { object: g, access: 0x3f }.to_xdr_bytes();
         let res = AccessRes::from_xdr_bytes(&call(&proxy, 5, procnum::ACCESS, &access)).unwrap();
         assert_eq!(res.access, 0x1, "d/g inherits d's ACL");
+    }
+
+    #[test]
+    fn a_moved_directorys_descendants_inherit_from_their_new_parent() {
+        let (proxy, _, root, dn) = proxy_for_alice(true);
+        let at = |dir: &Fh3, name: &str| DirOpArgs3 { dir: dir.clone(), name: name.into() };
+        let made = |xid, proc, args: Vec<u8>| {
+            let res = CreateRes::from_xdr_bytes(&call(&proxy, xid, proc, &args)).unwrap();
+            res.obj.expect("made")
+        };
+        let mkdir = |dir: &Fh3, name: &str| {
+            MkdirArgs { where_: at(dir, name), attributes: Sattr3::default() }.to_xdr_bytes()
+        };
+        let p = made(1, procnum::MKDIR, mkdir(&root, "p"));
+        let q = made(2, procnum::MKDIR, mkdir(&root, "q"));
+        let d = made(3, procnum::MKDIR, mkdir(&p, "d"));
+        let how = CreateMode::Unchecked(Sattr3::default());
+        let create = CreateArgs { where_: at(&d, "e"), how };
+        let e = made(4, procnum::CREATE, create.to_xdr_bytes());
+        let mut grant = Acl::new();
+        grant.grant(dn, 0x3f);
+        proxy.set_acl(&root, Some("p"), &grant).unwrap();
+        proxy.set_acl(&root, Some("q"), &Acl::new()).unwrap();
+        let access = |xid, fh: &Fh3| {
+            let args = AccessArgs { object: fh.clone(), access: 0x3f }.to_xdr_bytes();
+            AccessRes::from_xdr_bytes(&call(&proxy, xid, procnum::ACCESS, &args)).unwrap().access
+        };
+        assert_eq!((access(5, &d), access(6, &e)), (0x3f, 0x3f), "p's grant, inherited");
+
+        let moved = RenameArgs { from: at(&p, "d"), to: at(&q, "d") };
+        let res = call(&proxy, 7, procnum::RENAME, &moved.to_xdr_bytes());
+        assert_eq!(RenameRes::from_xdr_bytes(&res).unwrap().status, NfsStat3::Ok);
+        assert_eq!(access(8, &d), 0, "d inherits q's empty ACL");
+        assert_eq!(access(9, &e), 0, "so does everything below d");
     }
 
     #[test]

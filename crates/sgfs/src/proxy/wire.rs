@@ -49,8 +49,7 @@ impl Call {
         let call = match proc {
             procnum::GETATTR => Fh3::from_xdr_bytes(args).map(Call::GetAttr),
             procnum::ACCESS => {
-                let uid = cred.as_sys().map(|s| s.uid).unwrap_or(u32::MAX);
-                AccessArgs::from_xdr_bytes(args).map(|a| Call::Access(a, uid))
+                AccessArgs::from_xdr_bytes(args).map(|a| Call::Access(a, uid_of(cred)))
             }
             procnum::LOOKUP => DirOpArgs3::from_xdr_bytes(args).map(Call::Lookup),
             procnum::READDIR => {
@@ -97,6 +96,11 @@ impl Call {
         };
         first.into_iter().chain(second).map(|w| w.name.as_str())
     }
+}
+
+/// The uid a call's credential claims; `u32::MAX` for one without.
+pub(crate) fn uid_of(cred: &OpaqueAuth) -> u32 {
+    cred.as_sys().map(|s| s.uid).unwrap_or(u32::MAX)
 }
 
 /// Result bytes already in XDR form, such as a cached listing.

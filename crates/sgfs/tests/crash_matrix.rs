@@ -626,8 +626,9 @@ fn run_names(
 
 /// The namespace log under a kill: after a logged CREATE and its WRITE,
 /// after a logged MKDIR with a CREATE beneath it, in the middle of the
-/// ship between its two dependency levels, and after the first level's
-/// replies, before the journal heard which names the server made — the
+/// ship between its second and third dependency levels, and after the
+/// second level's replies, before the journal heard which names the
+/// server made — the
 /// revived proxy's ship then meets EXIST for its own earlier calls and
 /// must take those names as its own. In each case a fresh proxy recovers
 /// the spool, the script carries on with the handles it was given, and
@@ -646,7 +647,7 @@ fn a_killed_namespace_log_recovers_to_the_crash_free_tree() {
         assert_eq!(
             (upstream[procnum::MKDIR as usize], upstream[procnum::CREATE as usize]),
             (2, 2),
-            "/d at once; /d/f, /d/e and /d/e/g at the flush; /d/t never"
+            "/d (the listed root's), /d/f, /d/e and /d/e/g at the flush; /d/t never"
         );
         assert_eq!(upstream[procnum::REMOVE as usize], 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -654,7 +655,8 @@ fn a_killed_namespace_log_recovers_to_the_crash_free_tree() {
     };
     assert_eq!(oracle.len(), 5, "{oracle:?}");
 
-    let kill = |point| Some(CrashInjector::at(point, 1));
+    // The ship's levels are /d, then /d/f and /d/e, then /d/e/g.
+    let kill = |point| Some(CrashInjector::at(point, 2));
     let kills: [(&str, usize, Option<Arc<CrashInjector>>); 4] = [
         ("after-create-write", 3, None),
         ("after-mkdir-create", 5, None),
@@ -672,7 +674,7 @@ fn a_killed_namespace_log_recovers_to_the_crash_free_tree() {
             Err(e) => assert!(is_crash(&e), "{label}: {e}"),
         }
         if inj.is_some() {
-            // The first level reached the server; the second did not.
+            // The second level reached the server; the third did not.
             let ctx = sgfs_vfs::UserContext::root();
             assert!(server.vfs.resolve("/GFS/d/e", &ctx).is_ok(), "{label}");
             assert!(server.vfs.resolve("/GFS/d/e/g", &ctx).is_err(), "{label}");
@@ -712,7 +714,7 @@ fn a_removed_shipped_name_leaves_the_journal() {
             other => panic!("{other:?} after a flush"),
         })
         .collect();
-    assert_eq!(mapped, vec![handles["d/e"].clone()]);
+    assert_eq!(mapped, vec![handles["d"].clone(), handles["d/e"].clone()]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -727,9 +729,10 @@ fn a_refused_name_stays_refused_after_a_restart() {
     let mut handles = BTreeMap::from([(String::new(), server.root.clone())]);
     let mut proxy = server.proxy(&config_for(dir.clone(), None));
     run_names(&mut proxy, &NAMES[..3], &mut handles).expect("crash-free");
-    // Another client makes /d/f first.
+    // Another client makes /d, and /d/f in it, first.
     let ctx = sgfs_vfs::UserContext::root();
-    let d = server.vfs.resolve("/GFS/d", &ctx).unwrap().ino;
+    let root = server.vfs.resolve("/GFS", &ctx).unwrap().ino;
+    let d = server.vfs.mkdir(root, "d", 0o755, &ctx).unwrap().ino;
     let theirs = server.vfs.create(d, "f", 0o600, true, &ctx).unwrap().ino;
     server.vfs.write(theirs, 0, b"theirs", &ctx).unwrap();
     for attempt in ["first", "after a restart"] {

@@ -38,7 +38,7 @@ use sgfs_oncrpc::shard::RpcRecordService;
 use sgfs_oncrpc::{CallHeader, OpaqueAuth, ReplyHeader, ShardServer};
 use sgfs_vfs::{FileKind, UserContext, Vfs};
 use sgfs_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -52,6 +52,9 @@ const DIRS: [&str; 3] = ["/GFS", "/GFS/d1", "/GFS/d1/d2"];
 /// generator picks among the first four.
 const NAMES: [&str; 6] = ["a", "b", "d1", "d2", ".", ".."];
 const BLOCK: u64 = 4096;
+/// Files in the listing case's directory that no listing fits: the
+/// budget is four READDIRPLUS batches of about 160 `sgfs-nfsd` entries.
+const CROWD: usize = 700;
 
 /// One generated call; a `(dir, name)` pair indexes [`DIRS`] × [`NAMES`].
 #[derive(Debug, Clone, Copy)]
@@ -75,6 +78,9 @@ enum Op {
     Link(usize, usize, usize, usize),
     /// Write everything back, names included.
     Flush,
+    /// A second writer makes an empty file of that name directly on the
+    /// server's `Vfs` (and the oracle's), between two calls.
+    Foreign(usize, usize),
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -157,6 +163,21 @@ struct Rig {
     seen: Vec<Fh3>,
     handles: Bijection<Fh3>,
     fileids: Bijection<u64>,
+    /// Files a second writer made, as `(dir, name)` indices, that the
+    /// proxy may not have seen: it may answer as if they were absent.
+    unseen: HashSet<(usize, usize)>,
+    /// Every file a second writer made, as `(dir, name)` indices: a
+    /// listing the proxy cached before may lack it, as long as the session
+    /// lasts.
+    foreign: HashSet<(usize, usize)>,
+    /// Whether the tree was there before the proxy (see [`Rig::listed`]):
+    /// a file is then called by name first, as a mount would, and one the
+    /// proxy never named (a second writer's it answers as absent) has no
+    /// twin to call it by.
+    listed: bool,
+    /// The path of a name the proxy logged that a second writer took on
+    /// the server: the flush must fail with EXIST naming it.
+    conflict: Option<String>,
     _shards: Arc<ShardServer>,
 }
 
@@ -182,12 +203,39 @@ impl Rig {
             seen: Vec::new(),
             handles: Bijection::new(),
             fileids: Bijection::new(),
+            unseen: HashSet::new(),
+            foreign: HashSet::new(),
+            listed: false,
+            conflict: None,
             _shards: shards,
         };
         // The export root is the one handle both sides share.
         let root = rig.oracle.vfs().resolve("/GFS", &UserContext::root()).unwrap().ino;
         rig.handles.pair(&Fh3::from_ino(1, root), &Fh3::from_ino(1, root), "root");
         rig.fileids.pair(&root, &root, "root");
+        rig
+    }
+
+    /// A rig whose server and oracle hold the same tree before the proxy
+    /// sees either, so the proxy learns it by listing: "a" (one block)
+    /// and "d1" in the root, "b" and "d2" in d1, and [`CROWD`] files in
+    /// d2, more than a listing takes. The rig learns the proxy's handle of
+    /// each by looking it up.
+    fn listed() -> Self {
+        let mut rig = Rig::new();
+        let owner = UserContext::new(UID, UID);
+        for vfs in [&rig.upstream, rig.oracle.vfs()] {
+            let at = |path: &str| vfs.resolve(path, &owner).unwrap().ino;
+            let a = vfs.create(at(DIRS[0]), "a", 0o644, true, &owner).unwrap().ino;
+            vfs.write(a, 0, &[0x11; BLOCK as usize], &owner).unwrap();
+            vfs.mkdir(at(DIRS[0]), "d1", 0o755, &owner).unwrap();
+            vfs.create(at(DIRS[1]), "b", 0o600, true, &owner).unwrap();
+            let d2 = vfs.mkdir(at(DIRS[1]), "d2", 0o755, &owner).unwrap().ino;
+            for i in 0..CROWD {
+                vfs.create(d2, &format!("p{i:03}"), 0o644, true, &owner).unwrap();
+            }
+        }
+        rig.listed = true;
         rig
     }
 
@@ -227,7 +275,24 @@ impl Rig {
     }
 
     fn dir(&mut self, d: usize) -> Option<Fh3> {
+        if d > 0 {
+            self.look_up([(0, 0), (0, 2), (1, 3)][d]);
+        }
         self.resolve(DIRS[d]).filter(|(_, kind)| *kind == FileKind::Directory).map(|(fh, _)| fh)
+    }
+
+    /// In the listing case, LOOKUP `(d, n)` through the proxy first when
+    /// the proxy has never named the file the oracle has there: a mount
+    /// learns every handle from a reply.
+    fn look_up(&mut self, (d, n): (usize, usize)) {
+        if !self.listed {
+            return;
+        }
+        let path = format!("{}/{}", DIRS[d], NAMES[n]);
+        let Ok(attr) = self.oracle.vfs().resolve(&path, &UserContext::root()) else { return };
+        if !self.handles.theirs.contains_key(&Fh3::from_ino(1, attr.ino)) {
+            self.run(Op::Lookup(d, n));
+        }
     }
 
     fn where_(&mut self, d: usize, n: usize) -> Option<DirOpArgs3> {
@@ -236,7 +301,11 @@ impl Rig {
 
     fn object(&mut self, d: usize, n: usize) -> Option<(Fh3, FileKind)> {
         self.dir(d)?;
-        self.resolve(&format!("{}/{}", DIRS[d], NAMES[n]))
+        self.look_up((d, n));
+        let found = self.resolve(&format!("{}/{}", DIRS[d], NAMES[n]))?;
+        // A second writer's file the proxy never named has no handle here.
+        let named = !self.listed || self.handles.theirs.contains_key(&found.0);
+        named.then_some(found)
     }
 
     /// One call through the proxy, with `ours` (the proxy's handles), and
@@ -278,7 +347,11 @@ impl Rig {
                     false => CreateMode::Unchecked(attrs),
                 };
                 let ours = CreateArgs { where_: self.ours_at(&where_), how: how.clone() };
+                let sent = self.sent();
                 let made = self.call(procnum::CREATE, &ours, &CreateArgs { where_, how });
+                if self.logged_over_foreign(d, n, sent) {
+                    return;
+                }
                 self.made(&made, &format!("{op:?}"));
                 made
             }
@@ -287,7 +360,11 @@ impl Rig {
                 let attributes = Sattr3 { mode: Some(0o755), ..Default::default() };
                 let ours =
                     MkdirArgs { where_: self.ours_at(&where_), attributes: attributes.clone() };
+                let sent = self.sent();
                 let made = self.call(procnum::MKDIR, &ours, &MkdirArgs { where_, attributes });
+                if self.logged_over_foreign(d, n, sent) {
+                    return;
+                }
                 self.made(&made, &format!("{op:?}"));
                 made
             }
@@ -327,6 +404,9 @@ impl Rig {
             }
             Op::GetAttrSeen(i) => {
                 let Some(fh) = self.seen.get(i % self.seen.len().max(1)).cloned() else { return };
+                if self.listed && !self.handles.theirs.contains_key(&fh) {
+                    return; // a second writer's file the proxy never named
+                }
                 return self.getattr(&fh);
             }
             Op::Lookup(d, n) => {
@@ -334,6 +414,12 @@ impl Rig {
                 let (got, want) = self.call(procnum::LOOKUP, &self.ours_at(&args), &args);
                 let (got, want) = (decode::<LookupRes>(&got), decode::<LookupRes>(&want));
                 let what = format!("LOOKUP {}/{}", DIRS[d], NAMES[n]);
+                if self.unseen.contains(&(d, n)) {
+                    if (got.status, want.status) == (NfsStat3::NoEnt, NfsStat3::Ok) {
+                        return; // as the proxy last saw the directory
+                    }
+                    self.unseen.remove(&(d, n));
+                }
                 assert_eq!(got.status, want.status, "{what}");
                 self.pair_fh(&got.object, &want.object, &what);
                 self.same_attrs(&got.obj_attr, &want.obj_attr, &what);
@@ -391,10 +477,23 @@ impl Rig {
                         self.call(procnum::READDIR, &args(ours), &args(dir))
                     }
                 };
-                let ((got_status, got), (want_status, want)) = (listing(&got), listing(&want));
+                let ((got_status, mut got), (want_status, mut want)) =
+                    (listing(&got), listing(&want));
                 let names = |l: &[(String, u64, Option<Fh3>)]| {
                     l.iter().map(|e| e.0.clone()).collect::<Vec<_>>()
                 };
+                // A listing cached from before some of a second writer's
+                // names lacks them, and its batch, which they did not fill,
+                // runs on: the rest must agree.
+                let foreign: Vec<&str> =
+                    self.foreign.iter().filter(|u| u.0 == d).map(|u| NAMES[u.1]).collect();
+                if !foreign.is_empty() && names(&got) != names(&want) {
+                    got.retain(|e| !foreign.contains(&e.0.as_str()));
+                    want.retain(|e| !foreign.contains(&e.0.as_str()));
+                    let shorter = got.len().min(want.len());
+                    got.truncate(shorter);
+                    want.truncate(shorter);
+                }
                 assert_eq!((got_status, names(&got)), (want_status, names(&want)), "{what}");
                 for ((_, got_id, got_fh), (_, want_id, want_fh)) in got.iter().zip(&want) {
                     self.fileids.pair(got_id, want_id, &what);
@@ -404,6 +503,7 @@ impl Rig {
             }
             Op::Remove(d, n) | Op::Rmdir(d, n) => {
                 let Some(args) = self.where_(d, n) else { return };
+                self.unseen.remove(&(d, n));
                 let proc =
                     if matches!(op, Op::Remove(..)) { procnum::REMOVE } else { procnum::RMDIR };
                 self.call(proc, &self.ours_at(&args), &args)
@@ -412,6 +512,8 @@ impl Rig {
                 let (Some(from), Some(to)) = (self.where_(d, n), self.where_(d2, n2)) else {
                     return;
                 };
+                self.unseen.remove(&(d, n));
+                self.unseen.remove(&(d2, n2));
                 let ours = RenameArgs { from: self.ours_at(&from), to: self.ours_at(&to) };
                 self.call(procnum::RENAME, &ours, &RenameArgs { from, to })
             }
@@ -426,6 +528,7 @@ impl Rig {
                 assert_eq!(tree(&self.upstream), tree(self.oracle.vfs()), "after a flush");
                 return;
             }
+            Op::Foreign(d, n) => return self.foreign(d, n),
         };
         // Every result body opens with its status.
         assert_eq!(got[..4], want[..4], "status of {op:?}");
@@ -475,10 +578,72 @@ impl Rig {
         self.same_attrs(&got.attr, &want.attr, &format!("GETATTR {fh:?}"));
     }
 
-    /// Write back, then compare the two trees.
+    /// Write back, then compare the two trees; or, where a second writer
+    /// took a name the proxy logged, see the write-back fail naming it.
     fn settle(mut self) {
+        if let Some(path) = self.conflict.take() {
+            let err = self.proxy.flush_all().expect_err("a taken name").to_string();
+            // The path as far as the proxy knows the names above it: the
+            // rig calls a directory by its handle without looking it up.
+            let shown = err.split_once("name ").and_then(|(_, rest)| rest.split_once(" failed: "));
+            let named = shown.is_some_and(|(shown, status)| {
+                status == "Exist" && (path == shown || path.ends_with(&format!("/{shown}")))
+            });
+            assert!(named, "{path}: {err}");
+            return;
+        }
         self.proxy.flush_all().expect("write-back");
         assert_eq!(tree(&self.upstream), tree(self.oracle.vfs()));
+    }
+
+    /// Every call the proxy has sent upstream.
+    fn sent(&self) -> u64 {
+        self.proxy.forwarded_by_proc().iter().sum()
+    }
+
+    /// Whether the proxy just logged `(d, n)` (sent nothing since
+    /// `sent`) over a second writer's file it had not seen: its flush
+    /// must then fail naming it.
+    fn logged_over_foreign(&mut self, d: usize, n: usize, sent: u64) -> bool {
+        let logged = self.unseen.contains(&(d, n)) && self.sent() == sent;
+        if logged {
+            self.conflict = Some(path_in(d, n));
+        }
+        logged
+    }
+
+    /// A second writer makes the empty file `(d, n)` on the server, where
+    /// neither it nor a directory on its path is missing. Where the
+    /// oracle has the name already, the proxy logged it and has not
+    /// shipped it: the second writer takes it, and the proxy's flush must
+    /// fail. Otherwise the oracle gets the file too.
+    fn foreign(&mut self, d: usize, n: usize) {
+        let (root, writer) = (UserContext::root(), UserContext::new(UID, UID));
+        let path = format!("{}/{}", DIRS[d], NAMES[n]);
+        let Ok(dir) = self.upstream.resolve(DIRS[d], &root) else { return };
+        if dir.kind != FileKind::Directory || self.upstream.resolve(&path, &root).is_ok() {
+            return;
+        }
+        self.upstream.create(dir.ino, NAMES[n], 0o644, true, &writer).unwrap();
+        match self.oracle.vfs().resolve(&path, &root) {
+            Ok(_) => self.conflict = Some(path_in(d, n)),
+            Err(_) => {
+                let dir = self.oracle.vfs().resolve(DIRS[d], &root).unwrap().ino;
+                self.oracle.vfs().create(dir, NAMES[n], 0o644, true, &writer).unwrap();
+                self.unseen.insert((d, n));
+                self.foreign.insert((d, n));
+            }
+        }
+    }
+}
+
+/// `(d, n)`'s path below the export root, as a failed write-back names it.
+fn path_in(d: usize, n: usize) -> String {
+    let dir = DIRS[d].strip_prefix("/GFS").unwrap().trim_start_matches('/');
+    if dir.is_empty() {
+        NAMES[n].to_string()
+    } else {
+        format!("{dir}/{}", NAMES[n])
     }
 }
 
@@ -542,6 +707,107 @@ proptest! {
     ) {
         check(&ops);
     }
+}
+
+/// One generated call of the listing case: one in six is a second
+/// writer's file.
+fn listing_op() -> impl Strategy<Value = Op> {
+    (op(), 0u8..6, any::<u64>()).prop_map(|(op, kind, r)| match kind {
+        0 => Op::Foreign([0, 0, 1, 2][(r % 4) as usize], (r >> 8) as usize % 4),
+        _ => op,
+    })
+}
+
+/// `ops` on [`Rig::listed`], up to a conflict the flush must report.
+fn check_listed(ops: &[Op]) {
+    let mut rig = Rig::listed();
+    for &op in ops {
+        rig.run(op);
+        if rig.conflict.is_some() {
+            break;
+        }
+    }
+    rig.settle();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// Directories the proxy did not make, one too large to list, and a
+    /// second writer changing them on the server: every answer equals the
+    /// oracle's, but for a second writer's file the proxy has not seen
+    /// yet, which it may answer as absent until a reply shows the change;
+    /// a name the proxy logged that the second writer took fails the
+    /// flush with EXIST, naming it.
+    #[test]
+    fn a_listed_directory_answers_as_the_server_would(
+        ops in proptest::collection::vec(listing_op(), 1..64),
+    ) {
+        check_listed(&ops);
+    }
+}
+
+/// A LOOKUP miss in a directory the proxy did not make lists it, and the
+/// LOOKUPs after, present or absent, are answered from the listing; a
+/// directory too large to list is asked every time.
+#[test]
+fn a_listed_directory_answers_its_lookups() {
+    let (a, b, d1, d2) = (0, 1, 2, 3);
+    let mut rig = Rig::listed();
+    let sent = forwarded(&mut rig, &[Op::Lookup(0, a), Op::Lookup(0, b), Op::Lookup(1, b)]);
+    assert_eq!(sent[procnum::LOOKUP as usize], 0, "{sent:?}");
+    assert_eq!(sent[procnum::READDIRPLUS as usize], 2, "the root, then d1: {sent:?}");
+    let crowded = [Op::Lookup(2, a), Op::Lookup(2, d1), Op::Lookup(2, d2)];
+    let sent = forwarded(&mut rig, &crowded);
+    assert_eq!(sent[procnum::LOOKUP as usize], 3, "{sent:?}");
+    assert_eq!(sent[procnum::READDIRPLUS as usize], 4, "one listing, over budget: {sent:?}");
+    rig.settle();
+}
+
+/// A second writer's file is absent to the proxy until a reply shows the
+/// directory changed — here a LOOKUP of d1's "..", which carries the
+/// root's attributes — and then the root is asked again.
+#[test]
+fn a_second_writers_name_is_seen_once_a_reply_shows_the_change() {
+    let (a, b, dotdot) = (0, 1, 5);
+    let mut rig = Rig::listed();
+    rig.run(Op::Lookup(0, a));
+    rig.run(Op::Foreign(0, b));
+    assert_eq!(forwarded_lookups(&mut rig, &[Op::Lookup(0, b)]), 0, "answered as absent");
+    assert!(rig.unseen.contains(&(0, b)));
+    rig.run(Op::Lookup(1, dotdot));
+    let sent = forwarded(&mut rig, &[Op::Lookup(0, b)]);
+    assert_eq!(sent[procnum::READDIRPLUS as usize], 1, "the root listed again: {sent:?}");
+    assert!(!rig.unseen.contains(&(0, b)), "seen, as the oracle has it");
+    rig.settle();
+}
+
+/// A name logged in a listed directory that a second writer took on the
+/// server fails the flush with EXIST, naming it.
+#[test]
+fn a_logged_name_a_second_writer_took_fails_the_flush() {
+    let b = 1;
+    let mut rig = Rig::listed();
+    let sent = forwarded(&mut rig, &[Op::Create(0, b, true), Op::Write(0, b, 0, 7)]);
+    assert_eq!(sent[procnum::CREATE as usize], 0, "logged: {sent:?}");
+    rig.run(Op::Foreign(0, b));
+    assert_eq!(rig.conflict.as_deref(), Some("b"));
+    rig.settle();
+}
+
+/// A listed directory that stops being known ships the names logged in
+/// it at once.
+#[test]
+fn a_dropped_directory_ships_its_logged_names_at_once() {
+    let (b, d2, dotdot) = (1, 3, 5);
+    let mut rig = Rig::listed();
+    let sent = forwarded(&mut rig, &[Op::Create(0, b, false), Op::Foreign(0, d2)]);
+    assert_eq!(sent[procnum::CREATE as usize], 0, "logged: {sent:?}");
+    let sent = forwarded(&mut rig, &[Op::Lookup(1, dotdot)]);
+    assert_eq!(sent[procnum::CREATE as usize], 1, "shipped: {sent:?}");
+    let ctx = UserContext::root();
+    assert!(rig.upstream.resolve("/GFS/b", &ctx).is_ok());
+    rig.settle();
 }
 
 /// A READDIRPLUS entry carries the server's attributes of a file whose
@@ -838,3 +1104,13 @@ fn a_shipped_file_keeps_its_fileid_until_it_is_removed() {
     rig.getattr(&file);
     rig.settle();
 }
+
+/// A file the mount reaches by a handle a READDIRPLUS gave, written and
+/// then removed by name, is gone: its write-back data must not be shipped
+/// to it.
+#[test]
+fn a_listed_handle_written_then_removed_is_dropped() {
+    let a = 0;
+    check_listed(&[Op::Readdir(0, true), Op::Write(0, a, 0, 7), Op::Remove(0, a)]);
+}
+

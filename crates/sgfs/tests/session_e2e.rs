@@ -449,7 +449,9 @@ fn an_acl_name_in_a_made_directory_is_refused_over_the_wan() {
 /// PostMark makes every file in a directory the session made, and
 /// deletes every file before the session ends: the proxy answers each
 /// open(O_CREAT)'s LOOKUP itself, logs each CREATE under a minted handle,
-/// and each REMOVE cancels one, so only the directories cross the WAN.
+/// and each REMOVE cancels one. Its directories sit in the export root,
+/// which the first MKDIR lists, so they are logged and cancelled too:
+/// only that listing crosses the WAN.
 #[test]
 fn wan_postmark_creates_without_looking_up_first() {
     let world = GridWorld::new();
@@ -463,10 +465,14 @@ fn wan_postmark_creates_without_looking_up_first() {
         assert_eq!(forwarded[proc as usize], 0, "proc {proc}");
     }
     for proc in [procnum::MKDIR, procnum::RMDIR] {
-        assert_eq!(forwarded[proc as usize], cfg.dirs as u64, "proc {proc}");
+        assert_eq!(forwarded[proc as usize], 0, "proc {proc}");
     }
-    // Nothing else: the mount's revalidations are answered locally.
-    assert_eq!(forwarded.iter().sum::<u64>(), 2 * cfg.dirs as u64, "{forwarded:?}");
+    // The listing is one READDIRPLUS batch and the ACCESS verdict beside
+    // it. Nothing else: the mount's revalidations are answered locally.
+    for proc in [procnum::READDIRPLUS, procnum::ACCESS] {
+        assert_eq!(forwarded[proc as usize], 1, "proc {proc}");
+    }
+    assert_eq!(forwarded.iter().sum::<u64>(), 2, "{forwarded:?}");
     session.finish().unwrap();
 }
 
@@ -536,7 +542,7 @@ fn another_client_sees_a_logged_name_at_flush() {
     ours.mount.write_file("/d/sub/f", &data).unwrap();
     let before = ours.client_proxy_stats().unwrap().forwarded_by_proc();
     assert_eq!(before[procnum::CREATE as usize], 0);
-    assert_eq!(before[procnum::MKDIR as usize], 1, "only /d, in a directory not made here");
+    assert_eq!(before[procnum::MKDIR as usize], 0, "/d too, in the listed root");
     let err = other.mount.stat("/d/sub").unwrap_err();
     assert!(matches!(err, FsError::Nfs(Nfs3Error::Status(NfsStat3::NoEnt))), "{err:?}");
     ours.finish().unwrap();
@@ -556,6 +562,8 @@ fn a_name_another_client_took_fails_the_flush_with_its_path() {
     ours.mount.mkdir("/d", 0o755).unwrap();
     ours.mount.write_file("/d/f", b"ours").unwrap();
     ours.mount.write_file("/d/g", b"also ours").unwrap();
+    // An ACCESS of /d ships /d alone, and the other client finds it.
+    ours.mount.access("/d", 0x1).unwrap();
     other.mount.write_file("/d/f", b"theirs").unwrap();
     // A call that needs the name on the server fails with its status.
     let err = ours.mount.access("/d/f", 0x1).unwrap_err();

@@ -93,6 +93,7 @@ struct Snapshot {
     blocks: Vec<(u64, Vec<u64>)>,
     dirty_blocks: Vec<(u64, Vec<u64>)>,
     dirty_files: Vec<Fh3>,
+    has_dirty: Vec<bool>,
     total_bytes: u64,
     dirty_bytes: u64,
     metas: Vec<Option<(u32, bool)>>,
@@ -108,6 +109,7 @@ fn snapshot(store: &dyn BlockStore) -> Snapshot {
             .map(|(i, f)| (i as u64, store.dirty_blocks_of(f)))
             .collect(),
         dirty_files: store.dirty_files(),
+        has_dirty: fhs.iter().map(|f| store.has_dirty(f)).collect(),
         total_bytes: store.total_bytes(),
         dirty_bytes: store.dirty_bytes(),
         metas: fhs
