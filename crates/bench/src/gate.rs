@@ -25,7 +25,7 @@
 //! | `crypto`   | dispatched AES ≥ 5 × the scalar reference, both directions |
 //! | `pipeline` | window 8 ≥ 2 × window 1 at 20 ms |
 //! | `wan`      | quick PostMark at 5 and 40 ms: LOOKUP, CREATE and REMOVE never cross the WAN, MKDIR and RMDIR once per directory; the fit `runtime = fixed + n × RTT` |
-//! | `contract` | floors on numbers `benchmark/` already prints ([`contract`]): AEAD ≥ 1.1 × CBC, hardware GCM ≥ 2 000 MiB/s, ≤ 10 context switches per call |
+//! | `contract` | floors on numbers `benchmark/` already prints ([`contract`]): AEAD ≥ 1.1 × CBC, hardware GCM ≥ 2 000 MiB/s and ≥ 6 000 on the wide rung, ≤ 10 context switches per call |
 
 mod contract;
 mod crypto;
@@ -387,7 +387,14 @@ mod tests {
         let mut metrics: Vec<String> = ["aes256gcm", "chacha20poly1305", "aes256cbc-sha1"]
             .iter()
             .flat_map(|s| [format!("gtls.seal_mb_s.{s}"), format!("gtls.open_mb_s.{s}")])
-            .map(|name| metric(&name, if name.contains("cbc") { 200.0 } else { 2500.0 }))
+            .map(|name| {
+                let value = match &name {
+                    n if n.contains("cbc") => 200.0,
+                    n if n.contains("aes256gcm") => 6500.0,
+                    _ => 2500.0,
+                };
+                metric(&name, value)
+            })
             .collect();
         metrics.push(metric("proc.ctx_switches_per_op", 8.0));
         metrics.push(metric("proc.threads", 4.0));
@@ -410,6 +417,36 @@ mod tests {
 
         let rows = contract::checks(&dir.join("missing.json"));
         assert!(!rows.is_empty() && rows.iter().all(|c| !c.passes()), "{rows:?}");
+    }
+
+    /// Each AES-GCM rung floor gates exactly where the keys dispatch to
+    /// that rung or a wider one, and is reported everywhere else.
+    #[test]
+    fn an_aes_gcm_floor_gates_where_the_keys_reach_its_rung() {
+        let dir = temp_dir("rungs");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("run.json");
+        let json = r#"{"metrics": [{"name": "gtls.seal_mb_s.aes256gcm", "value": 3000.0, "unit": "MiB/s"}]}"#;
+        std::fs::write(&file, json).unwrap();
+        let limits: Vec<Limit> = contract::checks(&file)
+            .into_iter()
+            .filter(|c| c.name == "gtls.seal_mb_s.aes256gcm" && c.value.is_some())
+            .map(|c| c.limit)
+            .collect();
+        let rung = sgfs_crypto::AesGcm::new(&[0u8; 32]).rung();
+        let hardware = if rung >= sgfs_crypto::Rung::Narrow {
+            Limit::AtLeast(2000.0)
+        } else {
+            Limit::ReportOnly
+        };
+        let wide = if rung == sgfs_crypto::Rung::Wide {
+            Limit::AtLeast(6000.0)
+        } else {
+            Limit::ReportOnly
+        };
+        // The floor over the CBC baseline has no baseline in this file:
+        // its row is a failed one, with no value.
+        assert!(limits.contains(&hardware) && limits.contains(&wide), "{rung:?}: {limits:?}");
     }
 
     #[test]

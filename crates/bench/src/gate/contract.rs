@@ -9,6 +9,7 @@
 //! is never skipped because its number went missing.
 
 use super::{Check, Limit};
+use sgfs_crypto::Rung;
 use std::path::Path;
 
 enum Floor {
@@ -16,10 +17,10 @@ enum Floor {
     Baseline,
     /// At least this many times the slower direction of the baseline.
     OverBaseline(f64),
-    /// At least this, where an `AesGcm` key dispatches to `aes-ni` +
-    /// `pclmul` — the hardware kernels are in use, not merely present.
-    /// Reported only on any other host.
-    OnHardwareGcm(f64),
+    /// At least this, where an `AesGcm` key runs both CTR and GHASH on
+    /// this rung or a wider one — the kernels are in use, not merely
+    /// present. Reported only on any other host.
+    OnGcmRung(Rung, f64),
     /// At most this, on any host.
     AtMost(f64),
 }
@@ -32,8 +33,12 @@ const FLOORS: &[(&str, Floor)] = &[
     ("gtls.open_mb_s.aes256gcm", Floor::OverBaseline(1.1)),
     ("gtls.seal_mb_s.chacha20poly1305", Floor::OverBaseline(1.1)),
     ("gtls.open_mb_s.chacha20poly1305", Floor::OverBaseline(1.1)),
-    ("gtls.seal_mb_s.aes256gcm", Floor::OnHardwareGcm(2000.0)),
-    ("gtls.open_mb_s.aes256gcm", Floor::OnHardwareGcm(2000.0)),
+    // Hardware AES and GHASH, on whichever rung.
+    ("gtls.seal_mb_s.aes256gcm", Floor::OnGcmRung(Rung::Narrow, 2000.0)),
+    ("gtls.open_mb_s.aes256gcm", Floor::OnGcmRung(Rung::Narrow, 2000.0)),
+    // VAES + VPCLMULQDQ on 256-bit registers.
+    ("gtls.seal_mb_s.aes256gcm", Floor::OnGcmRung(Rung::Wide, 6000.0)),
+    ("gtls.open_mb_s.aes256gcm", Floor::OnGcmRung(Rung::Wide, 6000.0)),
     // A small call's thread hand-offs: a caller that waits drives its own
     // pipeline, so only the wire and the shard loop switch.
     ("proc.ctx_switches_per_op", Floor::AtMost(10.0)),
@@ -74,7 +79,6 @@ pub fn checks(file: &Path) -> Vec<Check> {
         .filter(|(_, floor)| matches!(floor, Floor::Baseline))
         .try_fold(f64::INFINITY, |slower, (name, _)| Some(slower.min(find(name)?.value)));
     let key = sgfs_crypto::AesGcm::new(&[0u8; 32]);
-    let hardware = key.aes_backend() == "aes-ni" && key.ghash_backend() == "pclmul";
     println!("AES-GCM backends: {} + {}", key.aes_backend(), key.ghash_backend());
 
     FLOORS
@@ -83,8 +87,10 @@ pub fn checks(file: &Path) -> Vec<Check> {
             let limit = match floor {
                 Floor::Baseline => Some(Limit::ReportOnly),
                 Floor::OverBaseline(factor) => baseline.map(|b| Limit::AtLeast(factor * b)),
-                Floor::OnHardwareGcm(floor) if hardware => Some(Limit::AtLeast(*floor)),
-                Floor::OnHardwareGcm(_) => Some(Limit::ReportOnly),
+                Floor::OnGcmRung(rung, floor) if key.rung() >= *rung => {
+                    Some(Limit::AtLeast(*floor))
+                }
+                Floor::OnGcmRung(..) => Some(Limit::ReportOnly),
                 Floor::AtMost(ceiling) => Some(Limit::AtMost(*ceiling)),
             };
             match (find(name), limit) {

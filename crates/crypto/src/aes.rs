@@ -4,22 +4,33 @@
 //! with AES-256 in CBC mode; CBC chaining lives in [`crate::cbc`], this
 //! module implements the raw block transform and key schedule.
 //!
-//! Two hot-path backends, picked once per key schedule:
+//! Three rungs ([`Rung`]), picked once per key schedule:
 //!
-//! - **AES-NI** (x86-64 with the `aes` and `ssse3` features, detected at
-//!   runtime): one `AESENC`/`AESDEC` per round, four blocks interleaved
-//!   in the ECB bulk entry points (CBC decryption), eight in the CTR
-//!   kernel (AES-GCM), which also forms its counter blocks and XORs the
-//!   keystream in registers.
-//! - **T-tables** (portable fallback): SubBytes, ShiftRows and
+//! - **VAES** (`Rung::Wide`: x86-64 with `avx2` + `vaes` + `vpclmulqdq`
+//!   besides AES-NI, detected at runtime): the CTR kernel (AES-GCM) on
+//!   256-bit registers, two blocks per `VAESENC`, eight registers — 16
+//!   blocks, 256 bytes — per group, counters stepped in registers and
+//!   the keystream XORed between load and store. What is left after the
+//!   last whole group, a call shorter than one group, and every block and
+//!   ECB entry point run the AES-NI code below.
+//! - **AES-NI** (`Rung::Narrow`: the `aes` and `ssse3` features): one
+//!   `AESENC`/`AESDEC` per round, four blocks interleaved in the ECB bulk
+//!   entry points (CBC decryption), eight in the CTR kernel, which also
+//!   forms its counter blocks and XORs the keystream in registers.
+//! - **T-tables** (`Rung::Portable`, every host): SubBytes, ShiftRows and
 //!   MixColumns collapse into four 1 KiB lookup tables per direction,
 //!   built once at compile time. The state is held as four big-endian
 //!   `u32` column words, so a full round is 16 table loads, 12 XORs and
 //!   the round-key XOR.
 //!
-//! The straightforward scalar implementation the repository started with
-//! is preserved under [`reference`] as the differential-testing oracle
-//! and the baseline for throughput comparisons.
+//! All `unsafe` is inside the `ni` and `vaes` kernel modules; the safe
+//! entry points below dispatch on the rung, which only [`Rung::detect`]
+//! sets above `Portable`. The straightforward scalar implementation the
+//! repository started with is preserved under [`reference`] as the
+//! differential-testing oracle and the baseline for throughput
+//! comparisons.
+
+use crate::{Rung, Unit};
 
 /// Forward S-box.
 const SBOX: [u8; 256] = [
@@ -136,32 +147,33 @@ pub struct Aes {
     /// `AESENC`/`AESDEC` instructions consume directly.
     enc_keys_bytes: Vec<[u8; 16]>,
     dec_keys_bytes: Vec<[u8; 16]>,
-    /// Whether this CPU exposes the AES instruction set (and SSSE3, for
-    /// the CTR kernel's byte shuffle) — detected once per schedule;
-    /// `false` off x86-64.
-    use_ni: bool,
+    /// The kernels this schedule runs: never above what [`Rung::detect`]
+    /// reported for this CPU, which every `unsafe` call below relies on;
+    /// `Portable` off x86-64.
+    rung: Rung,
 }
 
 impl Aes {
     /// Expand `key` (16 or 32 bytes). Panics on other lengths: key sizes
     /// are fixed by the negotiated cipher suite, never attacker data.
     pub fn new(key: &[u8]) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        let use_ni = std::arch::is_x86_feature_detected!("aes")
-            && std::arch::is_x86_feature_detected!("ssse3");
-        #[cfg(not(target_arch = "x86_64"))]
-        let use_ni = false;
-        Self::with_backend(key, use_ni)
+        Self::with_backend(key, Rung::detect(Unit::Aes))
     }
 
     /// Schedule pinned to the T-table backend — the reference oracle for
-    /// the AES-NI-vs-portable equivalence tests, and the only path off
+    /// the hardware-vs-portable equivalence tests, and the only path off
     /// x86-64.
     pub fn new_portable(key: &[u8]) -> Self {
-        Self::with_backend(key, false)
+        Self::with_backend(key, Rung::Portable)
     }
 
-    fn with_backend(key: &[u8], use_ni: bool) -> Self {
+    /// Schedule pinned to `rung`, or `None` when this CPU cannot run it —
+    /// how tests reach a narrower rung than [`Aes::new`] picks.
+    pub fn with_rung(key: &[u8], rung: Rung) -> Option<Self> {
+        (rung <= Rung::detect(Unit::Aes)).then(|| Self::with_backend(key, rung))
+    }
+
+    fn with_backend(key: &[u8], rung: Rung) -> Self {
         let nk = match key.len() {
             16 => 4,
             32 => 8,
@@ -208,7 +220,7 @@ impl Aes {
         };
         let enc_keys_bytes = to_bytes(&enc_keys);
         let dec_keys_bytes = to_bytes(&dec_keys);
-        Self { enc_keys, dec_keys, enc_keys_bytes, dec_keys_bytes, use_ni }
+        Self { enc_keys, dec_keys, enc_keys_bytes, dec_keys_bytes, rung }
     }
 
     /// Number of rounds (10 or 14).
@@ -216,20 +228,33 @@ impl Aes {
         self.enc_keys.len() - 1
     }
 
-    /// The block-transform backend this schedule dispatches to.
+    /// The rung this schedule dispatches to.
+    pub fn rung(&self) -> Rung {
+        self.rung
+    }
+
+    /// The CTR backend this schedule dispatches to, by name.
     pub fn backend(&self) -> &'static str {
-        if self.use_ni {
-            "aes-ni"
-        } else {
-            "t-table"
+        match self.rung {
+            Rung::Wide => "vaes",
+            Rung::Narrow => "aes-ni",
+            Rung::Portable => "t-table",
         }
+    }
+
+    /// Whether the AES-NI instructions run this schedule's blocks (on the
+    /// wide rung too: it widens only the CTR kernel).
+    #[cfg(target_arch = "x86_64")]
+    fn ni(&self) -> bool {
+        self.rung >= Rung::Narrow
     }
 
     /// Encrypt one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
         #[cfg(target_arch = "x86_64")]
-        if self.use_ni {
-            // SAFETY: `use_ni` is only set when the CPU reports aes + ssse3.
+        if self.ni() {
+            // SAFETY: the rung is at least `Narrow` only when the CPU
+            // reports aes + ssse3.
             unsafe { ni::encrypt_block(&self.enc_keys_bytes, block) };
             return;
         }
@@ -239,8 +264,9 @@ impl Aes {
     /// Decrypt one 16-byte block in place.
     pub fn decrypt_block(&self, block: &mut [u8; 16]) {
         #[cfg(target_arch = "x86_64")]
-        if self.use_ni {
-            // SAFETY: `use_ni` is only set when the CPU reports aes + ssse3.
+        if self.ni() {
+            // SAFETY: the rung is at least `Narrow` only when the CPU
+            // reports aes + ssse3.
             unsafe { ni::decrypt_block(&self.dec_keys_bytes, block) };
             return;
         }
@@ -255,8 +281,9 @@ impl Aes {
     pub fn encrypt_blocks(&self, data: &mut [u8]) {
         assert_eq!(data.len() % 16, 0, "partial AES block");
         #[cfg(target_arch = "x86_64")]
-        if self.use_ni {
-            // SAFETY: `use_ni` is only set when the CPU reports aes + ssse3.
+        if self.ni() {
+            // SAFETY: the rung is at least `Narrow` only when the CPU
+            // reports aes + ssse3.
             unsafe { ni::encrypt_blocks(&self.enc_keys_bytes, data) };
             return;
         }
@@ -268,8 +295,9 @@ impl Aes {
     pub fn decrypt_blocks(&self, data: &mut [u8]) {
         assert_eq!(data.len() % 16, 0, "partial AES block");
         #[cfg(target_arch = "x86_64")]
-        if self.use_ni {
-            // SAFETY: `use_ni` is only set when the CPU reports aes + ssse3.
+        if self.ni() {
+            // SAFETY: the rung is at least `Narrow` only when the CPU
+            // reports aes + ssse3.
             unsafe { ni::decrypt_blocks(&self.dec_keys_bytes, data) };
             return;
         }
@@ -281,12 +309,20 @@ impl Aes {
     /// `j0[..12]` and the counter wraps modulo 2^32 (SP 800-38D `inc32`).
     /// With `src` the keystream is XORed onto `src` and written to `dst`
     /// (out of place, equal lengths); without, `dst` is transformed in
-    /// place.
-    pub(crate) fn ctr_xor(&self, j0: &[u8; 16], ctr: u32, src: Option<&[u8]>, dst: &mut [u8]) {
+    /// place. A `src` of another length panics.
+    pub fn ctr_xor(&self, j0: &[u8; 16], ctr: u32, src: Option<&[u8]>, dst: &mut [u8]) {
         assert!(src.is_none_or(|s| s.len() == dst.len()), "CTR source/destination length");
         #[cfg(target_arch = "x86_64")]
-        if self.use_ni {
-            // SAFETY: `use_ni` is only set when the CPU reports aes + ssse3.
+        if self.rung == Rung::Wide && dst.len() >= vaes::GROUP {
+            // SAFETY: the rung is `Wide` only when the CPU reports aes +
+            // ssse3 + avx2 + vaes.
+            unsafe { vaes::ctr_xor(&self.enc_keys_bytes, j0, ctr, src, dst) };
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        if self.ni() {
+            // SAFETY: the rung is at least `Narrow` only when the CPU
+            // reports aes + ssse3.
             unsafe { ni::ctr_xor(&self.enc_keys_bytes, j0, ctr, src, dst) };
             return;
         }
@@ -655,6 +691,114 @@ mod ni {
             ctr_group(rk, &mut ctr, rev, buf.as_ptr().cast(), buf.as_mut_ptr().cast());
             tail.copy_from_slice(&buf[..tail.len()]);
         }
+    }
+}
+
+/// Wide CTR backend (VAES on 256-bit registers): each `VAESENC` runs one
+/// round on two blocks, and a group keeps [`LANES`] registers — 16
+/// blocks — in flight. Whole groups only; the rest of the call goes to
+/// [`ni::ctr_xor`] with the counter advanced past them.
+#[cfg(target_arch = "x86_64")]
+mod vaes {
+    use super::ni;
+    use std::arch::x86_64::*;
+
+    /// Registers in flight per group, two blocks each.
+    const LANES: usize = 8;
+    /// Bytes per group: a call shorter than this never enters the kernel.
+    pub const GROUP: usize = 32 * LANES;
+
+    /// Encrypt the 16 counter blocks that follow `*ctr` and XOR them onto
+    /// the [`GROUP`] bytes at `src`, storing at `dst`; `*ctr` advances by
+    /// 16. `*ctr` holds two consecutive counter blocks byte-reversed, one
+    /// per 128-bit half, so each half's 32-bit counter is its lane 0 in
+    /// native order: `vpaddd` steps both (wrapping modulo 2^32) and one
+    /// `vpshufb` by `rev` restores wire order.
+    ///
+    /// # Safety
+    /// Requires a CPU with `avx2` + `vaes`; `src` readable and `dst`
+    /// writable for [`GROUP`] bytes (they may be the same address).
+    #[inline]
+    #[target_feature(enable = "avx2,vaes")]
+    unsafe fn ctr_group(
+        rk: &[__m256i],
+        ctr: &mut __m256i,
+        rev: __m256i,
+        src: *const __m256i,
+        dst: *mut __m256i,
+    ) {
+        let (k0, rest) = rk.split_first().expect("a schedule has 11 or 15 round keys");
+        let (klast, mids) = rest.split_last().expect("a schedule has 11 or 15 round keys");
+        let mut s = [_mm256_setzero_si256(); LANES];
+        for (i, lane) in s.iter_mut().enumerate() {
+            let step = 2 * i as i32;
+            let block = _mm256_add_epi32(*ctr, _mm256_set_epi32(0, 0, 0, step, 0, 0, 0, step));
+            *lane = _mm256_xor_si256(_mm256_shuffle_epi8(block, rev), *k0);
+        }
+        let step = 2 * LANES as i32;
+        *ctr = _mm256_add_epi32(*ctr, _mm256_set_epi32(0, 0, 0, step, 0, 0, 0, step));
+        for k in mids {
+            for lane in s.iter_mut() {
+                *lane = _mm256_aesenc_epi128(*lane, *k);
+            }
+        }
+        for (i, lane) in s.iter().enumerate() {
+            let ks = _mm256_aesenclast_epi128(*lane, *klast);
+            _mm256_storeu_si256(dst.add(i), _mm256_xor_si256(_mm256_loadu_si256(src.add(i)), ks));
+        }
+    }
+
+    /// [`ni::ctr_xor`]'s contract, run [`GROUP`] bytes at a time: the
+    /// round keys are broadcast to both halves once per call, and the
+    /// bytes after the last whole group take the narrow kernel.
+    ///
+    /// # Safety
+    /// Requires a CPU with `aes` + `ssse3` + `avx2` + `vaes`.
+    #[target_feature(enable = "aes,ssse3,avx2,vaes")]
+    pub unsafe fn ctr_xor(
+        keys: &[[u8; 16]],
+        j0: &[u8; 16],
+        ctr: u32,
+        src: Option<&[u8]>,
+        dst: &mut [u8],
+    ) {
+        let mut rk = [_mm256_setzero_si256(); 15];
+        for (k, bytes) in rk.iter_mut().zip(keys) {
+            *k = _mm256_broadcastsi128_si256(_mm_loadu_si128(bytes.as_ptr().cast()));
+        }
+        let rk = &rk[..keys.len()];
+        let rev = _mm256_set_epi8(
+            0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, //
+            0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
+        );
+        let mut first = *j0;
+        first[12..].copy_from_slice(&ctr.to_be_bytes());
+        let first = _mm_shuffle_epi8(
+            _mm_loadu_si128(first.as_ptr().cast()),
+            _mm256_castsi256_si128(rev),
+        );
+        // Blocks `ctr` and `ctr + 1`, low half first.
+        let mut pair =
+            _mm256_add_epi32(_mm256_broadcastsi128_si256(first), _mm256_set_epi32(0, 0, 0, 1, 0, 0, 0, 0));
+
+        let whole = dst.len() - dst.len() % GROUP;
+        let (head, tail) = dst.split_at_mut(whole);
+        let (src_head, src_tail) = src.map(|s| s.split_at(whole)).unzip();
+        match src_head {
+            Some(src) => {
+                for (d, s) in head.chunks_exact_mut(GROUP).zip(src.chunks_exact(GROUP)) {
+                    ctr_group(rk, &mut pair, rev, s.as_ptr().cast(), d.as_mut_ptr().cast());
+                }
+            }
+            None => {
+                for d in head.chunks_exact_mut(GROUP) {
+                    let p = d.as_mut_ptr().cast();
+                    ctr_group(rk, &mut pair, rev, p, p);
+                }
+            }
+        }
+        let done = (whole / 16) as u32;
+        ni::ctr_xor(keys, j0, ctr.wrapping_add(done), src_tail, tail);
     }
 }
 
@@ -1075,19 +1219,22 @@ mod tests {
         }
     }
 
-    /// CTR on both backends, in place and out of place, against counter
-    /// blocks built and encrypted one at a time by the scalar oracle —
-    /// every length around the 8-lane group and its stack-copied tail,
-    /// and counters that wrap modulo 2^32 without carrying into the
-    /// nonce prefix (SP 800-38D `inc32`).
+    /// CTR on every rung the host has, in place and out of place, against
+    /// counter blocks built and encrypted one at a time by the scalar
+    /// oracle — every length around the narrow kernel's 8-lane group and
+    /// its stack-copied tail, and around the wide kernel's 256-byte group
+    /// and its hand-off to the narrow one, with counters that wrap modulo
+    /// 2^32 without carrying into the nonce prefix (SP 800-38D `inc32`),
+    /// inside a wide group and at its edge.
     #[test]
     fn ctr_matches_per_block_oracle() {
         for key_len in [16usize, 32] {
             let key: Vec<u8> = (0..key_len).map(|i| (i * 29 + 3) as u8).collect();
             let oracle = reference::Aes::new(&key);
             let j0 = [0xffu8; 16];
-            for start in [2u32, 0xffff_fff9, 0xffff_ffff] {
-                for len in (0..=40).chain([111, 127, 128, 129, 255, 256, 257, 300]) {
+            for start in [2u32, 0xffff_fff0, 0xffff_fff9, 0xffff_ffff] {
+                let lens = [111, 127, 128, 129, 255, 256, 257, 300, 511, 512, 513, 769];
+                for len in (0..=40).chain(lens) {
                     let src: Vec<u8> = (0..len).map(|i| (i * 7 + 1) as u8).collect();
                     let mut want = src.clone();
                     for (i, chunk) in want.chunks_mut(16).enumerate() {
@@ -1098,7 +1245,8 @@ mod tests {
                             *d ^= k;
                         }
                     }
-                    for aes in [Aes::new(&key), Aes::new_portable(&key)] {
+                    let rungs = [Rung::Portable, Rung::Narrow, Rung::Wide];
+                    for aes in rungs.into_iter().filter_map(|r| Aes::with_rung(&key, r)) {
                         let what = format!("{} key={key_len} start={start:#x} len={len}", aes.backend());
                         let mut in_place = src.clone();
                         aes.ctr_xor(&j0, start, None, &mut in_place);

@@ -1,11 +1,13 @@
 //! AES-GCM (SP 800-38D) — authenticated encryption over the dispatched
-//! AES backend ([`crate::Aes`], AES-NI where available) and GHASH
-//! ([`crate::ghash`], PCLMUL where available).
+//! AES backend ([`crate::Aes`]) and GHASH ([`crate::ghash`]), both on the
+//! widest [`Rung`] the CPU runs: VAES + VPCLMULQDQ on 256-bit registers,
+//! else AES-NI + PCLMUL, else T-table + scalar.
 //!
-//! The CTR pass belongs to the AES backend (`Aes::ctr_xor`: on AES-NI,
-//! counter blocks formed, encrypted eight at a time and XORed onto the
-//! data in registers) and the authentication pass to GHASH (on PCLMUL,
-//! eight blocks per reduction); this module orders them. **Seal** is out
+//! The CTR pass belongs to the AES backend (`Aes::ctr_xor`: counter
+//! blocks formed, encrypted 16 at a time on the wide rung, eight on
+//! AES-NI, and XORed onto the data in registers) and the authentication
+//! pass to GHASH (eight blocks per reduction on either hardware rung);
+//! this module orders them, the same way on every rung. **Seal** is out
 //! of place — the CTR pass reads the caller's plaintext once and writes
 //! ciphertext where the record is being assembled, then GHASH reads that
 //! ciphertext back. **Open** runs the other way round: GHASH over AAD ‖
@@ -15,7 +17,7 @@
 //! Neither direction allocates (beyond `out` growing by the record).
 
 use crate::ghash::{ghash, GhashKey};
-use crate::{ct_eq, Aes};
+use crate::{ct_eq, Aes, Rung};
 
 /// Opaque authenticated-decryption failure. Deliberately carries no
 /// detail: distinguishing tag, padding, or length failures is exactly
@@ -50,7 +52,7 @@ impl AesGcm {
     }
 
     /// Like [`AesGcm::new`] but with GHASH pinned to the scalar backend
-    /// (differential testing of the PCLMUL path).
+    /// (differential testing of the hardware GHASH paths).
     pub fn new_portable_ghash(key: &[u8]) -> Self {
         Self::with_backends(Aes::new(key), GhashKey::new_portable)
     }
@@ -62,18 +64,35 @@ impl AesGcm {
         Self::with_backends(Aes::new_portable(key), GhashKey::new_portable)
     }
 
+    /// Both AES and GHASH pinned to `rung`, or `None` when this CPU
+    /// cannot run it: with [`Rung::available`], how tests hold every
+    /// rung the host has against the others.
+    pub fn with_rung(key: &[u8], rung: Rung) -> Option<Self> {
+        let aes = Aes::with_rung(key, rung)?;
+        let mut h = [0u8; 16];
+        aes.encrypt_block(&mut h);
+        Some(Self { ghash: GhashKey::with_rung(&h, rung)?, aes })
+    }
+
     fn with_backends(aes: Aes, ghash: fn(&[u8; 16]) -> GhashKey) -> Self {
         let mut h = [0u8; 16];
         aes.encrypt_block(&mut h);
         Self { ghash: ghash(&h), aes }
     }
 
-    /// The AES backend in use (`"aes-ni"` or `"t-table"`).
+    /// The narrower of the two halves' rungs: `Narrow` or above means
+    /// both CTR and GHASH run in hardware, `Wide` that both run on
+    /// 256-bit registers.
+    pub fn rung(&self) -> Rung {
+        self.aes.rung().min(self.ghash.rung())
+    }
+
+    /// The AES backend in use (`"vaes"`, `"aes-ni"` or `"t-table"`).
     pub fn aes_backend(&self) -> &'static str {
         self.aes.backend()
     }
 
-    /// The GHASH backend in use (`"pclmul"` or `"scalar"`).
+    /// The GHASH backend in use (`"vpclmul"`, `"pclmul"` or `"scalar"`).
     pub fn ghash_backend(&self) -> &'static str {
         self.ghash.backend()
     }
@@ -273,15 +292,15 @@ mod tests {
         },
     ];
 
-    /// Every backend pairing a key can be built with: AES-NI + PCLMUL
-    /// (whatever the CPU offers), AES-NI + scalar GHASH, and the fully
-    /// portable T-table + scalar GHASH oracle.
-    fn pairings(key: &[u8]) -> [(&'static str, AesGcm); 3] {
-        [
-            ("dispatched", AesGcm::new(key)),
-            ("portable-ghash", AesGcm::new_portable_ghash(key)),
-            ("portable", AesGcm::new_portable(key)),
-        ]
+    /// Every backend pairing a key can be built with: each rung the host
+    /// has (the widest is what `new` dispatches to), and the dispatched
+    /// AES with scalar GHASH.
+    fn pairings(key: &[u8]) -> Vec<(String, AesGcm)> {
+        let mut all: Vec<_> = Rung::available()
+            .map(|r| (format!("{r:?}"), AesGcm::with_rung(key, r).unwrap()))
+            .collect();
+        all.push(("portable-ghash".into(), AesGcm::new_portable_ghash(key)));
+        all
     }
 
     #[test]

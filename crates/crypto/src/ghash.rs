@@ -1,25 +1,34 @@
 //! GHASH — the GF(2^128) universal hash authenticating AES-GCM records.
 //!
-//! Two backends, picked once per hash key (mirroring the AES-NI pattern
-//! in [`crate::aes`]):
+//! Three rungs ([`Rung`]), picked once per hash key as in [`crate::aes`]:
 //!
-//! - **PCLMUL** (x86-64 with the `pclmulqdq` feature, detected at
-//!   runtime): eight blocks per reduction. The key holds H¹…H⁸, and a
-//!   128-byte group folds as `(Y⊕X₀)·H⁸ ⊕ X₁·H⁷ ⊕ … ⊕ X₇·H¹`, the eight
-//!   carry-less 128×128 products summed *unreduced*; the realignment
-//!   shift and the modular reduction are linear, so they run once per
-//!   group instead of once per block. The bit-reflection of the GCM
-//!   polynomial is absorbed by a byte-swap on load plus that one-bit
-//!   shift of the 256-bit sum. Fewer than eight trailing blocks take the
-//!   one-multiply-one-reduction step per block.
-//! - **Scalar** (portable fallback and differential-testing oracle): the
-//!   SP 800-38D shift-and-conditionally-reduce multiplication, one bit of
-//!   the multiplier per step.
+//! - **VPCLMULQDQ** (`Rung::Wide`: `avx2` + `vpclmulqdq` besides PCLMUL,
+//!   detected at runtime): the same eight-block aggregated reduction as
+//!   the PCLMUL loop below, held as four 256-bit registers of two blocks
+//!   each against the same H¹…H⁸, one reduction per group on both
+//!   halves at once; the accumulator's two halves fold into one value
+//!   only after the last group. A run shorter than eight blocks, and
+//!   what follows the last whole group, take the PCLMUL code.
+//! - **PCLMUL** (`Rung::Narrow`: `pclmulqdq` + `ssse3`): eight blocks per
+//!   reduction. The key holds H¹…H⁸, and a 128-byte group folds as
+//!   `(Y⊕X₀)·H⁸ ⊕ X₁·H⁷ ⊕ … ⊕ X₇·H¹`, the eight carry-less 128×128
+//!   products summed *unreduced*; the realignment shift and the modular
+//!   reduction are linear, so they run once per group instead of once per
+//!   block. The bit-reflection of the GCM polynomial is absorbed by a
+//!   byte-swap on load plus that one-bit shift of the 256-bit sum. Fewer
+//!   than eight trailing blocks take the one-multiply-one-reduction step
+//!   per block.
+//! - **Scalar** (`Rung::Portable`, every host, and the differential-testing
+//!   oracle): the SP 800-38D shift-and-conditionally-reduce
+//!   multiplication, one bit of the multiplier per step.
 //!
-//! Both backends share the same element representation — a `u128` holding
+//! Every rung shares the same element representation — a `u128` holding
 //! the block's bytes big-endian, so bit 127 of the integer is the GHASH
 //! coefficient of x^0 — which keeps the accumulator handoff between
-//! backends (and the equivalence proptests) trivial.
+//! kernels (and the equivalence proptests) trivial. All `unsafe` is
+//! inside the `clmul` and `vpclmul` kernel modules.
+
+use crate::{Rung, Unit};
 
 /// The GHASH reduction constant: x^128 + x^7 + x^2 + x + 1 in the
 /// bit-reflected big-endian-`u128` representation.
@@ -48,47 +57,53 @@ fn gf_mul(x: u128, y: u128) -> u128 {
 const GROUP: usize = 8;
 
 /// A GHASH key: the powers H¹…H⁸ of the hash subkey `H = E_K(0^128)`
-/// (computed once per key, 128 bytes) plus the backend choice.
+/// (computed once per key, 128 bytes) plus the rung it runs on.
 #[derive(Clone)]
 pub struct GhashKey {
     /// `powers[i]` is `H^(i+1)`.
     powers: [u128; GROUP],
-    use_clmul: bool,
+    /// Never above what [`Rung::detect`] reported for this CPU, which
+    /// every `unsafe` call below relies on.
+    rung: Rung,
 }
 
 impl GhashKey {
-    /// Key from the 16-byte hash subkey, dispatching to PCLMUL when the
-    /// CPU has it.
+    /// Key from the 16-byte hash subkey, on the widest rung the CPU runs.
     pub fn new(h: &[u8; 16]) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        let use_clmul = std::arch::is_x86_feature_detected!("pclmulqdq")
-            && std::arch::is_x86_feature_detected!("ssse3");
-        #[cfg(not(target_arch = "x86_64"))]
-        let use_clmul = false;
-        Self::with_backend(h, use_clmul)
+        Self::with_backend(h, Rung::detect(Unit::Ghash))
     }
 
     /// Key pinned to the scalar backend — the reference oracle for the
-    /// PCLMUL-vs-scalar equivalence tests, and the only path off x86-64.
+    /// hardware-vs-scalar equivalence tests, and the only path off x86-64.
     pub fn new_portable(h: &[u8; 16]) -> Self {
-        Self::with_backend(h, false)
+        Self::with_backend(h, Rung::Portable)
     }
 
-    fn with_backend(h: &[u8; 16], use_clmul: bool) -> Self {
+    /// Key pinned to `rung`, or `None` when this CPU cannot run it.
+    pub fn with_rung(h: &[u8; 16], rung: Rung) -> Option<Self> {
+        (rung <= Rung::detect(Unit::Ghash)).then(|| Self::with_backend(h, rung))
+    }
+
+    fn with_backend(h: &[u8; 16], rung: Rung) -> Self {
         let h = u128::from_be_bytes(*h);
-        let mut key = Self { powers: [h; GROUP], use_clmul };
+        let mut key = Self { powers: [h; GROUP], rung };
         for i in 1..GROUP {
             key.powers[i] = key.mul(key.powers[i - 1], h);
         }
         key
     }
 
-    /// The multiplication backend this key dispatches to.
+    /// The rung this key dispatches to.
+    pub fn rung(&self) -> Rung {
+        self.rung
+    }
+
+    /// The multiplication backend this key dispatches to, by name.
     pub fn backend(&self) -> &'static str {
-        if self.use_clmul {
-            "pclmul"
-        } else {
-            "scalar"
+        match self.rung {
+            Rung::Wide => "vpclmul",
+            Rung::Narrow => "pclmul",
+            Rung::Portable => "scalar",
         }
     }
 
@@ -100,9 +115,9 @@ impl GhashKey {
     /// One field multiplication on this key's backend.
     fn mul(&self, a: u128, b: u128) -> u128 {
         #[cfg(target_arch = "x86_64")]
-        if self.use_clmul {
-            // SAFETY: `use_clmul` is only set when the CPU reports
-            // pclmulqdq + ssse3 support.
+        if self.rung >= Rung::Narrow {
+            // SAFETY: the rung is at least `Narrow` only when the CPU
+            // reports pclmulqdq + ssse3 support.
             return unsafe { clmul::mul(a, b) };
         }
         gf_mul(a, b)
@@ -112,9 +127,15 @@ impl GhashKey {
     fn blocks(&self, mut y: u128, data: &[u8]) -> u128 {
         debug_assert_eq!(data.len() % 16, 0);
         #[cfg(target_arch = "x86_64")]
-        if self.use_clmul {
-            // SAFETY: `use_clmul` is only set when the CPU reports
-            // pclmulqdq + ssse3 support.
+        if self.rung == Rung::Wide && data.len() >= 16 * GROUP {
+            // SAFETY: the rung is `Wide` only when the CPU reports
+            // pclmulqdq + ssse3 + avx2 + vpclmulqdq support.
+            return unsafe { vpclmul::ghash_blocks(&self.powers, y, data) };
+        }
+        #[cfg(target_arch = "x86_64")]
+        if self.rung >= Rung::Narrow {
+            // SAFETY: the rung is at least `Narrow` only when the CPU
+            // reports pclmulqdq + ssse3 support.
             return unsafe { clmul::ghash_blocks(&self.powers, y, data) };
         }
         for block in data.chunks_exact(16) {
@@ -210,12 +231,12 @@ mod clmul {
     use std::arch::x86_64::*;
 
     #[inline]
-    unsafe fn to_xmm(v: u128) -> __m128i {
+    pub(super) unsafe fn to_xmm(v: u128) -> __m128i {
         _mm_set_epi64x((v >> 64) as i64, v as i64)
     }
 
     #[inline]
-    unsafe fn from_xmm(v: __m128i) -> u128 {
+    pub(super) unsafe fn from_xmm(v: __m128i) -> u128 {
         let mut out = [0u8; 16];
         _mm_storeu_si128(out.as_mut_ptr().cast(), v);
         u128::from_le_bytes(out)
@@ -332,6 +353,146 @@ mod clmul {
     }
 }
 
+/// Wide carry-less-multiply backend (VPCLMULQDQ on 256-bit registers):
+/// [`clmul::ghash_blocks`]'s eight-block group as four registers of two
+/// blocks, multiplied lane by lane against the same powers of `H` and
+/// reduced lane by lane; the accumulator stays split across the two
+/// halves until the last group.
+///
+/// The powers are *twisted* on the way in, once per call: `H^i·x⁻¹`
+/// instead of `H^i`. A carry-less product of two bit-reflected operands
+/// is the reflected product shifted right by one bit, which is the
+/// reflected product times `x`; against a power divided by `x` it is
+/// exactly the reflected 256-bit product of `X` and `H^i`, so the
+/// reduction needs no realignment shift. In this representation
+/// multiplying by `x⁻¹` is a one-bit left shift, plus the reflected
+/// `x¹²⁷ + x⁶ + x + 1` (`0xc2…01`) when the bit shifted out was set.
+///
+/// The blocks' products are Karatsuba's three multiplications (the
+/// middle one against `hi ⊕ lo` of each power, also formed once per
+/// call), the accumulator's the schoolbook four, so it does not wait on
+/// a shuffle; and the reduction is two carry-less multiplications by the
+/// polynomial's low word rather than a chain of shifts. Both keep the
+/// vector ports' work per group down, which is what bounds this loop.
+#[cfg(target_arch = "x86_64")]
+mod vpclmul {
+    use super::{clmul, GROUP};
+    use std::arch::x86_64::*;
+
+    /// Registers per group, two blocks each.
+    const REGS: usize = GROUP / 2;
+
+    /// `v·x⁻¹` in the reflected representation (constant time).
+    fn twist(v: u128) -> u128 {
+        let carry = ((v >> 127) as i128).wrapping_neg() as u128;
+        (v << 1) ^ (carry & POLY)
+    }
+
+    /// The reflected `x¹²⁷ + x⁶ + x + 1`; its high word, the reflected
+    /// `x⁶³ + x⁶² + x⁵⁷`, is what [`reduce`] multiplies by.
+    const POLY: u128 = 0xc200_0000_0000_0000_0000_0000_0000_0001;
+
+    /// Each half's 128-bit words swapped: `hi ⊕ lo` of both words, in
+    /// both words, with the `xor` below.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn swap_words(v: __m256i) -> __m256i {
+        _mm256_shuffle_epi32(v, 0x4e)
+    }
+
+    /// The 256-bit carry-less product of each half of `a` with the same
+    /// half of `b`, as unreduced schoolbook parts `(lo, mid, hi)` per
+    /// half: `lo ⊕ mid·2⁶⁴ ⊕ hi·2¹²⁸`.
+    ///
+    /// # Safety
+    /// Requires a CPU with `avx2` + `vpclmulqdq`.
+    #[inline]
+    #[target_feature(enable = "avx2,vpclmulqdq")]
+    unsafe fn mul_wide(a: __m256i, b: __m256i) -> (__m256i, __m256i, __m256i) {
+        let lo = _mm256_clmulepi64_epi128(a, b, 0x00);
+        let mid = _mm256_xor_si256(
+            _mm256_clmulepi64_epi128(a, b, 0x10),
+            _mm256_clmulepi64_epi128(a, b, 0x01),
+        );
+        let hi = _mm256_clmulepi64_epi128(a, b, 0x11);
+        (lo, mid, hi)
+    }
+
+    /// Reduce each half's 256-bit sum of parts modulo the GCM polynomial,
+    /// already aligned by the twist. The lowest word holds the highest
+    /// powers, `x¹⁹²…x²⁵⁵`; times the reflected `x⁶³ + x⁶² + x⁵⁷` (with
+    /// the word itself moved up 64 bits, a word swap) it folds into the
+    /// middle, whose low word then folds into the top the same way.
+    ///
+    /// # Safety
+    /// Requires a CPU with `avx2` + `vpclmulqdq`.
+    #[inline]
+    #[target_feature(enable = "avx2,vpclmulqdq")]
+    unsafe fn reduce(lo: __m256i, mid: __m256i, hi: __m256i) -> __m256i {
+        let poly = _mm256_broadcastsi128_si256(clmul::to_xmm(POLY));
+        let fold = _mm256_clmulepi64_epi128(poly, lo, 0x01);
+        let mid = _mm256_xor_si256(_mm256_xor_si256(mid, swap_words(lo)), fold);
+        let fold = _mm256_clmulepi64_epi128(poly, mid, 0x01);
+        _mm256_xor_si256(_mm256_xor_si256(hi, swap_words(mid)), fold)
+    }
+
+    /// [`clmul::ghash_blocks`]'s contract, whole groups on 256-bit
+    /// registers; the blocks after the last whole group take the narrow
+    /// kernel.
+    ///
+    /// # Safety
+    /// Requires a CPU with `pclmulqdq` + `ssse3` + `avx2` + `vpclmulqdq`;
+    /// `data.len() % 16 == 0`.
+    #[target_feature(enable = "pclmulqdq,ssse3,avx2,vpclmulqdq")]
+    pub unsafe fn ghash_blocks(powers: &[u128; GROUP], y: u128, data: &[u8]) -> u128 {
+        let bswap = _mm256_set_epi8(
+            0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, //
+            0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
+        );
+        // Register i holds blocks 2i (low half) and 2i + 1, which meet
+        // H^(GROUP-2i) and H^(GROUP-2i-1); `hk[i]` is their `hi ⊕ lo`.
+        let h: [__m256i; REGS] = std::array::from_fn(|i| {
+            _mm256_set_m128i(
+                clmul::to_xmm(twist(powers[GROUP - 2 - 2 * i])),
+                clmul::to_xmm(twist(powers[GROUP - 1 - 2 * i])),
+            )
+        });
+        let hk = h.map(|h| _mm256_xor_si256(h, swap_words(h)));
+        // The accumulator is the XOR of two halves, each meeting H⁸; it
+        // starts as `y` and zero and is folded only at the end, so no
+        // cross-half step sits on the chain from one group to the next.
+        let top = _mm256_broadcastsi128_si256(clmul::to_xmm(twist(powers[GROUP - 1])));
+        let mut acc = _mm256_zextsi128_si256(clmul::to_xmm(y));
+        let mut groups = data.chunks_exact(16 * GROUP);
+        for group in &mut groups {
+            // `group` is exactly GROUP blocks, so every load below is in
+            // bounds. `(Y⊕X₀)·H⁸ = Y·H⁸ ⊕ X₀·H⁸`: the blocks' products do
+            // not wait for the accumulator.
+            let p = group.as_ptr().cast::<__m256i>();
+            let zero = _mm256_setzero_si256();
+            let (mut lo, mut hi, mut mid) = (zero, zero, zero);
+            for (i, (h, hk)) in h.iter().zip(&hk).enumerate() {
+                let x = _mm256_shuffle_epi8(_mm256_loadu_si256(p.add(i)), bswap);
+                let xk = _mm256_xor_si256(x, swap_words(x));
+                lo = _mm256_xor_si256(lo, _mm256_clmulepi64_epi128(x, *h, 0x00));
+                hi = _mm256_xor_si256(hi, _mm256_clmulepi64_epi128(x, *h, 0x11));
+                mid = _mm256_xor_si256(mid, _mm256_clmulepi64_epi128(xk, *hk, 0x00));
+            }
+            // Karatsuba's middle term: (hi ⊕ lo)·(hi ⊕ lo) ⊕ lo·lo ⊕ hi·hi.
+            let mid = _mm256_xor_si256(mid, _mm256_xor_si256(lo, hi));
+            let (l, m, k) = mul_wide(acc, top);
+            acc = reduce(
+                _mm256_xor_si256(lo, l),
+                _mm256_xor_si256(mid, m),
+                _mm256_xor_si256(hi, k),
+            );
+        }
+        let folded = _mm_xor_si128(_mm256_castsi256_si128(acc), _mm256_extracti128_si256(acc, 1));
+        let y = clmul::from_xmm(folded);
+        clmul::ghash_blocks(powers, y, groups.remainder())
+    }
+}
+
 /// The scalar formulation as a standalone oracle, for differential tests
 /// against whichever backend [`GhashKey::new`] picked.
 pub mod reference {
@@ -391,16 +552,18 @@ mod tests {
         for (i, b) in h.iter_mut().enumerate() {
             *b = (i * 17 + 3) as u8;
         }
-        let key = GhashKey::new(&h);
-        for aad_len in [0usize, 1, 13, 16, 17, 32, 63] {
-            for ct_len in [0usize, 1, 15, 16, 31, 64, 100] {
-                let aad: Vec<u8> = (0..aad_len).map(|i| (i * 7) as u8).collect();
-                let ct: Vec<u8> = (0..ct_len).map(|i| (i * 13 + 1) as u8).collect();
-                assert_eq!(
-                    ghash(&key, &aad, &ct),
-                    reference::ghash(&h, &aad, &ct),
-                    "aad={aad_len} ct={ct_len}"
-                );
+        for rung in Rung::available() {
+            let key = GhashKey::with_rung(&h, rung).unwrap();
+            for aad_len in [0usize, 1, 13, 16, 17, 32, 63] {
+                for ct_len in [0usize, 1, 15, 16, 31, 64, 100, 127, 128, 129, 255, 256, 400] {
+                    let aad: Vec<u8> = (0..aad_len).map(|i| (i * 7) as u8).collect();
+                    let ct: Vec<u8> = (0..ct_len).map(|i| (i * 13 + 1) as u8).collect();
+                    assert_eq!(
+                        ghash(&key, &aad, &ct),
+                        reference::ghash(&h, &aad, &ct),
+                        "{rung:?} aad={aad_len} ct={ct_len}"
+                    );
+                }
             }
         }
     }

@@ -15,10 +15,10 @@
 //!   signing and encryption used by the certificate and handshake layers.
 //! * **Key derivation** — a TLS-1.2-style PRF for turning the handshake
 //!   pre-master secret into record-layer keys.
-//! * **AEAD suites** — AES-128/256-GCM (GHASH over PCLMUL with a scalar
-//!   oracle, CTR over the AES-NI/T-table backends) and scalar
-//!   ChaCha20-Poly1305, the single-pass record-protection modes that
-//!   replace the two-pass CBC+HMAC path on the hot data plane.
+//! * **AEAD suites** — AES-128/256-GCM (CTR and GHASH on one of three
+//!   [`Rung`]s: VAES + VPCLMULQDQ, AES-NI + PCLMUL, or T-table + scalar)
+//!   and scalar ChaCha20-Poly1305, the single-pass record-protection
+//!   modes that replace the two-pass CBC+HMAC path on the hot data plane.
 //!
 //! None of this is intended to be side-channel hardened production crypto;
 //! it is a faithful, tested reimplementation sufficient to reproduce the
@@ -50,6 +50,72 @@ pub use rc4::Rc4;
 pub use rsa::{RsaKeyPair, RsaPublicKey};
 pub use sha1::Sha1;
 pub use sha256::Sha256;
+
+/// A rung of the AES-GCM dispatch ladder: which kernels an [`Aes`]
+/// schedule or a GHASH key runs. Each key takes the widest rung the CPU
+/// reports, once, when it is made; the narrower rungs stay reachable
+/// through the pinned constructors so tests can hold each one against
+/// the others.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Rung {
+    /// T-table AES and bit-serial GHASH: every host, and the oracle.
+    Portable,
+    /// AES-NI and PCLMULQDQ on 128-bit registers.
+    Narrow,
+    /// VAES and VPCLMULQDQ on 256-bit registers (AVX2). Only the CTR
+    /// pass and GHASH go wide; a call shorter than one wide group, and
+    /// every single-block or ECB call, runs the narrow kernels.
+    Wide,
+}
+
+impl Rung {
+    /// The rungs this CPU runs for both AES and GHASH, narrowest first.
+    pub fn available() -> impl Iterator<Item = Rung> {
+        let top = Rung::detect(Unit::Aes).min(Rung::detect(Unit::Ghash));
+        [Rung::Portable, Rung::Narrow, Rung::Wide].into_iter().filter(move |r| *r <= top)
+    }
+
+    /// The widest rung this CPU runs for `unit`. The narrow rung needs
+    /// the unit's own instruction (`aes` or `pclmulqdq`) and `ssse3`; the
+    /// wide one needs both instructions and `avx2` + `vaes` +
+    /// `vpclmulqdq`, so AES and GHASH go wide together.
+    pub(crate) fn detect(unit: Unit) -> Rung {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            let narrow = has!("ssse3")
+                && match unit {
+                    Unit::Aes => has!("aes"),
+                    Unit::Ghash => has!("pclmulqdq"),
+                };
+            if !narrow {
+                return Rung::Portable;
+            }
+            let wide = has!("aes")
+                && has!("pclmulqdq")
+                && has!("avx2")
+                && has!("vaes")
+                && has!("vpclmulqdq");
+            if wide {
+                Rung::Wide
+            } else {
+                Rung::Narrow
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = unit;
+            Rung::Portable
+        }
+    }
+}
+
+/// The two halves of AES-GCM, which [`Rung::detect`] checks separately.
+#[derive(Clone, Copy)]
+pub(crate) enum Unit {
+    Aes,
+    Ghash,
+}
 
 /// A streaming cryptographic hash.
 ///

@@ -5,12 +5,28 @@ use proptest::prelude::*;
 use sgfs_crypto::bignum::BigUint;
 use sgfs_crypto::cbc::{cbc_decrypt, cbc_decrypt_in_place_ct, cbc_encrypt};
 use sgfs_crypto::ghash::{ghash, GhashKey};
-use sgfs_crypto::{AeadError, Aes, AesGcm, ChaCha20Poly1305, Rc4};
+use sgfs_crypto::{AeadError, Aes, AesGcm, ChaCha20Poly1305, Rc4, Rung};
 
 /// Plaintext lengths on and around the 128-byte groups the AES-NI CTR and
 /// PCLMUL GHASH kernels work in, and one longer than a 32 KiB record.
 const GCM_EDGE_LENS: [usize; 15] =
     [0, 1, 15, 16, 17, 111, 112, 113, 127, 128, 129, 255, 256, 257, 32_900];
+
+/// Lengths for the rung differentials: anything to 1 KiB (below, at and
+/// across both kernels' groups), or a 32 KiB data record ± 17 bytes.
+fn rung_len() -> impl Strategy<Value = usize> {
+    prop_oneof![0usize..=1024, (32_768usize - 17)..=(32_768 + 17)]
+}
+
+/// `len` pattern bytes at `offset` in a buffer `offset + len + slack`
+/// long, so kernels meet slices that start at any alignment.
+fn unaligned(offset: usize, len: usize, slack: usize, fill: u8) -> Vec<u8> {
+    let mut buf = vec![0xa5; offset + len + slack];
+    for (i, b) in buf[offset..offset + len].iter_mut().enumerate() {
+        *b = (i as u8).wrapping_mul(167) ^ fill;
+    }
+    buf
+}
 
 fn big(bytes: &[u8]) -> BigUint {
     BigUint::from_bytes_be(bytes)
@@ -161,6 +177,89 @@ proptest! {
             let mut buf = wire.clone();
             prop_assert_eq!(gcm.open_in_place(&n, &bad_aad, &mut buf), Err(AeadError));
             prop_assert_eq!(&buf, &wire, "bad AAD: buffer untouched");
+        }
+    }
+
+    /// Every rung the host has runs the same CTR keystream as the
+    /// portable T-tables, in place and out of place, over slices at any
+    /// alignment, with counters that wrap modulo 2^32 inside a call.
+    #[test]
+    fn ctr_rungs_agree_with_the_portable_oracle(
+        key in prop_oneof![
+            proptest::collection::vec(any::<u8>(), 16..=16),
+            proptest::collection::vec(any::<u8>(), 32..=32),
+        ],
+        j0 in proptest::collection::vec(any::<u8>(), 16..=16),
+        // Near the wrap half of the time: up to 64 blocks before it.
+        ctr in prop_oneof![any::<u32>(), (u32::MAX - 64)..=u32::MAX],
+        len in rung_len(),
+        offset in 0usize..32,
+        fill in any::<u8>(),
+    ) {
+        let j0: [u8; 16] = j0.try_into().unwrap();
+        let src = unaligned(offset, len, 7, fill);
+        let src = &src[offset..offset + len];
+        let mut want = src.to_vec();
+        Aes::new_portable(&key).ctr_xor(&j0, ctr, None, &mut want);
+        for rung in Rung::available() {
+            let aes = Aes::with_rung(&key, rung).unwrap();
+            let mut in_place = unaligned(offset, len, 3, fill);
+            aes.ctr_xor(&j0, ctr, None, &mut in_place[offset..offset + len]);
+            prop_assert_eq!(&in_place[offset..offset + len], &want[..], "{:?} in place", rung);
+            let mut out = vec![0xee; offset + len + 5];
+            aes.ctr_xor(&j0, ctr, Some(src), &mut out[offset..offset + len]);
+            prop_assert_eq!(&out[offset..offset + len], &want[..], "{:?} out of place", rung);
+            prop_assert!(out[..offset].iter().chain(&out[offset + len..]).all(|b| *b == 0xee));
+        }
+    }
+
+    /// Wide ≡ AES-NI ≡ portable for AES-GCM: the same record from every
+    /// rung, sealed out of place and in place at any alignment; each
+    /// rung opens every rung's record; and a flipped ciphertext, tag or
+    /// AAD bit fails opaquely, leaving the buffer as it arrived.
+    #[test]
+    fn gcm_rungs_agree_and_fail_closed(
+        key in prop_oneof![
+            proptest::collection::vec(any::<u8>(), 16..=16),
+            proptest::collection::vec(any::<u8>(), 32..=32),
+        ],
+        nonce in proptest::collection::vec(any::<u8>(), 12..=12),
+        aad in proptest::collection::vec(any::<u8>(), 1..40),
+        len in rung_len(),
+        offset in 0usize..32,
+        fill in any::<u8>(),
+        at in any::<usize>(),
+        bit in 0u8..8,
+    ) {
+        let n: [u8; 12] = nonce.try_into().unwrap();
+        let backing = unaligned(offset, len, 9, fill);
+        let pt = &backing[offset..offset + len];
+        let want = AesGcm::new_portable(&key).seal(&n, &aad, pt);
+        for rung in Rung::available() {
+            let gcm = AesGcm::with_rung(&key, rung).unwrap();
+            let mut out = vec![0xee; offset + len + 16 + 3];
+            gcm.seal_to(&n, &aad, pt, &mut out[offset..offset + len + 16]);
+            prop_assert_eq!(&out[offset..offset + len + 16], &want[..], "{:?} out of place", rung);
+            let mut buf = unaligned(offset, len, 0, fill);
+            gcm.seal_in_place(&n, &aad, &mut buf, offset);
+            prop_assert_eq!(&buf[offset..], &want[..], "{:?} in place", rung);
+            prop_assert_eq!(gcm.open_in_place(&n, &aad, &mut buf[offset..]), Ok(len));
+            prop_assert_eq!(&buf[offset..offset + len], pt, "{:?} open", rung);
+
+            let ct_at = if len > 0 { Some(at % len) } else { None };
+            for flip in ct_at.into_iter().chain([len + at % 16]) {
+                let mut buf = unaligned(offset, 0, 0, fill);
+                buf.extend_from_slice(&want);
+                buf[offset + flip] ^= 1 << bit;
+                let arrived = buf.clone();
+                prop_assert_eq!(gcm.open_in_place(&n, &aad, &mut buf[offset..]), Err(AeadError));
+                prop_assert_eq!(&buf, &arrived, "{:?} flip at {}: buffer untouched", rung, flip);
+            }
+            let mut bad_aad = aad.clone();
+            bad_aad[at % aad.len()] ^= 1 << bit;
+            let mut buf = want.clone();
+            prop_assert_eq!(gcm.open_in_place(&n, &bad_aad, &mut buf), Err(AeadError));
+            prop_assert_eq!(&buf, &want, "{:?} bad AAD: buffer untouched", rung);
         }
     }
 

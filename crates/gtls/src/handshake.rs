@@ -286,24 +286,22 @@ impl HandshakeState {
         incoming: Option<Vec<u8>>,
         rng: &mut R,
     ) -> Result<HsAdvance, GtlsError> {
-        // Phases that consume input stay put (reporting NeedInput) until
-        // a message actually arrives, so redundant wakeups are harmless.
-        let wants_input = matches!(
-            self.phase,
-            Phase::AwaitServerHello { .. }
+        match (std::mem::replace(&mut self.phase, Phase::Failed), incoming) {
+            // Phases that consume input stay put (reporting NeedInput)
+            // until a message actually arrives, so redundant wakeups are
+            // harmless.
+            (
+                phase @ (Phase::AwaitServerHello { .. }
                 | Phase::AwaitServerFinished { .. }
                 | Phase::AwaitClientHello
                 | Phase::AwaitKeyExchange { .. }
-                | Phase::AwaitClientFinished { .. }
-        );
-        if incoming.is_some() && !wants_input {
-            return Err(GtlsError::Handshake("unexpected handshake message".into()));
-        }
-        if incoming.is_none() && wants_input {
-            return Ok(HsAdvance::NeedInput);
-        }
-        match std::mem::replace(&mut self.phase, Phase::Failed) {
-            Phase::ClientStart => {
+                | Phase::AwaitClientFinished { .. }),
+                None,
+            ) => {
+                self.phase = phase;
+                Ok(HsAdvance::NeedInput)
+            }
+            (Phase::ClientStart, None) => {
                 let mut client_random = [0u8; 32];
                 rng.fill_bytes(&mut client_random);
                 let hello = ClientHello {
@@ -315,8 +313,7 @@ impl HandshakeState {
                 self.phase = Phase::AwaitServerHello { client_random };
                 Ok(HsAdvance::Send(msg))
             }
-            Phase::AwaitServerHello { client_random } => {
-                let msg = incoming.unwrap();
+            (Phase::AwaitServerHello { client_random }, Some(msg)) => {
                 self.transcript.extend_from_slice(&msg);
                 let sh = ServerHello::from_xdr_bytes(&msg)
                     .map_err(|e| GtlsError::Handshake(format!("bad ServerHello: {e}")))?;
@@ -363,7 +360,10 @@ impl HandshakeState {
                 };
                 Ok(HsAdvance::Send(msg))
             }
-            Phase::SendClientFinished { fin, master, suite, client_random, server_random, peer } => {
+            (
+                Phase::SendClientFinished { fin, master, suite, client_random, server_random, peer },
+                None,
+            ) => {
                 let expected_fin = finished_data(&master, b"server finished", &self.transcript);
                 self.phase = Phase::AwaitServerFinished {
                     expected_fin,
@@ -375,15 +375,17 @@ impl HandshakeState {
                 };
                 Ok(HsAdvance::Send(fin))
             }
-            Phase::AwaitServerFinished {
-                expected_fin,
-                master,
-                suite,
-                client_random,
-                server_random,
-                peer,
-            } => {
-                let server_fin = incoming.unwrap();
+            (
+                Phase::AwaitServerFinished {
+                    expected_fin,
+                    master,
+                    suite,
+                    client_random,
+                    server_random,
+                    peer,
+                },
+                Some(server_fin),
+            ) => {
                 if !ct_eq(&server_fin, &expected_fin) {
                     return Err(GtlsError::Handshake("server Finished mismatch".into()));
                 }
@@ -393,8 +395,7 @@ impl HandshakeState {
                     peer,
                 })))
             }
-            Phase::AwaitClientHello => {
-                let msg = incoming.unwrap();
+            (Phase::AwaitClientHello, Some(msg)) => {
                 self.transcript.extend_from_slice(&msg);
                 let hello = ClientHello::from_xdr_bytes(&msg)
                     .map_err(|e| GtlsError::Handshake(format!("bad ClientHello: {e}")))?;
@@ -421,8 +422,10 @@ impl HandshakeState {
                 };
                 Ok(HsAdvance::Send(msg))
             }
-            Phase::AwaitKeyExchange { client_random, server_random, suite, before_cke } => {
-                let msg = incoming.unwrap();
+            (
+                Phase::AwaitKeyExchange { client_random, server_random, suite, before_cke },
+                Some(msg),
+            ) => {
                 self.transcript.extend_from_slice(&msg);
                 let cke = ClientKeyExchange::from_xdr_bytes(&msg)
                     .map_err(|e| GtlsError::Handshake(format!("bad ClientKeyExchange: {e}")))?;
@@ -459,8 +462,10 @@ impl HandshakeState {
                 };
                 Ok(HsAdvance::NeedInput)
             }
-            Phase::AwaitClientFinished { master, suite, client_random, server_random, peer } => {
-                let client_fin = incoming.unwrap();
+            (
+                Phase::AwaitClientFinished { master, suite, client_random, server_random, peer },
+                Some(client_fin),
+            ) => {
                 let expected = finished_data(&master, b"client finished", &self.transcript);
                 if !ct_eq(&client_fin, &expected) {
                     return Err(GtlsError::Handshake("client Finished mismatch".into()));
@@ -473,12 +478,16 @@ impl HandshakeState {
                 }));
                 Ok(HsAdvance::Send(server_fin))
             }
-            Phase::Complete(outcome) => {
+            (Phase::Complete(outcome), None) => {
                 self.phase = Phase::Done;
                 Ok(HsAdvance::Done(outcome))
             }
-            Phase::Done => Err(GtlsError::Handshake("handshake already complete".into())),
-            Phase::Failed => Err(GtlsError::Handshake("handshake previously failed".into())),
+            (Phase::Done, None) => Err(GtlsError::Handshake("handshake already complete".into())),
+            (Phase::Failed, None) => {
+                Err(GtlsError::Handshake("handshake previously failed".into()))
+            }
+            // Any other phase sends, or has ended: it awaits no message.
+            (_, Some(_)) => Err(GtlsError::Handshake("unexpected handshake message".into())),
         }
     }
 }
@@ -554,6 +563,55 @@ mod tests {
         assert_ne!(derive_master(&[9; 48], &[2; 32], &[3; 32]), base);
         assert_ne!(derive_master(&[1; 48], &[9; 32], &[3; 32]), base);
         assert_ne!(derive_master(&[1; 48], &[2; 32], &[9; 32]), base);
+    }
+
+    /// One credential under its own CA, trusted by both ends.
+    fn config() -> GtlsConfig {
+        use sgfs_pki::{CertificateAuthority, Credential, DistinguishedName, TrustStore};
+        let mut rng = rand::thread_rng();
+        let dn = |s: &str| DistinguishedName::parse(s).unwrap();
+        let ca = CertificateAuthority::new(&dn("/O=Grid/CN=CA"), 512, &mut rng);
+        let mut trust = TrustStore::new();
+        trust.add_root(ca.certificate().clone());
+        let key = sgfs_crypto::rsa::RsaKeyPair::generate(512, &mut rng);
+        let cert = ca.issue(&dn("/O=Grid/CN=peer"), &key.public);
+        GtlsConfig::new(Credential::new(cert, key), trust)
+    }
+
+    fn refused(r: Result<HsAdvance, GtlsError>) -> bool {
+        matches!(r, Err(GtlsError::Handshake(m)) if m == "unexpected handshake message")
+    }
+
+    /// A message reaches only a phase that awaits one: any other phase
+    /// refuses it and the machine is poisoned, while an awaiting phase
+    /// given none reports `NeedInput` and still takes the message later.
+    /// Neither case panics.
+    #[test]
+    fn only_an_awaiting_phase_takes_a_message() {
+        let mut rng = rand::thread_rng();
+        let cfg = config();
+
+        // ClientStart sends its hello: a message there is refused.
+        let mut early = HandshakeState::client(cfg.clone());
+        assert!(refused(early.advance(Some(b"hello".to_vec()), &mut rng)));
+        assert!(early.advance(None, &mut rng).is_err(), "poisoned");
+
+        let mut client = HandshakeState::client(cfg.clone());
+        let mut server = HandshakeState::server(cfg);
+        for _ in 0..2 {
+            assert!(matches!(server.advance(None, &mut rng), Ok(HsAdvance::NeedInput)));
+        }
+        let Ok(HsAdvance::Send(hello)) = client.advance(None, &mut rng) else { panic!("hello") };
+        assert!(matches!(client.advance(None, &mut rng), Ok(HsAdvance::NeedInput)));
+        let Ok(HsAdvance::Send(sh)) = server.advance(Some(hello), &mut rng) else { panic!("sh") };
+        let Ok(HsAdvance::Send(cke)) = client.advance(Some(sh), &mut rng) else { panic!("cke") };
+        assert!(matches!(server.advance(Some(cke), &mut rng), Ok(HsAdvance::NeedInput)));
+        assert!(matches!(server.advance(None, &mut rng), Ok(HsAdvance::NeedInput)));
+        let Ok(HsAdvance::Send(fin)) = client.advance(None, &mut rng) else { panic!("fin") };
+        let Ok(HsAdvance::Send(_)) = server.advance(Some(fin), &mut rng) else { panic!("sfin") };
+        // Complete has its outcome to report, not a message to take.
+        assert!(refused(server.advance(Some(Vec::new()), &mut rng)));
+        assert!(server.advance(None, &mut rng).is_err(), "poisoned");
     }
 
     #[test]

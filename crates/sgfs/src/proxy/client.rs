@@ -2209,13 +2209,17 @@ mod tests {
         };
         let made = call_by(&mut proxy, stranger, 2, procnum::MKDIR, &mkdir.to_xdr_bytes());
         assert_eq!(CreateRes::from_xdr_bytes(&made).unwrap().status, NfsStat3::Acces);
-        // A refused call leaves its directory in doubt: the MKDIR lists it
-        // again.
+        // An ACCES refusal changes nothing in the directory, which stays
+        // known: the MKDIR does not list it again.
         let upstream = [procnum::CREATE, procnum::MKDIR, procnum::READDIRPLUS];
-        assert_eq!(upstream.map(|p| sent(&proxy, p)), [1, 1, 2], "CREATE, MKDIR, READDIRPLUS");
+        assert_eq!(upstream.map(|p| sent(&proxy, p)), [1, 1, 1], "CREATE, MKDIR, READDIRPLUS");
         assert!(proxy.namecache.logged().is_empty());
-        // The owner, whom the server grants them, logs.
-        let made = call(&mut proxy, 3, procnum::CREATE, &create_args(&root, "g"));
+        // The owner, whom the server grants them, logs once the server's
+        // verdict for them is cached: a mount asks ACCESS before it
+        // creates, and the directory is still known.
+        let access = AccessArgs { object: root.clone(), access: ADD_NAMES };
+        call(&mut proxy, 3, procnum::ACCESS, &access.to_xdr_bytes());
+        let made = call(&mut proxy, 4, procnum::CREATE, &create_args(&root, "g"));
         assert!(is_minted(&CreateRes::from_xdr_bytes(&made).unwrap().obj.expect("made")));
     }
 

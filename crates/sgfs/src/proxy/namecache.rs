@@ -543,7 +543,8 @@ impl NameCache {
                 // An OK without a handle leaves the directory in doubt. A
                 // directory made here starts empty, and every name made
                 // in it later passes through this cache.
-                self.learn(w, made.is_some(), true);
+                let status = res.as_ref().map(|r| r.status);
+                self.learn(w, status.filter(|s| *s != NfsStat3::Ok || made.is_some()), true);
                 if let (Some(fh), Call::Mkdir(..)) = (made, call) {
                     self.complete.insert(fh, Known::default());
                 }
@@ -568,7 +569,7 @@ impl NameCache {
             Call::Remove(w, _) => {
                 self.invalidate_dir(&w.dir);
                 let res = decode_reply::<WccRes>(&reply).ok();
-                self.learn(w, res.as_ref().is_some_and(|r| r.status == NfsStat3::Ok), false);
+                self.learn(w, res.as_ref().map(|r| r.status), false);
                 res.and_then(|mut res| {
                     if res.status == NfsStat3::Ok {
                         if let Some(fh) = self.names.remove(w) {
@@ -584,13 +585,14 @@ impl NameCache {
                 self.invalidate_dir(&from.dir);
                 self.invalidate_dir(&to.dir);
                 let res = decode_reply::<RenameRes>(&reply).ok();
-                let ok = res.as_ref().is_some_and(|r| r.status == NfsStat3::Ok);
+                let status = res.as_ref().map(|r| r.status);
+                let ok = status == Some(NfsStat3::Ok);
                 // A RENAME onto another link of the same file leaves both
                 // names: the source is known gone only when the target
                 // was known absent.
                 let free = self.complete.get(&to.dir).is_some_and(|k| !k.names.contains(&to.name));
-                self.learn(from, ok && free, false);
-                self.learn(to, ok, true);
+                self.learn(from, status.filter(|_| !ok || free), false);
+                self.learn(to, status, true);
                 res.and_then(|mut res| {
                     if res.status == NfsStat3::Ok {
                         let moved = self.names.remove(from);
@@ -627,7 +629,7 @@ impl NameCache {
             Call::Link(a) => {
                 self.invalidate_dir(&a.link.dir);
                 let res = decode_reply::<LinkRes>(&reply).ok();
-                self.learn(&a.link, res.as_ref().is_some_and(|r| r.status == NfsStat3::Ok), true);
+                self.learn(&a.link, res.as_ref().map(|r| r.status), true);
                 res.and_then(|mut res| {
                     // The link count is what `unlink` decides by.
                     let held = self.take_in_wcc(&a.link.dir, &mut res.dir_wcc)
@@ -870,7 +872,7 @@ impl NameCache {
             mtime: parent.mtime,
             ctime: parent.mtime,
         };
-        self.learn(&w, true, true);
+        self.learn(&w, Some(NfsStat3::Ok), true);
         self.names.insert(&w, entry.fh.clone());
         self.attrs.insert(entry.fh.clone(), attr.clone());
         if is_dir {
@@ -901,7 +903,7 @@ impl NameCache {
         let entry = self.log.remove(fh).expect("cancellable");
         let w = entry.where_();
         self.names.remove(w);
-        self.learn(w, true, false);
+        self.learn(w, Some(NfsStat3::Ok), false);
         self.unlink(fh.clone());
         let parent = self.moved_on(&w.dir, if entry.is_dir { -1 } else { 0 });
         encode_reply(
@@ -1160,19 +1162,27 @@ impl NameCache {
         self.attr(&a.dir)
     }
 
-    /// A call changed the name `w` in its directory. When `done`, the
-    /// server did it and the name is `present` now; otherwise the reply
-    /// leaves the directory's contents in doubt, and it stops being known
-    /// completely.
-    fn learn(&mut self, w: &DirOpArgs3, done: bool, present: bool) {
-        if !done {
-            self.forget_dir(&w.dir);
-        } else if let Some(known) = self.complete.get_mut(&w.dir) {
-            if present {
-                known.names.insert(w.name.clone());
-            } else {
-                known.names.remove(&w.name);
+    /// A call changed the name `w` in its directory, and its reply
+    /// carried `status` (`None`: no reply this cache can read). On OK the
+    /// server did it and the name is `present` now. On ACCES the server
+    /// refused the caller before it looked at the name, so what the cache
+    /// knows of the directory stands (the reply's attributes still go
+    /// through the stamp check). Any other status — EXIST, NOENT and
+    /// NOTEMPTY among them — shows the cache and the server disagreed, and
+    /// the directory stops being known completely.
+    fn learn(&mut self, w: &DirOpArgs3, status: Option<NfsStat3>, present: bool) {
+        match status {
+            Some(NfsStat3::Ok) => {
+                if let Some(known) = self.complete.get_mut(&w.dir) {
+                    if present {
+                        known.names.insert(w.name.clone());
+                    } else {
+                        known.names.remove(&w.name);
+                    }
+                }
             }
+            Some(NfsStat3::Acces) => {}
+            _ => self.forget_dir(&w.dir),
         }
     }
 

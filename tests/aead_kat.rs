@@ -1,15 +1,19 @@
-//! AES-GCM known answers long enough to reach the 8-block kernels, and the
-//! record layer's wire bytes pinned under fixed keys.
+//! AES-GCM known answers long enough to reach the wide kernels, and the
+//! record layer's wire bytes pinned under fixed keys, on every rung of
+//! the dispatch ladder this host has.
 //!
 //! The NIST vectors in `sgfs-crypto` stop at 64 bytes; the AES-NI CTR
-//! kernel and the PCLMUL GHASH both work in 128-byte groups, so these
-//! vectors straddle one group, several, and a whole 32 KiB record. The
-//! second test seals records of every boundary length through a
-//! `HalfConn` pair and compares a digest of everything put on the wire
-//! with the value recorded before the kernels were rewritten: nonce, AAD,
-//! tag and the +16 bytes per record are what they were.
+//! kernel and the PCLMUL GHASH both work in 128-byte groups, the VAES CTR
+//! kernel in 256-byte ones, so these vectors straddle one group, several,
+//! and a whole 32 KiB record. The second test seals records of every
+//! boundary length through a `HalfConn` pair and compares a digest of
+//! everything put on the wire with the value recorded before the kernels
+//! were rewritten: nonce, AAD, tag and the +16 bytes per record are what
+//! they were. The third seals the same records with each rung's `AesGcm`
+//! under the record layer's nonce and AAD, so a rung the host does not
+//! dispatch to is held to the same digest.
 
-use sgfs_crypto::{AesGcm, Digest, Sha256};
+use sgfs_crypto::{AesGcm, Digest, Rung, Sha256};
 use sgfs_gtls::record::{HalfConn, AEAD_TAG_LEN, CT_DATA, CT_HANDSHAKE};
 use sgfs_gtls::{CipherSuite, GtlsError};
 
@@ -53,10 +57,12 @@ fn long_vectors_match_openssl() {
     let key: Vec<u8> = (0..32).collect();
     let nonce: [u8; 12] = std::array::from_fn(|i| 0xa0 + i as u8);
     let aad: Vec<u8> = (0..13).collect();
-    // The backends this CPU dispatches to, and the portable pair every
-    // other host runs.
-    for gcm in [AesGcm::new(&key), AesGcm::new_portable(&key)] {
-        let backends = format!("{}+{}", gcm.aes_backend(), gcm.ghash_backend());
+    // Every rung this CPU has, widest last: the one `new` dispatches to.
+    let rungs: Vec<Rung> = Rung::available().collect();
+    assert_eq!(AesGcm::new(&key).rung(), *rungs.last().unwrap(), "dispatch takes the widest rung");
+    for rung in rungs {
+        let gcm = AesGcm::with_rung(&key, rung).unwrap();
+        let backends = format!("{rung:?}: {}+{}", gcm.aes_backend(), gcm.ghash_backend());
         for &(n, tag, ct_sha256) in LONG_KATS {
             let pt: Vec<u8> = (0..n).map(|i| (131 * i + 7) as u8).collect();
             let wire = gcm.seal(&nonce, &aad, &pt);
@@ -138,5 +144,33 @@ fn record_layer_wire_bytes_are_pinned() {
         assert_ne!(first, second, "{suite:?}: nonce and AAD follow the sequence number");
 
         assert_eq!(hex(&all_wire.finalize()), expected, "{suite:?}: wire bytes changed");
+    }
+}
+
+/// [`record_layer_wire_bytes_are_pinned`]'s records, sealed by each rung's
+/// `AesGcm` directly: nonce = static IV XOR the big-endian sequence
+/// number in its last 8 bytes, AAD = `seq ‖ type ‖ len`, wire body =
+/// `ciphertext ‖ tag` — the digest is the pinned one on every rung.
+#[test]
+fn record_layer_wire_bytes_are_pinned_on_every_rung() {
+    for (suite, expected) in WIRE_SHA256 {
+        let key: Vec<u8> = (0..suite.key_len()).map(|i| (i * 7 + 1) as u8).collect();
+        let iv: Vec<u8> = (0..suite.iv_len()).map(|i| (i * 13 + 5) as u8).collect();
+        for rung in Rung::available() {
+            let gcm = AesGcm::with_rung(&key, rung).unwrap();
+            let mut all_wire = Sha256::new();
+            for (seq, &len) in RECORD_LENS.iter().enumerate() {
+                let payload: Vec<u8> = (0..len).map(|i| (i * 31 + seq) as u8).collect();
+                let mut nonce: [u8; 12] = iv.clone().try_into().unwrap();
+                for (n, s) in nonce[4..].iter_mut().zip((seq as u64).to_be_bytes()) {
+                    *n ^= s;
+                }
+                let mut aad = (seq as u64).to_be_bytes().to_vec();
+                aad.push(CT_DATA);
+                aad.extend_from_slice(&(len as u32).to_be_bytes());
+                all_wire.update(&gcm.seal(&nonce, &aad, &payload));
+            }
+            assert_eq!(hex(&all_wire.finalize()), expected, "{suite:?} on {rung:?}: wire bytes changed");
+        }
     }
 }
