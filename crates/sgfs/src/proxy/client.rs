@@ -2223,6 +2223,65 @@ mod tests {
         assert!(is_minted(&CreateRes::from_xdr_bytes(&made).unwrap().obj.expect("made")));
     }
 
+    /// An upstream that refuses every REMOVE with ACCES and no
+    /// attributes, as a per-file ACL the server changed would, and hands
+    /// every other call to `sgfs-nfsd`.
+    struct RefusesRemove(Arc<sgfs_nfsd::NfsServer>);
+
+    impl sgfs_oncrpc::server::RpcService for RefusesRemove {
+        fn program(&self) -> u32 {
+            NFS_PROGRAM
+        }
+
+        fn version(&self) -> u32 {
+            NFS_VERSION
+        }
+
+        fn handle(
+            &self,
+            proc: u32,
+            cred: &OpaqueAuth,
+            args: &mut XdrDecoder<'_>,
+        ) -> sgfs_oncrpc::server::Dispatch {
+            if proc != procnum::REMOVE {
+                return self.0.handle(proc, cred, args);
+            }
+            let refused = WccRes { status: NfsStat3::Acces, wcc: WccData::default() };
+            sgfs_oncrpc::server::Dispatch::reply(&refused)
+        }
+    }
+
+    /// An ACCES refusal keeps a listed directory known but drops the
+    /// cached ACCESS verdict that granted the caller names there: the
+    /// caller's next CREATE goes to the server, which just refused them,
+    /// instead of being logged.
+    #[test]
+    fn an_acces_refusal_drops_the_cached_verdict_of_its_directory() {
+        let (vfs, server, root) = export();
+        let ctx = sgfs_vfs::UserContext::root();
+        let top = vfs.resolve("/GFS", &ctx).unwrap().ino;
+        vfs.create(top, "f", 0o644, true, &ctx).unwrap();
+        let (_shards, mut proxy) = caching_proxy(Arc::new(RefusesRemove(server)));
+        let made = call(&mut proxy, 1, procnum::CREATE, &create_args(&root, "g"));
+        assert!(is_minted(&CreateRes::from_xdr_bytes(&made).unwrap().obj.expect("made")));
+
+        let remove = DirOpArgs3 { dir: root.clone(), name: "f".into() }.to_xdr_bytes();
+        let removed = call(&mut proxy, 2, procnum::REMOVE, &remove);
+        assert_eq!(WccRes::from_xdr_bytes(&removed).unwrap().status, NfsStat3::Acces);
+        // The directory's attributes come back as the cache stamped them:
+        // the refusal changed nothing there.
+        let attrs = call(&mut proxy, 3, procnum::GETATTR, &root.to_xdr_bytes());
+        assert_eq!(GetAttrRes::from_xdr_bytes(&attrs).unwrap().status, NfsStat3::Ok);
+        let creates = sent(&proxy, procnum::CREATE);
+        let made = call(&mut proxy, 4, procnum::CREATE, &create_args(&root, "h"));
+        let made = CreateRes::from_xdr_bytes(&made).unwrap();
+        assert_eq!(made.status, NfsStat3::Ok);
+        assert!(!is_minted(&made.obj.expect("made")));
+        assert_eq!(sent(&proxy, procnum::CREATE), creates + 1, "the CREATE is forwarded");
+        // The directory stayed known: nothing listed it again.
+        assert_eq!(sent(&proxy, procnum::READDIRPLUS), 1);
+    }
+
     /// A store whose `put` fails while `full` is set, as a spool out of
     /// space does.
     struct Full {

@@ -1165,11 +1165,12 @@ impl NameCache {
     /// A call changed the name `w` in its directory, and its reply
     /// carried `status` (`None`: no reply this cache can read). On OK the
     /// server did it and the name is `present` now. On ACCES the server
-    /// refused the caller before it looked at the name, so what the cache
-    /// knows of the directory stands (the reply's attributes still go
-    /// through the stamp check). Any other status — EXIST, NOENT and
-    /// NOTEMPTY among them — shows the cache and the server disagreed, and
-    /// the directory stops being known completely.
+    /// refused the caller before it looked at the name, so the names the
+    /// cache knows in the directory stand (the reply's attributes still go
+    /// through the stamp check), but its cached ACCESS verdicts there do
+    /// not: the server no longer grants what they say. Any other status —
+    /// EXIST, NOENT and NOTEMPTY among them — shows the cache and the
+    /// server disagreed, and the directory stops being known completely.
     fn learn(&mut self, w: &DirOpArgs3, status: Option<NfsStat3>, present: bool) {
         match status {
             Some(NfsStat3::Ok) => {
@@ -1181,7 +1182,7 @@ impl NameCache {
                     }
                 }
             }
-            Some(NfsStat3::Acces) => {}
+            Some(NfsStat3::Acces) => self.drop_access(&w.dir),
             _ => self.forget_dir(&w.dir),
         }
     }
